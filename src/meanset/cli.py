@@ -99,8 +99,7 @@ def cmd_deficit(args) -> int:
 def cmd_heatmap(args) -> int:
     cx = _load_complex(args.complex)
     A = _load_set(cx, args.set)
-    rows = heatmap.run_heatmap(A, args.samples, args.seed, args.tol,
-                               by_volume=args.by_volume)
+    rows = heatmap.run_heatmap(A, args.samples, args.seed, args.tol)
     if args.segment:
         p = _parse_point(args.segment[0])
         q = _parse_point(args.segment[1])
@@ -158,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tol", type=float, default=0.1,
                    help="light/dark deficit threshold (default 0.1)")
-    p.add_argument("--by-volume", action="store_true",
-                   help="weight cell choice by cell volume instead of uniformly")
     p.add_argument("--segment", nargs=3, metavar=("P", "Q", "K"),
                    help="append K evenly spaced probe rows on the segment [P, Q]")
     p.add_argument("--out", help="write CSV here and print a JSON summary")

@@ -10,7 +10,7 @@ machinery.  The public pieces are:
 * :func:`min_norm_point` -- Wolfe's algorithm for the nearest point of a
   convex hull to an anchor.
 * :func:`box_segment_min` -- shortest broken path from ``a`` to ``b``
-  through an axis-aligned box.
+  through an axis-aligned box, exact by enumerating the box's faces.
 * :class:`Singleton` / :class:`ConeBall` -- compact convex sets used as
   one-sided derivative models, supporting exact linear maximisation.
 * :func:`feasibility_min_norm` -- fully corrective Frank-Wolfe distance
@@ -21,11 +21,12 @@ machinery.  The public pieces are:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 __all__ = [
     "FREE",
@@ -224,11 +225,16 @@ def _path_value(a, b, x) -> float:
 
 
 def box_segment_min(a, b, lo, hi):
-    """Minimise ``|a-x| + |x-b|`` over the box ``{lo <= x <= hi}``.
+    """Minimise ``|a-x| + |x-b|`` over the box ``{lo <= x <= hi}``, exactly.
 
     Returns ``(value, x)``.  When the straight segment meets the box the
     value is exactly ``|a-b|`` and ties among on-segment minimisers are
-    broken by the point of smallest Euclidean norm.
+    broken by the point of smallest Euclidean norm.  Otherwise every face
+    of the box is tried: each of the k axes with ``lo < hi`` is pinned to
+    ``lo``, pinned to ``hi`` or left free, and on each of the 3**k faces
+    the minimiser over the face's affine hull has a closed form.  The
+    objective is convex, so the best candidate that lies in its face is
+    the minimum; no iterative solver is involved.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -273,107 +279,64 @@ def box_segment_min(a, b, lo, hi):
         x = np.clip(a, lo, hi)
         return _path_value(a, b, x), x
 
-    freed = [i for i in range(n) if hi[i] - lo[i] > 1e-12]
-    base = 0.5 * (lo + hi)  # equals lo == hi on pinned coordinates
-
-    if not freed:
-        return _path_value(a, b, base), base
-
-    if len(freed) == 1:
-        # reflection closed form: flatten both perpendicular offsets into a
-        # plane, the optimal crossing splits [a_j, b_j] by the offset ratio
-        j = freed[0]
+    # The minimiser lies in the relative interior of exactly one face, and
+    # by convexity it also minimises over that face's affine hull.  On a
+    # hull at distances P from a and Q from b, unfolding the two segments
+    # into a plane puts the hull minimiser at (Q a + P b) / (P + Q), with
+    # value hypot(P + Q, |a - b| along the hull).  Faces are visited by
+    # decreasing dimension, so a candidate beats its own subfaces on ties.
+    al, bl, lol, hil = a.tolist(), b.tolist(), lo.tolist(), hi.tolist()
+    freed = [i for i in range(n) if hil[i] - lol[i] > 1e-12]
+    base = [0.5 * (lol[i] + hil[i]) for i in range(n)]  # lo == hi when pinned
+    best_val, best_x = math.inf, None
+    for face in _box_faces(len(freed)):
+        x = base[:]
+        free = []
+        for i, side in zip(freed, face):
+            if side < 0:
+                x[i] = lol[i]
+            elif side > 0:
+                x[i] = hil[i]
+            else:
+                free.append(i)
         ca = cb = 0.0
         for i in range(n):
-            if i != j:
-                ca += (a[i] - base[i]) ** 2
-                cb += (b[i] - base[i]) ** 2
+            if i not in free:
+                da = al[i] - x[i]
+                db = bl[i] - x[i]
+                ca += da * da
+                cb += db * db
         P = math.sqrt(ca)
         Q = math.sqrt(cb)
-        alpha, beta = float(a[j]), float(b[j])
-        if P + Q <= 1e-15:
-            m1, m2 = min(alpha, beta), max(alpha, beta)
-            l1, l2 = max(m1, lo[j]), min(m2, hi[j])
-            if l1 <= l2:
-                t = min(max(0.0, l1), l2)
+        if free:
+            if P + Q <= 0.0:
+                continue  # the segment lies in the hull and misses the face
+            span = 0.0
+            for i in free:
+                t = (al[i] * Q + bl[i] * P) / (P + Q)
+                if t < lol[i] - 1e-12 or t > hil[i] + 1e-12:
+                    break
+                x[i] = min(max(t, lol[i]), hil[i])
+                span += (bl[i] - al[i]) * (bl[i] - al[i])
             else:
-                t = hi[j] if hi[j] < m1 else lo[j]
-        else:
-            t = min(max((alpha * Q + beta * P) / (P + Q), lo[j]), hi[j])
-        x = base.copy()
-        x[j] = t
-        return _path_value(a, b, x), x
-
-    # several free coordinates: quasi-Newton with an exact-Newton polish
-    def fun_grad(x):
-        ra = x - a
-        rb = x - b
-        na = float(np.linalg.norm(ra))
-        nb = float(np.linalg.norm(rb))
-        g = ra / max(na, 1e-18) + rb / max(nb, 1e-18)
-        return na + nb, g
-
-    bounds = [(lo[i], hi[i]) for i in range(n)]
-    starts = [np.clip(0.5 * (a + b), lo, hi)]
-    y = np.clip(a, lo, hi)
-    dd = float(d @ d)
-    tproj = min(max(float((y - a) @ d) / dd, 0.0), 1.0)
-    starts.append(np.clip(a + tproj * d, lo, hi))
-    best_val, best_x = math.inf, None
-    for x0 in starts:
-        res = _scipy_minimize(
-            fun_grad, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"ftol": 1e-18, "gtol": 1e-14, "maxiter": 300},
-        )
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), np.asarray(res.x)
-    x = np.clip(best_x, lo, hi)
-
-    # projected Newton polish for the last digits
-    for _ in range(12):
-        ra = x - a
-        rb = x - b
-        na = float(np.linalg.norm(ra))
-        nb = float(np.linalg.norm(rb))
-        if na < 1e-14 or nb < 1e-14:
-            break
-        u = ra / na
-        v = rb / nb
-        g = u + v
-        free_idx = []
-        for i in freed:
-            at_lo = x[i] <= lo[i] + 1e-13
-            at_hi = x[i] >= hi[i] - 1e-13
-            if (at_lo and g[i] > 0) or (at_hi and g[i] < 0):
-                continue
-            free_idx.append(i)
-        pg = math.sqrt(sum(g[i] ** 2 for i in free_idx))
-        if pg <= 1e-13:
-            break
-        H = (np.eye(n) - np.outer(u, u)) / na + (np.eye(n) - np.outer(v, v)) / nb
-        Hf = H[np.ix_(free_idx, free_idx)] + 1e-14 * np.eye(len(free_idx))
-        gf = np.array([g[i] for i in free_idx])
-        try:
-            step = np.linalg.solve(Hf, -gf)
-        except np.linalg.LinAlgError:
-            break
-        f0 = na + nb
-        improved = False
-        scale_step = 1.0
-        for _ in range(25):
-            xt = x.copy()
-            for k, i in enumerate(free_idx):
-                xt[i] = x[i] + scale_step * step[k]
-            xt = np.clip(xt, lo, hi)
-            ft = _path_value(a, b, xt)
-            if ft < f0 - 1e-18:
-                x = xt
-                improved = True
-                break
-            scale_step *= 0.5
-        if not improved:
-            break
+                val = math.hypot(P + Q, math.sqrt(span))
+                if val < best_val:
+                    best_val, best_x = val, x
+        elif P + Q < best_val:
+            best_val, best_x = P + Q, x
+    x = np.array(best_x)
     return _path_value(a, b, x), x
+
+
+@functools.lru_cache(maxsize=None)
+def _box_faces(k: int) -> tuple:
+    """The 3**k faces of a k-dimensional box, by decreasing dimension.
+
+    A face gives each free axis a side: -1 pinned to lo, +1 pinned to hi,
+    0 left free.
+    """
+    faces = itertools.product((0, -1, 1), repeat=k)
+    return tuple(sorted(faces, key=lambda f: f.count(0), reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -35,16 +35,6 @@ def worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _cell_weights(cx, by_volume: bool) -> np.ndarray:
-    ids = cx.maximal_ids
-    if not by_volume:
-        return np.full(len(ids), 1.0 / len(ids))
-    # maximal cells are unit cubes of their own dimension, measured in that
-    # dimension each has volume 1, so the weighting coincides with uniform
-    vols = np.array([1.0 for _ in ids])
-    return vols / vols.sum()
-
-
 def _one_sample(A: PointSetA, seed: int, index: int, eps: float,
                 prob: np.ndarray) -> HeatMapSample:
     cx = A.cx
@@ -58,11 +48,14 @@ def _one_sample(A: PointSetA, seed: int, index: int, eps: float,
 
 
 def run_heatmap(A: PointSetA, samples: int, seed: int, eps: float,
-                by_volume: bool = False, threads: int = None) -> list:
+                threads: int = None) -> list:
     """Draw ``samples`` deficit evaluations; deterministic in ``seed``."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    prob = _cell_weights(A.cx, by_volume)
+    # explicit uniform probabilities: ``rng.choice`` draws a different
+    # stream with ``p`` than without, and the samples depend on that stream
+    n_cells = len(A.cx.maximal_ids)
+    prob = np.full(n_cells, 1.0 / n_cells)
     workers = threads if threads is not None else worker_count()
     if workers <= 1:
         return [_one_sample(A, seed, i, eps, prob) for i in range(samples)]

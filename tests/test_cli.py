@@ -153,3 +153,22 @@ def test_installed_entry_point_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "recognize" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency, and importing it would dominate the
+    # package's start-up time
+    import os
+    import subprocess
+    import sys
+
+    import meanset
+    src = os.path.dirname(os.path.dirname(os.path.abspath(meanset.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, meanset, meanset.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -136,7 +136,14 @@ def _box_path_oracle(a, b, lo, hi):
     return best
 
 
-def test_box_segment_min_against_solver_oracle():
+def _box_cases():
+    """Full-dimensional boxes, then gate faces of unit cubes in R^3 and R^4.
+
+    A gate face pins some axes (``lo == hi``) and leaves 1, 2 or 3 free.
+    Every third gate case has integer endpoints, and every third puts one
+    endpoint on the face's affine hull (P = 0 or Q = 0), sometimes also on
+    the plane of one of its free sides.
+    """
     rng = np.random.default_rng(31)
     for _ in range(200):
         n = int(rng.integers(1, 4))
@@ -144,11 +151,57 @@ def test_box_segment_min_against_solver_oracle():
         hi = lo + 1.0
         a = rng.normal(size=n) * 2
         b = rng.normal(size=n) * 2
+        yield a, b, lo, hi
+    for trial in range(300):
+        n = int(rng.integers(3, 5))
+        free = rng.permutation(n)[:int(rng.integers(1, 4))]
+        lo = rng.integers(-2, 2, size=n).astype(float)
+        hi = lo.copy()
+        hi[free] += 1.0
+        a = rng.normal(size=n) * 2
+        b = rng.normal(size=n) * 2
+        if trial % 3 == 1:
+            a, b = np.round(a), np.round(b)
+        elif trial % 3 == 2:
+            end = a if rng.random() < 0.5 else b
+            pinned = lo == hi
+            end[pinned] = lo[pinned]
+            if rng.random() < 0.5:
+                i = free[0]
+                end[i] = lo[i] if rng.random() < 0.5 else hi[i]
+        yield a, b, lo, hi
+
+
+def _kkt_holds(a, b, lo, hi, x, tol=1e-6):
+    """First-order optimality of a smooth point x: the gradient of
+    |x-a| + |x-b| vanishes on free coordinates and points into the box on
+    coordinates at a bound."""
+    ra, rb = x - a, x - b
+    if min(np.linalg.norm(ra), np.linalg.norm(rb)) <= 1e-6:
+        return True  # a kink of the objective; the oracle bound covers it
+    g = ra / np.linalg.norm(ra) + rb / np.linalg.norm(rb)
+    for i in range(len(x)):
+        if hi[i] - lo[i] <= 1e-12:
+            continue
+        if x[i] <= lo[i] + 1e-12:
+            ok = g[i] >= -tol
+        elif x[i] >= hi[i] - 1e-12:
+            ok = g[i] <= tol
+        else:
+            ok = abs(g[i]) <= tol
+        if not ok:
+            return False
+    return True
+
+
+def test_box_segment_min_against_solver_oracle():
+    for a, b, lo, hi in _box_cases():
         val, x = box_segment_min(a, b, lo, hi)
         assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
         assert val == pytest.approx(
             np.linalg.norm(a - x) + np.linalg.norm(x - b), abs=1e-12)
         assert val <= _box_path_oracle(a, b, lo, hi) + 1e-7
+        assert _kkt_holds(a, b, lo, hi, x)
 
 
 def test_box_segment_min_slab_fast_path():
