@@ -24,7 +24,7 @@ y_star = z * (1 + h) / (x + h)
 print(f"scan at x={x}, z={z}: closed-form surface height y* = {y_star:.6f}\n")
 print(f"{'y':>6}  {'deficit':>10}  decision")
 for y in np.linspace(0.15, 0.75, 13):
-    rep = general_deficit(A, (x, y, z), with_weights=False)
+    rep = general_deficit(A, (x, y, z))
     mark = " <- on the surface" if abs(y - y_star) < 0.025 else ""
     decision = "member" if rep.value <= 1e-6 else "non-member"
     print(f"{y:6.3f}  {rep.value:10.6f}  {decision}{mark}")

@@ -34,7 +34,6 @@ from .recognition import (
     weighted_objective,
 )
 from .boundary import (
-    consistency_check_relint,
     directional_derivative,
     general_deficit,
     recognize_general,
@@ -66,7 +65,6 @@ __all__ = [
     "box_segment_min",
     "certified_lower_bound",
     "complex_from_dict",
-    "consistency_check_relint",
     "directional_derivative",
     "distance",
     "feasibility_min_norm",

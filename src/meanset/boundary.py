@@ -1,14 +1,17 @@
-"""Membership certification at cell boundaries.
+"""Membership decisions at every point of the complex.
 
-At a query point on a face shared by several maximal cells the distance
-functions are only directionally differentiable.  Inside each maximal cell
-``C`` the one-sided derivative of the distance to a set point ``a`` is the
-support function of a compact convex model set: either a single unit
-vector (geodesic leaves through the cell interior) or a cone-ball slice
-(geodesic leaves through a face).  The query is a mean exactly when, for
-every ``C``, some convex combination of the model sets meets the negated
-normal cone of ``C`` -- a conic feasibility problem solved exactly by
-:func:`meanset.convex.feasibility_min_norm`.
+Inside each maximal cell ``C`` containing the query point the one-sided
+derivative of the distance to a set point ``a`` is the support function of a
+compact convex model set: a single unit vector (the geodesic leaves through
+the cell interior, always so in the cell's relative interior) or a
+cone-ball slice (it leaves through a face).  Scaled by the distances
+``d_a`` these are the derivatives of ``d_a^2 / 2``, and the query is a mean
+exactly when, for every ``C``, some convex combination of the scaled sets
+meets the negated normal cone of ``C`` -- a conic feasibility problem
+solved by :func:`meanset.convex.feasibility_min_norm`.  Its convex weights
+are membership weights and its residual is the mean deficit.  In the
+relative interior of a maximal cell the problem is the Euclidean distance
+from the query to the hull of the straightened set points, solved exactly.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geodesics
-from .complexes import CubicalComplex, LocatedPoint, TangentConeDescriptor
+from .complexes import LocatedPoint
 from .convex import (
     ConeBall,
     ConvergenceError,
+    SignCone,
     Singleton,
     box_segment_min,
     feasibility_min_norm,
@@ -35,7 +39,7 @@ from .recognition import (
     NonMembershipCertificate,
     PointSetA,
     RecognitionResult,
-    recognize_interior,
+    recognize_interior,  # noqa: F401 -- perfbench/tracing.py wraps it here too
 )
 
 __all__ = [
@@ -45,10 +49,10 @@ __all__ = [
     "build_models",
     "directional_derivative",
     "solve_PC",
+    "decide",
     "recognize_general",
     "general_deficit",
     "conic_residual",
-    "consistency_check_relint",
 ]
 
 
@@ -63,51 +67,63 @@ class DirectionalDerivativeModel:
     via_cell: str            # minimal cell of the initial geodesic segment
     gate: str                # shared face of cell and via_cell
     subdiff: object          # Singleton or ConeBall
-    tangent: TangentConeDescriptor
+    tangent: SignCone        # tangent cone of the cell at the query point
 
 
 def build_model(A: PointSetA, loc: LocatedPoint, cell_id: str, label: str,
-                _geo=None) -> DirectionalDerivativeModel:
+                _tangent: SignCone = None) -> DirectionalDerivativeModel:
     cx = A.cx
-    g = _geo if _geo is not None else geodesics.geodesic(cx, loc, A.points[label])
+    g = geodesics.geodesic(cx, loc, A.points[label])
     if g.length <= 1e-12:
         raise CertificateError("derivative model undefined at a set point")
-    x = np.asarray(loc.coords, dtype=float)
-    x_a, via = geodesics.initial_direction(cx, loc, A.points[label])
-    gate_cell = cx.face_between(cell_id, via)
-    if gate_cell is None:
-        raise CertificateError(
-            f"cells {cell_id} and {via} share no face at the query point"
-        )
-    lo, hi = gate_cell.bounds()
-    xa = np.asarray(x_a, dtype=float)
-    _, xstar = box_segment_min(xa, x, lo, hi)
-    if np.linalg.norm(xstar - x) > 1e-7:
-        gdir = (x - xstar) / np.linalg.norm(x - xstar)
-        sub = Singleton(tuple(gdir))
+    tangent = _tangent if _tangent is not None else cx.tangent_cone(cell_id, loc.coords)
+    if loc.minimal_cell == cell_id:
+        # relative interior: d_a is differentiable, and its unit gradient
+        # points away from the first breakpoint of the geodesic
+        x_a = g.breakpoints[1]
+        via = gate = cell_id
+        away = [xi - ai for xi, ai in zip(loc.coords, x_a)]
+        r = math.hypot(*away)
+        sub = Singleton(tuple(v / r for v in away))
     else:
-        u = (xa - x) / np.linalg.norm(xa - x)
-        normal = cx.normal_cone(gate_cell.ident, loc.coords)
-        sub = ConeBall(tuple(u), normal)
+        x = np.asarray(loc.coords, dtype=float)
+        x_a, via = geodesics.initial_direction(cx, loc, A.points[label])
+        gate_cell = cx.face_between(cell_id, via)
+        if gate_cell is None:
+            raise CertificateError(
+                f"cells {cell_id} and {via} share no face at the query point"
+            )
+        gate = gate_cell.ident
+        lo, hi = gate_cell.bounds()
+        xa = np.asarray(x_a, dtype=float)
+        _, xstar = box_segment_min(xa, x, lo, hi)
+        if np.linalg.norm(xstar - x) > 1e-7:
+            gdir = (x - xstar) / np.linalg.norm(x - xstar)
+            sub = Singleton(tuple(gdir))
+        else:
+            u = (xa - x) / np.linalg.norm(xa - x)
+            sub = ConeBall(tuple(u), cx.normal_cone(gate, loc.coords))
     return DirectionalDerivativeModel(
         label=label,
         cell=cell_id,
         distance=g.length,
         probe=tuple(x_a),
         via_cell=via,
-        gate=gate_cell.ident,
+        gate=gate,
         subdiff=sub,
-        tangent=cx.tangent_cone(cell_id, loc.coords),
+        tangent=tangent,
     )
 
 
 def build_models(A: PointSetA, loc: LocatedPoint, cell_id: str) -> list:
-    cx = A.cx
-    out = []
-    for lbl in A.labels:
-        g = geodesics.geodesic(cx, loc, A.points[lbl])
-        out.append(build_model(A, loc, cell_id, lbl, _geo=g))
-    return out
+    tangent = A.cx.tangent_cone(cell_id, loc.coords)
+    return [build_model(A, loc, cell_id, lbl, _tangent=tangent) for lbl in A.labels]
+
+
+def _scaled_problem(models) -> tuple:
+    """One cell's conic problem: the sets ``d_a S_a`` and the target cone."""
+    sets = [m.subdiff.scaled(m.distance) for m in models]
+    return sets, models[0].tangent.polar().negate()
 
 
 def directional_derivative(model: DirectionalDerivativeModel, u) -> float:
@@ -116,7 +132,6 @@ def directional_derivative(model: DirectionalDerivativeModel, u) -> float:
     Returns ``+inf`` for directions leaving the cell's tangent cone.
     Positively homogeneous in ``u``.
     """
-    u = np.asarray(u, dtype=float)
     if not model.tangent.contains(u, 1e-9):
         return math.inf
     return float(model.subdiff.support(u))
@@ -131,24 +146,23 @@ class PCOutcome:
     residual: float
     weights: np.ndarray       # convex weights over the set labels
     direction: tuple = None   # unit decrease direction when infeasible
-    margin: float = None      # max one-sided derivative along that direction
+    margin: float = None      # max of d_a times the derivative along it
 
 
 def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
              _models=None) -> PCOutcome:
     """Decide whether the first-order mean condition holds in one cell.
 
-    Feasible (value 0): some convex combination of the derivative model
-    sets meets the negated normal cone.  Infeasible: returns a unit
-    direction in the tangent cone along which every ``d_a`` strictly
-    decreases, with rate at least half the residual.
+    Solves for the distance from the hull of the scaled model sets
+    ``d_a S_a`` to the negated normal cone.  Feasible (residual at most
+    ``tol``): the convex weights are membership weights.  Infeasible:
+    returns a unit direction ``u`` in the tangent cone with
+    ``d_a * D_u d_a <= -residual / 2`` for every set point.
     """
     cx = A.cx
     loc = cx.locate(xbar)
     models = _models if _models is not None else build_models(A, loc, cell_id)
-    sets = [m.subdiff for m in models]
-    tangent = models[0].tangent
-    target = tangent.cone.polar().negate()
+    sets, target = _scaled_problem(models)
     res = feasibility_min_norm(sets, target, tol=tol)
     if res.status == "stalled":
         raise ConvergenceError(
@@ -159,15 +173,14 @@ def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
         return PCOutcome(cell_id, True, res.residual, res.weights)
 
     rho = res.residual
-    r = np.asarray(res.point) - np.asarray(res.cone_point)
-    u = tangent.cone.project(-r)
-    nu = np.linalg.norm(u)
+    u = models[0].tangent.project(np.asarray(res.cone_point) - np.asarray(res.point))
+    nu = math.sqrt(float(u @ u))
     if nu <= 1e-15:
         raise CertificateError(
             f"degenerate descent direction in cell {cell_id}; residual {rho:g}"
         )
-    u = u / nu
-    margin = max(directional_derivative(m, u) for m in models)
+    u = (u / nu).tolist()
+    margin = max(m.distance * directional_derivative(m, u) for m in models)
     if not margin <= -0.5 * rho:
         raise CertificateError(
             f"descent direction check failed in cell {cell_id}: "
@@ -178,13 +191,13 @@ def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
 
 
 def _witness_from_direction(A: PointSetA, loc: LocatedPoint, cell_id: str,
-                            direction) -> NonMembershipCertificate:
+                            step) -> NonMembershipCertificate:
+    """The first of ``x + step / 2^k`` in the cell strictly closer to every set point."""
     cx = A.cx
     x = np.asarray(loc.coords, dtype=float)
-    u = np.asarray(direction, dtype=float)
+    step = np.asarray(step, dtype=float)
     d_ref = A.distances_from(loc)
     cell = cx.cell(cell_id)
-    step = u.copy()
     for _ in range(60):
         cand = x + step
         if cell.contains(cand):
@@ -198,107 +211,80 @@ def _witness_from_direction(A: PointSetA, loc: LocatedPoint, cell_id: str,
     )
 
 
-def recognize_general(A: PointSetA, xbar, tol: float = 1e-8) -> RecognitionResult:
-    """Decide membership at any query point, including cell boundaries.
+def _solve_cells(A: PointSetA, xbar, tol: float):
+    """The per-cell solves at ``xbar``; returns ``(loc, report, worst)``.
 
-    Runs the per-cell conic solve in every maximal cell containing the
-    query.  All feasible: a single weight vector feasible for every cell
-    simultaneously is extracted and converted into membership weights.
-    Any infeasible cell yields a strictly-closer witness point.
+    The report's value is the largest residual over the maximal cells
+    containing the query.  When every cell is feasible it carries
+    membership weights: one cell's own, or one vector feasible in all
+    cells where several meet (None if none is found).  Otherwise it carries
+    the descent direction of ``worst``, the cell with the largest residual.
+    A set point is a point mass, with ``worst`` None.
     """
     cx = A.cx
     loc = cx.locate(xbar)
+    cells = sorted(cx.maximal_cells_containing(loc))
     hit = A.label_of(loc)
     if hit is not None:
-        cert = MembershipCertificate(
-            {l: (1.0 if l == hit else 0.0) for l in A.labels}, 0.0
-        )
-        return RecognitionResult("member", cert, {}, 0.0)
+        weights = {l: float(l == hit) for l in A.labels}
+        return loc, DeficitReport(0.0, dict.fromkeys(cells, 0.0), weights=weights), None
 
-    cells = sorted(cx.maximal_cells_containing(loc))
     models = {cid: build_models(A, loc, cid) for cid in cells}
-    outcomes = {}
-    for cid in cells:
-        outcomes[cid] = solve_PC(A, loc, cid, tol, _models=models[cid])
-    per_cell = {cid: (o.value0, o.residual) for cid, o in outcomes.items()}
-
-    for cid in cells:
-        if not outcomes[cid].value0:
-            cert = _witness_from_direction(A, loc, cid, outcomes[cid].direction)
-            return RecognitionResult("non-member", cert, per_cell)
-
-    problems = []
-    target_by_cell = {}
-    for cid in cells:
-        sets = [m.subdiff for m in models[cid]]
-        target = models[cid][0].tangent.cone.polar().negate()
-        problems.append((sets, target))
-        target_by_cell[cid] = target
-    try:
-        v, residuals = shared_certificate_weights(problems, tol=tol)
-    except ConvergenceError as exc:
-        raise CertificateError(
-            f"per-cell problems are feasible but no shared weights found: {exc}"
-        ) from exc
-    dists = {m.label: m.distance for m in models[cells[0]]}
-    w = np.array([v[i] / max(dists[l], 1e-300) for i, l in enumerate(A.labels)])
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum()
-    weights = {l: float(wi) for l, wi in zip(A.labels, w)}
-    cert = MembershipCertificate(weights, 0.0)
-    return RecognitionResult("member", cert, per_cell)
-
-
-def general_deficit(A: PointSetA, xbar, with_weights: bool = True) -> DeficitReport:
-    """Mean deficit at any query point via per-cell scaled conic distances.
-
-    In each maximal cell containing the query the model sets are scaled by
-    the distances ``d_a``; the deficit is the largest distance from the
-    scaled hull to the negated normal cone, over the cells.
-    """
-    cx = A.cx
-    loc = cx.locate(xbar)
-    cells = sorted(cx.maximal_cells_containing(loc))
-    per_cell = {}
-    worst = (None, -1.0, None)
-    for cid in cells:
-        models = build_models(A, loc, cid)
-        sets = [m.subdiff.scaled(m.distance) for m in models]
-        target = models[0].tangent.cone.polar().negate()
-        res = feasibility_min_norm(sets, target)
-        per_cell[cid] = res.residual
-        if res.residual > worst[1]:
-            r = np.asarray(res.point) - np.asarray(res.cone_point)
-            worst = (cid, res.residual, r)
-    value = max(per_cell.values())
-
-    weights = None
-    direction = None
-    if value <= 1e-8:
-        if with_weights:
-            try:
-                result = recognize_general(A, loc)
-                if result.decision == "member":
-                    weights = result.certificate.weights
-            except (CertificateError, ConvergenceError):
-                weights = None
-        value = max(value, 0.0)
+    outcomes = [solve_PC(A, loc, cid, tol, _models=models[cid]) for cid in cells]
+    per_cell = {o.cell: o.residual for o in outcomes}
+    worst = max(outcomes, key=lambda o: o.residual)
+    if not worst.value0:
+        return loc, DeficitReport(worst.residual, per_cell, direction=worst.direction), worst
+    if len(cells) == 1:
+        v = worst.weights
     else:
-        cid, rho, r = worst
-        tangent = cx.tangent_cone(cid, loc.coords)
-        u = tangent.cone.project(-r)
-        nu = np.linalg.norm(u)
-        if nu > 1e-15:
-            direction = tuple(u / nu)
-    return DeficitReport(value, per_cell, weights=weights, direction=direction)
+        try:
+            v, _ = shared_certificate_weights(
+                [_scaled_problem(models[cid]) for cid in cells], tol=tol)
+        except ConvergenceError:
+            return loc, DeficitReport(worst.residual, per_cell), worst
+    v = np.clip(v, 0.0, None)
+    weights = {l: float(w) for l, w in zip(A.labels, v / v.sum())}
+    return loc, DeficitReport(worst.residual, per_cell, weights=weights), worst
+
+
+def decide(A: PointSetA, xbar, tol: float = 1e-8):
+    """Membership at ``xbar`` with its evidence: ``(DeficitReport, certificate)``.
+
+    A member's certificate carries the weights of the per-cell solves.  A
+    non-member's witness is searched from ``x - r``, where ``r`` is the
+    worst cell's residual vector, halving the step until every distance
+    strictly drops.
+    """
+    loc, report, worst = _solve_cells(A, xbar, tol)
+    if report.value <= tol:
+        if report.weights is None:
+            raise CertificateError("per-cell problems are feasible but no shared weights found")
+        return report, MembershipCertificate(report.weights, report.value)
+    step = report.value * np.asarray(report.direction)
+    return report, _witness_from_direction(A, loc, worst.cell, step)
+
+
+def recognize_general(A: PointSetA, xbar, tol: float = 1e-8) -> RecognitionResult:
+    """Decide membership at any query point, with a certificate either way."""
+    report, cert = decide(A, xbar, tol)
+    per_cell = {cid: (r <= tol, r) for cid, r in report.per_cell.items()}
+    decision = "member" if cert.kind == "membership" else "non-member"
+    return RecognitionResult(decision, cert, per_cell, report.value)
+
+
+def general_deficit(A: PointSetA, xbar) -> DeficitReport:
+    """Mean deficit at any query point: the largest per-cell residual of the
+    distance-scaled conic problem, with weights or a descent direction."""
+    return _solve_cells(A, xbar, 1e-8)[1]
 
 
 def conic_residual(A: PointSetA, xbar, cell_id: str, weights: dict) -> float:
     """First-order residual of given membership weights within one cell.
 
-    Rescales the weights by the distances (the conic problem sees
-    ``v_a proportional to w_a * d_a``) and measures how far the resulting
-    fixed combination is from the negated normal cone.
+    Over the unscaled model sets the weights become ``v_a`` proportional
+    to ``w_a * d_a``; measures how far that fixed combination is from the
+    negated normal cone.
     """
     cx = A.cx
     loc = cx.locate(xbar)
@@ -308,23 +294,10 @@ def conic_residual(A: PointSetA, xbar, cell_id: str, weights: dict) -> float:
     if not live:
         # all weight sits on coincident set points; stationarity is vacuous
         return 0.0
-    models = [build_model(A, loc, cell_id, l) for l, _ in live]
+    tangent = cx.tangent_cone(cell_id, loc.coords)
+    models = [build_model(A, loc, cell_id, l, _tangent=tangent) for l, _ in live]
     v = np.array([vi for _, vi in live])
     v = v / v.sum()
     sets = [m.subdiff for m in models]
-    target = models[0].tangent.cone.polar().negate()
-    res = feasibility_min_norm(sets, target, weights=v)
+    res = feasibility_min_norm(sets, tangent.polar().negate(), weights=v)
     return res.residual
-
-
-def consistency_check_relint(A: PointSetA, xbar, tol: float = 1e-7):
-    """Compare the interior and boundary code paths at an interior point.
-
-    Returns ``(ok, interior_deficit, general_deficit_value, decisions)``.
-    """
-    report, cert = recognize_interior(A, xbar)
-    gen = recognize_general(A, xbar)
-    gdef = general_deficit(A, xbar, with_weights=False)
-    d_int = "member" if cert.kind == "membership" else "non-member"
-    ok = (d_int == gen.decision) and abs(report.value - gdef.value) <= tol
-    return ok, report.value, gdef.value, (d_int, gen.decision)

@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="complex JSON file or bundled name")
         return p
 
-    add("validate", cmd_validate, "check gluing and vertex-link conditions")
+    add("validate", cmd_validate, "check the vertex-link condition")
 
     for name, fn, help_ in (
         ("distance", cmd_distance, "geodesic distance between two points"),

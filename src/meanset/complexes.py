@@ -3,9 +3,10 @@
 A complex is described by its maximal cells only; the full face lattice is
 derived at construction.  Cells are axis-aligned unit cubes ``base + [0,1]^axes``
 with integer base vertices, so all face computations are exact integer
-arithmetic.  Curvature enters through :meth:`CubicalComplex.validate`, which
-checks the pairwise-intersection condition and the flag condition on vertex
-links; simple connectivity is reported as assumed, not checked.
+arithmetic.  Two lattice unit cubes always meet in a common face of both,
+so curvature enters only through :meth:`CubicalComplex.validate`, which
+checks the flag condition on vertex links; simple connectivity is reported
+as assumed, not checked.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "CubeCell",
     "CubicalComplex",
     "LocatedPoint",
-    "TangentConeDescriptor",
     "ValidationReport",
     "ComplexError",
     "LocationError",
@@ -100,30 +100,17 @@ class LocatedPoint:
 
 
 @dataclass(frozen=True)
-class TangentConeDescriptor:
-    """Tangent cone of a cell at one of its points, as ambient sign data."""
-
-    cell: str
-    cone: SignCone
-
-    def contains(self, v, tol: float = 1e-9) -> bool:
-        return self.cone.contains(v, tol)
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    intersection_violations: tuple
     link_violations: tuple
     simple_connectivity: str = "assumed"
 
     @property
     def ok(self) -> bool:
-        return not self.intersection_violations and not self.link_violations
+        return not self.link_violations
 
     def to_dict(self):
         return {
             "ok": self.ok,
-            "intersection_violations": [list(v) for v in self.intersection_violations],
             "link_violations": [
                 {"vertex": list(v), "directions": [list(d) for d in dirs]}
                 for v, dirs in self.link_violations
@@ -211,7 +198,7 @@ class CubicalComplex:
         )
         self._bounds = {c.ident: c.bounds() for c in self.cells}
         self._geo_cache = {}
-        self._vertex_paths = {}
+        self._vertex_paths = None
         # adjacency over maximal cells (shared face of any dimension)
         adj = {i: [] for i in self.maximal_ids}
         for i, j in itertools.combinations(self.maximal_ids, 2):
@@ -238,15 +225,6 @@ class CubicalComplex:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        bad_pairs = []
-        for a, b in itertools.combinations(self.cells, 2):
-            inter = _intersect_boxes(a, b)
-            if inter is None:
-                continue
-            base, axes = inter
-            if not (_is_face_of(base, axes, a) and _is_face_of(base, axes, b)):
-                bad_pairs.append((a.ident, b.ident))
-
         link_bad = []
         vertices = sorted({v for c in self.cells for v in c.vertices()})
         cube_keys = {(c.base, c.axes) for c in self.cells}
@@ -283,7 +261,7 @@ class CubicalComplex:
                     )
                     if all_pairs and block_at(v, list(combo)) not in cube_keys:
                         link_bad.append((v, combo))
-        return ValidationReport(tuple(bad_pairs), tuple(link_bad))
+        return ValidationReport(tuple(link_bad))
 
     # -- point location ----------------------------------------------------
 
@@ -326,7 +304,7 @@ class CubicalComplex:
 
     # -- cones ---------------------------------------------------------------
 
-    def tangent_cone(self, cell_id: str, point) -> TangentConeDescriptor:
+    def tangent_cone(self, cell_id: str, point) -> SignCone:
         cell = self._by_id[cell_id]
         p = self.snap(point)
         if not cell.contains(p):
@@ -341,10 +319,10 @@ class CubicalComplex:
                 signs.append(NONPOS)
             else:
                 signs.append(FREE)
-        return TangentConeDescriptor(cell_id, SignCone(tuple(signs)))
+        return SignCone(tuple(signs))
 
     def normal_cone(self, cell_id: str, point) -> SignCone:
-        return self.tangent_cone(cell_id, point).cone.polar()
+        return self.tangent_cone(cell_id, point).polar()
 
     # -- faces -----------------------------------------------------------------
 
@@ -355,7 +333,7 @@ class CubicalComplex:
             return None
         ident = self._index.get(inter)
         if ident is None:
-            # can only happen for complexes violating the gluing condition
+            # unreachable: lattice unit cubes always meet in a common face
             raise ComplexError(
                 f"cells {id_a} and {id_b} overlap in a box that is not a common face"
             )
@@ -363,16 +341,15 @@ class CubicalComplex:
 
     # -- vertex graph --------------------------------------------------------
 
-    def vertex_distances(self, mode: str = "edges"):
+    def vertex_distances(self):
         """All-pairs shortest paths over the vertex graph (lazily cached).
 
-        ``edges`` uses the 1-skeleton (unit edges); ``chords`` also joins
-        every vertex pair inside a common cell by its straight distance.
-        Both graphs trace actual paths in the complex, so the induced point
-        bounds are valid geodesic upper bounds.
+        Every vertex pair inside a common maximal cell is joined by its
+        straight distance.  The graph traces actual paths in the complex,
+        so the induced point bounds are valid geodesic upper bounds.
         """
-        if mode in self._vertex_paths:
-            return self._vertex_paths[mode]
+        if self._vertex_paths is not None:
+            return self._vertex_paths
         verts = sorted({v for c in self.cells for v in c.vertices()})
         index = {v: i for i, v in enumerate(verts)}
         n = len(verts)
@@ -384,36 +361,18 @@ class CubicalComplex:
             if d < dist[i, j]:
                 dist[i, j] = dist[j, i] = d
 
-        if mode == "edges":
-            for c in self.cells:
-                if c.dim == 1:
-                    v0, v1 = c.vertices()
-                    relax(v0, v1, 1.0)
-        elif mode == "chords":
-            for ident in self.maximal_ids:
-                vs = self._by_id[ident].vertices()
-                for u, w in itertools.combinations(vs, 2):
-                    relax(u, w, float(np.linalg.norm(np.subtract(u, w))))
-        else:
-            raise ValueError(f"unknown vertex graph mode {mode!r}")
+        for ident in self.maximal_ids:
+            vs = self._by_id[ident].vertices()
+            for u, w in itertools.combinations(vs, 2):
+                relax(u, w, float(np.linalg.norm(np.subtract(u, w))))
 
         # Floyd-Warshall; vertex counts here are tiny
         for k in range(n):
             dk = dist[k]
             dist = np.minimum(dist, dist[:, k][:, None] + dk[None, :])
         table = {"verts": verts, "index": index, "dist": dist}
-        self._vertex_paths[mode] = table
+        self._vertex_paths = table
         return table
-
-
-def normal_cone_project(descriptor: TangentConeDescriptor, v) -> np.ndarray:
-    """Project ``v`` onto the normal cone polar to the tangent descriptor.
-
-    Ambient coordinates the cell does not span pass through unchanged,
-    coordinates free in the cell are zeroed, and sign-constrained
-    coordinates clamp to the opposite sign.
-    """
-    return descriptor.cone.polar().project(v)
 
 
 def complex_from_dict(doc) -> CubicalComplex:

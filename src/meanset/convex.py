@@ -42,7 +42,6 @@ __all__ = [
     "ProductSet",
     "FeasibilityResult",
     "feasibility_min_norm",
-    "simplex_least_squares",
     "shared_certificate_weights",
     "ConvergenceError",
 ]
@@ -142,14 +141,15 @@ def _affine_min_norm(Q: np.ndarray) -> np.ndarray:
     rhs[k] = 1.0
     try:
         sol = np.linalg.solve(kkt, rhs)
-        bad = not np.all(np.isfinite(sol)) or abs(sol[:k].sum() - 1.0) > 1e-6
+        v = sol[:k]
+        s = v.sum()
+        bad = not np.isfinite(sol).all() or abs(s - 1.0) > 1e-6
     except np.linalg.LinAlgError:
         bad = True
-        sol = None
     if bad:
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    v = sol[:k]
-    s = v.sum()
+        v = sol[:k]
+        s = v.sum()
     if abs(s - 1.0) > 1e-12 and abs(s) > 1e-12:
         v = v / s
     return v
@@ -177,13 +177,13 @@ def min_norm_point(points, anchor=None, tol: float = 1e-12, max_iter=None) -> Mi
     if max_iter is None:
         max_iter = 64 * m + 256
 
-    corral = [int(np.argmin(sq))]
+    corral = [int(sq.argmin())]
     w = np.ones(1)
     x = Q[corral[0]].copy()
     for _ in range(max_iter):
         dots = Q @ x
         xx = float(x @ x)
-        j = int(np.argmin(dots))
+        j = int(dots.argmin())
         if xx - dots[j] <= tol * scale:
             break
         if j in corral:
@@ -192,7 +192,7 @@ def min_norm_point(points, anchor=None, tol: float = 1e-12, max_iter=None) -> Mi
         w = np.append(w, 0.0)
         while True:
             v = _affine_min_norm(Q[corral])
-            if np.all(v > 1e-12):
+            if (v > 1e-12).all():
                 w = v
                 break
             # step from w toward v until the first weight hits zero
@@ -351,11 +351,11 @@ class Singleton:
     scale: float = 1.0
 
     def __post_init__(self):
-        if np.linalg.norm(self.g) > 1.0 + 1e-7:
+        if math.hypot(*self.g) > 1.0 + 1e-7:
             raise ValueError("singleton derivative model must lie in the unit ball")
 
     def support(self, d) -> float:
-        return self.scale * float(np.dot(self.g, d))
+        return self.scale * sum(gi * di for gi, di in zip(self.g, d))
 
     def support_point(self, d) -> np.ndarray:
         return self.scale * np.asarray(self.g, dtype=float)
@@ -509,7 +509,6 @@ class FeasibilityResult:
     point: np.ndarray     # optimal point of the search set
     cone_point: np.ndarray  # its projection onto the target cone
     weights: np.ndarray   # convex weights over the sets
-    selectors: tuple      # per-set components q_a with point = sum q_a
     status: str           # "zero" | "positive" | "stalled"
     iterations: int
     gap: float
@@ -526,6 +525,10 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
     each outer round adds the support atom of the current gradient and then
     re-solves exactly over the collected atoms (alternating Wolfe min-norm
     against the cone projection).  The squared residual is nonincreasing.
+
+    Free weights over points (all sets :class:`Singleton`) and a subspace
+    target (only ``free`` and ``zero`` signs) are solved exactly by one
+    Wolfe call instead, reporting zero Frank-Wolfe iterations.
     """
     m = len(sets)
     if m == 0:
@@ -535,21 +538,22 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
         wv = np.asarray(weights, dtype=float)
         if wv.shape != (m,) or wv.min() < -1e-12:
             raise ValueError("weights must be a nonnegative vector, one per set")
+    elif (all(isinstance(s, Singleton) for s in sets)
+          and all(s in (FREE, ZERO) for s in target.signs)):
+        return _subspace_min_norm(sets, target, tol)
     n_dim = target.dim
 
     def lmo(direction):
-        """Minimise <direction, x> over the search set; return (point, parts)."""
+        """Minimise <direction, x> over the search set.
+
+        Returns the point and, with free weights, the index of its set.
+        """
         if fixed:
-            parts = []
             total = np.zeros(n_dim)
             for k in range(m):
-                if wv[k] <= 1e-15:
-                    parts.append(np.zeros(n_dim))
-                    continue
-                p = wv[k] * sets[k].support_point(-direction)
-                parts.append(p)
-                total = total + p
-            return total, tuple(parts)
+                if wv[k] > 1e-15:
+                    total = total + wv[k] * sets[k].support_point(-direction)
+            return total, None
         best = None
         for k in range(m):
             p = sets[k].support_point(-direction)
@@ -557,17 +561,15 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
             if best is None or val < best[0] - 1e-15:
                 best = (val, p, k)
         _, p, k = best
-        parts = tuple(p if j == k else None for j in range(m))
-        return p, parts
+        return p, k
 
     # initial atom: canonical points
     if fixed:
         parts0 = tuple(wv[k] * sets[k].anchor_point() for k in range(m))
         z = np.sum(parts0, axis=0) if m > 1 else np.array(parts0[0])
-        atoms = [(np.asarray(z, dtype=float), parts0)]
+        atoms = [(np.asarray(z, dtype=float), None)]
     else:
-        p0 = sets[0].anchor_point()
-        atoms = [(np.asarray(p0, dtype=float), tuple(p0 if j == 0 else None for j in range(m)))]
+        atoms = [(np.asarray(sets[0].anchor_point(), dtype=float), 0)]
     z = atoms[0][0].copy()
     lam = np.ones(1)
 
@@ -597,11 +599,11 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
         else:
             stall = 0
         f_last = f
-        s, parts = lmo(g)
+        s, source = lmo(g)
         gap = 2.0 * float(g @ (z - s))
         if gap <= max(1e-18, 1e-13 * f):
             break
-        atoms.append((np.asarray(s, dtype=float), parts))
+        atoms.append((np.asarray(s, dtype=float), source))
         pts = np.array([p for p, _ in atoms])
         f_prev = f
         lam = None
@@ -622,7 +624,7 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
         if lam.sum() > 0:
             lam = lam / lam.sum()
         if not atoms:  # defensive; cannot normally happen
-            atoms = [(z.copy(), parts)]
+            atoms = [(z.copy(), source)]
             lam = np.ones(1)
 
     mpt = target.project(z)
@@ -630,21 +632,13 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
     f = float(g @ g)
     residual = math.sqrt(max(f, 0.0))
 
-    # reconstruct weights and per-set components from the atom decomposition
+    # free weights: each atom's weight goes to the set it came from
     if fixed:
         v_out = wv.copy()
-        selectors = [np.zeros(n_dim) for _ in range(m)]
-        for (pt, parts), li in zip(atoms, lam):
-            for k in range(m):
-                selectors[k] = selectors[k] + li * parts[k]
     else:
         v_out = np.zeros(m)
-        selectors = [np.zeros(n_dim) for _ in range(m)]
-        for (pt, parts), li in zip(atoms, lam):
-            for k in range(m):
-                if parts[k] is not None:
-                    v_out[k] += li
-                    selectors[k] = selectors[k] + li * parts[k]
+        for (_, k), li in zip(atoms, lam):
+            v_out[k] += li
 
     if residual <= tol:
         status = "zero"
@@ -657,7 +651,6 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
         point=z,
         cone_point=mpt,
         weights=v_out,
-        selectors=tuple(selectors),
         status=status,
         iterations=it,
         gap=gap,
@@ -665,56 +658,30 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
     )
 
 
-# ---------------------------------------------------------------------------
-# simplex-constrained least squares (exact active-set enumeration)
+def _subspace_min_norm(sets, target: SignCone, tol: float) -> FeasibilityResult:
+    """Distance from the hull of singleton points to a subspace, exactly.
 
-
-def simplex_least_squares(B: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimise ``|B v - y|`` over the probability simplex, exactly.
-
-    Enumerates the support of the optimum (columns allowed to be nonzero),
-    solves each equality-constrained least squares via its KKT system, and
-    keeps the best feasible candidate.  Intended for a handful of columns.
+    The distance from a point to the subspace is the norm of its part in
+    the pinned (``zero``) coordinates, and that part is linear in the
+    point, so the nearest hull point is a min-norm point of the projected
+    hull.
     """
-    B = np.asarray(B, dtype=float)
-    y = np.asarray(y, dtype=float)
-    m = B.shape[1]
-    if m > 16:
-        raise ValueError("simplex_least_squares is exponential in columns; got too many")
-    best_obj = math.inf
-    best_v = None
-    for mask in range(1, 1 << m):
-        idx = [i for i in range(m) if mask >> i & 1]
-        Bi = B[:, idx]
-        k = len(idx)
-        G = Bi.T @ Bi + 1e-14 * np.eye(k)
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = G
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[:k] = Bi.T @ y
-        rhs[k] = 1.0
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        vi = sol[:k]
-        if not np.all(np.isfinite(vi)) or vi.min() < -1e-9:
-            continue
-        v = np.zeros(m)
-        v[idx] = np.clip(vi, 0.0, None)
-        s = v.sum()
-        if s <= 0:
-            continue
-        v = v / s
-        obj = float(np.linalg.norm(B @ v - y) ** 2)
-        if obj < best_obj - 1e-18:
-            best_obj = obj
-            best_v = v
-    if best_v is None:  # all candidates degenerate; fall back to uniform
-        best_v = np.full(m, 1.0 / m)
-    return best_v
+    P = np.array([[s.scale * gi for gi in s.g] for s in sets])
+    pinned = np.array([s == ZERO for s in target.signs])
+    res = min_norm_point(P * pinned)
+    z = res.weights @ P
+    off = z * pinned
+    residual = math.sqrt(float(off @ off))
+    return FeasibilityResult(
+        residual=residual,
+        point=z,
+        cone_point=z - off,
+        weights=res.weights,
+        status="zero" if residual <= tol else "positive",
+        iterations=0,
+        gap=res.gap,
+        history=(),
+    )
 
 
 # ---------------------------------------------------------------------------

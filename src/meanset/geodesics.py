@@ -194,11 +194,11 @@ def _reachable(cx: CubicalComplex, starts, ends) -> bool:
     return bool(target & seen)
 
 
-def vertex_upper_bound(cx: CubicalComplex, p, q, mode: str = "edges") -> float:
+def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:
     """Length of a vertex-graph path from p to q; an upper bound on distance."""
     p_loc = cx.locate(p)
     q_loc = cx.locate(q)
-    table = cx.vertex_distances(mode)
+    table = cx.vertex_distances()
     index = table["index"]
     dist = table["dist"]
 
@@ -276,7 +276,7 @@ def _solve_geodesic(cx, p_loc, q_loc, max_chain):
     pa = np.asarray(p, dtype=float)
     qa = np.asarray(q, dtype=float)
 
-    ub = vertex_upper_bound(cx, p_loc, q_loc, "chords")
+    ub = vertex_upper_bound(cx, p_loc, q_loc)
     if not math.isfinite(ub):
         if not _reachable(cx, starts, ends):
             raise GeodesicError(

@@ -1,10 +1,9 @@
 """Recognising weighted means of a finite point set in a cubical complex.
 
 A query point is a mean of the labelled set exactly when the mean-deficit
-vanishes there.  For query points in the relative interior of a maximal
-cell the deficit reduces to a Euclidean min-norm problem over straightened
-directions; elsewhere the boundary module takes over.  Both branches emit
-machine-checkable certificates:
+vanishes there.  This module holds the point set, the certificates and
+their checks; the decision itself is the per-cell conic solve of
+:mod:`meanset.boundary`, which emits machine-checkable certificates:
 
 * :class:`MembershipCertificate` -- simplex weights under which the query
   point minimises the weighted squared-distance objective;
@@ -16,13 +15,13 @@ machine-checkable certificates:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geodesics
-from .complexes import CubicalComplex, LocatedPoint
-from .convex import min_norm_point
+from .complexes import CubicalComplex
+from .convex import min_norm_point  # noqa: F401 -- perfbench/tracing.py wraps it here
 
 __all__ = [
     "PointSetA",
@@ -148,20 +147,17 @@ class DeficitReport:
 class RecognitionResult:
     decision: str            # "member" | "non-member"
     certificate: object
-    per_cell: dict = field(default_factory=dict)
-    deficit: float = None
+    per_cell: dict           # maximal cell id -> (feasible, residual)
+    deficit: float
 
     def to_dict(self):
-        out = {"decision": self.decision,
-               "certificate": self.certificate.to_dict()}
-        if self.per_cell:
-            out["per_cell"] = {
-                k: {"value0": bool(v[0]), "residual": float(v[1])}
-                for k, v in self.per_cell.items()
-            }
-        if self.deficit is not None:
-            out["deficit"] = float(self.deficit)
-        return out
+        return {
+            "decision": self.decision,
+            "certificate": self.certificate.to_dict(),
+            "per_cell": {k: {"value0": bool(v[0]), "residual": float(v[1])}
+                         for k, v in self.per_cell.items()},
+            "deficit": float(self.deficit),
+        }
 
 
 @dataclass(frozen=True)
@@ -228,133 +224,33 @@ def test_function_line_search(A: PointSetA, xbar, g: geodesics.Geodesic,
 
 
 # ---------------------------------------------------------------------------
-# interior recognition
-
-
-def _relint_maximal_cell(cx: CubicalComplex, loc: LocatedPoint):
-    """The maximal cell having ``loc`` in its relative interior, or None."""
-    if loc.minimal_cell in cx.maximal_ids:
-        return loc.minimal_cell
-    return None
-
-
-def straightened_points(A: PointSetA, xbar):
-    """Pull every set point into the query's cell along its geodesic.
-
-    For a query point interior to a maximal cell ``C``, each geodesic to a
-    set point leaves along a straight segment in ``C``; scaling that probe
-    segment back to full length yields a Euclidean surrogate
-    ``z_a = xbar + d_a * u_a``.  Returns ``(cell_id, {label: z_a})``.
-    """
-    cx = A.cx
-    loc = cx.locate(xbar)
-    cell_id = _relint_maximal_cell(cx, loc)
-    if cell_id is None:
-        raise CertificateError(
-            "query point is not interior to a maximal cell; use the boundary routine"
-        )
-    cell = cx.cell(cell_id)
-    x = np.asarray(loc.coords, dtype=float)
-    out = {}
-    for lbl in A.labels:
-        g = geodesics.geodesic(cx, loc, A.points[lbl])
-        t = 1.0
-        probe = np.asarray(g.breakpoints[-1], dtype=float)
-        for _ in range(60):
-            if cell.contains(probe):
-                break
-            t *= 0.5
-            probe = np.asarray(geodesics.point_along(g, t), dtype=float)
-        else:
-            raise CertificateError(
-                f"could not pull point {lbl!r} into cell {cell_id}; geometry inconsistent"
-            )
-        out[lbl] = x + (probe - x) / t
-    return cell_id, out
-
-
-def recognize_interior(A: PointSetA, xbar, tol: float = 1e-8):
-    """Decide membership for a query interior to a maximal cell.
-
-    Returns ``(DeficitReport, certificate)``.
-    """
-    cx = A.cx
-    loc = cx.locate(xbar)
-    if A.label_of(loc) is not None:
-        raise CertificateError(
-            "query point coincides with a set point; membership is trivial"
-        )
-    cell_id, straight = straightened_points(A, loc)
-    x = np.asarray(loc.coords, dtype=float)
-    Z = np.array([straight[lbl] for lbl in A.labels])
-    res = min_norm_point(Z, anchor=x)
-    z = res.point
-    deficit = float(np.linalg.norm(z - x))
-    report_kw = {"value": deficit, "per_cell": {cell_id: deficit}}
-
-    if deficit <= tol:
-        w = np.clip(res.weights, 0.0, None)
-        w = w / w.sum()
-        weights = {lbl: float(wi) for lbl, wi in zip(A.labels, w)}
-        report = DeficitReport(weights=weights, **report_kw)
-        return report, MembershipCertificate(weights, deficit)
-
-    direction = (z - x) / deficit
-    d_ref = A.distances_from(loc)
-    witness = None
-    margins = None
-    step = z - x
-    for _ in range(60):
-        cand = x + step
-        if cx.cell(cell_id).contains(cand):
-            d_cand = A.distances_from(cand)
-            m = {l: d_ref[l] - d_cand[l] for l in A.labels}
-            if min(m.values()) > 0.0:
-                witness = tuple(cx.snap(cand))
-                margins = m
-                break
-        step = 0.5 * step
-    if witness is None:
-        raise CertificateError(
-            "failed to build a strictly-closer witness; deficit "
-            f"{deficit:g} may be spurious"
-        )
-    report = DeficitReport(direction=tuple(direction), **report_kw)
-    return report, NonMembershipCertificate(witness, margins)
+# decisions, made by the per-cell conic solve in ``boundary``
 
 
 def recognize(A: PointSetA, xbar, tol: float = 1e-8) -> RecognitionResult:
-    """Decide membership anywhere in the complex, dispatching on location."""
-    cx = A.cx
-    loc = cx.locate(xbar)
-    hit = A.label_of(loc)
-    if hit is not None:
-        cert = MembershipCertificate({l: (1.0 if l == hit else 0.0) for l in A.labels}, 0.0)
-        return RecognitionResult("member", cert, {}, 0.0)
-    if _relint_maximal_cell(cx, loc) is not None:
-        report, cert = recognize_interior(A, loc, tol)
-        decision = "member" if cert.kind == "membership" else "non-member"
-        return RecognitionResult(decision, cert, {}, report.value)
+    """Decide membership anywhere in the complex, with a certificate."""
     from . import boundary  # local import; boundary builds on this module
 
-    return boundary.recognize_general(A, loc, tol)
+    return boundary.recognize_general(A, xbar, tol)
+
+
+def recognize_interior(A: PointSetA, xbar, tol: float = 1e-8):
+    """``(DeficitReport, certificate)`` at a point interior to a maximal cell.
+
+    Kept as an entry point because ``perfbench/tracing.py`` wraps it by name.
+    """
+    loc = A.cx.locate(xbar)
+    if loc.minimal_cell not in A.cx.maximal_ids or A.label_of(loc) is not None:
+        raise CertificateError("query point is a set point or not interior to a maximal cell")
+    from . import boundary
+    return boundary.decide(A, loc, tol)
 
 
 def mean_deficit(A: PointSetA, xbar) -> DeficitReport:
     """The mean-deficit value at ``xbar`` with per-cell breakdown."""
-    cx = A.cx
-    loc = cx.locate(xbar)
-    hit = A.label_of(loc)
-    if hit is not None:
-        weights = {l: (1.0 if l == hit else 0.0) for l in A.labels}
-        cells = cx.maximal_cells_containing(loc)
-        return DeficitReport(0.0, {c: 0.0 for c in cells}, weights=weights)
-    if _relint_maximal_cell(cx, loc) is not None:
-        report, _ = recognize_interior(A, loc)
-        return report
     from . import boundary
 
-    return boundary.general_deficit(A, loc)
+    return boundary.general_deficit(A, xbar)
 
 
 def certified_lower_bound(A: PointSetA, xbar, cert: NonMembershipCertificate) -> float:

@@ -17,7 +17,6 @@ from meanset import (
     CubicalComplex,
     PointSetA,
     certified_lower_bound,
-    consistency_check_relint,
     distance,
     general_deficit,
     geodesic,
@@ -33,6 +32,7 @@ from meanset import (
 from meanset import test_function_line_search as line_search
 from meanset.convex import min_norm_point
 from meanset.corpus import expected
+from oracles import agrees_with_straightened
 
 R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
@@ -120,7 +120,7 @@ def _bisect_surface_y(A, x: float, z: float) -> float:
     lo, hi = 0.02, 0.98
 
     def vertical_sign(y):
-        rep = general_deficit(A, (x, y, z), with_weights=False)
+        rep = general_deficit(A, (x, y, z))
         if rep.direction is None:
             return 0.0
         return rep.direction[1]
@@ -290,7 +290,7 @@ def test_criterion_7_euclidean_oracle():
 
 # ---------------------------------------------------------------------------
 # 8. property suites: comparison inequality, certificates, contraction,
-#    interior/boundary consistency
+#    agreement with an interior oracle
 
 
 def _cn_inequality(cx, rng, trials: int) -> float:
@@ -362,7 +362,7 @@ def test_criterion_8_property_suites(bundles):
             break
         done += 1
 
-    # interior fast path agrees with the general boundary path
+    # the decision path agrees with the straightened-point oracle inside cells
     relint_ok = True
     quota = {"tripod": 50, "squares3": 50, "cube_square": 40,
              "quadrant_window": 40, "squares5": 20}
@@ -374,7 +374,7 @@ def test_criterion_8_property_suites(bundles):
             p = _random_cell_point(cx, rng)
             if A.label_of(p) is not None:
                 continue
-            ok, *_ = consistency_check_relint(A, p, tol=1e-7)
+            ok, *_ = agrees_with_straightened(A, p, tol=1e-7)
             relint_ok &= ok
             got += 1
             checked += 1
@@ -382,7 +382,7 @@ def test_criterion_8_property_suites(bundles):
     report(8, ok, f"midpoint comparison worst slack {cn_worst:.2e} over 2500 "
                   f"triples; certificates re-verified: {cert_ok}; contraction "
                   f"decisions stable over 50: {contraction_ok}; "
-                  f"interior/boundary agreement on {checked}: {relint_ok}")
+                  f"agreement with the interior oracle on {checked}: {relint_ok}")
     assert ok
 
 

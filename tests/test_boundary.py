@@ -7,7 +7,6 @@ import pytest
 
 from meanset import (
     PointSetA,
-    consistency_check_relint,
     general_deficit,
     load_bundled,
     mean_deficit,
@@ -17,6 +16,8 @@ from meanset import (
     verify_certificate,
 )
 from meanset.boundary import build_models, conic_residual, directional_derivative
+from meanset.convex import ConeBall, Singleton
+from oracles import agrees_with_straightened
 
 
 def _random_point(cx, rng):
@@ -49,6 +50,23 @@ def test_solve_pc_infeasible_off_the_mean_set(bundles):
     models = build_models(A, A.cx.locate((0.0, 0.5)), leg)
     for m in models:
         assert directional_derivative(m, out.direction) < 0.0
+
+
+def test_relint_model_is_the_exact_singleton(bundles):
+    """In a cell's relative interior the derivative model is the unit
+    gradient, a Singleton.  At (-0.8, -0.4) the gate construction of a face
+    point would give a zero-diameter ConeBall; both have the same support."""
+    cx, A = bundles["squares3"]
+    loc = cx.locate((-0.8, -0.4))
+    cell = loc.minimal_cell
+    model = next(m for m in build_models(A, loc, cell) if m.label == "b")
+    assert isinstance(model.subdiff, Singleton)
+    x = np.array(loc.coords)
+    u = np.array(model.probe) - x
+    degenerate = ConeBall(tuple(u / np.linalg.norm(u)), cx.normal_cone(cell, loc.coords))
+    rng = np.random.default_rng(5)
+    for d in rng.normal(size=(50, 2)):
+        assert model.subdiff.support(d) == pytest.approx(degenerate.support(d), abs=1e-12)
 
 
 def test_directional_derivative_outside_tangent_is_inf(bundles):
@@ -153,7 +171,7 @@ def test_relint_consistency_sampled(bundles, name):
         p = _random_point(cx, rng)
         if A.label_of(p) is not None:
             continue
-        ok, interior_value, general_value, decisions = consistency_check_relint(A, p)
-        assert ok, (name, p, interior_value, general_value, decisions)
+        ok, want, got, decision = agrees_with_straightened(A, p)
+        assert ok, (name, p, want, got, decision)
         checked += 1
     assert checked >= 10

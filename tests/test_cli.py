@@ -85,6 +85,21 @@ def test_recognize_non_member_json(capsys):
     assert len(doc["certificate"]["witness"]) == 2
 
 
+def test_recognize_json_has_one_shape(capsys):
+    # a square's interior, an edge shared by two squares, and a set point
+    docs = []
+    for at in ("[0.5,-0.5]", "[0,-0.5]", "[1,0]"):
+        code, out, _ = run(capsys, "recognize", "--complex", "squares3",
+                           "--set", "squares3", "--at", at)
+        assert code == 0
+        docs.append(json.loads(out))
+    for doc in docs:
+        assert sorted(doc) == ["certificate", "decision", "deficit", "per_cell"]
+        assert doc["per_cell"]
+    assert len(docs[0]["per_cell"]) == 1 and len(docs[1]["per_cell"]) == 2
+    assert docs[0]["deficit"] == pytest.approx(0.5, abs=1e-9)
+
+
 def test_deficit_json(capsys):
     code, out, _ = run(capsys, "deficit", "--complex", "tripod",
                        "--set", "tripod", "--at", "[0,0.5]")

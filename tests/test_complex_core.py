@@ -1,5 +1,7 @@
 """Cell lattice construction, point location, cones and validation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -76,11 +78,11 @@ def test_tangent_cone_signs():
     # square [0,1] x [-1,0] seen from its corner at the origin
     sq = next(c for c in cx.cells if c.base == (0, -1) and len(c.axes) == 2)
     tc = cx.tangent_cone(sq.ident, (0.0, 0.0))
-    assert tc.cone.signs == (NONNEG, NONPOS)
+    assert tc.signs == (NONNEG, NONPOS)
     tc = cx.tangent_cone(sq.ident, (0.5, -0.5))
-    assert tc.cone.signs == (FREE, FREE)
+    assert tc.signs == (FREE, FREE)
     tc = cx.tangent_cone(sq.ident, (0.5, 0.0))
-    assert tc.cone.signs == (FREE, NONPOS)
+    assert tc.signs == (FREE, NONPOS)
     with pytest.raises(LocationError):
         cx.tangent_cone(sq.ident, (0.5, 0.5))
 
@@ -92,7 +94,7 @@ def test_normal_cone_is_polar():
     assert nc.signs == (NONPOS, NONNEG)
     # polar pairing: <t, n> <= 0 for sampled members
     rng = np.random.default_rng(2)
-    tc = cx.tangent_cone(sq.ident, (0.0, 0.0)).cone
+    tc = cx.tangent_cone(sq.ident, (0.0, 0.0))
     for _ in range(100):
         t = tc.project(rng.normal(size=2))
         n = nc.project(rng.normal(size=2))
@@ -121,7 +123,7 @@ def test_face_between_disjoint_is_none():
 def test_validate_accepts_all_bundled(bundles):
     for name, (cx, _) in bundles.items():
         rep = cx.validate()
-        assert rep.intersection_violations == (), name
+        assert rep.ok, name
         assert rep.link_violations == (), name
 
 
@@ -168,14 +170,67 @@ def test_duplicate_maximal_cells_rejected():
 
 def test_vertex_graph_modes():
     cx, _ = load_bundled("tripod")
-    table = cx.vertex_distances("edges")
-    i, j = table["index"][(1, 0)], table["index"][(-1, 0)]
-    assert table["dist"][i, j] == pytest.approx(2.0)
-    chords = cx.vertex_distances("chords")
+    chords = cx.vertex_distances()
     k, l = chords["index"][(1, 0)], chords["index"][(-1, 0)]
     assert chords["dist"][k, l] == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        cx.vertex_distances("bogus")
+
+
+def _reference_meet(a, b):
+    """Per-axis integer intervals of the intersection of two cells, or None."""
+    lo, hi = [], []
+    for i in range(len(a.base)):
+        low = max(a.base[i], b.base[i])
+        high = min(a.base[i] + (i in a.axes), b.base[i] + (i in b.axes))
+        if low > high:
+            return None
+        lo.append(low)
+        hi.append(high)
+    return lo, hi
+
+
+def _reference_is_face(lo, hi, cell):
+    """Each axis interval is the cell's own or a single endpoint of it."""
+    for i, b in enumerate(cell.base):
+        own = (b, b + (i in cell.axes))
+        if (lo[i], hi[i]) != own and not (lo[i] == hi[i] and lo[i] in own):
+            return False
+    return True
+
+
+def _random_unit_complex(rng):
+    n = int(rng.integers(2, 4))
+    cells = {}
+    for _ in range(int(rng.integers(2, 9))):
+        base = tuple(int(b) for b in rng.integers(-2, 3, size=n))
+        axes = tuple(sorted(int(a) for a in rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                                       replace=False)))
+        cells[base, axes] = CubeCell(base, axes)
+    return CubicalComplex(n, list(cells.values()))
+
+
+def test_lattice_cells_meet_in_common_faces(bundles):
+    """Two cells of a complex of lattice unit cubes always meet in a cell
+    that is a face of both, which is why validate() checks only links."""
+    rng = np.random.default_rng(8)
+    complexes = [cx for cx, _ in bundles.values()]
+    while len(complexes) < len(bundles) + 100:
+        try:
+            complexes.append(_random_unit_complex(rng))
+        except ComplexError:  # a drawn cell is a face of another
+            continue
+    meetings = 0
+    for cx in complexes:
+        keys = {(c.base, c.axes) for c in cx.cells}
+        for a, b in itertools.combinations(cx.cells, 2):
+            meet = _reference_meet(a, b)
+            if meet is None:
+                continue
+            lo, hi = meet
+            assert _reference_is_face(lo, hi, a) and _reference_is_face(lo, hi, b), (a, b)
+            axes = tuple(i for i in range(len(lo)) if hi[i] > lo[i])
+            assert (tuple(lo), axes) in keys, (a, b)
+            meetings += 1
+    assert meetings > 10000
 
 
 def test_direct_construction_requires_cube_cells():

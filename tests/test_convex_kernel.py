@@ -19,8 +19,8 @@ from meanset.convex import (
     feasibility_min_norm,
     min_norm_point,
     shared_certificate_weights,
-    simplex_least_squares,
 )
+from oracles import simplex_min_norm
 
 
 # ---------------------------------------------------------------------------
@@ -302,38 +302,40 @@ def test_feasibility_fixed_weights_minkowski():
     assert r.status == "positive"
 
 
+def test_feasibility_subspace_target_is_exact():
+    """Singleton sets and a target of only free and zero signs are solved
+    by one exact min-norm call; an NNLS oracle on the zero coordinates
+    gives the same distance."""
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 7))
+        signs = tuple(str(s) for s in rng.choice([FREE, ZERO], size=n))
+        units = rng.normal(size=(m, n))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        sets = [Singleton(tuple(g), scale=float(rng.uniform(0.1, 3.0))) for g in units]
+        r = feasibility_min_norm(sets, SignCone(signs))
+        assert r.iterations == 0
+        pts = np.array([s.anchor_point() for s in sets])
+        pinned = np.array([s == ZERO for s in signs])
+        _, want = simplex_min_norm(pts * pinned)
+        assert r.residual == pytest.approx(want, abs=1e-7)
+        if want > 1e-6 or want < 1e-10:
+            assert r.status == ("zero" if want <= 1e-8 else "positive")
+        assert np.allclose(r.weights @ pts, r.point, atol=1e-12)
+    # a sign-constrained coordinate keeps the Frank-Wolfe solve
+    sets = [Singleton((0.8, 0.6)), Singleton((0.6, -0.8))]
+    r = feasibility_min_norm(sets, SignCone((NONPOS, FREE)))
+    assert r.iterations >= 1
+    assert r.residual == pytest.approx(0.6, abs=1e-8)
+
+
 def test_feasibility_rejects_empty_and_bad_weights():
     with pytest.raises(ValueError):
         feasibility_min_norm([], SignCone((ZERO,)))
     with pytest.raises(ValueError):
         feasibility_min_norm([Singleton((1.0,))], SignCone((ZERO,)),
                              weights=[-0.5])
-
-
-# ---------------------------------------------------------------------------
-# simplex least squares
-
-
-def test_simplex_least_squares_oracle():
-    rng = np.random.default_rng(41)
-    cons = ({"type": "eq", "fun": lambda w: w.sum() - 1.0},)
-    for _ in range(120):
-        m = int(rng.integers(1, 6))
-        rows = int(rng.integers(1, 7))
-        B = rng.normal(size=(rows, m))
-        y = rng.normal(size=rows)
-        v = simplex_least_squares(B, y)
-        assert v.min() >= -1e-12
-        assert v.sum() == pytest.approx(1.0, abs=1e-10)
-        obj = np.linalg.norm(B @ v - y)
-
-        def f(w):
-            return float(np.linalg.norm(B @ w - y) ** 2)
-
-        res = minimize(f, np.full(m, 1.0 / m), bounds=[(0, 1)] * m,
-                       constraints=cons, method="SLSQP",
-                       options={"maxiter": 300, "ftol": 1e-16})
-        assert obj**2 <= res.fun + 1e-9
 
 
 # ---------------------------------------------------------------------------
