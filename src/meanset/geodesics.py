@@ -5,9 +5,12 @@ maximal cells (consecutive cells sharing a face), minimising the broken
 path length over the gate faces of each candidate chain, and keeping the
 best.  Enumeration is best-first with an admissible lower bound through
 each gate face and an incumbent upper bound from a vertex-graph shortest
-path, so only a handful of chains is ever evaluated on the bundled
-complexes.  Ties between optimal chains resolve to the lexicographically
-smallest cell-id sequence, which makes every result deterministic.
+path.  The CAT(0) geodesic is unique, so optimal chains differ only in
+which cells label the same path: the search stops as soon as no chain left
+in the heap can beat the incumbent by more than 1e-9.  Heap ties are broken
+by push order, which makes every result deterministic.  No cap on chain
+length is needed: a simple chain holds at most one visit per maximal cell,
+and the lower bound does the pruning.
 """
 
 from __future__ import annotations
@@ -33,9 +36,6 @@ __all__ = [
     "initial_direction",
     "vertex_upper_bound",
 ]
-
-DEFAULT_MAX_CHAIN = 8
-
 
 class GeodesicError(RuntimeError):
     """No geodesic could be produced for the request."""
@@ -179,21 +179,6 @@ def _subgradient_polish(pts, bounds, best_val):
     return None
 
 
-def _reachable(cx: CubicalComplex, starts, ends) -> bool:
-    seen = set(starts)
-    frontier = list(starts)
-    target = set(ends)
-    while frontier:
-        cell = frontier.pop()
-        if cell in target:
-            return True
-        for nbr, _ in cx.adjacency[cell]:
-            if nbr not in seen:
-                seen.add(nbr)
-                frontier.append(nbr)
-    return bool(target & seen)
-
-
 def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:
     """Length of a vertex-graph path from p to q; an upper bound on distance."""
     p_loc = cx.locate(p)
@@ -239,99 +224,93 @@ def _assemble(cx, chain, pts):
     return Geodesic(tuple(bps), tuple(cells), _polyline_length(bps))
 
 
-def geodesic(cx: CubicalComplex, p, q, max_chain: int = DEFAULT_MAX_CHAIN) -> Geodesic:
+def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
     """The geodesic from ``p`` to ``q`` (unique in a valid complex)."""
     p_loc = cx.locate(p)
     q_loc = cx.locate(q)
-    key = (p_loc.coords, q_loc.coords, max_chain)
+    key = (p_loc.coords, q_loc.coords)
     hit = cx._geo_cache.get(key)
     if hit is not None:
         return hit
-    rkey = (q_loc.coords, p_loc.coords, max_chain)
-    hit = cx._geo_cache.get(rkey)
+    hit = cx._geo_cache.get((q_loc.coords, p_loc.coords))
     if hit is not None:
         rev = Geodesic(tuple(reversed(hit.breakpoints)), tuple(reversed(hit.cells)), hit.length)
         cx._geo_cache[key] = rev
         return rev
 
-    g = _solve_geodesic(cx, p_loc, q_loc, max_chain)
+    g = _solve_geodesic(cx, p_loc, q_loc)
     cx._geo_cache[key] = g
     return g
 
 
-def _solve_geodesic(cx, p_loc, q_loc, max_chain):
+def _solve_geodesic(cx, p_loc, q_loc):
     p = p_loc.coords
     q = q_loc.coords
+    mset = set(cx.maximal_ids)
     common = set(p_loc.containing) & set(q_loc.containing)
     if common:
         if p == q:
             return Geodesic((p,), (), 0.0)
-        mset = set(cx.maximal_ids)
         seg_cell = min(c for c in common if c in mset)
         return _assemble(cx, (seg_cell,), [np.asarray(p), np.asarray(q)])
 
-    mset = set(cx.maximal_ids)
+    # the vertex graph connects p and q exactly when the complex does
+    ub = vertex_upper_bound(cx, p_loc, q_loc)
+    if not math.isfinite(ub):
+        raise GeodesicError(
+            f"points {p} (cell {p_loc.minimal_cell}) and {q} (cell {q_loc.minimal_cell}) "
+            "lie in different connected components; no geodesic exists"
+        )
+
     starts = sorted(c for c in p_loc.containing if c in mset)
     ends = frozenset(c for c in q_loc.containing if c in mset)
     pa = np.asarray(p, dtype=float)
     qa = np.asarray(q, dtype=float)
 
-    ub = vertex_upper_bound(cx, p_loc, q_loc)
-    if not math.isfinite(ub):
-        if not _reachable(cx, starts, ends):
-            raise GeodesicError(
-                "points lie in different connected components; no geodesic exists"
-            )
-
     counter = itertools.count()
     direct = float(np.linalg.norm(pa - qa))
-    heap = []
-    for s in starts:
-        heapq.heappush(heap, (direct, next(counter), (s,), ()))
+    heap = [(direct, next(counter), (s,), ()) for s in starts]
 
+    def hopeless(lb):
+        # nothing through this bound can beat the incumbent or the vertex path
+        return lb >= best_val - 1e-9 or lb > ub + 2e-9
+
+    face_lb = {}   # face id -> shortest p -> face -> q length
     best_val = math.inf
-    candidates = []
+    best = None
     while heap:
         lb, _, chain, faces = heapq.heappop(heap)
-        if lb > min(best_val, ub) + 2e-9:
+        if hopeless(lb):
             break
         last = chain[-1]
         if last in ends:
             val, pts = chain_length(cx, p, q, chain,
                                     [cx.bounds(f) for f in faces])
-            candidates.append((val, chain, pts))
-            if val < best_val:
+            if val < best_val - 1e-9:
                 best_val = val
-            continue
-        if len(chain) >= max_chain:
+                best = (chain, pts)
             continue
         for nbr, fid in cx.adjacency[last]:
             if nbr in chain:
                 continue
-            flo, fhi = cx.bounds(fid)
-            fval, _ = box_segment_min(pa, qa, flo, fhi)
+            fval = face_lb.get(fid)
+            if fval is None:
+                fval = face_lb[fid] = box_segment_min(pa, qa, *cx.bounds(fid))[0]
             nlb = max(lb, fval)
-            if nlb > min(best_val, ub) + 2e-9:
-                continue
-            heapq.heappush(heap, (nlb, next(counter), chain + (nbr,), faces + (fid,)))
+            if not hopeless(nlb):
+                heapq.heappush(heap, (nlb, next(counter), chain + (nbr,), faces + (fid,)))
 
-    if not candidates:
-        if not _reachable(cx, starts, ends):
-            raise GeodesicError(
-                "points lie in different connected components; no geodesic exists"
-            )
+    if best is None:
         raise GeodesicError(
-            f"no simple cell chain of at most {max_chain} cells connects the points; "
-            "increase max_chain"
+            f"no cell chain from {p} to {q} is within the vertex-path bound {ub:.12g}; "
+            "the complex is inconsistent"
         )
-    ties = [c for c in candidates if c[0] <= best_val + 1e-9]
-    ties.sort(key=lambda c: (c[1],))
-    _, chain, pts = ties[0]
+    chain, pts = best
     return _assemble(cx, chain, [np.asarray(x) for x in pts])
 
 
-def distance(cx: CubicalComplex, p, q, max_chain: int = DEFAULT_MAX_CHAIN) -> float:
-    return geodesic(cx, p, q, max_chain).length
+def distance(cx: CubicalComplex, p, q) -> float:
+    return geodesic(cx, p, q).length
 
 
 def point_along(g: Geodesic, s: float) -> tuple:

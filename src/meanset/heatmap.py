@@ -3,7 +3,8 @@
 Each sample draws a maximal cell, then a uniform point inside it, and
 records the deficit value plus a light/dark decision at a fixed threshold.
 Per-sample random streams are derived from ``(seed, sample index)``, so the
-output is byte-identical no matter how many worker threads run.
+output is byte-identical no matter how many worker threads run.  Sampling
+is serial unless ``MEANSET_THREADS`` asks for a thread pool.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ class HeatMapSample:
 
 
 def worker_count() -> int:
+    # serial unless MEANSET_THREADS asks for more: the work is GIL-bound
     cap = os.environ.get("MEANSET_THREADS")
-    if cap is not None:
-        return max(1, int(cap))
-    return min(8, os.cpu_count() or 1)
+    return max(1, int(cap)) if cap is not None else 1
 
 
 def _one_sample(A: PointSetA, seed: int, index: int, eps: float,

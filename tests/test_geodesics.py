@@ -1,11 +1,15 @@
 """Geodesic solver checked against closed forms and metric axioms."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from meanset import GeodesicError, distance, geodesic, load_bundled, midpoint, point_along
+from meanset import (GeodesicError, complex_from_dict, distance, geodesic, load_bundled,
+                     midpoint, point_along)
+from meanset import geodesics
+from meanset.corpus import BUNDLED
 
 R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
@@ -158,3 +162,99 @@ def test_midpoint_matches_cn_inequality(bundles):
         rhs = (0.5 * distance(cx, p, q) ** 2 + 0.5 * distance(cx, p, r) ** 2
                - 0.25 * distance(cx, q, r) ** 2)
         assert lhs <= rhs + 1e-7
+
+
+def test_disjoint_components_raise():
+    cx = complex_from_dict({"ambient_dim": 2, "cells": [
+        {"base": [0, 0], "axes": [0, 1]},
+        {"base": [2, 0], "axes": [0, 1]},
+    ]})
+    assert cx.validate().ok
+    with pytest.raises(GeodesicError, match="different connected components"):
+        distance(cx, (0.5, 0.5), (2.5, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# long chains and tied chains on full grids, where |p - q| is exact
+
+
+def _grid(*sizes):
+    axes = list(range(len(sizes)))
+    return complex_from_dict({"ambient_dim": len(sizes), "cells": [
+        {"base": list(base), "axes": axes}
+        for base in itertools.product(*(range(s) for s in sizes))
+    ]})
+
+
+@pytest.fixture
+def chain_budget(monkeypatch):
+    """Fail as soon as one search evaluates more than two chains."""
+    real = geodesics.chain_length
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        assert count[0] <= 2, "more than two chains evaluated"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "chain_length", counted)
+    return count
+
+
+@pytest.mark.parametrize("sizes, p, q", [
+    ((9, 1), (0.2, 0.1), (8.7, 0.9)),                    # 9-square strip
+    ((10, 10), (0.0, 0.0), (10.0, 10.0)),                # corner to corner
+    ((3, 3, 3), (0.1, 0.1, 0.1), (2.9, 2.9, 2.9)),       # cube diagonal
+])
+def test_grid_geodesic_is_straight_with_few_chains(chain_budget, sizes, p, q):
+    cx = _grid(*sizes)
+    assert distance(cx, p, q) == pytest.approx(math.dist(p, q), abs=1e-9)
+    assert chain_budget[0] >= 1
+
+
+def test_random_square_grid_pairs_are_straight():
+    cx = _grid(8, 8)
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        p = tuple(8.0 * rng.random(2))
+        q = tuple(8.0 * rng.random(2))
+        assert distance(cx, p, q) == pytest.approx(math.dist(p, q), abs=1e-9), (p, q)
+
+
+# ---------------------------------------------------------------------------
+# the result does not depend on the direction of the search
+
+
+def _corpus_point(cx, rng, snapped):
+    """Uniform point of a random maximal cell, optionally rounded onto one of
+    its faces or vertices."""
+    lo, hi = cx.cell(cx.maximal_ids[int(rng.integers(len(cx.maximal_ids)))]).bounds()
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    pt = lo + (hi - lo) * rng.random(len(lo))
+    if snapped:
+        free = [i for i in range(len(lo)) if hi[i] > lo[i]]
+        for i in rng.choice(free, size=int(rng.integers(1, len(free) + 1)), replace=False):
+            pt[i] = hi[i] if rng.random() < 0.5 else lo[i]
+    return tuple(float(x) for x in pt)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_geodesic_is_direction_independent(name):
+    # separate complexes, so the reverse query is solved, not read from the cache
+    fwd, _ = load_bundled(name)
+    bwd, _ = load_bundled(name)
+    rng = np.random.default_rng([61, len(name)])
+    seen = set()
+    for i in range(60):
+        p = _corpus_point(fwd, rng, snapped=i % 2 == 1)
+        q = _corpus_point(fwd, rng, snapped=i % 4 >= 2)
+        if frozenset((p, q)) in seen:
+            continue
+        seen.add(frozenset((p, q)))
+        g = geodesic(fwd, p, q)
+        h = geodesic(bwd, q, p)
+        assert g.length == pytest.approx(h.length, abs=1e-9), (p, q)
+        # coordinate descent leaves breakpoints of nearly flat optima up to
+        # ~2e-6 apart, hence the loose point tolerance
+        for s in (0.25, 0.5, 0.75):
+            assert np.allclose(point_along(g, s), point_along(h, 1.0 - s), rtol=0, atol=1e-5), (p, q, s)
