@@ -45,7 +45,8 @@ def _parse_point(text: str):
         coords = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"point {text!r} is not a JSON array: {exc.msg}")
-    if not isinstance(coords, list) or not all(isinstance(c, (int, float)) for c in coords):
+    if not isinstance(coords, list) or not all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in coords):
         raise ValueError(f"point {text!r} must be a JSON array of numbers")
     return tuple(float(c) for c in coords)
 

@@ -139,21 +139,6 @@ def _intersect_boxes(cell_a: CubeCell, cell_b: CubeCell):
     return tuple(lo), axes
 
 
-def _is_face_of(base, axes, cell: CubeCell) -> bool:
-    """Is the box ``(base, axes)`` a face of ``cell``?"""
-    for i, b in enumerate(cell.base):
-        lo_c, hi_c = b, b + (1 if i in cell.axes else 0)
-        lo_f = base[i]
-        hi_f = base[i] + (1 if i in axes else 0)
-        if i in axes:
-            if i not in cell.axes or lo_f != lo_c:
-                return False
-        else:
-            if lo_f != hi_f or lo_f < lo_c or lo_f > hi_c:
-                return False
-    return True
-
-
 class CubicalComplex:
     """An immutable cubical complex with a precomputed face lattice.
 
@@ -170,19 +155,18 @@ class CubicalComplex:
             if key in seen:
                 raise ComplexError(f"duplicate maximal cell base={cell.base} axes={cell.axes}")
             seen.add(key)
-        for cell_a in maximal:
-            for cell_b in maximal:
-                if cell_a is cell_b:
-                    continue
-                if _is_face_of(cell_a.base, cell_a.axes, cell_b):
-                    raise ComplexError(
-                        f"cell base={cell_a.base} axes={cell_a.axes} is a face of "
-                        f"another maximal cell and cannot itself be maximal"
-                    )
-        lattice = {}
+        lattice = {}   # every face -> the maximal cells it is a face of
         for cell in maximal:
-            for base, axes in cell.faces():
-                lattice.setdefault((base, axes), None)
+            for key in cell.faces():
+                lattice.setdefault(key, []).append(cell)
+        for cell in maximal:
+            owners = lattice[(cell.base, cell.axes)]
+            if len(owners) > 1:
+                other = next(c for c in owners if c is not cell)
+                raise ComplexError(
+                    f"cell base={cell.base} axes={cell.axes} is a face of the maximal cell "
+                    f"base={other.base} axes={other.axes} and cannot itself be maximal"
+                )
         ordered = sorted(lattice.keys())
         self.cells = []
         self._index = {}
@@ -268,7 +252,10 @@ class CubicalComplex:
     def snap(self, point) -> tuple:
         out = []
         for x in point:
-            r = round(x)
+            try:
+                r = round(x)
+            except (OverflowError, ValueError):   # an infinity or a NaN
+                raise LocationError(f"point {list(point)} has a non-finite coordinate") from None
             out.append(float(r) if abs(x - r) <= 1e-9 else float(x))
         return tuple(out)
 
@@ -383,7 +370,7 @@ def complex_from_dict(doc) -> CubicalComplex:
         raw_cells = doc["cells"]
     except KeyError as exc:
         raise ComplexError(f"complex document missing key {exc}") from exc
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ComplexError("ambient_dim must be a positive integer")
     if not isinstance(raw_cells, list) or not raw_cells:
         raise ComplexError("cells must be a nonempty list")
@@ -396,12 +383,12 @@ def complex_from_dict(doc) -> CubicalComplex:
             raise ComplexError(f"cell #{k} must be an object with 'base' and 'axes'")
         if len(base) != n:
             raise ComplexError(f"cell #{k}: base has length {len(base)}, expected {n}")
-        if any(not isinstance(b, int) for b in base):
+        if any(not isinstance(b, int) or isinstance(b, bool) for b in base):
             raise ComplexError(f"cell #{k}: base coordinates must be integers")
         if len(set(axes)) != len(axes):
             raise ComplexError(f"cell #{k}: axes must be distinct")
         for ax in axes:
-            if not isinstance(ax, int) or ax < 0 or ax >= n:
+            if not isinstance(ax, int) or isinstance(ax, bool) or ax < 0 or ax >= n:
                 raise ComplexError(f"cell #{k}: axis index {ax} out of range for n={n}")
         maximal.append(CubeCell(tuple(base), tuple(sorted(axes))))
     return CubicalComplex(n, maximal)

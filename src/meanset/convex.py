@@ -366,9 +366,6 @@ class Singleton:
     def scaled(self, c: float) -> "Singleton":
         return Singleton(self.g, self.scale * c)
 
-    def simplify(self):
-        return self
-
 
 @dataclass(frozen=True)
 class ConeBall:
@@ -447,25 +444,6 @@ class ConeBall:
     def scaled(self, c: float) -> "ConeBall":
         return ConeBall(self.u, self.cone, self.scale * c)
 
-    def simplify(self):
-        """Collapse to a :class:`Singleton` when the set has zero diameter."""
-        n_dim = len(self.u)
-        pts = []
-        for i in range(n_dim):
-            e = np.zeros(n_dim)
-            e[i] = 1.0
-            pts.append(self.support_point(e))
-            pts.append(self.support_point(-e))
-        pts = np.array(pts)
-        diam = 0.0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                diam = max(diam, float(np.linalg.norm(pts[i] - pts[j])))
-        if diam <= 1e-9:
-            centre = pts.mean(axis=0) / max(self.scale, 1e-300)
-            return Singleton(tuple(centre), self.scale)
-        return self
-
 
 # ---------------------------------------------------------------------------
 # distance from a hull / Minkowski sum to a sign cone
@@ -499,9 +477,6 @@ class ProductSet:
     def scaled(self, c: float) -> "ProductSet":
         return ProductSet(tuple(b.scaled(c) for b in self.blocks), self.block_dim)
 
-    def simplify(self):
-        return self
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -512,7 +487,6 @@ class FeasibilityResult:
     status: str           # "zero" | "positive" | "stalled"
     iterations: int
     gap: float
-    history: tuple        # squared residual after each outer iteration
 
 
 def feasibility_min_norm(sets, target: SignCone, weights=None,
@@ -573,7 +547,6 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
     z = atoms[0][0].copy()
     lam = np.ones(1)
 
-    history = []
     gap = math.inf
     status = "stalled"
     it = 0
@@ -584,7 +557,6 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
         mpt = target.project(z)
         g = z - mpt
         f = float(g @ g)
-        history.append(f)
         if f <= max(1e-22, 0.25 * tol * tol):
             gap = 0.0
             break
@@ -654,7 +626,6 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
         status=status,
         iterations=it,
         gap=gap,
-        history=tuple(history),
     )
 
 
@@ -680,7 +651,6 @@ def _subspace_min_norm(sets, target: SignCone, tol: float) -> FeasibilityResult:
         status="zero" if residual <= tol else "positive",
         iterations=0,
         gap=res.gap,
-        history=(),
     )
 
 

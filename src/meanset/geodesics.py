@@ -2,15 +2,19 @@
 
 A geodesic between two points is found by enumerating simple chains of
 maximal cells (consecutive cells sharing a face), minimising the broken
-path length over the gate faces of each candidate chain, and keeping the
-best.  Enumeration is best-first with an admissible lower bound through
-each gate face and an incumbent upper bound from a vertex-graph shortest
-path.  The CAT(0) geodesic is unique, so optimal chains differ only in
-which cells label the same path: the search stops as soon as no chain left
-in the heap can beat the incumbent by more than 1e-9.  Heap ties are broken
-by push order, which makes every result deterministic.  No cap on chain
-length is needed: a simple chain holds at most one visit per maximal cell,
-and the lower bound does the pruning.
+path length over the gates (the faces shared by consecutive cells) of each
+candidate chain, and keeping the best.  Enumeration is best-first with an
+admissible lower bound through each gate and an incumbent upper bound from
+a vertex-graph shortest path.  The CAT(0) geodesic is unique, so optimal
+chains differ only in which cells label the same path: the search stops as
+soon as no chain left in the heap can beat the incumbent by more than 1e-9.
+Heap ties are broken by push order, which makes every result deterministic.
+No cap on chain length is needed: a simple chain holds at most one visit
+per maximal cell, and the lower bound does the pruning.
+
+The length through two or more gates is a sum-of-norms program over the
+free gate coordinates, solved by one projected Newton method that returns
+only a certified optimum (see :func:`chain_length`).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "vertex_upper_bound",
 ]
 
+
 class GeodesicError(RuntimeError):
     """No geodesic could be produced for the request."""
 
@@ -58,125 +63,129 @@ def _norm(u, v):
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
 
 
-def _polyline_length(pts) -> float:
-    return sum(_norm(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-
-
 def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None):
-    """Minimal length of a path p -> q crossing the given cell chain.
+    """Minimal length of a path p -> q crossing the given cell chain, as
+    ``(value, breakpoints)`` with the endpoints included.
 
-    Breakpoints are constrained to the shared face between consecutive
-    cells.  Cyclic coordinate descent (each block an exact
-    :func:`box_segment_min`) does the work; a projected subgradient pass on
-    the joint objective restarts the descent if per-sweep progress dies
-    before the tolerance is met.  Returns ``(value, breakpoints)`` with the
-    two endpoints included.
+    One gate has the closed form of :func:`box_segment_min`.  More start at
+    each gate's own :func:`box_segment_min` point and run projected Newton
+    on ``sum sqrt(|x_{i+1} - x_i|^2 + eps^2)``, ``eps`` stepped from 1e-3
+    down to 1e-13, until :func:`_certified_gap` is at most 1e-13 (1 + value).
+    Else breakpoints within 1e-9 of each other are merged and finished by
+    exact Newton, and a gap above 1e-9 (1 + value) raises GeodesicError.
     """
-    pa = np.asarray(p, dtype=float)
-    qa = np.asarray(q, dtype=float)
-    if _face_bounds is None:
-        bounds = []
-        for i in range(len(chain) - 1):
-            f = cx.face_between(chain[i], chain[i + 1])
-            if f is None:
-                raise GeodesicError(
-                    f"chain cells {chain[i]} and {chain[i + 1]} share no face"
-                )
-            bounds.append(cx.bounds(f.ident))
-    else:
-        bounds = _face_bounds
-    k = len(bounds)
-    if k == 0:
+    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    bounds = _face_bounds
+    if bounds is None:
+        faces = [cx.face_between(a, b) for a, b in zip(chain, chain[1:])]
+        if None in faces:
+            raise GeodesicError(f"consecutive cells of chain {tuple(chain)} share no face")
+        bounds = [cx.bounds(f.ident) for f in faces]
+    if not bounds:
         return float(np.linalg.norm(pa - qa)), [tuple(pa), tuple(qa)]
-    if k == 1:
+    if len(bounds) == 1:
         val, x = box_segment_min(pa, qa, *bounds[0])
         return val, [tuple(pa), tuple(x), tuple(qa)]
 
-    pts = [pa]
-    for lo, hi in bounds:
-        pts.append(box_segment_min(pa, qa, lo, hi)[1])
-    pts.append(qa)
-
-    def total():
-        d = np.diff(np.stack(pts), axis=0)
-        return float(np.sqrt((d * d).sum(axis=1)).sum())
-
-    def sweep_until_stall():
-        prev = total()
-        calm = 0
-        for _ in range(3000):
-            for j in range(k):
-                lo, hi = bounds[j]
-                pts[j + 1] = box_segment_min(pts[j], pts[j + 2], lo, hi)[1]
-            cur = total()
-            if prev - cur <= 1e-13 * (1.0 + cur):
-                calm += 1
-                if calm >= 2:
-                    return cur
-            else:
-                calm = 0
-            prev = cur
-        return total()
-
-    def degenerate():
-        # a breakpoint glued to a neighbour is the one configuration where
-        # blockwise optimality can lock below the true optimum
-        d = np.diff(np.stack(pts), axis=0)
-        return bool((np.sqrt((d * d).sum(axis=1)) <= 1e-9).any())
-
-    val = sweep_until_stall()
-    for _ in range(2):
-        if not degenerate():
-            break
-        improved = _subgradient_polish(pts, bounds, val)
-        if improved is None:
-            break
-        val2 = sweep_until_stall()
-        if val - val2 <= 1e-12:
-            val = min(val, val2)
-            break
-        val = val2
-    return val, [tuple(x) for x in pts]
+    # boxes of all points, p and q being boxes of their own
+    lo, hi = (np.array([pa] + [b[side] for b in bounds] + [qa]) for side in (0, 1))
+    P = np.array([pa] + [box_segment_min(pa, qa, *b)[1] for b in bounds] + [qa])
+    gap, val = _certified_gap(P, lo, hi)
+    for eps in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13):
+        while gap > 1e-13 * (1.0 + val):
+            dec = _newton_step(P, lo, hi, eps)
+            gap, val = _certified_gap(P, lo, hi)
+            if dec <= eps:
+                break
+    if gap > 1e-13 * (1.0 + val):
+        M = _merged(P, lo, hi)
+        gap, val, P = min((gap, val, P), (*_certified_gap(M, lo, hi), M), key=lambda c: c[0])
+        if gap > 1e-9 * (1.0 + val):
+            raise GeodesicError(f"chain {tuple(chain)} from {tuple(pa)} to {tuple(qa)}: certified "
+                                f"gap {gap:.3g} exceeds 1e-9 (1 + length {val:.12g})")
+    return val, [tuple(x) for x in P]
 
 
-def _subgradient_polish(pts, bounds, best_val):
-    """Projected subgradient pass on the joint breakpoint objective.
+def _newton_step(P, lo, hi, eps):
+    """One projected Newton step on ``sum sqrt(|x_{i+1} - x_i|^2 + eps^2)``
+    over the points ``P`` in their boxes ``[lo, hi]``, in place; coordinates
+    held at a bound by the gradient stay put.  Returns the Newton decrement,
+    or 0 if no step passes the Armijo test or moves a coordinate by 1e-15."""
+    N, n = P.shape
+    Dm = np.diff(np.eye(N), axis=0)        # the segment vectors are Dm @ P
+    d = Dm @ P
+    r = np.sqrt((d * d).sum(axis=1) + eps * eps)
+    w = d / np.where(r > 0.0, r, 1.0)[:, None]
+    g = Dm.T @ w
+    free = ((lo < hi) & ~((P <= lo) & (g > 0)) & ~((P >= hi) & (g < 0))).ravel()
+    if not free.any() or not r.all():
+        return 0.0
+    # the Hessian is Dm^T B Dm, with B_i = (I - w_i w_i^T) / r_i that of segment i
+    B = (np.eye(n) - w[:, :, None] * w[:, None, :]) / r[:, None, None]
+    H = np.einsum("ia,ikl,ib->akbl", Dm, B, Dm).reshape(N * n, N * n)[np.ix_(free, free)]
+    step = np.zeros(N * n)
+    step[free] = np.linalg.solve(H + 1e-12 * np.eye(free.sum()), -g.ravel()[free])
+    step = step.reshape(N, n)
+    t = 1.0
+    while t > 1e-12:
+        Pn = np.clip(P + t * step, lo, hi)
+        D = Dm @ (Pn - P)
+        # length changes as differences of squares, exact up to the rounding
+        # of the change itself, so that the Armijo test works at tiny steps
+        rn = np.sqrt(((d + D) ** 2).sum(axis=1) + eps * eps)
+        change = ((D * (2.0 * d + D)).sum(axis=1) / (r + rn)).sum()
+        if change < 1e-4 * min(0.0, float((g * (Pn - P)).sum())):
+            moved = np.abs(Pn - P).max() > 1e-15
+            P[:] = Pn
+            return -float(g.ravel() @ step.ravel()) if moved else 0.0
+        t *= 0.5
+    return 0.0
 
-    Mutates ``pts`` in place when it finds a strictly better configuration;
-    returns the improved value or None.
-    """
-    k = len(bounds)
-    P = np.stack(pts)               # (k+2, n), rows 1..k are the variables
-    lo = np.stack([b[0] for b in bounds])
-    hi = np.stack([b[1] for b in bounds])
-    best = P[1:-1].copy()
-    best_f = best_val
 
-    improved = False
-    for t in range(400):
-        if t >= 24 and not improved:
-            break  # the locked corner is genuinely optimal
-        diffs = P[1:] - P[:-1]
-        norms = np.sqrt((diffs * diffs).sum(axis=1))
-        safe = np.where(norms > 1e-14, norms, 1.0)
-        units = np.where(norms[:, None] > 1e-14, diffs / safe[:, None], 0.0)
-        grads = units[:-1] - units[1:]
-        gmax = float(np.sqrt((grads * grads).sum(axis=1)).max())
-        if gmax <= 1e-14:
-            break
-        step = 0.2 * (1.0 + best_f) / (gmax * (t + 10.0))
-        P[1:-1] = np.clip(P[1:-1] - step * grads, lo, hi)
-        d2 = P[1:] - P[:-1]
-        f = float(np.sqrt((d2 * d2).sum(axis=1)).sum())
-        if f < best_f - 1e-12:
-            best_f = f
-            best = P[1:-1].copy()
-            improved = True
-    if improved:
-        for j in range(k):
-            pts[j + 1] = best[j]
-        return best_f
-    return None
+def _certified_gap(P, lo, hi):
+    """``(gap, value)``: the length of the broken line ``P`` and a bound on
+    its excess over the shortest one through its boxes, the smaller of
+    ``value - |p - q|`` and the Frank-Wolfe gap ``max_S <G, P - S>`` of the
+    subgradient ``G_j = u_{j-1} - u_j``, ``u_i`` the unit vector of segment
+    i (zero beyond p and q).  A zero-length segment may take any |u| <= 1.
+    A coordinate of ``u`` may fall across point j only at a lower bound and
+    rise only at an upper one; along a run of zero segments each ``u`` is,
+    per coordinate, nearest 0 such that the run still reaches the next unit
+    vector."""
+    d = np.diff(P, axis=0)
+    L = np.sqrt((d * d).sum(axis=1))
+    U = np.zeros((len(P) + 1, P.shape[1]))
+    U[1:-1] = d / np.where(L > 0.0, L, 1.0)[:, None]
+    fall, rise = (lo == hi) | (P <= lo), (lo == hi) | (P >= hi)
+    zero = np.flatnonzero(L == 0.0)
+    for run in np.split(zero, np.flatnonzero(np.diff(zero) > 1) + 1) if zero.size else ():
+        b = run[-1] + 1                         # points run[0] .. b coincide
+        for j in run:
+            low = np.where(fall[j], -np.inf, U[j])
+            high = np.where(rise[j], np.inf, U[j])
+            low = np.where(rise[j + 1:b + 1].any(axis=0), low, np.maximum(low, U[b + 1]))
+            high = np.where(fall[j + 1:b + 1].any(axis=0), high, np.minimum(high, U[b + 1]))
+            u = np.clip(0.0, low, high)
+            U[j + 1] = u / max(1.0, float(np.sqrt(u @ u)))
+    G = U[:-1] - U[1:]
+    val = float(L.sum())
+    gap = float(np.maximum(G * (P - lo), G * (P - hi)).sum())
+    return min(gap, val - float(np.linalg.norm(P[-1] - P[0]))), val
+
+
+def _merged(P, lo, hi):
+    """``P`` with each run of points within 1e-9 of each other glued into
+    one point of their boxes' common face, finished by exact Newton on the
+    chain of glued points; ``P`` itself if some run's boxes do not meet."""
+    gaps = np.linalg.norm(np.diff(P, axis=0), axis=1)
+    runs = np.split(np.arange(len(P)), np.flatnonzero(gaps > 1e-9) + 1)
+    glo, ghi = np.array([lo[r].max(0) for r in runs]), np.array([hi[r].min(0) for r in runs])
+    if (glo > ghi).any():
+        return P
+    R = np.clip([P[r].mean(axis=0) for r in runs], glo, ghi)
+    while len(R) > 2 and _newton_step(R, glo, ghi, 0.0) > 0.0:
+        pass
+    return R[np.repeat(np.arange(len(runs)), [len(r) for r in runs])]
 
 
 def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:
@@ -188,12 +197,8 @@ def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:
     dist = table["dist"]
 
     def hooks(loc):
-        out = {}
-        for ident in loc.containing:
-            for v in cx.cell(ident).vertices():
-                if v not in out:
-                    out[v] = _norm(loc.coords, v)
-        return out
+        verts = {v for ident in loc.containing for v in cx.cell(ident).vertices()}
+        return {v: _norm(loc.coords, v) for v in verts}
 
     ph = hooks(p_loc)
     qh = hooks(q_loc)
@@ -219,9 +224,8 @@ def _assemble(cx, chain, pts):
             continue
         bps.append(nxt)
         cells.append(cell)
-    if len(bps) == 1:
-        return Geodesic(tuple(bps), (), 0.0)
-    return Geodesic(tuple(bps), tuple(cells), _polyline_length(bps))
+    length = sum((_norm(a, b) for a, b in zip(bps, bps[1:])), 0.0)
+    return Geodesic(tuple(bps), tuple(cells), length)
 
 
 def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
@@ -264,9 +268,7 @@ def _solve_geodesic(cx, p_loc, q_loc):
 
     starts = sorted(c for c in p_loc.containing if c in mset)
     ends = frozenset(c for c in q_loc.containing if c in mset)
-    pa = np.asarray(p, dtype=float)
-    qa = np.asarray(q, dtype=float)
-
+    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     counter = itertools.count()
     direct = float(np.linalg.norm(pa - qa))
     heap = [(direct, next(counter), (s,), ()) for s in starts]
@@ -284,8 +286,7 @@ def _solve_geodesic(cx, p_loc, q_loc):
             break
         last = chain[-1]
         if last in ends:
-            val, pts = chain_length(cx, p, q, chain,
-                                    [cx.bounds(f) for f in faces])
+            val, pts = chain_length(cx, p, q, chain, [cx.bounds(f) for f in faces])
             if val < best_val - 1e-9:
                 best_val = val
                 best = (chain, pts)
@@ -328,9 +329,7 @@ def point_along(g: Geodesic, s: float) -> tuple:
         if acc + seg >= target - 1e-15:
             t = 0.0 if seg <= 0 else (target - acc) / seg
             t = min(max(t, 0.0), 1.0)
-            return tuple(
-                bps[i][j] + t * (bps[i + 1][j] - bps[i][j]) for j in range(len(bps[i]))
-            )
+            return tuple(a + t * (b - a) for a, b in zip(bps[i], bps[i + 1]))
         acc += seg
     return bps[-1]
 

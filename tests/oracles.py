@@ -1,13 +1,15 @@
-"""Oracles for the decision path that share no code with ``meanset.boundary``.
+"""Oracles that share no code with the solvers they check.
 
 At a point in the relative interior of a maximal cell the mean deficit is
 the Euclidean distance from the point to the hull of the straightened set
 points.  Here that distance is rebuilt from ``geodesic`` and
-``point_along`` alone and solved with scipy's NNLS.
+``point_along`` alone and solved with scipy's NNLS.  The shortest broken
+line through a chain of gates, which ``meanset.geodesics`` solves by
+Newton's method, is solved here by scipy's SLSQP.
 """
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import minimize, nnls
 
 from meanset import geodesic, mean_deficit, point_along, recognize
 
@@ -67,3 +69,40 @@ def agrees_with_straightened(A, x, tol: float = 1e-7) -> tuple:
     decision = recognize(A, x).decision
     ok = decision == ("member" if want <= 1e-8 else "non-member") and abs(got - want) <= tol
     return ok, want, got, decision
+
+
+def chain_oracle(p, q, gates) -> float:
+    """Length of the shortest broken line ``p -> x_1 -> ... -> x_k -> q``
+    with each ``x_i`` in the box ``gates[i] = (lo, hi)``, by SLSQP.
+
+    The variables are the coordinates with ``lo < hi``.  SLSQP runs from the
+    box centres and from the points of the segment ``[p, q]`` clipped into
+    the boxes; the shorter result is returned.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    lo = np.array([g[0] for g in gates], dtype=float)
+    hi = np.array([g[1] for g in gates], dtype=float)
+    free = lo < hi
+
+    def points(z):
+        X = lo.copy()
+        X[free] = z
+        return np.vstack([p, X, q])
+
+    def length(z):
+        return float(np.linalg.norm(np.diff(points(z), axis=0), axis=1).sum())
+
+    def gradient(z):
+        d = np.diff(points(z), axis=0)
+        n = np.linalg.norm(d, axis=1)
+        u = np.where(n[:, None] > 0, d / np.where(n > 0, n, 1.0)[:, None], 0.0)
+        return (u[:-1] - u[1:])[free]
+
+    t = np.arange(1, len(lo) + 1)[:, None] / (len(lo) + 1)
+    starts = (0.5 * (lo + hi), np.clip(p + t * (q - p), lo, hi))
+    return min(
+        minimize(length, x0[free], jac=gradient, method="SLSQP",
+                 bounds=list(zip(lo[free], hi[free])),
+                 options={"ftol": 1e-16, "maxiter": 1000}).fun
+        for x0 in starts
+    )

@@ -147,6 +147,21 @@ def test_bad_point_is_reported(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("point", ["[Infinity,0]", "[NaN,0]"])
+def test_non_finite_point_is_reported(capsys, point):
+    code, _, err = run(capsys, "distance", "--complex", "tripod",
+                       "--from", point, "--to", "[0,0]")
+    assert code == 1
+    assert "error:" in err and "non-finite" in err
+
+
+def test_boolean_point_is_rejected(capsys):
+    code, _, err = run(capsys, "distance", "--complex", "tripod",
+                       "--from", "[true,false]", "--to", "[0,0]")
+    assert code == 1
+    assert "must be a JSON array of numbers" in err
+
+
 def test_point_outside_complex(capsys):
     code, _, err = run(capsys, "deficit", "--complex", "tripod",
                        "--set", "tripod", "--at", "[9,9]")
@@ -161,11 +176,23 @@ def test_missing_input_file(capsys):
     assert "no such file or bundled entry" in err
 
 
+def _env_with_src():
+    """The environment with the package's source directory on PYTHONPATH,
+    so that a subprocess imports the package under test."""
+    import os
+
+    import meanset
+    src = os.path.dirname(os.path.dirname(os.path.abspath(meanset.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_installed_entry_point_help():
     import subprocess
     import sys
     proc = subprocess.run([sys.executable, "-m", "meanset.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_env_with_src(), timeout=120)
     assert proc.returncode == 0
     assert "recognize" in proc.stdout
 
@@ -173,17 +200,11 @@ def test_installed_entry_point_help():
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency, and importing it would dominate the
     # package's start-up time
-    import os
     import subprocess
     import sys
-
-    import meanset
-    src = os.path.dirname(os.path.dirname(os.path.abspath(meanset.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, meanset, meanset.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_env_with_src(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

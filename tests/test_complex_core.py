@@ -1,6 +1,7 @@
 """Cell lattice construction, point location, cones and validation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ def test_locate_rejects_outside_points_and_bad_dim():
         cx.locate((0.5, 0.5))   # hole: no cell covers the open first quadrant
     with pytest.raises(LocationError):
         cx.locate((0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_locate_rejects_non_finite_points(bad):
+    cx, _ = load_bundled("tripod")
+    with pytest.raises(LocationError, match="non-finite"):
+        cx.locate((bad, 0.0))
+    with pytest.raises(LocationError, match="non-finite"):
+        cx.tangent_cone(cx.maximal_ids[0], (bad, 0.0))
 
 
 def test_tangent_cone_signs():
@@ -155,6 +165,25 @@ def test_complex_from_dict_rejects_malformed():
     with pytest.raises(ComplexError):
         complex_from_dict({"ambient_dim": 2,
                            "cells": [{"base": [0, 0], "axes": [2]}]})
+
+
+def test_complex_from_dict_rejects_booleans():
+    # JSON true/false are Python ints; they are not lattice coordinates
+    for doc in (
+        {"ambient_dim": 2, "cells": [{"base": [True, 0], "axes": [0, 1]}]},
+        {"ambient_dim": 2, "cells": [{"base": [0, 0], "axes": [True]}]},
+        {"ambient_dim": True, "cells": [{"base": [0], "axes": [0]}]},
+    ):
+        with pytest.raises(ComplexError):
+            complex_from_dict(doc)
+
+
+def test_face_of_another_maximal_cell_is_rejected():
+    with pytest.raises(ComplexError, match="is a face of the maximal cell"):
+        complex_from_dict({"ambient_dim": 2, "cells": [
+            {"base": [0, 0], "axes": [0]},
+            {"base": [0, 0], "axes": [0, 1]},
+        ]})
 
 
 def test_duplicate_maximal_cells_rejected():
