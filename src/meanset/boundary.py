@@ -166,7 +166,8 @@ def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
     res = feasibility_min_norm(sets, target, tol=tol)
     if res.status == "stalled":
         raise ConvergenceError(
-            f"conic feasibility stalled in cell {cell_id} "
+            f"conic feasibility stalled at {loc.coords} in cell {cell_id} "
+            f"after {res.iterations} rounds "
             f"(residual {res.residual:g}, gap {res.gap:g})"
         )
     if res.residual <= tol:
@@ -176,14 +177,13 @@ def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
     u = models[0].tangent.project(np.asarray(res.cone_point) - np.asarray(res.point))
     nu = math.sqrt(float(u @ u))
     if nu <= 1e-15:
-        raise CertificateError(
-            f"degenerate descent direction in cell {cell_id}; residual {rho:g}"
-        )
+        raise CertificateError(f"degenerate descent direction at {loc.coords} "
+                               f"in cell {cell_id}; residual {rho:g}")
     u = (u / nu).tolist()
     margin = max(m.distance * directional_derivative(m, u) for m in models)
     if not margin <= -0.5 * rho:
         raise CertificateError(
-            f"descent direction check failed in cell {cell_id}: "
+            f"descent direction check failed at {loc.coords} in cell {cell_id}: "
             f"max derivative {margin:g} vs residual {rho:g}"
         )
     return PCOutcome(cell_id, False, rho, res.weights,
@@ -207,7 +207,7 @@ def _witness_from_direction(A: PointSetA, loc: LocatedPoint, cell_id: str,
                 return NonMembershipCertificate(tuple(cx.snap(cand)), margins)
         step = 0.5 * step
     raise CertificateError(
-        f"failed to realise a strictly-closer witness from cell {cell_id}"
+        f"failed to realise a strictly-closer witness at {loc.coords} from cell {cell_id}"
     )
 
 
@@ -259,7 +259,9 @@ def decide(A: PointSetA, xbar, tol: float = 1e-8):
     loc, report, worst = _solve_cells(A, xbar, tol)
     if report.value <= tol:
         if report.weights is None:
-            raise CertificateError("per-cell problems are feasible but no shared weights found")
+            raise CertificateError(
+                f"per-cell problems at {loc.coords} are feasible in cells "
+                f"{sorted(report.per_cell)} but no shared weights found")
         return report, MembershipCertificate(report.weights, report.value)
     step = report.value * np.asarray(report.direction)
     return report, _witness_from_direction(A, loc, worst.cell, step)

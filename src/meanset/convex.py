@@ -8,15 +8,17 @@ machinery.  The public pieces are:
 * :class:`SignCone` -- per-coordinate sign-constraint cones (tangent and
   normal cones of axis-aligned boxes live here).
 * :func:`min_norm_point` -- Wolfe's algorithm for the nearest point of a
-  convex hull to an anchor.
+  convex hull plus a finitely generated cone to an anchor.
 * :func:`box_segment_min` -- shortest broken path from ``a`` to ``b``
   through an axis-aligned box, exact by enumerating the box's faces.
 * :class:`Singleton` / :class:`ConeBall` -- compact convex sets used as
   one-sided derivative models, supporting exact linear maximisation.
-* :func:`feasibility_min_norm` -- fully corrective Frank-Wolfe distance
-  between a convex hull (or Minkowski sum) and a sign cone.
-* :func:`shared_certificate_weights` -- alternating solve for a single
-  weight vector feasible for several conic problems at once.
+* :func:`feasibility_min_norm` -- distance between a convex hull (or
+  Minkowski sum) and a sign cone: fully corrective Frank-Wolfe whose
+  corrective step is one exact Wolfe solve, so polytopes are solved
+  exactly in finitely many rounds.
+* :func:`shared_certificate_weights` -- a single weight vector feasible
+  for several conic problems at once, as one stacked feasibility solve.
 """
 
 from __future__ import annotations
@@ -122,44 +124,53 @@ class SignCone:
 
 @dataclass(frozen=True)
 class MinNormResult:
-    point: np.ndarray   # nearest point of the hull to the anchor
+    point: np.ndarray   # nearest point of the set to the anchor
     weights: np.ndarray  # convex weights over the input points
     gap: float          # max_a <x, x - q_a>, a bound on suboptimality
 
 
-def _affine_min_norm(Q: np.ndarray) -> np.ndarray:
-    """Affine-hull minimiser weights for the rows of ``Q`` (may be negative)."""
+# Wolfe's stopping tolerance, relative to the squared size of the data
+_WOLFE_TOL = 1e-12
+
+
+def _affine_min_norm(Q: np.ndarray, e=None) -> np.ndarray:
+    """Minimiser weights over the affine span of the rows of ``Q`` (may be
+    negative).  With ``e`` (1 for a point row, 0 for a ray row) only the
+    point weights must sum to one, so ray rows span linear directions."""
     k = Q.shape[0]
     if k == 1:
         return np.ones(1)
     G = Q @ Q.T
     kkt = np.zeros((k + 1, k + 1))
     kkt[:k, :k] = G
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
+    kkt[:k, k] = kkt[k, :k] = 1.0 if e is None else e
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
     try:
         sol = np.linalg.solve(kkt, rhs)
         v = sol[:k]
-        s = v.sum()
+        s = v.sum() if e is None else v @ e
         bad = not np.isfinite(sol).all() or abs(s - 1.0) > 1e-6
     except np.linalg.LinAlgError:
         bad = True
     if bad:
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
         v = sol[:k]
-        s = v.sum()
+        s = v.sum() if e is None else v @ e
     if abs(s - 1.0) > 1e-12 and abs(s) > 1e-12:
         v = v / s
     return v
 
 
-def min_norm_point(points, anchor=None, tol: float = 1e-12, max_iter=None) -> MinNormResult:
-    """Nearest point of ``conv(points)`` to ``anchor`` (Wolfe's algorithm).
+def min_norm_point(points, anchor=None, rays=None) -> MinNormResult:
+    """Nearest point of ``conv(points) + cone(rays)`` to ``anchor`` (Wolfe's algorithm).
 
-    Returns the optimal point, convex weights over the inputs, and the
-    final variational gap ``max_a <x-anchor, (x-anchor) - (p_a-anchor)>``
+    The corral holds points and rays: its affine step makes only the point
+    weights sum to one.  When choosing the atom to add, a ray ``r`` counts
+    as the point ``x + sqrt(scale) r``, where ``scale`` (at least 1) is the
+    largest squared norm of the anchored points.  Returns the optimal
+    point, convex weights over the input points, and the final variational
+    gap ``max_a <x-anchor, (x-anchor) - (q_a-anchor)>`` over those atoms,
     which is nonpositive-up-to-tolerance at the optimum.
     """
     P = np.asarray(points, dtype=float)
@@ -174,27 +185,35 @@ def min_norm_point(points, anchor=None, tol: float = 1e-12, max_iter=None) -> Mi
         Q = P - anchor_arr
     sq = np.einsum("ij,ij->i", Q, Q)
     scale = max(1.0, float(sq.max(initial=0.0)))
-    if max_iter is None:
-        max_iter = 64 * m + 256
+    root = math.sqrt(scale)
+    e = None  # 1 for a point, 0 for a ray
+    if rays is not None:
+        Q = np.vstack([Q, rays])
+        e = np.arange(Q.shape[0]) < m
 
     corral = [int(sq.argmin())]
     w = np.ones(1)
     x = Q[corral[0]].copy()
-    for _ in range(max_iter):
+    budget = 64 * Q.shape[0] + 256
+    while True:
         dots = Q @ x
         xx = float(x @ x)
+        if e is not None:
+            dots[m:] = xx + root * dots[m:]  # <x, x + root * r> for a ray r
         j = int(dots.argmin())
-        if xx - dots[j] <= tol * scale:
-            break
-        if j in corral:
-            break  # numerically stuck; gap is reported below
+        gap = xx - float(dots[j])
+        if gap <= _WOLFE_TOL * scale or j in corral or budget == 0:
+            break  # optimal, numerically stuck, or out of iterations
+        budget -= 1
         corral.append(j)
+        v = _affine_min_norm(Q[corral], None if e is None else e[corral])
+        if v[-1] <= 0.0:
+            # an improving atom enters with positive weight unless rounding
+            # dominates; then no step can make progress
+            corral.pop()
+            break
         w = np.append(w, 0.0)
-        while True:
-            v = _affine_min_norm(Q[corral])
-            if (v > 1e-12).all():
-                w = v
-                break
+        while (v <= 1e-12).any():
             # step from w toward v until the first weight hits zero
             theta = 1.0
             for i in range(len(corral)):
@@ -205,14 +224,15 @@ def min_norm_point(points, anchor=None, tol: float = 1e-12, max_iter=None) -> Mi
             keep = w > 0.0
             corral = [c for c, k in zip(corral, keep) if k]
             w = w[keep]
-            w = w / w.sum()
+            w = w / (w.sum() if e is None else w @ e[corral])
+            v = _affine_min_norm(Q[corral], None if e is None else e[corral])
+        w = v
         x = w @ Q[corral]
 
     weights = np.zeros(m)
     for c, wi in zip(corral, w):
-        weights[c] += wi
-    dots = Q @ x
-    gap = float((x @ x) - dots.min())
+        if c < m:
+            weights[c] += wi
     return MinNormResult(point=x + anchor_arr, weights=weights, gap=gap)
 
 
@@ -489,20 +509,57 @@ class FeasibilityResult:
     gap: float
 
 
+# Frank-Wolfe rounds before a solve reports "stalled"
+_MAX_ROUNDS = 1000
+
+
+@functools.lru_cache(maxsize=None)
+def _cone_rays(signs: tuple) -> tuple:
+    """The constrained coordinates of a sign cone (a full slice when none is
+    free), and one ray per signed one (``-e_i`` for ``nonneg``, ``+e_i``
+    for ``nonpos``) in those coordinates, or None when no coordinate is
+    signed."""
+    keep = [i for i, s in enumerate(signs) if s != FREE]
+    eye = np.eye(len(keep))
+    rays = [eye[k] * (-1.0 if signs[i] == NONNEG else 1.0)
+            for k, i in enumerate(keep) if signs[i] != ZERO]
+    cols = keep if len(keep) < len(signs) else slice(None)
+    return cols, np.array(rays) if rays else None
+
+
+def _hull_to_cone(P: np.ndarray, target: SignCone) -> tuple:
+    """Nearest points of ``conv(rows of P)`` and the cone ``target``, exactly.
+
+    ``target`` is cut out coordinate by coordinate, so a hull point's
+    distance to it ignores the ``free`` coordinates, and along each signed
+    one the hull point may slide toward the cone at no cost.  The distance
+    is therefore the norm of the min-norm point of the reduced hull plus
+    the cone of those slides, one Wolfe solve over points and rays.  The
+    hull point with those weights is nearest to the cone, and its
+    projection is the nearest cone point.  Returns ``(point, cone_point,
+    weights, gap)``.
+    """
+    keep, rays = _cone_rays(target.signs)
+    res = min_norm_point(P[:, keep], rays=rays)
+    z = res.weights @ P
+    return z, target.project(z), res.weights, res.gap
+
+
 def feasibility_min_norm(sets, target: SignCone, weights=None,
-                         tol: float = 1e-8, max_iter: int = 100000) -> FeasibilityResult:
+                         tol: float = 1e-8) -> FeasibilityResult:
     """Distance between a set built from ``sets`` and the cone ``target``.
 
     With ``weights=None`` the search set is ``conv(union of the sets)`` and
     the convex weights are free; with a fixed weight vector it is the
-    Minkowski sum of the scaled sets.  Uses fully corrective Frank-Wolfe:
-    each outer round adds the support atom of the current gradient and then
-    re-solves exactly over the collected atoms (alternating Wolfe min-norm
-    against the cone projection).  The squared residual is nonincreasing.
-
-    Free weights over points (all sets :class:`Singleton`) and a subspace
-    target (only ``free`` and ``zero`` signs) are solved exactly by one
-    Wolfe call instead, reporting zero Frank-Wolfe iterations.
+    Minkowski sum of the scaled sets.  Uses fully corrective Frank-Wolfe
+    (simplicial decomposition): each round adds the support atom of the
+    current gradient, then one exact Wolfe solve over the collected atoms
+    (:func:`_hull_to_cone`) gives the nearest point of their hull to the
+    cone.  The rounds are finite when every set is a polytope.  The first
+    atoms are the sets' anchor points, so free weights over
+    :class:`Singleton` sets are solved by that first exact solve alone,
+    reporting zero Frank-Wolfe iterations.  A solve still open after
+    ``_MAX_ROUNDS`` rounds reports ``"stalled"``.
     """
     m = len(sets)
     if m == 0:
@@ -512,10 +569,12 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
         wv = np.asarray(weights, dtype=float)
         if wv.shape != (m,) or wv.min() < -1e-12:
             raise ValueError("weights must be a nonnegative vector, one per set")
-    elif (all(isinstance(s, Singleton) for s in sets)
-          and all(s in (FREE, ZERO) for s in target.signs)):
-        return _subspace_min_norm(sets, target, tol)
-    n_dim = target.dim
+        live = [k for k in range(m) if wv[k] > 1e-15]
+        atoms = [np.sum([wv[k] * sets[k].anchor_point() for k in range(m)], axis=0)]
+        sources = [None]
+    else:
+        atoms = [s.anchor_point() for s in sets]
+        sources = list(range(m))
 
     def lmo(direction):
         """Minimise <direction, x> over the search set.
@@ -523,98 +582,52 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
         Returns the point and, with free weights, the index of its set.
         """
         if fixed:
-            total = np.zeros(n_dim)
-            for k in range(m):
-                if wv[k] > 1e-15:
-                    total = total + wv[k] * sets[k].support_point(-direction)
-            return total, None
+            return sum((wv[k] * sets[k].support_point(-direction) for k in live),
+                       np.zeros(target.dim)), None
         best = None
         for k in range(m):
             p = sets[k].support_point(-direction)
             val = float(np.dot(direction, p))
             if best is None or val < best[0] - 1e-15:
                 best = (val, p, k)
-        _, p, k = best
-        return p, k
+        return best[1], best[2]
 
-    # initial atom: canonical points
-    if fixed:
-        parts0 = tuple(wv[k] * sets[k].anchor_point() for k in range(m))
-        z = np.sum(parts0, axis=0) if m > 1 else np.array(parts0[0])
-        atoms = [(np.asarray(z, dtype=float), None)]
-    else:
-        atoms = [(np.asarray(sets[0].anchor_point(), dtype=float), 0)]
-    z = atoms[0][0].copy()
-    lam = np.ones(1)
-
-    gap = math.inf
-    status = "stalled"
+    z, mpt, lam, gap = _hull_to_cone(np.array(atoms), target)
     it = 0
-    stall = 0
-    f_last = math.inf
-    while it < max_iter:
-        it += 1
-        mpt = target.project(z)
-        g = z - mpt
-        f = float(g @ g)
-        if f <= max(1e-22, 0.25 * tol * tol):
-            gap = 0.0
-            break
-        # rounds that no longer move the squared residual cannot help
-        if f_last - f <= 1e-15 * max(f, 1e-12):
-            stall += 1
-            if stall >= 10:
-                mpt = target.project(z)
-                g = z - mpt
-                gap = 2.0 * float(g @ (z - lmo(g)[0]))
+    stalled = False
+    if fixed or not all(isinstance(s, Singleton) for s in sets):
+        for it in range(1, _MAX_ROUNDS + 1):
+            g = z - mpt
+            f = float(g @ g)
+            if f <= max(1e-22, 0.25 * tol * tol):
+                gap = 0.0
                 break
+            s, source = lmo(g)
+            gap = 2.0 * float(g @ (z - s))
+            if gap <= max(1e-18, 1e-13 * f):
+                break
+            keep = lam > 0.0
+            atoms = [a for a, k in zip(atoms, keep) if k] + [s]
+            sources = [c for c, k in zip(sources, keep) if k] + [source]
+            z, mpt, lam, _ = _hull_to_cone(np.array(atoms), target)
+            g = z - mpt
+            if float(g @ g) >= f:
+                break  # an exact step that gains nothing has hit the rounding floor
         else:
-            stall = 0
-        f_last = f
-        s, source = lmo(g)
-        gap = 2.0 * float(g @ (z - s))
-        if gap <= max(1e-18, 1e-13 * f):
-            break
-        atoms.append((np.asarray(s, dtype=float), source))
-        pts = np.array([p for p, _ in atoms])
-        f_prev = f
-        lam = None
-        for _ in range(80):
-            mpt = target.project(z)
-            res = min_norm_point(pts, anchor=mpt, tol=1e-14)
-            z = res.point
-            lam = res.weights
-            mpt = target.project(z)
-            f_new = float((z - mpt) @ (z - mpt))
-            if f_prev - f_new <= 1e-19 * max(1.0, f_new):
-                f_prev = f_new
-                break
-            f_prev = f_new
-        keep = lam > 1e-14
-        atoms = [a for a, k in zip(atoms, keep) if k]
-        lam = lam[keep]
-        if lam.sum() > 0:
-            lam = lam / lam.sum()
-        if not atoms:  # defensive; cannot normally happen
-            atoms = [(z.copy(), source)]
-            lam = np.ones(1)
+            stalled = True
 
-    mpt = target.project(z)
     g = z - mpt
     f = float(g @ g)
-    residual = math.sqrt(max(f, 0.0))
-
-    # free weights: each atom's weight goes to the set it came from
+    residual = math.sqrt(f)
     if fixed:
         v_out = wv.copy()
     else:
-        v_out = np.zeros(m)
-        for (_, k), li in zip(atoms, lam):
-            v_out[k] += li
+        # free weights: each atom's weight goes to the set it came from
+        v_out = np.bincount(sources, weights=lam, minlength=m)
 
     if residual <= tol:
         status = "zero"
-    elif f - gap > tol * tol:
+    elif not stalled and f - gap > tol * tol:
         status = "positive"
     else:
         status = "stalled"
@@ -629,36 +642,11 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
     )
 
 
-def _subspace_min_norm(sets, target: SignCone, tol: float) -> FeasibilityResult:
-    """Distance from the hull of singleton points to a subspace, exactly.
-
-    The distance from a point to the subspace is the norm of its part in
-    the pinned (``zero``) coordinates, and that part is linear in the
-    point, so the nearest hull point is a min-norm point of the projected
-    hull.
-    """
-    P = np.array([[s.scale * gi for gi in s.g] for s in sets])
-    pinned = np.array([s == ZERO for s in target.signs])
-    res = min_norm_point(P * pinned)
-    z = res.weights @ P
-    off = z * pinned
-    residual = math.sqrt(float(off @ off))
-    return FeasibilityResult(
-        residual=residual,
-        point=z,
-        cone_point=z - off,
-        weights=res.weights,
-        status="zero" if residual <= tol else "positive",
-        iterations=0,
-        gap=res.gap,
-    )
-
-
 # ---------------------------------------------------------------------------
 # one weight vector feasible for several conic problems at once
 
 
-def shared_certificate_weights(problems, tol: float = 1e-8, max_iter: int = 20000):
+def shared_certificate_weights(problems, tol: float = 1e-8):
     """Find simplex weights ``v`` with ``sum_a v_a S_a^C`` meeting cone ``M_C`` for every ``C``.
 
     ``problems`` is a list of ``(sets, target)`` pairs sharing the same set
@@ -686,7 +674,7 @@ def shared_certificate_weights(problems, tol: float = 1e-8, max_iter: int = 2000
         signs.extend(M.signs)
     target = SignCone(tuple(signs))
 
-    r = feasibility_min_norm(stacked, target, tol=tol, max_iter=max_iter)
+    r = feasibility_min_norm(stacked, target, tol=tol)
     res = []
     for j, (_, M) in enumerate(problems):
         zc = r.point[j * n:(j + 1) * n]

@@ -5,30 +5,17 @@ the Euclidean distance from the point to the hull of the straightened set
 points.  Here that distance is rebuilt from ``geodesic`` and
 ``point_along`` alone and solved with scipy's NNLS.  The shortest broken
 line through a chain of gates, which ``meanset.geodesics`` solves by
-Newton's method, is solved here by scipy's SLSQP.
+Newton's method, is solved here by scipy's SLSQP.  A cell's conic problem,
+the distance from the hull of its model sets to a sign cone, which
+``meanset.convex`` solves by Wolfe's algorithm and Frank-Wolfe rounds, is
+solved here by NNLS where the hull is a polytope and by SLSQP over the
+sets' cone form where it is curved.
 """
 
 import numpy as np
 from scipy.optimize import minimize, nnls
 
 from meanset import geodesic, mean_deficit, point_along, recognize
-
-
-def simplex_min_norm(Q):
-    """Weights ``w`` on the probability simplex minimising ``|w @ Q|``, and that norm.
-
-    NNLS on ``Q^T w = 0`` with one extra row ``c * sum(w) = c``.  The
-    objective is homogeneous of degree two, so the penalised optimum lies
-    on the ray through the constrained one and rescaling recovers it.
-    """
-    Q = np.asarray(Q, dtype=float)
-    c = max(1.0, float(np.abs(Q).max()))
-    M = np.vstack([Q.T, np.full(len(Q), c)])
-    b = np.zeros(M.shape[0])
-    b[-1] = c
-    w, _ = nnls(M, b)
-    w = w / w.sum()
-    return w, float(np.linalg.norm(w @ Q))
 
 
 def straightened_deficit(A, x) -> float:
@@ -55,7 +42,7 @@ def straightened_deficit(A, x) -> float:
         else:
             raise AssertionError(f"geodesic to {lbl!r} never enters the query's cell")
         Z.append(xs + (p - xs) / t)
-    return simplex_min_norm(np.array(Z) - xs)[1]
+    return hull_to_cone_nnls(np.array(Z) - xs, ("zero",) * len(xs))[1]
 
 
 def agrees_with_straightened(A, x, tol: float = 1e-7) -> tuple:
@@ -106,3 +93,172 @@ def chain_oracle(p, q, gates) -> float:
                  options={"ftol": 1e-16, "maxiter": 1000}).fun
         for x0 in starts
     )
+
+
+def _ray_columns(signs) -> list:
+    """Columns ``-m`` can use for a cone point ``m``: ``-e_i`` on a
+    ``nonneg`` axis, ``+e_i`` on a ``nonpos`` one, both on a ``free`` one."""
+    n = len(signs)
+    cols = []
+    for i, s in enumerate(signs):
+        for sign in {"nonneg": (-1.0,), "nonpos": (1.0,), "free": (-1.0, 1.0)}.get(s, ()):
+            col = np.zeros(n)
+            col[i] = sign
+            cols.append(col)
+    return cols
+
+
+def hull_to_cone_nnls(P, signs) -> tuple:
+    """Weights ``w`` on the simplex and the distance from ``w @ P`` to the
+    sign cone ``signs``, minimised over both, by NNLS.
+
+    The unknowns are the point weights and one weight per ray column of the
+    cone.  NNLS drives ``w @ P`` plus the rays to 0, with one extra row
+    ``c * sum(w) = c`` on the point weights alone.  The objective is
+    homogeneous of degree two on the cone of unknowns, so the penalised
+    optimum lies on the ray through the constrained one and rescaling by
+    ``sum(w)`` recovers it.
+    """
+    P = np.asarray(P, dtype=float)
+    rays = _ray_columns(signs)
+    c = max(1.0, float(np.abs(P).max()))
+    M = np.hstack([P.T, np.array(rays).T.reshape(P.shape[1], len(rays))])
+    M = np.vstack([M, np.r_[np.full(len(P), c), np.zeros(len(rays))]])
+    b = np.zeros(M.shape[0])
+    b[-1] = c
+    sol, _ = nnls(M, b)
+    sol = sol / sol[:len(P)].sum()
+    return sol[:len(P)], float(np.linalg.norm(M[:-1] @ sol))
+
+
+def polytope_points(sets):
+    """The vertices of the hull of ``sets``, or None when one set is curved.
+
+    A ``Singleton`` is its point.  A ``ConeBall`` whose cone has one
+    non-``zero`` axis ``i`` is the segment of ``scale * (t e_i - u)`` over
+    the ``t`` of the axis's sign with ``|t e_i - u| <= 1``.
+    """
+    pts = []
+    for s in sets:
+        if type(s).__name__ == "Singleton":
+            pts.append(s.scale * np.asarray(s.g, dtype=float))
+            continue
+        live = [i for i, sign in enumerate(s.cone.signs) if sign != "zero"]
+        if len(live) != 1:
+            return None
+        i = live[0]
+        u = np.asarray(s.u, dtype=float)
+        half = np.sqrt(max(0.0, 1.0 - sum(u[k] * u[k] for k in range(len(u)) if k != i)))
+        lo, hi = u[i] - half, u[i] + half
+        if s.cone.signs[i] == "nonneg":
+            lo = max(lo, 0.0)
+        elif s.cone.signs[i] == "nonpos":
+            hi = min(hi, 0.0)
+        for t in (lo, hi):
+            pts.append(s.scale * (t * np.eye(len(u))[i] - u))
+    return np.array(pts)
+
+
+def _project_signs(z, signs):
+    out = np.array(z, dtype=float)
+    for i, s in enumerate(signs):
+        if s == "zero" or (s == "nonneg" and out[i] < 0) or (s == "nonpos" and out[i] > 0):
+            out[i] = 0.0
+    return out
+
+
+def _sign_bounds(signs):
+    return [{"zero": (0.0, 0.0), "nonneg": (0.0, None), "nonpos": (None, 0.0),
+             "free": (None, None)}[s] for s in signs]
+
+
+def hull_to_cone_slsqp(sets, signs, starts: int = 3, seed: int = 0) -> float:
+    """An achievable distance from ``conv(union of sets)`` to the sign cone
+    ``signs``, by SLSQP over the cone form of the sets.
+
+    A ``ConeBall`` ``scale * {n - u : n in N, |n - u| <= 1}`` with weight
+    ``l`` contributes ``scale * (w - l u)`` with ``w`` in ``N`` and
+    ``|w - l u| <= l``; a ``Singleton`` contributes ``l`` times its point.
+    Each run is repaired to exact feasibility before its distance is read:
+    the weights are put on the simplex, each ``w`` is clamped into ``N`` and
+    then shrunk toward 0 (which stays in ``N`` and, as ``|u| = 1``, meets
+    the ball) until it is strictly inside the ball.  The least repaired
+    distance over the runs is returned, so it never lies below the optimum.
+    """
+    k, n = len(sets), len(signs)
+    balls = [a for a, s in enumerate(sets) if type(s).__name__ != "Singleton"]
+    col = {a: k + j * n for j, a in enumerate(balls)}
+    m0 = k + len(balls) * n
+    U = {a: np.asarray(sets[a].u, dtype=float) for a in balls}
+    pts = {a: sets[a].scale * np.asarray(sets[a].g, dtype=float)
+           for a in range(k) if a not in col}
+
+    def hull_point(x):
+        z = np.zeros(n)
+        for a in range(k):
+            if a in col:
+                z += sets[a].scale * (x[col[a]:col[a] + n] - x[a] * U[a])
+            else:
+                z += x[a] * pts[a]
+        return z
+
+    def objective(x):
+        r = hull_point(x) - x[m0:]
+        return float(r @ r)
+
+    def gradient(x):
+        r = 2.0 * (hull_point(x) - x[m0:])
+        g = np.zeros_like(x)
+        for a in range(k):
+            if a in col:
+                g[a] = -sets[a].scale * (r @ U[a])
+                g[col[a]:col[a] + n] = sets[a].scale * r
+            else:
+                g[a] = r @ pts[a]
+        g[m0:] = -r
+        return g
+
+    def ball(a):
+        def fun(x):
+            y = x[col[a]:col[a] + n] - x[a] * U[a]
+            return x[a] * x[a] - y @ y
+
+        def jac(x):
+            y = x[col[a]:col[a] + n] - x[a] * U[a]
+            g = np.zeros_like(x)
+            g[a] = 2.0 * x[a] + 2.0 * (y @ U[a])
+            g[col[a]:col[a] + n] = -2.0 * y
+            return g
+        return {"type": "ineq", "fun": fun, "jac": jac}
+
+    bounds = [(0.0, None)] * k
+    for a in balls:
+        bounds += _sign_bounds(sets[a].cone.signs)
+    bounds += _sign_bounds(signs)
+    cons = [{"type": "eq", "fun": lambda x: x[:k].sum() - 1.0,
+             "jac": lambda x: np.r_[np.ones(k), np.zeros(len(x) - k)]}]
+    cons += [ball(a) for a in balls]
+
+    def repaired(x):
+        lam = np.clip(x[:k], 0.0, None)
+        lam = lam / lam.sum()
+        z = np.zeros(n)
+        for a in range(k):
+            if a not in col:
+                z += lam[a] * pts[a]
+                continue
+            w = _project_signs(x[col[a]:col[a] + n], sets[a].cone.signs)
+            ww, wu = float(w @ w), float(w @ U[a])
+            shrink = min(1.0, 2.0 * lam[a] * wu / ww) if ww > 0.0 and wu > 0.0 else 0.0
+            z += sets[a].scale * ((1.0 - 1e-12) * shrink * w - lam[a] * U[a])
+        return float(np.linalg.norm(z - _project_signs(z, signs)))
+
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(starts):
+        x0 = np.zeros(m0 + n)
+        x0[:k] = rng.dirichlet(np.ones(k))
+        res = minimize(objective, x0, jac=gradient, method="SLSQP", bounds=bounds,
+                       constraints=cons, options={"ftol": 1e-16, "maxiter": 500})
+        best = min(best, repaired(res.x))
+    return best

@@ -29,7 +29,12 @@ def test_tracer_patches_every_name_it_needs():
         assert meanset.mean_deficit(A, (0.5, 0.0)).value <= 1e-8
         assert len(meanset.run_heatmap(A, 2, 0, 0.1, threads=1)) == 2
         assert meanset.heatmap.worker_count() >= 1
+        # cone-ball models send this query through the Frank-Wolfe rounds
+        _, Q = meanset.load_bundled("quadrant_window")
+        assert meanset.recognize(Q, (1.0, -0.0010957907691939717)).decision == "non-member"
     metrics = tracer.layer_metrics()
-    assert metrics["boundary.recognize_general.calls"] == 1
+    assert metrics["boundary.recognize_general.calls"] == 2
     assert metrics["boundary.general_deficit.calls"] == 3
     assert metrics["heatmap.workers"] >= 1
+    assert metrics["convex.feasibility_min_norm.stalled"] == 0
+    assert metrics["convex.feasibility_min_norm.iterations"] > 0

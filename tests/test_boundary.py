@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from meanset import (
+    ConvergenceError,
     PointSetA,
+    boundary,
     general_deficit,
     load_bundled,
     mean_deficit,
@@ -15,9 +17,15 @@ from meanset import (
     solve_PC,
     verify_certificate,
 )
-from meanset.boundary import build_models, conic_residual, directional_derivative
-from meanset.convex import ConeBall, Singleton
-from oracles import agrees_with_straightened
+from meanset.boundary import _scaled_problem, build_models, conic_residual, directional_derivative
+from meanset.convex import ConeBall, FeasibilityResult, Singleton
+from meanset.corpus import BUNDLED
+from oracles import (
+    agrees_with_straightened,
+    hull_to_cone_nnls,
+    hull_to_cone_slsqp,
+    polytope_points,
+)
 
 
 def _random_point(cx, rng):
@@ -37,6 +45,48 @@ def test_solve_pc_feasible_on_tripod_origin(bundles):
         out = solve_PC(A, (0.0, 0.0), cid)
         assert out.value0, cid
         assert out.residual <= 1e-8
+
+
+def _snapped_point(cx, rng):
+    """A uniform point of a random maximal cell with a random nonempty subset
+    of its free coordinates rounded to a bound of the cell."""
+    cid = cx.maximal_ids[int(rng.integers(len(cx.maximal_ids)))]
+    lo, hi = cx.bounds(cid)
+    pt = lo + (hi - lo) * rng.random(cx.ambient_dim)
+    free = [i for i in range(cx.ambient_dim) if hi[i] > lo[i]]
+    for i in rng.choice(free, size=int(rng.integers(1, len(free) + 1)), replace=False):
+        pt[i] = hi[i] if rng.random() < 0.5 else lo[i]
+    return tuple(float(v) for v in pt)
+
+
+def test_cell_residuals_match_independent_conic_oracles(bundles):
+    """Per-cell residuals at snapped points of every corpus against solvers
+    that share no code with ``meanset.convex``.  Where every model set is a
+    point or a segment the cell is a polytope problem, which NNLS solves to
+    rounding; elsewhere SLSQP's repaired, feasible value bounds the optimum
+    from above, so the residual may never exceed it."""
+    rng = np.random.default_rng(2024)
+    polytope = curved = 0
+    for name in BUNDLED:
+        cx, A = bundles[name]
+        for _ in range(40):
+            loc = cx.locate(_snapped_point(cx, rng))
+            if A.label_of(loc) is not None:
+                continue
+            for cid in sorted(cx.maximal_cells_containing(loc)):
+                sets, target = _scaled_problem(build_models(A, loc, cid))
+                got = solve_PC(A, loc, cid).residual
+                P = polytope_points(sets)
+                if P is not None:
+                    _, want = hull_to_cone_nnls(P, target.signs)
+                    assert got == pytest.approx(want, abs=1e-9), (name, loc.coords, cid)
+                    polytope += 1
+                else:
+                    want = hull_to_cone_slsqp(sets, target.signs)
+                    assert got <= want + 1e-8, (name, loc.coords, cid, got, want)
+                    curved += 1
+                assert (got <= 1e-8) == (want <= 1e-8), (name, loc.coords, cid, got, want)
+    assert polytope >= 50 and curved >= 50
 
 
 def test_solve_pc_infeasible_off_the_mean_set(bundles):
@@ -76,8 +126,64 @@ def test_directional_derivative_outside_tangent_is_inf(bundles):
     assert directional_derivative(models[0], (1.0, 0.0)) == np.inf
 
 
+def test_stalled_solve_error_names_the_point_and_cell(bundles, monkeypatch):
+    cx, A = bundles["squares3"]
+    x = (0.5, 0.0)
+
+    def stalled(sets, target, weights=None, tol=1e-8):
+        n = target.dim
+        return FeasibilityResult(residual=1.0, point=np.ones(n), cone_point=np.zeros(n),
+                                 weights=np.full(len(sets), 1.0 / len(sets)),
+                                 status="stalled", iterations=1000, gap=1.0)
+
+    monkeypatch.setattr(boundary, "feasibility_min_norm", stalled)
+    with pytest.raises(ConvergenceError) as exc:
+        recognize(A, x)
+    msg = str(exc.value)
+    assert str(cx.locate(x).coords) in msg
+    assert f"cell {sorted(cx.maximal_cells_containing(x))[0]}" in msg
+    assert "1000 rounds" in msg
+
+
 # ---------------------------------------------------------------------------
 # decisions on shared faces
+
+
+QUADRANT_EDGE = (1.0, -0.0010957907691939717)
+
+
+@pytest.fixture
+def support_point_budget(monkeypatch):
+    """Fail a test after 500 ``ConeBall.support_point`` calls, the mark of a
+    Frank-Wolfe loop that no longer converges."""
+    calls = [0]
+    inner = ConeBall.support_point
+
+    def counted(self, d):
+        calls[0] += 1
+        if calls[0] > 500:
+            raise AssertionError("more than 500 ConeBall.support_point calls")
+        return inner(self, d)
+
+    monkeypatch.setattr(ConeBall, "support_point", counted)
+    return calls
+
+
+def test_quadrant_window_edge_is_exact_and_fast(bundles, support_point_budget):
+    """On the edge x = 1 just below the missing quadrant both cells' models
+    include a cone-ball, a segment in 2-D, so each cell's residual is an
+    exact nearest-point distance; the values are those of an NNLS solve."""
+    cx, A = bundles["quadrant_window"]
+    r = recognize(A, QUADRANT_EDGE)
+    assert r.decision == "non-member"
+    assert r.deficit == pytest.approx(1.389406797357877e-3, abs=1e-12)
+    assert verify_certificate(A, QUADRANT_EDGE, r.certificate).ok
+    want = {"c042": 1.095790769193972e-3, "c056": 1.389406797357877e-3}
+    assert sorted(cx.maximal_cells_containing(QUADRANT_EDGE)) == sorted(want)
+    for cid, value in want.items():
+        out = solve_PC(A, QUADRANT_EDGE, cid)
+        assert out.residual == pytest.approx(value, abs=1e-12)
+    assert 0 < support_point_budget[0] <= 500
 
 
 def test_recognize_general_squares5_vertex_shared_by_all_cells(bundles):

@@ -20,7 +20,7 @@ from meanset.convex import (
     min_norm_point,
     shared_certificate_weights,
 )
-from oracles import simplex_min_norm
+from oracles import hull_to_cone_nnls
 
 
 # ---------------------------------------------------------------------------
@@ -303,30 +303,32 @@ def test_feasibility_fixed_weights_minkowski():
 
 
 def test_feasibility_subspace_target_is_exact():
-    """Singleton sets and a target of only free and zero signs are solved
-    by one exact min-norm call; an NNLS oracle on the zero coordinates
-    gives the same distance."""
+    """Singleton sets are solved by one exact Wolfe solve over the points and
+    the target cone's rays, reporting zero Frank-Wolfe iterations, for
+    targets of every sign; an NNLS oracle with a ray column per signed or
+    free axis gives the same distance."""
     rng = np.random.default_rng(17)
-    for _ in range(200):
+    for _ in range(400):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, 7))
-        signs = tuple(str(s) for s in rng.choice([FREE, ZERO], size=n))
+        signs = tuple(str(s) for s in rng.choice([FREE, ZERO, NONNEG, NONPOS], size=n))
         units = rng.normal(size=(m, n))
         units /= np.linalg.norm(units, axis=1)[:, None]
         sets = [Singleton(tuple(g), scale=float(rng.uniform(0.1, 3.0))) for g in units]
         r = feasibility_min_norm(sets, SignCone(signs))
         assert r.iterations == 0
         pts = np.array([s.anchor_point() for s in sets])
-        pinned = np.array([s == ZERO for s in signs])
-        _, want = simplex_min_norm(pts * pinned)
-        assert r.residual == pytest.approx(want, abs=1e-7)
+        _, want = hull_to_cone_nnls(pts, signs)
+        assert r.residual == pytest.approx(want, abs=1e-9)
         if want > 1e-6 or want < 1e-10:
             assert r.status == ("zero" if want <= 1e-8 else "positive")
         assert np.allclose(r.weights @ pts, r.point, atol=1e-12)
-    # a sign-constrained coordinate keeps the Frank-Wolfe solve
+        assert SignCone(signs).contains(r.cone_point, 0.0)
+        assert np.linalg.norm(r.point - r.cone_point) == pytest.approx(r.residual, abs=1e-12)
+    # a sign-constrained coordinate is a ray of the same exact solve
     sets = [Singleton((0.8, 0.6)), Singleton((0.6, -0.8))]
     r = feasibility_min_norm(sets, SignCone((NONPOS, FREE)))
-    assert r.iterations >= 1
+    assert r.iterations == 0
     assert r.residual == pytest.approx(0.6, abs=1e-8)
 
 
