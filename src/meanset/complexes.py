@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,7 +181,10 @@ class CubicalComplex:
         self.maximal_ids = tuple(
             c.ident for c in self.cells if (c.base, c.axes) in maximal_keys
         )
+        self._maximal = frozenset(self.maximal_ids)
         self._bounds = {c.ident: c.bounds() for c in self.cells}
+        self._boxes = {i: (tuple(lo.tolist()), tuple(hi.tolist()))
+                       for i, (lo, hi) in self._bounds.items()}
         self._geo_cache = {}
         self._vertex_paths = None
         # adjacency over maximal cells (shared face of any dimension)
@@ -190,7 +194,7 @@ class CubicalComplex:
             if f is not None:
                 adj[i].append((j, f.ident))
                 adj[j].append((i, f.ident))
-        self.adjacency = {k: tuple(sorted(v)) for k, v in adj.items()}
+        self.adjacency = {k: tuple(v) for k, v in adj.items()}   # in cell order
 
     # -- basic lookups ----------------------------------------------------
 
@@ -267,27 +271,30 @@ class CubicalComplex:
             raise LocationError(
                 f"point has dimension {len(p)}, complex is {self.ambient_dim}-dimensional"
             )
-        containing = []
-        best = None
-        for c in self.cells:
-            lo, hi = self._bounds[c.ident]
-            inside = True
-            for i in range(self.ambient_dim):
-                if p[i] < lo[i] or p[i] > hi[i]:
-                    inside = False
-                    break
-            if inside:
-                containing.append(c.ident)
-                if best is None or c.dim < best.dim:
-                    best = c
-        if not containing:
+        # a cell holds p when each integer coordinate k is its base on a
+        # pinned axis or an end of a spanned one, and each other coordinate
+        # lies inside a spanned axis: at most 3^(integer coordinates) keys
+        keys = [((), ())]
+        for i, x in enumerate(p):
+            k = math.floor(x)
+            if x == k:
+                keys = ([(b + (k,), a) for b, a in keys] + [(b + (k,), a + (i,)) for b, a in keys]
+                        + [(b + (k - 1,), a + (i,)) for b, a in keys])
+            else:
+                keys = [(b + (k,), a + (i,)) for b, a in keys]
+        # keys[0] pins every integer coordinate: the smallest cell that can
+        # hold p, and a face of every other one, so it is in the lattice
+        # exactly when p is in the complex
+        minimal = self._index.get(keys[0])
+        if minimal is None:
             raise LocationError(f"point {list(p)} lies outside the complex")
-        return LocatedPoint(p, tuple(containing), best.ident)
+        # sorted keys are in cell order, which id strings lose past c999
+        keys = sorted(key for key in keys if key in self._index)
+        return LocatedPoint(p, tuple(self._index[k] for k in keys), minimal)
 
     def maximal_cells_containing(self, point) -> tuple:
         loc = self.locate(point)
-        mset = set(self.maximal_ids)
-        return tuple(i for i in loc.containing if i in mset)
+        return tuple(i for i in loc.containing if i in self._maximal)
 
     # -- cones ---------------------------------------------------------------
 

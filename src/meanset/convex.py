@@ -244,6 +244,33 @@ def _path_value(a, b, x) -> float:
     return float(np.linalg.norm(x - a) + np.linalg.norm(x - b))
 
 
+def segment_span(a, d, lo, hi):
+    """The interval ``(t0, t1)`` of ``t`` in [0, 1] with ``a + t d`` in the
+    box ``{lo <= x <= hi}``, or None when the segment misses it.
+
+    The test has a slack of 1e-12 in ``t`` (and in position along axes
+    with ``|d_i| <= 1e-14``), so a segment that only grazes the box may
+    return ``t1`` up to 1e-12 below ``t0``.
+    """
+    t0, t1 = 0.0, 1.0
+    for ai, di, li, hi_i in zip(a, d, lo, hi):
+        if abs(di) <= 1e-14:
+            if ai < li - 1e-12 or ai > hi_i + 1e-12:
+                return None
+            continue
+        s0 = (li - ai) / di
+        s1 = (hi_i - ai) / di
+        if s0 > s1:
+            s0, s1 = s1, s0
+        if s0 > t0:
+            t0 = s0
+        if s1 < t1:
+            t1 = s1
+        if t0 > t1 + 1e-12:
+            return None
+    return t0, t1
+
+
 def box_segment_min(a, b, lo, hi):
     """Minimise ``|a-x| + |x-b|`` over the box ``{lo <= x <= hi}``, exactly.
 
@@ -264,27 +291,9 @@ def box_segment_min(a, b, lo, hi):
     d = b - a
 
     # fast path: clip the segment against the box slabs
-    t0, t1 = 0.0, 1.0
-    hit = True
-    for i in range(n):
-        di = d[i]
-        if abs(di) <= 1e-14:
-            if a[i] < lo[i] - 1e-12 or a[i] > hi[i] + 1e-12:
-                hit = False
-                break
-        else:
-            s0 = (lo[i] - a[i]) / di
-            s1 = (hi[i] - a[i]) / di
-            if s0 > s1:
-                s0, s1 = s1, s0
-            if s0 > t0:
-                t0 = s0
-            if s1 < t1:
-                t1 = s1
-            if t0 > t1 + 1e-12:
-                hit = False
-                break
-    if hit and t0 <= t1 + 1e-12:
+    span = segment_span(a, d, lo, hi)
+    if span is not None:
+        t0, t1 = span
         if t1 < t0:
             t0 = t1 = 0.5 * (t0 + t1)
         dd = float(d @ d)
@@ -410,23 +419,16 @@ class ConeBall:
         u = np.asarray(self.u, dtype=float)
         signs = self.cone.signs
         n_dim = len(signs)
-        pinned = [i for i in range(n_dim) if signs[i] == ZERO]
         signed = [i for i in range(n_dim) if signs[i] in (NONNEG, NONPOS)]
+        free = [i for i in range(n_dim) if signs[i] == FREE]
         best_val = 0.0
         best_n = np.zeros(n_dim)  # n = 0 is always feasible: |0 - u| = 1
         for mask in range(1 << len(signed)):
-            zeroed = list(pinned)
-            live = []
-            for k, i in enumerate(signed):
-                if mask >> k & 1:
-                    zeroed.append(i)
-                else:
-                    live.append(i)
-            live += [i for i in range(n_dim) if signs[i] == FREE]
-            rad2 = 1.0 - sum(u[i] * u[i] for i in zeroed)
-            if rad2 < -1e-12:
-                continue
-            rad = math.sqrt(max(rad2, 0.0))
+            # the signed axes in the mask are pinned to 0, as the ZERO ones are
+            live = [i for k, i in enumerate(signed) if not mask >> k & 1] + free
+            # |u| = 1, so the ball's radius on the live axes is the norm of
+            # u there; 1 - (the rest) would lose half the digits near 0
+            rad = math.sqrt(sum(u[i] * u[i] for i in live))
             dl = np.array([d[i] for i in live])
             nd = float(np.linalg.norm(dl))
             if nd <= 1e-15:

@@ -1,16 +1,23 @@
-"""Geodesics in a cubical complex by exact chain optimisation.
+"""Geodesics in a cubical complex: straight ones walked, bent ones searched.
 
-A geodesic between two points is found by enumerating simple chains of
-maximal cells (consecutive cells sharing a face), minimising the broken
-path length over the gates (the faces shared by consecutive cells) of each
-candidate chain, and keeping the best.  Enumeration is best-first with an
-admissible lower bound through each gate and an incumbent upper bound from
-a vertex-graph shortest path.  The CAT(0) geodesic is unique, so optimal
-chains differ only in which cells label the same path: the search stops as
-soon as no chain left in the heap can beat the incumbent by more than 1e-9.
-Heap ties are broken by push order, which makes every result deterministic.
-No cap on chain length is needed: a simple chain holds at most one visit
-per maximal cell, and the lower bound does the pruning.
+Every cell is a unit box of R^n, so ``|p - q|`` bounds every path in the
+complex from below, and when the straight segment lies in the complex it
+is the geodesic.  :func:`_walk` follows it cell by cell, as voxel
+traversal does (Amanatides and Woo, Eurographics 1987), over the maximal
+cells of the complex only; it needs no search and no solve.
+
+When the segment leaves the complex, the geodesic is found by enumerating
+simple chains of maximal cells (consecutive cells sharing a face),
+minimising the broken path length over the gates (the faces shared by
+consecutive cells) of each candidate chain, and keeping the best.
+Enumeration is best-first with an admissible lower bound through each gate
+and an incumbent upper bound from a vertex-graph shortest path.  The CAT(0)
+geodesic is unique, so optimal chains differ only in which cells label the
+same path: the search stops as soon as no chain left in the heap can beat
+the incumbent by more than 1e-9.  Heap ties are broken by push order, which
+makes every result deterministic.  No cap on chain length is needed: a
+simple chain holds at most one visit per maximal cell, and the lower bound
+does the pruning.
 
 The length through two or more gates is a sum-of-norms program over the
 free gate coordinates, solved by one projected Newton method that returns
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import CubicalComplex, LocatedPoint
-from .convex import box_segment_min
+from .convex import box_segment_min, segment_span
 
 __all__ = [
     "Geodesic",
@@ -248,16 +255,52 @@ def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
 
 
 def _solve_geodesic(cx, p_loc, q_loc):
+    g = _walk(cx, p_loc, q_loc)
+    return g if g is not None else _search(cx, p_loc, q_loc)
+
+
+def _walk(cx, p_loc, q_loc):
+    """The straight segment from p to q as a Geodesic, or None when the
+    walk finds no cell to carry it on.
+
+    From the maximal cells containing p, each step keeps the cell whose
+    :func:`segment_span` starts by the current ``t`` (up to 1e-12) and
+    reaches farthest, the first in cell order on ties, then moves to the
+    neighbours whose shared face holds the exit point to 1e-9 (the span
+    test decides); the exit point is clipped into the face of the cell
+    taken.  ``t`` grows at every step, so no cell is met twice.
+    """
+    p, q = p_loc.coords, q_loc.coords
+    d = tuple(b - a for a, b in zip(p, q))
+    boxes = cx._boxes
+    t = 0.0
+    chain, pts = [], [p]
+    step = [(c, None) for c in p_loc.containing if c in cx._maximal]
+    while True:
+        best, reach, gate = None, t, None
+        for cell, face in step:
+            span = segment_span(p, d, *boxes[cell])
+            if span is not None and span[0] <= t + 1e-12 and span[1] > reach:
+                best, reach, gate = cell, span[1], face
+        if best is None:
+            return None
+        if gate is not None:
+            lo, hi = boxes[gate]
+            pts.append(tuple(min(max(x, l), h) for x, l, h in zip(exit_pt, lo, hi)))
+        chain.append(best)
+        if reach >= 1.0:
+            pts.append(q)
+            return _assemble(cx, chain, pts)
+        t = reach
+        exit_pt = tuple(a + t * di for a, di in zip(p, d))
+        step = [(nbr, face) for nbr, face in cx.adjacency[best]
+                if all(l - 1e-9 <= x <= h + 1e-9 for x, l, h in zip(exit_pt, *boxes[face]))]
+
+
+def _search(cx, p_loc, q_loc):
+    """The geodesic by best-first chain search (see the module docstring)."""
     p = p_loc.coords
     q = q_loc.coords
-    mset = set(cx.maximal_ids)
-    common = set(p_loc.containing) & set(q_loc.containing)
-    if common:
-        if p == q:
-            return Geodesic((p,), (), 0.0)
-        seg_cell = min(c for c in common if c in mset)
-        return _assemble(cx, (seg_cell,), [np.asarray(p), np.asarray(q)])
-
     # the vertex graph connects p and q exactly when the complex does
     ub = vertex_upper_bound(cx, p_loc, q_loc)
     if not math.isfinite(ub):
@@ -266,8 +309,8 @@ def _solve_geodesic(cx, p_loc, q_loc):
             "lie in different connected components; no geodesic exists"
         )
 
-    starts = sorted(c for c in p_loc.containing if c in mset)
-    ends = frozenset(c for c in q_loc.containing if c in mset)
+    starts = sorted(c for c in p_loc.containing if c in cx._maximal)
+    ends = frozenset(c for c in q_loc.containing if c in cx._maximal)
     pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     counter = itertools.count()
     direct = float(np.linalg.norm(pa - qa))

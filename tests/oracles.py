@@ -85,6 +85,8 @@ def chain_oracle(p, q, gates) -> float:
         u = np.where(n[:, None] > 0, d / np.where(n > 0, n, 1.0)[:, None], 0.0)
         return (u[:-1] - u[1:])[free]
 
+    if not free.any():   # every gate is a vertex: the path is fixed
+        return length(np.zeros(0))
     t = np.arange(1, len(lo) + 1)[:, None] / (len(lo) + 1)
     starts = (0.5 * (lo + hi), np.clip(p + t * (q - p), lo, hi))
     return min(
@@ -148,7 +150,7 @@ def polytope_points(sets):
             return None
         i = live[0]
         u = np.asarray(s.u, dtype=float)
-        half = np.sqrt(max(0.0, 1.0 - sum(u[k] * u[k] for k in range(len(u)) if k != i)))
+        half = abs(u[i])   # the ball's radius on axis i, as |u| = 1
         lo, hi = u[i] - half, u[i] + half
         if s.cone.signs[i] == "nonneg":
             lo = max(lo, 0.0)

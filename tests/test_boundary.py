@@ -186,6 +186,17 @@ def test_quadrant_window_edge_is_exact_and_fast(bundles, support_point_budget):
     assert 0 < support_point_budget[0] <= 500
 
 
+def test_pinched_cone_ball_keeps_no_sliver(bundles):
+    """At this cube_square point one model of cell c009 is a cone-ball that
+    is a single point: its cone is free only along an axis where u is 0.
+    The residual is that of the one-point set; a radius taken as
+    sqrt(1 - sum of u_i^2 over the pinned axes) kept a sliver about 1.5e-8
+    wide, and the residual read 3.8e-9 low."""
+    _, A = bundles["cube_square"]
+    x = (0.021193381740469808, 0.8106908479800631, 1.0)
+    assert solve_PC(A, x, "c009").residual == pytest.approx(0.8717638529821677, abs=1e-12)
+
+
 def test_recognize_general_squares5_vertex_shared_by_all_cells(bundles):
     cx, A = bundles["squares5"]
     t0 = time.perf_counter()

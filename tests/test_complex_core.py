@@ -266,3 +266,67 @@ def test_direct_construction_requires_cube_cells():
     cells = [CubeCell((0, 0), (0,))]
     cx = CubicalComplex(2, cells)
     assert len(cx.maximal_ids) == 1
+
+
+# ---------------------------------------------------------------------------
+# hashed point location against a scan of every cell
+
+
+def _scan_locate(cx, boxes, point):
+    """``(containing, minimal_cell)`` by testing every lattice cell in turn,
+    ``boxes`` being ``(cell, lo, hi)`` in cell order; None when no cell
+    holds the point."""
+    p = cx.snap(point)
+    containing, best = [], None
+    for c, lo, hi in boxes:
+        if all(l <= x <= h for l, x, h in zip(lo, p, hi)):
+            containing.append(c.ident)
+            if best is None or c.dim < best.dim:
+                best = c
+    return (tuple(containing), best.ident) if containing else None
+
+
+def _probe_points(cx, rng, count):
+    """Uniform points of a box one unit wider than the complex, of random
+    lattice cells, and either kind with some coordinates rounded."""
+    verts = np.array([v for c in cx.cells for v in c.vertices()], dtype=float)
+    lo, hi = verts.min(axis=0) - 1.0, verts.max(axis=0) + 1.0
+    out = []
+    for i in range(count):
+        if i % 2:
+            clo, chi = cx.cells[int(rng.integers(len(cx.cells)))].bounds()
+            pt = clo + (chi - clo) * rng.random(len(lo))
+        else:
+            pt = lo + (hi - lo) * rng.random(len(lo))
+        if i % 4 >= 2:
+            pt = np.where(rng.random(len(lo)) < 0.5, np.round(pt), pt)
+        out.append(tuple(float(x) for x in pt))
+    return out
+
+
+def test_locate_matches_a_scan_of_every_cell(bundles):
+    rng = np.random.default_rng(31)
+    big = complex_from_dict({"ambient_dim": 2, "cells": [
+        {"base": [i, j], "axes": [0, 1]} for i in range(20) for j in range(20)]})
+    assert len(big.cells) > 1000
+    complexes = [cx for cx, _ in bundles.values()] + [big]
+    complexes += [complex_from_dict({"ambient_dim": 3, "cells": [
+        {"base": list(b), "axes": [0, 1, 2]} for b in itertools.product(range(3), repeat=3)]})]
+    while len(complexes) < len(bundles) + 22:
+        try:
+            complexes.append(_random_unit_complex(rng))
+        except ComplexError:  # a drawn cell is a face of another
+            continue
+    for cx in complexes:
+        boxes = [(c, *(b.tolist() for b in c.bounds())) for c in cx.cells]
+        points = _probe_points(cx, rng, 200)
+        if cx is big:   # ids c999 and c1000 sort apart as strings
+            points += [v for c in big.cells[990:1010] for v in c.vertices()]
+        for pt in points:
+            want = _scan_locate(cx, boxes, pt)
+            if want is None:
+                with pytest.raises(LocationError, match="outside the complex"):
+                    cx.locate(pt)
+                continue
+            loc = cx.locate(pt)
+            assert (loc.containing, loc.minimal_cell) == want, pt

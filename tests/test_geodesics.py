@@ -1,5 +1,6 @@
 """Geodesic solver checked against closed forms and metric axioms."""
 
+import heapq
 import itertools
 import math
 
@@ -206,11 +207,21 @@ def chain_budget(monkeypatch):
     ((9, 1), (0.2, 0.1), (8.7, 0.9)),                    # 9-square strip
     ((10, 10), (0.0, 0.0), (10.0, 10.0)),                # corner to corner
     ((3, 3, 3), (0.1, 0.1, 0.1), (2.9, 2.9, 2.9)),       # cube diagonal
+    # through 13 vertices, where the chain search alone pushes 298,087 tied chains
+    ((14, 14), (0.0, 0.0), (14.0, 14.0)),
 ])
-def test_grid_geodesic_is_straight_with_few_chains(chain_budget, sizes, p, q):
+def test_grid_geodesic_is_straight_with_few_chains(chain_budget, monkeypatch, sizes, p, q):
+    pushes = [0]
+    real_push = heapq.heappush
+
+    def push(*args):
+        pushes[0] += 1
+        return real_push(*args)
+
+    monkeypatch.setattr(heapq, "heappush", push)
     cx = _grid(*sizes)
     assert distance(cx, p, q) == pytest.approx(math.dist(p, q), abs=1e-9)
-    assert chain_budget[0] >= 1
+    assert (chain_budget[0], pushes[0]) == (0, 0)   # walked, not searched
 
 
 def test_random_square_grid_pairs_are_straight():
@@ -274,7 +285,10 @@ STAIRCASE = {"ambient_dim": 3, "cells": [
 def test_chain_solves_match_slsqp_oracle(monkeypatch):
     """Chains of two or more gates met by real searches, a third of the
     points snapped onto faces so that breakpoints merge: ``chain_length``
-    is within 1e-10 of SLSQP or below it, with every breakpoint in its gate."""
+    is within 1e-10 of SLSQP or below it, with every breakpoint in its gate.
+    Straight geodesics are walked and never reach ``chain_length``, so
+    pairs are drawn on the complexes with bent geodesics until 300 distinct
+    chains are met."""
     real = geodesics.chain_length
     seen = {}
 
@@ -291,8 +305,41 @@ def test_chain_solves_match_slsqp_oracle(monkeypatch):
     for cx in complexes:
         for i in range(150):
             distance(cx, _corpus_point(cx, rng, i % 3 == 0), _corpus_point(cx, rng, i % 3 == 1))
+    bent = [complexes[BUNDLED.index("squares5")], complexes[BUNDLED.index("quadrant_window")],
+            complexes[-1]]
+    for i in range(3000):
+        if len(seen) >= 300:
+            break
+        cx = bent[i % 3]
+        distance(cx, _corpus_point(cx, rng, i % 3 == 0), _corpus_point(cx, rng, i % 3 == 1))
     assert len(seen) >= 300
     for (p, q, chain), (bounds, (val, pts)) in seen.items():
         assert val <= chain_oracle(p, q, bounds) + 1e-10, (p, q, chain)
         for x, (lo, hi) in zip(pts[1:-1], bounds):
             assert (lo <= x).all() and (np.asarray(x) <= hi).all(), (p, q, chain, x)
+
+
+# ---------------------------------------------------------------------------
+# the straight-segment walk against the chain search
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("staircase",))
+def test_walk_is_sound_and_complete(name):
+    """Where the walk answers, its path is the straight segment, cell by
+    cell; where it declines, the search finds a bent geodesic."""
+    cx = complex_from_dict(STAIRCASE) if name == "staircase" else load_bundled(name)[0]
+    rng = np.random.default_rng([83, len(name)])
+    walked = 0
+    for i in range(1000):
+        p_loc = cx.locate(_corpus_point(cx, rng, snapped=i % 2 == 1))
+        q_loc = cx.locate(_corpus_point(cx, rng, snapped=i % 4 >= 2))
+        direct = math.dist(p_loc.coords, q_loc.coords)
+        g = geodesics._walk(cx, p_loc, q_loc)
+        if g is None:
+            assert geodesics._search(cx, p_loc, q_loc).length > direct + 1e-12, (p_loc, q_loc)
+            continue
+        walked += 1
+        assert g.length == pytest.approx(direct, abs=1e-12), (p_loc, q_loc)
+        for cell, a, b in zip(g.cells, g.breakpoints, g.breakpoints[1:]):
+            assert cx.cell(cell).contains(a, tol=0.0) and cx.cell(cell).contains(b, tol=0.0)
+    assert walked > 0
