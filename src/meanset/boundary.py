@@ -223,7 +223,7 @@ def _solve_cells(A: PointSetA, xbar, tol: float):
     """
     cx = A.cx
     loc = cx.locate(xbar)
-    cells = sorted(cx.maximal_cells_containing(loc))
+    cells = cx.maximal_cells_containing(loc)
     hit = A.label_of(loc)
     if hit is not None:
         weights = {l: float(l == hit) for l in A.labels}

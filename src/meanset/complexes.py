@@ -187,6 +187,7 @@ class CubicalComplex:
                        for i, (lo, hi) in self._bounds.items()}
         self._geo_cache = {}
         self._vertex_paths = None
+        self._cell_vertices = {}   # cell id -> vertex tuple, filled by vertex_upper_bound
         # adjacency over maximal cells (shared face of any dimension)
         adj = {i: [] for i in self.maximal_ids}
         for i, j in itertools.combinations(self.maximal_ids, 2):

@@ -240,10 +240,6 @@ def min_norm_point(points, anchor=None, rays=None) -> MinNormResult:
 # shortest path from a to b through an axis-aligned box
 
 
-def _path_value(a, b, x) -> float:
-    return float(np.linalg.norm(x - a) + np.linalg.norm(x - b))
-
-
 def segment_span(a, d, lo, hi):
     """The interval ``(t0, t1)`` of ``t`` in [0, 1] with ``a + t d`` in the
     box ``{lo <= x <= hi}``, or None when the segment misses it.
@@ -274,21 +270,22 @@ def segment_span(a, d, lo, hi):
 def box_segment_min(a, b, lo, hi):
     """Minimise ``|a-x| + |x-b|`` over the box ``{lo <= x <= hi}``, exactly.
 
-    Returns ``(value, x)``.  When the straight segment meets the box the
-    value is exactly ``|a-b|`` and ties among on-segment minimisers are
-    broken by the point of smallest Euclidean norm.  Otherwise every face
-    of the box is tried: each of the k axes with ``lo < hi`` is pinned to
-    ``lo``, pinned to ``hi`` or left free, and on each of the 3**k faces
-    the minimiser over the face's affine hull has a closed form.  The
-    objective is convex, so the best candidate that lies in its face is
-    the minimum; no iterative solver is involved.
+    Returns ``(value, x)``, ``x`` a float ndarray; the inputs may be any
+    sequences of numbers.  When the straight segment meets the box the
+    value is exactly ``math.dist(a, b)`` and ties among on-segment
+    minimisers are broken by the point of smallest Euclidean norm.
+    Otherwise every face of the box is tried: each of the k axes with
+    ``lo < hi`` is pinned to ``lo``, pinned to ``hi`` or left free, and on
+    each of the 3**k faces the minimiser over the face's affine hull has a
+    closed form.  The objective is convex, so the best candidate that lies
+    in its face is the minimum; no iterative solver is involved.  The work
+    is on Python floats: numpy calls cost more than the arithmetic on
+    boxes of a few axes.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    n = a.shape[0]
-    d = b - a
+    a, b = [*map(float, a)], [*map(float, b)]
+    lo, hi = [*map(float, lo)], [*map(float, hi)]
+    n = len(a)
+    d = [bi - ai for ai, bi in zip(a, b)]
 
     # fast path: clip the segment against the box slabs
     span = segment_span(a, d, lo, hi)
@@ -296,17 +293,17 @@ def box_segment_min(a, b, lo, hi):
         t0, t1 = span
         if t1 < t0:
             t0 = t1 = 0.5 * (t0 + t1)
-        dd = float(d @ d)
+        dd = sum(di * di for di in d)
         if dd <= 0.0:
             tt = t0
         else:
-            tt = min(max(-float(a @ d) / dd, t0), t1)
-        x = np.clip(a + tt * d, lo, hi)
-        return float(np.linalg.norm(d)), x
+            tt = min(max(-sum(ai * di for ai, di in zip(a, d)) / dd, t0), t1)
+        x = [min(max(ai + tt * di, l), h) for ai, di, l, h in zip(a, d, lo, hi)]
+        return math.dist(a, b), np.array(x)
 
-    if np.linalg.norm(d) <= 1e-13:
-        x = np.clip(a, lo, hi)
-        return _path_value(a, b, x), x
+    if math.dist(a, b) <= 1e-13:
+        x = [min(max(ai, l), h) for ai, l, h in zip(a, lo, hi)]
+        return math.dist(a, x) + math.dist(x, b), np.array(x)
 
     # The minimiser lies in the relative interior of exactly one face, and
     # by convexity it also minimises over that face's affine hull.  On a
@@ -314,25 +311,24 @@ def box_segment_min(a, b, lo, hi):
     # into a plane puts the hull minimiser at (Q a + P b) / (P + Q), with
     # value hypot(P + Q, |a - b| along the hull).  Faces are visited by
     # decreasing dimension, so a candidate beats its own subfaces on ties.
-    al, bl, lol, hil = a.tolist(), b.tolist(), lo.tolist(), hi.tolist()
-    freed = [i for i in range(n) if hil[i] - lol[i] > 1e-12]
-    base = [0.5 * (lol[i] + hil[i]) for i in range(n)]  # lo == hi when pinned
+    freed = [i for i in range(n) if hi[i] - lo[i] > 1e-12]
+    base = [0.5 * (lo[i] + hi[i]) for i in range(n)]  # lo == hi when pinned
     best_val, best_x = math.inf, None
     for face in _box_faces(len(freed)):
         x = base[:]
         free = []
         for i, side in zip(freed, face):
             if side < 0:
-                x[i] = lol[i]
+                x[i] = lo[i]
             elif side > 0:
-                x[i] = hil[i]
+                x[i] = hi[i]
             else:
                 free.append(i)
         ca = cb = 0.0
         for i in range(n):
             if i not in free:
-                da = al[i] - x[i]
-                db = bl[i] - x[i]
+                da = a[i] - x[i]
+                db = b[i] - x[i]
                 ca += da * da
                 cb += db * db
         P = math.sqrt(ca)
@@ -342,19 +338,18 @@ def box_segment_min(a, b, lo, hi):
                 continue  # the segment lies in the hull and misses the face
             span = 0.0
             for i in free:
-                t = (al[i] * Q + bl[i] * P) / (P + Q)
-                if t < lol[i] - 1e-12 or t > hil[i] + 1e-12:
+                t = (a[i] * Q + b[i] * P) / (P + Q)
+                if t < lo[i] - 1e-12 or t > hi[i] + 1e-12:
                     break
-                x[i] = min(max(t, lol[i]), hil[i])
-                span += (bl[i] - al[i]) * (bl[i] - al[i])
+                x[i] = min(max(t, lo[i]), hi[i])
+                span += (b[i] - a[i]) * (b[i] - a[i])
             else:
                 val = math.hypot(P + Q, math.sqrt(span))
                 if val < best_val:
                     best_val, best_x = val, x
         elif P + Q < best_val:
             best_val, best_x = P + Q, x
-    x = np.array(best_x)
-    return _path_value(a, b, x), x
+    return math.dist(a, best_x) + math.dist(best_x, b), np.array(best_x)
 
 
 @functools.lru_cache(maxsize=None)

@@ -19,9 +19,12 @@ makes every result deterministic.  No cap on chain length is needed: a
 simple chain holds at most one visit per maximal cell, and the lower bound
 does the pruning.
 
-The length through two or more gates is a sum-of-norms program over the
-free gate coordinates, solved by one projected Newton method that returns
-only a certified optimum (see :func:`chain_length`).
+A gate that is a single vertex pins its breakpoint, so :func:`chain_length`
+cuts the chain there and solves each piece on its own: a piece with no
+gate is a segment, one with one gate is the closed form of
+:func:`box_segment_min`, and only a piece of two or more gates is a
+sum-of-norms program over the free gate coordinates, solved by one
+projected Newton method that returns only a certified optimum.
 """
 
 from __future__ import annotations
@@ -66,37 +69,60 @@ class Geodesic:
             raise ValueError("need exactly one cell per segment")
 
 
-def _norm(u, v):
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
-
-
-def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None):
+def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=None):
     """Minimal length of a path p -> q crossing the given cell chain, as
     ``(value, breakpoints)`` with the endpoints included.
 
-    One gate has the closed form of :func:`box_segment_min`.  More start at
-    each gate's own :func:`box_segment_min` point and run projected Newton
-    on ``sum sqrt(|x_{i+1} - x_i|^2 + eps^2)``, ``eps`` stepped from 1e-3
-    down to 1e-13, until :func:`_certified_gap` is at most 1e-13 (1 + value).
-    Else breakpoints within 1e-9 of each other are merged and finished by
-    exact Newton, and a gap above 1e-9 (1 + value) raises GeodesicError.
+    A gate that is a single vertex fixes its breakpoint, so the chain is
+    cut at every such gate and each piece is solved on its own; the values
+    add up and the breakpoints join.  A piece with no gate is a segment and
+    one with one gate has the closed form of :func:`box_segment_min`.  A
+    piece of more gates starts at each gate's own :func:`box_segment_min`
+    point and runs projected Newton on ``sum sqrt(|x_{i+1} - x_i|^2 +
+    eps^2)``, ``eps`` stepped from 1e-3 down to 1e-13, until
+    :func:`_certified_gap` is at most 1e-13 (1 + value).  Else breakpoints
+    within 1e-9 of each other are merged and finished by exact Newton, and
+    a gap above 1e-9 (1 + value) raises GeodesicError.  ``_face_mins``, the
+    ``box_segment_min(p, q, gate)`` pairs already at hand, stand in for
+    those calls when no gate is a vertex.
     """
-    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     bounds = _face_bounds
     if bounds is None:
         faces = [cx.face_between(a, b) for a, b in zip(chain, chain[1:])]
         if None in faces:
             raise GeodesicError(f"consecutive cells of chain {tuple(chain)} share no face")
         bounds = [cx.bounds(f.ident) for f in faces]
-    if not bounds:
-        return float(np.linalg.norm(pa - qa)), [tuple(pa), tuple(qa)]
-    if len(bounds) == 1:
-        val, x = box_segment_min(pa, qa, *bounds[0])
-        return val, [tuple(pa), tuple(x), tuple(qa)]
+    p, q = tuple(map(float, p)), tuple(map(float, q))
+    cuts = [i for i, (lo, hi) in enumerate(bounds) if all(l == h for l, h in zip(lo, hi))]
+    # piece k runs from ends[k] through the gates strictly between edges[k] and edges[k + 1]
+    ends = [p] + [tuple(map(float, bounds[i][0])) for i in cuts] + [q]
+    edges = [-1] + cuts + [len(bounds)]
+    mins = None if cuts else _face_mins
+    total, pts = 0.0, [p]
+    for a, b, i, j in zip(ends, ends[1:], edges, edges[1:]):
+        val, gap, piece = _solve_piece(a, b, bounds[i + 1:j], mins)
+        if gap > 1e-9 * (1.0 + val):
+            raise GeodesicError(f"chain {tuple(chain)} from {p} to {q}: certified gap "
+                                f"{gap:.3g} of the piece from {a} to {b} exceeds 1e-9 "
+                                f"(1 + length {val:.12g})")
+        total += val
+        pts += piece[1:]
+    return total, pts
 
-    # boxes of all points, p and q being boxes of their own
-    lo, hi = (np.array([pa] + [b[side] for b in bounds] + [qa]) for side in (0, 1))
-    P = np.array([pa] + [box_segment_min(pa, qa, *b)[1] for b in bounds] + [qa])
+
+def _solve_piece(a, b, bounds, mins):
+    """``(value, gap, breakpoints)`` of the shortest path a -> b through the
+    gates ``bounds``, none of them a vertex (see :func:`chain_length`)."""
+    if not bounds:
+        return math.dist(a, b), 0.0, [a, b]
+    if len(bounds) == 1:
+        val, x = mins[0] if mins else box_segment_min(a, b, *bounds[0])
+        return val, 0.0, [a, tuple(x), b]
+
+    # boxes of all points, a and b being boxes of their own
+    lo, hi = (np.array([a] + [g[side] for g in bounds] + [b]) for side in (0, 1))
+    starts = [x for _, x in mins] if mins else [box_segment_min(a, b, *g)[1] for g in bounds]
+    P = np.array([a] + starts + [b])
     gap, val = _certified_gap(P, lo, hi)
     for eps in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13):
         while gap > 1e-13 * (1.0 + val):
@@ -107,10 +133,7 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None):
     if gap > 1e-13 * (1.0 + val):
         M = _merged(P, lo, hi)
         gap, val, P = min((gap, val, P), (*_certified_gap(M, lo, hi), M), key=lambda c: c[0])
-        if gap > 1e-9 * (1.0 + val):
-            raise GeodesicError(f"chain {tuple(chain)} from {tuple(pa)} to {tuple(qa)}: certified "
-                                f"gap {gap:.3g} exceeds 1e-9 (1 + length {val:.12g})")
-    return val, [tuple(x) for x in P]
+    return val, gap, [tuple(x) for x in P]
 
 
 def _newton_step(P, lo, hi, eps):
@@ -203,15 +226,22 @@ def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:
     index = table["index"]
     dist = table["dist"]
 
+    memo = cx._cell_vertices
+
     def hooks(loc):
-        verts = {v for ident in loc.containing for v in cx.cell(ident).vertices()}
-        return {v: _norm(loc.coords, v) for v in verts}
+        verts = set()
+        for ident in loc.containing:
+            vs = memo.get(ident)
+            if vs is None:
+                vs = memo[ident] = tuple(cx.cell(ident).vertices())
+            verts.update(vs)
+        return {v: math.dist(loc.coords, v) for v in verts}
 
     ph = hooks(p_loc)
     qh = hooks(q_loc)
     best = math.inf
     if set(p_loc.containing) & set(q_loc.containing):
-        best = _norm(p_loc.coords, q_loc.coords)
+        best = math.dist(p_loc.coords, q_loc.coords)
     for vp, dp in ph.items():
         row = dist[index[vp]]
         for vq, dq in qh.items():
@@ -227,11 +257,11 @@ def _assemble(cx, chain, pts):
     cells = []
     for i, cell in enumerate(chain):
         nxt = cx.snap(pts[i + 1])
-        if _norm(nxt, bps[-1]) <= 1e-9:
+        if math.dist(nxt, bps[-1]) <= 1e-9:
             continue
         bps.append(nxt)
         cells.append(cell)
-    length = sum((_norm(a, b) for a, b in zip(bps, bps[1:])), 0.0)
+    length = sum((math.dist(a, b) for a, b in zip(bps, bps[1:])), 0.0)
     return Geodesic(tuple(bps), tuple(cells), length)
 
 
@@ -309,18 +339,17 @@ def _search(cx, p_loc, q_loc):
             "lie in different connected components; no geodesic exists"
         )
 
-    starts = sorted(c for c in p_loc.containing if c in cx._maximal)
+    starts = [c for c in p_loc.containing if c in cx._maximal]
     ends = frozenset(c for c in q_loc.containing if c in cx._maximal)
-    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     counter = itertools.count()
-    direct = float(np.linalg.norm(pa - qa))
+    direct = math.dist(p, q)
     heap = [(direct, next(counter), (s,), ()) for s in starts]
 
     def hopeless(lb):
         # nothing through this bound can beat the incumbent or the vertex path
         return lb >= best_val - 1e-9 or lb > ub + 2e-9
 
-    face_lb = {}   # face id -> shortest p -> face -> q length
+    face_lb = {}   # face id -> box_segment_min(p, q, face): shortest length, its minimiser
     best_val = math.inf
     best = None
     while heap:
@@ -329,7 +358,8 @@ def _search(cx, p_loc, q_loc):
             break
         last = chain[-1]
         if last in ends:
-            val, pts = chain_length(cx, p, q, chain, [cx.bounds(f) for f in faces])
+            val, pts = chain_length(cx, p, q, chain, [cx.bounds(f) for f in faces],
+                                    [face_lb[f] for f in faces])
             if val < best_val - 1e-9:
                 best_val = val
                 best = (chain, pts)
@@ -337,10 +367,10 @@ def _search(cx, p_loc, q_loc):
         for nbr, fid in cx.adjacency[last]:
             if nbr in chain:
                 continue
-            fval = face_lb.get(fid)
-            if fval is None:
-                fval = face_lb[fid] = box_segment_min(pa, qa, *cx.bounds(fid))[0]
-            nlb = max(lb, fval)
+            fmin = face_lb.get(fid)
+            if fmin is None:
+                fmin = face_lb[fid] = box_segment_min(p, q, *cx._boxes[fid])
+            nlb = max(lb, fmin[0])
             if not hopeless(nlb):
                 heapq.heappush(heap, (nlb, next(counter), chain + (nbr,), faces + (fid,)))
 
@@ -350,7 +380,7 @@ def _search(cx, p_loc, q_loc):
             "the complex is inconsistent"
         )
     chain, pts = best
-    return _assemble(cx, chain, [np.asarray(x) for x in pts])
+    return _assemble(cx, chain, pts)
 
 
 def distance(cx: CubicalComplex, p, q) -> float:
@@ -368,7 +398,7 @@ def point_along(g: Geodesic, s: float) -> tuple:
     target = s * g.length
     acc = 0.0
     for i in range(len(bps) - 1):
-        seg = _norm(bps[i], bps[i + 1])
+        seg = math.dist(bps[i], bps[i + 1])
         if acc + seg >= target - 1e-15:
             t = 0.0 if seg <= 0 else (target - acc) / seg
             t = min(max(t, 0.0), 1.0)

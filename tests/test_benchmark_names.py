@@ -9,6 +9,8 @@ that breakage into a test failure.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import meanset
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -38,3 +40,24 @@ def test_tracer_patches_every_name_it_needs():
     assert metrics["heatmap.workers"] >= 1
     assert metrics["convex.feasibility_min_norm.stalled"] == 0
     assert metrics["convex.feasibility_min_norm.iterations"] > 0
+
+
+def test_traced_search_count_is_the_number_of_searches(monkeypatch):
+    """``geodesics.searches`` counts ``vertex_upper_bound`` calls, so it reads
+    0 without warning if the bound ever leaves the chain search."""
+    runs = [0]
+    real = meanset.geodesics._search
+
+    def counted(*args):
+        runs[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(meanset.geodesics, "_search", counted)
+    tracer = _tracer()
+    with tracer.installed(meanset):
+        cx, _ = meanset.load_bundled("squares3")
+        # bent through the origin: the walk declines and the search runs
+        assert meanset.distance(cx, (0.9, -0.2), (-0.2, 0.9)) == pytest.approx(
+            1.8439088914585775, abs=1e-12)
+    assert runs[0] >= 1
+    assert tracer.layer_metrics()["geodesics.searches"] == runs[0]

@@ -9,6 +9,7 @@ from meanset import (
     ConvergenceError,
     PointSetA,
     boundary,
+    complex_from_dict,
     general_deficit,
     load_bundled,
     mean_deficit,
@@ -292,3 +293,20 @@ def test_relint_consistency_sampled(bundles, name):
         assert ok, (name, p, want, got, decision)
         checked += 1
     assert checked >= 10
+
+
+def test_per_cell_keeps_cell_order_past_c999():
+    """The per-cell solves run in ``maximal_cells_containing`` order, which
+    is cell order; id strings sort "c1000" before "c999"."""
+    cx = complex_from_dict({"ambient_dim": 2, "cells": [
+        {"base": [i, j], "axes": [0, 1]} for i in range(20) for j in range(20)]})
+    for edge in cx.cells:
+        lo, hi = edge.bounds()
+        x = tuple(0.5 * (lo + hi))
+        cells = cx.maximal_cells_containing(x)
+        if edge.dim == 1 and len(cells) == 2 and sorted(cells) != list(cells):
+            break
+    else:
+        raise AssertionError("no edge between squares on either side of c999")
+    A = PointSetA.from_coords(cx, [(0.5, 0.5), (19.5, 0.5), (9.5, 19.5)])
+    assert list(general_deficit(A, x).per_cell) == list(cells)

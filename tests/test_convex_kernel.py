@@ -18,6 +18,7 @@ from meanset.convex import (
     box_segment_min,
     feasibility_min_norm,
     min_norm_point,
+    segment_span,
     shared_certificate_weights,
 )
 from oracles import hull_to_cone_nnls
@@ -210,6 +211,33 @@ def test_box_segment_min_slab_fast_path():
                              [0.0, 0.0], [1.0, 1.0])
     assert val == pytest.approx(3.0, abs=1e-14)
     assert x[1] == pytest.approx(0.5, abs=1e-14)
+
+
+def test_box_segment_min_takes_any_sequence():
+    """Tuples, lists, int arrays and float arrays give the same ``(value,
+    x)``, ``x`` a float ndarray; where the segment meets the box the value
+    is ``math.dist(a, b)`` exactly."""
+    rng = np.random.default_rng(11)
+    fast = 0
+    for k in range(400):
+        n = int(rng.integers(1, 4))
+        lo = rng.integers(-2, 2, size=n)
+        hi = lo + rng.integers(0, 2, size=n)
+        if k % 2:
+            a, b = rng.integers(-3, 4, size=n), rng.integers(-3, 4, size=n)
+            forms = (tuple, list, np.asarray, lambda v: np.asarray(v, dtype=float))
+        else:   # off the lattice: no int array can hold the endpoints
+            a, b = rng.uniform(-3, 3, size=n), rng.uniform(-3, 3, size=n)
+            forms = (tuple, list, lambda v: np.asarray(v, dtype=float))
+        outs = [box_segment_min(*(f(v.tolist()) for v in (a, b, lo, hi))) for f in forms]
+        for val, x in outs:
+            assert isinstance(val, float)
+            assert isinstance(x, np.ndarray) and x.dtype == np.float64
+            assert val == outs[0][0] and x.tolist() == outs[0][1].tolist(), (a, b, lo, hi)
+        if segment_span(a.tolist(), (b - a).tolist(), lo.tolist(), hi.tolist()) is not None:
+            fast += 1
+            assert outs[0][0] == math.dist(a.tolist(), b.tolist()), (a, b, lo, hi)
+    assert 0 < fast < 400
 
 
 def test_box_segment_min_reflection_case():

@@ -10,6 +10,7 @@ import pytest
 from meanset import (GeodesicError, complex_from_dict, distance, geodesic, load_bundled,
                      midpoint, point_along)
 from meanset import geodesics
+from meanset.convex import box_segment_min
 from meanset.corpus import BUNDLED
 from oracles import chain_oracle
 
@@ -292,8 +293,8 @@ def test_chain_solves_match_slsqp_oracle(monkeypatch):
     real = geodesics.chain_length
     seen = {}
 
-    def recorded(cx, p, q, chain, bounds=None):
-        out = real(cx, p, q, chain, bounds)
+    def recorded(cx, p, q, chain, bounds=None, *rest):
+        out = real(cx, p, q, chain, bounds, *rest)
         if bounds is not None and len(bounds) >= 2:
             seen[(p, q, tuple(chain))] = (bounds, out)
         return out
@@ -317,6 +318,71 @@ def test_chain_solves_match_slsqp_oracle(monkeypatch):
         assert val <= chain_oracle(p, q, bounds) + 1e-10, (p, q, chain)
         for x, (lo, hi) in zip(pts[1:-1], bounds):
             assert (lo <= x).all() and (np.asarray(x) <= hi).all(), (p, q, chain, x)
+
+
+def _is_vertex(lo, hi):
+    return all(l == h for l, h in zip(lo, hi))
+
+
+def test_vertex_gates_split_the_chain(monkeypatch):
+    """Chains met by real searches that cross a gate which is one vertex,
+    drawn until 50 of them have two or more gates.  Each is within 1e-10 of SLSQP or below it, its value is the length of
+    its breakpoints, and every breakpoint lies in its gate.  Cut at its
+    vertex gates, a chain whose pieces have at most one gate each is a sum
+    of closed forms: a segment or ``box_segment_min`` per piece, with no
+    Newton step."""
+    real = geodesics.chain_length
+    seen = {}
+
+    def recorded(cx, p, q, chain, bounds=None, *rest):
+        if bounds is not None and any(_is_vertex(lo, hi) for lo, hi in bounds):
+            seen.setdefault((p, q, tuple(chain)), (cx, bounds))
+        return real(cx, p, q, chain, bounds, *rest)
+
+    monkeypatch.setattr(geodesics, "chain_length", recorded)
+    rng = np.random.default_rng(2025)
+    complexes = [load_bundled(name)[0] for name in BUNDLED] + [complex_from_dict(STAIRCASE)]
+    for i in range(6000):
+        if sum(len(bounds) >= 2 for _, bounds in seen.values()) >= 50:
+            break
+        cx = complexes[i % len(complexes)]
+        distance(cx, _corpus_point(cx, rng, i % 3 == 0), _corpus_point(cx, rng, i % 3 == 1))
+    assert sum(len(bounds) >= 2 for _, bounds in seen.values()) >= 50
+
+    steps = [0]
+    real_step = geodesics._newton_step
+
+    def counted(*args):
+        steps[0] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(geodesics, "_newton_step", counted)
+    closed = 0
+    for (p, q, chain), (cx, bounds) in seen.items():
+        steps[0] = 0
+        val, pts = real(cx, p, q, chain, bounds)
+        assert len(pts) == len(bounds) + 2 and pts[0] == p and pts[-1] == q
+        assert val <= chain_oracle(p, q, bounds) + 1e-10, (p, q, chain)
+        assert val == pytest.approx(sum(map(math.dist, pts, pts[1:])), abs=1e-12)
+        for x, (lo, hi) in zip(pts[1:-1], bounds):
+            assert (lo <= x).all() and (np.asarray(x) <= hi).all(), (p, q, chain, x)
+        # the pieces between vertex gates, by hand
+        ends, pieces = [p], [[]]
+        for lo, hi in bounds:
+            if _is_vertex(lo, hi):
+                ends.append(tuple(lo))
+                pieces.append([])
+            else:
+                pieces[-1].append((lo, hi))
+        ends.append(q)
+        if all(len(gates) <= 1 for gates in pieces):
+            closed += 1
+            want = 0.0
+            for a, b, gates in zip(ends, ends[1:], pieces):
+                want += box_segment_min(a, b, *gates[0])[0] if gates else math.dist(a, b)
+            assert val == want, (p, q, chain)
+            assert steps[0] == 0, (p, q, chain)
+    assert closed > 0
 
 
 # ---------------------------------------------------------------------------
