@@ -6,7 +6,9 @@ with integer base vertices, so all face computations are exact integer
 arithmetic.  Two lattice unit cubes always meet in a common face of both,
 so curvature enters only through :meth:`CubicalComplex.validate`, which
 checks the flag condition on vertex links; simple connectivity is reported
-as assumed, not checked.
+as assumed, not checked.  One pass over the face lattice, largest faces
+first, gives the adjacency of the maximal cells, each neighbour with the
+face the two meet in, and from it their connected components.
 """
 
 from __future__ import annotations
@@ -156,17 +158,17 @@ class CubicalComplex:
             if key in seen:
                 raise ComplexError(f"duplicate maximal cell base={cell.base} axes={cell.axes}")
             seen.add(key)
-        lattice = {}   # every face -> the maximal cells it is a face of
+        lattice = {}   # every face -> the (base, axes) of the maximal cells it is a face of
         for cell in maximal:
             for key in cell.faces():
-                lattice.setdefault(key, []).append(cell)
+                lattice.setdefault(key, []).append((cell.base, cell.axes))
         for cell in maximal:
             owners = lattice[(cell.base, cell.axes)]
             if len(owners) > 1:
-                other = next(c for c in owners if c is not cell)
+                base, axes = next(k for k in owners if k != (cell.base, cell.axes))
                 raise ComplexError(
                     f"cell base={cell.base} axes={cell.axes} is a face of the maximal cell "
-                    f"base={other.base} axes={other.axes} and cannot itself be maximal"
+                    f"base={base} axes={axes} and cannot itself be maximal"
                 )
         ordered = sorted(lattice.keys())
         self.cells = []
@@ -186,16 +188,29 @@ class CubicalComplex:
         self._boxes = {i: (tuple(lo.tolist()), tuple(hi.tolist()))
                        for i, (lo, hi) in self._bounds.items()}
         self._geo_cache = {}
-        self._vertex_paths = None
-        self._cell_vertices = {}   # cell id -> vertex tuple, filled by vertex_upper_bound
-        # adjacency over maximal cells (shared face of any dimension)
-        adj = {i: [] for i in self.maximal_ids}
-        for i, j in itertools.combinations(self.maximal_ids, 2):
-            f = self.face_between(i, j)
-            if f is not None:
-                adj[i].append((j, f.ident))
-                adj[j].append((i, f.ident))
-        self.adjacency = {k: tuple(v) for k, v in adj.items()}   # in cell order
+        # two maximal cells meet in their largest common face, so visiting the
+        # faces largest first, the first face two owners share is their meet
+        meets = {key: {} for key in maximal_keys}
+        for key in sorted(lattice, key=lambda k: -len(k[1])):
+            for a, b in itertools.combinations(lattice[key], 2):
+                if b not in meets[a]:
+                    meets[a][b] = meets[b][a] = self._index[key]
+        # sorted keys are in cell order, which id strings lose past c999
+        self.adjacency = {
+            self._index[a]: tuple((self._index[b], f) for b, f in sorted(meets[a].items()))
+            for a in sorted(maximal_keys)
+        }
+        self._component = {}   # maximal cell id -> label of its connected component
+        for root in self.maximal_ids:
+            if root in self._component:
+                continue
+            self._component[root] = root
+            stack = [root]
+            while stack:
+                for nbr, _ in self.adjacency[stack.pop()]:
+                    if nbr not in self._component:
+                        self._component[nbr] = root
+                        stack.append(nbr)
 
     # -- basic lookups ----------------------------------------------------
 
@@ -334,41 +349,6 @@ class CubicalComplex:
             )
         return self._by_id[ident]
 
-    # -- vertex graph --------------------------------------------------------
-
-    def vertex_distances(self):
-        """All-pairs shortest paths over the vertex graph (lazily cached).
-
-        Every vertex pair inside a common maximal cell is joined by its
-        straight distance.  The graph traces actual paths in the complex,
-        so the induced point bounds are valid geodesic upper bounds.
-        """
-        if self._vertex_paths is not None:
-            return self._vertex_paths
-        verts = sorted({v for c in self.cells for v in c.vertices()})
-        index = {v: i for i, v in enumerate(verts)}
-        n = len(verts)
-        dist = np.full((n, n), np.inf)
-        np.fill_diagonal(dist, 0.0)
-
-        def relax(u, w, d):
-            i, j = index[u], index[w]
-            if d < dist[i, j]:
-                dist[i, j] = dist[j, i] = d
-
-        for ident in self.maximal_ids:
-            vs = self._by_id[ident].vertices()
-            for u, w in itertools.combinations(vs, 2):
-                relax(u, w, float(np.linalg.norm(np.subtract(u, w))))
-
-        # Floyd-Warshall; vertex counts here are tiny
-        for k in range(n):
-            dk = dist[k]
-            dist = np.minimum(dist, dist[:, k][:, None] + dk[None, :])
-        table = {"verts": verts, "index": index, "dist": dist}
-        self._vertex_paths = table
-        return table
-
 
 def complex_from_dict(doc) -> CubicalComplex:
     if not isinstance(doc, dict):
@@ -389,15 +369,17 @@ def complex_from_dict(doc) -> CubicalComplex:
             axes = rc["axes"]
         except (TypeError, KeyError):
             raise ComplexError(f"cell #{k} must be an object with 'base' and 'axes'")
+        if not isinstance(base, (list, tuple)) or not isinstance(axes, (list, tuple)):
+            raise ComplexError(f"cell #{k}: 'base' and 'axes' must be arrays")
         if len(base) != n:
             raise ComplexError(f"cell #{k}: base has length {len(base)}, expected {n}")
         if any(not isinstance(b, int) or isinstance(b, bool) for b in base):
             raise ComplexError(f"cell #{k}: base coordinates must be integers")
-        if len(set(axes)) != len(axes):
-            raise ComplexError(f"cell #{k}: axes must be distinct")
         for ax in axes:
             if not isinstance(ax, int) or isinstance(ax, bool) or ax < 0 or ax >= n:
                 raise ComplexError(f"cell #{k}: axis index {ax} out of range for n={n}")
+        if len(set(axes)) != len(axes):
+            raise ComplexError(f"cell #{k}: axes must be distinct")
         maximal.append(CubeCell(tuple(base), tuple(sorted(axes))))
     return CubicalComplex(n, maximal)
 

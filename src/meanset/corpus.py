@@ -36,6 +36,10 @@ def load_point_set(cx: CubicalComplex, path) -> PointSetA:
     pts = doc["points"]
     if not isinstance(pts, dict) or not pts:
         raise ComplexError(f"{path}: 'points' must be a nonempty object")
+    for label, v in pts.items():
+        if not isinstance(v, list) or not all(
+                isinstance(c, (int, float)) and not isinstance(c, bool) for c in v):
+            raise ComplexError(f"{path}: point {label!r} must be an array of numbers")
     coords = [tuple(float(c) for c in v) for v in pts.values()]
     return PointSetA.from_coords(cx, coords, labels=list(pts.keys()))
 

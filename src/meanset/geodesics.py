@@ -10,14 +10,16 @@ When the segment leaves the complex, the geodesic is found by enumerating
 simple chains of maximal cells (consecutive cells sharing a face),
 minimising the broken path length over the gates (the faces shared by
 consecutive cells) of each candidate chain, and keeping the best.
-Enumeration is best-first with an admissible lower bound through each gate
-and an incumbent upper bound from a vertex-graph shortest path.  The CAT(0)
+Enumeration is best-first with an admissible lower bound through each
+gate, so a chain whose bound exceeds the geodesic's length never leaves
+the heap before a chain of the geodesic has been evaluated.  The CAT(0)
 geodesic is unique, so optimal chains differ only in which cells label the
 same path: the search stops as soon as no chain left in the heap can beat
-the incumbent by more than 1e-9.  Heap ties are broken by push order, which
-makes every result deterministic.  No cap on chain length is needed: a
-simple chain holds at most one visit per maximal cell, and the lower bound
-does the pruning.
+the best one evaluated by more than 1e-9.  Points in different connected
+components are refused before any chain is built.  Heap ties are broken
+by push order, which makes every result deterministic.  No cap on chain
+length is needed: a simple chain holds at most one visit per maximal
+cell, and the lower bound does the pruning.
 
 A gate that is a single vertex pins its breakpoint, so :func:`chain_length`
 cuts the chain there and solves each piece on its own: a piece with no
@@ -219,36 +221,22 @@ def _merged(P, lo, hi):
 
 
 def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:
-    """Length of a vertex-graph path from p to q; an upper bound on distance."""
-    p_loc = cx.locate(p)
-    q_loc = cx.locate(q)
-    table = cx.vertex_distances()
-    index = table["index"]
-    dist = table["dist"]
+    """An upper bound on the distance from p to q, infinite exactly when
+    they lie in different connected components.
 
-    memo = cx._cell_vertices
+    Cells are convex, so a geodesic crosses each maximal cell at most once,
+    in a segment no longer than the cell's diagonal; ``sqrt(n)`` times the
+    number of maximal cells bounds its length.  The name is kept from the
+    vertex-graph path this bound once was, because counting its calls is
+    how a tracer counts chain searches: each search calls it once.
+    """
+    def component(point):
+        loc = cx.locate(point)
+        return cx._component[next(c for c in loc.containing if c in cx._maximal)]
 
-    def hooks(loc):
-        verts = set()
-        for ident in loc.containing:
-            vs = memo.get(ident)
-            if vs is None:
-                vs = memo[ident] = tuple(cx.cell(ident).vertices())
-            verts.update(vs)
-        return {v: math.dist(loc.coords, v) for v in verts}
-
-    ph = hooks(p_loc)
-    qh = hooks(q_loc)
-    best = math.inf
-    if set(p_loc.containing) & set(q_loc.containing):
-        best = math.dist(p_loc.coords, q_loc.coords)
-    for vp, dp in ph.items():
-        row = dist[index[vp]]
-        for vq, dq in qh.items():
-            cand = dp + row[index[vq]] + dq
-            if cand < best:
-                best = cand
-    return float(best)
+    if component(p) != component(q):
+        return math.inf
+    return math.sqrt(cx.ambient_dim) * len(cx.maximal_ids)
 
 
 def _assemble(cx, chain, pts):
@@ -266,21 +254,20 @@ def _assemble(cx, chain, pts):
 
 
 def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
-    """The geodesic from ``p`` to ``q`` (unique in a valid complex)."""
+    """The geodesic from ``p`` to ``q`` (unique in a valid complex).
+
+    The cache holds one entry per unordered pair, solved in the direction
+    first asked for and reversed exactly when read the other way.
+    """
     p_loc = cx.locate(p)
     q_loc = cx.locate(q)
-    key = (p_loc.coords, q_loc.coords)
-    hit = cx._geo_cache.get(key)
-    if hit is not None:
-        return hit
-    hit = cx._geo_cache.get((q_loc.coords, p_loc.coords))
-    if hit is not None:
-        rev = Geodesic(tuple(reversed(hit.breakpoints)), tuple(reversed(hit.cells)), hit.length)
-        cx._geo_cache[key] = rev
-        return rev
-
-    g = _solve_geodesic(cx, p_loc, q_loc)
-    cx._geo_cache[key] = g
+    a, b = p_loc.coords, q_loc.coords
+    key = (a, b) if a <= b else (b, a)
+    g = cx._geo_cache.get(key)
+    if g is None:
+        g = cx._geo_cache[key] = _solve_geodesic(cx, p_loc, q_loc)
+    if g.breakpoints[0] != a:
+        return Geodesic(g.breakpoints[::-1], g.cells[::-1], g.length)
     return g
 
 
@@ -331,9 +318,7 @@ def _search(cx, p_loc, q_loc):
     """The geodesic by best-first chain search (see the module docstring)."""
     p = p_loc.coords
     q = q_loc.coords
-    # the vertex graph connects p and q exactly when the complex does
-    ub = vertex_upper_bound(cx, p_loc, q_loc)
-    if not math.isfinite(ub):
+    if not math.isfinite(vertex_upper_bound(cx, p_loc, q_loc)):
         raise GeodesicError(
             f"points {p} (cell {p_loc.minimal_cell}) and {q} (cell {q_loc.minimal_cell}) "
             "lie in different connected components; no geodesic exists"
@@ -345,16 +330,12 @@ def _search(cx, p_loc, q_loc):
     direct = math.dist(p, q)
     heap = [(direct, next(counter), (s,), ()) for s in starts]
 
-    def hopeless(lb):
-        # nothing through this bound can beat the incumbent or the vertex path
-        return lb >= best_val - 1e-9 or lb > ub + 2e-9
-
     face_lb = {}   # face id -> box_segment_min(p, q, face): shortest length, its minimiser
     best_val = math.inf
     best = None
     while heap:
         lb, _, chain, faces = heapq.heappop(heap)
-        if hopeless(lb):
+        if lb >= best_val - 1e-9:   # nothing left can beat the best chain
             break
         last = chain[-1]
         if last in ends:
@@ -371,12 +352,12 @@ def _search(cx, p_loc, q_loc):
             if fmin is None:
                 fmin = face_lb[fid] = box_segment_min(p, q, *cx._boxes[fid])
             nlb = max(lb, fmin[0])
-            if not hopeless(nlb):
+            if nlb < best_val - 1e-9:
                 heapq.heappush(heap, (nlb, next(counter), chain + (nbr,), faces + (fid,)))
 
     if best is None:
         raise GeodesicError(
-            f"no cell chain from {p} to {q} is within the vertex-path bound {ub:.12g}; "
+            f"no cell chain joins {p} and {q} in one connected component; "
             "the complex is inconsistent"
         )
     chain, pts = best
@@ -389,8 +370,8 @@ def distance(cx: CubicalComplex, p, q) -> float:
 
 def point_along(g: Geodesic, s: float) -> tuple:
     """The point a fraction ``s`` of the total length along ``g``."""
-    if s < -1e-12 or s > 1.0 + 1e-12:
-        raise ValueError("fraction must lie in [0, 1]")
+    if not -1e-12 <= s <= 1.0 + 1e-12:   # a NaN fails both comparisons
+        raise ValueError(f"fraction must lie in [0, 1], got {s!r}")
     s = min(max(s, 0.0), 1.0)
     bps = g.breakpoints
     if len(bps) == 1 or g.length <= 0.0:

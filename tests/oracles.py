@@ -9,8 +9,13 @@ Newton's method, is solved here by scipy's SLSQP.  A cell's conic problem,
 the distance from the hull of its model sets to a sign cone, which
 ``meanset.convex`` solves by Wolfe's algorithm and Frank-Wolfe rounds, is
 solved here by NNLS where the hull is a polytope and by SLSQP over the
-sets' cone form where it is curved.
+sets' cone form where it is curved.  The distance inside a flat polyomino,
+which ``meanset.geodesics`` finds by a chain search, is found here on the
+visibility graph of its reflex vertices.
 """
+
+import heapq
+import math
 
 import numpy as np
 from scipy.optimize import minimize, nnls
@@ -264,3 +269,51 @@ def hull_to_cone_slsqp(sets, signs, starts: int = 3, seed: int = 0) -> float:
                        constraints=cons, options={"ftol": 1e-16, "maxiter": 500})
         best = min(best, repaired(res.x))
     return best
+
+
+def polyomino_distance(squares, p, q) -> float:
+    """Length of the shortest path from ``p`` to ``q`` in the union of the
+    closed unit squares with lower-left corners ``squares``; ``inf`` when
+    none exists.
+
+    Dijkstra runs over p, q and the reflex vertices (three of their four
+    squares present), joined when the segment between them stays in the
+    union (Lozano-Perez and Wesley, CACM 1979).  Cut at every grid line it
+    crosses, a segment falls into pieces that each lie in one closed grid
+    cell, so it stays in the union when the midpoint of every piece does.
+    """
+    squares = set(squares)
+
+    def inside(x, y, tol=1e-12):
+        return any((i, j) in squares
+                   for i in range(math.ceil(x - 1 - tol), math.floor(x + tol) + 1)
+                   for j in range(math.ceil(y - 1 - tol), math.floor(y + tol) + 1))
+
+    def visible(a, b):
+        cuts = {0.0, 1.0}
+        for i in (0, 1):
+            if a[i] != b[i]:
+                lo, hi = sorted((a[i], b[i]))
+                cuts.update((k - a[i]) / (b[i] - a[i])
+                            for k in range(math.ceil(lo), math.floor(hi) + 1))
+        ts = sorted(cuts)
+        return all(inside(*(a[i] + 0.5 * (s + t) * (b[i] - a[i]) for i in (0, 1)))
+                   for s, t in zip(ts, ts[1:]))
+
+    corners = {(x + dx, y + dy) for x, y in squares for dx in (0, 1) for dy in (0, 1)}
+    reflex = sorted(v for v in corners
+                    if sum((v[0] - dx, v[1] - dy) in squares for dx in (0, 1) for dy in (0, 1)) == 3)
+    nodes = [tuple(map(float, p)), tuple(map(float, q))] + reflex
+    done = set()
+    heap = [(0.0, 0)]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if i == 1:
+            return d
+        if i in done:
+            continue
+        done.add(i)
+        for j, v in enumerate(nodes):
+            if j not in done and visible(nodes[i], v):
+                heapq.heappush(heap, (d + math.dist(nodes[i], v), j))
+    return math.inf

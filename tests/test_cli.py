@@ -176,6 +176,22 @@ def test_missing_input_file(capsys):
     assert "no such file or bundled entry" in err
 
 
+@pytest.mark.parametrize("kind, doc", [
+    ("set", {"points": {"a": 5}}),
+    ("set", {"points": {"a": [0.5, "x"]}}),
+    ("complex", {"ambient_dim": 2, "cells": [{"base": 5, "axes": [0, 1]}]}),
+    ("complex", {"ambient_dim": 2, "cells": [{"base": [0, 0], "axes": 3}]}),
+])
+def test_malformed_document_is_reported(capsys, tmp_path, kind, doc):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    complex_arg, set_arg = (str(path), "tripod") if kind == "complex" else ("tripod", str(path))
+    code, _, err = run(capsys, "recognize", "--complex", complex_arg, "--set", set_arg,
+                       "--at", "[0,0]")
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def _env_with_src():
     """The environment with the package's source directory on PYTHONPATH,
     so that a subprocess imports the package under test."""

@@ -12,6 +12,7 @@ from meanset import (
     CubicalComplex,
     LocationError,
     complex_from_dict,
+    distance,
     load_bundled,
 )
 from meanset.convex import FREE, NONNEG, NONPOS, ZERO
@@ -165,6 +166,10 @@ def test_complex_from_dict_rejects_malformed():
     with pytest.raises(ComplexError):
         complex_from_dict({"ambient_dim": 2,
                            "cells": [{"base": [0, 0], "axes": [2]}]})
+    for cell in ({"base": 5, "axes": [0]}, {"base": [0, 0], "axes": 3},
+                 {"base": [0, 0], "axes": [[0]]}):
+        with pytest.raises(ComplexError, match="cell #0"):
+            complex_from_dict({"ambient_dim": 2, "cells": [cell]})
 
 
 def test_complex_from_dict_rejects_booleans():
@@ -199,9 +204,7 @@ def test_duplicate_maximal_cells_rejected():
 
 def test_vertex_graph_modes():
     cx, _ = load_bundled("tripod")
-    chords = cx.vertex_distances()
-    k, l = chords["index"][(1, 0)], chords["index"][(-1, 0)]
-    assert chords["dist"][k, l] == pytest.approx(2.0)
+    assert distance(cx, (1, 0), (-1, 0)) == 2.0
 
 
 def _reference_meet(a, b):
@@ -237,9 +240,29 @@ def _random_unit_complex(rng):
     return CubicalComplex(n, list(cells.values()))
 
 
+def _reference_adjacency(cx):
+    """Every other maximal cell a maximal cell meets, with the face they
+    meet in, by testing all pairs; neighbours in cell order."""
+    ident = {(c.base, c.axes): c.ident for c in cx.cells}
+    maximal = [cx.cell(i) for i in cx.maximal_ids]
+    adjacency = {}
+    for a in maximal:
+        row = []
+        for b in maximal:
+            meet = None if b is a else _reference_meet(a, b)
+            if meet is not None:
+                lo, hi = meet
+                axes = tuple(i for i in range(len(lo)) if hi[i] > lo[i])
+                row.append((b.ident, ident[tuple(lo), axes]))
+        adjacency[a.ident] = tuple(row)
+    return adjacency
+
+
 def test_lattice_cells_meet_in_common_faces(bundles):
     """Two cells of a complex of lattice unit cubes always meet in a cell
-    that is a face of both, which is why validate() checks only links."""
+    that is a face of both, which is why validate() checks only links, and
+    the adjacency built from the face lattice lists exactly those meetings
+    between maximal cells, in cell order (past c999 too)."""
     rng = np.random.default_rng(8)
     complexes = [cx for cx, _ in bundles.values()]
     while len(complexes) < len(bundles) + 100:
@@ -260,6 +283,12 @@ def test_lattice_cells_meet_in_common_faces(bundles):
             assert (tuple(lo), axes) in keys, (a, b)
             meetings += 1
     assert meetings > 10000
+    big = complex_from_dict({"ambient_dim": 2, "cells": [
+        {"base": [i, j], "axes": [0, 1]} for i in range(20) for j in range(20)]})
+    assert len(big.cells) > 1000
+    for cx in complexes + [big]:
+        assert cx.adjacency == _reference_adjacency(cx)
+        assert list(cx.adjacency) == list(cx.maximal_ids)
 
 
 def test_direct_construction_requires_cube_cells():

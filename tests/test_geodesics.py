@@ -12,7 +12,8 @@ from meanset import (GeodesicError, complex_from_dict, distance, geodesic, load_
 from meanset import geodesics
 from meanset.convex import box_segment_min
 from meanset.corpus import BUNDLED
-from oracles import chain_oracle
+from generators import l_shape
+from oracles import chain_oracle, polyomino_distance
 
 R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
@@ -137,6 +138,9 @@ def test_point_along_and_midpoint(bundles):
     for s in (0.25, 0.7):
         x = point_along(g, s)
         assert distance(cx, p, x) == pytest.approx(s * g.length, abs=1e-9)
+    for s in (-0.1, 1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="fraction"):
+            point_along(g, s)
 
 
 def test_geodesic_deterministic(bundles):
@@ -144,6 +148,17 @@ def test_geodesic_deterministic(bundles):
     a = geodesic(cx, (1.0, -1.0, 0.0), (-1.0, 1.0, 0.0))
     b = geodesic(cx, (1.0, -1.0, 0.0), (-1.0, 1.0, 0.0))
     assert a == b
+
+
+def test_cache_holds_one_entry_per_pair():
+    cx, _ = load_bundled("squares3")
+    p, q = (0.9, -0.2), (-0.2, 0.9)   # bent through the origin
+    g = geodesic(cx, p, q)
+    h = geodesic(cx, q, p)
+    assert len(cx._geo_cache) == 1
+    assert h.breakpoints == g.breakpoints[::-1] and h.cells == g.cells[::-1]
+    assert h.length == g.length
+    assert geodesic(cx, p, q) is g
 
 
 def test_geodesic_requires_points_inside():
@@ -167,14 +182,25 @@ def test_midpoint_matches_cn_inequality(bundles):
         assert lhs <= rhs + 1e-7
 
 
-def test_disjoint_components_raise():
-    cx = complex_from_dict({"ambient_dim": 2, "cells": [
+def test_disjoint_components_raise(monkeypatch):
+    """Points of different components are refused before any chain is
+    bounded or evaluated, however large the components are."""
+    def searched(*args):
+        raise AssertionError("a chain search ran")
+
+    monkeypatch.setattr(geodesics, "chain_length", searched)
+    monkeypatch.setattr(geodesics, "box_segment_min", searched)
+    pair = complex_from_dict({"ambient_dim": 2, "cells": [
         {"base": [0, 0], "axes": [0, 1]},
         {"base": [2, 0], "axes": [0, 1]},
     ]})
-    assert cx.validate().ok
-    with pytest.raises(GeodesicError, match="different connected components"):
-        distance(cx, (0.5, 0.5), (2.5, 0.5))
+    grids = complex_from_dict({"ambient_dim": 2, "cells": [
+        {"base": [x + dx, y], "axes": [0, 1]} for dx in (0, 7) for x in range(6) for y in range(6)
+    ]})
+    for cx, p, q in ((pair, (0.5, 0.5), (2.5, 0.5)), (grids, (0.5, 5.5), (12.5, 0.5))):
+        assert cx.validate().ok
+        with pytest.raises(GeodesicError, match="different connected components"):
+            distance(cx, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +295,23 @@ def test_geodesic_is_direction_independent(name):
         assert g.length == pytest.approx(h.length, abs=1e-9), (p, q)
         for s in (0.25, 0.5, 0.75):
             assert np.allclose(point_along(g, s), point_along(h, 1.0 - s), rtol=0, atol=1e-8), (p, q, s)
+
+
+@pytest.mark.parametrize("name", ["quadrant_window", "L6"])
+def test_polyomino_distances_match_visibility_oracle(name):
+    """Distances in flat L shapes, where geodesics across the missing
+    quadrant bend at its corner, against the visibility-graph oracle."""
+    cx = load_bundled(name)[0] if name in BUNDLED else complex_from_dict(l_shape(6))
+    squares = [cx.cell(i).base for i in cx.maximal_ids]
+    rng = np.random.default_rng([83, len(name)])
+    bent = 0
+    for i in range(300):
+        p = _corpus_point(cx, rng, snapped=i % 2 == 1)
+        q = _corpus_point(cx, rng, snapped=i % 4 >= 2)
+        want = polyomino_distance(squares, p, q)
+        assert distance(cx, p, q) == pytest.approx(want, rel=0, abs=1e-9), (p, q)
+        bent += want > math.dist(p, q) + 1e-9
+    assert bent >= 20
 
 
 # ---------------------------------------------------------------------------
