@@ -2,9 +2,12 @@
 
 Inside each maximal cell ``C`` containing the query point the one-sided
 derivative of the distance to a set point ``a`` is the support function of a
-compact convex model set: a single unit vector (the geodesic leaves through
-the cell interior, always so in the cell's relative interior) or a
-cone-ball slice (it leaves through a face).  Scaled by the distances
+compact convex model set.  Let ``u`` be the initial unit direction of the
+geodesic to ``a``.  By the first variation formula ``d_a`` has the gradient
+``-u`` in ``C`` exactly when ``u`` lies in the tangent cone of ``C``, always
+so in its relative interior, and the model is the point ``-u``; otherwise
+the geodesic leaves through a face of ``C`` and the model is the cone-ball
+slice of ``u`` and that face's normal cone.  Scaled by the distances
 ``d_a`` these are the derivatives of ``d_a^2 / 2``, and the query is a mean
 exactly when, for every ``C``, some convex combination of the scaled sets
 meets the negated normal cone of ``C`` -- a conic feasibility problem
@@ -28,7 +31,8 @@ from .convex import (
     ConvergenceError,
     SignCone,
     Singleton,
-    box_segment_min,
+    WeightedSum,
+    box_segment_min,  # noqa: F401 -- perfbench/tracing.py wraps it here
     feasibility_min_norm,
     shared_certificate_weights,
 )
@@ -39,6 +43,7 @@ from .recognition import (
     NonMembershipCertificate,
     PointSetA,
     RecognitionResult,
+    check_tolerance,
     recognize_interior,  # noqa: F401 -- perfbench/tracing.py wraps it here too
 )
 
@@ -64,55 +69,30 @@ class DirectionalDerivativeModel:
     cell: str                # maximal cell the model is valid in
     distance: float          # d_a at the query point
     probe: tuple             # first geodesic breakpoint toward a
-    via_cell: str            # minimal cell of the initial geodesic segment
-    gate: str                # shared face of cell and via_cell
     subdiff: object          # Singleton or ConeBall
     tangent: SignCone        # tangent cone of the cell at the query point
 
 
 def build_model(A: PointSetA, loc: LocatedPoint, cell_id: str, label: str,
                 _tangent: SignCone = None) -> DirectionalDerivativeModel:
+    """The model of ``d(., a)`` at ``loc`` in one cell, by the module docstring's rule."""
     cx = A.cx
     g = geodesics.geodesic(cx, loc, A.points[label])
     if g.length <= 1e-12:
         raise CertificateError("derivative model undefined at a set point")
     tangent = _tangent if _tangent is not None else cx.tangent_cone(cell_id, loc.coords)
-    if loc.minimal_cell == cell_id:
-        # relative interior: d_a is differentiable, and its unit gradient
-        # points away from the first breakpoint of the geodesic
-        x_a = g.breakpoints[1]
-        via = gate = cell_id
-        away = [xi - ai for xi, ai in zip(loc.coords, x_a)]
-        r = math.hypot(*away)
-        sub = Singleton(tuple(v / r for v in away))
+    x_a = g.breakpoints[1]
+    toward = [ai - xi for xi, ai in zip(loc.coords, x_a)]
+    r = math.hypot(*toward)
+    u = tuple(v / r for v in toward)
+    if tangent.contains(u):
+        sub = Singleton(tuple(-v for v in u))
     else:
-        x = np.asarray(loc.coords, dtype=float)
-        x_a, via = geodesics.initial_direction(cx, loc, A.points[label])
-        gate_cell = cx.face_between(cell_id, via)
-        if gate_cell is None:
-            raise CertificateError(
-                f"cells {cell_id} and {via} share no face at the query point"
-            )
-        gate = gate_cell.ident
-        lo, hi = gate_cell.bounds()
-        xa = np.asarray(x_a, dtype=float)
-        _, xstar = box_segment_min(xa, x, lo, hi)
-        if np.linalg.norm(xstar - x) > 1e-7:
-            gdir = (x - xstar) / np.linalg.norm(x - xstar)
-            sub = Singleton(tuple(gdir))
-        else:
-            u = (xa - x) / np.linalg.norm(xa - x)
-            sub = ConeBall(tuple(u), cx.normal_cone(gate, loc.coords))
-    return DirectionalDerivativeModel(
-        label=label,
-        cell=cell_id,
-        distance=g.length,
-        probe=tuple(x_a),
-        via_cell=via,
-        gate=gate,
-        subdiff=sub,
-        tangent=tangent,
-    )
+        # x lies in both cells, so they share a face: the gate it leaves through
+        _, via = geodesics.initial_direction(cx, loc, A.points[label])
+        gate = cx.face_between(cell_id, via)
+        sub = ConeBall(u, cx.normal_cone(gate.ident, loc.coords))
+    return DirectionalDerivativeModel(label, cell_id, g.length, x_a, sub, tangent)
 
 
 def build_models(A: PointSetA, loc: LocatedPoint, cell_id: str) -> list:
@@ -159,6 +139,7 @@ def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
     returns a unit direction ``u`` in the tangent cone with
     ``d_a * D_u d_a <= -residual / 2`` for every set point.
     """
+    check_tolerance(tol)
     cx = A.cx
     loc = cx.locate(xbar)
     models = _models if _models is not None else build_models(A, loc, cell_id)
@@ -256,6 +237,7 @@ def decide(A: PointSetA, xbar, tol: float = 1e-8):
     worst cell's residual vector, halving the step until every distance
     strictly drops.
     """
+    check_tolerance(tol)
     loc, report, worst = _solve_cells(A, xbar, tol)
     if report.value <= tol:
         if report.weights is None:
@@ -300,6 +282,5 @@ def conic_residual(A: PointSetA, xbar, cell_id: str, weights: dict) -> float:
     models = [build_model(A, loc, cell_id, l, _tangent=tangent) for l, _ in live]
     v = np.array([vi for _, vi in live])
     v = v / v.sum()
-    sets = [m.subdiff for m in models]
-    res = feasibility_min_norm(sets, tangent.polar().negate(), weights=v)
-    return res.residual
+    combined = WeightedSum(tuple(m.subdiff for m in models), tuple(v))
+    return feasibility_min_norm([combined], tangent.polar().negate()).residual

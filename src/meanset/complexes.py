@@ -22,6 +22,10 @@ import numpy as np
 
 from .convex import FREE, NONNEG, NONPOS, ZERO, SignCone
 
+# At most this many distinct faces: a built complex holds 1.64-1.90 KB per face (2-
+# to 5-D grids, one 10- or 11-cube), so a refused document would need 1.0-1.1 GB.
+_MAX_LATTICE_FACES = 600_000
+
 __all__ = [
     "CubeCell",
     "CubicalComplex",
@@ -158,10 +162,17 @@ class CubicalComplex:
             if key in seen:
                 raise ComplexError(f"duplicate maximal cell base={cell.base} axes={cell.axes}")
             seen.add(key)
+        big = max(maximal, key=lambda c: c.dim, default=None)   # 3^dim faces of its own
+        if big is not None and 3 ** big.dim > _MAX_LATTICE_FACES:   # refused before any is built
+            raise ComplexError(f"the {big.dim}-cube base={big.base} axes={big.axes} has "
+                               f"{3 ** big.dim:,} faces, over the limit of {_MAX_LATTICE_FACES:,}")
         lattice = {}   # every face -> the (base, axes) of the maximal cells it is a face of
         for cell in maximal:
             for key in cell.faces():
                 lattice.setdefault(key, []).append((cell.base, cell.axes))
+            if len(lattice) > _MAX_LATTICE_FACES:
+                raise ComplexError(f"the face lattice reaches {len(lattice):,} faces at cell "
+                                   f"base={cell.base} axes={cell.axes}, over the limit")
         for cell in maximal:
             owners = lattice[(cell.base, cell.axes)]
             if len(owners) > 1:
@@ -184,9 +195,9 @@ class CubicalComplex:
             c.ident for c in self.cells if (c.base, c.axes) in maximal_keys
         )
         self._maximal = frozenset(self.maximal_ids)
-        self._bounds = {c.ident: c.bounds() for c in self.cells}
-        self._boxes = {i: (tuple(lo.tolist()), tuple(hi.tolist()))
-                       for i, (lo, hi) in self._bounds.items()}
+        # one (lo, hi) pair of float tuples per cell, never handed out
+        self._boxes = {c.ident: tuple(tuple(map(float, b)) for b in _box_of(c))
+                       for c in self.cells}
         self._geo_cache = {}
         # two maximal cells meet in their largest common face, so visiting the
         # faces largest first, the first face two owners share is their meet
@@ -218,7 +229,9 @@ class CubicalComplex:
         return self._by_id[ident]
 
     def bounds(self, ident: str):
-        return self._bounds[ident]
+        """Fresh ``(lo, hi)`` arrays of the cell's box."""
+        lo, hi = self._boxes[ident]
+        return np.array(lo), np.array(hi)
 
     def __hash__(self):
         return id(self)

@@ -12,9 +12,11 @@ machinery.  The public pieces are:
 * :func:`box_segment_min` -- shortest broken path from ``a`` to ``b``
   through an axis-aligned box, exact by enumerating the box's faces.
 * :class:`Singleton` / :class:`ConeBall` -- compact convex sets used as
-  one-sided derivative models, supporting exact linear maximisation.
-* :func:`feasibility_min_norm` -- distance between a convex hull (or
-  Minkowski sum) and a sign cone: fully corrective Frank-Wolfe whose
+  one-sided derivative models, supporting exact linear maximisation;
+  :class:`ProductSet` stacks them blockwise and :class:`WeightedSum` is
+  their Minkowski sum under fixed weights.
+* :func:`feasibility_min_norm` -- distance between the convex hull of a
+  union of such sets and a sign cone: fully corrective Frank-Wolfe whose
   corrective step is one exact Wolfe solve, so polytopes are solved
   exactly in finitely many rounds.
 * :func:`shared_certificate_weights` -- a single weight vector feasible
@@ -42,6 +44,7 @@ __all__ = [
     "Singleton",
     "ConeBall",
     "ProductSet",
+    "WeightedSum",
     "FeasibilityResult",
     "feasibility_min_norm",
     "shared_certificate_weights",
@@ -496,6 +499,28 @@ class ProductSet:
 
 
 @dataclass(frozen=True)
+class WeightedSum:
+    """The Minkowski sum ``sum_k w_k S_k`` of model sets under fixed weights:
+    one set for :func:`feasibility_min_norm`, which calls its support and
+    anchor points.  Weights of at most 1e-15 drop out of support points."""
+
+    sets: tuple
+    weights: tuple
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != (len(self.sets),) or w.min(initial=0.0) < -1e-12:
+            raise ValueError("weights must be a nonnegative vector, one per set")
+
+    def support_point(self, d) -> np.ndarray:
+        return sum((w * s.support_point(d) for s, w in zip(self.sets, self.weights)
+                    if w > 1e-15), np.zeros(len(d)))
+
+    def anchor_point(self) -> np.ndarray:
+        return np.sum([w * s.anchor_point() for s, w in zip(self.sets, self.weights)], axis=0)
+
+
+@dataclass(frozen=True)
 class FeasibilityResult:
     residual: float       # distance achieved
     point: np.ndarray     # optimal point of the search set
@@ -542,64 +567,41 @@ def _hull_to_cone(P: np.ndarray, target: SignCone) -> tuple:
     return z, target.project(z), res.weights, res.gap
 
 
-def feasibility_min_norm(sets, target: SignCone, weights=None,
-                         tol: float = 1e-8) -> FeasibilityResult:
-    """Distance between a set built from ``sets`` and the cone ``target``.
+def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> FeasibilityResult:
+    """Distance between ``conv(union of the sets)`` and the cone ``target``.
 
-    With ``weights=None`` the search set is ``conv(union of the sets)`` and
-    the convex weights are free; with a fixed weight vector it is the
-    Minkowski sum of the scaled sets.  Uses fully corrective Frank-Wolfe
+    The convex weights over the sets are free; a fixed combination is one
+    :class:`WeightedSum` set.  Uses fully corrective Frank-Wolfe
     (simplicial decomposition): each round adds the support atom of the
     current gradient, then one exact Wolfe solve over the collected atoms
     (:func:`_hull_to_cone`) gives the nearest point of their hull to the
     cone.  The rounds are finite when every set is a polytope.  The first
-    atoms are the sets' anchor points, so free weights over
-    :class:`Singleton` sets are solved by that first exact solve alone,
-    reporting zero Frank-Wolfe iterations.  A solve still open after
-    ``_MAX_ROUNDS`` rounds reports ``"stalled"``.
+    atoms are the sets' anchor points, so a problem of :class:`Singleton`
+    sets alone is solved by that first exact solve, reporting zero
+    Frank-Wolfe iterations.  A solve still open after ``_MAX_ROUNDS``
+    rounds reports ``"stalled"``.
     """
     m = len(sets)
     if m == 0:
         raise ValueError("need at least one set")
-    fixed = weights is not None
-    if fixed:
-        wv = np.asarray(weights, dtype=float)
-        if wv.shape != (m,) or wv.min() < -1e-12:
-            raise ValueError("weights must be a nonnegative vector, one per set")
-        live = [k for k in range(m) if wv[k] > 1e-15]
-        atoms = [np.sum([wv[k] * sets[k].anchor_point() for k in range(m)], axis=0)]
-        sources = [None]
-    else:
-        atoms = [s.anchor_point() for s in sets]
-        sources = list(range(m))
-
-    def lmo(direction):
-        """Minimise <direction, x> over the search set.
-
-        Returns the point and, with free weights, the index of its set.
-        """
-        if fixed:
-            return sum((wv[k] * sets[k].support_point(-direction) for k in live),
-                       np.zeros(target.dim)), None
-        best = None
-        for k in range(m):
-            p = sets[k].support_point(-direction)
-            val = float(np.dot(direction, p))
-            if best is None or val < best[0] - 1e-15:
-                best = (val, p, k)
-        return best[1], best[2]
-
+    atoms = [s.anchor_point() for s in sets]
+    sources = list(range(m))
     z, mpt, lam, gap = _hull_to_cone(np.array(atoms), target)
     it = 0
     stalled = False
-    if fixed or not all(isinstance(s, Singleton) for s in sets):
+    if not all(isinstance(s, Singleton) for s in sets):
         for it in range(1, _MAX_ROUNDS + 1):
             g = z - mpt
             f = float(g @ g)
             if f <= max(1e-22, 0.25 * tol * tol):
                 gap = 0.0
                 break
-            s, source = lmo(g)
+            source = None   # the set whose support point minimises <g, .>, first on ties
+            for k in range(m):
+                p = sets[k].support_point(-g)
+                val = float(np.dot(g, p))
+                if source is None or val < best - 1e-15:
+                    best, s, source = val, p, k
             gap = 2.0 * float(g @ (z - s))
             if gap <= max(1e-18, 1e-13 * f):
                 break
@@ -616,11 +618,8 @@ def feasibility_min_norm(sets, target: SignCone, weights=None,
     g = z - mpt
     f = float(g @ g)
     residual = math.sqrt(f)
-    if fixed:
-        v_out = wv.copy()
-    else:
-        # free weights: each atom's weight goes to the set it came from
-        v_out = np.bincount(sources, weights=lam, minlength=m)
+    # each atom's weight goes to the set it came from
+    v_out = np.bincount(sources, weights=lam, minlength=m)
 
     if residual <= tol:
         status = "zero"

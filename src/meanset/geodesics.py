@@ -93,7 +93,7 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
         faces = [cx.face_between(a, b) for a, b in zip(chain, chain[1:])]
         if None in faces:
             raise GeodesicError(f"consecutive cells of chain {tuple(chain)} share no face")
-        bounds = [cx.bounds(f.ident) for f in faces]
+        bounds = [cx._boxes[f.ident] for f in faces]
     p, q = tuple(map(float, p)), tuple(map(float, q))
     cuts = [i for i, (lo, hi) in enumerate(bounds) if all(l == h for l, h in zip(lo, hi))]
     # piece k runs from ends[k] through the gates strictly between edges[k] and edges[k + 1]
@@ -339,7 +339,7 @@ def _search(cx, p_loc, q_loc):
             break
         last = chain[-1]
         if last in ends:
-            val, pts = chain_length(cx, p, q, chain, [cx.bounds(f) for f in faces],
+            val, pts = chain_length(cx, p, q, chain, [cx._boxes[f] for f in faces],
                                     [face_lb[f] for f in faces])
             if val < best_val - 1e-9:
                 best_val = val

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .recognition import PointSetA, mean_deficit
+from .recognition import PointSetA, check_tolerance, mean_deficit
 
 __all__ = ["HeatMapSample", "run_heatmap", "segment_probes", "to_csv", "worker_count"]
 
@@ -52,6 +52,7 @@ def run_heatmap(A: PointSetA, samples: int, seed: int, eps: float,
     """Draw ``samples`` deficit evaluations; deterministic in ``seed``."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    check_tolerance(eps)
     # explicit uniform probabilities: ``rng.choice`` draws a different
     # stream with ``p`` than without, and the samples depend on that stream
     n_cells = len(A.cx.maximal_ids)
@@ -71,6 +72,7 @@ def segment_probes(A: PointSetA, p, q, count: int, eps: float) -> list:
     boundary-aware deficit path; the straight segment must stay inside the
     complex.
     """
+    check_tolerance(eps)
     cx = A.cx
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)

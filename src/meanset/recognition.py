@@ -46,6 +46,14 @@ class CertificateError(RuntimeError):
     """Certificate construction or validation failed."""
 
 
+def check_tolerance(tol, positive: bool = False) -> None:
+    """Raise ``ValueError`` unless ``tol`` is finite and nonnegative (positive if
+    asked): a NaN compares false with every residual and would pass any certificate."""
+    if not (math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"tolerance must be finite and {kind}, got {tol!r}")
+
+
 class PointSetA:
     """A labelled finite set of points in one complex."""
 
@@ -198,6 +206,7 @@ def test_function_line_search(A: PointSetA, xbar, g: geodesics.Geodesic,
     ``[0, 1]``.  The function is convex along geodesics, so golden-section
     search applies; an everywhere-flat profile resolves to ``s = 0``.
     """
+    check_tolerance(tol, positive=True)
     def phi(s):
         return test_function(A, xbar, geodesics.point_along(g, s))
 
@@ -269,9 +278,9 @@ def certified_lower_bound(A: PointSetA, xbar, cert: NonMembershipCertificate) ->
 
 
 def weighted_objective(A: PointSetA, weights: dict, x, p: float = 2.0) -> float:
-    """The weighted p-th power distance objective at ``x`` (p >= 1)."""
-    if p < 1.0:
-        raise ValueError("exponent must be at least 1")
+    """The weighted p-th power distance objective at ``x`` (finite p >= 1)."""
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"exponent must be finite and at least 1, got {p!r}")
     d = A.distances_from(x)
     return float(sum(weights.get(l, 0.0) * d[l] ** p for l in A.labels))
 
@@ -297,6 +306,9 @@ def verify_certificate(A: PointSetA, xbar, cert, samples: int = 500,
     maximal cell at the query point.  Non-membership: the witness must be
     strictly closer to every set point.
     """
+    check_tolerance(tol)
+    if samples < 0:
+        raise ValueError(f"sample count must be nonnegative, got {samples!r}")
     cx = A.cx
     loc = cx.locate(xbar)
     failures = []

@@ -1,5 +1,6 @@
 """Shared-face recognition: per-cell conic solves, witnesses, invariances."""
 
+import math
 import time
 
 import numpy as np
@@ -188,14 +189,27 @@ def test_quadrant_window_edge_is_exact_and_fast(bundles, support_point_budget):
 
 
 def test_pinched_cone_ball_keeps_no_sliver(bundles):
-    """At this cube_square point one model of cell c009 is a cone-ball that
-    is a single point: its cone is free only along an axis where u is 0.
-    The residual is that of the one-point set; a radius taken as
-    sqrt(1 - sum of u_i^2 over the pinned axes) kept a sliver about 1.5e-8
-    wide, and the residual read 3.8e-9 low."""
-    _, A = bundles["cube_square"]
+    """At this cube_square point the geodesic to ``r`` leaves along the
+    square face of cell c009, so its initial direction lies in the cell's
+    tangent cone and the model is the point ``-u``.  A cone-ball there
+    would be a single point too, since its cone is free only along an axis
+    where u is 0; a radius taken as sqrt(1 - sum of u_i^2 over the pinned
+    axes) kept a sliver about 1.5e-8 wide, and the residual read 3.8e-9
+    low.  ``test_cone_ball_pinched_to_a_point`` keeps that check."""
+    cx, A = bundles["cube_square"]
     x = (0.021193381740469808, 0.8106908479800631, 1.0)
+    model = next(m for m in build_models(A, cx.locate(x), "c009") if m.label == "r")
+    assert isinstance(model.subdiff, Singleton)
     assert solve_PC(A, x, "c009").residual == pytest.approx(0.8717638529821677, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_solve_pc_rejects_bad_tolerance(bundles, tol):
+    """``solve_PC`` is public outside ``decide``; it checks its own tolerance
+    instead of reporting a stalled solve."""
+    cx, A = bundles["squares3"]
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_PC(A, (0.5, 0.0), "c012", tol=tol)
 
 
 def test_recognize_general_squares5_vertex_shared_by_all_cells(bundles):

@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
-from meanset import cli, load_bundled
+from meanset import cli, load_bundled, run_heatmap, segment_probes
 
 CORNER_FAN = {
     "ambient_dim": 3,
@@ -153,6 +154,27 @@ def test_non_finite_point_is_reported(capsys, point):
                        "--from", point, "--to", "[0,0]")
     assert code == 1
     assert "error:" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["recognize", "--at", "[0.5,-0.5]"],
+    ["heatmap", "--samples", "5", "--seed", "1"],
+])
+def test_non_finite_tolerance_is_reported(capsys, command):
+    code, out, err = run(capsys, *command, "--complex", "squares3", "--set", "squares3",
+                         "--tol", "nan")
+    assert code == 1 and out == ""
+    assert "error:" in err and "tolerance" in err
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1])
+def test_heatmap_rejects_bad_threshold(eps):
+    """A NaN threshold would mark every row dark, even a deficit of 1e-16."""
+    _, A = load_bundled("squares3")
+    with pytest.raises(ValueError, match="tolerance"):
+        run_heatmap(A, 5, 1, eps)
+    with pytest.raises(ValueError, match="tolerance"):
+        segment_probes(A, (0.0, 0.0), (1.0, 0.0), 3, eps)
 
 
 def test_boolean_point_is_rejected(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from meanset import (
     CubicalComplex,
     LocationError,
     complex_from_dict,
+    complexes,
     distance,
     load_bundled,
 )
@@ -200,6 +202,32 @@ def test_duplicate_maximal_cells_rejected():
                 {"base": [0, 0], "axes": [0, 1]},
             ],
         })
+
+
+def test_huge_face_lattice_is_refused_before_it_is_built():
+    """A k-cube has 3^k faces; a one-cell 20-cube would need 3.5e9 of them."""
+    t0 = time.perf_counter()
+    with pytest.raises(ComplexError, match="20-cube"):
+        complex_from_dict({"ambient_dim": 20,
+                           "cells": [{"base": [0] * 20, "axes": list(range(20))}]})
+    assert time.perf_counter() - t0 < 1.0
+    cube = complex_from_dict({"ambient_dim": 3, "cells": [{"base": [0] * 3, "axes": [0, 1, 2]}]})
+    assert len(cube.cells) == 27
+
+
+def test_face_limit_counts_distinct_faces(monkeypatch):
+    """Grid squares share faces: a k x k grid has (2k + 1)^2 distinct faces,
+    not the 9k^2 its cells count.  The limit bounds the distinct ones."""
+    monkeypatch.setattr(complexes, "_MAX_LATTICE_FACES", 100)
+
+    def grid(k):
+        return {"ambient_dim": 2, "cells": [{"base": [i, j], "axes": [0, 1]}
+                                            for i in range(k) for j in range(k)]}
+    assert len(complex_from_dict(grid(4)).cells) == 81   # 144 counted
+    with pytest.raises(ComplexError, match="reaches 10[1-9] faces"):
+        complex_from_dict(grid(5))                       # 121 distinct
+    with pytest.raises(ComplexError, match="5-cube .* 243 faces"):
+        complex_from_dict({"ambient_dim": 5, "cells": [{"base": [0] * 5, "axes": list(range(5))}]})
 
 
 def test_vertex_graph_modes():

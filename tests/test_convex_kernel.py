@@ -15,6 +15,7 @@ from meanset.convex import (
     ProductSet,
     SignCone,
     Singleton,
+    WeightedSum,
     box_segment_min,
     feasibility_min_norm,
     min_norm_point,
@@ -286,6 +287,23 @@ def test_cone_ball_support_matches_sampling():
         assert got >= best - 1e-6
 
 
+def test_cone_ball_pinched_to_a_point():
+    """A cone free only along an axis where u is 0 leaves the one point
+    ``-u``: no sliver from rounding in the ball's radius."""
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        n = int(rng.integers(2, 5))
+        axis = int(rng.integers(n))
+        u = rng.normal(size=n)
+        u[axis] = 0.0
+        u /= np.linalg.norm(u)
+        signs = tuple(FREE if i == axis else ZERO for i in range(n))
+        scale = float(rng.uniform(0.1, 3.0))
+        ball = ConeBall(tuple(u), SignCone(signs), scale)
+        for d in rng.normal(size=(5, n)):
+            assert np.array_equal(ball.support_point(d), -scale * u)
+
+
 def test_product_set_stacks_blocks():
     s1 = Singleton((1.0, 0.0))
     s2 = Singleton((0.0, -1.0), scale=3.0)
@@ -323,9 +341,9 @@ def test_feasibility_free_weights_positive_case():
 
 def test_feasibility_fixed_weights_minkowski():
     # 0.5*{(2,0)} + 0.5*{(0,2)} = {(1,1)}, distance to nonpositive cone
-    sets = [Singleton((1.0, 0.0), scale=2.0), Singleton((0.0, 1.0), scale=2.0)]
+    sets = (Singleton((1.0, 0.0), scale=2.0), Singleton((0.0, 1.0), scale=2.0))
     target = SignCone((NONPOS, NONPOS))
-    r = feasibility_min_norm(sets, target, weights=[0.5, 0.5])
+    r = feasibility_min_norm([WeightedSum(sets, (0.5, 0.5))], target)
     assert r.residual == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert r.status == "positive"
 
@@ -364,8 +382,9 @@ def test_feasibility_rejects_empty_and_bad_weights():
     with pytest.raises(ValueError):
         feasibility_min_norm([], SignCone((ZERO,)))
     with pytest.raises(ValueError):
-        feasibility_min_norm([Singleton((1.0,))], SignCone((ZERO,)),
-                             weights=[-0.5])
+        WeightedSum((Singleton((1.0,)),), (-0.5,))
+    with pytest.raises(ValueError):
+        WeightedSum((Singleton((1.0,)),), (0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------

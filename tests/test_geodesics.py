@@ -84,6 +84,40 @@ def test_quadrant_geodesic_bends_at_window_corner(bundles):
     assert any(np.allclose(p, (0.0, 0.0), atol=1e-9) for p in g.breakpoints)
 
 
+BENT = ((-0.5, 1.5), (1.5, -0.5))   # bends at the window corner of quadrant_window
+
+
+def test_chain_length_finds_its_own_gates():
+    """Given only the cells of a bent geodesic, ``chain_length`` finds the
+    gates between them and returns the geodesic's length and breakpoints;
+    two consecutive cells that share no face raise."""
+    cx, _ = load_bundled("quadrant_window")
+    g = geodesic(cx, *BENT)
+    assert len(g.cells) >= 3
+    val, pts = geodesics.chain_length(cx, *BENT, g.cells)
+    assert val == pytest.approx(g.length, abs=1e-12)
+    assert np.allclose(pts, g.breakpoints, atol=1e-12)
+    first, last = g.cells[0], g.cells[-1]
+    assert cx.face_between(first, last) is None
+    with pytest.raises(GeodesicError, match="share no face"):
+        geodesics.chain_length(cx, *BENT, (first, last))
+
+
+def test_bounds_hands_out_copies():
+    """Writing into the arrays ``bounds`` returns leaves the complex and
+    its geodesics as they were."""
+    cx, _ = load_bundled("quadrant_window")
+    for c in cx.cells:
+        lo, hi = cx.bounds(c.ident)
+        lo[:] = lo - 0.3
+        hi[:] = hi + 0.3
+    want = geodesic(load_bundled("quadrant_window")[0], *BENT)
+    got = geodesic(cx, *BENT)
+    assert got.breakpoints == want.breakpoints
+    assert got.length == want.length
+    assert cx.bounds(cx.cells[0].ident)[0].tolist() == list(cx.cells[0].bounds()[0])
+
+
 # ---------------------------------------------------------------------------
 # metric axioms, fuzzed
 
@@ -360,7 +394,7 @@ def test_chain_solves_match_slsqp_oracle(monkeypatch):
     for (p, q, chain), (bounds, (val, pts)) in seen.items():
         assert val <= chain_oracle(p, q, bounds) + 1e-10, (p, q, chain)
         for x, (lo, hi) in zip(pts[1:-1], bounds):
-            assert (lo <= x).all() and (np.asarray(x) <= hi).all(), (p, q, chain, x)
+            assert (np.asarray(lo) <= x).all() and (np.asarray(x) <= hi).all(), (p, q, chain, x)
 
 
 def _is_vertex(lo, hi):
@@ -408,7 +442,7 @@ def test_vertex_gates_split_the_chain(monkeypatch):
         assert val <= chain_oracle(p, q, bounds) + 1e-10, (p, q, chain)
         assert val == pytest.approx(sum(map(math.dist, pts, pts[1:])), abs=1e-12)
         for x, (lo, hi) in zip(pts[1:-1], bounds):
-            assert (lo <= x).all() and (np.asarray(x) <= hi).all(), (p, q, chain, x)
+            assert (np.asarray(lo) <= x).all() and (np.asarray(x) <= hi).all(), (p, q, chain, x)
         # the pieces between vertex gates, by hand
         ends, pieces = [p], [[]]
         for lo, hi in bounds:

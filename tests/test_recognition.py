@@ -17,6 +17,7 @@ from meanset import (
     mean_deficit,
     min_norm_point,
     recognize,
+    recognize_general,
     recognize_interior,
     verify_certificate,
     weighted_objective,
@@ -108,6 +109,16 @@ def test_line_search_on_quadrant(bundles):
     assert val == pytest.approx(0.5 * ((1 + t_star) ** 2 - 4.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_line_search_rejects_bad_tolerance(bundles, tol):
+    """The bisection runs while its bracket exceeds ``tol``: a tolerance of
+    at most 0 never ends it, and a NaN or infinite one ends it at once."""
+    cx, A = bundles["quadrant_window"]
+    seg = geodesic(cx, (0.0, 0.0), (R3, 0.0))
+    with pytest.raises(ValueError):
+        objective_line_search(A, (0.0, -1.0), seg, tol=tol)
+
+
 def test_line_search_endpoint_minimum(bundles):
     # minimizing toward the set pulls the search to the segment start
     cx, A = bundles["tripod"]
@@ -163,12 +174,59 @@ def test_verify_rejects_forged_weights(bundles):
     assert not rep.ok
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-7])
+def test_verify_rejects_bad_tolerance(bundles, tol):
+    """No residual exceeds a NaN or infinite tolerance, so either would
+    pass the forged certificate of a non-member."""
+    cx, A = bundles["squares3"]
+    forged = MembershipCertificate({"a": 1.0, "b": 0.0, "c": 0.0}, 0.0)
+    assert not verify_certificate(A, (0.5, -0.5), forged, samples=20).ok
+    with pytest.raises(ValueError):
+        verify_certificate(A, (0.5, -0.5), forged, samples=20, tol=tol)
+
+
+def test_verify_rejects_negative_samples(bundles):
+    cx, A = bundles["squares3"]
+    cert = recognize(A, (0.5, 0.0)).certificate
+    with pytest.raises(ValueError):
+        verify_certificate(A, (0.5, 0.0), cert, samples=-3)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("decide", [recognize, recognize_general, recognize_interior])
+def test_decisions_reject_bad_tolerance(bundles, decide, tol):
+    cx, A = bundles["squares3"]
+    with pytest.raises(ValueError, match="tolerance"):
+        decide(A, (0.25, -0.1), tol=tol)
+
+
 def test_weighted_objective():
     cx, A = load_bundled("tripod")
     val = weighted_objective(A, {"a": 0.75, "b": 0.25}, (0.5, 0.0))
     assert val == pytest.approx(0.75 * 0.25 + 0.25 * 2.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        weighted_objective(A, {"a": 1.0}, (0.5, 0.0), p=0.5)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            weighted_objective(A, {"a": 1.0}, (0.5, 0.0), p=p)
+
+
+def test_recognize_interior_matches_recognize(bundles):
+    """At relative-interior points of maximal cells the interior entry
+    gives the decision, deficit and certificate of ``recognize``."""
+    rng = np.random.default_rng(31)
+    kinds = set()
+    for name, (cx, A) in bundles.items():
+        for _ in range(8):
+            cell = cx.cell(cx.maximal_ids[int(rng.integers(len(cx.maximal_ids)))])
+            lo, hi = cell.bounds()
+            x = tuple(lo + (hi - lo) * rng.uniform(0.05, 0.95, size=cx.ambient_dim))
+            assert cx.locate(x).minimal_cell == cell.ident
+            report, cert = recognize_interior(A, x)
+            want = recognize(A, x)
+            assert cert.kind == want.certificate.kind, (name, x)
+            assert report.value == want.deficit, (name, x)
+            assert cert == want.certificate, (name, x)
+            kinds.add(cert.kind)
+    assert kinds == {"membership", "non-membership"}
 
 
 def test_deficit_direction_is_unit_at_nonmembers(bundles):
