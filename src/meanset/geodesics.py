@@ -26,7 +26,11 @@ cuts the chain there and solves each piece on its own: a piece with no
 gate is a segment, one with one gate is the closed form of
 :func:`box_segment_min`, and only a piece of two or more gates is a
 sum-of-norms program over the free gate coordinates, solved by one
-projected Newton method that returns only a certified optimum.
+projected Newton method that returns only a certified optimum.  Its
+Hessian is block tridiagonal, one block per gate, so each step is one
+block Thomas sweep on Python floats; breakpoints that meet, where the path
+wraps an edge shared by consecutive gates, are merged at the end of every
+smoothing level.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .complexes import CubicalComplex, LocatedPoint
 from .convex import box_segment_min, segment_span
@@ -80,16 +82,29 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
     add up and the breakpoints join.  A piece with no gate is a segment and
     one with one gate has the closed form of :func:`box_segment_min`.  A
     piece of more gates starts at each gate's own :func:`box_segment_min`
-    point and runs projected Newton on ``sum sqrt(|x_{i+1} - x_i|^2 +
-    eps^2)``, ``eps`` stepped from 1e-3 down to 1e-13, until
-    :func:`_certified_gap` is at most 1e-13 (1 + value).  Else breakpoints
-    within 1e-9 of each other are merged and finished by exact Newton, and
-    a gap above 1e-9 (1 + value) raises GeodesicError.  ``_face_mins``, the
-    ``box_segment_min(p, q, gate)`` pairs already at hand, stand in for
-    those calls when no gate is a vertex.
+    point and runs projected Newton (:func:`_newton_step`) on ``sum
+    sqrt(|x_{i+1} - x_i|^2 + eps^2)``, ``eps`` stepped from 1e-3 down to
+    1e-13, until :func:`_certified_gap` is at most 1e-13 (1 + value).  At
+    the end of each level breakpoints within 10 eps (at least 1e-9) of each
+    other are merged and finished by exact Newton, and the merged chain
+    ends the solve once it certifies.  A gap above 1e-9 (1 + value) raises
+    GeodesicError.
+
+    A chain given without ``_face_bounds`` is checked first: it must be
+    non-empty, start in a cell holding p and end in one holding q, and
+    consecutive cells must share a face; else GeodesicError.  The chain
+    search passes the gate boxes, and ``_face_mins``, the
+    ``box_segment_min(p, q, gate)`` pairs already at hand, which stand in
+    for those calls when no gate is a vertex.
     """
     bounds = _face_bounds
     if bounds is None:
+        if not chain:
+            raise GeodesicError(f"empty chain from {tuple(p)} to {tuple(q)}")
+        for end, cell in ((p, chain[0]), (q, chain[-1])):
+            if not cx.cell(cell).contains(end):
+                raise GeodesicError(f"chain {tuple(chain)} from {tuple(p)} to {tuple(q)}: "
+                                    f"its end cell {cell} does not hold {tuple(end)}")
         faces = [cx.face_between(a, b) for a, b in zip(chain, chain[1:])]
         if None in faces:
             raise GeodesicError(f"consecutive cells of chain {tuple(chain)} share no face")
@@ -112,6 +127,9 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
     return total, pts
 
 
+_LEVELS = (1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13)   # smoothing eps, coarse to fine
+
+
 def _solve_piece(a, b, bounds, mins):
     """``(value, gap, breakpoints)`` of the shortest path a -> b through the
     gates ``bounds``, none of them a vertex (see :func:`chain_length`)."""
@@ -122,56 +140,183 @@ def _solve_piece(a, b, bounds, mins):
         return val, 0.0, [a, tuple(x), b]
 
     # boxes of all points, a and b being boxes of their own
-    lo, hi = (np.array([a] + [g[side] for g in bounds] + [b]) for side in (0, 1))
+    lo = [a] + [g[0] for g in bounds] + [b]
+    hi = [a] + [g[1] for g in bounds] + [b]
     starts = [x for _, x in mins] if mins else [box_segment_min(a, b, *g)[1] for g in bounds]
-    P = np.array([a] + starts + [b])
+    P = [list(a)] + [x.tolist() for x in starts] + [list(b)]
     gap, val = _certified_gap(P, lo, hi)
-    for eps in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13):
+    for eps in _LEVELS:
         while gap > 1e-13 * (1.0 + val):
             dec = _newton_step(P, lo, hi, eps)
             gap, val = _certified_gap(P, lo, hi)
             if dec <= eps:
                 break
-    if gap > 1e-13 * (1.0 + val):
-        M = _merged(P, lo, hi)
-        gap, val, P = min((gap, val, P), (*_certified_gap(M, lo, hi), M), key=lambda c: c[0])
+        if gap <= 1e-13 * (1.0 + val):
+            break
+        # smoothing by eps holds points that meet at the optimum about eps
+        # apart: glue those within 10 eps and keep the glued chain once it
+        # certifies, or after the last level if its gap is the smaller
+        near, last = max(1e-9, 10.0 * eps), eps == _LEVELS[-1]
+        if last or any(math.dist(x, y) <= near for x, y in zip(P, P[1:])):
+            M = _merged(P, lo, hi, near)
+            mgap, mval = _certified_gap(M, lo, hi)
+            if mgap <= 1e-13 * (1.0 + mval) or (last and mgap < gap):
+                gap, val, P = mgap, mval, M
     return val, gap, [tuple(x) for x in P]
 
 
 def _newton_step(P, lo, hi, eps):
     """One projected Newton step on ``sum sqrt(|x_{i+1} - x_i|^2 + eps^2)``
-    over the points ``P`` in their boxes ``[lo, hi]``, in place; coordinates
-    held at a bound by the gradient stay put.  Returns the Newton decrement,
-    or 0 if no step passes the Armijo test or moves a coordinate by 1e-15."""
-    N, n = P.shape
-    Dm = np.diff(np.eye(N), axis=0)        # the segment vectors are Dm @ P
-    d = Dm @ P
-    r = np.sqrt((d * d).sum(axis=1) + eps * eps)
-    w = d / np.where(r > 0.0, r, 1.0)[:, None]
-    g = Dm.T @ w
-    free = ((lo < hi) & ~((P <= lo) & (g > 0)) & ~((P >= hi) & (g < 0))).ravel()
-    if not free.any() or not r.all():
+    over the points ``P``, a list of coordinate lists, in their boxes
+    ``[lo, hi]``; coordinates held at a bound by the gradient stay put.  The
+    rows of ``P`` that move are replaced, never written into.  Returns the
+    Newton decrement, or 0 if the shifted Hessian meets a zero pivot or no
+    step passes the Armijo test or moves a coordinate by 1e-15.
+
+    The Hessian is ``Dm^T B Dm``, ``Dm`` the difference operator of the
+    points and ``B_i = (I - w_i w_i^T) / r_i`` that of segment i: block
+    tridiagonal, with ``B_{j-1} + B_j`` on the diagonal and ``-B_j`` beside
+    it.  On the free coordinates, shifted by 1e-12 so that ``eps = 0`` stays
+    solvable, one block Thomas sweep solves it with a pivoted solve per
+    block, in O(N n^3) float operations.  On boxes of a few axes that costs
+    less as Python floats than as numpy calls."""
+    N, n = len(P), len(P[0])
+    zero = [0.0] * n
+    # segment i has vector d_i, smoothed length r_i and w_i = d_i / r_i; w and
+    # r are padded beyond p and q with a zero vector and an infinite length,
+    # so that B_i is zero there
+    e2 = eps * eps
+    d = [[y - x for x, y in zip(p, q)] for p, q in zip(P, P[1:])]
+    r = []
+    for di in d:
+        ss = 0.0
+        for x in di:
+            ss += x * x
+        r.append(math.sqrt(ss + e2))
+    if 0.0 in r:
         return 0.0
-    # the Hessian is Dm^T B Dm, with B_i = (I - w_i w_i^T) / r_i that of segment i
-    B = (np.eye(n) - w[:, :, None] * w[:, None, :]) / r[:, None, None]
-    H = np.einsum("ia,ikl,ib->akbl", Dm, B, Dm).reshape(N * n, N * n)[np.ix_(free, free)]
-    step = np.zeros(N * n)
-    step[free] = np.linalg.solve(H + 1e-12 * np.eye(free.sum()), -g.ravel()[free])
-    step = step.reshape(N, n)
+    w = [zero] + [[x / ri for x in di] for di, ri in zip(d, r)] + [zero]
+    r = [math.inf] + r + [math.inf]
+    # the free coordinates of each point that has some, and the gradient
+    # g_j = w_{j-1} - w_j on them
+    free = []
+    for j, (x, l, h, u, v) in enumerate(zip(P, lo, hi, w, w[1:])):
+        f, gf = [], []
+        for k in range(n):
+            if l[k] < h[k]:
+                gk = u[k] - v[k]
+                if not (x[k] <= l[k] and gk > 0.0) and not (x[k] >= h[k] and gk < 0.0):
+                    f.append(k)
+                    gf.append(gk)
+        if f:
+            free.append((j, f, gf))
+    if not free:
+        return 0.0
+
+    # forward sweep: S_j [X_j | z_j] = [B_j(F_j, F_{j+1}) | -g_j(F_j)], where
+    # S_j is the diagonal block with x_{j-1} eliminated, as is the
+    # right-hand side; backwards, then, x_j = z_j + X_j x_{j+1}
+    sweep = []
+    for (j, f, gf), (jn, fn, _) in zip(free, free[1:] + [(None, (), ())]):
+        wl, rl, wr, rr = w[j], r[j], w[j + 1], r[j + 1]
+        fn = fn if jn == j + 1 else ()
+        S, R = [], []
+        for k, gk in zip(f, gf):
+            a, b = wl[k], wr[k]
+            S.append([((k == m) - a * wl[m]) / rl + ((k == m) - b * wr[m]) / rr
+                      + (k == m) * 1e-12 for m in f])
+            R.append([((k == m) - b * wr[m]) / rr for m in fn] + [-gk])
+        if sweep and sweep[-1][0] == j - 1:
+            _, fp, Xp, zp = sweep[-1]
+            for Srow, Rrow, k in zip(S, R, f):
+                C = [((k == m) - wl[k] * wl[m]) / rl for m in fp]   # B_{j-1}(k, F_{j-1})
+                for e in range(len(f)):
+                    acc = 0.0
+                    for v, Xrow in zip(C, Xp):
+                        acc += v * Xrow[e]
+                    Srow[e] -= acc
+                acc = 0.0
+                for v, zk in zip(C, zp):
+                    acc += v * zk
+                Rrow[-1] += acc
+        if not _solve_small(S, R):
+            return 0.0
+        sweep.append((j, f, R, [row.pop() for row in R]))
+    moves = []   # (point, [(axis, coordinate, step, lo, hi, gradient)]) of each moving point
+    dec, xn, jn = 0.0, (), None
+    for (j, f, Xj, zj), (_, _, gf) in zip(reversed(sweep), reversed(free)):
+        if jn != j + 1:
+            xn = ()
+        xj = []
+        for zk, Xrow in zip(zj, Xj):
+            for v, s in zip(Xrow, xn):
+                zk += v * s
+            xj.append(zk)
+        xn, jn = xj, j
+        x, l, h = P[j], lo[j], hi[j]
+        moves.append((j, [(k, x[k], s, l[k], h[k], gk) for k, s, gk in zip(f, xj, gf)]))
+        for s, gk in zip(xj, gf):
+            dec -= s * gk
+    segs = sorted({i for j, _ in moves for i in (j - 1, j) if 0 <= i < N - 1})
+
     t = 1.0
     while t > 1e-12:
-        Pn = np.clip(P + t * step, lo, hi)
-        D = Dm @ (Pn - P)
+        # the clipped trial points Pn, their changes dP
+        Pn, dP, lin = P[:], [zero] * N, 0.0
+        for j, mv in moves:
+            row, dj = P[j][:], zero[:]
+            Pn[j], dP[j] = row, dj
+            for k, x, s, l, h, gk in mv:
+                v = x + t * s
+                row[k] = v = l if v < l else h if v > h else v
+                dj[k] = v = v - x
+                lin += gk * v
         # length changes as differences of squares, exact up to the rounding
         # of the change itself, so that the Armijo test works at tiny steps
-        rn = np.sqrt(((d + D) ** 2).sum(axis=1) + eps * eps)
-        change = ((D * (2.0 * d + D)).sum(axis=1) / (r + rn)).sum()
-        if change < 1e-4 * min(0.0, float((g * (Pn - P)).sum())):
-            moved = np.abs(Pn - P).max() > 1e-15
+        change = 0.0
+        for i in segs:
+            num, ss = 0.0, 0.0
+            for a, b, c in zip(d[i], dP[i], dP[i + 1]):
+                D = c - b
+                num += D * (2.0 * a + D)
+                ss += (a + D) * (a + D)
+            change += num / (r[i + 1] + math.sqrt(ss + e2))
+        if change < 1e-4 * min(0.0, lin):
             P[:] = Pn
-            return -float(g.ravel() @ step.ravel()) if moved else 0.0
+            return dec if any(abs(v) > 1e-15 for dj in dP for v in dj) else 0.0
         t *= 0.5
     return 0.0
+
+
+def _solve_small(S, R):
+    """Solve ``S X = R`` in place by Gaussian elimination with partial
+    pivoting, ``S`` square and ``R`` of as many rows, both lists of rows;
+    ``X`` replaces the rows of ``R``.  False if a pivot is zero."""
+    m = len(S)
+    for c in range(m):
+        p, top = c, abs(S[c][c])
+        for i in range(c + 1, m):
+            if abs(S[i][c]) > top:
+                p, top = i, abs(S[i][c])
+        if top == 0.0:
+            return False
+        S[c], S[p], R[c], R[p] = S[p], S[c], R[p], R[c]
+        Sc, Rc, pivot = S[c], R[c], S[c][c]
+        for i in range(c + 1, m):
+            Si = S[i]
+            f = Si[c] / pivot
+            if f:
+                for k in range(c + 1, m):
+                    Si[k] -= f * Sc[k]
+                R[i] = [x - f * y for x, y in zip(R[i], Rc)]
+    for c in range(m - 1, -1, -1):
+        Sc, Rc = S[c], R[c]
+        for k in range(c + 1, m):
+            f = Sc[k]
+            Rc = [x - f * y for x, y in zip(Rc, R[k])]
+        pivot = Sc[c]
+        R[c] = [x / pivot for x in Rc]
+    return True
 
 
 def _certified_gap(P, lo, hi):
@@ -184,40 +329,65 @@ def _certified_gap(P, lo, hi):
     rise only at an upper one; along a run of zero segments each ``u`` is,
     per coordinate, nearest 0 such that the run still reaches the next unit
     vector."""
-    d = np.diff(P, axis=0)
-    L = np.sqrt((d * d).sum(axis=1))
-    U = np.zeros((len(P) + 1, P.shape[1]))
-    U[1:-1] = d / np.where(L > 0.0, L, 1.0)[:, None]
-    fall, rise = (lo == hi) | (P <= lo), (lo == hi) | (P >= hi)
-    zero = np.flatnonzero(L == 0.0)
-    for run in np.split(zero, np.flatnonzero(np.diff(zero) > 1) + 1) if zero.size else ():
-        b = run[-1] + 1                         # points run[0] .. b coincide
-        for j in run:
-            low = np.where(fall[j], -np.inf, U[j])
-            high = np.where(rise[j], np.inf, U[j])
-            low = np.where(rise[j + 1:b + 1].any(axis=0), low, np.maximum(low, U[b + 1]))
-            high = np.where(fall[j + 1:b + 1].any(axis=0), high, np.minimum(high, U[b + 1]))
-            u = np.clip(0.0, low, high)
-            U[j + 1] = u / max(1.0, float(np.sqrt(u @ u)))
-    G = U[:-1] - U[1:]
-    val = float(L.sum())
-    gap = float(np.maximum(G * (P - lo), G * (P - hi)).sum())
-    return min(gap, val - float(np.linalg.norm(P[-1] - P[0]))), val
+    N, n = len(P), len(P[0])
+    zero = [0.0] * n
+    U = [zero]
+    L = []
+    for p, q in zip(P, P[1:]):
+        di = [y - x for x, y in zip(p, q)]
+        li = math.hypot(*di)
+        L.append(li)
+        U.append([x / li for x in di] if li > 0.0 else zero)
+    U.append(zero)
+    for i in range(N - 1):
+        if L[i] > 0.0:
+            continue
+        b = next((k for k in range(i + 1, N - 1) if L[k] > 0.0), N - 1)   # i .. b coincide
+        later = range(i + 1, b + 1)
+        u = []
+        for k in range(n):
+            fall = any(lo[m][k] == hi[m][k] or P[m][k] <= lo[m][k] for m in later)
+            rise = any(lo[m][k] == hi[m][k] or P[m][k] >= hi[m][k] for m in later)
+            low = -math.inf if lo[i][k] == hi[i][k] or P[i][k] <= lo[i][k] else U[i][k]
+            high = math.inf if lo[i][k] == hi[i][k] or P[i][k] >= hi[i][k] else U[i][k]
+            if not rise:
+                low = max(low, U[b + 1][k])
+            if not fall:
+                high = min(high, U[b + 1][k])
+            u.append(min(max(0.0, low), high))
+        norm = max(1.0, math.hypot(*u))
+        U[i + 1] = [x / norm for x in u]
+    terms = []
+    for p, l_, h_, u, v in zip(P, lo, hi, U, U[1:]):
+        for x, l, h, a, c in zip(p, l_, h_, u, v):
+            G = a - c
+            terms.append(max(G * (x - l), G * (x - h)))
+    val = math.fsum(L)
+    gap = math.fsum(terms)
+    return min(gap, val - math.dist(P[-1], P[0])), val
 
 
-def _merged(P, lo, hi):
-    """``P`` with each run of points within 1e-9 of each other glued into
-    one point of their boxes' common face, finished by exact Newton on the
-    chain of glued points; ``P`` itself if some run's boxes do not meet."""
-    gaps = np.linalg.norm(np.diff(P, axis=0), axis=1)
-    runs = np.split(np.arange(len(P)), np.flatnonzero(gaps > 1e-9) + 1)
-    glo, ghi = np.array([lo[r].max(0) for r in runs]), np.array([hi[r].min(0) for r in runs])
-    if (glo > ghi).any():
+def _merged(P, lo, hi, near):
+    """``P`` with each run of points within ``near`` of each other glued
+    into one point of their boxes' common face, finished by exact Newton on
+    the chain of glued points; ``P`` itself if some run's boxes do not meet."""
+    runs = [[0]]
+    for j in range(1, len(P)):
+        if math.dist(P[j - 1], P[j]) > near:
+            runs.append([j])
+        else:
+            runs[-1].append(j)
+    glo = [[max(c) for c in zip(*[lo[j] for j in run])] for run in runs]
+    ghi = [[min(c) for c in zip(*[hi[j] for j in run])] for run in runs]
+    if any(l > h for gl, gh in zip(glo, ghi) for l, h in zip(gl, gh)):
         return P
-    R = np.clip([P[r].mean(axis=0) for r in runs], glo, ghi)
-    while len(R) > 2 and _newton_step(R, glo, ghi, 0.0) > 0.0:
-        pass
-    return R[np.repeat(np.arange(len(runs)), [len(r) for r in runs])]
+    R = [[min(max(math.fsum(c) / len(run), l), h)
+          for c, l, h in zip(zip(*[P[j] for j in run]), gl, gh)]
+         for run, gl, gh in zip(runs, glo, ghi)]
+    if any(l < h for gl, gh in zip(glo, ghi) for l, h in zip(gl, gh)):   # else nothing moves
+        while _newton_step(R, glo, ghi, 0.0) > 0.0:
+            pass
+    return [R[i] for i, run in enumerate(runs) for _ in run]
 
 
 def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:

@@ -10,6 +10,7 @@ is serial unless ``MEANSET_THREADS`` asks for a thread pool.
 from __future__ import annotations
 
 import io
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +33,12 @@ class HeatMapSample:
 def worker_count() -> int:
     # serial unless MEANSET_THREADS asks for more: the work is GIL-bound
     cap = os.environ.get("MEANSET_THREADS")
-    return max(1, int(cap)) if cap is not None else 1
+    if cap is None:
+        return 1
+    try:
+        return max(1, int(cap))
+    except ValueError:
+        raise ValueError(f"MEANSET_THREADS must be an integer, got {cap!r}") from None
 
 
 def _one_sample(A: PointSetA, seed: int, index: int, eps: float,
@@ -49,7 +55,12 @@ def _one_sample(A: PointSetA, seed: int, index: int, eps: float,
 
 def run_heatmap(A: PointSetA, samples: int, seed: int, eps: float,
                 threads: int = None) -> list:
-    """Draw ``samples`` deficit evaluations; deterministic in ``seed``."""
+    """Draw ``samples`` deficit evaluations; deterministic in ``seed``.
+    At most one worker thread runs per sample."""
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ValueError(f"the sample count must be an integer, got {samples!r}") from None
     if samples < 1:
         raise ValueError("need at least one sample")
     check_tolerance(eps)
@@ -57,7 +68,7 @@ def run_heatmap(A: PointSetA, samples: int, seed: int, eps: float,
     # stream with ``p`` than without, and the samples depend on that stream
     n_cells = len(A.cx.maximal_ids)
     prob = np.full(n_cells, 1.0 / n_cells)
-    workers = threads if threads is not None else worker_count()
+    workers = min(threads if threads is not None else worker_count(), samples)
     if workers <= 1:
         return [_one_sample(A, seed, i, eps, prob) for i in range(samples)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

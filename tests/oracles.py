@@ -5,7 +5,9 @@ the Euclidean distance from the point to the hull of the straightened set
 points.  Here that distance is rebuilt from ``geodesic`` and
 ``point_along`` alone and solved with scipy's NNLS.  The shortest broken
 line through a chain of gates, which ``meanset.geodesics`` solves by
-Newton's method, is solved here by scipy's SLSQP.  A cell's conic problem,
+Newton's method, is solved here by scipy's SLSQP; one Newton step of that
+solver and its certified gap are checked against the dense array forms
+they replaced.  A cell's conic problem,
 the distance from the hull of its model sets to a sign cone, which
 ``meanset.convex`` solves by Wolfe's algorithm and Frank-Wolfe rounds, is
 solved here by NNLS where the hull is a polytope and by SLSQP over the
@@ -100,6 +102,74 @@ def chain_oracle(p, q, gates) -> float:
                  options={"ftol": 1e-16, "maxiter": 1000}).fun
         for x0 in starts
     )
+
+
+def dense_newton_step(P, lo, hi, eps) -> float:
+    """One projected Newton step on ``sum sqrt(|x_{i+1} - x_i|^2 + eps^2)``
+    over the rows of the array ``P`` in their boxes ``[lo, hi]``, in place,
+    with the dense Hessian: the reference for ``meanset.geodesics``' block
+    sweep.  Coordinates held at a bound by the gradient stay put; the
+    Hessian ``Dm^T B Dm`` is built whole by ``einsum``, shifted by 1e-12 on
+    the free coordinates and solved by ``numpy.linalg.solve``; the step is
+    clipped into the boxes and halved until the Armijo test passes.
+    Returns the Newton decrement, or 0 if no step passes or none moves a
+    coordinate by 1e-15."""
+    N, n = P.shape
+    Dm = np.diff(np.eye(N), axis=0)        # the segment vectors are Dm @ P
+    d = Dm @ P
+    r = np.sqrt((d * d).sum(axis=1) + eps * eps)
+    w = d / np.where(r > 0.0, r, 1.0)[:, None]
+    g = Dm.T @ w
+    free = ((lo < hi) & ~((P <= lo) & (g > 0)) & ~((P >= hi) & (g < 0))).ravel()
+    if not free.any() or not r.all():
+        return 0.0
+    B = (np.eye(n) - w[:, :, None] * w[:, None, :]) / r[:, None, None]
+    H = np.einsum("ia,ikl,ib->akbl", Dm, B, Dm).reshape(N * n, N * n)[np.ix_(free, free)]
+    step = np.zeros(N * n)
+    step[free] = np.linalg.solve(H + 1e-12 * np.eye(free.sum()), -g.ravel()[free])
+    step = step.reshape(N, n)
+    t = 1.0
+    while t > 1e-12:
+        Pn = np.clip(P + t * step, lo, hi)
+        D = Dm @ (Pn - P)
+        rn = np.sqrt(((d + D) ** 2).sum(axis=1) + eps * eps)
+        change = ((D * (2.0 * d + D)).sum(axis=1) / (r + rn)).sum()
+        if change < 1e-4 * min(0.0, float((g * (Pn - P)).sum())):
+            moved = np.abs(Pn - P).max() > 1e-15
+            P[:] = Pn
+            return -float(g.ravel() @ step.ravel()) if moved else 0.0
+        t *= 0.5
+    return 0.0
+
+
+def array_certified_gap(P, lo, hi) -> tuple:
+    """``(gap, value)`` of the broken line through the rows of the array
+    ``P`` in their boxes, computed on whole arrays: the reference for
+    ``meanset.geodesics._certified_gap``, which works point by point.  The
+    gap is the smaller of ``value - |p - q|`` and the Frank-Wolfe gap of the
+    subgradient ``G_j = u_{j-1} - u_j``; along a run of zero-length
+    segments each ``u`` is, per coordinate, nearest 0 such that the run
+    still reaches the next unit vector, falling across a point only at a
+    lower bound and rising only at an upper one."""
+    d = np.diff(P, axis=0)
+    L = np.sqrt((d * d).sum(axis=1))
+    U = np.zeros((len(P) + 1, P.shape[1]))
+    U[1:-1] = d / np.where(L > 0.0, L, 1.0)[:, None]
+    fall, rise = (lo == hi) | (P <= lo), (lo == hi) | (P >= hi)
+    zero = np.flatnonzero(L == 0.0)
+    for run in np.split(zero, np.flatnonzero(np.diff(zero) > 1) + 1) if zero.size else ():
+        b = run[-1] + 1
+        for j in run:
+            low = np.where(fall[j], -np.inf, U[j])
+            high = np.where(rise[j], np.inf, U[j])
+            low = np.where(rise[j + 1:b + 1].any(axis=0), low, np.maximum(low, U[b + 1]))
+            high = np.where(fall[j + 1:b + 1].any(axis=0), high, np.minimum(high, U[b + 1]))
+            u = np.clip(0.0, low, high)
+            U[j + 1] = u / max(1.0, float(np.sqrt(u @ u)))
+    G = U[:-1] - U[1:]
+    val = float(L.sum())
+    gap = float(np.maximum(G * (P - lo), G * (P - hi)).sum())
+    return min(gap, val - float(np.linalg.norm(P[-1] - P[0]))), val
 
 
 def _ray_columns(signs) -> list:

@@ -4,10 +4,11 @@ import csv
 import io
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from meanset import cli, load_bundled, run_heatmap, segment_probes
+from meanset import cli, heatmap, load_bundled, run_heatmap, segment_probes
 
 CORNER_FAN = {
     "ambient_dim": 3,
@@ -175,6 +176,41 @@ def test_heatmap_rejects_bad_threshold(eps):
         run_heatmap(A, 5, 1, eps)
     with pytest.raises(ValueError, match="tolerance"):
         segment_probes(A, (0.0, 0.0), (1.0, 0.0), 3, eps)
+
+
+def test_heatmap_rejects_non_integer_counts(monkeypatch):
+    """A sample count or ``MEANSET_THREADS`` that is not an integer is a
+    ValueError naming what is wrong."""
+    _, A = load_bundled("squares3")
+    with pytest.raises(ValueError, match="sample count must be an integer"):
+        run_heatmap(A, 2.5, 1, 0.1)
+    monkeypatch.setenv("MEANSET_THREADS", "abc")
+    with pytest.raises(ValueError, match="MEANSET_THREADS must be an integer, got 'abc'"):
+        heatmap.worker_count()
+    with pytest.raises(ValueError, match="MEANSET_THREADS"):
+        run_heatmap(A, 2, 1, 0.1)
+
+
+def test_heatmap_starts_no_more_threads_than_samples(monkeypatch):
+    """Asked for 100,000 threads by ``MEANSET_THREADS`` or 64 by argument,
+    a heat map of three samples opens a pool of three workers and writes
+    the rows of a serial run."""
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(heatmap, "ThreadPoolExecutor", Recording)
+    _, A = load_bundled("squares3")
+    serial = run_heatmap(A, 3, 1, 0.1, threads=1)
+    assert sizes == []
+    monkeypatch.setenv("MEANSET_THREADS", "100000")
+    assert heatmap.worker_count() == 100000
+    assert run_heatmap(A, 3, 1, 0.1) == serial
+    assert run_heatmap(A, 3, 1, 0.1, threads=64) == serial
+    assert sizes == [3, 3]
 
 
 def test_boolean_point_is_rejected(capsys):

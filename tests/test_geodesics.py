@@ -13,7 +13,7 @@ from meanset import geodesics
 from meanset.convex import box_segment_min
 from meanset.corpus import BUNDLED
 from generators import l_shape
-from oracles import chain_oracle, polyomino_distance
+from oracles import array_certified_gap, chain_oracle, dense_newton_step, polyomino_distance
 
 R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
@@ -90,7 +90,8 @@ BENT = ((-0.5, 1.5), (1.5, -0.5))   # bends at the window corner of quadrant_win
 def test_chain_length_finds_its_own_gates():
     """Given only the cells of a bent geodesic, ``chain_length`` finds the
     gates between them and returns the geodesic's length and breakpoints;
-    two consecutive cells that share no face raise."""
+    two consecutive cells that share no face raise, as do an empty chain
+    and one whose first cell does not hold p or whose last does not hold q."""
     cx, _ = load_bundled("quadrant_window")
     g = geodesic(cx, *BENT)
     assert len(g.cells) >= 3
@@ -101,6 +102,14 @@ def test_chain_length_finds_its_own_gates():
     assert cx.face_between(first, last) is None
     with pytest.raises(GeodesicError, match="share no face"):
         geodesics.chain_length(cx, *BENT, (first, last))
+    with pytest.raises(GeodesicError, match="empty chain"):
+        geodesics.chain_length(cx, *BENT, ())
+    # square c002 holds neither (0.5, -0.5) nor (-0.5, 0.5)
+    with pytest.raises(GeodesicError, match=r"\('c002',\).*c002 does not hold \(0\.5, -0\.5\)"):
+        geodesics.chain_length(cx, (0.5, -0.5), (-0.5, 0.5), ["c002"])
+    assert not cx.cell(g.cells[-2]).contains(BENT[1])
+    with pytest.raises(GeodesicError, match=f"{g.cells[-2]} does not hold"):
+        geodesics.chain_length(cx, *BENT, g.cells[:-1])
 
 
 def test_bounds_hands_out_copies():
@@ -460,6 +469,143 @@ def test_vertex_gates_split_the_chain(monkeypatch):
             assert val == want, (p, q, chain)
             assert steps[0] == 0, (p, q, chain)
     assert closed > 0
+
+
+def _pieces(bounds):
+    """The gates of ``bounds`` between its vertex gates, one list per piece."""
+    pieces = [[]]
+    for lo, hi in bounds:
+        if _is_vertex(lo, hi):
+            pieces.append([])
+        else:
+            pieces[-1].append((lo, hi))
+    return pieces
+
+
+def test_pieces_of_three_gates_match_slsqp_oracle(monkeypatch):
+    """The corpora cut their chains into pieces of at most two gates.  On the
+    L-shaped polyomino ``l_shape(8)`` and the staircase, pairs are drawn
+    until the chains met by real searches hold 50 pieces of three or more
+    gates that are not vertices.  Each such chain is within 1e-10 of SLSQP
+    or below it, with every breakpoint in its gate."""
+    real = geodesics.chain_length
+    seen, count = {}, [0]
+
+    def recorded(cx, p, q, chain, bounds=None, *rest):
+        out = real(cx, p, q, chain, bounds, *rest)
+        long = sum(len(piece) >= 3 for piece in _pieces(bounds or ()))
+        if long and count[0] < 50 and (p, q, tuple(chain)) not in seen:
+            seen[(p, q, tuple(chain))] = (bounds, out)
+            count[0] += long
+        return out
+
+    monkeypatch.setattr(geodesics, "chain_length", recorded)
+    rng = np.random.default_rng(2026)
+    complexes = [complex_from_dict(l_shape(8)), complex_from_dict(STAIRCASE)]
+    for i in range(4000):
+        if count[0] >= 50:
+            break
+        cx = complexes[i % 2]
+        distance(cx, _corpus_point(cx, rng, i % 3 == 0), _corpus_point(cx, rng, i % 3 == 1))
+    assert count[0] >= 50
+    assert {len(bounds[0][0]) for bounds, _ in seen.values()} == {2, 3}   # both complexes
+    for (p, q, chain), (bounds, (val, pts)) in seen.items():
+        assert val <= chain_oracle(p, q, bounds) + 1e-10, (p, q, chain)
+        for x, (lo, hi) in zip(pts[1:-1], bounds):
+            assert (np.asarray(lo) <= x).all() and (np.asarray(x) <= hi).all(), (p, q, chain, x)
+
+
+def test_newton_step_matches_dense_solve():
+    """One block-tridiagonal Newton step against ``oracles.dense_newton_step``,
+    which builds the whole Hessian and solves it densely, on seeded random
+    chains of 3-12 points in R^1-R^4.  The ends are points, every gate of
+    two or more axes has at least one axis pinned, as a face of a cell does,
+    some coordinates start at a bound, and eps is 1e-3, 1e-9 or 0.  The
+    steps and decrements agree to 1e-9 relative."""
+    rng = np.random.default_rng(13)
+    moved = 0
+    for trial in range(300):
+        N, n = int(rng.integers(3, 13)), int(rng.integers(1, 5))
+        eps = (1e-3, 1e-9, 0.0)[trial % 3]
+        lo = rng.uniform(-2.0, 0.0, (N, n))
+        hi = lo + rng.uniform(0.5, 2.0, (N, n))
+        if n > 1:
+            pinned = rng.random((N, n)) < 0.3
+            pinned[np.arange(N), rng.integers(n, size=N)] = True
+            hi[pinned] = lo[pinned]
+        lo[[0, -1]] = hi[[0, -1]]
+        P0 = rng.uniform(lo, hi)
+        held = rng.random((N, n)) < 0.25
+        P0[held] = np.where(rng.random((N, n)) < 0.5, lo, hi)[held]
+        dense = P0.copy()
+        want = dense_newton_step(dense, lo, hi, eps)
+        P = P0.tolist()
+        got = geodesics._newton_step(P, lo.tolist(), hi.tolist(), eps)
+        step = dense - P0
+        scale = np.abs(step).max()
+        assert np.abs(np.array(P) - P0 - step).max() <= 1e-9 * scale, (trial, N, n, eps)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0), (trial, N, n, eps)
+        moved += scale > 0.0
+    assert moved >= 250
+
+
+def test_certified_gap_matches_array_form():
+    """``_certified_gap`` against ``oracles.array_certified_gap`` on seeded
+    random chains of 3-8 points on integer boxes, about a third of them with
+    runs of coincident points: gap and value agree to 1e-12."""
+    rng = np.random.default_rng(5)
+    runs = 0
+    for _ in range(600):
+        N, n = int(rng.integers(3, 9)), int(rng.integers(1, 4))
+        lo = rng.integers(-2, 1, (N, n)).astype(float)
+        hi = lo + rng.integers(0, 2, (N, n))
+        lo[[0, -1]] = hi[[0, -1]] = rng.uniform(-2.0, 2.0, (2, n))
+        P = np.clip(rng.uniform(-2.0, 2.0, (N, n)), lo, hi)
+        for j in range(1, N - 1):   # coincide with the point before where the boxes allow
+            x = np.clip(P[j - 1], lo[j], hi[j])
+            if rng.random() < 0.5 and (x == P[j - 1]).all():
+                P[j] = x
+        runs += (np.diff(P, axis=0) == 0.0).all(axis=1).any()
+        got = geodesics._certified_gap(P.tolist(), lo.tolist(), hi.tolist())
+        assert got == pytest.approx(array_certified_gap(P, lo, hi), rel=0.0, abs=1e-12)
+    assert runs >= 150
+
+
+def test_staircase_chain_solves_do_pinned_work(monkeypatch):
+    """200 seeded pairs between the end cubes of the staircase, whose
+    geodesics wrap its reflex edges so that breakpoints meet and are
+    merged: the chain solves, their Newton steps and merges, and the most
+    steps of one solve, as exact counts.  The arithmetic is on Python floats,
+    so the counts repeat exactly."""
+    counts = {"solves": 0, "steps": 0, "merges": 0, "most": 0}
+    real_length, real_step, real_merged = (geodesics.chain_length, geodesics._newton_step,
+                                           geodesics._merged)
+
+    def length(*args):
+        before = counts["steps"]
+        out = real_length(*args)
+        counts["solves"] += 1
+        counts["most"] = max(counts["most"], counts["steps"] - before)
+        return out
+
+    def step(*args):
+        counts["steps"] += 1
+        return real_step(*args)
+
+    def merged(*args):
+        counts["merges"] += 1
+        return real_merged(*args)
+
+    monkeypatch.setattr(geodesics, "chain_length", length)
+    monkeypatch.setattr(geodesics, "_newton_step", step)
+    monkeypatch.setattr(geodesics, "_merged", merged)
+    cx = complex_from_dict(STAIRCASE)
+    first, last = (np.array(c["base"], dtype=float) for c in (STAIRCASE["cells"][0],
+                                                              STAIRCASE["cells"][-1]))
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        distance(cx, tuple(first + rng.random(3)), tuple(last + rng.random(3)))
+    assert counts == {"solves": 368, "steps": 1766, "merges": 142, "most": 24}
 
 
 # ---------------------------------------------------------------------------
