@@ -7,7 +7,10 @@ geodesic to ``a``.  By the first variation formula ``d_a`` has the gradient
 ``-u`` in ``C`` exactly when ``u`` lies in the tangent cone of ``C``, always
 so in its relative interior, and the model is the point ``-u``; otherwise
 the geodesic leaves through a face of ``C`` and the model is the cone-ball
-slice of ``u`` and that face's normal cone.  Scaled by the distances
+slice of ``u`` and that face's normal cone.  The face's tangent cone is a
+sign pattern of ``C``'s tangent cone ``T`` and ``u``: an axis keeps its sign
+in ``T`` when it is free, or nonnegative with ``u_i > 0``, or nonpositive
+with ``u_i < 0``, and is pinned to zero otherwise.  Scaled by the distances
 ``d_a`` these are the derivatives of ``d_a^2 / 2``, and the query is a mean
 exactly when, for every ``C``, some convex combination of the scaled sets
 meets the negated normal cone of ``C`` -- a conic feasibility problem
@@ -27,6 +30,10 @@ import numpy as np
 from . import geodesics
 from .complexes import LocatedPoint
 from .convex import (
+    FREE,
+    NONNEG,
+    NONPOS,
+    ZERO,
     ConeBall,
     ConvergenceError,
     SignCone,
@@ -88,10 +95,10 @@ def build_model(A: PointSetA, loc: LocatedPoint, cell_id: str, label: str,
     if tangent.contains(u):
         sub = Singleton(tuple(-v for v in u))
     else:
-        # x lies in both cells, so they share a face: the gate it leaves through
-        _, via = geodesics.initial_direction(cx, loc, A.points[label])
-        gate = cx.face_between(cell_id, via)
-        sub = ConeBall(u, cx.normal_cone(gate.ident, loc.coords))
+        exit_face = SignCone(tuple(
+            s if s == FREE or (s == NONNEG and ui > 0.0) or (s == NONPOS and ui < 0.0) else ZERO
+            for s, ui in zip(tangent.signs, u)))
+        sub = ConeBall(u, exit_face.polar())
     return DirectionalDerivativeModel(label, cell_id, g.length, x_a, sub, tangent)
 
 

@@ -471,11 +471,10 @@ class ConeBall:
 
 @dataclass(frozen=True)
 class ProductSet:
-    """A product of convex model sets, one per equally-sized block.
-
-    Supports the same atom interface as its factors; the support point of a
-    stacked direction is the stack of blockwise support points.
-    """
+    """A product of convex model sets, one per equally-sized block: one set
+    for :func:`feasibility_min_norm`, which calls its support and anchor
+    points.  The support point of a stacked direction is the stack of
+    blockwise support points."""
 
     blocks: tuple
     block_dim: int
@@ -487,15 +486,8 @@ class ProductSet:
             blk.support_point(d[i * n:(i + 1) * n]) for i, blk in enumerate(self.blocks)
         ])
 
-    def support(self, d) -> float:
-        d = np.asarray(d, dtype=float)
-        return float(np.dot(d, self.support_point(d)))
-
     def anchor_point(self) -> np.ndarray:
         return np.concatenate([blk.anchor_point() for blk in self.blocks])
-
-    def scaled(self, c: float) -> "ProductSet":
-        return ProductSet(tuple(b.scaled(c) for b in self.blocks), self.block_dim)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ __all__ = [
     "distance",
     "midpoint",
     "point_along",
-    "initial_direction",
     "vertex_upper_bound",
 ]
 
@@ -91,16 +90,20 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
     GeodesicError.
 
     A chain given without ``_face_bounds`` is checked first: it must be
-    non-empty, start in a cell holding p and end in one holding q, and
-    consecutive cells must share a face; else GeodesicError.  The chain
-    search passes the gate boxes, and ``_face_mins``, the
-    ``box_segment_min(p, q, gate)`` pairs already at hand, which stand in
-    for those calls when no gate is a vertex.
+    non-empty and name only cells of the complex, start in a cell holding
+    p and end in one holding q, and consecutive cells must share a face;
+    else GeodesicError.  The chain search passes the gate boxes, and
+    ``_face_mins``, the ``box_segment_min(p, q, gate)`` pairs already at
+    hand, which stand in for those calls when no gate is a vertex.
     """
     bounds = _face_bounds
     if bounds is None:
         if not chain:
             raise GeodesicError(f"empty chain from {tuple(p)} to {tuple(q)}")
+        for cell in chain:
+            if cell not in cx._by_id:
+                raise GeodesicError(f"chain {tuple(chain)} from {tuple(p)} to {tuple(q)}: "
+                                    f"unknown cell {cell!r}")
         for end, cell in ((p, chain[0]), (q, chain[-1])):
             if not cx.cell(cell).contains(end):
                 raise GeodesicError(f"chain {tuple(chain)} from {tuple(p)} to {tuple(q)}: "
@@ -560,20 +563,3 @@ def point_along(g: Geodesic, s: float) -> tuple:
 
 def midpoint(cx: CubicalComplex, p, q) -> tuple:
     return point_along(geodesic(cx, p, q), 0.5)
-
-
-def initial_direction(cx: CubicalComplex, x, a):
-    """First breakpoint of the geodesic from ``x`` to ``a`` and the minimal
-    cell containing the initial segment.  Returns ``(x_a, cell_id)``."""
-    x_loc = cx.locate(x)
-    a_loc = cx.locate(a)
-    g = geodesic(cx, x_loc, a_loc)
-    if g.length <= 1e-12:
-        raise GeodesicError("initial direction undefined for coincident points")
-    x_a = g.breakpoints[1]
-    xa_loc = cx.locate(x_a)
-    shared = set(x_loc.containing) & set(xa_loc.containing)
-    if not shared:
-        raise GeodesicError("geodesic segment escapes every cell; complex is inconsistent")
-    best = min(shared, key=lambda cid: (cx.cell(cid).dim, cid))
-    return x_a, best

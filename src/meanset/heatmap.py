@@ -10,14 +10,13 @@ is serial unless ``MEANSET_THREADS`` asks for a thread pool.
 from __future__ import annotations
 
 import io
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .recognition import PointSetA, check_tolerance, mean_deficit
+from .recognition import PointSetA, check_count, check_tolerance, mean_deficit
 
 __all__ = ["HeatMapSample", "run_heatmap", "segment_probes", "to_csv", "worker_count"]
 
@@ -57,12 +56,7 @@ def run_heatmap(A: PointSetA, samples: int, seed: int, eps: float,
                 threads: int = None) -> list:
     """Draw ``samples`` deficit evaluations; deterministic in ``seed``.
     At most one worker thread runs per sample."""
-    try:
-        samples = operator.index(samples)
-    except TypeError:
-        raise ValueError(f"the sample count must be an integer, got {samples!r}") from None
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    samples = check_count(samples, "the sample count", 1)
     check_tolerance(eps)
     # explicit uniform probabilities: ``rng.choice`` draws a different
     # stream with ``p`` than without, and the samples depend on that stream
@@ -83,6 +77,7 @@ def segment_probes(A: PointSetA, p, q, count: int, eps: float) -> list:
     boundary-aware deficit path; the straight segment must stay inside the
     complex.
     """
+    count = check_count(count, "count")
     check_tolerance(eps)
     cx = A.cx
     p = np.asarray(p, dtype=float)

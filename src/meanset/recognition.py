@@ -15,6 +15,7 @@ their checks; the decision itself is the per-cell conic solve of
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,18 @@ def check_tolerance(tol, positive: bool = False) -> None:
     if not (math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)):
         kind = "positive" if positive else "nonnegative"
         raise ValueError(f"tolerance must be finite and {kind}, got {tol!r}")
+
+
+def check_count(count, name: str, least: int = 0) -> int:
+    """``count`` as an ``int``; ``ValueError`` naming it unless it is an
+    integer of at least ``least`` (a float such as 2.0 or NaN is not)."""
+    try:
+        n = operator.index(count)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {count!r}")
+    return n
 
 
 class PointSetA:
@@ -307,8 +320,7 @@ def verify_certificate(A: PointSetA, xbar, cert, samples: int = 500,
     strictly closer to every set point.
     """
     check_tolerance(tol)
-    if samples < 0:
-        raise ValueError(f"sample count must be nonnegative, got {samples!r}")
+    samples = check_count(samples, "samples")
     cx = A.cx
     loc = cx.locate(xbar)
     failures = []

@@ -3,9 +3,12 @@
 At a point in the relative interior of a maximal cell the mean deficit is
 the Euclidean distance from the point to the hull of the straightened set
 points.  Here that distance is rebuilt from ``geodesic`` and
-``point_along`` alone and solved with scipy's NNLS.  The shortest broken
-line through a chain of gates, which ``meanset.geodesics`` solves by
-Newton's method, is solved here by scipy's SLSQP; one Newton step of that
+``point_along`` alone and solved with scipy's NNLS.  The face through
+which a geodesic leaves a cell, which ``meanset.boundary`` reads off as a
+sign pattern, is found here from the cells that hold the geodesic's first
+segment.  The shortest broken line through a chain of gates, which
+``meanset.geodesics`` solves by Newton's method, is solved here by scipy's
+SLSQP; one Newton step of that
 solver and its certified gap are checked against the dense array forms
 they replaced.  A cell's conic problem,
 the distance from the hull of its model sets to a sign cone, which
@@ -63,6 +66,17 @@ def agrees_with_straightened(A, x, tol: float = 1e-7) -> tuple:
     decision = recognize(A, x).decision
     ok = decision == ("member" if want <= 1e-8 else "non-member") and abs(got - want) <= tol
     return ok, want, got, decision
+
+
+def exit_normal_cone(cx, x, cell_id, a):
+    """Normal cone at ``x`` of the face of cell ``cell_id`` through which the
+    geodesic from ``x`` to ``a`` leaves it: the common face of that cell and
+    the smallest cell (first in id order on ties) holding both ``x`` and the
+    geodesic's first breakpoint."""
+    x_a = geodesic(cx, x, a).breakpoints[1]
+    shared = set(cx.locate(x).containing) & set(cx.locate(x_a).containing)
+    via = min(shared, key=lambda cid: (cx.cell(cid).dim, cid))
+    return cx.normal_cone(cx.face_between(cell_id, via).ident, x)
 
 
 def chain_oracle(p, q, gates) -> float:

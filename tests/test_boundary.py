@@ -12,6 +12,7 @@ from meanset import (
     boundary,
     complex_from_dict,
     general_deficit,
+    geodesics,
     load_bundled,
     mean_deficit,
     recognize,
@@ -24,6 +25,7 @@ from meanset.convex import ConeBall, FeasibilityResult, Singleton
 from meanset.corpus import BUNDLED
 from oracles import (
     agrees_with_straightened,
+    exit_normal_cone,
     hull_to_cone_nnls,
     hull_to_cone_slsqp,
     polytope_points,
@@ -119,6 +121,27 @@ def test_relint_model_is_the_exact_singleton(bundles):
     rng = np.random.default_rng(5)
     for d in rng.normal(size=(50, 2)):
         assert model.subdiff.support(d) == pytest.approx(degenerate.support(d), abs=1e-12)
+
+
+def test_exit_cones_match_gate_oracle(bundles):
+    """Every cone-ball model at 600 snapped points of each corpus carries
+    exactly the normal cone of ``oracles.exit_normal_cone``, the face found
+    from the cells that hold the geodesic's first segment."""
+    rng = np.random.default_rng(5)
+    balls = 0
+    for name in BUNDLED:
+        cx, A = bundles[name]
+        for _ in range(600):
+            loc = cx.locate(_snapped_point(cx, rng))
+            if A.label_of(loc) is not None:
+                continue
+            for cid in cx.maximal_cells_containing(loc):
+                for m in build_models(A, loc, cid):
+                    if isinstance(m.subdiff, ConeBall):
+                        want = exit_normal_cone(cx, loc.coords, cid, A.points[m.label])
+                        assert m.subdiff.cone == want, (name, loc.coords, cid, m.label)
+                        balls += 1
+    assert balls >= 4000
 
 
 def test_directional_derivative_outside_tangent_is_inf(bundles):
@@ -226,6 +249,26 @@ def test_recognize_general_squares5_vertex_shared_by_all_cells(bundles):
     assert min(w.values()) >= -1e-12
     rep = verify_certificate(A, (0.0, 0.0, 0.0), r.certificate, samples=150)
     assert rep.ok, rep.failures
+
+
+@pytest.mark.parametrize("name, x, calls", [("squares3", (0.5, 0.0), 6),
+                                             ("squares5", (0.0, 0.0, 0.0), 30)])
+def test_probe_geodesic_calls_are_pinned(monkeypatch, name, x, calls):
+    """``recognize`` then ``mean_deficit`` at the benchmark's two probe
+    points, a member on an edge and one at a vertex, on a fresh complex
+    read exactly this many geodesics, cache hits included."""
+    _, A = load_bundled(name)
+    seen = []
+    solve = geodesics.geodesic
+
+    def counted(*args):
+        seen.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(geodesics, "geodesic", counted)
+    assert recognize(A, x).decision == "member"
+    assert mean_deficit(A, x).value <= 1e-8
+    assert len(seen) == calls
 
 
 def test_recognize_general_witness_is_strict(bundles):

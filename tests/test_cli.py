@@ -142,6 +142,18 @@ def test_heatmap_segment_and_out(capsys, tmp_path):
         assert row[4] == "1"
 
 
+def test_heatmap_rejects_negative_segment_count(capsys, tmp_path):
+    """``--segment P Q -1`` exits 1 naming the count and writes no file."""
+    out_path = tmp_path / "probe.csv"
+    code, out, err = run(capsys, "heatmap", "--complex", "squares3",
+                         "--set", "squares3", "--samples", "2", "--seed", "0",
+                         "--segment", "[0.1,0.1]", "[0.9,0.1]", "-1",
+                         "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert "count must be an integer of at least 0, got -1" in err
+    assert not out_path.exists()
+
+
 def test_bad_point_is_reported(capsys):
     code, _, err = run(capsys, "distance", "--complex", "tripod",
                        "--from", "oops", "--to", "[0,0]")
@@ -179,11 +191,15 @@ def test_heatmap_rejects_bad_threshold(eps):
 
 
 def test_heatmap_rejects_non_integer_counts(monkeypatch):
-    """A sample count or ``MEANSET_THREADS`` that is not an integer is a
-    ValueError naming what is wrong."""
+    """A sample count, a probe count or ``MEANSET_THREADS`` that is not an
+    integer, or a negative probe count, is a ValueError naming what is
+    wrong."""
     _, A = load_bundled("squares3")
     with pytest.raises(ValueError, match="sample count must be an integer"):
         run_heatmap(A, 2.5, 1, 0.1)
+    for count in (2.5, -1):
+        with pytest.raises(ValueError, match="count must be an integer of at least 0"):
+            segment_probes(A, (0.0, 0.0), (1.0, 0.0), count, 0.1)
     monkeypatch.setenv("MEANSET_THREADS", "abc")
     with pytest.raises(ValueError, match="MEANSET_THREADS must be an integer, got 'abc'"):
         heatmap.worker_count()

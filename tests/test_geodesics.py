@@ -90,8 +90,9 @@ BENT = ((-0.5, 1.5), (1.5, -0.5))   # bends at the window corner of quadrant_win
 def test_chain_length_finds_its_own_gates():
     """Given only the cells of a bent geodesic, ``chain_length`` finds the
     gates between them and returns the geodesic's length and breakpoints;
-    two consecutive cells that share no face raise, as do an empty chain
-    and one whose first cell does not hold p or whose last does not hold q."""
+    two consecutive cells that share no face raise, as do an empty chain,
+    one naming a cell the complex lacks, and one whose first cell does not
+    hold p or whose last does not hold q."""
     cx, _ = load_bundled("quadrant_window")
     g = geodesic(cx, *BENT)
     assert len(g.cells) >= 3
@@ -104,6 +105,8 @@ def test_chain_length_finds_its_own_gates():
         geodesics.chain_length(cx, *BENT, (first, last))
     with pytest.raises(GeodesicError, match="empty chain"):
         geodesics.chain_length(cx, *BENT, ())
+    with pytest.raises(GeodesicError, match=r"\('c999',\).*unknown cell 'c999'"):
+        geodesics.chain_length(cx, (0.5, -0.5), (-0.5, 0.5), ["c999"])
     # square c002 holds neither (0.5, -0.5) nor (-0.5, 0.5)
     with pytest.raises(GeodesicError, match=r"\('c002',\).*c002 does not hold \(0\.5, -0\.5\)"):
         geodesics.chain_length(cx, (0.5, -0.5), (-0.5, 0.5), ["c002"])

@@ -186,10 +186,13 @@ def test_verify_rejects_bad_tolerance(bundles, tol):
 
 
 def test_verify_rejects_negative_samples(bundles):
+    """A sample count that is negative or not an integer is a ValueError
+    naming ``samples``."""
     cx, A = bundles["squares3"]
     cert = recognize(A, (0.5, 0.0)).certificate
-    with pytest.raises(ValueError):
-        verify_certificate(A, (0.5, 0.0), cert, samples=-3)
+    for samples in (-3, 2.5, math.nan):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            verify_certificate(A, (0.5, 0.0), cert, samples=samples)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
