@@ -23,6 +23,7 @@ from the query to the hull of the straightened set points, solved exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ def build_model(A: PointSetA, loc: LocatedPoint, cell_id: str, label: str,
     g = geodesics.geodesic(cx, loc, A.points[label])
     if g.length <= 1e-12:
         raise CertificateError("derivative model undefined at a set point")
-    tangent = _tangent if _tangent is not None else cx.tangent_cone(cell_id, loc.coords)
+    tangent = _tangent if _tangent is not None else cx.tangent_cone(cell_id, loc)
     x_a = g.breakpoints[1]
     toward = [ai - xi for xi, ai in zip(loc.coords, x_a)]
     r = math.hypot(*toward)
@@ -103,7 +104,7 @@ def build_model(A: PointSetA, loc: LocatedPoint, cell_id: str, label: str,
 
 
 def build_models(A: PointSetA, loc: LocatedPoint, cell_id: str) -> list:
-    tangent = A.cx.tangent_cone(cell_id, loc.coords)
+    tangent = A.cx.tangent_cone(cell_id, loc)
     return [build_model(A, loc, cell_id, lbl, _tangent=tangent) for lbl in A.labels]
 
 
@@ -162,12 +163,12 @@ def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
         return PCOutcome(cell_id, True, res.residual, res.weights)
 
     rho = res.residual
-    u = models[0].tangent.project(np.asarray(res.cone_point) - np.asarray(res.point))
-    nu = math.sqrt(float(u @ u))
+    u = models[0].tangent.clamp(map(operator.sub, res.cone_point.tolist(), res.point.tolist()))
+    nu = math.sqrt(sum(ui * ui for ui in u))
     if nu <= 1e-15:
         raise CertificateError(f"degenerate descent direction at {loc.coords} "
                                f"in cell {cell_id}; residual {rho:g}")
-    u = (u / nu).tolist()
+    u = [ui / nu for ui in u]
     margin = max(m.distance * directional_derivative(m, u) for m in models)
     if not margin <= -0.5 * rho:
         raise CertificateError(
@@ -182,18 +183,16 @@ def _witness_from_direction(A: PointSetA, loc: LocatedPoint, cell_id: str,
                             step) -> NonMembershipCertificate:
     """The first of ``x + step / 2^k`` in the cell strictly closer to every set point."""
     cx = A.cx
-    x = np.asarray(loc.coords, dtype=float)
-    step = np.asarray(step, dtype=float)
     d_ref = A.distances_from(loc)
     cell = cx.cell(cell_id)
     for _ in range(60):
-        cand = x + step
+        cand = tuple(map(operator.add, loc.coords, step))
         if cell.contains(cand):
-            d_cand = A.distances_from(tuple(cand))
+            d_cand = A.distances_from(cand)
             margins = {l: d_ref[l] - d_cand[l] for l in A.labels}
             if min(margins.values()) > 0.0:
-                return NonMembershipCertificate(tuple(cx.snap(cand)), margins)
-        step = 0.5 * step
+                return NonMembershipCertificate(cx.snap(cand), margins)
+        step = [0.5 * s for s in step]
     raise CertificateError(
         f"failed to realise a strictly-closer witness at {loc.coords} from cell {cell_id}"
     )
@@ -231,8 +230,9 @@ def _solve_cells(A: PointSetA, xbar, tol: float):
                 [_scaled_problem(models[cid]) for cid in cells], tol=tol)
         except ConvergenceError:
             return loc, DeficitReport(worst.residual, per_cell), worst
-    v = np.clip(v, 0.0, None)
-    weights = {l: float(w) for l, w in zip(A.labels, v / v.sum())}
+    v = [w if w > 0.0 else 0.0 for w in v.tolist()]
+    total = sum(v)
+    weights = {l: w / total for l, w in zip(A.labels, v)}
     return loc, DeficitReport(worst.residual, per_cell, weights=weights), worst
 
 
@@ -252,7 +252,7 @@ def decide(A: PointSetA, xbar, tol: float = 1e-8):
                 f"per-cell problems at {loc.coords} are feasible in cells "
                 f"{sorted(report.per_cell)} but no shared weights found")
         return report, MembershipCertificate(report.weights, report.value)
-    step = report.value * np.asarray(report.direction)
+    step = [report.value * d for d in report.direction]
     return report, _witness_from_direction(A, loc, worst.cell, step)
 
 
@@ -285,9 +285,8 @@ def conic_residual(A: PointSetA, xbar, cell_id: str, weights: dict) -> float:
     if not live:
         # all weight sits on coincident set points; stationarity is vacuous
         return 0.0
-    tangent = cx.tangent_cone(cell_id, loc.coords)
+    tangent = cx.tangent_cone(cell_id, loc)
     models = [build_model(A, loc, cell_id, l, _tangent=tangent) for l, _ in live]
-    v = np.array([vi for _, vi in live])
-    v = v / v.sum()
-    combined = WeightedSum(tuple(m.subdiff for m in models), tuple(v))
+    total = sum(vi for _, vi in live)
+    combined = WeightedSum(tuple(m.subdiff for m in models), tuple(vi / total for _, vi in live))
     return feasibility_min_norm([combined], tangent.polar().negate()).residual

@@ -328,8 +328,10 @@ class CubicalComplex:
     # -- cones ---------------------------------------------------------------
 
     def tangent_cone(self, cell_id: str, point) -> SignCone:
+        """The tangent cone of a cell at a point of it; a ``LocatedPoint`` is
+        taken as already snapped."""
         cell = self._by_id[cell_id]
-        p = self.snap(point)
+        p = point.coords if isinstance(point, LocatedPoint) else self.snap(point)
         if not cell.contains(p):
             raise LocationError(f"point {list(p)} is not in cell {cell_id}")
         signs = []

@@ -21,6 +21,16 @@ machinery.  The public pieces are:
   exactly in finitely many rounds.
 * :func:`shared_certificate_weights` -- a single weight vector feasible
   for several conic problems at once, as one stacked feasibility solve.
+
+The solves run on lists and tuples of Python floats: on problems this
+small each numpy call costs more than the arithmetic it does.  That covers
+the Wolfe iterations and their KKT solves, the reduction of a hull-to-cone
+problem, the Frank-Wolfe rounds and the sets' support and anchor points,
+which are tuples.  numpy remains in two places: the least-squares
+fallback for a singular KKT system, and the arrays of the result objects,
+each made once as a solve returns.  The public entries raise
+``ValueError`` naming the argument on empty, non-finite or
+mismatched-dimension input.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,19 +111,16 @@ class SignCone:
                 return False
         return True
 
+    def clamp(self, v) -> list:
+        """Euclidean projection, a per-coordinate clamp, as a list of floats."""
+        return [0.0 if s == ZERO or (s == NONNEG and vi < 0.0) or (s == NONPOS and vi > 0.0)
+                else float(vi) for s, vi in zip(self.signs, v)]
+
     def project(self, v) -> np.ndarray:
         """Euclidean projection, a per-coordinate clamp."""
-        out = np.array(v, dtype=float)
-        for i, s in enumerate(self.signs):
-            if s == ZERO:
-                out[i] = 0.0
-            elif s == NONNEG:
-                if out[i] < 0.0:
-                    out[i] = 0.0
-            elif s == NONPOS:
-                if out[i] > 0.0:
-                    out[i] = 0.0
-        return out
+        if len(v) != self.dim:
+            raise ValueError(f"v has dimension {len(v)}, the cone {self.dim}")
+        return np.array(self.clamp(v))
 
     def polar(self) -> "SignCone":
         return SignCone(tuple(_POLAR[s] for s in self.signs))
@@ -136,32 +144,79 @@ class MinNormResult:
 _WOLFE_TOL = 1e-12
 
 
-def _affine_min_norm(Q: np.ndarray, e=None) -> np.ndarray:
-    """Minimiser weights over the affine span of the rows of ``Q`` (may be
-    negative).  With ``e`` (1 for a point row, 0 for a ray row) only the
-    point weights must sum to one, so ray rows span linear directions."""
-    k = Q.shape[0]
-    if k == 1:
-        return np.ones(1)
-    G = Q @ Q.T
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = G
-    kkt[:k, k] = kkt[k, :k] = 1.0 if e is None else e
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
+def _dot(a, b) -> float:
+    return sum(map(operator.mul, a, b), 0.0)
+
+
+def _combine(w, rows) -> list:
+    """``sum_c w_c rows_c``, one coordinate at a time."""
+    return [sum(map(operator.mul, w, col)) for col in zip(*rows)]
+
+
+def _float_rows(rows, name: str, n: int = None) -> list:
+    """``rows`` as tuples of floats, each of length ``n`` (the first row's
+    when None) and finite; a flat sequence of numbers is one row."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     try:
-        sol = np.linalg.solve(kkt, rhs)
-        v = sol[:k]
-        s = v.sum() if e is None else v @ e
-        bad = not np.isfinite(sol).all() or abs(s - 1.0) > 1e-6
-    except np.linalg.LinAlgError:
-        bad = True
-    if bad:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        v = sol[:k]
-        s = v.sum() if e is None else v @ e
+        rows = [tuple(map(float, r)) for r in rows]
+    except TypeError:
+        rows = [tuple(map(float, rows))]
+    for r in rows:
+        if n is None:
+            n = len(r)
+        if len(r) != n:
+            raise ValueError(f"{name} must have dimension {n}, got {list(r)}")
+        if not all(map(math.isfinite, r)):
+            raise ValueError(f"{name} must be finite, got {list(r)}")
+    return rows
+
+
+def _solve(A, b) -> list:
+    """``x`` with ``A x = b`` by Gaussian elimination with partial pivoting,
+    or None when a pivot is exactly zero."""
+    n = len(A)
+    M = [row + [bi] for row, bi in zip(A, b)]
+    for c in range(n):
+        p = c
+        for r in range(c + 1, n):
+            if abs(M[r][c]) > abs(M[p][c]):
+                p = r
+        piv = M[p][c]
+        if piv == 0.0:
+            return None
+        M[c], M[p] = M[p], M[c]
+        for row in M[c + 1:]:
+            f = row[c] / piv
+            if f != 0.0:
+                for j in range(c + 1, n + 1):
+                    row[j] -= f * M[c][j]
+    x = [0.0] * n
+    for c in range(n - 1, -1, -1):
+        x[c] = (M[c][n] - _dot(M[c][c + 1:n], x[c + 1:])) / M[c][c]
+    return x
+
+
+def _affine_min_norm(Q, e) -> list:
+    """Minimiser weights over the affine span of the rows of ``Q`` (may be
+    negative).  ``e`` is 1 for a point row and 0 for a ray row: only the
+    point weights must sum to one, so ray rows span linear directions.
+
+    The (k+1)x(k+1) KKT system is solved by elimination on floats; when it
+    is singular, or its weights miss the sum-to-one constraint, numpy's
+    least squares solves it instead."""
+    k = len(Q)
+    if k == 1:
+        return [1.0]
+    kkt = [[_dot(qi, qj) for qj in Q] + [ei] for qi, ei in zip(Q, e)] + [e + [0.0]]
+    rhs = [0.0] * k + [1.0]
+    sol = _solve(kkt, rhs)
+    if sol is None or not all(map(math.isfinite, sol)) or abs(_dot(sol[:k], e) - 1.0) > 1e-6:
+        sol = np.linalg.lstsq(np.array(kkt), np.array(rhs), rcond=None)[0].tolist()
+    v = sol[:k]
+    s = _dot(v, e)
     if abs(s - 1.0) > 1e-12 and abs(s) > 1e-12:
-        v = v / s
+        v = [vi / s for vi in v]
     return v
 
 
@@ -174,69 +229,70 @@ def min_norm_point(points, anchor=None, rays=None) -> MinNormResult:
     largest squared norm of the anchored points.  Returns the optimal
     point, convex weights over the input points, and the final variational
     gap ``max_a <x-anchor, (x-anchor) - (q_a-anchor)>`` over those atoms,
-    which is nonpositive-up-to-tolerance at the optimum.
+    which is nonpositive-up-to-tolerance at the optimum.  Raises
+    ``ValueError`` on no points, on a non-finite coordinate, or on rows
+    of differing dimensions.
     """
-    P = np.asarray(points, dtype=float)
-    if P.ndim == 1:
-        P = P[None, :]
-    m = P.shape[0]
-    if anchor is None:
-        Q = P.copy()
-        anchor_arr = np.zeros(P.shape[1])
-    else:
-        anchor_arr = np.asarray(anchor, dtype=float)
-        Q = P - anchor_arr
-    sq = np.einsum("ij,ij->i", Q, Q)
-    scale = max(1.0, float(sq.max(initial=0.0)))
+    P = _float_rows(points, "points")
+    if not P:
+        raise ValueError("points must hold at least one point")
+    m, n = len(P), len(P[0])
+    a = None
+    if anchor is not None:
+        (a,) = _float_rows([anchor], "anchor", n)
+        P = [tuple(map(operator.sub, p, a)) for p in P]
+    sq = [_dot(q, q) for q in P]
+    scale = max(1.0, max(sq))
     root = math.sqrt(scale)
-    e = None  # 1 for a point, 0 for a ray
-    if rays is not None:
-        Q = np.vstack([Q, rays])
-        e = np.arange(Q.shape[0]) < m
+    Q = P
+    if rays is not None and len(rays):
+        Q = P + _float_rows(rays, "rays", n)
+    e = [1.0] * m + [0.0] * (len(Q) - m)  # 1 for a point, 0 for a ray
 
-    corral = [int(sq.argmin())]
-    w = np.ones(1)
-    x = Q[corral[0]].copy()
-    budget = 64 * Q.shape[0] + 256
+    corral = [sq.index(min(sq))]
+    w = [1.0]
+    x = list(Q[corral[0]])
+    budget = 64 * len(Q) + 256
     while True:
-        dots = Q @ x
-        xx = float(x @ x)
-        if e is not None:
-            dots[m:] = xx + root * dots[m:]  # <x, x + root * r> for a ray r
-        j = int(dots.argmin())
-        gap = xx - float(dots[j])
+        xx = _dot(x, x)
+        dots = [_dot(q, x) for q in Q]
+        dots[m:] = [xx + root * d for d in dots[m:]]  # <x, x + root * r> for a ray r
+        best = min(dots)
+        j = dots.index(best)
+        gap = xx - best
         if gap <= _WOLFE_TOL * scale or j in corral or budget == 0:
             break  # optimal, numerically stuck, or out of iterations
         budget -= 1
         corral.append(j)
-        v = _affine_min_norm(Q[corral], None if e is None else e[corral])
+        v = _affine_min_norm([Q[c] for c in corral], [e[c] for c in corral])
         if v[-1] <= 0.0:
             # an improving atom enters with positive weight unless rounding
             # dominates; then no step can make progress
             corral.pop()
             break
-        w = np.append(w, 0.0)
-        while (v <= 1e-12).any():
+        w.append(0.0)
+        while min(v) <= 1e-12:
             # step from w toward v until the first weight hits zero
             theta = 1.0
-            for i in range(len(corral)):
-                if v[i] <= 1e-12 and w[i] > v[i]:
-                    theta = min(theta, w[i] / (w[i] - v[i]))
-            w = (1.0 - theta) * w + theta * v
-            w[w < 1e-13] = 0.0
-            keep = w > 0.0
-            corral = [c for c, k in zip(corral, keep) if k]
-            w = w[keep]
-            w = w / (w.sum() if e is None else w @ e[corral])
-            v = _affine_min_norm(Q[corral], None if e is None else e[corral])
+            for wi, vi in zip(w, v):
+                if vi <= 1e-12 and wi > vi:
+                    theta = min(theta, wi / (wi - vi))
+            w = [(1.0 - theta) * wi + theta * vi for wi, vi in zip(w, v)]
+            corral = [c for c, wi in zip(corral, w) if wi >= 1e-13]
+            w = [wi for wi in w if wi >= 1e-13]
+            s = _dot(w, [e[c] for c in corral])
+            w = [wi / s for wi in w]
+            v = _affine_min_norm([Q[c] for c in corral], [e[c] for c in corral])
         w = v
-        x = w @ Q[corral]
+        x = _combine(w, [Q[c] for c in corral])
 
-    weights = np.zeros(m)
+    weights = [0.0] * m
     for c, wi in zip(corral, w):
         if c < m:
             weights[c] += wi
-    return MinNormResult(point=x + anchor_arr, weights=weights, gap=gap)
+    if a is not None:
+        x = [xi + ai for xi, ai in zip(x, a)]
+    return MinNormResult(point=np.array(x), weights=np.array(weights), gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +339,15 @@ def box_segment_min(a, b, lo, hi):
     closed form.  The objective is convex, so the best candidate that lies
     in its face is the minimum; no iterative solver is involved.  The work
     is on Python floats: numpy calls cost more than the arithmetic on
-    boxes of a few axes.
+    boxes of a few axes.  Raises ``ValueError`` when the four arguments
+    differ in dimension.
     """
     a, b = [*map(float, a)], [*map(float, b)]
     lo, hi = [*map(float, lo)], [*map(float, hi)]
     n = len(a)
+    if len(b) != n or len(lo) != n or len(hi) != n:
+        name, v = next((k, v) for k, v in (("b", b), ("lo", lo), ("hi", hi)) if len(v) != n)
+        raise ValueError(f"{name} has dimension {len(v)}, a has {n}")
     d = [bi - ai for ai, bi in zip(a, b)]
 
     # fast path: clip the segment against the box slabs
@@ -372,23 +432,26 @@ def _box_faces(k: int) -> tuple:
 
 @dataclass(frozen=True)
 class Singleton:
-    """A one-point set ``{scale * g}`` with ``|g| <= 1``."""
+    """A one-point set ``{scale * g}`` with ``|g| <= 1``.  Its support and
+    anchor points are tuples of floats."""
 
     g: tuple
     scale: float = 1.0
 
     def __post_init__(self):
-        if math.hypot(*self.g) > 1.0 + 1e-7:
-            raise ValueError("singleton derivative model must lie in the unit ball")
+        if not math.hypot(*self.g) <= 1.0 + 1e-7:
+            raise ValueError(f"g must be finite and in the unit ball, got {self.g}")
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale!r}")
 
     def support(self, d) -> float:
         return self.scale * sum(gi * di for gi, di in zip(self.g, d))
 
-    def support_point(self, d) -> np.ndarray:
-        return self.scale * np.asarray(self.g, dtype=float)
+    def support_point(self, d) -> tuple:
+        return self.anchor_point()
 
-    def anchor_point(self) -> np.ndarray:
-        return self.scale * np.asarray(self.g, dtype=float)
+    def anchor_point(self) -> tuple:
+        return tuple(self.scale * gi for gi in self.g)
 
     def scaled(self, c: float) -> "Singleton":
         return Singleton(self.g, self.scale * c)
@@ -401,6 +464,7 @@ class ConeBall:
     Support maximisation is exact: enumerate which sign-constrained
     coordinates of ``n`` are pinned to zero, solve the remaining ball
     restriction in closed form, and keep the best sign-feasible candidate.
+    Support and anchor points are tuples of floats.
     """
 
     u: tuple
@@ -408,34 +472,36 @@ class ConeBall:
     scale: float = 1.0
 
     def __post_init__(self):
-        nu = np.linalg.norm(self.u)
-        if abs(nu - 1.0) > 1e-7:
-            raise ValueError("cone-ball offset must be a unit vector")
+        if not abs(math.hypot(*self.u) - 1.0) <= 1e-7:
+            raise ValueError(f"u must be a finite unit vector, got {self.u}")
+        if len(self.u) != self.cone.dim:
+            raise ValueError(f"u has dimension {len(self.u)}, the cone {self.cone.dim}")
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale!r}")
 
-    def _argmax_shift(self, d: np.ndarray) -> np.ndarray:
+    def _argmax_shift(self, d) -> list:
         """Maximise ``<d, n>`` over ``n in N`` with ``|n - u| <= 1``."""
-        u = np.asarray(self.u, dtype=float)
+        u = self.u
         signs = self.cone.signs
         n_dim = len(signs)
         signed = [i for i in range(n_dim) if signs[i] in (NONNEG, NONPOS)]
         free = [i for i in range(n_dim) if signs[i] == FREE]
         best_val = 0.0
-        best_n = np.zeros(n_dim)  # n = 0 is always feasible: |0 - u| = 1
+        best_n = [0.0] * n_dim  # n = 0 is always feasible: |0 - u| = 1
         for mask in range(1 << len(signed)):
             # the signed axes in the mask are pinned to 0, as the ZERO ones are
             live = [i for k, i in enumerate(signed) if not mask >> k & 1] + free
             # |u| = 1, so the ball's radius on the live axes is the norm of
             # u there; 1 - (the rest) would lose half the digits near 0
             rad = math.sqrt(sum(u[i] * u[i] for i in live))
-            dl = np.array([d[i] for i in live])
-            nd = float(np.linalg.norm(dl))
+            nd = math.sqrt(sum(d[i] * d[i] for i in live))
             if nd <= 1e-15:
                 continue
-            cand = np.zeros(n_dim)
+            cand = [0.0] * n_dim
             ok = True
             val = 0.0
-            for k, i in enumerate(live):
-                ni = u[i] + rad * dl[k] / nd
+            for i in live:
+                ni = u[i] + rad * d[i] / nd
                 if signs[i] == NONNEG and ni < -1e-12:
                     ok = False
                     break
@@ -449,17 +515,15 @@ class ConeBall:
                 best_n = cand
         return best_n
 
-    def support_point(self, d) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
+    def support_point(self, d) -> tuple:
         n = self._argmax_shift(d)
-        return self.scale * (n - np.asarray(self.u, dtype=float))
+        return tuple(self.scale * (ni - ui) for ni, ui in zip(n, self.u))
 
     def support(self, d) -> float:
-        d = np.asarray(d, dtype=float)
-        return float(np.dot(d, self.support_point(d)))
+        return float(_dot(d, self.support_point(d)))
 
-    def anchor_point(self) -> np.ndarray:
-        return -self.scale * np.asarray(self.u, dtype=float)
+    def anchor_point(self) -> tuple:
+        return tuple(-self.scale * ui for ui in self.u)
 
     def scaled(self, c: float) -> "ConeBall":
         return ConeBall(self.u, self.cone, self.scale * c)
@@ -479,15 +543,13 @@ class ProductSet:
     blocks: tuple
     block_dim: int
 
-    def support_point(self, d) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
+    def support_point(self, d) -> tuple:
         n = self.block_dim
-        return np.concatenate([
-            blk.support_point(d[i * n:(i + 1) * n]) for i, blk in enumerate(self.blocks)
-        ])
+        return tuple(itertools.chain.from_iterable(
+            blk.support_point(d[i * n:(i + 1) * n]) for i, blk in enumerate(self.blocks)))
 
-    def anchor_point(self) -> np.ndarray:
-        return np.concatenate([blk.anchor_point() for blk in self.blocks])
+    def anchor_point(self) -> tuple:
+        return tuple(itertools.chain.from_iterable(blk.anchor_point() for blk in self.blocks))
 
 
 @dataclass(frozen=True)
@@ -500,16 +562,20 @@ class WeightedSum:
     weights: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.sets),) or w.min(initial=0.0) < -1e-12:
-            raise ValueError("weights must be a nonnegative vector, one per set")
+        if len(self.weights) != len(self.sets) or not all(
+                math.isfinite(w) and w >= -1e-12 for w in self.weights):
+            raise ValueError("weights must be a finite nonnegative vector, one per set")
 
-    def support_point(self, d) -> np.ndarray:
-        return sum((w * s.support_point(d) for s, w in zip(self.sets, self.weights)
-                    if w > 1e-15), np.zeros(len(d)))
+    def support_point(self, d) -> tuple:
+        out = [0.0] * len(d)
+        for s, w in zip(self.sets, self.weights):
+            if w > 1e-15:
+                out = [o + w * p for o, p in zip(out, s.support_point(d))]
+        return tuple(out)
 
-    def anchor_point(self) -> np.ndarray:
-        return np.sum([w * s.anchor_point() for s, w in zip(self.sets, self.weights)], axis=0)
+    def anchor_point(self) -> tuple:
+        return tuple(map(sum, zip(*([w * p for p in s.anchor_point()]
+                                    for s, w in zip(self.sets, self.weights)))))
 
 
 @dataclass(frozen=True)
@@ -529,20 +595,19 @@ _MAX_ROUNDS = 1000
 
 @functools.lru_cache(maxsize=None)
 def _cone_rays(signs: tuple) -> tuple:
-    """The constrained coordinates of a sign cone (a full slice when none is
-    free), and one ray per signed one (``-e_i`` for ``nonneg``, ``+e_i``
-    for ``nonpos``) in those coordinates, or None when no coordinate is
+    """The constrained coordinates of a sign cone (None when none is free),
+    and one ray per signed one (``-e_i`` for ``nonneg``, ``+e_i`` for
+    ``nonpos``) in those coordinates, or None when no coordinate is
     signed."""
     keep = [i for i, s in enumerate(signs) if s != FREE]
-    eye = np.eye(len(keep))
-    rays = [eye[k] * (-1.0 if signs[i] == NONNEG else 1.0)
-            for k, i in enumerate(keep) if signs[i] != ZERO]
-    cols = keep if len(keep) < len(signs) else slice(None)
-    return cols, np.array(rays) if rays else None
+    rays = tuple(tuple((-1.0 if signs[i] == NONNEG else 1.0) if j == k else 0.0
+                       for j in range(len(keep)))
+                 for k, i in enumerate(keep) if signs[i] != ZERO)
+    return (tuple(keep) if len(keep) < len(signs) else None), rays or None
 
 
-def _hull_to_cone(P: np.ndarray, target: SignCone) -> tuple:
-    """Nearest points of ``conv(rows of P)`` and the cone ``target``, exactly.
+def _hull_to_cone(P: list, target: SignCone) -> tuple:
+    """Nearest points of ``conv(P)`` and the cone ``target``, exactly.
 
     ``target`` is cut out coordinate by coordinate, so a hull point's
     distance to it ignores the ``free`` coordinates, and along each signed
@@ -550,13 +615,15 @@ def _hull_to_cone(P: np.ndarray, target: SignCone) -> tuple:
     is therefore the norm of the min-norm point of the reduced hull plus
     the cone of those slides, one Wolfe solve over points and rays.  The
     hull point with those weights is nearest to the cone, and its
-    projection is the nearest cone point.  Returns ``(point, cone_point,
-    weights, gap)``.
+    projection is the nearest cone point.  ``P`` is a list of points;
+    returns ``(point, cone_point, weights, gap)`` as lists and a float.
     """
     keep, rays = _cone_rays(target.signs)
-    res = min_norm_point(P[:, keep], rays=rays)
-    z = res.weights @ P
-    return z, target.project(z), res.weights, res.gap
+    reduced = P if keep is None else [[p[i] for i in keep] for p in P]
+    res = min_norm_point(reduced, rays=rays)
+    lam = res.weights.tolist()
+    z = _combine(lam, P)
+    return z, target.clamp(z), lam, res.gap
 
 
 def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> FeasibilityResult:
@@ -571,47 +638,56 @@ def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> Feasibili
     atoms are the sets' anchor points, so a problem of :class:`Singleton`
     sets alone is solved by that first exact solve, reporting zero
     Frank-Wolfe iterations.  A solve still open after ``_MAX_ROUNDS``
-    rounds reports ``"stalled"``.
+    rounds reports ``"stalled"``.  Raises ``ValueError`` on no sets, on a
+    set whose points do not have the cone's dimension, and on a ``tol``
+    that is not finite and nonnegative.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     m = len(sets)
     if m == 0:
         raise ValueError("need at least one set")
     atoms = [s.anchor_point() for s in sets]
+    for a in atoms:
+        if len(a) != target.dim:
+            raise ValueError(f"sets have points of dimension {len(a)}, the target cone {target.dim}")
     sources = list(range(m))
-    z, mpt, lam, gap = _hull_to_cone(np.array(atoms), target)
+    z, mpt, lam, gap = _hull_to_cone(atoms, target)
     it = 0
     stalled = False
     if not all(isinstance(s, Singleton) for s in sets):
         for it in range(1, _MAX_ROUNDS + 1):
-            g = z - mpt
-            f = float(g @ g)
+            g = list(map(operator.sub, z, mpt))
+            f = _dot(g, g)
             if f <= max(1e-22, 0.25 * tol * tol):
                 gap = 0.0
                 break
+            down = [-gi for gi in g]
             source = None   # the set whose support point minimises <g, .>, first on ties
             for k in range(m):
-                p = sets[k].support_point(-g)
-                val = float(np.dot(g, p))
+                p = sets[k].support_point(down)
+                val = _dot(g, p)
                 if source is None or val < best - 1e-15:
                     best, s, source = val, p, k
-            gap = 2.0 * float(g @ (z - s))
+            gap = 2.0 * _dot(g, map(operator.sub, z, s))
             if gap <= max(1e-18, 1e-13 * f):
                 break
-            keep = lam > 0.0
-            atoms = [a for a, k in zip(atoms, keep) if k] + [s]
-            sources = [c for c, k in zip(sources, keep) if k] + [source]
-            z, mpt, lam, _ = _hull_to_cone(np.array(atoms), target)
-            g = z - mpt
-            if float(g @ g) >= f:
+            atoms = [a for a, w in zip(atoms, lam) if w > 0.0] + [s]
+            sources = [c for c, w in zip(sources, lam) if w > 0.0] + [source]
+            z, mpt, lam, _ = _hull_to_cone(atoms, target)
+            g = list(map(operator.sub, z, mpt))
+            if _dot(g, g) >= f:
                 break  # an exact step that gains nothing has hit the rounding floor
         else:
             stalled = True
 
-    g = z - mpt
-    f = float(g @ g)
+    g = list(map(operator.sub, z, mpt))
+    f = _dot(g, g)
     residual = math.sqrt(f)
     # each atom's weight goes to the set it came from
-    v_out = np.bincount(sources, weights=lam, minlength=m)
+    v_out = [0.0] * m
+    for c, w in zip(sources, lam):
+        v_out[c] += w
 
     if residual <= tol:
         status = "zero"
@@ -621,9 +697,9 @@ def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> Feasibili
         status = "stalled"
     return FeasibilityResult(
         residual=residual,
-        point=z,
-        cone_point=mpt,
-        weights=v_out,
+        point=np.array(z),
+        cone_point=np.array(mpt),
+        weights=np.array(v_out),
         status=status,
         iterations=it,
         gap=gap,
@@ -663,10 +739,12 @@ def shared_certificate_weights(problems, tol: float = 1e-8):
     target = SignCone(tuple(signs))
 
     r = feasibility_min_norm(stacked, target, tol=tol)
+    point = r.point.tolist()
     res = []
     for j, (_, M) in enumerate(problems):
-        zc = r.point[j * n:(j + 1) * n]
-        res.append(float(np.linalg.norm(zc - M.project(zc))))
+        zc = point[j * n:(j + 1) * n]
+        dz = list(map(operator.sub, zc, M.clamp(zc)))
+        res.append(math.sqrt(_dot(dz, dz)))
     if max(res) > tol:
         raise ConvergenceError(
             "no shared weight vector reached tolerance "

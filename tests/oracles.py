@@ -14,7 +14,9 @@ they replaced.  A cell's conic problem,
 the distance from the hull of its model sets to a sign cone, which
 ``meanset.convex`` solves by Wolfe's algorithm and Frank-Wolfe rounds, is
 solved here by NNLS where the hull is a polytope and by SLSQP over the
-sets' cone form where it is curved.  The distance inside a flat polyomino,
+sets' cone form where it is curved, and Wolfe's algorithm itself, which
+``meanset.convex`` runs on Python floats, is kept here in its numpy form.
+The distance inside a flat polyomino,
 which ``meanset.geodesics`` finds by a chain search, is found here on the
 visibility graph of its reflex vertices.
 """
@@ -184,6 +186,101 @@ def array_certified_gap(P, lo, hi) -> tuple:
     val = float(L.sum())
     gap = float(np.maximum(G * (P - lo), G * (P - hi)).sum())
     return min(gap, val - float(np.linalg.norm(P[-1] - P[0]))), val
+
+
+def _array_affine_min_norm(Q: np.ndarray, e=None) -> np.ndarray:
+    """Minimiser weights over the affine span of the rows of ``Q`` (may be
+    negative), by ``numpy.linalg.solve`` on the KKT system with a
+    least-squares fallback.  With ``e`` (1 for a point row, 0 for a ray
+    row) only the point weights must sum to one."""
+    k = Q.shape[0]
+    if k == 1:
+        return np.ones(1)
+    G = Q @ Q.T
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = G
+    kkt[:k, k] = kkt[k, :k] = 1.0 if e is None else e
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+        v = sol[:k]
+        s = v.sum() if e is None else v @ e
+        bad = not np.isfinite(sol).all() or abs(s - 1.0) > 1e-6
+    except np.linalg.LinAlgError:
+        bad = True
+    if bad:
+        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        v = sol[:k]
+        s = v.sum() if e is None else v @ e
+    if abs(s - 1.0) > 1e-12 and abs(s) > 1e-12:
+        v = v / s
+    return v
+
+
+def array_min_norm_point(points, anchor=None, rays=None) -> tuple:
+    """``(point, weights, gap)``: Wolfe's algorithm for the nearest point of
+    ``conv(points) + cone(rays)`` to ``anchor`` on numpy arrays, step for
+    step as ``meanset.convex.min_norm_point`` runs it on floats: the
+    reference that the float version must match."""
+    P = np.asarray(points, dtype=float)
+    if P.ndim == 1:
+        P = P[None, :]
+    m = P.shape[0]
+    if anchor is None:
+        Q = P.copy()
+        anchor_arr = np.zeros(P.shape[1])
+    else:
+        anchor_arr = np.asarray(anchor, dtype=float)
+        Q = P - anchor_arr
+    sq = np.einsum("ij,ij->i", Q, Q)
+    scale = max(1.0, float(sq.max(initial=0.0)))
+    root = math.sqrt(scale)
+    e = None  # 1 for a point, 0 for a ray
+    if rays is not None:
+        Q = np.vstack([Q, rays])
+        e = np.arange(Q.shape[0]) < m
+
+    corral = [int(sq.argmin())]
+    w = np.ones(1)
+    x = Q[corral[0]].copy()
+    budget = 64 * Q.shape[0] + 256
+    while True:
+        dots = Q @ x
+        xx = float(x @ x)
+        if e is not None:
+            dots[m:] = xx + root * dots[m:]  # <x, x + root * r> for a ray r
+        j = int(dots.argmin())
+        gap = xx - float(dots[j])
+        if gap <= 1e-12 * scale or j in corral or budget == 0:
+            break
+        budget -= 1
+        corral.append(j)
+        v = _array_affine_min_norm(Q[corral], None if e is None else e[corral])
+        if v[-1] <= 0.0:
+            corral.pop()
+            break
+        w = np.append(w, 0.0)
+        while (v <= 1e-12).any():
+            theta = 1.0
+            for i in range(len(corral)):
+                if v[i] <= 1e-12 and w[i] > v[i]:
+                    theta = min(theta, w[i] / (w[i] - v[i]))
+            w = (1.0 - theta) * w + theta * v
+            w[w < 1e-13] = 0.0
+            keep = w > 0.0
+            corral = [c for c, k in zip(corral, keep) if k]
+            w = w[keep]
+            w = w / (w.sum() if e is None else w @ e[corral])
+            v = _array_affine_min_norm(Q[corral], None if e is None else e[corral])
+        w = v
+        x = w @ Q[corral]
+
+    weights = np.zeros(m)
+    for c, wi in zip(corral, w):
+        if c < m:
+            weights[c] += wi
+    return x + anchor_arr, weights, gap
 
 
 def _ray_columns(signs) -> list:

@@ -11,6 +11,7 @@ from meanset import (
     PointSetA,
     boundary,
     complex_from_dict,
+    convex,
     general_deficit,
     geodesics,
     load_bundled,
@@ -269,6 +270,28 @@ def test_probe_geodesic_calls_are_pinned(monkeypatch, name, x, calls):
     assert recognize(A, x).decision == "member"
     assert mean_deficit(A, x).value <= 1e-8
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("name, x, iterations", [("squares3", (0.5, 0.0), 0),
+                                                  ("squares5", (0.0, 0.0, 0.0), 12)])
+def test_probe_conic_iterations_are_pinned(monkeypatch, name, x, iterations):
+    """The same two probes run exactly this many Frank-Wolfe rounds in all,
+    the stacked shared-weight solves included: a change to the conic
+    kernel's arithmetic must not change its algorithm."""
+    _, A = load_bundled(name)
+    rounds = []
+    solve = convex.feasibility_min_norm
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        rounds.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(convex, "feasibility_min_norm", counted)
+    monkeypatch.setattr(boundary, "feasibility_min_norm", counted)
+    assert recognize(A, x).decision == "member"
+    assert mean_deficit(A, x).value <= 1e-8
+    assert rounds and sum(rounds) == iterations
 
 
 def test_recognize_general_witness_is_strict(bundles):

@@ -114,6 +114,16 @@ def test_normal_cone_is_polar():
         assert float(t @ n) <= 1e-12
 
 
+def test_cones_take_a_located_point():
+    cx, _ = load_bundled("squares3")
+    loc = cx.locate((0.0, 0.0))
+    cells = cx.maximal_cells_containing(loc)
+    assert len(cells) == 3
+    for cid in cells:
+        assert cx.tangent_cone(cid, loc) == cx.tangent_cone(cid, (0.0, 0.0))
+        assert cx.normal_cone(cid, loc) == cx.normal_cone(cid, (0.0, 0.0))
+
+
 def test_face_between():
     cx, _ = load_bundled("squares3")
     left = next(c.ident for c in cx.cells if c.base == (-1, -1) and len(c.axes) == 2)

@@ -1,5 +1,6 @@
 """Exact convex kernels checked against brute-force and scipy oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,13 +17,14 @@ from meanset.convex import (
     SignCone,
     Singleton,
     WeightedSum,
+    _affine_min_norm,
     box_segment_min,
     feasibility_min_norm,
     min_norm_point,
     segment_span,
     shared_certificate_weights,
 )
-from oracles import hull_to_cone_nnls
+from oracles import array_min_norm_point, hull_to_cone_nnls
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,50 @@ def test_min_norm_point_matches_slsqp_oracle():
         assert r.weights.min() >= -1e-12
         assert r.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(pts.T @ r.weights, r.point, atol=1e-9)
+
+
+def _wolfe_inputs(rng):
+    """Seeded ``(points, anchor, rays)`` for Wolfe's algorithm: k = 1-6
+    points in n = 1-4 dimensions, generic, with duplicates, collinear, or
+    with one point an affine combination of the others, half of them
+    anchored; then the reduced points and rays of every sign pattern of
+    n = 1-4 axes, as ``feasibility_min_norm`` poses them."""
+    for t in range(2400):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        pts = rng.normal(size=(k, n)) * rng.uniform(0.1, 3.0)
+        kind = t % 4
+        if kind == 1 and k > 1:
+            pts[rng.integers(k)] = pts[rng.integers(k)]
+        elif kind == 2:
+            pts = pts[0] + rng.normal(size=(k, 1)) * rng.normal(size=n)
+        elif kind == 3 and k > 1:
+            c = rng.normal(size=k - 1)
+            pts[-1] = (c / c.sum()) @ pts[:-1] if abs(c.sum()) > 0.1 else pts[0]
+        yield pts, (rng.normal(size=n) if t % 2 else None), None
+    for n in range(1, 5):
+        for signs in itertools.product((FREE, ZERO, NONNEG, NONPOS), repeat=n):
+            k = int(rng.integers(1, 7))
+            pts = rng.normal(size=(k, n))
+            if k > 1 and rng.random() < 0.3:
+                pts[-1] = pts[0]
+            keep = [i for i, s in enumerate(signs) if s != FREE]
+            rays = [np.eye(len(keep))[j] * (-1.0 if signs[i] == NONNEG else 1.0)
+                    for j, i in enumerate(keep) if signs[i] != ZERO]
+            yield pts[:, keep], None, np.array(rays) if rays else None
+
+
+def test_min_norm_point_matches_array_reference():
+    """The float solver takes the numpy solver's steps: same points,
+    weights and gaps to 1e-12."""
+    count = 0
+    for pts, anchor, rays in _wolfe_inputs(np.random.default_rng(41)):
+        r = min_norm_point(pts, anchor=anchor, rays=rays)
+        point, weights, gap = array_min_norm_point(pts, anchor=anchor, rays=rays)
+        assert np.allclose(r.point, point, rtol=0.0, atol=1e-12), (pts, anchor, rays)
+        assert np.allclose(r.weights, weights, rtol=0.0, atol=1e-12), (pts, anchor, rays)
+        assert r.gap == pytest.approx(gap, abs=1e-12), (pts, anchor, rays)
+        count += 1
+    assert count >= 2000
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +429,35 @@ def test_feasibility_rejects_empty_and_bad_weights():
         WeightedSum((Singleton((1.0,)),), (-0.5,))
     with pytest.raises(ValueError):
         WeightedSum((Singleton((1.0,)),), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: min_norm_point([]), "points"),
+    (lambda: min_norm_point([[math.nan, 0.0], [1.0, 0.0]]), "points"),
+    (lambda: min_norm_point([[1.0, 0.0], [0.0, -math.inf]]), "points"),
+    (lambda: feasibility_min_norm([Singleton((0.5, 0.0))], SignCone((ZERO,))), "sets"),
+    (lambda: feasibility_min_norm([Singleton((0.5, 0.0))], SignCone((ZERO,)), tol=math.nan),
+     "tol"),
+    (lambda: box_segment_min((0, 0), (1, 1), (2, 2), (3, 3, 3)), "hi"),
+    (lambda: Singleton((math.nan, 0.0)), "g"),
+    (lambda: ConeBall((1.0, 0.0), SignCone((FREE,))), "u"),
+], ids=["no-points", "nan-point", "inf-point", "dimensions", "nan-tol", "box-dimensions",
+        "nan-singleton", "cone-ball-dimensions"])
+def test_kernel_entries_raise_value_errors(call, name):
+    """Each of these returned an answer for malformed input; each now
+    raises a ``ValueError`` that names the argument."""
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call()
+
+
+def test_singular_kkt_falls_back_to_least_squares(monkeypatch):
+    """A corral of two equal points has a singular KKT system: elimination
+    meets a zero pivot and least squares gives the minimum-norm weights."""
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+    assert _affine_min_norm([(1.0, 2.0), (1.0, 2.0)], [1.0, 1.0]) == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
