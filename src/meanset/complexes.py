@@ -300,6 +300,14 @@ class CubicalComplex:
             raise LocationError(
                 f"point has dimension {len(p)}, complex is {self.ambient_dim}-dimensional"
             )
+        minimal, containing = self._cells_at(p)
+        if minimal is None:
+            raise LocationError(f"point {list(p)} lies outside the complex")
+        return LocatedPoint(p, containing, minimal)
+
+    def _cells_at(self, p):
+        """``(minimal, containing)`` of :meth:`locate` for a snapped point
+        ``p``, or ``(None, ())`` when ``p`` lies outside the complex."""
         # a cell holds p when each integer coordinate k is its base on a
         # pinned axis or an end of a spanned one, and each other coordinate
         # lies inside a spanned axis: at most 3^(integer coordinates) keys
@@ -314,12 +322,14 @@ class CubicalComplex:
         # keys[0] pins every integer coordinate: the smallest cell that can
         # hold p, and a face of every other one, so it is in the lattice
         # exactly when p is in the complex
-        minimal = self._index.get(keys[0])
+        index = self._index
+        minimal = index.get(keys[0])
         if minimal is None:
-            raise LocationError(f"point {list(p)} lies outside the complex")
+            return None, ()
+        if len(keys) == 1:
+            return minimal, (minimal,)
         # sorted keys are in cell order, which id strings lose past c999
-        keys = sorted(key for key in keys if key in self._index)
-        return LocatedPoint(p, tuple(self._index[k] for k in keys), minimal)
+        return minimal, tuple(index[k] for k in sorted(k for k in keys if k in index))
 
     def maximal_cells_containing(self, point) -> tuple:
         loc = self.locate(point)

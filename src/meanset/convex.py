@@ -174,16 +174,18 @@ def _float_rows(rows, name: str, n: int = None) -> list:
 
 def _solve(A, b) -> list:
     """``x`` with ``A x = b`` by Gaussian elimination with partial pivoting,
-    or None when a pivot is exactly zero."""
+    or None when a pivot is at most 1e-12 of its row's largest entry in
+    ``A``, a zero that rounding left: dividing by it blows ``x`` up."""
     n = len(A)
-    M = [row + [bi] for row, bi in zip(A, b)]
+    # each row carries that threshold past its right-hand side
+    M = [row + [bi, 1e-12 * max(map(abs, row))] for row, bi in zip(A, b)]
     for c in range(n):
         p = c
         for r in range(c + 1, n):
             if abs(M[r][c]) > abs(M[p][c]):
                 p = r
         piv = M[p][c]
-        if piv == 0.0:
+        if abs(piv) <= M[p][n + 1]:
             return None
         M[c], M[p] = M[p], M[c]
         for row in M[c + 1:]:
@@ -203,8 +205,8 @@ def _affine_min_norm(Q, e) -> list:
     point weights must sum to one, so ray rows span linear directions.
 
     The (k+1)x(k+1) KKT system is solved by elimination on floats; when it
-    is singular, or its weights miss the sum-to-one constraint, numpy's
-    least squares solves it instead."""
+    is singular (a pivot is zero up to rounding), or its weights miss the
+    sum-to-one constraint, numpy's least squares solves it instead."""
     k = len(Q)
     if k == 1:
         return [1.0]

@@ -3,8 +3,9 @@
 Every cell is a unit box of R^n, so ``|p - q|`` bounds every path in the
 complex from below, and when the straight segment lies in the complex it
 is the geodesic.  :func:`_walk` follows it cell by cell, as voxel
-traversal does (Amanatides and Woo, Eurographics 1987), over the maximal
-cells of the complex only; it needs no search and no solve.
+traversal does (Amanatides and Woo, Eurographics 1987): each exit point is
+located by the key lookup of :meth:`CubicalComplex.locate`, and the walk
+goes on in the maximal cells holding it; no search, no solve.
 
 When the segment leaves the complex, the geodesic is found by enumerating
 simple chains of maximal cells (consecutive cells sharing a face),
@@ -403,25 +404,19 @@ def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:
     vertex-graph path this bound once was, because counting its calls is
     how a tracer counts chain searches: each search calls it once.
     """
-    def component(point):
-        loc = cx.locate(point)
-        return cx._component[next(c for c in loc.containing if c in cx._maximal)]
-
-    if component(p) != component(q):
+    if len({cx._component[cx.maximal_cells_containing(x)[0]] for x in (p, q)}) > 1:
         return math.inf
     return math.sqrt(cx.ambient_dim) * len(cx.maximal_ids)
 
 
-def _assemble(cx, chain, pts):
-    """Elide zero-length segments and build the final Geodesic."""
-    bps = [cx.snap(pts[0])]
-    cells = []
-    for i, cell in enumerate(chain):
-        nxt = cx.snap(pts[i + 1])
-        if math.dist(nxt, bps[-1]) <= 1e-9:
-            continue
-        bps.append(nxt)
-        cells.append(cell)
+def _assemble(chain, pts):
+    """The Geodesic through the snapped points ``pts``, one cell of
+    ``chain`` per segment, with segments of at most 1e-9 elided."""
+    bps, cells = [pts[0]], []
+    for cell, x in zip(chain, pts[1:]):
+        if math.dist(x, bps[-1]) > 1e-9:
+            bps.append(x)
+            cells.append(cell)
     length = sum((math.dist(a, b) for a, b in zip(bps, bps[1:])), 0.0)
     return Geodesic(tuple(bps), tuple(cells), length)
 
@@ -438,53 +433,45 @@ def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
     key = (a, b) if a <= b else (b, a)
     g = cx._geo_cache.get(key)
     if g is None:
-        g = cx._geo_cache[key] = _solve_geodesic(cx, p_loc, q_loc)
+        g = cx._geo_cache[key] = _walk(cx, p_loc, q_loc) or _search(cx, p_loc, q_loc)
     if g.breakpoints[0] != a:
         return Geodesic(g.breakpoints[::-1], g.cells[::-1], g.length)
     return g
-
-
-def _solve_geodesic(cx, p_loc, q_loc):
-    g = _walk(cx, p_loc, q_loc)
-    return g if g is not None else _search(cx, p_loc, q_loc)
 
 
 def _walk(cx, p_loc, q_loc):
     """The straight segment from p to q as a Geodesic, or None when the
     walk finds no cell to carry it on.
 
-    From the maximal cells containing p, each step keeps the cell whose
-    :func:`segment_span` starts by the current ``t`` (up to 1e-12) and
-    reaches farthest, the first in cell order on ties, then moves to the
-    neighbours whose shared face holds the exit point to 1e-9 (the span
-    test decides); the exit point is clipped into the face of the cell
-    taken.  ``t`` grows at every step, so no cell is met twice.
+    Each step locates the point where the segment leaves the last cell
+    (snapped, as :meth:`CubicalComplex.locate` snaps; p at the start) and,
+    among the maximal cells holding it other than the last cell, keeps the
+    one whose :func:`segment_span` starts by the current ``t`` (up to
+    1e-12) and reaches farthest, the first in cell order on ties.  ``t``
+    grows at every step, so no cell is met twice.
     """
     p, q = p_loc.coords, q_loc.coords
     d = tuple(b - a for a, b in zip(p, q))
-    boxes = cx._boxes
-    t = 0.0
-    chain, pts = [], [p]
-    step = [(c, None) for c in p_loc.containing if c in cx._maximal]
+    boxes, maximal = cx._boxes, cx._maximal
+    t, x, here, best = 0.0, p, p_loc.containing, None
+    chain, pts = [], []
     while True:
-        best, reach, gate = None, t, None
-        for cell, face in step:
-            span = segment_span(p, d, *boxes[cell])
-            if span is not None and span[0] <= t + 1e-12 and span[1] > reach:
-                best, reach, gate = cell, span[1], face
+        last, best, reach = best, None, t
+        for cell in here:
+            if cell in maximal and cell != last:
+                span = segment_span(p, d, *boxes[cell])
+                if span is not None and span[0] <= t + 1e-12 and span[1] > reach:
+                    best, reach = cell, span[1]
         if best is None:
             return None
-        if gate is not None:
-            lo, hi = boxes[gate]
-            pts.append(tuple(min(max(x, l), h) for x, l, h in zip(exit_pt, lo, hi)))
         chain.append(best)
+        pts.append(x)
         if reach >= 1.0:
             pts.append(q)
-            return _assemble(cx, chain, pts)
+            return _assemble(chain, pts)
         t = reach
-        exit_pt = tuple(a + t * di for a, di in zip(p, d))
-        step = [(nbr, face) for nbr, face in cx.adjacency[best]
-                if all(l - 1e-9 <= x <= h + 1e-9 for x, l, h in zip(exit_pt, *boxes[face]))]
+        x = cx.snap([a + t * di for a, di in zip(p, d)])
+        here = cx._cells_at(x)[1]
 
 
 def _search(cx, p_loc, q_loc):
@@ -534,7 +521,7 @@ def _search(cx, p_loc, q_loc):
             "the complex is inconsistent"
         )
     chain, pts = best
-    return _assemble(cx, chain, pts)
+    return _assemble(chain, [cx.snap(x) for x in pts])
 
 
 def distance(cx: CubicalComplex, p, q) -> float:

@@ -18,16 +18,23 @@ sets' cone form where it is curved, and Wolfe's algorithm itself, which
 ``meanset.convex`` runs on Python floats, is kept here in its numpy form.
 The distance inside a flat polyomino,
 which ``meanset.geodesics`` finds by a chain search, is found here on the
-visibility graph of its reflex vertices.
+visibility graph of its reflex vertices.  The straight-segment walk, which
+``meanset.geodesics`` steps by locating each exit point, is kept here in
+the form that tests each neighbour's shared face instead; it shares
+``segment_span`` and the final assembly with the walk, so it checks the
+stepping alone.
 """
 
 import heapq
 import math
+import warnings
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.optimize import minimize, nnls
 
-from meanset import geodesic, mean_deficit, point_along, recognize
+from meanset import geodesic, geodesics, mean_deficit, point_along, recognize
+from meanset.convex import segment_span
 
 
 def straightened_deficit(A, x) -> float:
@@ -190,9 +197,10 @@ def array_certified_gap(P, lo, hi) -> tuple:
 
 def _array_affine_min_norm(Q: np.ndarray, e=None) -> np.ndarray:
     """Minimiser weights over the affine span of the rows of ``Q`` (may be
-    negative), by ``numpy.linalg.solve`` on the KKT system with a
-    least-squares fallback.  With ``e`` (1 for a point row, 0 for a ray
-    row) only the point weights must sum to one."""
+    negative), by an LU solve of the KKT system with a least-squares
+    fallback when a pivot is at most 1e-12 of the largest entry of its row,
+    or the weights miss the sum-to-one row by 1e-6.  With ``e`` (1 for a
+    point row, 0 for a ray row) only the point weights must sum to one."""
     k = Q.shape[0]
     if k == 1:
         return np.ones(1)
@@ -202,13 +210,18 @@ def _array_affine_min_norm(Q: np.ndarray, e=None) -> np.ndarray:
     kkt[:k, k] = kkt[k, :k] = 1.0 if e is None else e
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)   # an exactly zero pivot
+        lu, piv = lu_factor(kkt, check_finite=False)
+    rows = list(range(k + 1))   # the row of kkt that each row of lu came from
+    for i, j in enumerate(piv):
+        rows[i], rows[j] = rows[j], rows[i]
+    bad = (np.abs(np.diag(lu)) <= 1e-12 * np.abs(kkt).max(axis=1)[rows]).any()
+    if not bad:
+        sol = lu_solve((lu, piv), rhs)
         v = sol[:k]
         s = v.sum() if e is None else v @ e
         bad = not np.isfinite(sol).all() or abs(s - 1.0) > 1e-6
-    except np.linalg.LinAlgError:
-        bad = True
     if bad:
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
         v = sol[:k]
@@ -498,3 +511,39 @@ def polyomino_distance(squares, p, q) -> float:
             if j not in done and visible(nodes[i], v):
                 heapq.heappush(heap, (d + math.dist(nodes[i], v), j))
     return math.inf
+
+
+def reference_walk(cx, p_loc, q_loc):
+    """The straight segment from p to q as a Geodesic, or None, by the
+    face-box walk: from the maximal cells holding p, each step keeps the
+    cell whose span starts by the current ``t`` (up to 1e-12) and reaches
+    farthest, the first in cell order on ties, then tests every neighbour
+    of that cell for a shared face holding the exit point to 1e-9, and
+    clips the exit point into the face of the cell taken.  The walk of
+    ``meanset.geodesics``, which locates the exit point instead, must
+    match it bit for bit."""
+    p, q = p_loc.coords, q_loc.coords
+    d = tuple(b - a for a, b in zip(p, q))
+    boxes = cx._boxes
+    t = 0.0
+    chain, pts = [], [p]
+    step = [(c, None) for c in p_loc.containing if c in cx._maximal]
+    while True:
+        best, reach, gate = None, t, None
+        for cell, face in step:
+            span = segment_span(p, d, *boxes[cell])
+            if span is not None and span[0] <= t + 1e-12 and span[1] > reach:
+                best, reach, gate = cell, span[1], face
+        if best is None:
+            return None
+        if gate is not None:
+            lo, hi = boxes[gate]
+            pts.append(tuple(min(max(x, l), h) for x, l, h in zip(exit_pt, lo, hi)))
+        chain.append(best)
+        if reach >= 1.0:
+            pts.append(q)
+            return geodesics._assemble(chain, [cx.snap(x) for x in pts])
+        t = reach
+        exit_pt = tuple(a + t * di for a, di in zip(p, d))
+        step = [(nbr, face) for nbr, face in cx.adjacency[best]
+                if all(l - 1e-9 <= x <= h + 1e-9 for x, l, h in zip(exit_pt, *boxes[face]))]

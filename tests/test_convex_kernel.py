@@ -24,7 +24,7 @@ from meanset.convex import (
     segment_span,
     shared_certificate_weights,
 )
-from oracles import array_min_norm_point, hull_to_cone_nnls
+from oracles import _array_affine_min_norm, array_min_norm_point, hull_to_cone_nnls
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +458,57 @@ def test_singular_kkt_falls_back_to_least_squares(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
     assert _affine_min_norm([(1.0, 2.0), (1.0, 2.0)], [1.0, 1.0]) == pytest.approx([0.5, 0.5], abs=1e-15)
     assert len(calls) == 1
+
+
+def _singular_systems(rng):
+    """Seeded ``(Q, e)`` whose KKT systems are singular: k = 2-6 rows in
+    n = 1-4 dimensions with a duplicate point, all points collinear, or one
+    point an affine combination of the others; a fifth of them with the
+    last row a ray (e = 0) along the first two points' difference."""
+    for t in range(3000):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        pts = rng.normal(size=(k, n)) * rng.uniform(0.1, 3.0)
+        kind = t % 3
+        if kind == 0:
+            pts[rng.integers(1, k)] = pts[0]
+        elif kind == 1:
+            pts = pts[0] + rng.normal(size=(k, 1)) * rng.normal(size=n)
+        else:
+            c = rng.normal(size=k - 1)
+            if abs(c.sum()) < 0.1:
+                continue
+            pts[-1] = (c / c.sum()) @ pts[:-1]
+        if np.linalg.matrix_rank(pts[1:] - pts[0]) == k - 1:
+            continue
+        e = [1.0] * k
+        if t % 5 == 4 and k > 2:
+            pts[-1] = pts[1] - pts[0]
+            e[-1] = 0.0
+        yield pts, e
+
+
+def test_singular_kkt_weights_stay_bounded(monkeypatch):
+    """On singular KKT systems both the float and the array solvers return
+    weights of moderate size whose point is least squares' to 1e-9:
+    elimination meets a pivot that is zero up to rounding and hands the
+    system to least squares, instead of dividing by it into weights near
+    1e16 whose sum still passes the sum-to-one row."""
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+    count = 0
+    for Q, e in _singular_systems(np.random.default_rng(43)):
+        k = len(Q)
+        kkt = np.block([[Q @ Q.T, np.array(e)[:, None]], [np.array(e)[None, :], np.zeros((1, 1))]])
+        want = lstsq(kkt, np.eye(k + 1)[k], rcond=None)[0][:k] @ Q
+        for v in (np.array(_affine_min_norm([tuple(r) for r in Q.tolist()], e)),
+                  _array_affine_min_norm(Q, np.array(e))):
+            assert np.abs(v).max() <= 1e6, (Q, e, v)
+            assert np.allclose(v @ Q, want, rtol=0.0, atol=1e-9 * (1.0 + np.abs(Q).max())), (Q, e)
+            assert float(np.array(e) @ v) == pytest.approx(1.0, abs=1e-9)
+        count += 1
+    assert count >= 2000
+    assert len(calls) == 2 * count
 
 
 # ---------------------------------------------------------------------------

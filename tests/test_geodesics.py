@@ -13,7 +13,8 @@ from meanset import geodesics
 from meanset.convex import box_segment_min
 from meanset.corpus import BUNDLED
 from generators import l_shape
-from oracles import array_certified_gap, chain_oracle, dense_newton_step, polyomino_distance
+from oracles import (array_certified_gap, chain_oracle, dense_newton_step, polyomino_distance,
+                     reference_walk)
 
 R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
@@ -635,3 +636,56 @@ def test_walk_is_sound_and_complete(name):
         for cell, a, b in zip(g.cells, g.breakpoints, g.breakpoints[1:]):
             assert cx.cell(cell).contains(a, tol=0.0) and cx.cell(cell).contains(b, tol=0.0)
     assert walked > 0
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("staircase", "grid3x3x3", "grid8x8", "L8"))
+def test_walk_matches_face_box_reference(name):
+    """The walk that locates each exit point takes the steps of the walk
+    that tests every neighbour's shared face: the same breakpoints, cells
+    and length to the last bit, or None on both sides."""
+    docs = {"staircase": STAIRCASE, "L8": l_shape(8)}
+    if name in BUNDLED:
+        cx = load_bundled(name)[0]
+    else:
+        cx = complex_from_dict(docs[name]) if name in docs else _grid(*(
+            (3, 3, 3) if name == "grid3x3x3" else (8, 8)))
+    rng = np.random.default_rng([89, len(name)])
+    walked = declined = 0
+    for i in range(300):
+        p_loc = cx.locate(_corpus_point(cx, rng, snapped=i % 2 == 1))
+        q_loc = cx.locate(_corpus_point(cx, rng, snapped=i % 4 >= 2))
+        g = geodesics._walk(cx, p_loc, q_loc)
+        assert repr(g) == repr(reference_walk(cx, p_loc, q_loc)), (p_loc, q_loc)
+        walked += g is not None
+        declined += g is None
+    assert walked > 0
+    assert declined > 0 or name.startswith("grid")
+
+
+@pytest.mark.parametrize("sizes, p, q, spans, steps", [
+    ((10, 10), (0.0, 0.0), (10.0, 10.0), 28, 9),           # corner to corner, 9 vertices
+    ((3, 3, 3), (0.1, 0.1, 0.1), (2.9, 2.9, 2.9), 15, 2),   # cube diagonal, 2 vertices
+])
+def test_walk_work_counts_are_pinned(monkeypatch, sizes, p, q, spans, steps):
+    """A walk through lattice vertices tests the span of each maximal cell
+    at each exit point but the cell it leaves, and locates each exit point
+    once."""
+    counts = {"spans": 0, "steps": 0}
+    real_span = geodesics.segment_span
+    cx = _grid(*sizes)
+    p_loc, q_loc = cx.locate(p), cx.locate(q)
+    real_cells = cx._cells_at
+
+    def span(*args):
+        counts["spans"] += 1
+        return real_span(*args)
+
+    def cells_at(point):
+        counts["steps"] += 1
+        return real_cells(point)
+
+    monkeypatch.setattr(geodesics, "segment_span", span)
+    monkeypatch.setattr(cx, "_cells_at", cells_at)
+    g = geodesics._walk(cx, p_loc, q_loc)
+    assert g.length == pytest.approx(math.dist(p, q), abs=1e-12)
+    assert counts == {"spans": spans, "steps": steps}

@@ -1,0 +1,145 @@
+"""Alternating parent/change pairs of the benchmark, written to ``BENCH_<n>.json``.
+
+Usage, from the repository root::
+
+    python3 tools/bench_pairs.py --out BENCH_16.json --pairs 10 --seed 1601 \\
+        --seconds 17 --workload grid_distance --workload recognize_corpus
+
+The parent (``--base``, default ``HEAD~1``) is extracted with ``git archive``
+into a temporary directory; the change is this checkout's working tree, or
+``--change REV`` extracted the same way.  For each workload, pair i runs
+``perfbench/run.py --seed <seed + i>`` once in each tree, one run at a time,
+the parent first in even pairs and the change first in odd ones, so that a
+drift of the host's speed falls on both sides alike.  ``--traced`` adds one
+``--trace 1`` run per side and workload, at the first seed, for the
+per-layer counts.
+
+The output holds every result line that ``perfbench/run.py`` printed, and
+per workload and end-to-end metric (as ``BENCHMARK.json`` lists them) the
+parent's and the change's median, quartiles and IQR, the relative change
+of the median, and the change's wins: the pairs in which the change was
+better in the metric's direction, ties counting for neither side.  ``loc`` gives the line count of
+``src/meanset/*.py`` on each side, as the benchmark's ``loc.total`` counts
+it.  The file is rewritten after every run, so an interrupted run of
+this script keeps what it measured.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def extract(rev: str, dest: Path) -> Path:
+    """The committed files of ``rev`` under ``dest``."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def loc_total(tree: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in (tree / "src" / "meanset").glob("*.py"))
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    """The result object (the last line printed) of one benchmark run."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "1" if trace else "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values) -> dict:
+    values = sorted(values)
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "iqr": 0.0}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarise(runs: list, metrics: dict) -> dict:
+    """Per workload and metric: both sides' quartiles, the relative change
+    of the median and the change's wins over the completed pairs."""
+    out = {}
+    for wl in sorted({r["workload"] for r in runs}):
+        pairs = {}
+        for r in runs:
+            if r["workload"] == wl and not r["traced"]:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        pairs = [p for p in pairs.values() if len(p) == 2]
+        if not pairs:
+            continue
+        out[wl] = {"pairs": len(pairs)}
+        for name, better in metrics.items():
+            base = [p["parent"][name]["value"] for p in pairs]
+            new = [p["change"][name]["value"] for p in pairs]
+            sign = -1.0 if better == "lower" else 1.0
+            b, c = quartiles(base), quartiles(new)
+            out[wl][name] = {
+                "parent": b, "change": c,
+                "relative": (c["median"] - b["median"]) / b["median"] if b["median"] else None,
+                "wins": sum(sign * (y - x) > 0.0 for x, y in zip(base, new)),
+            }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    ap.add_argument("--seconds", type=float, default=17.0)
+    ap.add_argument("--base", default="HEAD~1", help="revision of the parent side")
+    ap.add_argument("--change", default=None,
+                    help="revision of the change side (default: the working tree)")
+    ap.add_argument("--traced", action="store_true",
+                    help="add one traced run per side and workload")
+    args = ap.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {"parent": extract(args.base, Path(tmp) / "parent"),
+                 "change": extract(args.change, Path(tmp) / "change") if args.change else ROOT}
+        doc = {"base": args.base, "change": args.change or "working tree",
+               "seconds": args.seconds, "seed": args.seed,
+               "loc": {side: loc_total(tree) for side, tree in trees.items()},
+               "runs": [], "summary": {}}
+        out = Path(args.out)
+
+        def record(workload, seed, side, order, traced):
+            t0 = time.perf_counter()
+            result = run_once(trees[side], workload, seed, args.seconds, traced)
+            doc["runs"].append({"workload": workload, "seed": seed, "side": side,
+                                "order": order, "traced": traced,
+                                "wall_s": time.perf_counter() - t0, "result": result})
+            doc["summary"] = summarise(doc["runs"], metrics)
+            out.write_text(json.dumps(doc, indent=1) + "\n")
+
+        for workload in args.workload:
+            if args.traced:
+                for side in ("parent", "change"):
+                    record(workload, args.seed, side, 0, True)
+            for i in range(args.pairs):
+                sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for order, side in enumerate(sides):
+                    record(workload, args.seed + i, side, order, False)
+            print(json.dumps({workload: doc["summary"].get(workload)}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
