@@ -8,7 +8,10 @@ so curvature enters only through :meth:`CubicalComplex.validate`, which
 checks the flag condition on vertex links; simple connectivity is reported
 as assumed, not checked.  One pass over the face lattice, largest faces
 first, gives the adjacency of the maximal cells, each neighbour with the
-face the two meet in, and from it their connected components.
+face the two meet in, and from it their connected components.  The owner
+table maps each lattice cell to the maximal cells it is a face of: a point's
+cells depend only on its carrier, the cell holding it in its relative interior,
+found by one O(n) key; its lattice cells are memoised, one entry per carrier.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,11 +102,12 @@ class CubeCell:
 
 @dataclass(frozen=True)
 class LocatedPoint:
-    """A point snapped onto the complex plus its containment data."""
+    """A point snapped onto the complex ``cx`` that located it, plus its containment data."""
 
     coords: tuple
     containing: tuple      # ids of every lattice cell containing the point
-    minimal_cell: str      # id of the unique smallest such cell
+    minimal_cell: str      # id of the unique smallest such cell: its carrier
+    cx: CubicalComplex | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,9 @@ class CubicalComplex:
         self.maximal_ids = tuple(
             c.ident for c in self.cells if (c.base, c.axes) in maximal_keys
         )
-        self._maximal = frozenset(self.maximal_ids)
+        self._owners = {self._index[k]: tuple(map(self._index.__getitem__, sorted(owners)))
+                        for k, owners in lattice.items()}
+        self._containing = {}   # carrier id -> every lattice cell holding it, filled by locate
         # one (lo, hi) pair of float tuples per cell, never handed out
         self._boxes = {c.ident: tuple(tuple(map(float, b)) for b in _box_of(c))
                        for c in self.cells}
@@ -284,56 +290,59 @@ class CubicalComplex:
 
     def snap(self, point) -> tuple:
         out = []
-        for x in point:
-            try:
+        try:
+            for x in point:
                 r = round(x)
-            except (OverflowError, ValueError):   # an infinity or a NaN
-                raise LocationError(f"point {list(point)} has a non-finite coordinate") from None
-            out.append(float(r) if abs(x - r) <= 1e-9 else float(x))
+                out.append(float(r) if abs(x - r) <= 1e-9 else float(x))
+        except (OverflowError, ValueError):   # an infinity or a NaN
+            raise LocationError(f"point {list(point)} has a non-finite coordinate") from None
+        except TypeError:
+            raise LocationError(f"point {point!r} is not a sequence of real numbers") from None
         return tuple(out)
 
     def locate(self, point) -> LocatedPoint:
+        """The snapped point, its carrier (``minimal_cell``, by :meth:`_cells_at`) and its
+        lattice cells, memoised per carrier; one of another complex is located anew."""
         if isinstance(point, LocatedPoint):
-            return point
+            if point.cx is self:
+                return point
+            point = point.coords
         p = self.snap(point)
         if len(p) != self.ambient_dim:
             raise LocationError(
                 f"point has dimension {len(p)}, complex is {self.ambient_dim}-dimensional"
             )
-        minimal, containing = self._cells_at(p)
-        if minimal is None:
+        carrier = self._cells_at(p)[0]
+        if carrier is None:
             raise LocationError(f"point {list(p)} lies outside the complex")
-        return LocatedPoint(p, containing, minimal)
+        containing = self._containing.get(carrier)
+        if containing is None:
+            # a cell holds p when each integer coordinate k is its base on a pinned axis or an
+            # end of a spanned one, and each other one lies inside a spanned axis: 3^m keys
+            keys = [((), ())]
+            for i, x in enumerate(p):
+                k = math.floor(x)
+                steps = (((k,), ()), ((k,), (i,)), ((k - 1,), (i,))) if x == k else (((k,), (i,)),)
+                keys = [(b + db, a + da) for b, a in keys for db, da in steps]
+            # sorted keys are in cell order, which id strings lose past c999
+            containing = self._containing[carrier] = tuple(
+                self._index[k] for k in sorted(keys) if k in self._index)
+        return LocatedPoint(p, containing, carrier, self)
 
     def _cells_at(self, p):
-        """``(minimal, containing)`` of :meth:`locate` for a snapped point
-        ``p``, or ``(None, ())`` when ``p`` lies outside the complex."""
-        # a cell holds p when each integer coordinate k is its base on a
-        # pinned axis or an end of a spanned one, and each other coordinate
-        # lies inside a spanned axis: at most 3^(integer coordinates) keys
-        keys = [((), ())]
+        """``(carrier, its owners)`` of a snapped point ``p``, or ``(None, ())`` outside the
+        complex: the carrier floors each coordinate and spans the non-integer ones, in O(n)."""
+        base, axes = [], []
         for i, x in enumerate(p):
             k = math.floor(x)
-            if x == k:
-                keys = ([(b + (k,), a) for b, a in keys] + [(b + (k,), a + (i,)) for b, a in keys]
-                        + [(b + (k - 1,), a + (i,)) for b, a in keys])
-            else:
-                keys = [(b + (k,), a + (i,)) for b, a in keys]
-        # keys[0] pins every integer coordinate: the smallest cell that can
-        # hold p, and a face of every other one, so it is in the lattice
-        # exactly when p is in the complex
-        index = self._index
-        minimal = index.get(keys[0])
-        if minimal is None:
-            return None, ()
-        if len(keys) == 1:
-            return minimal, (minimal,)
-        # sorted keys are in cell order, which id strings lose past c999
-        return minimal, tuple(index[k] for k in sorted(k for k in keys if k in index))
+            base.append(k)
+            if x != k:
+                axes.append(i)
+        carrier = self._index.get((tuple(base), tuple(axes)))
+        return carrier, self._owners.get(carrier, ())
 
     def maximal_cells_containing(self, point) -> tuple:
-        loc = self.locate(point)
-        return tuple(i for i in loc.containing if i in self._maximal)
+        return self._owners[self.locate(point).minimal_cell]
 
     # -- cones ---------------------------------------------------------------
 

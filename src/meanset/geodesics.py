@@ -4,7 +4,7 @@ Every cell is a unit box of R^n, so ``|p - q|`` bounds every path in the
 complex from below, and when the straight segment lies in the complex it
 is the geodesic.  :func:`_walk` follows it cell by cell, as voxel
 traversal does (Amanatides and Woo, Eurographics 1987): each exit point is
-located by the key lookup of :meth:`CubicalComplex.locate`, and the walk
+located by its carrier's key, one O(n) owner-table lookup, and the walk
 goes on in the maximal cells holding it; no search, no solve.
 
 When the segment leaves the complex, the geodesic is found by enumerating
@@ -424,15 +424,17 @@ def _assemble(chain, pts):
 def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
     """The geodesic from ``p`` to ``q`` (unique in a valid complex).
 
-    The cache holds one entry per unordered pair, solved in the direction
-    first asked for and reversed exactly when read the other way.
+    The cache holds one entry per unordered pair of snapped points, solved in the
+    direction first asked for and reversed exactly when read the other way.  It is
+    read before the ends are located: every key was located once, so a hit skips no check.
     """
-    p_loc = cx.locate(p)
-    q_loc = cx.locate(q)
-    a, b = p_loc.coords, q_loc.coords
-    key = (a, b) if a <= b else (b, a)
-    g = cx._geo_cache.get(key)
+    a = p.coords if isinstance(p, LocatedPoint) else cx.snap(p)
+    b = q.coords if isinstance(q, LocatedPoint) else cx.snap(q)
+    g = cx._geo_cache.get((a, b) if a <= b else (b, a))
     if g is None:
+        p_loc, q_loc = cx.locate(p), cx.locate(q)
+        a, b = p_loc.coords, q_loc.coords   # a LocatedPoint made by hand may be unsnapped
+        key = (a, b) if a <= b else (b, a)
         g = cx._geo_cache[key] = _walk(cx, p_loc, q_loc) or _search(cx, p_loc, q_loc)
     if g.breakpoints[0] != a:
         return Geodesic(g.breakpoints[::-1], g.cells[::-1], g.length)
@@ -452,13 +454,13 @@ def _walk(cx, p_loc, q_loc):
     """
     p, q = p_loc.coords, q_loc.coords
     d = tuple(b - a for a, b in zip(p, q))
-    boxes, maximal = cx._boxes, cx._maximal
-    t, x, here, best = 0.0, p, p_loc.containing, None
+    boxes = cx._boxes
+    t, x, here, best = 0.0, p, cx._owners[p_loc.minimal_cell], None
     chain, pts = [], []
     while True:
         last, best, reach = best, None, t
         for cell in here:
-            if cell in maximal and cell != last:
+            if cell != last:
                 span = segment_span(p, d, *boxes[cell])
                 if span is not None and span[0] <= t + 1e-12 and span[1] > reach:
                     best, reach = cell, span[1]
@@ -484,11 +486,10 @@ def _search(cx, p_loc, q_loc):
             "lie in different connected components; no geodesic exists"
         )
 
-    starts = [c for c in p_loc.containing if c in cx._maximal]
-    ends = frozenset(c for c in q_loc.containing if c in cx._maximal)
+    ends = frozenset(cx._owners[q_loc.minimal_cell])
     counter = itertools.count()
     direct = math.dist(p, q)
-    heap = [(direct, next(counter), (s,), ()) for s in starts]
+    heap = [(direct, next(counter), (s,), ()) for s in cx._owners[p_loc.minimal_cell]]
 
     face_lb = {}   # face id -> box_segment_min(p, q, face): shortest length, its minimiser
     best_val = math.inf

@@ -527,7 +527,7 @@ def reference_walk(cx, p_loc, q_loc):
     boxes = cx._boxes
     t = 0.0
     chain, pts = [], [p]
-    step = [(c, None) for c in p_loc.containing if c in cx._maximal]
+    step = [(c, None) for c in p_loc.containing if c in cx.maximal_ids]
     while True:
         best, reach, gate = None, t, None
         for cell, face in step:

@@ -15,7 +15,9 @@ from meanset import (
     complex_from_dict,
     complexes,
     distance,
+    geodesic,
     load_bundled,
+    recognize,
 )
 from meanset.convex import FREE, NONNEG, NONPOS, ZERO
 
@@ -84,6 +86,36 @@ def test_locate_rejects_non_finite_points(bad):
         cx.locate((bad, 0.0))
     with pytest.raises(LocationError, match="non-finite"):
         cx.tangent_cone(cx.maximal_ids[0], (bad, 0.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda cx, other, A: cx.locate("ab"),
+    lambda cx, other, A: cx.locate(None),
+    lambda cx, other, A: cx.locate(5),
+    lambda cx, other, A: cx.locate((0.5, None)),
+    lambda cx, other, A: distance(cx, (0.5, "x"), (0.5, 0.0)),
+    lambda cx, other, A: recognize(A, (0.5, 1 + 0j)),
+    lambda cx, other, A: geodesic(cx, other.locate((-1.5, 1.5)), (0.5, 0.0)),
+], ids=["string", "none", "int", "none-coordinate", "distance", "recognize", "foreign"])
+def test_malformed_points_raise_location_errors(call):
+    """Points that are no sequence of reals, and a point located in another
+    complex that is not in this one, raise a LocationError naming them."""
+    cx, A = load_bundled("squares3")
+    other, _ = load_bundled("quadrant_window")
+    with pytest.raises(LocationError, match=r"point .*(real numbers|outside the complex)"):
+        call(cx, other, A)
+
+
+def test_a_point_of_another_complex_is_located_again():
+    squares, _ = load_bundled("squares3")
+    window, _ = load_bundled("quadrant_window")
+    foreign = squares.locate((0.5, 0.0))
+    loc = window.locate(foreign)
+    assert loc.cx is window and loc == window.locate((0.5, 0.0))
+    assert loc.containing != foreign.containing
+    assert window.maximal_cells_containing(foreign) == window.maximal_cells_containing(loc)
+    assert geodesic(window, foreign, (-1.5, -1.5)) == geodesic(window, (0.5, 0.0), (-1.5, -1.5))
+    assert distance(window, foreign, (-1.5, -1.5)) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_tangent_cone_signs():
@@ -397,3 +429,6 @@ def test_locate_matches_a_scan_of_every_cell(bundles):
                 continue
             loc = cx.locate(pt)
             assert (loc.containing, loc.minimal_cell) == want, pt
+            assert cx.maximal_cells_containing(pt) == tuple(
+                c for c in want[0] if c in cx.maximal_ids), pt
+            assert cx.locate(pt) == loc   # its carrier's memo

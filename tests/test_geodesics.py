@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from meanset import (GeodesicError, complex_from_dict, distance, geodesic, load_bundled,
-                     midpoint, point_along)
+from meanset import (CubicalComplex, GeodesicError, complex_from_dict, distance, geodesic,
+                     load_bundled, midpoint, point_along)
 from meanset import geodesics
 from meanset.convex import box_segment_min
 from meanset.corpus import BUNDLED
@@ -206,6 +206,28 @@ def test_cache_holds_one_entry_per_pair():
     assert h.breakpoints == g.breakpoints[::-1] and h.cells == g.cells[::-1]
     assert h.length == g.length
     assert geodesic(cx, p, q) is g
+
+
+@pytest.mark.parametrize("name, p, q", [
+    ("squares3", (0.9, -0.2), (-0.2, 0.9)),            # bent through the origin
+    ("squares3", (1e-12, -0.5), (-1.0, -1.0 - 1e-13)),  # straight, ends snapped
+    ("cube_square", (0.2, 0.3, 0.4), (1.0, 0.5, 0.0)),
+])
+def test_warm_distance_locates_nothing(monkeypatch, name, p, q):
+    """A pair already solved, given again as tuples either way round, is
+    read from the cache before either end is located."""
+    cx, _ = load_bundled(name)
+    cold = distance(cx, p, q)
+    calls = []
+    real = CubicalComplex.locate
+
+    def locate(self, point):
+        calls.append(point)
+        return real(self, point)
+
+    monkeypatch.setattr(CubicalComplex, "locate", locate)
+    assert distance(cx, p, q) == cold and distance(cx, q, p) == cold
+    assert calls == []
 
 
 def test_geodesic_requires_points_inside():

@@ -18,7 +18,12 @@ The output holds every result line that ``perfbench/run.py`` printed, and
 per workload and end-to-end metric (as ``BENCHMARK.json`` lists them) the
 parent's and the change's median, quartiles and IQR, the relative change
 of the median, and the change's wins: the pairs in which the change was
-better in the metric's direction, ties counting for neither side.  ``loc`` gives the line count of
+better in the metric's direction, ties counting for neither side.  Two
+verdicts go with them.  ``claim_rule``: the change won at least nine tenths
+of the pairs, and its median is better than the parent's by more than the
+parent's IQR.  ``within_bound``: the change's median is no worse than the
+parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, taken
+relative to the parent's median.  ``loc`` gives the line count of
 ``src/meanset/*.py`` on each side, as the benchmark's ``loc.total`` counts
 it.  The file is rewritten after every run, so an interrupted run of
 this script keeps what it measured.
@@ -71,7 +76,9 @@ def quartiles(values) -> dict:
 
 def summarise(runs: list, metrics: dict) -> dict:
     """Per workload and metric: both sides' quartiles, the relative change
-    of the median and the change's wins over the completed pairs."""
+    of the median, the change's wins over the completed pairs and the two
+    verdicts of the module docstring.  ``metrics`` maps each name to its
+    ``(better, bound)`` from ``BENCHMARK.json``."""
     out = {}
     for wl in sorted({r["workload"] for r in runs}):
         pairs = {}
@@ -82,15 +89,19 @@ def summarise(runs: list, metrics: dict) -> dict:
         if not pairs:
             continue
         out[wl] = {"pairs": len(pairs)}
-        for name, better in metrics.items():
+        for name, (better, bound) in metrics.items():
             base = [p["parent"][name]["value"] for p in pairs]
             new = [p["change"][name]["value"] for p in pairs]
             sign = -1.0 if better == "lower" else 1.0
             b, c = quartiles(base), quartiles(new)
+            wins = sum(sign * (y - x) > 0.0 for x, y in zip(base, new))
+            gain = sign * (c["median"] - b["median"])   # > 0 when the change is better
             out[wl][name] = {
                 "parent": b, "change": c,
                 "relative": (c["median"] - b["median"]) / b["median"] if b["median"] else None,
-                "wins": sum(sign * (y - x) > 0.0 for x, y in zip(base, new)),
+                "wins": wins,
+                "claim_rule": 10 * wins >= 9 * len(pairs) and gain > b["iqr"],
+                "within_bound": gain >= -bound * abs(b["median"]),
             }
     return out
 
@@ -109,7 +120,7 @@ def main(argv=None) -> int:
                     help="add one traced run per side and workload")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": extract(args.base, Path(tmp) / "parent"),
