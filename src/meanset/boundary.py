@@ -26,8 +26,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geodesics
 from .complexes import LocatedPoint
 from .convex import (
@@ -132,7 +130,7 @@ class PCOutcome:
     cell: str
     value0: bool
     residual: float
-    weights: np.ndarray       # convex weights over the set labels
+    weights: tuple            # convex weights over the set labels
     direction: tuple = None   # unit decrease direction when infeasible
     margin: float = None      # max of d_a times the derivative along it
 
@@ -163,7 +161,7 @@ def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
         return PCOutcome(cell_id, True, res.residual, res.weights)
 
     rho = res.residual
-    u = models[0].tangent.clamp(map(operator.sub, res.cone_point.tolist(), res.point.tolist()))
+    u = models[0].tangent.project(map(operator.sub, res.cone_point, res.point))
     nu = math.sqrt(sum(ui * ui for ui in u))
     if nu <= 1e-15:
         raise CertificateError(f"degenerate descent direction at {loc.coords} "
@@ -230,7 +228,7 @@ def _solve_cells(A: PointSetA, xbar, tol: float):
                 [_scaled_problem(models[cid]) for cid in cells], tol=tol)
         except ConvergenceError:
             return loc, DeficitReport(worst.residual, per_cell), worst
-    v = [w if w > 0.0 else 0.0 for w in v.tolist()]
+    v = [w if w > 0.0 else 0.0 for w in v]
     total = sum(v)
     weights = {l: w / total for l, w in zip(A.labels, v)}
     return loc, DeficitReport(worst.residual, per_cell, weights=weights), worst
@@ -279,13 +277,13 @@ def conic_residual(A: PointSetA, xbar, cell_id: str, weights: dict) -> float:
     """
     cx = A.cx
     loc = cx.locate(xbar)
+    tangent = cx.tangent_cone(cell_id, loc)
     dists = A.distances_from(loc)
     pairs = [(l, weights.get(l, 0.0) * dists[l]) for l in A.labels]
     live = [(l, v) for l, v in pairs if v > 0.0]
     if not live:
         # all weight sits on coincident set points; stationarity is vacuous
         return 0.0
-    tangent = cx.tangent_cone(cell_id, loc)
     models = [build_model(A, loc, cell_id, l, _tangent=tangent) for l, _ in live]
     total = sum(vi for _, vi in live)
     combined = WeightedSum(tuple(m.subdiff for m in models), tuple(vi / total for _, vi in live))

@@ -11,7 +11,9 @@ first, gives the adjacency of the maximal cells, each neighbour with the
 face the two meet in, and from it their connected components.  The owner
 table maps each lattice cell to the maximal cells it is a face of: a point's
 cells depend only on its carrier, the cell holding it in its relative interior,
-found by one O(n) key; its lattice cells are memoised, one entry per carrier.
+found by one O(n) key.  Points are tuples of floats; only :meth:`CubeCell.bounds`
+and :meth:`CubicalComplex.bounds` hand out numpy arrays, importing numpy on
+their first call.  An unknown cell id raises :class:`ComplexError`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .convex import FREE, NONNEG, NONPOS, ZERO, SignCone
 
@@ -62,6 +62,9 @@ class CubeCell:
         return len(self.axes)
 
     def bounds(self):
+        """Fresh ``(lo, hi)`` float arrays of the cube's box."""
+        import numpy as np
+
         lo = np.array(self.base, dtype=float)
         hi = lo.copy()
         for ax in self.axes:
@@ -102,11 +105,10 @@ class CubeCell:
 
 @dataclass(frozen=True)
 class LocatedPoint:
-    """A point snapped onto the complex ``cx`` that located it, plus its containment data."""
+    """A point snapped onto the complex ``cx`` that located it, with its carrier."""
 
     coords: tuple
-    containing: tuple      # ids of every lattice cell containing the point
-    minimal_cell: str      # id of the unique smallest such cell: its carrier
+    minimal_cell: str      # id of its carrier, the smallest lattice cell holding it
     cx: CubicalComplex | None = field(default=None, compare=False, repr=False)
 
 
@@ -200,7 +202,6 @@ class CubicalComplex:
         )
         self._owners = {self._index[k]: tuple(map(self._index.__getitem__, sorted(owners)))
                         for k, owners in lattice.items()}
-        self._containing = {}   # carrier id -> every lattice cell holding it, filled by locate
         # one (lo, hi) pair of float tuples per cell, never handed out
         self._boxes = {c.ident: tuple(tuple(map(float, b)) for b in _box_of(c))
                        for c in self.cells}
@@ -232,12 +233,14 @@ class CubicalComplex:
     # -- basic lookups ----------------------------------------------------
 
     def cell(self, ident: str) -> CubeCell:
-        return self._by_id[ident]
+        try:
+            return self._by_id[ident]
+        except (KeyError, TypeError):   # TypeError: an unhashable id
+            raise ComplexError(f"no cell {ident!r} in the complex") from None
 
     def bounds(self, ident: str):
-        """Fresh ``(lo, hi)`` arrays of the cell's box."""
-        lo, hi = self._boxes[ident]
-        return np.array(lo), np.array(hi)
+        """Fresh ``(lo, hi)`` float arrays of the cell's box."""
+        return self.cell(ident).bounds()
 
     def __hash__(self):
         return id(self)
@@ -301,8 +304,8 @@ class CubicalComplex:
         return tuple(out)
 
     def locate(self, point) -> LocatedPoint:
-        """The snapped point, its carrier (``minimal_cell``, by :meth:`_cells_at`) and its
-        lattice cells, memoised per carrier; one of another complex is located anew."""
+        """The snapped point and its carrier (``minimal_cell``, by :meth:`_cells_at`);
+        a point located by another complex is located anew."""
         if isinstance(point, LocatedPoint):
             if point.cx is self:
                 return point
@@ -315,19 +318,7 @@ class CubicalComplex:
         carrier = self._cells_at(p)[0]
         if carrier is None:
             raise LocationError(f"point {list(p)} lies outside the complex")
-        containing = self._containing.get(carrier)
-        if containing is None:
-            # a cell holds p when each integer coordinate k is its base on a pinned axis or an
-            # end of a spanned one, and each other one lies inside a spanned axis: 3^m keys
-            keys = [((), ())]
-            for i, x in enumerate(p):
-                k = math.floor(x)
-                steps = (((k,), ()), ((k,), (i,)), ((k - 1,), (i,))) if x == k else (((k,), (i,)),)
-                keys = [(b + db, a + da) for b, a in keys for db, da in steps]
-            # sorted keys are in cell order, which id strings lose past c999
-            containing = self._containing[carrier] = tuple(
-                self._index[k] for k in sorted(keys) if k in self._index)
-        return LocatedPoint(p, containing, carrier, self)
+        return LocatedPoint(p, carrier, self)
 
     def _cells_at(self, p):
         """``(carrier, its owners)`` of a snapped point ``p``, or ``(None, ())`` outside the
@@ -349,7 +340,7 @@ class CubicalComplex:
     def tangent_cone(self, cell_id: str, point) -> SignCone:
         """The tangent cone of a cell at a point of it; a ``LocatedPoint`` is
         taken as already snapped."""
-        cell = self._by_id[cell_id]
+        cell = self.cell(cell_id)
         p = point.coords if isinstance(point, LocatedPoint) else self.snap(point)
         if not cell.contains(p):
             raise LocationError(f"point {list(p)} is not in cell {cell_id}")
@@ -372,7 +363,7 @@ class CubicalComplex:
 
     def face_between(self, id_a: str, id_b: str):
         """The unique common face of two cells, or None when disjoint."""
-        inter = _intersect_boxes(self._by_id[id_a], self._by_id[id_b])
+        inter = _intersect_boxes(self.cell(id_a), self.cell(id_b))
         if inter is None:
             return None
         ident = self._index.get(inter)

@@ -22,15 +22,11 @@ machinery.  The public pieces are:
 * :func:`shared_certificate_weights` -- a single weight vector feasible
   for several conic problems at once, as one stacked feasibility solve.
 
-The solves run on lists and tuples of Python floats: on problems this
-small each numpy call costs more than the arithmetic it does.  That covers
-the Wolfe iterations and their KKT solves, the reduction of a hull-to-cone
-problem, the Frank-Wolfe rounds and the sets' support and anchor points,
-which are tuples.  numpy remains in two places: the least-squares
-fallback for a singular KKT system, and the arrays of the result objects,
-each made once as a solve returns.  The public entries raise
-``ValueError`` naming the argument on empty, non-finite or
-mismatched-dimension input.
+Everything runs on Python floats, and every vector a solve returns is a
+tuple of them: on problems this small each numpy call costs more than the
+arithmetic it does.  numpy is imported only by the least-squares fallback
+for a singular KKT system.  The public entries raise ``ValueError`` naming
+the argument on empty, non-finite or mismatched-dimension input.
 """
 
 from __future__ import annotations
@@ -40,8 +36,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "FREE",
@@ -111,16 +105,15 @@ class SignCone:
                 return False
         return True
 
-    def clamp(self, v) -> list:
-        """Euclidean projection, a per-coordinate clamp, as a list of floats."""
-        return [0.0 if s == ZERO or (s == NONNEG and vi < 0.0) or (s == NONPOS and vi > 0.0)
-                else float(vi) for s, vi in zip(self.signs, v)]
-
-    def project(self, v) -> np.ndarray:
-        """Euclidean projection, a per-coordinate clamp."""
-        if len(v) != self.dim:
-            raise ValueError(f"v has dimension {len(v)}, the cone {self.dim}")
-        return np.array(self.clamp(v))
+    def project(self, v) -> tuple:
+        """Euclidean projection, a per-coordinate clamp, as a tuple of floats;
+        ``v`` may be any iterable of numbers of the cone's dimension."""
+        try:
+            return tuple([0.0 if s == ZERO or (s == NONNEG and vi < 0.0)
+                          or (s == NONPOS and vi > 0.0) else float(vi)
+                          for s, vi in zip(self.signs, v, strict=True)])
+        except ValueError:   # zip's: v is longer or shorter than the cone
+            raise ValueError(f"v must have the cone's dimension {self.dim}") from None
 
     def polar(self) -> "SignCone":
         return SignCone(tuple(_POLAR[s] for s in self.signs))
@@ -135,9 +128,9 @@ class SignCone:
 
 @dataclass(frozen=True)
 class MinNormResult:
-    point: np.ndarray   # nearest point of the set to the anchor
-    weights: np.ndarray  # convex weights over the input points
-    gap: float          # max_a <x, x - q_a>, a bound on suboptimality
+    point: tuple    # nearest point of the set to the anchor
+    weights: tuple  # convex weights over the input points
+    gap: float      # max_a <x, x - q_a>, a bound on suboptimality
 
 
 # Wolfe's stopping tolerance, relative to the squared size of the data
@@ -156,8 +149,6 @@ def _combine(w, rows) -> list:
 def _float_rows(rows, name: str, n: int = None) -> list:
     """``rows`` as tuples of floats, each of length ``n`` (the first row's
     when None) and finite; a flat sequence of numbers is one row."""
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
     try:
         rows = [tuple(map(float, r)) for r in rows]
     except TypeError:
@@ -214,6 +205,7 @@ def _affine_min_norm(Q, e) -> list:
     rhs = [0.0] * k + [1.0]
     sol = _solve(kkt, rhs)
     if sol is None or not all(map(math.isfinite, sol)) or abs(_dot(sol[:k], e) - 1.0) > 1e-6:
+        import numpy as np
         sol = np.linalg.lstsq(np.array(kkt), np.array(rhs), rcond=None)[0].tolist()
     v = sol[:k]
     s = _dot(v, e)
@@ -294,7 +286,7 @@ def min_norm_point(points, anchor=None, rays=None) -> MinNormResult:
             weights[c] += wi
     if a is not None:
         x = [xi + ai for xi, ai in zip(x, a)]
-    return MinNormResult(point=np.array(x), weights=np.array(weights), gap=gap)
+    return MinNormResult(point=tuple(x), weights=tuple(weights), gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +323,7 @@ def segment_span(a, d, lo, hi):
 def box_segment_min(a, b, lo, hi):
     """Minimise ``|a-x| + |x-b|`` over the box ``{lo <= x <= hi}``, exactly.
 
-    Returns ``(value, x)``, ``x`` a float ndarray; the inputs may be any
+    Returns ``(value, x)``, ``x`` a tuple of floats; the inputs may be any
     sequences of numbers.  When the straight segment meets the box the
     value is exactly ``math.dist(a, b)`` and ties among on-segment
     minimisers are broken by the point of smallest Euclidean norm.
@@ -364,11 +356,11 @@ def box_segment_min(a, b, lo, hi):
         else:
             tt = min(max(-sum(ai * di for ai, di in zip(a, d)) / dd, t0), t1)
         x = [min(max(ai + tt * di, l), h) for ai, di, l, h in zip(a, d, lo, hi)]
-        return math.dist(a, b), np.array(x)
+        return math.dist(a, b), tuple(x)
 
     if math.dist(a, b) <= 1e-13:
         x = [min(max(ai, l), h) for ai, l, h in zip(a, lo, hi)]
-        return math.dist(a, x) + math.dist(x, b), np.array(x)
+        return math.dist(a, x) + math.dist(x, b), tuple(x)
 
     # The minimiser lies in the relative interior of exactly one face, and
     # by convexity it also minimises over that face's affine hull.  On a
@@ -414,7 +406,7 @@ def box_segment_min(a, b, lo, hi):
                     best_val, best_x = val, x
         elif P + Q < best_val:
             best_val, best_x = P + Q, x
-    return math.dist(a, best_x) + math.dist(best_x, b), np.array(best_x)
+    return math.dist(a, best_x) + math.dist(best_x, b), tuple(best_x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -582,11 +574,11 @@ class WeightedSum:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    residual: float       # distance achieved
-    point: np.ndarray     # optimal point of the search set
-    cone_point: np.ndarray  # its projection onto the target cone
-    weights: np.ndarray   # convex weights over the sets
-    status: str           # "zero" | "positive" | "stalled"
+    residual: float     # distance achieved
+    point: tuple        # optimal point of the search set
+    cone_point: tuple   # its projection onto the target cone
+    weights: tuple      # convex weights over the sets
+    status: str         # "zero" | "positive" | "stalled"
     iterations: int
     gap: float
 
@@ -618,14 +610,13 @@ def _hull_to_cone(P: list, target: SignCone) -> tuple:
     the cone of those slides, one Wolfe solve over points and rays.  The
     hull point with those weights is nearest to the cone, and its
     projection is the nearest cone point.  ``P`` is a list of points;
-    returns ``(point, cone_point, weights, gap)`` as lists and a float.
+    returns ``(point, cone_point, weights, gap)``.
     """
     keep, rays = _cone_rays(target.signs)
     reduced = P if keep is None else [[p[i] for i in keep] for p in P]
     res = min_norm_point(reduced, rays=rays)
-    lam = res.weights.tolist()
-    z = _combine(lam, P)
-    return z, target.clamp(z), lam, res.gap
+    z = tuple(_combine(res.weights, P))
+    return z, target.project(z), res.weights, res.gap
 
 
 def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> FeasibilityResult:
@@ -697,15 +688,8 @@ def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> Feasibili
         status = "positive"
     else:
         status = "stalled"
-    return FeasibilityResult(
-        residual=residual,
-        point=np.array(z),
-        cone_point=np.array(mpt),
-        weights=np.array(v_out),
-        status=status,
-        iterations=it,
-        gap=gap,
-    )
+    return FeasibilityResult(residual=residual, point=z, cone_point=mpt, weights=tuple(v_out),
+                             status=status, iterations=it, gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -741,18 +725,16 @@ def shared_certificate_weights(problems, tol: float = 1e-8):
     target = SignCone(tuple(signs))
 
     r = feasibility_min_norm(stacked, target, tol=tol)
-    point = r.point.tolist()
     res = []
     for j, (_, M) in enumerate(problems):
-        zc = point[j * n:(j + 1) * n]
-        dz = list(map(operator.sub, zc, M.clamp(zc)))
+        zc = r.point[j * n:(j + 1) * n]
+        dz = list(map(operator.sub, zc, M.project(zc)))
         res.append(math.sqrt(_dot(dz, dz)))
     if max(res) > tol:
         raise ConvergenceError(
             "no shared weight vector reached tolerance "
             f"{tol:g}; per-problem residuals {res}"
         )
-    v = np.clip(r.weights, 0.0, None)
-    s = v.sum()
-    v = v / s if s > 0 else np.full(m, 1.0 / m)
-    return v, res
+    v = [w if w > 0.0 else 0.0 for w in r.weights]
+    s = sum(v)
+    return (tuple(w / s for w in v) if s > 0.0 else (1.0 / m,) * m), res

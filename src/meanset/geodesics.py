@@ -141,13 +141,13 @@ def _solve_piece(a, b, bounds, mins):
         return math.dist(a, b), 0.0, [a, b]
     if len(bounds) == 1:
         val, x = mins[0] if mins else box_segment_min(a, b, *bounds[0])
-        return val, 0.0, [a, tuple(x), b]
+        return val, 0.0, [a, x, b]
 
     # boxes of all points, a and b being boxes of their own
     lo = [a] + [g[0] for g in bounds] + [b]
     hi = [a] + [g[1] for g in bounds] + [b]
     starts = [x for _, x in mins] if mins else [box_segment_min(a, b, *g)[1] for g in bounds]
-    P = [list(a)] + [x.tolist() for x in starts] + [list(b)]
+    P = [list(x) for x in (a, *starts, b)]
     gap, val = _certified_gap(P, lo, hi)
     for eps in _LEVELS:
         while gap > 1e-13 * (1.0 + val):

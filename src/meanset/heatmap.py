@@ -4,7 +4,8 @@ Each sample draws a maximal cell, then a uniform point inside it, and
 records the deficit value plus a light/dark decision at a fixed threshold.
 Per-sample random streams are derived from ``(seed, sample index)``, so the
 output is byte-identical no matter how many worker threads run.  Sampling
-is serial unless ``MEANSET_THREADS`` asks for a thread pool.
+is serial unless ``MEANSET_THREADS`` asks for a thread pool.  The streams are
+numpy's, imported by the sampler on its first call.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import io
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .recognition import PointSetA, check_count, check_tolerance, mean_deficit
 
@@ -40,14 +39,15 @@ def worker_count() -> int:
         raise ValueError(f"MEANSET_THREADS must be an integer, got {cap!r}") from None
 
 
-def _one_sample(A: PointSetA, seed: int, index: int, eps: float,
-                prob: np.ndarray) -> HeatMapSample:
+def _one_sample(A: PointSetA, seed: int, index: int, eps: float, prob) -> HeatMapSample:
+    import numpy as np
+
     cx = A.cx
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     ids = cx.maximal_ids
     cid = ids[int(rng.choice(len(ids), p=prob))]
     lo, hi = cx.bounds(cid)
-    pt = tuple(np.asarray(lo, dtype=float) + (np.asarray(hi, dtype=float) - np.asarray(lo, dtype=float)) * rng.random(cx.ambient_dim))
+    pt = tuple((lo + (hi - lo) * rng.random(cx.ambient_dim)).tolist())
     report = mean_deficit(A, pt)
     return HeatMapSample(cid, cx.snap(pt), report.value, bool(report.value < eps))
 
@@ -56,6 +56,8 @@ def run_heatmap(A: PointSetA, samples: int, seed: int, eps: float,
                 threads: int = None) -> list:
     """Draw ``samples`` deficit evaluations; deterministic in ``seed``.
     At most one worker thread runs per sample."""
+    import numpy as np
+
     samples = check_count(samples, "the sample count", 1)
     check_tolerance(eps)
     # explicit uniform probabilities: ``rng.choice`` draws a different
@@ -75,17 +77,18 @@ def segment_probes(A: PointSetA, p, q, count: int, eps: float) -> list:
 
     The probe at fraction j/(count+1) is evaluated through the full
     boundary-aware deficit path; the straight segment must stay inside the
-    complex.
+    complex.  Raises ``ValueError`` when ``p`` and ``q`` differ in dimension.
     """
     count = check_count(count, "count")
     check_tolerance(eps)
     cx = A.cx
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = [*map(float, p)], [*map(float, q)]
+    if len(p) != len(q):
+        raise ValueError(f"p has dimension {len(p)}, q has {len(q)}")
     out = []
     for j in range(1, count + 1):
         t = j / (count + 1)
-        loc = cx.locate(tuple(p + t * (q - p)))
+        loc = cx.locate(tuple(a + t * (b - a) for a, b in zip(p, q)))
         report = mean_deficit(A, loc)
         out.append(HeatMapSample(loc.minimal_cell, loc.coords, report.value,
                                  bool(report.value < eps)))

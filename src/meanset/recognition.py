@@ -18,8 +18,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geodesics
 from .complexes import CubicalComplex
 from .convex import min_norm_point  # noqa: F401 -- perfbench/tracing.py wraps it here
@@ -48,9 +46,13 @@ class CertificateError(RuntimeError):
 
 
 def check_tolerance(tol, positive: bool = False) -> None:
-    """Raise ``ValueError`` unless ``tol`` is finite and nonnegative (positive if
-    asked): a NaN compares false with every residual and would pass any certificate."""
-    if not (math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)):
+    """Raise ``ValueError`` unless ``tol`` is a finite and nonnegative real number (positive
+    if asked): a NaN compares false with every residual and would pass any certificate."""
+    try:
+        ok = math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)
+    except TypeError:   # not a real number: a string, None
+        ok = False
+    if not ok:
         kind = "positive" if positive else "nonnegative"
         raise ValueError(f"tolerance must be finite and {kind}, got {tol!r}")
 
@@ -291,21 +293,28 @@ def certified_lower_bound(A: PointSetA, xbar, cert: NonMembershipCertificate) ->
 
 
 def weighted_objective(A: PointSetA, weights: dict, x, p: float = 2.0) -> float:
-    """The weighted p-th power distance objective at ``x`` (finite p >= 1)."""
+    """The weighted p-th power distance objective at ``x`` (finite p >= 1, finite weights)."""
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"exponent must be finite and at least 1, got {p!r}")
+    w = [weights.get(l, 0.0) for l in A.labels]
+    if not all(map(math.isfinite, w)):
+        raise ValueError(f"weights must be finite, got {weights!r}")
     d = A.distances_from(x)
-    return float(sum(weights.get(l, 0.0) * d[l] ** p for l in A.labels))
+    return float(sum(wi * d[l] ** p for wi, l in zip(w, A.labels)))
 
 
-def _sample_points(cx: CubicalComplex, rng, count):
+def _sample_points(cx: CubicalComplex, seed, count):
+    """``count`` uniform points of uniformly drawn maximal cells, by numpy's
+    seeded generator, as tuples of floats."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
     ids = cx.maximal_ids
     out = []
     for _ in range(count):
         cell = cx.cell(ids[int(rng.integers(len(ids)))])
         lo, hi = cell.bounds()
-        pt = lo + (hi - lo) * rng.random(cx.ambient_dim)
-        out.append(tuple(pt))
+        out.append(tuple((lo + (hi - lo) * rng.random(cx.ambient_dim)).tolist()))
     return out
 
 
@@ -316,8 +325,9 @@ def verify_certificate(A: PointSetA, xbar, cert, samples: int = 500,
     Membership: the variance inequality
     ``sum_a w_a d_a(x)^2 >= sum_a w_a d_a(xbar)^2 + d(x, xbar)^2`` must hold
     on sampled points, and a first-order conic condition must hold in every
-    maximal cell at the query point.  Non-membership: the witness must be
-    strictly closer to every set point.
+    maximal cell at the query point; weights that are not a probability
+    vector (a NaN is not) fail at once, before any sample.  Non-membership:
+    the witness must be strictly closer to every set point.
     """
     check_tolerance(tol)
     samples = check_count(samples, "samples")
@@ -338,15 +348,14 @@ def verify_certificate(A: PointSetA, xbar, cert, samples: int = 500,
     if not isinstance(cert, MembershipCertificate):
         raise CertificateError(f"cannot verify object of type {type(cert).__name__}")
 
-    w = np.array([cert.weights.get(l, 0.0) for l in A.labels])
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-6:
-        failures.append(("weights", "not a probability vector"))
+    w = [cert.weights.get(l, 0.0) for l in A.labels]
+    # written so that a NaN fails: it compares false with everything
+    if not (all(wi >= -1e-12 for wi in w) and abs(sum(w) - 1.0) <= 1e-6):
+        return VerificationReport(False, 0, (("weights", "not a probability vector"),), {})
     d_ref = A.distances_from(loc)
     base = sum(wi * d_ref[l] ** 2 for wi, l in zip(w, A.labels))
 
-    rng = np.random.default_rng(seed)
-    pts = _sample_points(cx, rng, samples)
-    for pt in pts:
+    for pt in _sample_points(cx, seed, samples):
         d_x = A.distances_from(pt)
         lhs = sum(wi * d_x[l] ** 2 for wi, l in zip(w, A.labels))
         gap = lhs - base - geodesics.distance(cx, pt, loc) ** 2

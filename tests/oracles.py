@@ -77,13 +77,20 @@ def agrees_with_straightened(A, x, tol: float = 1e-7) -> tuple:
     return ok, want, got, decision
 
 
+def cells_holding(cx, x) -> tuple:
+    """Ids of every lattice cell holding the snapped point ``x``, in cell
+    order, by testing each cell in turn."""
+    p = cx.snap(x)
+    return tuple(c.ident for c in cx.cells if c.contains(p, 0.0))
+
+
 def exit_normal_cone(cx, x, cell_id, a):
     """Normal cone at ``x`` of the face of cell ``cell_id`` through which the
     geodesic from ``x`` to ``a`` leaves it: the common face of that cell and
     the smallest cell (first in id order on ties) holding both ``x`` and the
     geodesic's first breakpoint."""
     x_a = geodesic(cx, x, a).breakpoints[1]
-    shared = set(cx.locate(x).containing) & set(cx.locate(x_a).containing)
+    shared = set(cells_holding(cx, x)) & set(cells_holding(cx, x_a))
     via = min(shared, key=lambda cid: (cx.cell(cid).dim, cid))
     return cx.normal_cone(cx.face_between(cell_id, via).ident, x)
 
@@ -527,7 +534,7 @@ def reference_walk(cx, p_loc, q_loc):
     boxes = cx._boxes
     t = 0.0
     chain, pts = [], [p]
-    step = [(c, None) for c in p_loc.containing if c in cx.maximal_ids]
+    step = [(c, None) for c in cells_holding(cx, p) if c in cx.maximal_ids]
     while True:
         best, reach, gate = None, t, None
         for cell, face in step:

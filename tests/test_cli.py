@@ -298,3 +298,46 @@ def test_import_loads_no_scipy():
                           text=True, env=_env_with_src(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_numpy():
+    # numpy took most of the command's start-up time; only the samplers use it
+    import subprocess
+    import sys
+    code = ("import sys, meanset, meanset.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_env_with_src(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_load_no_numpy_until_sampling():
+    """Every command but ``heatmap`` runs without numpy: at the vertex where
+    five squares meet, a member by weights shared across them, and at a
+    non-member on an edge of two squares, with a witness to find.  The heat
+    map then loads it."""
+    import subprocess
+    import sys
+    code = """if True:
+        import contextlib, io, sys
+        from meanset import cli
+        queries = [("squares5", "[0,0,0]", "[1,-1,0]"),
+                   ("quadrant_window", "[1.0,-0.0010957907691939717]", "[0,1]")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for name, x, a in queries:
+                for argv in (["recognize", "--set", name, "--at", x],
+                             ["deficit", "--set", name, "--at", x],
+                             ["distance", "--from", x, "--to", a],
+                             ["geodesic", "--from", x, "--to", a],
+                             ["validate"]):
+                    assert cli.main(argv[:1] + ["--complex", name] + argv[1:]) == 0, argv
+                    assert "numpy" not in sys.modules, argv
+            cli.main(["heatmap", "--complex", "squares3", "--set", "squares3",
+                      "--samples", "2", "--seed", "1"])
+        print("numpy" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_env_with_src(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"

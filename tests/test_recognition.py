@@ -7,6 +7,7 @@ import pytest
 
 from meanset import (
     CertificateError,
+    ComplexError,
     MembershipCertificate,
     NonMembershipCertificate,
     PointSetA,
@@ -19,9 +20,13 @@ from meanset import (
     recognize,
     recognize_general,
     recognize_interior,
+    run_heatmap,
+    segment_probes,
+    solve_PC,
     verify_certificate,
     weighted_objective,
 )
+from meanset.boundary import conic_residual
 from meanset import test_function as objective_gap
 from meanset import test_function_line_search as objective_line_search
 
@@ -172,6 +177,48 @@ def test_verify_rejects_forged_weights(bundles):
     forged = MembershipCertificate({"a": 0.05, "b": 0.95}, 0.0)
     rep = verify_certificate(A, (0.5, 0.0), forged, samples=200)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_verify_rejects_non_finite_weights(bundles, bad):
+    """Weights with a NaN or an infinity are no probability vector: the
+    report fails at once, and the objective refuses them.  NaN weights
+    once passed at a non-member, since every comparison with them is false."""
+    cx, A = bundles["squares3"]
+    x = (0.9, -0.9)
+    assert mean_deficit(A, x).value == pytest.approx(0.9, abs=1e-9)
+    forged = MembershipCertificate(dict.fromkeys(A.labels, bad), 0.0)
+    rep = verify_certificate(A, x, forged, samples=8)
+    assert not rep.ok
+    assert rep.failures == (("weights", "not a probability vector"),)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        weighted_objective(A, forged.weights, x)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda cx, A: cx.cell("c999"), ComplexError, "c999"),
+    (lambda cx, A: cx.cell(["c000"]), ComplexError, "c000"),
+    (lambda cx, A: cx.tangent_cone("c999", (0.5, 0.0)), ComplexError, "c999"),
+    (lambda cx, A: cx.normal_cone("c999", (0.5, 0.0)), ComplexError, "c999"),
+    (lambda cx, A: cx.bounds("c999"), ComplexError, "c999"),
+    (lambda cx, A: cx.face_between(cx.maximal_ids[0], "c999"), ComplexError, "c999"),
+    (lambda cx, A: solve_PC(A, (0.5, 0.0), "c999"), ComplexError, "c999"),
+    (lambda cx, A: conic_residual(A, (0.5, 0.0), "c999", {"a": 1.0}), ComplexError, "c999"),
+    (lambda cx, A: conic_residual(A, (0.5, 0.0), "c999", {}), ComplexError, "c999"),
+    (lambda cx, A: recognize(A, (0.5, 0.0), "1e-8"), ValueError, "tolerance"),
+    (lambda cx, A: recognize(A, (0.5, 0.0), None), ValueError, "tolerance"),
+    (lambda cx, A: run_heatmap(A, 2, 1, "0.1"), ValueError, "tolerance"),
+    (lambda cx, A: segment_probes(A, (0.5,), (0.5, -0.5), 2, 0.1), ValueError, "dimension"),
+], ids=["cell", "unhashable-id", "tangent-cone", "normal-cone", "bounds", "face-between",
+        "solve-pc", "conic-residual", "conic-residual-no-weight", "string-tol", "none-tol",
+        "heatmap-tol", "segment-dimensions"])
+def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
+    """An unknown cell id is a ComplexError naming it, and a tolerance that
+    is no real number or a probe segment of mismatched ends a ValueError,
+    never a bare KeyError or TypeError."""
+    cx, A = bundles["squares3"]
+    with pytest.raises(error, match=match):
+        call(cx, A)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-7])
