@@ -132,7 +132,6 @@ class PCOutcome:
     residual: float
     weights: tuple            # convex weights over the set labels
     direction: tuple = None   # unit decrease direction when infeasible
-    margin: float = None      # max of d_a times the derivative along it
 
 
 def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
@@ -173,8 +172,7 @@ def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
             f"descent direction check failed at {loc.coords} in cell {cell_id}: "
             f"max derivative {margin:g} vs residual {rho:g}"
         )
-    return PCOutcome(cell_id, False, rho, res.weights,
-                     direction=tuple(u), margin=margin)
+    return PCOutcome(cell_id, False, rho, res.weights, direction=tuple(u))
 
 
 def _witness_from_direction(A: PointSetA, loc: LocatedPoint, cell_id: str,

@@ -2,20 +2,21 @@
 
 Each sample draws a maximal cell, then a uniform point inside it, and
 records the deficit value plus a light/dark decision at a fixed threshold.
-Per-sample random streams are derived from ``(seed, sample index)``, so the
-output is byte-identical no matter how many worker threads run.  Sampling
-is serial unless ``MEANSET_THREADS`` asks for a thread pool.  The streams are
-numpy's, imported by the sampler on its first call.
+Sample ``i`` draws from its own ``random.Random`` stream, seeded by the
+string ``f"{seed}:{i}"`` alone, so the output is byte-identical no matter
+how many worker threads run or what ``PYTHONHASHSEED`` is.  Sampling is
+serial unless ``MEANSET_THREADS`` asks for a thread pool.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .recognition import PointSetA, check_count, check_tolerance, mean_deficit
+from .recognition import PointSetA, check_count, check_tolerance, mean_deficit, random_point
 
 __all__ = ["HeatMapSample", "run_heatmap", "segment_probes", "to_csv", "worker_count"]
 
@@ -39,36 +40,24 @@ def worker_count() -> int:
         raise ValueError(f"MEANSET_THREADS must be an integer, got {cap!r}") from None
 
 
-def _one_sample(A: PointSetA, seed: int, index: int, eps: float, prob) -> HeatMapSample:
-    import numpy as np
-
-    cx = A.cx
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    ids = cx.maximal_ids
-    cid = ids[int(rng.choice(len(ids), p=prob))]
-    lo, hi = cx.bounds(cid)
-    pt = tuple((lo + (hi - lo) * rng.random(cx.ambient_dim)).tolist())
+def _one_sample(A: PointSetA, seed: int, index: int, eps: float) -> HeatMapSample:
+    cid, pt = random_point(A.cx, random.Random(f"{seed}:{index}"))
     report = mean_deficit(A, pt)
-    return HeatMapSample(cid, cx.snap(pt), report.value, bool(report.value < eps))
+    return HeatMapSample(cid, A.cx.snap(pt), report.value, bool(report.value < eps))
 
 
 def run_heatmap(A: PointSetA, samples: int, seed: int, eps: float,
                 threads: int = None) -> list:
-    """Draw ``samples`` deficit evaluations; deterministic in ``seed``.
-    At most one worker thread runs per sample."""
-    import numpy as np
-
+    """Draw ``samples`` deficit evaluations; deterministic in ``seed``, a
+    nonnegative integer.  At most one worker thread runs per sample."""
     samples = check_count(samples, "the sample count", 1)
+    seed = check_count(seed, "seed")
     check_tolerance(eps)
-    # explicit uniform probabilities: ``rng.choice`` draws a different
-    # stream with ``p`` than without, and the samples depend on that stream
-    n_cells = len(A.cx.maximal_ids)
-    prob = np.full(n_cells, 1.0 / n_cells)
     workers = min(threads if threads is not None else worker_count(), samples)
     if workers <= 1:
-        return [_one_sample(A, seed, i, eps, prob) for i in range(samples)]
+        return [_one_sample(A, seed, i, eps) for i in range(samples)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(_one_sample, A, seed, i, eps, prob) for i in range(samples)]
+        futs = [pool.submit(_one_sample, A, seed, i, eps) for i in range(samples)]
         return [f.result() for f in futs]
 
 

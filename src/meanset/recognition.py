@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 
 from . import geodesics
@@ -45,14 +46,18 @@ class CertificateError(RuntimeError):
     """Certificate construction or validation failed."""
 
 
+def _all_finite(values) -> bool:
+    """Whether every value is a finite real number (a string or None is not)."""
+    try:
+        return all(map(math.isfinite, values))
+    except TypeError:
+        return False
+
+
 def check_tolerance(tol, positive: bool = False) -> None:
     """Raise ``ValueError`` unless ``tol`` is a finite and nonnegative real number (positive
     if asked): a NaN compares false with every residual and would pass any certificate."""
-    try:
-        ok = math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)
-    except TypeError:   # not a real number: a string, None
-        ok = False
-    if not ok:
+    if not (_all_finite([tol]) and (tol > 0.0 if positive else tol >= 0.0)):
         kind = "positive" if positive else "nonnegative"
         raise ValueError(f"tolerance must be finite and {kind}, got {tol!r}")
 
@@ -287,35 +292,32 @@ def certified_lower_bound(A: PointSetA, xbar, cert: NonMembershipCertificate) ->
     if not isinstance(cert, NonMembershipCertificate):
         raise CertificateError("lower bounds require a non-membership certificate")
     margins = list(cert.margins.values())
-    if not margins or min(margins) <= 0.0:
-        raise CertificateError("certificate margins must all be strictly positive")
+    if not (margins and _all_finite(margins) and min(margins) > 0.0):
+        raise CertificateError(f"certificate margins must all be strictly positive, "
+                               f"got {cert.margins!r}")
     return float(min(margins))
 
 
 def weighted_objective(A: PointSetA, weights: dict, x, p: float = 2.0) -> float:
     """The weighted p-th power distance objective at ``x`` (finite p >= 1, finite weights)."""
-    if not (math.isfinite(p) and p >= 1.0):
+    if not (_all_finite([p]) and p >= 1.0):
         raise ValueError(f"exponent must be finite and at least 1, got {p!r}")
     w = [weights.get(l, 0.0) for l in A.labels]
-    if not all(map(math.isfinite, w)):
-        raise ValueError(f"weights must be finite, got {weights!r}")
+    if not _all_finite(w):
+        raise ValueError(f"weights must be finite real numbers, got {weights!r}")
     d = A.distances_from(x)
     return float(sum(wi * d[l] ** p for wi, l in zip(w, A.labels)))
 
 
-def _sample_points(cx: CubicalComplex, seed, count):
-    """``count`` uniform points of uniformly drawn maximal cells, by numpy's
-    seeded generator, as tuples of floats."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+def random_point(cx: CubicalComplex, rng: random.Random) -> tuple:
+    """``(cell id, point)``: a uniformly drawn maximal cell and a uniform point
+    of its box, a tuple of floats.  Draws only with ``rng.random()``: Python
+    keeps its sequence for a seed across versions, and does not promise that
+    of ``randrange``."""
     ids = cx.maximal_ids
-    out = []
-    for _ in range(count):
-        cell = cx.cell(ids[int(rng.integers(len(ids)))])
-        lo, hi = cell.bounds()
-        out.append(tuple((lo + (hi - lo) * rng.random(cx.ambient_dim)).tolist()))
-    return out
+    cid = ids[int(rng.random() * len(ids))]
+    lo, hi = cx._boxes[cid]
+    return cid, tuple(l + (h - l) * rng.random() for l, h in zip(lo, hi))
 
 
 def verify_certificate(A: PointSetA, xbar, cert, samples: int = 500,
@@ -326,11 +328,14 @@ def verify_certificate(A: PointSetA, xbar, cert, samples: int = 500,
     ``sum_a w_a d_a(x)^2 >= sum_a w_a d_a(xbar)^2 + d(x, xbar)^2`` must hold
     on sampled points, and a first-order conic condition must hold in every
     maximal cell at the query point; weights that are not a probability
-    vector (a NaN is not) fail at once, before any sample.  Non-membership:
-    the witness must be strictly closer to every set point.
+    vector (a NaN or a string is not) fail at once, before any sample.  The
+    sampled points are :func:`random_point` draws from one stream seeded by
+    ``seed``, a nonnegative integer.  Non-membership: the witness must be
+    strictly closer to every set point.
     """
     check_tolerance(tol)
     samples = check_count(samples, "samples")
+    rng = random.Random(check_count(seed, "seed"))
     cx = A.cx
     loc = cx.locate(xbar)
     failures = []
@@ -349,13 +354,13 @@ def verify_certificate(A: PointSetA, xbar, cert, samples: int = 500,
         raise CertificateError(f"cannot verify object of type {type(cert).__name__}")
 
     w = [cert.weights.get(l, 0.0) for l in A.labels]
-    # written so that a NaN fails: it compares false with everything
-    if not (all(wi >= -1e-12 for wi in w) and abs(sum(w) - 1.0) <= 1e-6):
+    if not (_all_finite(w) and all(wi >= -1e-12 for wi in w) and abs(sum(w) - 1.0) <= 1e-6):
         return VerificationReport(False, 0, (("weights", "not a probability vector"),), {})
     d_ref = A.distances_from(loc)
     base = sum(wi * d_ref[l] ** 2 for wi, l in zip(w, A.labels))
 
-    for pt in _sample_points(cx, seed, samples):
+    for _ in range(samples):
+        pt = random_point(cx, rng)[1]
         d_x = A.distances_from(pt)
         lhs = sum(wi * d_x[l] ** 2 for wi, l in zip(w, A.labels))
         gap = lhs - base - geodesics.distance(cx, pt, loc) ** 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from meanset import (
+    CertificateError,
     ConvergenceError,
     PointSetA,
     boundary,
@@ -176,6 +177,38 @@ def test_stalled_solve_error_names_the_point_and_cell(bundles, monkeypatch):
 
 
 QUADRANT_EDGE = (1.0, -0.0010957907691939717)
+
+
+def test_frank_wolfe_out_of_rounds_names_the_point_and_cell(bundles, monkeypatch):
+    """The real solver, given no Frank-Wolfe rounds at an edge point whose
+    two cells each need one, stalls in the first cell it solves."""
+    cx, A = bundles["quadrant_window"]
+    x = QUADRANT_EDGE
+    monkeypatch.setattr(convex, "_MAX_ROUNDS", 0)
+    with pytest.raises(ConvergenceError) as exc:
+        recognize(A, x)
+    msg = str(exc.value)
+    assert f"stalled at {cx.locate(x).coords}" in msg
+    assert f"in cell {cx.maximal_cells_containing(x)[0]}" in msg
+
+
+def test_no_shared_weights_names_the_point_and_cells(bundles, monkeypatch):
+    """A member where two cells meet, each feasible alone, needs one weight
+    vector for both; when none is found the decision fails naming both."""
+    cx, A = bundles["squares5"]
+    x = (0.0, 0.0, 0.5)
+    cells = cx.maximal_cells_containing(x)
+    assert len(cells) == 2 and recognize(A, x).decision == "member"
+
+    def unfound(problems, tol=1e-8):
+        raise ConvergenceError("no shared weights")
+
+    monkeypatch.setattr(boundary, "shared_certificate_weights", unfound)
+    with pytest.raises(CertificateError) as exc:
+        recognize(A, x)
+    msg = str(exc.value)
+    assert str(cx.locate(x).coords) in msg
+    assert str(sorted(cells)) in msg
 
 
 @pytest.fixture

@@ -312,32 +312,54 @@ def test_import_loads_no_numpy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_commands_load_no_numpy_until_sampling():
-    """Every command but ``heatmap`` runs without numpy: at the vertex where
-    five squares meet, a member by weights shared across them, and at a
-    non-member on an edge of two squares, with a witness to find.  The heat
-    map then loads it."""
+def test_commands_and_verification_load_no_numpy():
+    """No command and no certificate check loads numpy: every command at the
+    vertex where five squares meet, a member by weights shared across them,
+    and at a non-member on an edge of two squares, with a witness to find,
+    the heat map with probes on a segment from there; then a sampled check
+    of the member's certificate."""
     import subprocess
     import sys
     code = """if True:
         import contextlib, io, sys
-        from meanset import cli
-        queries = [("squares5", "[0,0,0]", "[1,-1,0]"),
-                   ("quadrant_window", "[1.0,-0.0010957907691939717]", "[0,1]")]
+        from meanset import cli, load_bundled, recognize, verify_certificate
+        queries = [("squares5", "[0,0,0]", "[1,-1,0]", "[1,-1,0]"),
+                   ("quadrant_window", "[1.0,-0.0010957907691939717]", "[0,1]", "[1.5,0]")]
         with contextlib.redirect_stdout(io.StringIO()):
-            for name, x, a in queries:
+            for name, x, a, end in queries:
                 for argv in (["recognize", "--set", name, "--at", x],
                              ["deficit", "--set", name, "--at", x],
                              ["distance", "--from", x, "--to", a],
                              ["geodesic", "--from", x, "--to", a],
-                             ["validate"]):
+                             ["validate"],
+                             ["heatmap", "--set", name, "--samples", "2", "--seed", "1",
+                              "--segment", x, end, "2"]):
                     assert cli.main(argv[:1] + ["--complex", name] + argv[1:]) == 0, argv
                     assert "numpy" not in sys.modules, argv
-            cli.main(["heatmap", "--complex", "squares3", "--set", "squares3",
-                      "--samples", "2", "--seed", "1"])
-        print("numpy" in sys.modules)
+        cx, A = load_bundled("squares5")
+        cert = recognize(A, (0.0, 0.0, 0.0)).certificate
+        assert verify_certificate(A, (0.0, 0.0, 0.0), cert, samples=20).ok
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
     """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_env_with_src(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_heatmap_csv_is_independent_of_the_hash_seed():
+    """The per-sample streams are seeded without ``hash()``, so string
+    hashing cannot change a CSV."""
+    import subprocess
+    import sys
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(_env_with_src(), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-m", "meanset.cli", "heatmap", "--complex",
+                               "squares3", "--set", "squares3", "--samples", "16",
+                               "--seed", "1"],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 17

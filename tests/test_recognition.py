@@ -179,11 +179,12 @@ def test_verify_rejects_forged_weights(bundles):
     assert not rep.ok
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", None])
 def test_verify_rejects_non_finite_weights(bundles, bad):
-    """Weights with a NaN or an infinity are no probability vector: the
-    report fails at once, and the objective refuses them.  NaN weights
-    once passed at a non-member, since every comparison with them is false."""
+    """Weights with a NaN, an infinity or a value that is no number are no
+    probability vector: the report fails at once, and the objective refuses
+    them.  NaN weights once passed at a non-member, since every comparison
+    with them is false; a string or None escaped as a bare TypeError."""
     cx, A = bundles["squares3"]
     x = (0.9, -0.9)
     assert mean_deficit(A, x).value == pytest.approx(0.9, abs=1e-9)
@@ -209,13 +210,21 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
     (lambda cx, A: recognize(A, (0.5, 0.0), None), ValueError, "tolerance"),
     (lambda cx, A: run_heatmap(A, 2, 1, "0.1"), ValueError, "tolerance"),
     (lambda cx, A: segment_probes(A, (0.5,), (0.5, -0.5), 2, 0.1), ValueError, "dimension"),
+    (lambda cx, A: weighted_objective(A, {"a": 1.0}, (0.5, 0.0), p="2"), ValueError, "exponent"),
+    (lambda cx, A: verify_certificate(A, (0.5, 0.0), {"a": 1.0}), CertificateError, "dict"),
+    (lambda cx, A: certified_lower_bound(A, (0.5, -0.5), NonMembershipCertificate(
+        (0.5, -0.25), {"a": 0.1, "b": 0.0, "c": 0.1})), CertificateError, "margins"),
+    (lambda cx, A: certified_lower_bound(A, (0.5, -0.5), NonMembershipCertificate(
+        (0.5, -0.25), {"a": 0.1, "b": "x", "c": 0.1})), CertificateError, "margins"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "normal-cone", "bounds", "face-between",
         "solve-pc", "conic-residual", "conic-residual-no-weight", "string-tol", "none-tol",
-        "heatmap-tol", "segment-dimensions"])
+        "heatmap-tol", "segment-dimensions", "string-exponent", "not-a-certificate",
+        "zero-margin", "string-margin"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
-    """An unknown cell id is a ComplexError naming it, and a tolerance that
-    is no real number or a probe segment of mismatched ends a ValueError,
-    never a bare KeyError or TypeError."""
+    """An unknown cell id is a ComplexError naming it, a tolerance or an
+    exponent that is no real number or a probe segment of mismatched ends a
+    ValueError, and an object that is no certificate or a margin that is not
+    a positive number a CertificateError, never a bare KeyError or TypeError."""
     cx, A = bundles["squares3"]
     with pytest.raises(error, match=match):
         call(cx, A)
@@ -230,6 +239,33 @@ def test_verify_rejects_bad_tolerance(bundles, tol):
     assert not verify_certificate(A, (0.5, -0.5), forged, samples=20).ok
     with pytest.raises(ValueError):
         verify_certificate(A, (0.5, -0.5), forged, samples=20, tol=tol)
+
+
+@pytest.mark.parametrize("seed", [1.5, "1", -1, None])
+@pytest.mark.parametrize("draw", [
+    lambda A, seed: run_heatmap(A, 2, seed, 0.1),
+    lambda A, seed: verify_certificate(A, (0.5, 0.0), recognize(A, (0.5, 0.0)).certificate,
+                                       samples=2, seed=seed),
+], ids=["heatmap", "verify"])
+def test_seeds_must_be_nonnegative_integers(bundles, draw, seed):
+    """A seed that is no nonnegative integer is a ValueError naming it; a
+    seed of None once drew from the operating system's entropy, so the
+    report could not be reproduced."""
+    cx, A = bundles["squares3"]
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        draw(A, seed)
+
+
+def test_verify_rejects_a_witness_that_is_not_closer(bundles):
+    """A forged non-membership certificate whose witness is the query point
+    itself fails once per set point."""
+    cx, A = bundles["squares3"]
+    x = (0.5, -0.5)
+    forged = NonMembershipCertificate(x, dict.fromkeys(A.labels, 1.0))
+    rep = verify_certificate(A, x, forged)
+    assert not rep.ok
+    assert [f[0] for f in rep.failures] == list(A.labels)
+    assert all("witness not strictly closer" in f[1] for f in rep.failures)
 
 
 def test_verify_rejects_negative_samples(bundles):
