@@ -51,6 +51,7 @@ from .recognition import (
     RecognitionResult,
     check_tolerance,
     recognize_interior,  # noqa: F401 -- perfbench/tracing.py wraps it here too
+    witness_margins,
 )
 
 __all__ = [
@@ -184,8 +185,7 @@ def _witness_from_direction(A: PointSetA, loc: LocatedPoint, cell_id: str,
     for _ in range(60):
         cand = tuple(map(operator.add, loc.coords, step))
         if cell.contains(cand):
-            d_cand = A.distances_from(cand)
-            margins = {l: d_ref[l] - d_cand[l] for l in A.labels}
+            margins = witness_margins(A, d_ref, cand)
             if min(margins.values()) > 0.0:
                 return NonMembershipCertificate(cx.snap(cand), margins)
         step = [0.5 * s for s in step]

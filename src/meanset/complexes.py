@@ -1,18 +1,18 @@
 """Cubical complexes: unit cubes on the integer lattice glued along faces.
 
-A complex is described by its maximal cells only; the full face lattice is
-derived at construction.  Cells are axis-aligned unit cubes ``base + [0,1]^axes``
-with integer base vertices, so all face computations are exact integer
-arithmetic.  Two lattice unit cubes always meet in a common face of both,
-so curvature enters only through :meth:`CubicalComplex.validate`, which
-checks the flag condition on vertex links; simple connectivity is reported
-as assumed, not checked.  One pass over the face lattice, largest faces
-first, gives the adjacency of the maximal cells, each neighbour with the
-face the two meet in, and from it their connected components.  The owner
-table maps each lattice cell to the maximal cells it is a face of: a point's
-cells depend only on its carrier, the cell holding it in its relative interior,
-found by one O(n) key.  Points are tuples of floats; only :meth:`CubeCell.bounds`
-and :meth:`CubicalComplex.bounds` hand out numpy arrays, importing numpy on
+A complex is described by its maximal cells only; the face lattice derived at
+construction, each cell's faces listed as ``box_segment_min`` lists a box's, is
+the one source of cell geometry: its key index, and one float box per cell that
+the tangent cones and the meet of two cells read.  Two lattice unit cubes always
+meet in a common face of both, so curvature enters only through
+:meth:`CubicalComplex.validate`, which checks the flag condition on the links of
+the lattice's vertices; simple connectivity is reported as assumed, not checked.
+One pass over the lattice, largest faces first, gives the adjacency of the
+maximal cells, each neighbour with the face the two meet in, and from it their
+connected components.  The owner table maps each lattice cell to the maximal
+cells it is a face of: a point's cells depend only on its carrier, the cell
+holding it in its relative interior, found by one O(n) key.  Points are tuples
+of floats; only the ``bounds`` methods hand out numpy arrays, importing numpy on
 their first call.  An unknown cell id raises :class:`ComplexError`.
 """
 
@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .convex import FREE, NONNEG, NONPOS, ZERO, SignCone
+from .convex import FREE, NONNEG, NONPOS, ZERO, SignCone, _box_faces
 
 # At most this many distinct faces: a built complex holds 1.64-1.90 KB per face (2-
 # to 5-D grids, one 10- or 11-cube), so a refused document would need 1.0-1.1 GB.
@@ -91,15 +91,15 @@ class CubeCell:
     def faces(self):
         """All faces (including the cell itself) as ``(base, axes)`` pairs."""
         out = []
-        k = len(self.axes)
-        for keep_mask in range(1 << k):
-            kept = tuple(self.axes[i] for i in range(k) if keep_mask >> i & 1)
-            dropped = [self.axes[i] for i in range(k) if not keep_mask >> i & 1]
-            for bits in itertools.product((0, 1), repeat=len(dropped)):
-                base = list(self.base)
-                for ax, bit in zip(dropped, bits):
-                    base[ax] += bit
-                out.append((tuple(base), kept))
+        for sides in _box_faces(len(self.axes)):
+            base = list(self.base)
+            kept = []
+            for ax, side in zip(self.axes, sides):
+                if side > 0:
+                    base[ax] += 1
+                elif side == 0:
+                    kept.append(ax)
+            out.append((tuple(base), tuple(kept)))
         return out
 
 
@@ -130,26 +130,6 @@ class ValidationReport:
             ],
             "simple_connectivity": self.simple_connectivity,
         }
-
-
-def _box_of(cell: CubeCell):
-    lo = list(cell.base)
-    hi = list(cell.base)
-    for ax in cell.axes:
-        hi[ax] += 1
-    return lo, hi
-
-
-def _intersect_boxes(cell_a: CubeCell, cell_b: CubeCell):
-    """Exact integer intersection of two unit boxes; None when empty."""
-    lo_a, hi_a = _box_of(cell_a)
-    lo_b, hi_b = _box_of(cell_b)
-    lo = [max(x, y) for x, y in zip(lo_a, lo_b)]
-    hi = [min(x, y) for x, y in zip(hi_a, hi_b)]
-    if any(l > h for l, h in zip(lo, hi)):
-        return None
-    axes = tuple(i for i, (l, h) in enumerate(zip(lo, hi)) if h > l)
-    return tuple(lo), axes
 
 
 class CubicalComplex:
@@ -203,7 +183,8 @@ class CubicalComplex:
         self._owners = {self._index[k]: tuple(map(self._index.__getitem__, sorted(owners)))
                         for k, owners in lattice.items()}
         # one (lo, hi) pair of float tuples per cell, never handed out
-        self._boxes = {c.ident: tuple(tuple(map(float, b)) for b in _box_of(c))
+        self._boxes = {c.ident: (tuple(map(float, c.base)),
+                                 tuple(float(b + (i in c.axes)) for i, b in enumerate(c.base)))
                        for c in self.cells}
         self._geo_cache = {}
         # two maximal cells meet in their largest common face, so visiting the
@@ -242,50 +223,30 @@ class CubicalComplex:
         """Fresh ``(lo, hi)`` float arrays of the cell's box."""
         return self.cell(ident).bounds()
 
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
-
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
         link_bad = []
-        vertices = sorted({v for c in self.cells for v in c.vertices()})
-        cube_keys = {(c.base, c.axes) for c in self.cells}
 
-        def block_at(vertex, directions):
-            """The cube spanned at ``vertex`` by signed directions, as a lattice key."""
+        def spans(vertex, directions):
+            """Whether the cube spanned at ``vertex`` by signed directions is a lattice cell."""
             base = list(vertex)
-            axes = []
             for ax, sign in directions:
-                axes.append(ax)
                 if sign < 0:
                     base[ax] -= 1
-            return (tuple(base), tuple(sorted(axes)))
+            return (tuple(base), tuple(sorted(ax for ax, _ in directions))) in self._index
 
-        for v in vertices:
-            dirs = []
-            for ax in range(self.ambient_dim):
-                for sign in (1, -1):
-                    if block_at(v, [(ax, sign)]) in cube_keys:
-                        dirs.append((ax, sign))
-            pair_ok = {}
-            for d1, d2 in itertools.combinations(dirs, 2):
-                if d1[0] == d2[0]:
-                    continue
-                pair_ok[(d1, d2)] = block_at(v, [d1, d2]) in cube_keys
+        for v in [c.base for c in self.cells if not c.axes]:   # the 0-cells, sorted
+            dirs = [(ax, sign) for ax in range(self.ambient_dim) for sign in (1, -1)
+                    if spans(v, [(ax, sign)])]
+            # combinations keep the order of dirs, so every pair of a combo is a key here
+            pair_ok = {pair: spans(v, pair) for pair in itertools.combinations(dirs, 2)
+                       if pair[0][0] != pair[1][0]}
             for r in range(3, len(dirs) + 1):
                 for combo in itertools.combinations(dirs, r):
-                    axes_used = [d[0] for d in combo]
-                    if len(set(axes_used)) != r:
-                        continue
-                    all_pairs = all(
-                        pair_ok.get((d1, d2), pair_ok.get((d2, d1), False))
-                        for d1, d2 in itertools.combinations(combo, 2)
-                    )
-                    if all_pairs and block_at(v, list(combo)) not in cube_keys:
+                    if (len({ax for ax, _ in combo}) == r
+                            and all(map(pair_ok.__getitem__, itertools.combinations(combo, 2)))
+                            and not spans(v, combo)):
                         link_bad.append((v, combo))
         return ValidationReport(tuple(link_bad))
 
@@ -310,7 +271,10 @@ class CubicalComplex:
             if point.cx is self:
                 return point
             point = point.coords
-        p = self.snap(point)
+        return self._locate_snapped(self.snap(point))
+
+    def _locate_snapped(self, p) -> LocatedPoint:
+        """:meth:`locate` of a point already snapped, a tuple of floats."""
         if len(p) != self.ambient_dim:
             raise LocationError(
                 f"point has dimension {len(p)}, complex is {self.ambient_dim}-dimensional"
@@ -341,16 +305,17 @@ class CubicalComplex:
         """The tangent cone of a cell at a point of it; a ``LocatedPoint`` is
         taken as already snapped."""
         cell = self.cell(cell_id)
+        lo, hi = self._boxes[cell_id]
         p = point.coords if isinstance(point, LocatedPoint) else self.snap(point)
         if not cell.contains(p):
             raise LocationError(f"point {list(p)} is not in cell {cell_id}")
         signs = []
-        for i, b in enumerate(cell.base):
-            if i not in cell.axes:
+        for x, l, h in zip(p, lo, hi):
+            if l == h:
                 signs.append(ZERO)
-            elif p[i] <= b:
+            elif x <= l:
                 signs.append(NONNEG)
-            elif p[i] >= b + 1:
+            elif x >= h:
                 signs.append(NONPOS)
             else:
                 signs.append(FREE)
@@ -363,10 +328,11 @@ class CubicalComplex:
 
     def face_between(self, id_a: str, id_b: str):
         """The unique common face of two cells, or None when disjoint."""
-        inter = _intersect_boxes(self.cell(id_a), self.cell(id_b))
-        if inter is None:
+        (lo_a, hi_a), (lo_b, hi_b) = (self._boxes[self.cell(i).ident] for i in (id_a, id_b))
+        lo, hi = tuple(map(max, lo_a, lo_b)), tuple(map(min, hi_a, hi_b))
+        if any(l > h for l, h in zip(lo, hi)):
             return None
-        ident = self._index.get(inter)
+        ident = self._index.get((lo, tuple(i for i, (l, h) in enumerate(zip(lo, hi)) if h > l)))
         if ident is None:
             # unreachable: lattice unit cubes always meet in a common face
             raise ComplexError(
@@ -409,16 +375,21 @@ def complex_from_dict(doc) -> CubicalComplex:
     return CubicalComplex(n, maximal)
 
 
-def load_complex(path) -> CubicalComplex:
-    """Load a complex from a JSON file of maximal cells."""
+def read_json(path):
+    """The JSON document in the file ``path``; ``ComplexError`` placing a syntax error."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ComplexError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def load_complex(path) -> CubicalComplex:
+    """Load a complex from a JSON file of maximal cells."""
+    doc = read_json(path)
     try:
         return complex_from_dict(doc)
     except ComplexError as exc:

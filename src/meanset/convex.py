@@ -635,7 +635,11 @@ def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> Feasibili
     set whose points do not have the cone's dimension, and on a ``tol``
     that is not finite and nonnegative.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
+    try:
+        tol_ok = math.isfinite(tol) and tol >= 0.0
+    except TypeError:   # no number
+        tol_ok = False
+    if not tol_ok:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     m = len(sets)
     if m == 0:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
-from .complexes import ComplexError, CubicalComplex, load_complex
+from .complexes import ComplexError, CubicalComplex, load_complex, read_json
 from .recognition import PointSetA
 
 BUNDLED = ("tripod", "squares3", "squares5", "cube_square", "quadrant_window")
@@ -23,14 +22,7 @@ def data_path(filename: str):
 
 def load_point_set(cx: CubicalComplex, path) -> PointSetA:
     """Read a labelled point set ``{"points": {label: coords}}`` from JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ComplexError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or "points" not in doc:
         raise ComplexError(f"{path}: point set document needs a 'points' object")
     pts = doc["points"]
@@ -57,5 +49,4 @@ def expected(name: str) -> dict:
     """Frozen expected results for one corpus entry."""
     if name not in BUNDLED:
         raise KeyError(f"unknown corpus entry {name!r}; have {', '.join(BUNDLED)}")
-    with open(data_path(f"{name}_expected.json"), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(data_path(f"{name}_expected.json"))

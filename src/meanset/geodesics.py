@@ -99,12 +99,17 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
     """
     bounds = _face_bounds
     if bounds is None:
+        try:
+            chain = tuple(chain)
+            unknown = [cell for cell in chain if cell not in cx._by_id]
+        except TypeError:   # no sequence, or a cell that is no hashable id
+            raise GeodesicError(f"chain {chain!r} from {tuple(p)} to {tuple(q)} is not "
+                                f"a sequence of cell ids") from None
         if not chain:
             raise GeodesicError(f"empty chain from {tuple(p)} to {tuple(q)}")
-        for cell in chain:
-            if cell not in cx._by_id:
-                raise GeodesicError(f"chain {tuple(chain)} from {tuple(p)} to {tuple(q)}: "
-                                    f"unknown cell {cell!r}")
+        if unknown:
+            raise GeodesicError(f"chain {chain} from {tuple(p)} to {tuple(q)}: "
+                                f"unknown cell {unknown[0]!r}")
         for end, cell in ((p, chain[0]), (q, chain[-1])):
             if not cx.cell(cell).contains(end):
                 raise GeodesicError(f"chain {tuple(chain)} from {tuple(p)} to {tuple(q)}: "
@@ -431,8 +436,9 @@ def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
     a = p.coords if isinstance(p, LocatedPoint) else cx.snap(p)
     b = q.coords if isinstance(q, LocatedPoint) else cx.snap(q)
     g = cx._geo_cache.get((a, b) if a <= b else (b, a))
-    if g is None:
-        p_loc, q_loc = cx.locate(p), cx.locate(q)
+    if g is None:   # locate each end, snapping none twice
+        p_loc = cx.locate(p) if isinstance(p, LocatedPoint) else cx._locate_snapped(a)
+        q_loc = cx.locate(q) if isinstance(q, LocatedPoint) else cx._locate_snapped(b)
         a, b = p_loc.coords, q_loc.coords   # a LocatedPoint made by hand may be unsnapped
         key = (a, b) if a <= b else (b, a)
         g = cx._geo_cache[key] = _walk(cx, p_loc, q_loc) or _search(cx, p_loc, q_loc)
@@ -531,7 +537,11 @@ def distance(cx: CubicalComplex, p, q) -> float:
 
 def point_along(g: Geodesic, s: float) -> tuple:
     """The point a fraction ``s`` of the total length along ``g``."""
-    if not -1e-12 <= s <= 1.0 + 1e-12:   # a NaN fails both comparisons
+    try:
+        inside = -1e-12 <= s <= 1.0 + 1e-12   # a NaN fails both comparisons
+    except TypeError:   # no number
+        inside = False
+    if not inside:
         raise ValueError(f"fraction must lie in [0, 1], got {s!r}")
     s = min(max(s, 0.0), 1.0)
     bps = g.breakpoints

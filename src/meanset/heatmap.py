@@ -53,7 +53,8 @@ def run_heatmap(A: PointSetA, samples: int, seed: int, eps: float,
     samples = check_count(samples, "the sample count", 1)
     seed = check_count(seed, "seed")
     check_tolerance(eps)
-    workers = min(threads if threads is not None else worker_count(), samples)
+    threads = worker_count() if threads is None else check_count(threads, "threads", 1)
+    workers = min(threads, samples)
     if workers <= 1:
         return [_one_sample(A, seed, i, eps) for i in range(samples)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

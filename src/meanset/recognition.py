@@ -62,6 +62,13 @@ def check_tolerance(tol, positive: bool = False) -> None:
         raise ValueError(f"tolerance must be finite and {kind}, got {tol!r}")
 
 
+def _per_label(A, values, name: str, error=ValueError) -> list:
+    """``values[l]`` per label of ``A`` (0.0 if absent); ``error`` unless ``values`` is a dict."""
+    if not isinstance(values, dict):
+        raise error(f"{name} must be a dict keyed by label, got {values!r}")
+    return [values.get(l, 0.0) for l in A.labels]
+
+
 def check_count(count, name: str, least: int = 0) -> int:
     """``count`` as an ``int``; ``ValueError`` naming it unless it is an
     integer of at least ``least`` (a float such as 2.0 or NaN is not)."""
@@ -78,6 +85,8 @@ class PointSetA:
     """A labelled finite set of points in one complex."""
 
     def __init__(self, cx: CubicalComplex, labelled_points):
+        if not isinstance(labelled_points, dict):
+            raise ValueError(f"labelled points must be a dict, got {labelled_points!r}")
         self.cx = cx
         self.labels = tuple(labelled_points.keys())
         if not self.labels:
@@ -113,11 +122,11 @@ class PointSetA:
             for lbl in self.labels
         }
 
-    def label_of(self, x, tol: float = 1e-9):
-        """The label whose point coincides with ``x``, or None."""
+    def label_of(self, x):
+        """The label whose point lies within 1e-9 of ``x``, or None."""
         loc = self.cx.locate(x)
         for lbl in self.labels:
-            if math.dist(loc.coords, self.points[lbl].coords) <= tol:
+            if math.dist(loc.coords, self.points[lbl].coords) <= 1e-9:
                 return lbl
         return None
 
@@ -227,6 +236,9 @@ def test_function_line_search(A: PointSetA, xbar, g: geodesics.Geodesic,
     search applies; an everywhere-flat profile resolves to ``s = 0``.
     """
     check_tolerance(tol, positive=True)
+    if not isinstance(g, geodesics.Geodesic):
+        raise ValueError(f"g must be a Geodesic, got {g!r}")
+
     def phi(s):
         return test_function(A, xbar, geodesics.point_along(g, s))
 
@@ -282,27 +294,40 @@ def mean_deficit(A: PointSetA, xbar) -> DeficitReport:
     return boundary.general_deficit(A, xbar)
 
 
+def witness_margins(A: PointSetA, d_ref: dict, witness) -> dict:
+    """``d(xbar, a) - d(witness, a)`` for each set point ``a``, given ``d_ref``, the
+    distances from the query point ``xbar``."""
+    d_wit = A.distances_from(witness)
+    return {l: d_ref[l] - d_wit[l] for l in A.labels}
+
+
 def certified_lower_bound(A: PointSetA, xbar, cert: NonMembershipCertificate) -> float:
     """The distance lower bound carried by a non-membership certificate.
 
     Every mean must be farther from the witness than the query point is,
     by at least the smallest margin; that margin therefore bounds the
-    distance from the query point to the entire mean set from below.
+    distance from the query point to the entire mean set from below.  The margins
+    are recomputed from distances, and the stored ones must be positive too.
     """
     if not isinstance(cert, NonMembershipCertificate):
         raise CertificateError("lower bounds require a non-membership certificate")
-    margins = list(cert.margins.values())
-    if not (margins and _all_finite(margins) and min(margins) > 0.0):
+    stored = list(cert.margins.values()) if isinstance(cert.margins, dict) else []
+    if not (stored and _all_finite(stored) and min(stored) > 0.0):
         raise CertificateError(f"certificate margins must all be strictly positive, "
                                f"got {cert.margins!r}")
-    return float(min(margins))
+    margins = witness_margins(A, A.distances_from(xbar), cert.witness)
+    low = min(margins.values())
+    if not low > 0.0:
+        raise CertificateError(f"witness {cert.witness} is not strictly closer than the "
+                               f"query point to every set point: margins {margins!r}")
+    return float(low)
 
 
 def weighted_objective(A: PointSetA, weights: dict, x, p: float = 2.0) -> float:
     """The weighted p-th power distance objective at ``x`` (finite p >= 1, finite weights)."""
     if not (_all_finite([p]) and p >= 1.0):
         raise ValueError(f"exponent must be finite and at least 1, got {p!r}")
-    w = [weights.get(l, 0.0) for l in A.labels]
+    w = _per_label(A, weights, "weights")
     if not _all_finite(w):
         raise ValueError(f"weights must be finite real numbers, got {weights!r}")
     d = A.distances_from(x)
@@ -342,10 +367,7 @@ def verify_certificate(A: PointSetA, xbar, cert, samples: int = 500,
     conic = {}
 
     if isinstance(cert, NonMembershipCertificate):
-        d_ref = A.distances_from(loc)
-        d_wit = A.distances_from(cert.witness)
-        for l in A.labels:
-            margin = d_ref[l] - d_wit[l]
+        for l, margin in witness_margins(A, A.distances_from(loc), cert.witness).items():
             if margin <= 0.0:
                 failures.append((l, f"witness not strictly closer: margin {margin:g}"))
         return VerificationReport(not failures, 0, tuple(failures), {})
@@ -353,7 +375,7 @@ def verify_certificate(A: PointSetA, xbar, cert, samples: int = 500,
     if not isinstance(cert, MembershipCertificate):
         raise CertificateError(f"cannot verify object of type {type(cert).__name__}")
 
-    w = [cert.weights.get(l, 0.0) for l in A.labels]
+    w = _per_label(A, cert.weights, "certificate weights", CertificateError)
     if not (_all_finite(w) and all(wi >= -1e-12 for wi in w) and abs(sum(w) - 1.0) <= 1e-6):
         return VerificationReport(False, 0, (("weights", "not a probability vector"),), {})
     d_ref = A.distances_from(loc)

@@ -17,7 +17,8 @@ from meanset import (
     recognize,
     test_function_line_search as line_search,
 )
-from meanset.corpus import BUNDLED, expected
+from meanset import ComplexError, load_bundled, load_complex
+from meanset.corpus import BUNDLED, expected, load_point_set
 
 ALL = sorted(BUNDLED)
 
@@ -108,3 +109,23 @@ def test_frozen_line_search(bundles, name):
     frac, val = line_search(A, tuple(spec["base_point"]), seg)
     assert frac * seg.length == pytest.approx(spec["arclength_minimizer"], abs=1e-6)
     assert val == pytest.approx(spec["value"], abs=1e-6)
+
+
+@pytest.mark.parametrize("kind, text, match", [
+    ("complex", '{"ambient_dim": 2,\n "cells": [}', "invalid JSON at line 2 column 12"),
+    ("set", '{"points": {"a": [0.5, 0.5],}}', "invalid JSON at line 1 column 29"),
+    ("set", '{"pts": {"a": [0.5, 0.5]}}', "needs a 'points' object"),
+    ("set", "[[0.5, 0.5]]", "needs a 'points' object"),
+    ("set", '{"points": {}}', "'points' must be a nonempty object"),
+    ("set", '{"points": [[0.5, 0.5]]}', "'points' must be a nonempty object"),
+])
+def test_malformed_files_raise_complex_errors(tmp_path, kind, text, match):
+    """A file that is no JSON names the line and column of the fault; a point
+    set file needs a nonempty ``points`` object."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ComplexError, match=match):
+        if kind == "complex":
+            load_complex(path)
+        else:
+            load_point_set(load_bundled("tripod")[0], path)

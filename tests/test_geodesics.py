@@ -230,6 +230,26 @@ def test_warm_distance_locates_nothing(monkeypatch, name, p, q):
     assert calls == []
 
 
+@pytest.mark.parametrize("p, q", [
+    ((0.2, 0.3, 0.4), (0.7, 0.6, 0.9)),   # in one cell: the walk meets no exit point
+    ((0.2, 0.3, 0.4), (2.7, 1.6, 0.9)),   # straight across cells
+])
+def test_cold_distance_snaps_each_end_once(monkeypatch, p, q):
+    """A cold distance snaps each end once, for the cache read; locating the
+    ends on the miss reuses the snapped coordinates."""
+    cx = _grid(3, 3, 3)
+    calls = []
+    real = CubicalComplex.snap
+
+    def snap(self, point):
+        calls.append(tuple(point))
+        return real(self, point)
+
+    monkeypatch.setattr(CubicalComplex, "snap", snap)
+    distance(cx, p, q)
+    assert calls.count(p) == 1 and calls.count(q) == 1
+
+
 def test_geodesic_requires_points_inside():
     cx, _ = load_bundled("tripod")
     with pytest.raises(Exception):

@@ -26,7 +26,10 @@ from meanset import (
     verify_certificate,
     weighted_objective,
 )
+from meanset import GeodesicError, feasibility_min_norm, point_along
 from meanset.boundary import conic_residual
+from meanset.convex import FREE, SignCone, Singleton
+from meanset.geodesics import chain_length
 from meanset import test_function as objective_gap
 from meanset import test_function_line_search as objective_line_search
 
@@ -216,15 +219,40 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
         (0.5, -0.25), {"a": 0.1, "b": 0.0, "c": 0.1})), CertificateError, "margins"),
     (lambda cx, A: certified_lower_bound(A, (0.5, -0.5), NonMembershipCertificate(
         (0.5, -0.25), {"a": 0.1, "b": "x", "c": 0.1})), CertificateError, "margins"),
+    (lambda cx, A: certified_lower_bound(A, (0.5, -0.5), NonMembershipCertificate(
+        (0.5, -0.5), {"a": 100.0, "b": 100.0, "c": 100.0})), CertificateError, "not strictly"),
+    (lambda cx, A: certified_lower_bound(A, (0.5, -0.5), NonMembershipCertificate(
+        (0.5, -0.25), [0.1, 0.1, 0.1])), CertificateError, "margins"),
+    (lambda cx, A: point_along(geodesic(cx, (0.5, 0.0), (-0.5, 0.5)), "0.5"),
+     ValueError, "fraction"),
+    (lambda cx, A: point_along(geodesic(cx, (0.5, 0.0), (-0.5, 0.5)), None),
+     ValueError, "fraction"),
+    (lambda cx, A: PointSetA(cx, [(0.5, 0.0)]), ValueError, "labelled points"),
+    (lambda cx, A: weighted_objective(A, [1, 0, 0], (0.5, 0.0)), ValueError, "weights"),
+    (lambda cx, A: verify_certificate(A, (0.5, 0.0), MembershipCertificate([1, 0, 0], 0.0)),
+     CertificateError, "weights"),
+    (lambda cx, A: chain_length(cx, (0.5, 0.0), (0.5, 0.5), 5), GeodesicError, "chain"),
+    (lambda cx, A: chain_length(cx, (0.5, 0.0), (0.5, 0.5), [cx.maximal_ids[0], ["c000"]]),
+     GeodesicError, "chain"),
+    (lambda cx, A: feasibility_min_norm([Singleton((0.5, 0.0))], SignCone((FREE, FREE)),
+                                        tol="x"), ValueError, "tol"),
+    (lambda cx, A: run_heatmap(A, 2, 1, 0.1, threads="2"), ValueError, "threads"),
+    (lambda cx, A: run_heatmap(A, 2, 1, 0.1, threads=0), ValueError, "threads"),
+    (lambda cx, A: run_heatmap(A, 2, 1, 0.1, threads=-3), ValueError, "threads"),
+    (lambda cx, A: objective_line_search(A, (0.5, 0.0), "g"), ValueError, "g must be"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "normal-cone", "bounds", "face-between",
         "solve-pc", "conic-residual", "conic-residual-no-weight", "string-tol", "none-tol",
         "heatmap-tol", "segment-dimensions", "string-exponent", "not-a-certificate",
-        "zero-margin", "string-margin"])
+        "zero-margin", "string-margin", "forged-margin", "list-margins", "string-fraction",
+        "none-fraction", "list-points", "list-weights", "list-certificate-weights",
+        "int-chain", "unhashable-chain-cell", "string-feasibility-tol", "string-threads",
+        "zero-threads", "negative-threads", "string-geodesic"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id is a ComplexError naming it, a tolerance or an
     exponent that is no real number or a probe segment of mismatched ends a
     ValueError, and an object that is no certificate or a margin that is not
-    a positive number a CertificateError, never a bare KeyError or TypeError."""
+    a positive number a CertificateError, never a bare KeyError, TypeError or
+    AttributeError.  Margins are recomputed: a forged witness certifies no bound."""
     cx, A = bundles["squares3"]
     with pytest.raises(error, match=match):
         call(cx, A)
