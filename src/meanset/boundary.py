@@ -49,6 +49,7 @@ from .recognition import (
     NonMembershipCertificate,
     PointSetA,
     RecognitionResult,
+    _per_label,
     check_tolerance,
     recognize_interior,  # noqa: F401 -- perfbench/tracing.py wraps it here too
     witness_margins,
@@ -181,13 +182,12 @@ def _witness_from_direction(A: PointSetA, loc: LocatedPoint, cell_id: str,
     """The first of ``x + step / 2^k`` in the cell strictly closer to every set point."""
     cx = A.cx
     d_ref = A.distances_from(loc)
-    cell = cx.cell(cell_id)
     for _ in range(60):
-        cand = tuple(map(operator.add, loc.coords, step))
-        if cell.contains(cand):
+        cand = cx.snap(tuple(map(operator.add, loc.coords, step)))
+        if cell_id in cx._cells_at(cand)[1]:
             margins = witness_margins(A, d_ref, cand)
             if min(margins.values()) > 0.0:
-                return NonMembershipCertificate(cx.snap(cand), margins)
+                return NonMembershipCertificate(cand, margins)
         step = [0.5 * s for s in step]
     raise CertificateError(
         f"failed to realise a strictly-closer witness at {loc.coords} from cell {cell_id}"
@@ -277,7 +277,7 @@ def conic_residual(A: PointSetA, xbar, cell_id: str, weights: dict) -> float:
     loc = cx.locate(xbar)
     tangent = cx.tangent_cone(cell_id, loc)
     dists = A.distances_from(loc)
-    pairs = [(l, weights.get(l, 0.0) * dists[l]) for l in A.labels]
+    pairs = [(l, w * dists[l]) for l, w in zip(A.labels, _per_label(A, weights, "weights"))]
     live = [(l, v) for l, v in pairs if v > 0.0]
     if not live:
         # all weight sits on coincident set points; stationarity is vacuous

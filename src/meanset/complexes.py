@@ -2,15 +2,16 @@
 
 A complex is described by its maximal cells only; the face lattice derived at
 construction, each cell's faces listed as ``box_segment_min`` lists a box's, is
-the one source of cell geometry: its key index, and one float box per cell that
-the tangent cones and the meet of two cells read.  Two lattice unit cubes always
-meet in a common face of both, so curvature enters only through
+the one source of cell relations.  Its key index names each face, and one float
+box per cell gives the tangent cones.  Two lattice unit cubes always meet in a
+common face of both, so curvature enters only through
 :meth:`CubicalComplex.validate`, which checks the flag condition on the links of
 the lattice's vertices; simple connectivity is reported as assumed, not checked.
-One pass over the lattice, largest faces first, gives the adjacency of the
-maximal cells, each neighbour with the face the two meet in, and from it their
-connected components.  The owner table maps each lattice cell to the maximal
-cells it is a face of: a point's cells depend only on its carrier, the cell
+One pass over the lattice, largest faces first, gives the adjacency table: each
+maximal cell's neighbours, each with the face the two meet in, which is where
+any two maximal cells meet; from it come their connected components.  The owner
+table maps each lattice cell to the maximal cells it is a face of, and answers
+which maximal cells hold a point: they depend only on its carrier, the cell
 holding it in its relative interior, found by one O(n) key.  Points are tuples
 of floats; only the ``bounds`` methods hand out numpy arrays, importing numpy on
 their first call.  An unknown cell id raises :class:`ComplexError`.
@@ -78,15 +79,6 @@ class CubeCell:
             if x < b - tol or x > top + tol:
                 return False
         return True
-
-    def vertices(self):
-        out = []
-        for bits in itertools.product((0, 1), repeat=len(self.axes)):
-            v = list(self.base)
-            for ax, bit in zip(self.axes, bits):
-                v[ax] += bit
-            out.append(tuple(v))
-        return out
 
     def faces(self):
         """All faces (including the cell itself) as ``(base, axes)`` pairs."""
@@ -275,14 +267,16 @@ class CubicalComplex:
 
     def _locate_snapped(self, p) -> LocatedPoint:
         """:meth:`locate` of a point already snapped, a tuple of floats."""
-        if len(p) != self.ambient_dim:
-            raise LocationError(
-                f"point has dimension {len(p)}, complex is {self.ambient_dim}-dimensional"
-            )
+        self._check_dimension(p)
         carrier = self._cells_at(p)[0]
         if carrier is None:
             raise LocationError(f"point {list(p)} lies outside the complex")
         return LocatedPoint(p, carrier, self)
+
+    def _check_dimension(self, p):
+        if len(p) != self.ambient_dim:
+            raise LocationError(f"point has dimension {len(p)}, complex is "
+                                f"{self.ambient_dim}-dimensional")
 
     def _cells_at(self, p):
         """``(carrier, its owners)`` of a snapped point ``p``, or ``(None, ())`` outside the
@@ -303,42 +297,17 @@ class CubicalComplex:
 
     def tangent_cone(self, cell_id: str, point) -> SignCone:
         """The tangent cone of a cell at a point of it; a ``LocatedPoint`` is
-        taken as already snapped."""
-        cell = self.cell(cell_id)
-        lo, hi = self._boxes[cell_id]
+        taken as already snapped.  A snapped point is in the cell's integer box
+        exactly when it is within 1e-9 of it."""
+        lo, hi = self._boxes[self.cell(cell_id).ident]
         p = point.coords if isinstance(point, LocatedPoint) else self.snap(point)
-        if not cell.contains(p):
-            raise LocationError(f"point {list(p)} is not in cell {cell_id}")
+        self._check_dimension(p)
         signs = []
         for x, l, h in zip(p, lo, hi):
-            if l == h:
-                signs.append(ZERO)
-            elif x <= l:
-                signs.append(NONNEG)
-            elif x >= h:
-                signs.append(NONPOS)
-            else:
-                signs.append(FREE)
+            if not l <= x <= h:
+                raise LocationError(f"point {list(p)} is not in cell {cell_id}")
+            signs.append(ZERO if l == h else NONNEG if x == l else NONPOS if x == h else FREE)
         return SignCone(tuple(signs))
-
-    def normal_cone(self, cell_id: str, point) -> SignCone:
-        return self.tangent_cone(cell_id, point).polar()
-
-    # -- faces -----------------------------------------------------------------
-
-    def face_between(self, id_a: str, id_b: str):
-        """The unique common face of two cells, or None when disjoint."""
-        (lo_a, hi_a), (lo_b, hi_b) = (self._boxes[self.cell(i).ident] for i in (id_a, id_b))
-        lo, hi = tuple(map(max, lo_a, lo_b)), tuple(map(min, hi_a, hi_b))
-        if any(l > h for l, h in zip(lo, hi)):
-            return None
-        ident = self._index.get((lo, tuple(i for i, (l, h) in enumerate(zip(lo, hi)) if h > l)))
-        if ident is None:
-            # unreachable: lattice unit cubes always meet in a common face
-            raise ComplexError(
-                f"cells {id_a} and {id_b} overlap in a box that is not a common face"
-            )
-        return self._by_id[ident]
 
 
 def complex_from_dict(doc) -> CubicalComplex:

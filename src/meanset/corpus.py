@@ -36,10 +36,16 @@ def load_point_set(cx: CubicalComplex, path) -> PointSetA:
     return PointSetA.from_coords(cx, coords, labels=list(pts.keys()))
 
 
+def _entry(name: str) -> str:
+    """``name`` if it is a bundled corpus entry, else ``ValueError`` listing them."""
+    if name not in BUNDLED:
+        raise ValueError(f"unknown corpus entry {name!r}; have {', '.join(BUNDLED)}")
+    return name
+
+
 def load_bundled(name: str):
     """The bundled complex and point set for one corpus entry."""
-    if name not in BUNDLED:
-        raise KeyError(f"unknown corpus entry {name!r}; have {', '.join(BUNDLED)}")
+    _entry(name)
     cx = load_complex(data_path(f"{name}.json"))
     A = load_point_set(cx, data_path(f"{name}_points.json"))
     return cx, A
@@ -47,6 +53,4 @@ def load_bundled(name: str):
 
 def expected(name: str) -> dict:
     """Frozen expected results for one corpus entry."""
-    if name not in BUNDLED:
-        raise KeyError(f"unknown corpus entry {name!r}; have {', '.join(BUNDLED)}")
-    return read_json(data_path(f"{name}_expected.json"))
+    return read_json(data_path(f"{_entry(name)}_expected.json"))

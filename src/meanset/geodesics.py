@@ -91,33 +91,35 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
     GeodesicError.
 
     A chain given without ``_face_bounds`` is checked first: it must be
-    non-empty and name only cells of the complex, start in a cell holding
-    p and end in one holding q, and consecutive cells must share a face;
-    else GeodesicError.  The chain search passes the gate boxes, and
-    ``_face_mins``, the ``box_segment_min(p, q, gate)`` pairs already at
-    hand, which stand in for those calls when no gate is a vertex.
+    non-empty and name only maximal cells of the complex, start in a cell
+    holding p and end in one holding q, and consecutive cells must share a
+    face in ``cx.adjacency``, the search's table; else GeodesicError.  The
+    chain search passes the gate boxes, and ``_face_mins``, the
+    ``box_segment_min(p, q, gate)`` pairs already at hand, which stand in
+    for those calls when no gate is a vertex.
     """
     bounds = _face_bounds
     if bounds is None:
         try:
             chain = tuple(chain)
-            unknown = [cell for cell in chain if cell not in cx._by_id]
+            odd = [cell for cell in chain if cell not in cx.adjacency]   # unknown or not maximal
         except TypeError:   # no sequence, or a cell that is no hashable id
             raise GeodesicError(f"chain {chain!r} from {tuple(p)} to {tuple(q)} is not "
                                 f"a sequence of cell ids") from None
         if not chain:
             raise GeodesicError(f"empty chain from {tuple(p)} to {tuple(q)}")
-        if unknown:
+        if odd:
+            what = "cell {!r} is not maximal" if odd[0] in cx._by_id else "unknown cell {!r}"
             raise GeodesicError(f"chain {chain} from {tuple(p)} to {tuple(q)}: "
-                                f"unknown cell {unknown[0]!r}")
+                                + what.format(odd[0]))
         for end, cell in ((p, chain[0]), (q, chain[-1])):
-            if not cx.cell(cell).contains(end):
-                raise GeodesicError(f"chain {tuple(chain)} from {tuple(p)} to {tuple(q)}: "
+            if cell not in cx._cells_at(cx.snap(end))[1]:
+                raise GeodesicError(f"chain {chain} from {tuple(p)} to {tuple(q)}: "
                                     f"its end cell {cell} does not hold {tuple(end)}")
-        faces = [cx.face_between(a, b) for a, b in zip(chain, chain[1:])]
-        if None in faces:
-            raise GeodesicError(f"consecutive cells of chain {tuple(chain)} share no face")
-        bounds = [cx._boxes[f.ident] for f in faces]
+        gates = [dict(cx.adjacency[a]).get(b) for a, b in zip(chain, chain[1:])]
+        if None in gates:
+            raise GeodesicError(f"consecutive cells of chain {chain} share no face")
+        bounds = [cx._boxes[f] for f in gates]
     p, q = tuple(map(float, p)), tuple(map(float, q))
     cuts = [i for i, (lo, hi) in enumerate(bounds) if all(l == h for l, h in zip(lo, hi))]
     # piece k runs from ends[k] through the gates strictly between edges[k] and edges[k + 1]

@@ -84,15 +84,32 @@ def cells_holding(cx, x) -> tuple:
     return tuple(c.ident for c in cx.cells if c.contains(p, 0.0))
 
 
+def cell_meet(a, b):
+    """Per-axis integer intervals ``(lo, hi)`` of the intersection of two
+    cells, or None when they are disjoint."""
+    lo, hi = [], []
+    for i in range(len(a.base)):
+        low = max(a.base[i], b.base[i])
+        high = min(a.base[i] + (i in a.axes), b.base[i] + (i in b.axes))
+        if low > high:
+            return None
+        lo.append(low)
+        hi.append(high)
+    return lo, hi
+
+
 def exit_normal_cone(cx, x, cell_id, a):
     """Normal cone at ``x`` of the face of cell ``cell_id`` through which the
-    geodesic from ``x`` to ``a`` leaves it: the common face of that cell and
-    the smallest cell (first in id order on ties) holding both ``x`` and the
-    geodesic's first breakpoint."""
+    geodesic from ``x`` to ``a`` leaves it: the meet of that cell and the
+    smallest cell (first in id order on ties) holding both ``x`` and the
+    geodesic's first breakpoint, found among all cells by its box."""
     x_a = geodesic(cx, x, a).breakpoints[1]
     shared = set(cells_holding(cx, x)) & set(cells_holding(cx, x_a))
     via = min(shared, key=lambda cid: (cx.cell(cid).dim, cid))
-    return cx.normal_cone(cx.face_between(cell_id, via).ident, x)
+    lo, hi = cell_meet(cx.cell(cell_id), cx.cell(via))
+    key = (tuple(lo), tuple(i for i, (l, h) in enumerate(zip(lo, hi)) if h > l))
+    face = next(c.ident for c in cx.cells if (c.base, c.axes) == key)
+    return cx.tangent_cone(face, x).polar()
 
 
 def chain_oracle(p, q, gates) -> float:

@@ -8,17 +8,21 @@ import pytest
 BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
-def _summarise(parent, change, better="lower", bound=0.25):
+def _module():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _summarise(parent, change, better="lower", bound=0.25):
     runs = [{"workload": "w", "seed": seed, "side": side, "traced": False,
              "result": {"metrics": {"m": {"value": value}}}}
             for seed, pair in enumerate(zip(parent, change))
             for side, value in zip(("parent", "change"), pair)]
     runs.append({"workload": "w", "seed": 0, "side": "parent", "traced": True,
                  "result": {"metrics": {"m": {"value": 1e9}}}})   # traced runs are left out
-    return module.summarise(runs, {"m": (better, bound)})["w"]["m"]
+    return _module().summarise(runs, {"m": (better, bound)})["w"]["m"]
 
 
 PARENT = [10.0, 10.5, 11.0, 9.5, 10.2, 10.8, 9.8, 10.1, 10.4, 9.9]
@@ -37,3 +41,38 @@ def test_summarise_verdicts(change, better, claim, within):
     got = _summarise(PARENT, change, better)
     assert got["parent"]["median"] == pytest.approx(10.15)
     assert (got["claim_rule"], got["within_bound"]) == (claim, within)
+
+
+WIDE = [6.0, 14.0, 8.0, 12.0, 10.0, 7.0, 13.0, 9.0, 11.0, 10.0]   # IQR 3.5, 35% of the median
+
+
+@pytest.mark.parametrize("parent, change, better, unresolved", [
+    (PARENT, [x * 1.2 for x in PARENT], "lower", False),  # both IQRs under the bound
+    (WIDE, WIDE, "lower", True),                         # the parent's spread is too wide
+    (PARENT, [x + (4.0 if i % 2 else -4.0) for i, x in enumerate(PARENT)], "lower",
+     True),                                              # the change's spread is too wide
+    (WIDE, [x - 10.0 for x in WIDE], "lower", False),    # every change run is better
+    (WIDE, [x + 10.0 for x in WIDE], "higher", False),
+    (WIDE, [x + 10.0 for x in WIDE], "lower", True),     # every change run is worse
+])
+def test_summarise_flags_a_spread_wider_than_the_bound(parent, change, better, unresolved):
+    assert _summarise(parent, change, better)["unresolved"] is unresolved
+
+
+def test_frozen_diff_lists_changed_added_and_removed_files(tmp_path):
+    module = _module()
+    trees = []
+    for side in ("parent", "change"):
+        tree = tmp_path / side
+        (tree / "perfbench" / "__pycache__").mkdir(parents=True)
+        (tree / "BENCHMARK.json").write_text("{}")
+        (tree / "perfbench" / "run.py").write_text("pass\n")
+        (tree / "perfbench" / "__pycache__" / f"{side}.pyc").write_bytes(side.encode())
+        (tree / "src.py").write_text(side)   # outside the frozen paths
+        trees.append(tree)
+    assert module.frozen_diff(*trees) == []
+    (trees[1] / "perfbench" / "run.py").write_text("pass \n")
+    (trees[1] / "perfbench" / "grids.py").write_text("")
+    (trees[0] / "BENCHMARK.json").unlink()
+    assert module.frozen_diff(*trees) == ["BENCHMARK.json", "perfbench/grids.py",
+                                          "perfbench/run.py"]

@@ -119,7 +119,7 @@ def test_relint_model_is_the_exact_singleton(bundles):
     assert isinstance(model.subdiff, Singleton)
     x = np.array(loc.coords)
     u = np.array(model.probe) - x
-    degenerate = ConeBall(tuple(u / np.linalg.norm(u)), cx.normal_cone(cell, loc.coords))
+    degenerate = ConeBall(tuple(u / np.linalg.norm(u)), cx.tangent_cone(cell, loc.coords).polar())
     rng = np.random.default_rng(5)
     for d in rng.normal(size=(50, 2)):
         assert model.subdiff.support(d) == pytest.approx(degenerate.support(d), abs=1e-12)

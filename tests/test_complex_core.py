@@ -20,7 +20,7 @@ from meanset import (
     recognize,
 )
 from meanset.convex import FREE, NONNEG, NONPOS, ZERO
-from oracles import cells_holding
+from oracles import cell_meet, cells_holding
 
 
 def _square_grid(bases):
@@ -136,11 +136,11 @@ def test_tangent_cone_signs():
 def test_normal_cone_is_polar():
     cx, _ = load_bundled("squares3")
     sq = next(c for c in cx.cells if c.base == (0, -1) and len(c.axes) == 2)
-    nc = cx.normal_cone(sq.ident, (0.0, 0.0))
+    tc = cx.tangent_cone(sq.ident, (0.0, 0.0))
+    nc = tc.polar()
     assert nc.signs == (NONPOS, NONNEG)
     # polar pairing: <t, n> <= 0 for sampled members
     rng = np.random.default_rng(2)
-    tc = cx.tangent_cone(sq.ident, (0.0, 0.0))
     for _ in range(100):
         t = tc.project(rng.normal(size=2))
         n = nc.project(rng.normal(size=2))
@@ -154,26 +154,6 @@ def test_cones_take_a_located_point():
     assert len(cells) == 3
     for cid in cells:
         assert cx.tangent_cone(cid, loc) == cx.tangent_cone(cid, (0.0, 0.0))
-        assert cx.normal_cone(cid, loc) == cx.normal_cone(cid, (0.0, 0.0))
-
-
-def test_face_between():
-    cx, _ = load_bundled("squares3")
-    left = next(c.ident for c in cx.cells if c.base == (-1, -1) and len(c.axes) == 2)
-    right = next(c.ident for c in cx.cells if c.base == (0, -1) and len(c.axes) == 2)
-    top = next(c.ident for c in cx.cells if c.base == (-1, 0) and len(c.axes) == 2)
-    shared = cx.face_between(left, right)
-    assert shared.dim == 1 and shared.base == (0, -1) and shared.axes == (1,)
-    # opposite corner squares meet only at the origin vertex
-    corner = cx.face_between(right, top)
-    assert corner.dim == 0 and corner.base == (0, 0)
-
-
-def test_face_between_disjoint_is_none():
-    cx = _square_grid([(0, 0), (2, 0)])
-    a = next(c.ident for c in cx.cells if c.base == (0, 0) and len(c.axes) == 2)
-    b = next(c.ident for c in cx.cells if c.base == (2, 0) and len(c.axes) == 2)
-    assert cx.face_between(a, b) is None
 
 
 def test_validate_accepts_all_bundled(bundles):
@@ -278,19 +258,6 @@ def test_vertex_graph_modes():
     assert distance(cx, (1, 0), (-1, 0)) == 2.0
 
 
-def _reference_meet(a, b):
-    """Per-axis integer intervals of the intersection of two cells, or None."""
-    lo, hi = [], []
-    for i in range(len(a.base)):
-        low = max(a.base[i], b.base[i])
-        high = min(a.base[i] + (i in a.axes), b.base[i] + (i in b.axes))
-        if low > high:
-            return None
-        lo.append(low)
-        hi.append(high)
-    return lo, hi
-
-
 def _reference_is_face(lo, hi, cell):
     """Each axis interval is the cell's own or a single endpoint of it."""
     for i, b in enumerate(cell.base):
@@ -320,7 +287,7 @@ def _reference_adjacency(cx):
     for a in maximal:
         row = []
         for b in maximal:
-            meet = None if b is a else _reference_meet(a, b)
+            meet = None if b is a else cell_meet(a, b)
             if meet is not None:
                 lo, hi = meet
                 axes = tuple(i for i in range(len(lo)) if hi[i] > lo[i])
@@ -345,7 +312,7 @@ def test_lattice_cells_meet_in_common_faces(bundles):
     for cx in complexes:
         keys = {(c.base, c.axes) for c in cx.cells}
         for a, b in itertools.combinations(cx.cells, 2):
-            meet = _reference_meet(a, b)
+            meet = cell_meet(a, b)
             if meet is None:
                 continue
             lo, hi = meet
@@ -389,7 +356,7 @@ def _scan_locate(cx, boxes, point):
 def _probe_points(cx, rng, count):
     """Uniform points of a box one unit wider than the complex, of random
     lattice cells, and either kind with some coordinates rounded."""
-    verts = np.array([v for c in cx.cells for v in c.vertices()], dtype=float)
+    verts = np.array([c.base for c in cx.cells if not c.axes], dtype=float)
     lo, hi = verts.min(axis=0) - 1.0, verts.max(axis=0) + 1.0
     out = []
     for i in range(count):
@@ -421,7 +388,7 @@ def test_locate_matches_a_scan_of_every_cell(bundles):
         boxes = [(c, *(b.tolist() for b in c.bounds())) for c in cx.cells]
         points = _probe_points(cx, rng, 200)
         if cx is big:   # ids c999 and c1000 sort apart as strings
-            points += [v for c in big.cells[990:1010] for v in c.vertices()]
+            points += [base for c in big.cells[990:1010] for base, axes in c.faces() if not axes]
         for pt in points:
             want = _scan_locate(cx, boxes, pt)
             if want is None:

@@ -101,7 +101,7 @@ def test_chain_length_finds_its_own_gates():
     assert val == pytest.approx(g.length, abs=1e-12)
     assert np.allclose(pts, g.breakpoints, atol=1e-12)
     first, last = g.cells[0], g.cells[-1]
-    assert cx.face_between(first, last) is None
+    assert first not in dict(cx.adjacency[last])
     with pytest.raises(GeodesicError, match="share no face"):
         geodesics.chain_length(cx, *BENT, (first, last))
     with pytest.raises(GeodesicError, match="empty chain"):
@@ -111,9 +111,22 @@ def test_chain_length_finds_its_own_gates():
     # square c002 holds neither (0.5, -0.5) nor (-0.5, 0.5)
     with pytest.raises(GeodesicError, match=r"\('c002',\).*c002 does not hold \(0\.5, -0\.5\)"):
         geodesics.chain_length(cx, (0.5, -0.5), (-0.5, 0.5), ["c002"])
-    assert not cx.cell(g.cells[-2]).contains(BENT[1])
+    assert g.cells[-2] not in cx.maximal_cells_containing(BENT[1])
     with pytest.raises(GeodesicError, match=f"{g.cells[-2]} does not hold"):
         geodesics.chain_length(cx, *BENT, g.cells[:-1])
+
+
+def test_chain_length_refuses_a_cell_that_is_not_maximal():
+    """A chain names maximal cells, as the search's adjacency table does: the
+    edge between the two squares of a straight chain is refused, though the
+    squares meet in it."""
+    cx, _ = load_bundled("squares3")
+    p, q = (-0.5, -0.5), (0.5, -0.5)
+    left, right = cx.maximal_cells_containing(p)[0], cx.maximal_cells_containing(q)[0]
+    edge = dict(cx.adjacency[left])[right]
+    assert geodesics.chain_length(cx, p, q, (left, right))[0] == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(GeodesicError, match=f"cell '{edge}' is not maximal"):
+        geodesics.chain_length(cx, p, q, (left, edge, right))
 
 
 def test_bounds_hands_out_copies():

@@ -1,19 +1,44 @@
-"""Property checks of straight geodesics on generated full grids.
+"""Property checks of geodesics and certificates on generated and bundled complexes.
 
 An n x m (or n x m x k) grid of unit cells fills a box, which is convex, so
 the geodesic between any two of its points is the straight segment: its
 length is ``|p - q|`` and the walk carries it cell by cell.  Coordinates
 are drawn either as lattice integers or as arbitrary floats of the box, so
 segments run along faces and through vertices as well as across cells.
+
+On the L-shapes of ``generators.l_shape`` geodesics bend at the reflex
+vertex, so ``distance`` there comes from the chain search; it must be a
+CAT(0) metric (symmetric, with the triangle and CN midpoint inequalities)
+and agree with ``oracles.polyomino_distance``.  L4 and L6 are drawn; a bent
+pair on L8 takes up to 0.7 s and one on L10 minutes, so larger L-shapes wait
+for a search that is not exponential around the bend.
+
+Every certificate ``recognize`` hands out at seeded points of the five
+corpora must pass ``verify_certificate``, and a non-member's certified
+lower bound must be its smallest stored margin.
 """
 
 import itertools
 import math
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from meanset import complex_from_dict, distance
+from generators import l_shape
+from meanset import (
+    certified_lower_bound,
+    complex_from_dict,
+    distance,
+    load_bundled,
+    midpoint,
+    recognize,
+    verify_certificate,
+)
 from meanset import geodesics
+from meanset.corpus import BUNDLED
+from meanset.recognition import random_point
+from oracles import polyomino_distance
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -65,3 +90,88 @@ def test_walked_breakpoints_lie_in_their_cells(case):
     assert g is not None
     for cell, a, b in zip(g.cells, g.breakpoints, g.breakpoints[1:]):
         assert cx.cell(cell).contains(a, tol=0.0) and cx.cell(cell).contains(b, tol=0.0)
+
+
+@st.composite
+def l_shape_points(draw):
+    """``(k, squares, points)``: an L-shape of side 4 or 6, its squares' lower-left
+    corners and three points of it, each in a drawn square with coordinates
+    that are lattice integers or arbitrary floats of the square."""
+    k = draw(st.sampled_from((4, 6)))
+    squares = [tuple(c["base"]) for c in l_shape(k)["cells"]]
+
+    def point():
+        corner = draw(st.sampled_from(squares))
+        return tuple(float(c) + draw(st.one_of(st.integers(0, 1).map(float),
+                                               st.floats(0.0, 1.0, allow_nan=False)))
+                     for c in corner)
+
+    return k, squares, (point(), point(), point())
+
+
+def _l_distance(k, p, q):
+    # a new complex per query, so that no answer is read from the geodesic cache
+    return distance(complex_from_dict(l_shape(k)), p, q)
+
+
+@PROPERTY
+@given(l_shape_points())
+def test_l_shape_distance_matches_the_polyomino_oracle(case):
+    k, squares, (p, q, _) = case
+    want = polyomino_distance(squares, p, q)
+    assert math.isclose(_l_distance(k, p, q), want, rel_tol=0.0, abs_tol=1e-9)
+
+
+@PROPERTY
+@given(l_shape_points())
+def test_l_shape_distance_is_symmetric(case):
+    k, _, (p, q, _) = case
+    assert math.isclose(_l_distance(k, p, q), _l_distance(k, q, p), rel_tol=0.0, abs_tol=1e-9)
+
+
+@PROPERTY
+@given(l_shape_points())
+def test_l_shape_distance_obeys_the_triangle_inequality(case):
+    k, _, (p, q, r) = case
+    assert _l_distance(k, p, r) <= _l_distance(k, p, q) + _l_distance(k, q, r) + 1e-9
+
+
+@PROPERTY
+@given(l_shape_points())
+def test_l_shape_midpoints_obey_the_cn_inequality(case):
+    """Bruhat-Tits: d(r, m)^2 <= (d(r, p)^2 + d(r, q)^2) / 2 - d(p, q)^2 / 4 for
+    the midpoint m of p and q, the inequality that makes the space CAT(0)."""
+    k, _, (p, q, r) = case
+    cx = complex_from_dict(l_shape(k))
+    m = midpoint(cx, p, q)
+    bound = (distance(cx, r, p) ** 2 + distance(cx, r, q) ** 2) / 2 - distance(cx, p, q) ** 2 / 4
+    assert distance(cx, r, m) ** 2 <= bound + 1e-9
+
+
+def _corpus_points(cx, rng, count):
+    """Uniform points of the maximal cells; every fourth has a nonempty random
+    subset of its free coordinates rounded, onto a face or a vertex."""
+    out = []
+    for i in range(count):
+        cid, pt = random_point(cx, rng)
+        if i % 4 == 3:
+            lo, hi = cx._boxes[cid]
+            free = [j for j in range(len(pt)) if hi[j] > lo[j]]
+            snapped = rng.sample(free, 1 + int(rng.random() * len(free)))
+            pt = tuple(float(round(x)) if j in snapped else x for j, x in enumerate(pt))
+        out.append(pt)
+    return out
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_certificates_re_verify(name):
+    cx, A = load_bundled(name)
+    kinds = set()
+    for x in _corpus_points(cx, random.Random(f"certificates:{name}"), 40):
+        cert = recognize(A, x).certificate
+        kinds.add(cert.kind)
+        report = verify_certificate(A, x, cert, samples=8)
+        assert report.ok, (name, x, report.failures)
+        if cert.kind != "membership":
+            assert certified_lower_bound(A, x, cert) == min(cert.margins.values()), (name, x)
+    assert "non-membership" in kinds

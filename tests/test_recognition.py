@@ -8,6 +8,7 @@ import pytest
 from meanset import (
     CertificateError,
     ComplexError,
+    LocationError,
     MembershipCertificate,
     NonMembershipCertificate,
     PointSetA,
@@ -29,6 +30,7 @@ from meanset import (
 from meanset import GeodesicError, feasibility_min_norm, point_along
 from meanset.boundary import conic_residual
 from meanset.convex import FREE, SignCone, Singleton
+from meanset.corpus import expected
 from meanset.geodesics import chain_length
 from meanset import test_function as objective_gap
 from meanset import test_function_line_search as objective_line_search
@@ -203,9 +205,7 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
     (lambda cx, A: cx.cell("c999"), ComplexError, "c999"),
     (lambda cx, A: cx.cell(["c000"]), ComplexError, "c000"),
     (lambda cx, A: cx.tangent_cone("c999", (0.5, 0.0)), ComplexError, "c999"),
-    (lambda cx, A: cx.normal_cone("c999", (0.5, 0.0)), ComplexError, "c999"),
     (lambda cx, A: cx.bounds("c999"), ComplexError, "c999"),
-    (lambda cx, A: cx.face_between(cx.maximal_ids[0], "c999"), ComplexError, "c999"),
     (lambda cx, A: solve_PC(A, (0.5, 0.0), "c999"), ComplexError, "c999"),
     (lambda cx, A: conic_residual(A, (0.5, 0.0), "c999", {"a": 1.0}), ComplexError, "c999"),
     (lambda cx, A: conic_residual(A, (0.5, 0.0), "c999", {}), ComplexError, "c999"),
@@ -240,19 +240,28 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
     (lambda cx, A: run_heatmap(A, 2, 1, 0.1, threads=0), ValueError, "threads"),
     (lambda cx, A: run_heatmap(A, 2, 1, 0.1, threads=-3), ValueError, "threads"),
     (lambda cx, A: objective_line_search(A, (0.5, 0.0), "g"), ValueError, "g must be"),
-], ids=["cell", "unhashable-id", "tangent-cone", "normal-cone", "bounds", "face-between",
-        "solve-pc", "conic-residual", "conic-residual-no-weight", "string-tol", "none-tol",
-        "heatmap-tol", "segment-dimensions", "string-exponent", "not-a-certificate",
-        "zero-margin", "string-margin", "forged-margin", "list-margins", "string-fraction",
-        "none-fraction", "list-points", "list-weights", "list-certificate-weights",
-        "int-chain", "unhashable-chain-cell", "string-feasibility-tol", "string-threads",
-        "zero-threads", "negative-threads", "string-geodesic"])
+    (lambda cx, A: cx.tangent_cone("c002", (-0.5,)), LocationError, "dimension 1, .* 2-dim"),
+    (lambda cx, A: cx.tangent_cone("c002", (-0.5, -0.5, 7.0)), LocationError, "dimension 3"),
+    (lambda cx, A: load_bundled("nope"), ValueError, "'nope'; have tripod, squares3"),
+    (lambda cx, A: expected("nope"), ValueError, "'nope'; have tripod, squares3"),
+    (lambda cx, A: conic_residual(A, (0.5, 0.0), cx.maximal_cells_containing((0.5, 0.0))[0],
+                                  [1, 0, 0]), ValueError, "weights must be a dict"),
+], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
+        "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
+        "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
+        "string-margin", "forged-margin", "list-margins", "string-fraction", "none-fraction",
+        "list-points", "list-weights", "list-certificate-weights", "int-chain",
+        "unhashable-chain-cell", "string-feasibility-tol", "string-threads", "zero-threads",
+        "negative-threads", "string-geodesic", "short-cone-point", "long-cone-point",
+        "unknown-corpus", "unknown-expected", "list-residual-weights"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id is a ComplexError naming it, a tolerance or an
-    exponent that is no real number or a probe segment of mismatched ends a
-    ValueError, and an object that is no certificate or a margin that is not
-    a positive number a CertificateError, never a bare KeyError, TypeError or
-    AttributeError.  Margins are recomputed: a forged witness certifies no bound."""
+    exponent that is no real number, a probe segment of mismatched ends or an
+    unknown corpus name a ValueError, a point of the wrong dimension a
+    LocationError, and an object that is no certificate or a margin that is
+    not a positive number a CertificateError, never a bare KeyError,
+    TypeError, IndexError or AttributeError.  Margins are recomputed: a
+    forged witness certifies no bound."""
     cx, A = bundles["squares3"]
     with pytest.raises(error, match=match):
         call(cx, A)

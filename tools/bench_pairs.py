@@ -18,15 +18,20 @@ The output holds every result line that ``perfbench/run.py`` printed, and
 per workload and end-to-end metric (as ``BENCHMARK.json`` lists them) the
 parent's and the change's median, quartiles and IQR, the relative change
 of the median, and the change's wins: the pairs in which the change was
-better in the metric's direction, ties counting for neither side.  Two
+better in the metric's direction, ties counting for neither side.  Three
 verdicts go with them.  ``claim_rule``: the change won at least nine tenths
 of the pairs, and its median is better than the parent's by more than the
 parent's IQR.  ``within_bound``: the change's median is no worse than the
 parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, taken
-relative to the parent's median.  ``loc`` gives the line count of
-``src/meanset/*.py`` on each side, as the benchmark's ``loc.total`` counts
-it.  The file is rewritten after every run, so an interrupted run of
-this script keeps what it measured.
+relative to the parent's median.  ``unresolved``: the spread, the larger of
+the two sides' IQRs relative to the parent's median, is wider than the
+bound, and not every change run reads better than every parent run; such a
+metric is neither a gain nor shown to be unchanged.  ``loc`` gives the line
+count of ``src/meanset/*.py`` on each side, as the benchmark's ``loc.total``
+counts it, and ``frozen`` whether ``perfbench/`` and ``BENCHMARK.json`` are
+byte-identical in the two trees, listing every file that differs or is on
+one side only (bytecode caches left out).  The file is rewritten after every
+run, so an interrupted run of this script keeps what it measured.
 """
 
 from __future__ import annotations
@@ -54,6 +59,18 @@ def extract(rev: str, dest: Path) -> Path:
 
 def loc_total(tree: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (tree / "src" / "meanset").glob("*.py"))
+
+
+def frozen_diff(a: Path, b: Path) -> list:
+    """Files under ``perfbench/`` and ``BENCHMARK.json`` whose bytes differ
+    between the trees ``a`` and ``b``, or that only one of them has."""
+    def files(tree):
+        found = [tree / "BENCHMARK.json"] + list((tree / "perfbench").rglob("*"))
+        return {str(f.relative_to(tree)): f.read_bytes() for f in found
+                if f.is_file() and "__pycache__" not in f.parts}
+
+    fa, fb = files(a), files(b)
+    return sorted(name for name in fa.keys() | fb.keys() if fa.get(name) != fb.get(name))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -96,12 +113,15 @@ def summarise(runs: list, metrics: dict) -> dict:
             b, c = quartiles(base), quartiles(new)
             wins = sum(sign * (y - x) > 0.0 for x, y in zip(base, new))
             gain = sign * (c["median"] - b["median"])   # > 0 when the change is better
+            spread = max(b["iqr"], c["iqr"])
+            apart = all(sign * (y - x) > 0.0 for x in base for y in new)
             out[wl][name] = {
                 "parent": b, "change": c,
                 "relative": (c["median"] - b["median"]) / b["median"] if b["median"] else None,
                 "wins": wins,
                 "claim_rule": 10 * wins >= 9 * len(pairs) and gain > b["iqr"],
                 "within_bound": gain >= -bound * abs(b["median"]),
+                "unresolved": spread > bound * abs(b["median"]) and not apart,
             }
     return out
 
@@ -125,10 +145,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": extract(args.base, Path(tmp) / "parent"),
                  "change": extract(args.change, Path(tmp) / "change") if args.change else ROOT}
+        differing = frozen_diff(trees["parent"], trees["change"])
         doc = {"base": args.base, "change": args.change or "working tree",
                "seconds": args.seconds, "seed": args.seed,
                "loc": {side: loc_total(tree) for side, tree in trees.items()},
+               "frozen": {"identical": not differing, "differing": differing},
                "runs": [], "summary": {}}
+        print(json.dumps({"frozen": doc["frozen"]}), flush=True)
         out = Path(args.out)
 
         def record(workload, seed, side, order, traced):
