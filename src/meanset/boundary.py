@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import geodesics
 from .complexes import LocatedPoint
@@ -50,6 +50,7 @@ from .recognition import (
     PointSetA,
     RecognitionResult,
     _per_label,
+    check_point_set,
     check_tolerance,
     recognize_interior,  # noqa: F401 -- perfbench/tracing.py wraps it here too
     witness_margins,
@@ -69,16 +70,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DirectionalDerivativeModel:
-    """One-sided derivative data of ``d(., a)`` at a point, within one cell."""
+class DirectionalDerivativeModel(namedtuple(
+        "DirectionalDerivativeModel", "label cell distance probe subdiff tangent")):
+    """One-sided derivative data of ``d(., a)`` at a point in the maximal ``cell``:
+    its ``distance`` d_a, the first geodesic breakpoint toward a (``probe``), the
+    Singleton or ConeBall ``subdiff`` and the cell's ``tangent`` cone there."""
 
-    label: str
-    cell: str                # maximal cell the model is valid in
-    distance: float          # d_a at the query point
-    probe: tuple             # first geodesic breakpoint toward a
-    subdiff: object          # Singleton or ConeBall
-    tangent: SignCone        # tangent cone of the cell at the query point
+    __slots__ = ()
 
 
 def build_model(A: PointSetA, loc: LocatedPoint, cell_id: str, label: str,
@@ -125,15 +123,12 @@ def directional_derivative(model: DirectionalDerivativeModel, u) -> float:
     return float(model.subdiff.support(u))
 
 
-@dataclass(frozen=True)
-class PCOutcome:
-    """Result of the per-cell conic feasibility problem."""
+class PCOutcome(namedtuple("PCOutcome", "cell value0 residual weights direction",
+                           defaults=(None,))):
+    """The per-cell conic problem's result: convex ``weights`` over the set labels,
+    and a unit decrease ``direction`` when infeasible."""
 
-    cell: str
-    value0: bool
-    residual: float
-    weights: tuple            # convex weights over the set labels
-    direction: tuple = None   # unit decrease direction when infeasible
+    __slots__ = ()
 
 
 def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
@@ -147,7 +142,7 @@ def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
     ``d_a * D_u d_a <= -residual / 2`` for every set point.
     """
     check_tolerance(tol)
-    cx = A.cx
+    cx = check_point_set(A).cx
     loc = cx.locate(xbar)
     models = _models if _models is not None else build_models(A, loc, cell_id)
     sets, target = _scaled_problem(models)
@@ -184,8 +179,9 @@ def _witness_from_direction(A: PointSetA, loc: LocatedPoint, cell_id: str,
     d_ref = A.distances_from(loc)
     for _ in range(60):
         cand = cx.snap(tuple(map(operator.add, loc.coords, step)))
-        if cell_id in cx._cells_at(cand)[1]:
-            margins = witness_margins(A, d_ref, cand)
+        carrier, owners = cx._cells_at(cand)
+        if cell_id in owners:
+            margins = witness_margins(A, d_ref, LocatedPoint(cand, carrier, cx))
             if min(margins.values()) > 0.0:
                 return NonMembershipCertificate(cand, margins)
         step = [0.5 * s for s in step]
@@ -204,7 +200,7 @@ def _solve_cells(A: PointSetA, xbar, tol: float):
     the descent direction of ``worst``, the cell with the largest residual.
     A set point is a point mass, with ``worst`` None.
     """
-    cx = A.cx
+    cx = check_point_set(A).cx
     loc = cx.locate(xbar)
     cells = cx.maximal_cells_containing(loc)
     hit = A.label_of(loc)
@@ -273,7 +269,7 @@ def conic_residual(A: PointSetA, xbar, cell_id: str, weights: dict) -> float:
     to ``w_a * d_a``; measures how far that fixed combination is from the
     negated normal cone.
     """
-    cx = A.cx
+    cx = check_point_set(A).cx
     loc = cx.locate(xbar)
     tangent = cx.tangent_cone(cell_id, loc)
     dists = A.distances_from(loc)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .convex import FREE, NONNEG, NONPOS, ZERO, SignCone, _box_faces
 
@@ -50,13 +50,10 @@ class LocationError(ValueError):
     """A queried point does not belong to the complex."""
 
 
-@dataclass(frozen=True)
-class CubeCell:
-    """A unit cube ``{x : base_i <= x_i <= base_i + [i in axes]}``."""
+class CubeCell(namedtuple("CubeCell", "base axes ident", defaults=("",))):
+    """A unit cube ``{x : base_i <= x_i <= base_i + [i in axes]}`` named ``ident``."""
 
-    base: tuple
-    axes: tuple
-    ident: str = ""
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -95,19 +92,29 @@ class CubeCell:
         return out
 
 
-@dataclass(frozen=True)
-class LocatedPoint:
-    """A point snapped onto the complex ``cx`` that located it, with its carrier."""
+class LocatedPoint(namedtuple("LocatedPoint", "coords minimal_cell cx", defaults=(None,))):
+    """A point snapped onto the complex ``cx`` that located it, with its carrier
+    ``minimal_cell``, the id of the smallest lattice cell holding it.  ``cx``
+    takes no part in ``repr``, ``==`` or ``hash``."""
 
-    coords: tuple
-    minimal_cell: str      # id of its carrier, the smallest lattice cell holding it
-    cx: CubicalComplex | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"LocatedPoint(coords={self.coords!r}, minimal_cell={self.minimal_cell!r})"
+
+    def __eq__(self, other):
+        return self[:2] == other[:2] if other.__class__ is LocatedPoint else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    link_violations: tuple
-    simple_connectivity: str = "assumed"
+class ValidationReport(namedtuple("ValidationReport", "link_violations simple_connectivity",
+                                  defaults=("assumed",))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

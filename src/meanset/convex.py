@@ -35,7 +35,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "FREE",
@@ -74,9 +74,8 @@ _POLAR = {FREE: ZERO, ZERO: FREE, NONNEG: NONPOS, NONPOS: NONNEG}
 _NEGATE = {FREE: FREE, ZERO: ZERO, NONNEG: NONPOS, NONPOS: NONNEG}
 
 
-@dataclass(frozen=True)
-class SignCone:
-    """A cone cut out by per-coordinate sign constraints.
+class SignCone(namedtuple("SignCone", "signs")):
+    """A cone cut out by per-coordinate sign constraints, a tuple ``signs``.
 
     Each coordinate is one of ``free`` (unconstrained), ``zero`` (pinned to
     0), ``nonneg`` or ``nonpos``.  Tangent and normal cones of axis-aligned
@@ -84,12 +83,13 @@ class SignCone:
     exact coordinate-wise operations.
     """
 
-    signs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for s in self.signs:
+    def __new__(cls, signs):
+        for s in signs:
             if s not in _ALL_SIGNS:
                 raise ValueError(f"unknown sign constraint {s!r}")
+        return tuple.__new__(cls, (signs,))
 
     @property
     def dim(self) -> int:
@@ -126,11 +126,11 @@ class SignCone:
 # Wolfe min-norm point
 
 
-@dataclass(frozen=True)
-class MinNormResult:
-    point: tuple    # nearest point of the set to the anchor
-    weights: tuple  # convex weights over the input points
-    gap: float      # max_a <x, x - q_a>, a bound on suboptimality
+class MinNormResult(namedtuple("MinNormResult", "point weights gap")):
+    """The nearest ``point`` of the set to the anchor, its convex ``weights`` over
+    the input points and ``gap``, max_a <x, x - q_a>, a bound on suboptimality."""
+
+    __slots__ = ()
 
 
 # Wolfe's stopping tolerance, relative to the squared size of the data
@@ -424,19 +424,18 @@ def _box_faces(k: int) -> tuple:
 # compact convex sets with exact support oracles
 
 
-@dataclass(frozen=True)
-class Singleton:
+class Singleton(namedtuple("Singleton", "g scale")):
     """A one-point set ``{scale * g}`` with ``|g| <= 1``.  Its support and
     anchor points are tuples of floats."""
 
-    g: tuple
-    scale: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.hypot(*self.g) <= 1.0 + 1e-7:
-            raise ValueError(f"g must be finite and in the unit ball, got {self.g}")
-        if not math.isfinite(self.scale):
-            raise ValueError(f"scale must be finite, got {self.scale!r}")
+    def __new__(cls, g, scale=1.0):
+        if not math.hypot(*g) <= 1.0 + 1e-7:
+            raise ValueError(f"g must be finite and in the unit ball, got {g}")
+        if not math.isfinite(scale):
+            raise ValueError(f"scale must be finite, got {scale!r}")
+        return tuple.__new__(cls, (g, scale))
 
     def support(self, d) -> float:
         return self.scale * sum(gi * di for gi, di in zip(self.g, d))
@@ -451,9 +450,8 @@ class Singleton:
         return Singleton(self.g, self.scale * c)
 
 
-@dataclass(frozen=True)
-class ConeBall:
-    """The set ``scale * ((N - u) ∩ B(0,1))`` for a sign cone ``N``, ``|u| = 1``.
+class ConeBall(namedtuple("ConeBall", "u cone scale")):
+    """The set ``scale * ((N - u) ∩ B(0,1))`` for a sign cone ``N = cone``, ``|u| = 1``.
 
     Support maximisation is exact: enumerate which sign-constrained
     coordinates of ``n`` are pinned to zero, solve the remaining ball
@@ -461,17 +459,16 @@ class ConeBall:
     Support and anchor points are tuples of floats.
     """
 
-    u: tuple
-    cone: SignCone
-    scale: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not abs(math.hypot(*self.u) - 1.0) <= 1e-7:
-            raise ValueError(f"u must be a finite unit vector, got {self.u}")
-        if len(self.u) != self.cone.dim:
-            raise ValueError(f"u has dimension {len(self.u)}, the cone {self.cone.dim}")
-        if not math.isfinite(self.scale):
-            raise ValueError(f"scale must be finite, got {self.scale!r}")
+    def __new__(cls, u, cone, scale=1.0):
+        if not abs(math.hypot(*u) - 1.0) <= 1e-7:
+            raise ValueError(f"u must be a finite unit vector, got {u}")
+        if len(u) != cone.dim:
+            raise ValueError(f"u has dimension {len(u)}, the cone {cone.dim}")
+        if not math.isfinite(scale):
+            raise ValueError(f"scale must be finite, got {scale!r}")
+        return tuple.__new__(cls, (u, cone, scale))
 
     def _argmax_shift(self, d) -> list:
         """Maximise ``<d, n>`` over ``n in N`` with ``|n - u| <= 1``."""
@@ -527,15 +524,13 @@ class ConeBall:
 # distance from a hull / Minkowski sum to a sign cone
 
 
-@dataclass(frozen=True)
-class ProductSet:
-    """A product of convex model sets, one per equally-sized block: one set
-    for :func:`feasibility_min_norm`, which calls its support and anchor
-    points.  The support point of a stacked direction is the stack of
-    blockwise support points."""
+class ProductSet(namedtuple("ProductSet", "blocks block_dim")):
+    """A product of convex model sets, one per equally-sized block of size
+    ``block_dim``: one set for :func:`feasibility_min_norm`, which calls its
+    support and anchor points.  The support point of a stacked direction is
+    the stack of blockwise support points."""
 
-    blocks: tuple
-    block_dim: int
+    __slots__ = ()
 
     def support_point(self, d) -> tuple:
         n = self.block_dim
@@ -546,19 +541,18 @@ class ProductSet:
         return tuple(itertools.chain.from_iterable(blk.anchor_point() for blk in self.blocks))
 
 
-@dataclass(frozen=True)
-class WeightedSum:
+class WeightedSum(namedtuple("WeightedSum", "sets weights")):
     """The Minkowski sum ``sum_k w_k S_k`` of model sets under fixed weights:
     one set for :func:`feasibility_min_norm`, which calls its support and
     anchor points.  Weights of at most 1e-15 drop out of support points."""
 
-    sets: tuple
-    weights: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.sets) or not all(
-                math.isfinite(w) and w >= -1e-12 for w in self.weights):
+    def __new__(cls, sets, weights):
+        if len(weights) != len(sets) or not all(
+                math.isfinite(w) and w >= -1e-12 for w in weights):
             raise ValueError("weights must be a finite nonnegative vector, one per set")
+        return tuple.__new__(cls, (sets, weights))
 
     def support_point(self, d) -> tuple:
         out = [0.0] * len(d)
@@ -572,15 +566,14 @@ class WeightedSum:
                                     for s, w in zip(self.sets, self.weights)))))
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    residual: float     # distance achieved
-    point: tuple        # optimal point of the search set
-    cone_point: tuple   # its projection onto the target cone
-    weights: tuple      # convex weights over the sets
-    status: str         # "zero" | "positive" | "stalled"
-    iterations: int
-    gap: float
+class FeasibilityResult(namedtuple(
+        "FeasibilityResult", "residual point cone_point weights status iterations gap")):
+    """The distance achieved (``residual``) at the optimal ``point`` of the search
+    set, its projection ``cone_point`` onto the target cone, the convex ``weights``
+    over the sets, ``status`` ("zero", "positive" or "stalled"), and the Frank-Wolfe
+    ``iterations`` and last ``gap``."""
+
+    __slots__ = ()
 
 
 # Frank-Wolfe rounds before a solve reports "stalled"

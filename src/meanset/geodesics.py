@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import CubicalComplex, LocatedPoint
 from .convex import box_segment_min, segment_span
@@ -60,17 +60,15 @@ class GeodesicError(RuntimeError):
     """No geodesic could be produced for the request."""
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(namedtuple("Geodesic", "breakpoints cells length")):
     """A piecewise-straight path: breakpoints plus one cell id per segment."""
 
-    breakpoints: tuple
-    cells: tuple
-    length: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.breakpoints) >= 2 and len(self.cells) != len(self.breakpoints) - 1:
+    def __new__(cls, breakpoints, cells, length):
+        if len(breakpoints) >= 2 and len(cells) != len(breakpoints) - 1:
             raise ValueError("need exactly one cell per segment")
+        return tuple.__new__(cls, (breakpoints, cells, length))
 
 
 def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=None):

@@ -13,20 +13,18 @@ from __future__ import annotations
 import io
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .recognition import PointSetA, check_count, check_tolerance, mean_deficit, random_point
+from .recognition import (PointSetA, check_count, check_point_set, check_tolerance,
+                          mean_deficit, random_point)
 
 __all__ = ["HeatMapSample", "run_heatmap", "segment_probes", "to_csv", "worker_count"]
 
 
-@dataclass(frozen=True)
-class HeatMapSample:
-    cell: str
-    point: tuple
-    deficit: float
-    decision: bool   # deficit strictly below the threshold
+class HeatMapSample(namedtuple("HeatMapSample", "cell point deficit decision")):
+    """One row: ``decision`` is whether ``deficit`` is strictly below the threshold."""
+
+    __slots__ = ()
 
 
 def worker_count() -> int:
@@ -50,6 +48,7 @@ def run_heatmap(A: PointSetA, samples: int, seed: int, eps: float,
                 threads: int = None) -> list:
     """Draw ``samples`` deficit evaluations; deterministic in ``seed``, a
     nonnegative integer.  At most one worker thread runs per sample."""
+    check_point_set(A)
     samples = check_count(samples, "the sample count", 1)
     seed = check_count(seed, "seed")
     check_tolerance(eps)
@@ -57,6 +56,8 @@ def run_heatmap(A: PointSetA, samples: int, seed: int, eps: float,
     workers = min(threads, samples)
     if workers <= 1:
         return [_one_sample(A, seed, i, eps) for i in range(samples)]
+    from concurrent.futures import ThreadPoolExecutor   # on first use: it imports logging
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futs = [pool.submit(_one_sample, A, seed, i, eps) for i in range(samples)]
         return [f.result() for f in futs]
@@ -71,7 +72,7 @@ def segment_probes(A: PointSetA, p, q, count: int, eps: float) -> list:
     """
     count = check_count(count, "count")
     check_tolerance(eps)
-    cx = A.cx
+    cx = check_point_set(A).cx
     p, q = [*map(float, p)], [*map(float, q)]
     if len(p) != len(q):
         raise ValueError(f"p has dimension {len(p)}, q has {len(q)}")
@@ -86,10 +87,13 @@ def segment_probes(A: PointSetA, p, q, count: int, eps: float) -> list:
 
 
 def to_csv(samples: list, ambient_dim: int) -> str:
+    """The rows as CSV; ``ValueError`` for a row that is no :class:`HeatMapSample`."""
     buf = io.StringIO()
     cols = ",".join(f"x{i}" for i in range(ambient_dim))
     buf.write(f"cell,{cols},deficit,decision\n")
     for s in samples:
+        if not isinstance(s, HeatMapSample):
+            raise ValueError(f"rows must be HeatMapSample records, got {s!r}")
         coords = ",".join("%.12g" % c for c in s.point)
         buf.write(f"{s.cell},{coords},{'%.12g' % s.deficit},{1 if s.decision else 0}\n")
     return buf.getvalue()

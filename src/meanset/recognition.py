@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import geodesics
 from .complexes import CubicalComplex
@@ -131,11 +131,15 @@ class PointSetA:
         return None
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
-    weights: dict
-    deficit: float
+def check_point_set(A) -> PointSetA:
+    """``A`` itself; ``ValueError`` naming it unless it is a :class:`PointSetA`."""
+    if not isinstance(A, PointSetA):
+        raise ValueError(f"A must be a PointSetA, got {A!r}")
+    return A
 
+
+class MembershipCertificate(namedtuple("MembershipCertificate", "weights deficit")):
+    __slots__ = ()
     kind = "membership"
 
     def to_dict(self):
@@ -146,11 +150,8 @@ class MembershipCertificate:
         }
 
 
-@dataclass(frozen=True)
-class NonMembershipCertificate:
-    witness: tuple
-    margins: dict
-
+class NonMembershipCertificate(namedtuple("NonMembershipCertificate", "witness margins")):
+    __slots__ = ()
     kind = "non-membership"
 
     def to_dict(self):
@@ -161,14 +162,13 @@ class NonMembershipCertificate:
         }
 
 
-@dataclass(frozen=True)
-class DeficitReport:
-    """The mean-deficit value at a point with its supporting evidence."""
+class DeficitReport(namedtuple("DeficitReport", "value per_cell weights direction",
+                               defaults=(None, None))):
+    """The mean-deficit ``value`` at a point, its value per maximal cell id
+    (``per_cell``), and the minimising ``weights`` when it is zero or a unit
+    decrease ``direction`` when it is positive."""
 
-    value: float
-    per_cell: dict           # maximal cell id -> per-cell deficit value
-    weights: dict = None     # minimising weights when the value is zero
-    direction: tuple = None  # unit decrease direction when positive
+    __slots__ = ()
 
     def to_dict(self):
         out = {"value": float(self.value),
@@ -180,12 +180,12 @@ class DeficitReport:
         return out
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
-    decision: str            # "member" | "non-member"
-    certificate: object
-    per_cell: dict           # maximal cell id -> (feasible, residual)
-    deficit: float
+class RecognitionResult(namedtuple("RecognitionResult",
+                                   "decision certificate per_cell deficit")):
+    """A ``decision``, "member" or "non-member", with its ``certificate``;
+    ``per_cell`` maps each maximal cell id to ``(feasible, residual)``."""
+
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -197,12 +197,12 @@ class RecognitionResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    samples: int
-    failures: tuple          # offending samples or cells, with numbers
-    conic_residuals: dict    # maximal cell id -> first-order residual
+class VerificationReport(namedtuple("VerificationReport",
+                                    "ok samples failures conic_residuals")):
+    """``failures`` holds the offending samples or cells, with numbers;
+    ``conic_residuals`` maps each maximal cell id to its first-order residual."""
+
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -222,7 +222,7 @@ def test_function(A: PointSetA, xbar, x) -> float:
 
     Nonnegative everywhere exactly when ``xbar`` is a mean of ``A``.
     """
-    d_ref = A.distances_from(xbar)
+    d_ref = check_point_set(A).distances_from(xbar)
     d_x = A.distances_from(x)
     return 0.5 * max(d_x[l] ** 2 - d_ref[l] ** 2 for l in A.labels)
 
@@ -280,7 +280,7 @@ def recognize_interior(A: PointSetA, xbar, tol: float = 1e-8):
 
     Kept as an entry point because ``perfbench/tracing.py`` wraps it by name.
     """
-    loc = A.cx.locate(xbar)
+    loc = check_point_set(A).cx.locate(xbar)
     if loc.minimal_cell not in A.cx.maximal_ids or A.label_of(loc) is not None:
         raise CertificateError("query point is a set point or not interior to a maximal cell")
     from . import boundary
@@ -315,7 +315,7 @@ def certified_lower_bound(A: PointSetA, xbar, cert: NonMembershipCertificate) ->
     if not (stored and _all_finite(stored) and min(stored) > 0.0):
         raise CertificateError(f"certificate margins must all be strictly positive, "
                                f"got {cert.margins!r}")
-    margins = witness_margins(A, A.distances_from(xbar), cert.witness)
+    margins = witness_margins(check_point_set(A), A.distances_from(xbar), cert.witness)
     low = min(margins.values())
     if not low > 0.0:
         raise CertificateError(f"witness {cert.witness} is not strictly closer than the "
@@ -327,7 +327,7 @@ def weighted_objective(A: PointSetA, weights: dict, x, p: float = 2.0) -> float:
     """The weighted p-th power distance objective at ``x`` (finite p >= 1, finite weights)."""
     if not (_all_finite([p]) and p >= 1.0):
         raise ValueError(f"exponent must be finite and at least 1, got {p!r}")
-    w = _per_label(A, weights, "weights")
+    w = _per_label(check_point_set(A), weights, "weights")
     if not _all_finite(w):
         raise ValueError(f"weights must be finite real numbers, got {weights!r}")
     d = A.distances_from(x)
@@ -361,7 +361,7 @@ def verify_certificate(A: PointSetA, xbar, cert, samples: int = 500,
     check_tolerance(tol)
     samples = check_count(samples, "samples")
     rng = random.Random(check_count(seed, "seed"))
-    cx = A.cx
+    cx = check_point_set(A).cx
     loc = cx.locate(xbar)
     failures = []
     conic = {}

@@ -1,6 +1,7 @@
 """The verdicts of ``tools/bench_pairs.py`` on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,43 @@ def test_frozen_diff_lists_changed_added_and_removed_files(tmp_path):
     (trees[0] / "BENCHMARK.json").unlink()
     assert module.frozen_diff(*trees) == ["BENCHMARK.json", "perfbench/grids.py",
                                           "perfbench/run.py"]
+
+
+def test_parse_output_keeps_the_phases_of_each_set_up():
+    """The result is the last line; the phases come from the detail line before
+    it, without the totals, and a detail line without set-ups gives none."""
+    module = _module()
+    setups = [{"import_s": 0.05 + i, "load_s": 0.002, "validate_s": 0.001, "setup_s": 0.053 + i,
+               "scaled_s": 0.04} for i in range(3)]
+    result = {"correct": True, "metrics": {"setup_s": {"value": 0.04, "unit": "s"}}}
+    out = "\n".join(["warming up", json.dumps({"mode": "untraced", "setups": setups}),
+                     json.dumps(result)]) + "\n"
+    got, phases = module.parse_output(out)
+    assert got == result
+    assert phases == [{"import_s": 0.05 + i, "load_s": 0.002, "validate_s": 0.001}
+                      for i in range(3)]
+    traced = json.dumps({"mode": "traced"}) + "\n" + json.dumps(result)
+    assert module.parse_output(traced) == (result, [])
+
+
+def test_summarise_gives_each_sides_median_set_up_phases():
+    """Medians over every set-up of a side's paired runs; an unpaired run, a
+    traced run and a side whose runs kept no set-ups add nothing."""
+    def run(seed, side, imports, traced=False):
+        return {"workload": "w", "seed": seed, "side": side, "traced": traced,
+                "result": {"metrics": {"m": {"value": 1.0}}},
+                "setups": [{"import_s": t, "load_s": 0.5 * t, "validate_s": 0.0}
+                           for t in imports]}
+
+    runs = [run(0, "parent", [0.08, 0.09, 0.07]), run(0, "change", [0.05, 0.06, 0.04]),
+            run(1, "change", [0.06, 0.05, 0.05]), run(1, "parent", [0.09, 0.08, 0.10]),
+            run(2, "parent", [9.0, 9.0, 9.0]),                # no change run at seed 2
+            run(0, "change", [9.0, 9.0, 9.0], traced=True)]
+    phases = _module().summarise(runs, {"m": ("lower", 0.25)})["w"]["setup_phases"]
+    assert phases["parent"] == pytest.approx(
+        {"import_s": 0.085, "load_s": 0.0425, "validate_s": 0.0})
+    assert phases["change"] == pytest.approx(
+        {"import_s": 0.05, "load_s": 0.025, "validate_s": 0.0})
+    for r in runs:
+        r["setups"] = [] if r["side"] == "change" else r["setups"]
+    assert _module().summarise(runs, {"m": ("lower", 0.25)})["w"]["setup_phases"]["change"] is None

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 
 import pytest
 
@@ -210,15 +210,16 @@ def test_heatmap_rejects_non_integer_counts(monkeypatch):
 def test_heatmap_starts_no_more_threads_than_samples(monkeypatch):
     """Asked for 100,000 threads by ``MEANSET_THREADS`` or 64 by argument,
     a heat map of three samples opens a pool of three workers and writes
-    the rows of a serial run."""
+    the rows of a serial run.  The heat map imports the pool class on first
+    use, so the class is replaced where it is defined."""
     sizes = []
 
-    class Recording(ThreadPoolExecutor):
+    class Recording(futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(heatmap, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Recording)
     _, A = load_bundled("squares3")
     serial = run_heatmap(A, 3, 1, 0.1, threads=1)
     assert sizes == []
@@ -301,11 +302,15 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_numpy():
-    # numpy took most of the command's start-up time; only the samplers use it
+    """A fresh ``import meanset, meanset.cli`` loads none of numpy (only the
+    samplers use it), dataclasses (the records are named tuples), or
+    concurrent.futures and logging (the heat map's thread pool, imported
+    when a heat map asks for threads)."""
     import subprocess
     import sys
+    heavy = ("numpy", "dataclasses", "concurrent.futures", "logging")
     code = ("import sys, meanset, meanset.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+            f"print(sorted(m for m in sys.modules if m.startswith({heavy})))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_env_with_src(), timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -24,6 +24,7 @@ from meanset import (
     run_heatmap,
     segment_probes,
     solve_PC,
+    to_csv,
     verify_certificate,
     weighted_objective,
 )
@@ -246,6 +247,25 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
     (lambda cx, A: expected("nope"), ValueError, "'nope'; have tripod, squares3"),
     (lambda cx, A: conic_residual(A, (0.5, 0.0), cx.maximal_cells_containing((0.5, 0.0))[0],
                                   [1, 0, 0]), ValueError, "weights must be a dict"),
+    (lambda cx, A: recognize("A", (0.5, 0.0)), ValueError, "A must be a PointSetA, got 'A'"),
+    (lambda cx, A: mean_deficit(None, (0.5, 0.0)), ValueError, "A must be a PointSetA, got None"),
+    (lambda cx, A: run_heatmap("A", 2, 1, 0.1), ValueError, "A must be a PointSetA"),
+    (lambda cx, A: verify_certificate("A", (0.5, 0.0), MembershipCertificate({"a": 1.0}, 0.0)),
+     ValueError, "A must be a PointSetA"),
+    (lambda cx, A: certified_lower_bound("A", (0.5, -0.5), NonMembershipCertificate(
+        (0.5, -0.25), {"a": 0.1, "b": 0.1, "c": 0.1})), ValueError, "A must be a PointSetA"),
+    (lambda cx, A: weighted_objective("A", {"a": 1.0}, (0.5, 0.0)), ValueError,
+     "A must be a PointSetA"),
+    (lambda cx, A: segment_probes(cx, (0.5, 0.0), (0.5, -0.5), 2, 0.1), ValueError,
+     "A must be a PointSetA, got <meanset.complexes.CubicalComplex"),
+    (lambda cx, A: recognize_interior("A", (0.5, -0.5)), ValueError, "A must be a PointSetA"),
+    (lambda cx, A: objective_gap("A", (0.5, 0.0), (0.5, -0.5)), ValueError,
+     "A must be a PointSetA"),
+    (lambda cx, A: solve_PC("A", (0.5, 0.0), cx.maximal_cells_containing((0.5, 0.0))[0]),
+     ValueError, "A must be a PointSetA"),
+    (lambda cx, A: conic_residual("A", (0.5, 0.0), cx.maximal_cells_containing((0.5, 0.0))[0],
+                                  {"a": 1.0}), ValueError, "A must be a PointSetA"),
+    (lambda cx, A: to_csv([1], 2), ValueError, "rows must be HeatMapSample records, got 1"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -253,11 +273,16 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
         "list-points", "list-weights", "list-certificate-weights", "int-chain",
         "unhashable-chain-cell", "string-feasibility-tol", "string-threads", "zero-threads",
         "negative-threads", "string-geodesic", "short-cone-point", "long-cone-point",
-        "unknown-corpus", "unknown-expected", "list-residual-weights"])
+        "unknown-corpus", "unknown-expected", "list-residual-weights", "string-set-recognize",
+        "none-set-deficit", "string-set-heatmap", "string-set-verify", "string-set-lower-bound",
+        "string-set-objective", "complex-set-probes", "string-set-interior",
+        "string-set-test-function", "string-set-solve-pc", "string-set-conic-residual",
+        "int-csv-row"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id is a ComplexError naming it, a tolerance or an
     exponent that is no real number, a probe segment of mismatched ends or an
-    unknown corpus name a ValueError, a point of the wrong dimension a
+    unknown corpus name, an ``A`` that is no ``PointSetA`` or a CSV row that
+    is no ``HeatMapSample`` a ValueError, a point of the wrong dimension a
     LocationError, and an object that is no certificate or a margin that is
     not a positive number a CertificateError, never a bare KeyError,
     TypeError, IndexError or AttributeError.  Margins are recomputed: a

@@ -26,12 +26,18 @@ parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, taken
 relative to the parent's median.  ``unresolved``: the spread, the larger of
 the two sides' IQRs relative to the parent's median, is wider than the
 bound, and not every change run reads better than every parent run; such a
-metric is neither a gain nor shown to be unchanged.  ``loc`` gives the line
-count of ``src/meanset/*.py`` on each side, as the benchmark's ``loc.total``
-counts it, and ``frozen`` whether ``perfbench/`` and ``BENCHMARK.json`` are
-byte-identical in the two trees, listing every file that differs or is on
-one side only (bytecode caches left out).  The file is rewritten after every
-run, so an interrupted run of this script keeps what it measured.
+metric is neither a gain nor shown to be unchanged.  Each untraced run also
+keeps its set-ups' phases from the detail line (``setups``: ``import_s``,
+``load_s`` and ``validate_s``, unscaled seconds; ``perfbench/run.py`` times
+one set-up in process and two in child processes), and ``setup_phases``
+gives each side's median of every phase over the set-ups of its paired
+runs, so that a change of ``setup_s`` shows which phase moved.  ``loc``
+gives the line count of ``src/meanset/*.py`` on each side, as the
+benchmark's ``loc.total`` counts it, and ``frozen`` whether ``perfbench/``
+and ``BENCHMARK.json`` are byte-identical in the two trees, listing every
+file that differs or is on one side only (bytecode caches left out).  The
+file is rewritten after every run, so an interrupted run of this script
+keeps what it measured.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PHASES = ("import_s", "load_s", "validate_s")
 
 
 def extract(rev: str, dest: Path) -> Path:
@@ -73,14 +80,23 @@ def frozen_diff(a: Path, b: Path) -> list:
     return sorted(name for name in fa.keys() | fb.keys() if fa.get(name) != fb.get(name))
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """The result object (the last line printed) of one benchmark run."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> tuple:
+    """``parse_output`` of one benchmark run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse_output(proc.stdout)
+
+
+def parse_output(stdout: str) -> tuple:
+    """The result object (the last line printed) of one benchmark run, and the
+    phases of each set-up listed in its detail line (the line before), or an
+    empty list when that line lists none, as a traced run's does not."""
+    *_, detail, result = stdout.strip().splitlines()
+    setups = json.loads(detail).get("setups", ())
+    return json.loads(result), [{k: s[k] for k in PHASES} for s in setups]
 
 
 def quartiles(values) -> dict:
@@ -94,21 +110,25 @@ def quartiles(values) -> dict:
 def summarise(runs: list, metrics: dict) -> dict:
     """Per workload and metric: both sides' quartiles, the relative change
     of the median, the change's wins over the completed pairs and the two
-    verdicts of the module docstring.  ``metrics`` maps each name to its
-    ``(better, bound)`` from ``BENCHMARK.json``."""
+    verdicts of the module docstring, and ``setup_phases``.  ``metrics`` maps
+    each name to its ``(better, bound)`` from ``BENCHMARK.json``."""
     out = {}
     for wl in sorted({r["workload"] for r in runs}):
         pairs = {}
         for r in runs:
             if r["workload"] == wl and not r["traced"]:
-                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+                pairs.setdefault(r["seed"], {})[r["side"]] = r
         pairs = [p for p in pairs.values() if len(p) == 2]
         if not pairs:
             continue
-        out[wl] = {"pairs": len(pairs)}
+        out[wl] = {"pairs": len(pairs), "setup_phases": {}}
+        for side in ("parent", "change"):
+            setups = [s for p in pairs for s in p[side].get("setups", ())]
+            out[wl]["setup_phases"][side] = {
+                k: statistics.median(s[k] for s in setups) for k in PHASES} if setups else None
         for name, (better, bound) in metrics.items():
-            base = [p["parent"][name]["value"] for p in pairs]
-            new = [p["change"][name]["value"] for p in pairs]
+            base = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
+            new = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
             sign = -1.0 if better == "lower" else 1.0
             b, c = quartiles(base), quartiles(new)
             wins = sum(sign * (y - x) > 0.0 for x, y in zip(base, new))
@@ -156,10 +176,11 @@ def main(argv=None) -> int:
 
         def record(workload, seed, side, order, traced):
             t0 = time.perf_counter()
-            result = run_once(trees[side], workload, seed, args.seconds, traced)
+            result, setups = run_once(trees[side], workload, seed, args.seconds, traced)
             doc["runs"].append({"workload": workload, "seed": seed, "side": side,
                                 "order": order, "traced": traced,
-                                "wall_s": time.perf_counter() - t0, "result": result})
+                                "wall_s": time.perf_counter() - t0, "result": result,
+                                "setups": setups})
             doc["summary"] = summarise(doc["runs"], metrics)
             out.write_text(json.dumps(doc, indent=1) + "\n")
 
