@@ -10,7 +10,8 @@ machinery.  The public pieces are:
 * :func:`min_norm_point` -- Wolfe's algorithm for the nearest point of a
   convex hull plus a finitely generated cone to an anchor.
 * :func:`box_segment_min` -- shortest broken path from ``a`` to ``b``
-  through an axis-aligned box, exact by enumerating the box's faces.
+  through an axis-aligned box, exact by enumerating the box's faces that
+  can hold the minimiser.
 * :class:`Singleton` / :class:`ConeBall` -- compact convex sets used as
   one-sided derivative models, supporting exact linear maximisation;
   :class:`ProductSet` stacks them blockwise and :class:`WeightedSum` is
@@ -61,6 +62,12 @@ class ConvergenceError(RuntimeError):
     """An iterative solve failed to reach its target tolerance."""
 
 
+def _checked_make(cls, fields):
+    """``_make`` of a record that checks its fields: through ``__new__``, so
+    that ``_make`` and ``_replace``, which calls it, run the checks too."""
+    return cls(*fields)
+
+
 # ---------------------------------------------------------------------------
 # sign cones
 
@@ -84,6 +91,7 @@ class SignCone(namedtuple("SignCone", "signs")):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, signs):
         for s in signs:
@@ -327,11 +335,17 @@ def box_segment_min(a, b, lo, hi):
     sequences of numbers.  When the straight segment meets the box the
     value is exactly ``math.dist(a, b)`` and ties among on-segment
     minimisers are broken by the point of smallest Euclidean norm.
-    Otherwise every face of the box is tried: each of the k axes with
+    Otherwise the faces of the box are tried: each of the k axes with
     ``lo < hi`` is pinned to ``lo``, pinned to ``hi`` or left free, and on
-    each of the 3**k faces the minimiser over the face's affine hull has a
-    closed form.  The objective is convex, so the best candidate that lies
-    in its face is the minimum; no iterative solver is involved.  The work
+    each face the minimiser over the face's affine hull has a closed form.
+    The objective is convex, so the best candidate that lies in its face is
+    the minimum; no iterative solver is involved.  Of the 3**k faces only
+    those that can hold the minimiser are tried: an axis is pinned to a
+    bound only if an end lies at or beyond it, and left free unless both
+    ends lie strictly beyond one bound.  A face dropped gives no candidate
+    or a strictly worse one, so the argmin and its tie-breaking are those
+    of all 3**k faces.  (Both ends exactly on a bound leave the axis free
+    too: that face ties the pinned one and, visited first, wins.)  The work
     is on Python floats: numpy calls cost more than the arithmetic on
     boxes of a few axes.  Raises ``ValueError`` when the four arguments
     differ in dimension.
@@ -370,8 +384,12 @@ def box_segment_min(a, b, lo, hi):
     # decreasing dimension, so a candidate beats its own subfaces on ties.
     freed = [i for i in range(n) if hi[i] - lo[i] > 1e-12]
     base = [0.5 * (lo[i] + hi[i]) for i in range(n)]  # lo == hi when pinned
+    sides = []
+    for i in freed:
+        m, M = (a[i], b[i]) if a[i] <= b[i] else (b[i], a[i])
+        sides.append(_SIDES[lo[i] <= M and m <= hi[i], m <= lo[i], M >= hi[i]])
     best_val, best_x = math.inf, None
-    for face in _box_faces(len(freed)):
+    for face in _sided_faces(tuple(sides)):
         x = base[:]
         free = []
         for i, side in zip(freed, face):
@@ -409,15 +427,26 @@ def box_segment_min(a, b, lo, hi):
     return math.dist(a, best_x) + math.dist(best_x, b), tuple(best_x)
 
 
-@functools.lru_cache(maxsize=None)
+# the sides (0 free, -1 at lo, +1 at hi) an axis may take, keyed by whether
+# it may be left free, pinned to lo and pinned to hi
+_SIDES = {key: tuple(side for side, ok in zip((0, -1, 1), key) if ok)
+          for key in itertools.product((False, True), repeat=3)}
+
+
 def _box_faces(k: int) -> tuple:
     """The 3**k faces of a k-dimensional box, by decreasing dimension.
 
     A face gives each free axis a side: -1 pinned to lo, +1 pinned to hi,
     0 left free.
     """
-    faces = itertools.product((0, -1, 1), repeat=k)
-    return tuple(sorted(faces, key=lambda f: f.count(0), reverse=True))
+    return _sided_faces(((0, -1, 1),) * k)
+
+
+@functools.lru_cache(maxsize=None)
+def _sided_faces(sides: tuple) -> tuple:
+    """The faces that give axis i a side of ``sides[i]``, in the order of
+    :func:`_box_faces`, whose faces they are."""
+    return tuple(sorted(itertools.product(*sides), key=lambda f: f.count(0), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +458,7 @@ class Singleton(namedtuple("Singleton", "g scale")):
     anchor points are tuples of floats."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, g, scale=1.0):
         if not math.hypot(*g) <= 1.0 + 1e-7:
@@ -460,6 +490,7 @@ class ConeBall(namedtuple("ConeBall", "u cone scale")):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, u, cone, scale=1.0):
         if not abs(math.hypot(*u) - 1.0) <= 1e-7:
@@ -547,6 +578,7 @@ class WeightedSum(namedtuple("WeightedSum", "sets weights")):
     anchor points.  Weights of at most 1e-15 drop out of support points."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, sets, weights):
         if len(weights) != len(sets) or not all(

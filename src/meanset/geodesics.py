@@ -26,11 +26,17 @@ A gate that is a single vertex pins its breakpoint, so :func:`chain_length`
 cuts the chain there and solves each piece on its own: a piece with no
 gate is a segment, one with one gate is the closed form of
 :func:`box_segment_min`, and only a piece of two or more gates is a
-sum-of-norms program over the free gate coordinates, solved by one
-projected Newton method that returns only a certified optimum.  Its
-Hessian is block tridiagonal, one block per gate, so each step is one
-block Thomas sweep on Python floats; breakpoints that meet, where the path
-wraps an edge shared by consecutive gates, are merged at the end of every
+sum-of-norms program over the free gate coordinates.  Such a piece first
+tries its unfolded start: when every gate is a facet of both cells beside
+it, the cells unfold into the frame of the first, as shortest paths on
+polyhedral surfaces are found (Sharir and Schorr, SIAM J. Comput. 15,
+1986; Mitchell, Mount and Papadimitriou, SIAM J. Comput. 16, 1987), and
+the straight line to the unfolded end, pulled tight at the gate it misses
+most, is certified or refused by the solver's own gap.  Otherwise one
+projected Newton method returns only a certified optimum.  Its Hessian is
+block tridiagonal, one block per gate, so each step is one block Thomas
+sweep on Python floats; breakpoints that meet, where the path wraps an
+edge shared by consecutive gates, are merged at the end of every
 smoothing level.
 """
 
@@ -42,7 +48,7 @@ import math
 from collections import namedtuple
 
 from .complexes import CubicalComplex, LocatedPoint
-from .convex import box_segment_min, segment_span
+from .convex import _checked_make, box_segment_min, segment_span
 
 __all__ = [
     "Geodesic",
@@ -64,6 +70,7 @@ class Geodesic(namedtuple("Geodesic", "breakpoints cells length")):
     """A piecewise-straight path: breakpoints plus one cell id per segment."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, breakpoints, cells, length):
         if len(breakpoints) >= 2 and len(cells) != len(breakpoints) - 1:
@@ -79,7 +86,12 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
     cut at every such gate and each piece is solved on its own; the values
     add up and the breakpoints join.  A piece with no gate is a segment and
     one with one gate has the closed form of :func:`box_segment_min`.  A
-    piece of more gates starts at each gate's own :func:`box_segment_min`
+    piece of more gates whose gates are each a facet of both cells beside
+    it is unfolded into the frame of its first cell (:func:`_unfolded`):
+    the straight line to the unfolded end, cut at the crossing farthest
+    outside its gate and clamped there, is returned with no Newton step
+    when :func:`_certified_gap` is at most 1e-13 (1 + value).  Else the
+    piece starts at each gate's own :func:`box_segment_min`
     point and runs projected Newton (:func:`_newton_step`) on ``sum
     sqrt(|x_{i+1} - x_i|^2 + eps^2)``, ``eps`` stepped from 1e-3 down to
     1e-13, until :func:`_certified_gap` is at most 1e-13 (1 + value).  At
@@ -126,7 +138,8 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
     mins = None if cuts else _face_mins
     total, pts = 0.0, [p]
     for a, b, i, j in zip(ends, ends[1:], edges, edges[1:]):
-        val, gap, piece = _solve_piece(a, b, bounds[i + 1:j], mins)
+        cells = [cx._boxes[c] for c in chain[i + 1:j + 1]] if j - i > 2 else None
+        val, gap, piece = _solve_piece(a, b, bounds[i + 1:j], mins, cells)
         if gap > 1e-9 * (1.0 + val):
             raise GeodesicError(f"chain {tuple(chain)} from {p} to {q}: certified gap "
                                 f"{gap:.3g} of the piece from {a} to {b} exceeds 1e-9 "
@@ -139,9 +152,10 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
 _LEVELS = (1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13)   # smoothing eps, coarse to fine
 
 
-def _solve_piece(a, b, bounds, mins):
+def _solve_piece(a, b, bounds, mins, cells):
     """``(value, gap, breakpoints)`` of the shortest path a -> b through the
-    gates ``bounds``, none of them a vertex (see :func:`chain_length`)."""
+    gates ``bounds``, none of them a vertex, between the boxes ``cells`` (see
+    :func:`chain_length`)."""
     if not bounds:
         return math.dist(a, b), 0.0, [a, b]
     if len(bounds) == 1:
@@ -151,6 +165,12 @@ def _solve_piece(a, b, bounds, mins):
     # boxes of all points, a and b being boxes of their own
     lo = [a] + [g[0] for g in bounds] + [b]
     hi = [a] + [g[1] for g in bounds] + [b]
+    line = _unfolded(a, b, cells, bounds)
+    if line:
+        P = [a, *line, b]
+        gap, val = _certified_gap(P, lo, hi)
+        if gap <= 1e-13 * (1.0 + val):
+            return val, gap, P
     starts = [x for _, x in mins] if mins else [box_segment_min(a, b, *g)[1] for g in bounds]
     P = [list(x) for x in (a, *starts, b)]
     gap, val = _certified_gap(P, lo, hi)
@@ -172,6 +192,66 @@ def _solve_piece(a, b, bounds, mins):
             if mgap <= 1e-13 * (1.0 + mval) or (last and mgap < gap):
                 gap, val, P = mgap, mval, M
     return val, gap, [tuple(x) for x in P]
+
+
+def _unfolded(a, b, cells, gates):
+    """Breakpoints on the ``gates`` of a path from ``a`` to ``b`` that is
+    straight, but for bends at gate boundaries, in the chain of boxes
+    ``cells`` unfolded into the frame of the first: the straight line, cut
+    at the gate whose crossing lies farthest outside it, at that crossing
+    clamped into the gate, and each side pulled tight the same way.  None
+    when some gate is not a facet of both cells beside it, or when a line
+    runs parallel to a gate it must cross.
+
+    A cell's frame map sends its coordinate i to ``sign[i] x_i + off[i]`` on
+    the frame's axis ``perm[i]``.  At a gate, the axis along which the next
+    cell leaves it is turned onto the continuation of the axis along which
+    the previous cell reaches it; the gate's own points stay put.
+    """
+    n = len(a)
+    perm, sign, off = list(range(n)), [1.0] * n, [0.0] * n
+    hinges = []   # per gate: the axis reaching it, the frame map of the cell before it
+    for (clo, chi), (glo, ghi), (dlo, dhi) in zip(cells, gates, cells[1:]):
+        out = [i for i in range(n) if glo[i] == ghi[i] and clo[i] < chi[i]]
+        into = [i for i in range(n) if glo[i] == ghi[i] and dlo[i] < dhi[i]]
+        if len(out) != 1 or len(into) != 1:
+            return None
+        u, v = out[0], into[0]
+        hinges.append((u, perm[:], sign[:], off[:]))
+        if u != v:   # c + t (x_v - d) continues axis u past the gate at x_u = c
+            c, d = glo[u], glo[v]
+            t = -1.0 if (clo[u] == c) == (dlo[v] == d) else 1.0
+            perm[u], perm[v] = perm[v], perm[u]
+            sign[u], sign[v], off[u], off[v] = (sign[v] * t, sign[u] * t,
+                                                sign[v] * (d - t * c) + off[v],
+                                                sign[u] * (c - t * d) + off[u])
+
+    def frame(x, pm, sg, of):
+        X = [0.0] * n
+        for i, xi in enumerate(x):
+            X[pm[i]] = sg[i] * xi + of[i]
+        return X
+
+    def pull(X, Y, i, j):   # the breakpoints on gates i .. j - 1 of the string X -> Y
+        pts, worst, cut = [], 1e-12, None
+        for g in range(i, j):
+            (u, pm, sg, of), (glo, ghi) = hinges[g], gates[g]
+            k = pm[u]
+            if Y[k] == X[k]:
+                return None
+            s = (sg[u] * glo[u] + of[u] - X[k]) / (Y[k] - X[k])
+            x = [sg[m] * (X[pm[m]] + s * (Y[pm[m]] - X[pm[m]]) - of[m]) for m in range(n)]
+            pts.append(tuple(min(max(xm, l), h) for xm, l, h in zip(x, glo, ghi)))
+            miss = max(abs(xm - cm) for xm, cm in zip(x, pts[-1]))
+            if miss > worst:
+                worst, cut = miss, g
+        if cut is None:
+            return pts
+        C = frame(pts[cut - i], *hinges[cut][1:])
+        left, right = pull(X, C, i, cut), pull(C, Y, cut + 1, j)
+        return None if left is None or right is None else left + [pts[cut - i]] + right
+
+    return pull(a, frame(b, perm, sign, off), 0, len(gates))
 
 
 def _newton_step(P, lo, hi, eps):

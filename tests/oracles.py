@@ -18,7 +18,9 @@ sets' cone form where it is curved, and Wolfe's algorithm itself, which
 ``meanset.convex`` runs on Python floats, is kept here in its numpy form.
 The distance inside a flat polyomino,
 which ``meanset.geodesics`` finds by a chain search, is found here on the
-visibility graph of its reflex vertices.  The straight-segment walk, which
+visibility graph of its reflex vertices.  The shortest path through a box,
+which ``meanset.convex`` finds on the faces that can hold it, is found
+here on all of them.  The straight-segment walk, which
 ``meanset.geodesics`` steps by locating each exit point, is kept here in
 the form that tests each neighbour's shared face instead; it shares
 ``segment_span`` and the final assembly with the walk, so it checks the
@@ -26,6 +28,7 @@ stepping alone.
 """
 
 import heapq
+import itertools
 import math
 import warnings
 
@@ -34,7 +37,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.optimize import minimize, nnls
 
 from meanset import geodesic, geodesics, mean_deficit, point_along, recognize
-from meanset.convex import segment_span
+from meanset.convex import box_segment_min, segment_span
 
 
 def straightened_deficit(A, x) -> float:
@@ -149,6 +152,56 @@ def chain_oracle(p, q, gates) -> float:
                  options={"ftol": 1e-16, "maxiter": 1000}).fun
         for x0 in starts
     )
+
+
+def full_box_segment_min(a, b, lo, hi):
+    """``meanset.convex.box_segment_min`` as it tries every one of the 3**k
+    faces of the box: the reference for the solver, which tries only the
+    faces that can hold the minimiser.  The segment fast path and the
+    closed form per face are the solver's own; faces are visited by
+    decreasing dimension, the first candidate of the least value kept."""
+    a, b = [*map(float, a)], [*map(float, b)]
+    lo, hi = [*map(float, lo)], [*map(float, hi)]
+    n = len(a)
+    d = [bi - ai for ai, bi in zip(a, b)]
+    span = segment_span(a, d, lo, hi)
+    if span is not None or math.dist(a, b) <= 1e-13:
+        return box_segment_min(a, b, lo, hi)
+    freed = [i for i in range(n) if hi[i] - lo[i] > 1e-12]
+    base = [0.5 * (lo[i] + hi[i]) for i in range(n)]
+    faces = sorted(itertools.product((0, -1, 1), repeat=len(freed)),
+                   key=lambda f: f.count(0), reverse=True)
+    best_val, best_x = math.inf, None
+    for face in faces:
+        x = base[:]
+        free = [i for i, side in zip(freed, face) if side == 0]
+        for i, side in zip(freed, face):
+            if side:
+                x[i] = lo[i] if side < 0 else hi[i]
+        ca = cb = 0.0
+        for i in range(n):
+            if i not in free:
+                ca += (a[i] - x[i]) * (a[i] - x[i])
+                cb += (b[i] - x[i]) * (b[i] - x[i])
+        P, Q = math.sqrt(ca), math.sqrt(cb)
+        if not free:
+            if P + Q < best_val:
+                best_val, best_x = P + Q, x
+            continue
+        if P + Q <= 0.0:
+            continue
+        span = 0.0
+        for i in free:
+            t = (a[i] * Q + b[i] * P) / (P + Q)
+            if t < lo[i] - 1e-12 or t > hi[i] + 1e-12:
+                break
+            x[i] = min(max(t, lo[i]), hi[i])
+            span += (b[i] - a[i]) * (b[i] - a[i])
+        else:
+            val = math.hypot(P + Q, math.sqrt(span))
+            if val < best_val:
+                best_val, best_x = val, x
+    return math.dist(a, best_x) + math.dist(best_x, b), tuple(best_x)
 
 
 def dense_newton_step(P, lo, hi, eps) -> float:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from meanset.convex import (
     segment_span,
     shared_certificate_weights,
 )
-from oracles import _array_affine_min_norm, array_min_norm_point, hull_to_cone_nnls
+from oracles import (_array_affine_min_norm, array_min_norm_point, full_box_segment_min,
+                     hull_to_cone_nnls)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +288,34 @@ def test_box_segment_min_takes_any_sequence():
             fast += 1
             assert outs[0][0] == math.dist(a.tolist(), b.tolist()), (a, b, lo, hi)
     assert 0 < fast < 400
+
+
+def test_box_segment_min_equals_full_enumeration():
+    """Tried on the faces that can hold the minimiser only, ``box_segment_min``
+    returns the very ``(value, x)`` of ``oracles.full_box_segment_min``,
+    which tries all 3**k faces, on seeded random boxes in R^1-R^4 with
+    integer bounds from -3 to 3: some axes degenerate (``lo == hi``), about
+    half the end coordinates rounded to an integer, many of them onto a
+    bound, and half of the boxes only 1e-13 wide on one axis."""
+    rng = random.Random(26)
+    on_bound = bent = 0
+    for trial in range(4000):
+        n = rng.randint(1, 4)
+        lo = [float(rng.randint(-3, 2)) for _ in range(n)]
+        hi = [l + rng.choice((0.0, 1.0, 1.0)) for l in lo]
+        if trial % 2:
+            i = rng.randrange(n)
+            hi[i] = lo[i] + 1e-13
+        ends = [[rng.uniform(-4.0, 4.0) for _ in range(n)] for _ in range(2)]
+        for end in ends:
+            for i in range(n):
+                if rng.random() < 0.5:
+                    end[i] = float(rng.choice((lo[i], hi[i], round(end[i]))))
+        on_bound += any(e[i] in (lo[i], hi[i]) for e in ends for i in range(n))
+        a, b = ends
+        bent += segment_span(a, [y - x for x, y in zip(a, b)], lo, hi) is None
+        assert box_segment_min(a, b, lo, hi) == full_box_segment_min(a, b, lo, hi), (a, b, lo, hi)
+    assert on_bound > 2000 and bent > 2000
 
 
 def test_box_segment_min_reflection_case():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from meanset import (CubicalComplex, GeodesicError, complex_from_dict, distance, geodesic,
-                     load_bundled, midpoint, point_along)
+                     load_bundled, midpoint, point_along, recognize, verify_certificate)
 from meanset import geodesics
 from meanset.convex import box_segment_min
 from meanset.corpus import BUNDLED
@@ -608,6 +608,16 @@ def test_newton_step_matches_dense_solve():
     assert moved >= 250
 
 
+def test_newton_step_refuses_a_zero_length_segment():
+    """Unsmoothed (eps = 0), two coincident points leave a segment of length
+    0, where the Hessian is undefined: the step returns 0 and moves nothing."""
+    P = [[0.0, 0.0], [1.0, 0.5], [1.0, 0.5], [2.0, 0.0]]
+    lo = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    hi = [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 0.0]]
+    assert geodesics._newton_step(P, lo, hi, 0.0) == 0.0
+    assert P == [[0.0, 0.0], [1.0, 0.5], [1.0, 0.5], [2.0, 0.0]]
+
+
 def test_certified_gap_matches_array_form():
     """``_certified_gap`` against ``oracles.array_certified_gap`` on seeded
     random chains of 3-8 points on integer boxes, about a third of them with
@@ -665,6 +675,136 @@ def test_staircase_chain_solves_do_pinned_work(monkeypatch):
     for _ in range(200):
         distance(cx, tuple(first + rng.random(3)), tuple(last + rng.random(3)))
     assert counts == {"solves": 368, "steps": 1766, "merges": 142, "most": 24}
+
+
+# ---------------------------------------------------------------------------
+# pieces that start on their unfolded straight line
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """The count of Newton steps taken, in a one-item list, read as it grows."""
+    steps = [0]
+    real = geodesics._newton_step
+
+    def counted(*args):
+        steps[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(geodesics, "_newton_step", counted)
+    return steps
+
+
+def test_corpus_pieces_certify_on_their_unfolded_line(monkeypatch, newton_steps):
+    """Seeded searches on the five corpora, a third of the points snapped
+    onto faces: every piece of two or more gates, all of them on squares5 and
+    quadrant_window, returns its unfolded start with no Newton step, and
+    agrees with SLSQP.  On quadrant_window some chains wrap the window's
+    corner, where the straight line is pulled tight."""
+    real_piece, real_unfolded = geodesics._solve_piece, geodesics._unfolded
+    met, lines = {}, []
+
+    def piece(a, b, bounds, mins, cells):
+        before = newton_steps[0]
+        out = real_piece(a, b, bounds, mins, cells)
+        if len(bounds) >= 2:
+            assert newton_steps[0] == before, (a, b, bounds)
+            assert out[2][1:-1] == lines[-1], (a, b, bounds)
+            met[name] = met.get(name, 0) + 1
+            assert out[0] <= chain_oracle(a, b, bounds) + 1e-10, (a, b, bounds)
+        return out
+
+    def unfolded(*args):
+        lines.append(real_unfolded(*args))
+        return lines[-1]
+
+    monkeypatch.setattr(geodesics, "_solve_piece", piece)
+    monkeypatch.setattr(geodesics, "_unfolded", unfolded)
+    rng = np.random.default_rng(2626)
+    for name in BUNDLED:
+        cx = load_bundled(name)[0]
+        for i in range(300):
+            distance(cx, _corpus_point(cx, rng, i % 3 == 0), _corpus_point(cx, rng, i % 3 == 1))
+    assert met["squares5"] >= 20 and met["quadrant_window"] >= 20, met
+    assert newton_steps[0] == 0
+
+
+def test_cold_certificate_check_takes_no_newton_step(newton_steps):
+    """The membership certificate at the squares5 point (0, 0, 0.3326),
+    checked on a cold cache, holds without one Newton step."""
+    _, A = load_bundled("squares5")
+    x = (0.0, 0.0, 0.3326)
+    cert = recognize(A, x).certificate
+    A.cx._geo_cache.clear()
+    assert verify_certificate(A, x, cert).ok
+    assert newton_steps[0] == 0
+
+
+def test_unfolded_squares5_chain_has_its_closed_form(newton_steps):
+    """squares5's chain c002 (the square x in [-1, 0], y in [0, 1]), c003
+    (x in [-1, 0], z in [0, 1]) and c014 (y in [-1, 0], z in [0, 1]) unfolds
+    into three squares of the plane of c002, with c003 below it and c014 to
+    the right of c003.  From (-0.9, 0.2, 0) to (0, -0.2, 0.9), at
+    (0.2, -0.9) in that frame, the line crosses the two gates at
+    (-0.7, 0, 0) and (0, 0, 0.7): length 1.1 sqrt(2), as SLSQP finds, with
+    no Newton step.  Ends on the first gate's line, where the line runs
+    along the gate, get no unfolded start, and the path through the origin
+    is found from the usual starts."""
+    cx, _ = load_bundled("squares5")
+    chain, a, b = ("c002", "c003", "c014"), (-0.9, 0.2, 0.0), (0.0, -0.2, 0.9)
+    gates = [cx._boxes[dict(cx.adjacency[c])[d]] for c, d in zip(chain, chain[1:])]
+    val, pts = geodesics.chain_length(cx, a, b, chain)
+    assert val == pytest.approx(1.1 * R2, abs=1e-15)
+    assert pts[1] == pytest.approx((-0.7, 0.0, 0.0), abs=1e-15)
+    assert pts[2] == pytest.approx((0.0, 0.0, 0.7), abs=1e-15)
+    assert val == pytest.approx(chain_oracle(a, b, gates), abs=1e-10)
+    assert distance(cx, a, b) == val and newton_steps[0] == 0
+    cells = [cx._boxes[c] for c in chain]
+    a, b = (-0.5, 0.0, 0.0), (0.0, -0.5, 0.0)
+    assert geodesics._unfolded(a, b, cells, gates) is None
+    assert geodesics.chain_length(cx, a, b, chain)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+STAIR_ENDS = ((0.5, -0.5, 0.5), (-0.5, 1.5, 1.5))   # first and last cube of the staircase
+
+
+def test_uncertified_unfolded_start_falls_back(newton_steps):
+    """Through the staircase's five cubes, whose faces leave every frame as
+    it is, the geodesic wraps the reflex edge x = y = 0: the string is
+    pulled tight onto points of the gates' edges that are not the bends, so
+    its start does not certify, and Newton's method runs from the usual
+    starts to SLSQP's length."""
+    cx = complex_from_dict(STAIRCASE)
+    chain = ("c057", "c003", "c015", "c023", "c039")
+    gates = [cx._boxes[dict(cx.adjacency[c])[d]] for c, d in zip(chain, chain[1:])]
+    line = geodesics._unfolded(*STAIR_ENDS, [cx._boxes[c] for c in chain], gates)
+    assert line == [(0.0, 0.0, 1.0)] * 3 + [(-1 / 3, 1.0, 4 / 3)]
+    val, pts = geodesics.chain_length(cx, *STAIR_ENDS, chain)
+    assert pts[1:-1] != line and newton_steps[0] > 0
+    assert val == pytest.approx(chain_oracle(*STAIR_ENDS, gates), abs=1e-10)
+
+
+def test_non_facet_chains_get_no_unfolded_start(monkeypatch):
+    """On cube_square the cube c009 and the square c002 meet in the edge
+    c011, a facet of the square but not of the cube, and in the staircase
+    the cubes c057 and c015 meet in an edge: no unfolding, so a three-gate
+    chain through that edge is solved from the usual starts alone."""
+    cx, _ = load_bundled("cube_square")
+    assert dict(cx.adjacency["c009"])["c002"] == "c011"
+    cells, gates = [cx._boxes["c009"], cx._boxes["c002"]], [cx._boxes["c011"]]
+    assert geodesics._unfolded((0.5, 0.5, 0.5), (-0.5, 0.5, 0.0), cells, gates) is None
+    assert geodesics._unfolded((-0.5, 0.5, 0.0), (0.5, 0.5, 0.5), cells[::-1], gates) is None
+    cx = complex_from_dict(STAIRCASE)
+    real, lines = geodesics._unfolded, []
+
+    def unfolded(*args):
+        lines.append(real(*args))
+        return lines[-1]
+
+    monkeypatch.setattr(geodesics, "_unfolded", unfolded)
+    val, _ = geodesics.chain_length(cx, *STAIR_ENDS, ("c057", "c015", "c023", "c039"))
+    assert lines == [None]
+    assert val == pytest.approx(geodesic(cx, *STAIR_ENDS).length, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

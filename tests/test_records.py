@@ -128,3 +128,45 @@ def test_pinned_reprs(bundles):
 def test_construction_checks_raise_value_errors(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Singleton((1.0,))._replace(scale=math.nan), "scale must be finite, got nan"),
+    (lambda: SignCone._make([("up",)]), "unknown sign constraint 'up'"),
+    (lambda: Geodesic(((0.0,), (1.0,)), ("c",), 1.0)._replace(cells=()),
+     "need exactly one cell per segment"),
+    (lambda: ConeBall((1.0,), SignCone((FREE,)))._replace(u=(0.5,)),
+     "u must be a finite unit vector"),
+    (lambda: WeightedSum._make([(Singleton((1.0,)),), (-0.5,)]),
+     "weights must be a finite nonnegative"),
+], ids=["singleton-replace", "sign-make", "geodesic-replace", "coneball-replace",
+        "weighted-sum-make"])
+def test_make_and_replace_run_the_construction_checks(build, match):
+    """``_make``, and ``_replace`` through it, build a checked record by its
+    constructor, so they raise as the constructor does."""
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_make_and_replace_build_checked_records():
+    assert Singleton((1.0,))._replace(scale=2.0) == Singleton((1.0,), 2.0)
+    assert SignCone._make([(FREE,)]) == SignCone((FREE,))
+    g = Geodesic._make((((0.0,), (1.0,)), ("c",), 1.0))
+    assert type(g) is Geodesic and g._replace(length=2.0).length == 2.0
+
+
+def test_records_compare_as_tuples(bundles):
+    """Records keep tuple equality: a record equals the plain tuple of its
+    fields and a record of another type with equal fields.  A LocatedPoint
+    equals the 3-tuple ``(coords, minimal_cell, cx)``, by the reflected tuple
+    comparison, but not ``(coords, minimal_cell)``."""
+    cert = MembershipCertificate({"a": 1.0}, 0.0)
+    assert cert == ({"a": 1.0}, 0.0) and ({"a": 1.0}, 0.0) == cert
+    assert cert == NonMembershipCertificate({"a": 1.0}, 0.0)
+    assert Singleton((1.0,), 2.0) == ((1.0,), 2.0)
+    assert hash(Singleton((1.0,), 2.0)) == hash(((1.0,), 2.0))
+    cx, _ = bundles["squares3"]
+    x = cx.locate((0.5, 0.0))
+    assert x == ((0.5, 0.0), "c015", cx) and not x != ((0.5, 0.0), "c015", cx)
+    assert x != ((0.5, 0.0), "c015", None)
+    assert x != ((0.5, 0.0), "c015") and not x == ((0.5, 0.0), "c015")
