@@ -62,6 +62,23 @@ class ConvergenceError(RuntimeError):
     """An iterative solve failed to reach its target tolerance."""
 
 
+def _all_finite(values) -> bool:
+    """Whether every value is a finite real number (a string or None is not)."""
+    try:
+        return all(map(math.isfinite, values))
+    except TypeError:
+        return False
+
+
+def check_tolerance(tol, positive: bool = False, name: str = "tolerance") -> None:
+    """Raise ``ValueError``, naming ``tol`` as ``name``, unless it is a finite and nonnegative
+    real number (positive if asked): a NaN compares false with every residual and would pass
+    any certificate."""
+    if not (_all_finite([tol]) and (tol > 0.0 if positive else tol >= 0.0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {kind}, got {tol!r}")
+
+
 def _checked_make(cls, fields):
     """``_make`` of a record that checks its fields: through ``__new__``, so
     that ``_make`` and ``_replace``, which calls it, run the checks too."""
@@ -660,12 +677,7 @@ def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> Feasibili
     set whose points do not have the cone's dimension, and on a ``tol``
     that is not finite and nonnegative.
     """
-    try:
-        tol_ok = math.isfinite(tol) and tol >= 0.0
-    except TypeError:   # no number
-        tol_ok = False
-    if not tol_ok:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    check_tolerance(tol, name="tol")
     m = len(sets)
     if m == 0:
         raise ValueError("need at least one set")

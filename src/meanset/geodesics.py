@@ -34,10 +34,11 @@ polyhedral surfaces are found (Sharir and Schorr, SIAM J. Comput. 15,
 the straight line to the unfolded end, pulled tight at the gate it misses
 most, is certified or refused by the solver's own gap.  Otherwise one
 projected Newton method returns only a certified optimum.  Its Hessian is
-block tridiagonal, one block per gate, so each step is one block Thomas
-sweep on Python floats; breakpoints that meet, where the path wraps an
-edge shared by consecutive gates, are merged at the end of every
-smoothing level.
+a symmetric positive definite band matrix, each gate's coordinates coupled
+only to the next gate's, so each step is one band Cholesky factorisation
+on Python floats; breakpoints that meet, where the path wraps an edge
+shared by consecutive gates, are merged at the end of every smoothing
+level.
 """
 
 from __future__ import annotations
@@ -257,18 +258,22 @@ def _unfolded(a, b, cells, gates):
 def _newton_step(P, lo, hi, eps):
     """One projected Newton step on ``sum sqrt(|x_{i+1} - x_i|^2 + eps^2)``
     over the points ``P``, a list of coordinate lists, in their boxes
-    ``[lo, hi]``; coordinates held at a bound by the gradient stay put.  The
-    rows of ``P`` that move are replaced, never written into.  Returns the
-    Newton decrement, or 0 if the shifted Hessian meets a zero pivot or no
-    step passes the Armijo test or moves a coordinate by 1e-15.
+    ``[lo, hi]``; coordinates held at a bound by the gradient stay put, as
+    does one whose pivot rounding leaves not positive.  The rows of ``P``
+    that move are replaced, never written into.  Returns the Newton
+    decrement, or 0 if no step passes the Armijo test or moves a coordinate
+    by 1e-15.
 
     The Hessian is ``Dm^T B Dm``, ``Dm`` the difference operator of the
-    points and ``B_i = (I - w_i w_i^T) / r_i`` that of segment i: block
-    tridiagonal, with ``B_{j-1} + B_j`` on the diagonal and ``-B_j`` beside
-    it.  On the free coordinates, shifted by 1e-12 so that ``eps = 0`` stays
-    solvable, one block Thomas sweep solves it with a pivoted solve per
-    block, in O(N n^3) float operations.  On boxes of a few axes that costs
-    less as Python floats than as numpy calls."""
+    points and ``B_i = (I - w_i w_i^T) / r_i`` that of segment i: ``B_{j-1}
+    + B_j`` on point j's coordinates and ``-B_j`` between points j and j + 1.
+    On the free coordinates in point order, shifted by 1e-12 so that ``eps =
+    0`` stays solvable, it is a symmetric positive definite band matrix of
+    half-width below 2n, a point with no free coordinate leaving a gap.  A
+    row-oriented band Cholesky factorisation (Golub and Van Loan, *Matrix
+    Computations*, 4.3) and one substitution each way solve it in O(N n^3)
+    float operations, which on boxes of a few axes cost less as Python
+    floats than as numpy calls."""
     N, n = len(P), len(P[0])
     zero = [0.0] * n
     # segment i has vector d_i, smoothed length r_i and w_i = d_i / r_i; w and
@@ -286,80 +291,64 @@ def _newton_step(P, lo, hi, eps):
         return 0.0
     w = [zero] + [[x / ri for x in di] for di, ri in zip(d, r)] + [zero]
     r = [math.inf] + r + [math.inf]
-    # the free coordinates of each point that has some, and the gradient
-    # g_j = w_{j-1} - w_j on them
+    # the free coordinates (point j, axis k) in point order, with the
+    # gradient g_j = w_{j-1} - w_j on them
     free = []
     for j, (x, l, h, u, v) in enumerate(zip(P, lo, hi, w, w[1:])):
-        f, gf = [], []
         for k in range(n):
             if l[k] < h[k]:
                 gk = u[k] - v[k]
                 if not (x[k] <= l[k] and gk > 0.0) and not (x[k] >= h[k] and gk < 0.0):
-                    f.append(k)
-                    gf.append(gk)
-        if f:
-            free.append((j, f, gf))
+                    free.append((j, k, gk))
     if not free:
         return 0.0
 
-    # forward sweep: S_j [X_j | z_j] = [B_j(F_j, F_{j+1}) | -g_j(F_j)], where
-    # S_j is the diagonal block with x_{j-1} eliminated, as is the
-    # right-hand side; backwards, then, x_j = z_j + X_j x_{j+1}
-    sweep = []
-    for (j, f, gf), (jn, fn, _) in zip(free, free[1:] + [(None, (), ())]):
+    # H = L L^T, row a of L kept from column first on as (first, row); then
+    # L y = -g and L^T s = y, s overwriting y.  A pivot that rounding leaves
+    # not positive, where a segment far shorter than its neighbours swamps
+    # the shift, is made infinite: its coordinate stays put in this step and
+    # the others take the Newton step of the system without it
+    L, y, first = [], [], 0
+    for a, (j, k, gk) in enumerate(free):
+        while free[first][0] < j - 1:
+            first += 1
         wl, rl, wr, rr = w[j], r[j], w[j + 1], r[j + 1]
-        fn = fn if jn == j + 1 else ()
-        S, R = [], []
-        for k, gk in zip(f, gf):
-            a, b = wl[k], wr[k]
-            S.append([((k == m) - a * wl[m]) / rl + ((k == m) - b * wr[m]) / rr
-                      + (k == m) * 1e-12 for m in f])
-            R.append([((k == m) - b * wr[m]) / rr for m in fn] + [-gk])
-        if sweep and sweep[-1][0] == j - 1:
-            _, fp, Xp, zp = sweep[-1]
-            for Srow, Rrow, k in zip(S, R, f):
-                C = [((k == m) - wl[k] * wl[m]) / rl for m in fp]   # B_{j-1}(k, F_{j-1})
-                for e in range(len(f)):
-                    acc = 0.0
-                    for v, Xrow in zip(C, Xp):
-                        acc += v * Xrow[e]
-                    Srow[e] -= acc
-                acc = 0.0
-                for v, zk in zip(C, zp):
-                    acc += v * zk
-                Rrow[-1] += acc
-        if not _solve_small(S, R):
-            return 0.0
-        sweep.append((j, f, R, [row.pop() for row in R]))
-    moves = []   # (point, [(axis, coordinate, step, lo, hi, gradient)]) of each moving point
-    dec, xn, jn = 0.0, (), None
-    for (j, f, Xj, zj), (_, _, gf) in zip(reversed(sweep), reversed(free)):
-        if jn != j + 1:
-            xn = ()
-        xj = []
-        for zk, Xrow in zip(zj, Xj):
-            for v, s in zip(Xrow, xn):
-                zk += v * s
-            xj.append(zk)
-        xn, jn = xj, j
-        x, l, h = P[j], lo[j], hi[j]
-        moves.append((j, [(k, x[k], s, l[k], h[k], gk) for k, s, gk in zip(f, xj, gf)]))
-        for s, gk in zip(xj, gf):
-            dec -= s * gk
-    segs = sorted({i for j, _ in moves for i in (j - 1, j) if 0 <= i < N - 1})
+        row = []
+        L.append((first, row))
+        for b in range(first, a + 1):
+            jb, m, _ = free[b]
+            h = ((k == m) - wl[k] * wl[m]) / rl   # B_{j-1}(k, m)
+            if jb == j:
+                h += ((k == m) - wr[k] * wr[m]) / rr + (k == m) * 1e-12
+            else:   # point j - 1
+                h = -h
+            sb, Lb = L[b]
+            for c in range(max(first, sb), b):
+                h -= row[c - first] * Lb[c - sb]
+            row.append(h / Lb[-1] if b < a else math.sqrt(h) if h > 0.0 else math.inf)
+        for c in range(first, a):
+            gk += row[c - first] * y[c]
+        y.append(-gk / row[-1])
+    for a in range(len(free) - 1, -1, -1):
+        sa, row = L[a]
+        y[a] = s = y[a] / row[-1]
+        for c in range(sa, a):
+            y[c] -= row[c - sa] * s
+    dec = -math.fsum(s * gk for (_, _, gk), s in zip(free, y))
+    segs = sorted({i for j, _, _ in free for i in (j - 1, j) if 0 <= i < N - 1})
 
     t = 1.0
     while t > 1e-12:
         # the clipped trial points Pn, their changes dP
         Pn, dP, lin = P[:], [zero] * N, 0.0
-        for j, mv in moves:
-            row, dj = P[j][:], zero[:]
-            Pn[j], dP[j] = row, dj
-            for k, x, s, l, h, gk in mv:
-                v = x + t * s
-                row[k] = v = l if v < l else h if v > h else v
-                dj[k] = v = v - x
-                lin += gk * v
+        for (j, k, gk), s in zip(free, y):
+            if dP[j] is zero:
+                Pn[j], dP[j] = P[j][:], zero[:]
+            x, l, h = P[j][k], lo[j][k], hi[j][k]
+            v = x + t * s
+            Pn[j][k] = v = l if v < l else h if v > h else v
+            dP[j][k] = v = v - x
+            lin += gk * v
         # length changes as differences of squares, exact up to the rounding
         # of the change itself, so that the Armijo test works at tiny steps
         change = 0.0
@@ -375,37 +364,6 @@ def _newton_step(P, lo, hi, eps):
             return dec if any(abs(v) > 1e-15 for dj in dP for v in dj) else 0.0
         t *= 0.5
     return 0.0
-
-
-def _solve_small(S, R):
-    """Solve ``S X = R`` in place by Gaussian elimination with partial
-    pivoting, ``S`` square and ``R`` of as many rows, both lists of rows;
-    ``X`` replaces the rows of ``R``.  False if a pivot is zero."""
-    m = len(S)
-    for c in range(m):
-        p, top = c, abs(S[c][c])
-        for i in range(c + 1, m):
-            if abs(S[i][c]) > top:
-                p, top = i, abs(S[i][c])
-        if top == 0.0:
-            return False
-        S[c], S[p], R[c], R[p] = S[p], S[c], R[p], R[c]
-        Sc, Rc, pivot = S[c], R[c], S[c][c]
-        for i in range(c + 1, m):
-            Si = S[i]
-            f = Si[c] / pivot
-            if f:
-                for k in range(c + 1, m):
-                    Si[k] -= f * Sc[k]
-                R[i] = [x - f * y for x, y in zip(R[i], Rc)]
-    for c in range(m - 1, -1, -1):
-        Sc, Rc = S[c], R[c]
-        for k in range(c + 1, m):
-            f = Sc[k]
-            Rc = [x - f * y for x, y in zip(Rc, R[k])]
-        pivot = Sc[c]
-        R[c] = [x / pivot for x in Rc]
-    return True
 
 
 def _certified_gap(P, lo, hi):
@@ -459,7 +417,8 @@ def _certified_gap(P, lo, hi):
 def _merged(P, lo, hi, near):
     """``P`` with each run of points within ``near`` of each other glued
     into one point of their boxes' common face, finished by exact Newton on
-    the chain of glued points; ``P`` itself if some run's boxes do not meet."""
+    the chain of glued points, at most 10 steps per glued point; ``P``
+    itself if some run's boxes do not meet."""
     runs = [[0]]
     for j in range(1, len(P)):
         if math.dist(P[j - 1], P[j]) > near:
@@ -474,8 +433,9 @@ def _merged(P, lo, hi, near):
           for c, l, h in zip(zip(*[P[j] for j in run]), gl, gh)]
          for run, gl, gh in zip(runs, glo, ghi)]
     if any(l < h for gl, gh in zip(glo, ghi) for l, h in zip(gl, gh)):   # else nothing moves
-        while _newton_step(R, glo, ghi, 0.0) > 0.0:
-            pass
+        for _ in range(10 * len(R)):
+            if _newton_step(R, glo, ghi, 0.0) <= 0.0:
+                break
     return [R[i] for i, run in enumerate(runs) for _ in run]
 
 

@@ -21,6 +21,7 @@ from collections import namedtuple
 
 from . import geodesics
 from .complexes import CubicalComplex
+from .convex import _all_finite, check_tolerance
 from .convex import min_norm_point  # noqa: F401 -- perfbench/tracing.py wraps it here
 
 __all__ = [
@@ -44,22 +45,6 @@ __all__ = [
 
 class CertificateError(RuntimeError):
     """Certificate construction or validation failed."""
-
-
-def _all_finite(values) -> bool:
-    """Whether every value is a finite real number (a string or None is not)."""
-    try:
-        return all(map(math.isfinite, values))
-    except TypeError:
-        return False
-
-
-def check_tolerance(tol, positive: bool = False) -> None:
-    """Raise ``ValueError`` unless ``tol`` is a finite and nonnegative real number (positive
-    if asked): a NaN compares false with every residual and would pass any certificate."""
-    if not (_all_finite([tol]) and (tol > 0.0 if positive else tol >= 0.0)):
-        kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"tolerance must be finite and {kind}, got {tol!r}")
 
 
 def _per_label(A, values, name: str, error=ValueError) -> list:

@@ -11,3 +11,15 @@ def l_shape(k: int) -> dict:
     h = k // 2
     return {"ambient_dim": 2, "cells": [{"base": [x, y], "axes": [0, 1]}
                                         for x in range(k) for y in range(k) if x < h or y < h]}
+
+
+def product(doc1: dict, doc2: dict) -> dict:
+    """The product of two complexes, each given as ``complex_from_dict``
+    reads it: its cells are the products of a cell of each, the second
+    factor's axes shifted past the first's.  With the l2 metric distances
+    combine as ``sqrt(d1^2 + d2^2)``, and a product of CAT(0) complexes is
+    CAT(0) (Bridson and Haefliger, Part II, Ch. 1)."""
+    n = doc1["ambient_dim"]
+    return {"ambient_dim": n + doc2["ambient_dim"],
+            "cells": [{"base": c["base"] + e["base"], "axes": c["axes"] + [n + i for i in e["axes"]]}
+                      for c in doc1["cells"] for e in doc2["cells"]]}

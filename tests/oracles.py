@@ -207,8 +207,8 @@ def full_box_segment_min(a, b, lo, hi):
 def dense_newton_step(P, lo, hi, eps) -> float:
     """One projected Newton step on ``sum sqrt(|x_{i+1} - x_i|^2 + eps^2)``
     over the rows of the array ``P`` in their boxes ``[lo, hi]``, in place,
-    with the dense Hessian: the reference for ``meanset.geodesics``' block
-    sweep.  Coordinates held at a bound by the gradient stay put; the
+    with the dense Hessian: the reference for ``meanset.geodesics``' band
+    Cholesky solve.  Coordinates held at a bound by the gradient stay put; the
     Hessian ``Dm^T B Dm`` is built whole by ``einsum``, shifted by 1e-12 on
     the free coordinates and solved by ``numpy.linalg.solve``; the step is
     clipped into the boxes and halved until the Armijo test passes.

@@ -10,9 +10,10 @@ import pytest
 from meanset import (CubicalComplex, GeodesicError, complex_from_dict, distance, geodesic,
                      load_bundled, midpoint, point_along, recognize, verify_certificate)
 from meanset import geodesics
+from meanset.complexes import read_json
 from meanset.convex import box_segment_min
-from meanset.corpus import BUNDLED
-from generators import l_shape
+from meanset.corpus import BUNDLED, data_path
+from generators import l_shape, product
 from oracles import (array_certified_gap, chain_oracle, dense_newton_step, polyomino_distance,
                      reference_walk)
 
@@ -575,16 +576,18 @@ def test_pieces_of_three_gates_match_slsqp_oracle(monkeypatch):
 
 
 def test_newton_step_matches_dense_solve():
-    """One block-tridiagonal Newton step against ``oracles.dense_newton_step``,
-    which builds the whole Hessian and solves it densely, on seeded random
-    chains of 3-12 points in R^1-R^4.  The ends are points, every gate of
-    two or more axes has at least one axis pinned, as a face of a cell does,
-    some coordinates start at a bound, and eps is 1e-3, 1e-9 or 0.  The
-    steps and decrements agree to 1e-9 relative."""
+    """One banded Newton step against ``oracles.dense_newton_step``, which
+    builds the whole Hessian and solves it densely, on seeded random chains
+    of 3-12 points in R^1-R^4, then on chains of 3-40 points, half of them
+    with one to three middle points pinned whole, as a vertex gate is, so
+    that the band has gaps.  The ends are points, every gate of two or more
+    axes has at least one axis pinned, as a face of a cell does, some
+    coordinates start at a bound, and eps is 1e-3, 1e-9 or 0.  The steps
+    and decrements agree to 1e-9 relative."""
     rng = np.random.default_rng(13)
-    moved = 0
-    for trial in range(300):
-        N, n = int(rng.integers(3, 13)), int(rng.integers(1, 5))
+    moved = gaps = 0
+    for trial in range(400):
+        N, n = int(rng.integers(3, 13 if trial < 300 else 41)), int(rng.integers(1, 5))
         eps = (1e-3, 1e-9, 0.0)[trial % 3]
         lo = rng.uniform(-2.0, 0.0, (N, n))
         hi = lo + rng.uniform(0.5, 2.0, (N, n))
@@ -592,10 +595,14 @@ def test_newton_step_matches_dense_solve():
             pinned = rng.random((N, n)) < 0.3
             pinned[np.arange(N), rng.integers(n, size=N)] = True
             hi[pinned] = lo[pinned]
+        if trial >= 300 and trial % 2:
+            rows = rng.integers(1, N - 1, size=int(rng.integers(1, 4)))
+            hi[rows] = lo[rows]
         lo[[0, -1]] = hi[[0, -1]]
         P0 = rng.uniform(lo, hi)
         held = rng.random((N, n)) < 0.25
         P0[held] = np.where(rng.random((N, n)) < 0.5, lo, hi)[held]
+        gaps += (lo[1:-1] == hi[1:-1]).all(axis=1).any()
         dense = P0.copy()
         want = dense_newton_step(dense, lo, hi, eps)
         P = P0.tolist()
@@ -605,7 +612,7 @@ def test_newton_step_matches_dense_solve():
         assert np.abs(np.array(P) - P0 - step).max() <= 1e-9 * scale, (trial, N, n, eps)
         assert got == pytest.approx(want, rel=1e-9, abs=0.0), (trial, N, n, eps)
         moved += scale > 0.0
-    assert moved >= 250
+    assert moved >= 350 and gaps >= 150, (moved, gaps)
 
 
 def test_newton_step_refuses_a_zero_length_segment():
@@ -616,6 +623,26 @@ def test_newton_step_refuses_a_zero_length_segment():
     hi = [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 0.0]]
     assert geodesics._newton_step(P, lo, hi, 0.0) == 0.0
     assert P == [[0.0, 0.0], [1.0, 0.5], [1.0, 0.5], [2.0, 0.0]]
+
+
+def test_newton_step_pins_a_coordinate_whose_pivot_is_lost():
+    """Unsmoothed, two free points 8.5e-13 apart: the short segment's block,
+    of order 1e12, swamps the 1e-12 shift, and the last pivot of the band
+    Cholesky rounds below zero.  That coordinate stays put and the others
+    take their Newton step, which passes the Armijo test and shortens the
+    path; the dense solve's step, of that lost pivot's size, passes no
+    Armijo trial and moves nothing."""
+    P = [[0.0, 0.0], [0.293, 1.397], [0.2930000000006, 1.3970000000006], [2.0, 3.0]]
+    lo = [[0.0, 0.0], [0.0, 1.0], [0.0, 1.0], [2.0, 3.0]]
+    hi = [[0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [2.0, 3.0]]
+    dense = np.array(P)
+    assert dense_newton_step(dense, np.array(lo), np.array(hi), 0.0) == 0.0
+    assert dense.tolist() == P
+    Q = [x[:] for x in P]
+    assert geodesics._newton_step(Q, lo, hi, 0.0) > 0.0
+    assert Q[2][1] == P[2][1] and Q[1] != P[1]
+    length = geodesics._certified_gap(P, lo, hi)[1]
+    assert geodesics._certified_gap(Q, lo, hi)[1] < length - 0.1
 
 
 def test_certified_gap_matches_array_form():
@@ -675,6 +702,60 @@ def test_staircase_chain_solves_do_pinned_work(monkeypatch):
     for _ in range(200):
         distance(cx, tuple(first + rng.random(3)), tuple(last + rng.random(3)))
     assert counts == {"solves": 368, "steps": 1766, "merges": 142, "most": 24}
+
+
+TRIPOD2 = product(read_json(data_path("tripod.json")), read_json(data_path("tripod.json")))
+
+
+@pytest.mark.parametrize("p, q, legs, steps", [
+    ((-0.35226347930982893, 0.0, 0.0, 0.07917297656620303),
+     (0.0, 0.9871734505760956, -0.07505417312765261, 0.0),
+     ((0.35226347930982893, 0.9871734505760956), (0.07917297656620303, 0.07505417312765261)),
+     27),
+    ((0.0, 0.034919230721618844, 0.0, 0.3546734263760599),
+     (0.05492915278634669, 0.0, -0.3629927628144517, 0.0),
+     ((0.034919230721618844, 0.05492915278634669), (0.3546734263760599, 0.3629927628144517)),
+     107),
+], ids=["merge-converges", "merge-budget"])
+def test_tripod_squared_merges_end_within_their_budget(monkeypatch, p, q, legs, steps):
+    """tripod², the product of the bundled tripod with itself in R^4: each
+    pair joins two legs of each factor, so its distance is the hypotenuse
+    of the two factors' sums of leg lengths.  The first pair's exact-Newton
+    merges converge within their budget of 10 steps per glued point; in the
+    second, two merges stop at that budget, and the path still has its
+    closed form.  Distances to 1e-12 and the Newton steps exactly; a run
+    past 1000 steps fails at once."""
+    taken = [0]
+    real = geodesics._newton_step
+
+    def counted(*args):
+        taken[0] += 1
+        assert taken[0] <= 1000, "exact Newton does not stop"
+        return real(*args)
+
+    monkeypatch.setattr(geodesics, "_newton_step", counted)
+    cx = complex_from_dict(TRIPOD2)
+    want = math.hypot(*(a + b for a, b in legs))
+    assert distance(cx, p, q) == pytest.approx(want, rel=0.0, abs=1e-12)
+    assert taken[0] == steps
+
+
+def test_l4_prism_pair_wrapping_the_reflex_edge_is_answered(newton_steps):
+    """On the prism L4 x [0, 2], a pair whose geodesic wraps the reflex edge
+    x = y = 2: the exact-Newton merge of one five-cell chain meets a pivot
+    lost to rounding, where two breakpoints lie 4.6e-9 apart, too far to be
+    glued.  With that coordinate pinned the chain's certified gap is 3e-9,
+    within the 1e-9 (1 + length) limit, so it raises nothing and the search
+    goes on to the geodesic: the product oracle's distance to 1e-12, in
+    exactly 72 Newton steps."""
+    interval = {"ambient_dim": 1, "cells": [{"base": [0], "axes": [0]}, {"base": [1], "axes": [0]}]}
+    cx = complex_from_dict(product(l_shape(4), interval))
+    p = (1.8405135663385623, 3.260967715314865, 0.25445350720977467)
+    q = (3.8059391492418815, 1.2037183310229684, 1.8267694073610903)
+    squares = [tuple(c["base"]) for c in l_shape(4)["cells"]]
+    want = math.hypot(polyomino_distance(squares, p[:2], q[:2]), q[2] - p[2])
+    assert distance(cx, p, q) == pytest.approx(want, rel=0.0, abs=1e-12)
+    assert newton_steps[0] == 72
 
 
 # ---------------------------------------------------------------------------
