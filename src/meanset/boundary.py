@@ -118,6 +118,8 @@ def directional_derivative(model: DirectionalDerivativeModel, u) -> float:
     Returns ``+inf`` for directions leaving the cell's tangent cone.
     Positively homogeneous in ``u``.
     """
+    if not isinstance(model, DirectionalDerivativeModel):
+        raise ValueError(f"model must be a DirectionalDerivativeModel, got {model!r}")
     if not model.tangent.contains(u, 1e-9):
         return math.inf
     return float(model.subdiff.support(u))

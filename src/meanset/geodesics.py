@@ -46,6 +46,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import threading
 from collections import namedtuple
 
 from .complexes import CubicalComplex, LocatedPoint
@@ -466,22 +467,37 @@ def _assemble(chain, pts):
     return Geodesic(tuple(bps), tuple(cells), length)
 
 
+# geodesics cached per complex, about 0.5 MB at ~500 B an entry; a recognize call
+# re-reads a few dozen at most
+_CACHE_SIZE = 1024
+# serialises evict-and-insert across the threads of a heat map; hits take no lock
+_CACHE_LOCK = threading.Lock()
+
+
 def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
     """The geodesic from ``p`` to ``q`` (unique in a valid complex).
 
     The cache holds one entry per unordered pair of snapped points, solved in the
     direction first asked for and reversed exactly when read the other way.  It is
     read before the ends are located: every key was located once, so a hit skips no check.
+    It holds at most ``_CACHE_SIZE`` entries: a miss that finds it full first drops the
+    oldest inserted entry (a hit does not reorder), and a pair dropped is solved again,
+    in the direction it is next asked for.
     """
     a = p.coords if isinstance(p, LocatedPoint) else cx.snap(p)
     b = q.coords if isinstance(q, LocatedPoint) else cx.snap(q)
-    g = cx._geo_cache.get((a, b) if a <= b else (b, a))
+    cache = cx._geo_cache
+    g = cache.get((a, b) if a <= b else (b, a))
     if g is None:   # locate each end, snapping none twice
         p_loc = cx.locate(p) if isinstance(p, LocatedPoint) else cx._locate_snapped(a)
         q_loc = cx.locate(q) if isinstance(q, LocatedPoint) else cx._locate_snapped(b)
         a, b = p_loc.coords, q_loc.coords   # a LocatedPoint made by hand may be unsnapped
         key = (a, b) if a <= b else (b, a)
-        g = cx._geo_cache[key] = _walk(cx, p_loc, q_loc) or _search(cx, p_loc, q_loc)
+        g = _walk(cx, p_loc, q_loc) or _search(cx, p_loc, q_loc)
+        with _CACHE_LOCK:
+            if len(cache) >= _CACHE_SIZE:
+                del cache[next(iter(cache))]   # the oldest inserted entry
+            cache[key] = g
     if g.breakpoints[0] != a:
         return Geodesic(g.breakpoints[::-1], g.cells[::-1], g.length)
     return g
@@ -577,6 +593,8 @@ def distance(cx: CubicalComplex, p, q) -> float:
 
 def point_along(g: Geodesic, s: float) -> tuple:
     """The point a fraction ``s`` of the total length along ``g``."""
+    if not isinstance(g, Geodesic):
+        raise ValueError(f"g must be a Geodesic, got {g!r}")
     try:
         inside = -1e-12 <= s <= 1.0 + 1e-12   # a NaN fails both comparisons
     except TypeError:   # no number

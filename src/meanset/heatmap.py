@@ -68,12 +68,16 @@ def segment_probes(A: PointSetA, p, q, count: int, eps: float) -> list:
 
     The probe at fraction j/(count+1) is evaluated through the full
     boundary-aware deficit path; the straight segment must stay inside the
-    complex.  Raises ``ValueError`` when ``p`` and ``q`` differ in dimension.
+    complex.  Raises ``ValueError`` when ``p`` or ``q`` is no sequence of
+    numbers, or when they differ in dimension.
     """
     count = check_count(count, "count")
     check_tolerance(eps)
     cx = check_point_set(A).cx
-    p, q = [*map(float, p)], [*map(float, q)]
+    try:
+        p, q = [*map(float, p)], [*map(float, q)]
+    except TypeError:
+        raise ValueError(f"p and q must be sequences of numbers, got {p!r} and {q!r}") from None
     if len(p) != len(q):
         raise ValueError(f"p has dimension {len(p)}, q has {len(q)}")
     out = []
@@ -87,7 +91,9 @@ def segment_probes(A: PointSetA, p, q, count: int, eps: float) -> list:
 
 
 def to_csv(samples: list, ambient_dim: int) -> str:
-    """The rows as CSV; ``ValueError`` for a row that is no :class:`HeatMapSample`."""
+    """The rows as CSV; ``ValueError`` for a row that is no :class:`HeatMapSample`
+    or an ``ambient_dim`` that is no nonnegative integer."""
+    ambient_dim = check_count(ambient_dim, "ambient_dim")
     buf = io.StringIO()
     cols = ",".join(f"x{i}" for i in range(ambient_dim))
     buf.write(f"cell,{cols},deficit,decision\n")

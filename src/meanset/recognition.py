@@ -218,11 +218,12 @@ def test_function_line_search(A: PointSetA, xbar, g: geodesics.Geodesic,
 
     Returns ``(s_star, value)`` with ``s_star`` the length fraction in
     ``[0, 1]``.  The function is convex along geodesics, so golden-section
-    search applies; an everywhere-flat profile resolves to ``s = 0``.
+    search applies; an everywhere-flat profile resolves to ``s = 0``.  The
+    bracket shrinks by the factor 0.618 per step until it is narrower than
+    ``tol`` or float resolution stops it shrinking, whichever comes first: at
+    most about 1,550 steps for any ``tol``, 39 at the default.
     """
     check_tolerance(tol, positive=True)
-    if not isinstance(g, geodesics.Geodesic):
-        raise ValueError(f"g must be a Geodesic, got {g!r}")
 
     def phi(s):
         return test_function(A, xbar, geodesics.point_along(g, s))
@@ -233,6 +234,7 @@ def test_function_line_search(A: PointSetA, xbar, g: geodesics.Geodesic,
     x2 = lo + inv * (hi - lo)
     f1, f2 = phi(x1), phi(x2)
     while hi - lo > tol:
+        width = hi - lo
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv * (hi - lo)
@@ -241,6 +243,8 @@ def test_function_line_search(A: PointSetA, xbar, g: geodesics.Geodesic,
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv * (hi - lo)
             f2 = phi(x2)
+        if hi - lo >= width:   # the bracket is down to float resolution
+            break
     s_star = 0.5 * (lo + hi)
     val = phi(s_star)
     f0 = phi(0.0)

@@ -6,6 +6,7 @@ All expected values are frozen analytic results or were computed once with
 independent oracles (grid quadrature, scipy projections) and written down.
 """
 
+import hashlib
 import math
 import time
 
@@ -29,6 +30,7 @@ from meanset import (
     to_csv,
     verify_certificate,
 )
+from meanset import geodesics
 from meanset import test_function_line_search as line_search
 from meanset.convex import min_norm_point
 from meanset.corpus import expected
@@ -397,6 +399,11 @@ def test_criterion_9_heatmap(bundles):
     # 97x97 midpoint quadrature of the light region puts the ratio at 0.2786
     frac_err = abs(frac - 0.2786)
     csv1 = to_csv(samples, cx.ambient_dim)
+    # 2,000 samples meet 6,000 pairs: the cache is full, and the CSV is the one
+    # the unbounded cache wrote
+    assert len(cx._geo_cache) == geodesics._CACHE_SIZE == 1024
+    assert hashlib.sha256(csv1.encode()).hexdigest() == (
+        "711886ebcc45c33855bcda84deef17774411aaf9346fe324303305da5aa9ec41")
     csv4 = to_csv(run_heatmap(A, 2000, 42, 0.1, threads=4), cx.ambient_dim)
     ok = frac_err <= 0.05 and csv1 == csv4
     report(9, ok, f"light fraction {frac:.4f} vs quadrature 0.2786 "

@@ -3,16 +3,20 @@
 import heapq
 import itertools
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
 
 from meanset import (CubicalComplex, GeodesicError, complex_from_dict, distance, geodesic,
-                     load_bundled, midpoint, point_along, recognize, verify_certificate)
+                     load_bundled, midpoint, point_along, recognize, run_heatmap, to_csv,
+                     verify_certificate)
 from meanset import geodesics
 from meanset.complexes import read_json
 from meanset.convex import box_segment_min
 from meanset.corpus import BUNDLED, data_path
+from meanset.recognition import random_point
 from generators import l_shape, product
 from oracles import (array_certified_gap, chain_oracle, dense_newton_step, polyomino_distance,
                      reference_walk)
@@ -220,6 +224,46 @@ def test_cache_holds_one_entry_per_pair():
     assert h.breakpoints == g.breakpoints[::-1] and h.cells == g.cells[::-1]
     assert h.length == g.length
     assert geodesic(cx, p, q) is g
+
+
+def test_threads_share_a_full_cache_safely(monkeypatch):
+    """Four heat-map threads that evict from one cache of 8 entries, switching
+    every microsecond, raise nothing, leave at most 8 entries and write the
+    CSV that one thread writes."""
+    monkeypatch.setattr(geodesics, "_CACHE_SIZE", 8)
+    cx, A = load_bundled("squares3")
+    csv1 = to_csv(run_heatmap(A, 300, 28, 0.1, threads=1), cx.ambient_dim)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        csv4 = to_csv(run_heatmap(A, 300, 28, 0.1, threads=4), cx.ambient_dim)
+    finally:
+        sys.setswitchinterval(interval)
+    assert csv4 == csv1
+    assert len(cx._geo_cache) <= 8
+
+
+def test_recognize_again_after_eviction_repeats_its_answer(monkeypatch):
+    """With room for 8 geodesics, ``recognize`` at 20 other squares3 points
+    drops every pair of the first point; asked again, it solves them anew
+    and answers the same, repr for repr.  No insert grows the cache past 8."""
+    monkeypatch.setattr(geodesics, "_CACHE_SIZE", 8)
+
+    class Capped(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            assert len(self) <= 8
+
+    cx, A = load_bundled("squares3")
+    cx._geo_cache = Capped()
+    rng = random.Random(28)
+    x = random_point(cx, rng)[1]
+    first = repr(recognize(A, x))
+    for _ in range(20):
+        recognize(A, random_point(cx, rng)[1])
+    assert not any(a == cx.snap(x) or b == cx.snap(x) for a, b in cx._geo_cache)
+    assert repr(recognize(A, x)) == first
+    assert len(cx._geo_cache) == 8
 
 
 @pytest.mark.parametrize("name, p, q", [

@@ -14,6 +14,7 @@ from meanset import (
     PointSetA,
     certified_lower_bound,
     complex_from_dict,
+    directional_derivative,
     geodesic,
     load_bundled,
     mean_deficit,
@@ -28,7 +29,7 @@ from meanset import (
     verify_certificate,
     weighted_objective,
 )
-from meanset import GeodesicError, feasibility_min_norm, point_along
+from meanset import GeodesicError, feasibility_min_norm, point_along, recognition
 from meanset.boundary import conic_residual
 from meanset.convex import FREE, SignCone, Singleton
 from meanset.corpus import expected
@@ -136,6 +137,28 @@ def test_line_search_endpoint_minimum(bundles):
     seg = geodesic(cx, (0.0, 0.0), (0.0, 1.0))
     frac, _ = objective_line_search(A, (0.5, 0.0), seg)
     assert frac == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("tol, calls", [(1e-8, 43), (1e-17, 86), (1e-300, 120), (5e-324, 120)])
+def test_line_search_ends_at_float_resolution(monkeypatch, bundles, tol, calls):
+    """On squares3, from (0.5, -0.5) toward (-0.5, 0.5), the minimum sits at
+    the start.  A tolerance finer than float resolution there ends the
+    search when its bracket, one ulp wide near s = 4.07e-9, stops shrinking,
+    after exactly 120 calls of the test function; coarser ones end by the
+    tolerance, as before.  A run past 1000 calls fails at once."""
+    cx, A = bundles["squares3"]
+    g = geodesic(cx, (0.5, -0.5), (-0.5, 0.5))
+    made = [0]
+    real = recognition.test_function
+
+    def counted(*args):
+        made[0] += 1
+        assert made[0] <= 1000, "the line search does not stop"
+        return real(*args)
+
+    monkeypatch.setattr(recognition, "test_function", counted)
+    assert objective_line_search(A, (0.5, -0.5), g, tol=tol) == (0.0, 0.0)
+    assert made[0] == calls
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +289,12 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
     (lambda cx, A: conic_residual("A", (0.5, 0.0), cx.maximal_cells_containing((0.5, 0.0))[0],
                                   {"a": 1.0}), ValueError, "A must be a PointSetA"),
     (lambda cx, A: to_csv([1], 2), ValueError, "rows must be HeatMapSample records, got 1"),
+    (lambda cx, A: segment_probes(A, None, (0.0, 0.0), 3, 0.1), ValueError,
+     r"p and q must be sequences of numbers, got None and \(0.0, 0.0\)"),
+    (lambda cx, A: point_along(None, 0.5), ValueError, "g must be a Geodesic, got None"),
+    (lambda cx, A: directional_derivative(None, (1.0, 0.0)), ValueError,
+     "model must be a DirectionalDerivativeModel, got None"),
+    (lambda cx, A: to_csv([], "x"), ValueError, "ambient_dim must be an integer"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -277,16 +306,19 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
         "none-set-deficit", "string-set-heatmap", "string-set-verify", "string-set-lower-bound",
         "string-set-objective", "complex-set-probes", "string-set-interior",
         "string-set-test-function", "string-set-solve-pc", "string-set-conic-residual",
-        "int-csv-row"])
+        "int-csv-row", "none-probe-end", "none-geodesic", "none-derivative-model",
+        "string-csv-dimension"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id is a ComplexError naming it, a tolerance or an
     exponent that is no real number, a probe segment of mismatched ends or an
     unknown corpus name, an ``A`` that is no ``PointSetA`` or a CSV row that
-    is no ``HeatMapSample`` a ValueError, a point of the wrong dimension a
-    LocationError, and an object that is no certificate or a margin that is
-    not a positive number a CertificateError, never a bare KeyError,
-    TypeError, IndexError or AttributeError.  Margins are recomputed: a
-    forged witness certifies no bound."""
+    is no ``HeatMapSample``, a probe end, geodesic or derivative model of
+    the wrong type or a CSV dimension that is no integer a ValueError, a
+    point of the wrong dimension a LocationError, and an object that is no
+    certificate or a margin that is not a positive number a
+    CertificateError, never a bare KeyError, TypeError, IndexError or
+    AttributeError.  Margins are recomputed: a forged witness certifies no
+    bound."""
     cx, A = bundles["squares3"]
     with pytest.raises(error, match=match):
         call(cx, A)
