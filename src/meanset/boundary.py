@@ -176,7 +176,7 @@ def solve_PC(A: PointSetA, xbar, cell_id: str, tol: float = 1e-8,
 
 def _witness_from_direction(A: PointSetA, loc: LocatedPoint, cell_id: str,
                             step) -> NonMembershipCertificate:
-    """The first of ``x + step / 2^k`` in the cell strictly closer to every set point."""
+    """The first of ``x + step / 2^k``, k < 60, in the cell strictly closer to every set point."""
     cx = A.cx
     d_ref = A.distances_from(loc)
     for _ in range(60):
@@ -235,8 +235,8 @@ def decide(A: PointSetA, xbar, tol: float = 1e-8):
 
     A member's certificate carries the weights of the per-cell solves.  A
     non-member's witness is searched from ``x - r``, where ``r`` is the
-    worst cell's residual vector, halving the step until every distance
-    strictly drops.
+    worst cell's residual vector, halving the step, at most 60 times, until
+    every distance strictly drops.
     """
     check_tolerance(tol)
     loc, report, worst = _solve_cells(A, xbar, tol)

@@ -10,8 +10,7 @@ machinery.  The public pieces are:
 * :func:`min_norm_point` -- Wolfe's algorithm for the nearest point of a
   convex hull plus a finitely generated cone to an anchor.
 * :func:`box_segment_min` -- shortest broken path from ``a`` to ``b``
-  through an axis-aligned box, exact by enumerating the box's faces that
-  can hold the minimiser.
+  through an axis-aligned box, exact by enumerating every face of the box.
 * :class:`Singleton` / :class:`ConeBall` -- compact convex sets used as
   one-sided derivative models, supporting exact linear maximisation;
   :class:`ProductSet` stacks them blockwise and :class:`WeightedSum` is
@@ -248,9 +247,9 @@ def min_norm_point(points, anchor=None, rays=None) -> MinNormResult:
     largest squared norm of the anchored points.  Returns the optimal
     point, convex weights over the input points, and the final variational
     gap ``max_a <x-anchor, (x-anchor) - (q_a-anchor)>`` over those atoms,
-    which is nonpositive-up-to-tolerance at the optimum.  Raises
-    ``ValueError`` on no points, on a non-finite coordinate, or on rows
-    of differing dimensions.
+    which is nonpositive-up-to-tolerance at the optimum.  At most 64 k + 256
+    atoms enter, k the points and rays.  Raises ``ValueError`` on no points,
+    on a non-finite coordinate, or on rows of differing dimensions.
     """
     P = _float_rows(points, "points")
     if not P:
@@ -352,27 +351,36 @@ def box_segment_min(a, b, lo, hi):
     sequences of numbers.  When the straight segment meets the box the
     value is exactly ``math.dist(a, b)`` and ties among on-segment
     minimisers are broken by the point of smallest Euclidean norm.
-    Otherwise the faces of the box are tried: each of the k axes with
+    Otherwise every face of the box is tried: each of the k axes with
     ``lo < hi`` is pinned to ``lo``, pinned to ``hi`` or left free, and on
-    each face the minimiser over the face's affine hull has a closed form.
-    The objective is convex, so the best candidate that lies in its face is
-    the minimum; no iterative solver is involved.  Of the 3**k faces only
-    those that can hold the minimiser are tried: an axis is pinned to a
-    bound only if an end lies at or beyond it, and left free unless both
-    ends lie strictly beyond one bound.  A face dropped gives no candidate
-    or a strictly worse one, so the argmin and its tie-breaking are those
-    of all 3**k faces.  (Both ends exactly on a bound leave the axis free
-    too: that face ties the pinned one and, visited first, wins.)  The work
+    each of the 3**k faces the minimiser over the face's affine hull has a
+    closed form.  The objective is convex, so the best candidate that lies
+    in its face is the minimum; no iterative solver is involved.  The work
     is on Python floats: numpy calls cost more than the arithmetic on
-    boxes of a few axes.  Raises ``ValueError`` when the four arguments
-    differ in dimension.
+    boxes of a few axes.  Raises ``ValueError`` naming an argument that is
+    no sequence of finite numbers of a's dimension, or a box with lo > hi.
     """
-    a, b = [*map(float, a)], [*map(float, b)]
-    lo, hi = [*map(float, lo)], [*map(float, hi)]
+    try:
+        a, b = [*map(float, a)], [*map(float, b)]
+        lo, hi = [*map(float, lo)], [*map(float, hi)]
+    except (TypeError, ValueError):
+        for name, v in (("a", a), ("b", b), ("lo", lo), ("hi", hi)):
+            try:
+                [*map(float, v)]
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a sequence of numbers, got {v!r}") from None
     n = len(a)
     if len(b) != n or len(lo) != n or len(hi) != n:
         name, v = next((k, v) for k, v in (("b", b), ("lo", lo), ("hi", hi)) if len(v) != n)
         raise ValueError(f"{name} has dimension {len(v)}, a has {n}")
+    # |a - b| or |lo - hi| is NaN or infinite if a coordinate is; NaN fails <=
+    ab = math.dist(a, b)
+    if not math.isfinite(ab + math.dist(lo, hi)) or not all(map(operator.le, lo, hi)):
+        for name, v in (("a", a), ("b", b), ("lo", lo), ("hi", hi)):
+            if not all(map(math.isfinite, v)):
+                raise ValueError(f"{name} must be finite, got {v}")
+        if not all(map(operator.le, lo, hi)):
+            raise ValueError(f"lo must be at most hi on every axis, got {lo} and {hi}")
     d = [bi - ai for ai, bi in zip(a, b)]
 
     # fast path: clip the segment against the box slabs
@@ -387,9 +395,9 @@ def box_segment_min(a, b, lo, hi):
         else:
             tt = min(max(-sum(ai * di for ai, di in zip(a, d)) / dd, t0), t1)
         x = [min(max(ai + tt * di, l), h) for ai, di, l, h in zip(a, d, lo, hi)]
-        return math.dist(a, b), tuple(x)
+        return ab, tuple(x)
 
-    if math.dist(a, b) <= 1e-13:
+    if ab <= 1e-13:
         x = [min(max(ai, l), h) for ai, l, h in zip(a, lo, hi)]
         return math.dist(a, x) + math.dist(x, b), tuple(x)
 
@@ -401,12 +409,8 @@ def box_segment_min(a, b, lo, hi):
     # decreasing dimension, so a candidate beats its own subfaces on ties.
     freed = [i for i in range(n) if hi[i] - lo[i] > 1e-12]
     base = [0.5 * (lo[i] + hi[i]) for i in range(n)]  # lo == hi when pinned
-    sides = []
-    for i in freed:
-        m, M = (a[i], b[i]) if a[i] <= b[i] else (b[i], a[i])
-        sides.append(_SIDES[lo[i] <= M and m <= hi[i], m <= lo[i], M >= hi[i]])
     best_val, best_x = math.inf, None
-    for face in _sided_faces(tuple(sides)):
+    for face in _box_faces(len(freed)):
         x = base[:]
         free = []
         for i, side in zip(freed, face):
@@ -444,26 +448,15 @@ def box_segment_min(a, b, lo, hi):
     return math.dist(a, best_x) + math.dist(best_x, b), tuple(best_x)
 
 
-# the sides (0 free, -1 at lo, +1 at hi) an axis may take, keyed by whether
-# it may be left free, pinned to lo and pinned to hi
-_SIDES = {key: tuple(side for side, ok in zip((0, -1, 1), key) if ok)
-          for key in itertools.product((False, True), repeat=3)}
-
-
+@functools.lru_cache(maxsize=None)
 def _box_faces(k: int) -> tuple:
     """The 3**k faces of a k-dimensional box, by decreasing dimension.
 
     A face gives each free axis a side: -1 pinned to lo, +1 pinned to hi,
     0 left free.
     """
-    return _sided_faces(((0, -1, 1),) * k)
-
-
-@functools.lru_cache(maxsize=None)
-def _sided_faces(sides: tuple) -> tuple:
-    """The faces that give axis i a side of ``sides[i]``, in the order of
-    :func:`_box_faces`, whose faces they are."""
-    return tuple(sorted(itertools.product(*sides), key=lambda f: f.count(0), reverse=True))
+    faces = itertools.product((0, -1, 1), repeat=k)
+    return tuple(sorted(faces, key=lambda f: f.count(0), reverse=True))
 
 
 # ---------------------------------------------------------------------------

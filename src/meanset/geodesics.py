@@ -96,11 +96,11 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
     piece starts at each gate's own :func:`box_segment_min`
     point and runs projected Newton (:func:`_newton_step`) on ``sum
     sqrt(|x_{i+1} - x_i|^2 + eps^2)``, ``eps`` stepped from 1e-3 down to
-    1e-13, until :func:`_certified_gap` is at most 1e-13 (1 + value).  At
-    the end of each level breakpoints within 10 eps (at least 1e-9) of each
-    other are merged and finished by exact Newton, and the merged chain
-    ends the solve once it certifies.  A gap above 1e-9 (1 + value) raises
-    GeodesicError.
+    1e-13, at most 10 steps per point per level, until :func:`_certified_gap`
+    is at most 1e-13 (1 + value).  At the end of each level breakpoints
+    within 10 eps (at least 1e-9) of each other are merged and finished by
+    exact Newton, and the merged chain ends the solve once it certifies.  A
+    gap above 1e-9 (1 + value) raises GeodesicError.
 
     A chain given without ``_face_bounds`` is checked first: it must be
     non-empty and name only maximal cells of the complex, start in a cell
@@ -177,7 +177,9 @@ def _solve_piece(a, b, bounds, mins, cells):
     P = [list(x) for x in (a, *starts, b)]
     gap, val = _certified_gap(P, lo, hi)
     for eps in _LEVELS:
-        while gap > 1e-13 * (1.0 + val):
+        for _ in range(10 * len(P)):
+            if gap <= 1e-13 * (1.0 + val):
+                break
             dec = _newton_step(P, lo, hi, eps)
             gap, val = _certified_gap(P, lo, hi)
             if dec <= eps:
@@ -262,8 +264,8 @@ def _newton_step(P, lo, hi, eps):
     ``[lo, hi]``; coordinates held at a bound by the gradient stay put, as
     does one whose pivot rounding leaves not positive.  The rows of ``P``
     that move are replaced, never written into.  Returns the Newton
-    decrement, or 0 if no step passes the Armijo test or moves a coordinate
-    by 1e-15.
+    decrement, or 0 if no step t = 1, 1/2, ..., 2^-39 (40 at most) passes
+    the Armijo test or moves a coordinate by 1e-15.
 
     The Hessian is ``Dm^T B Dm``, ``Dm`` the difference operator of the
     points and ``B_i = (I - w_i w_i^T) / r_i`` that of segment i: ``B_{j-1}
@@ -418,8 +420,8 @@ def _certified_gap(P, lo, hi):
 def _merged(P, lo, hi, near):
     """``P`` with each run of points within ``near`` of each other glued
     into one point of their boxes' common face, finished by exact Newton on
-    the chain of glued points, at most 10 steps per glued point; ``P``
-    itself if some run's boxes do not meet."""
+    the glued chain until it certifies in ``lo``, ``hi``, at most 10 steps
+    per glued point; ``P`` itself if some run's boxes do not meet."""
     runs = [[0]]
     for j in range(1, len(P)):
         if math.dist(P[j - 1], P[j]) > near:
@@ -433,11 +435,13 @@ def _merged(P, lo, hi, near):
     R = [[min(max(math.fsum(c) / len(run), l), h)
           for c, l, h in zip(zip(*[P[j] for j in run]), gl, gh)]
          for run, gl, gh in zip(runs, glo, ghi)]
+    at = [i for i, run in enumerate(runs) for _ in run]   # P's point j is R's point at[j]
     if any(l < h for gl, gh in zip(glo, ghi) for l, h in zip(gl, gh)):   # else nothing moves
         for _ in range(10 * len(R)):
-            if _newton_step(R, glo, ghi, 0.0) <= 0.0:
+            gap, val = _certified_gap([R[i] for i in at], lo, hi)
+            if gap <= 1e-13 * (1.0 + val) or _newton_step(R, glo, ghi, 0.0) <= 0.0:
                 break
-    return [R[i] for i, run in enumerate(runs) for _ in run]
+    return [R[i] for i in at]
 
 
 def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:

@@ -92,7 +92,7 @@ def segment_probes(A: PointSetA, p, q, count: int, eps: float) -> list:
 
 def to_csv(samples: list, ambient_dim: int) -> str:
     """The rows as CSV; ``ValueError`` for a row that is no :class:`HeatMapSample`
-    or an ``ambient_dim`` that is no nonnegative integer."""
+    of ``ambient_dim`` coordinates, or an ``ambient_dim`` that is no nonnegative integer."""
     ambient_dim = check_count(ambient_dim, "ambient_dim")
     buf = io.StringIO()
     cols = ",".join(f"x{i}" for i in range(ambient_dim))
@@ -100,6 +100,8 @@ def to_csv(samples: list, ambient_dim: int) -> str:
     for s in samples:
         if not isinstance(s, HeatMapSample):
             raise ValueError(f"rows must be HeatMapSample records, got {s!r}")
+        if len(s.point) != ambient_dim:
+            raise ValueError(f"row {s!r} has {len(s.point)} coordinates, not {ambient_dim}")
         coords = ",".join("%.12g" % c for c in s.point)
         buf.write(f"{s.cell},{coords},{'%.12g' % s.deficit},{1 if s.decision else 0}\n")
     return buf.getvalue()

@@ -13,6 +13,17 @@ def l_shape(k: int) -> dict:
                                         for x in range(k) for y in range(k) if x < h or y < h]}
 
 
+# five cubes winding around two reflex edges, one along z and one along x;
+# geodesics that wrap an edge cross two gates at one point of it
+STAIRCASE = {"ambient_dim": 3, "cells": [
+    {"base": b, "axes": [0, 1, 2]}
+    for b in ([0, -1, 0], [-1, -1, 0], [-1, 0, 0], [-1, 0, 1], [-1, 1, 1])
+]}
+
+# the interval [0, 2] as two unit segments
+INTERVAL = {"ambient_dim": 1, "cells": [{"base": [0], "axes": [0]}, {"base": [1], "axes": [0]}]}
+
+
 def product(doc1: dict, doc2: dict) -> dict:
     """The product of two complexes, each given as ``complex_from_dict``
     reads it: its cells are the products of a cell of each, the second

@@ -155,11 +155,12 @@ def chain_oracle(p, q, gates) -> float:
 
 
 def full_box_segment_min(a, b, lo, hi):
-    """``meanset.convex.box_segment_min`` as it tries every one of the 3**k
-    faces of the box: the reference for the solver, which tries only the
-    faces that can hold the minimiser.  The segment fast path and the
-    closed form per face are the solver's own; faces are visited by
-    decreasing dimension, the first candidate of the least value kept."""
+    """``meanset.convex.box_segment_min`` written out on its own: every one
+    of the 3**k faces of the box is tried, as the solver tries every face,
+    with its own enumeration of the faces in place of the solver's cached
+    one.  The segment fast path and the closed form per face are the
+    solver's own; faces are visited by decreasing dimension, the first
+    candidate of the least value kept."""
     a, b = [*map(float, a)], [*map(float, b)]
     lo, hi = [*map(float, lo)], [*map(float, hi)]
     n = len(a)

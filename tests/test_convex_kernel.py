@@ -291,9 +291,9 @@ def test_box_segment_min_takes_any_sequence():
 
 
 def test_box_segment_min_equals_full_enumeration():
-    """Tried on the faces that can hold the minimiser only, ``box_segment_min``
-    returns the very ``(value, x)`` of ``oracles.full_box_segment_min``,
-    which tries all 3**k faces, on seeded random boxes in R^1-R^4 with
+    """Trying every face of its box, ``box_segment_min`` returns the very
+    ``(value, x)`` of ``oracles.full_box_segment_min``, which enumerates all
+    3**k faces on its own, on seeded random boxes in R^1-R^4 with
     integer bounds from -3 to 3: some axes degenerate (``lo == hi``), about
     half the end coordinates rounded to an integer, many of them onto a
     bound, and half of the boxes only 1e-13 wide on one axis."""

@@ -1,0 +1,53 @@
+"""Smoke test of ``tools/families.py`` on the first pairs of each family."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from meanset import GeodesicError
+
+FAMILIES = Path(__file__).resolve().parents[1] / "tools" / "families.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("families", FAMILIES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, steps", [("L8", 0), ("L4xI", 5), ("tripod2", 31),
+                                         ("staircase", 48)])
+def test_first_pairs_answer_with_closed_form_lengths(tool, name, steps):
+    """Six pairs of each family: all answered, within 1e-12 of the closed
+    form where the family has one, in an exact count of Newton steps."""
+    out = tool.run_family(name, 6, alarm=20.0)
+    assert (out["calls"], out["geodesic_errors"], out["timeouts"]) == (6, 0, 0)
+    assert out["newton_steps"] == steps
+    if name == "staircase":
+        assert out["worst_error"] is None
+    else:
+        assert out["worst_error"] <= 1e-12
+
+
+def test_errors_and_alarms_are_counted(tool, monkeypatch, capsys):
+    """A call that raises GeodesicError and one that outlasts the alarm are
+    each counted, and neither ends the sweep; the command line prints one
+    JSON line per family."""
+    calls = [0]
+
+    def failing(cx, p, q):
+        calls[0] += 1
+        if calls[0] == 1:
+            raise GeodesicError("no geodesic")
+        while True:
+            pass
+
+    monkeypatch.setattr(tool, "distance", failing)
+    assert tool.main(["--family", "L8", "--pairs", "3", "--alarm", "0.05"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["family"], out["calls"], out["geodesic_errors"], out["timeouts"]) == ("L8", 3, 1, 2)
+    assert out["worst_error"] == 0.0

@@ -17,7 +17,7 @@ from meanset.complexes import read_json
 from meanset.convex import box_segment_min
 from meanset.corpus import BUNDLED, data_path
 from meanset.recognition import random_point
-from generators import l_shape, product
+from generators import INTERVAL, STAIRCASE, l_shape, product
 from oracles import (array_certified_gap, chain_oracle, dense_newton_step, polyomino_distance,
                      reference_walk)
 
@@ -465,14 +465,6 @@ def test_polyomino_distances_match_visibility_oracle(name):
 # every chain solve of a search, against an independent solver
 
 
-# five cubes winding around two reflex edges, one along z and one along x;
-# geodesics that wrap an edge cross two gates at one point of it
-STAIRCASE = {"ambient_dim": 3, "cells": [
-    {"base": b, "axes": [0, 1, 2]}
-    for b in ([0, -1, 0], [-1, -1, 0], [-1, 0, 0], [-1, 0, 1], [-1, 1, 1])
-]}
-
-
 def test_chain_solves_match_slsqp_oracle(monkeypatch):
     """Chains of two or more gates met by real searches, a third of the
     points snapped onto faces so that breakpoints merge: ``chain_length``
@@ -745,7 +737,7 @@ def test_staircase_chain_solves_do_pinned_work(monkeypatch):
     rng = np.random.default_rng(37)
     for _ in range(200):
         distance(cx, tuple(first + rng.random(3)), tuple(last + rng.random(3)))
-    assert counts == {"solves": 368, "steps": 1766, "merges": 142, "most": 24}
+    assert counts == {"solves": 368, "steps": 1636, "merges": 142, "most": 24}
 
 
 TRIPOD2 = product(read_json(data_path("tripod.json")), read_json(data_path("tripod.json")))
@@ -755,20 +747,22 @@ TRIPOD2 = product(read_json(data_path("tripod.json")), read_json(data_path("trip
     ((-0.35226347930982893, 0.0, 0.0, 0.07917297656620303),
      (0.0, 0.9871734505760956, -0.07505417312765261, 0.0),
      ((0.35226347930982893, 0.9871734505760956), (0.07917297656620303, 0.07505417312765261)),
-     27),
+     21),
     ((0.0, 0.034919230721618844, 0.0, 0.3546734263760599),
      (0.05492915278634669, 0.0, -0.3629927628144517, 0.0),
      ((0.034919230721618844, 0.05492915278634669), (0.3546734263760599, 0.3629927628144517)),
-     107),
-], ids=["merge-converges", "merge-budget"])
+     33),
+], ids=["merge-converges", "merge-stops-certified"])
 def test_tripod_squared_merges_end_within_their_budget(monkeypatch, p, q, legs, steps):
     """tripod², the product of the bundled tripod with itself in R^4: each
     pair joins two legs of each factor, so its distance is the hypotenuse
     of the two factors' sums of leg lengths.  The first pair's exact-Newton
-    merges converge within their budget of 10 steps per glued point; in the
-    second, two merges stop at that budget, and the path still has its
-    closed form.  Distances to 1e-12 and the Newton steps exactly; a run
-    past 1000 steps fails at once."""
+    merges converge within their budget of 10 steps per glued point.  In
+    the second, exact Newton would step on after its glued chains certify,
+    each step still moving a coordinate by more than 1e-15; the merges stop
+    at the first certified chain, well inside that budget, and the path has
+    its closed form.  Distances to 1e-12 and the Newton steps exactly; a
+    run past 1000 steps fails at once."""
     taken = [0]
     real = geodesics._newton_step
 
@@ -791,15 +785,14 @@ def test_l4_prism_pair_wrapping_the_reflex_edge_is_answered(newton_steps):
     glued.  With that coordinate pinned the chain's certified gap is 3e-9,
     within the 1e-9 (1 + length) limit, so it raises nothing and the search
     goes on to the geodesic: the product oracle's distance to 1e-12, in
-    exactly 72 Newton steps."""
-    interval = {"ambient_dim": 1, "cells": [{"base": [0], "axes": [0]}, {"base": [1], "axes": [0]}]}
-    cx = complex_from_dict(product(l_shape(4), interval))
+    exactly 68 Newton steps."""
+    cx = complex_from_dict(product(l_shape(4), INTERVAL))
     p = (1.8405135663385623, 3.260967715314865, 0.25445350720977467)
     q = (3.8059391492418815, 1.2037183310229684, 1.8267694073610903)
     squares = [tuple(c["base"]) for c in l_shape(4)["cells"]]
     want = math.hypot(polyomino_distance(squares, p[:2], q[:2]), q[2] - p[2])
     assert distance(cx, p, q) == pytest.approx(want, rel=0.0, abs=1e-12)
-    assert newton_steps[0] == 72
+    assert newton_steps[0] == 68
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ from meanset import (
 )
 from meanset import GeodesicError, feasibility_min_norm, point_along, recognition
 from meanset.boundary import conic_residual
-from meanset.convex import FREE, SignCone, Singleton
+from meanset.convex import FREE, SignCone, Singleton, box_segment_min
 from meanset.corpus import expected
 from meanset.geodesics import chain_length
+from meanset.heatmap import HeatMapSample
 from meanset import test_function as objective_gap
 from meanset import test_function_line_search as objective_line_search
 
@@ -295,6 +296,22 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
     (lambda cx, A: directional_derivative(None, (1.0, 0.0)), ValueError,
      "model must be a DirectionalDerivativeModel, got None"),
     (lambda cx, A: to_csv([], "x"), ValueError, "ambient_dim must be an integer"),
+    (lambda cx, A: box_segment_min(None, (0.0,), (0.0,), (1.0,)), ValueError,
+     "a must be a sequence of numbers, got None"),
+    (lambda cx, A: box_segment_min((0.0,), (1.0,), [[0]], (1.0,)), ValueError,
+     r"lo must be a sequence of numbers, got \[\[0\]\]"),
+    (lambda cx, A: box_segment_min((math.nan,), (1.0,), (0.0,), (1.0,)), ValueError,
+     r"a must be finite, got \[nan\]"),
+    (lambda cx, A: box_segment_min((0.0,), (math.inf,), (0.0,), (1.0,)), ValueError,
+     r"b must be finite, got \[inf\]"),
+    (lambda cx, A: box_segment_min((0.0,), (1.0,), (0.0,), (math.nan,)), ValueError,
+     r"hi must be finite, got \[nan\]"),
+    (lambda cx, A: box_segment_min((2.0,), (3.0,), (1.0,), (0.0,)), ValueError,
+     r"lo must be at most hi on every axis, got \[1.0\] and \[0.0\]"),
+    (lambda cx, A: to_csv([HeatMapSample("c000", (0.5, 0.25), 0.1, True)], 1), ValueError,
+     "row HeatMapSample.* has 2 coordinates, not 1"),
+    (lambda cx, A: to_csv([HeatMapSample("c000", (0.5, 0.25), 0.1, True)], 3), ValueError,
+     "row HeatMapSample.* has 2 coordinates, not 3"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -307,14 +324,18 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
         "string-set-objective", "complex-set-probes", "string-set-interior",
         "string-set-test-function", "string-set-solve-pc", "string-set-conic-residual",
         "int-csv-row", "none-probe-end", "none-geodesic", "none-derivative-model",
-        "string-csv-dimension"])
+        "string-csv-dimension", "none-box-end", "nested-box-bound", "nan-box-end",
+        "inf-box-end", "nan-box-bound", "empty-box", "short-csv-dimension",
+        "long-csv-dimension"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id is a ComplexError naming it, a tolerance or an
     exponent that is no real number, a probe segment of mismatched ends or an
     unknown corpus name, an ``A`` that is no ``PointSetA`` or a CSV row that
     is no ``HeatMapSample``, a probe end, geodesic or derivative model of
-    the wrong type or a CSV dimension that is no integer a ValueError, a
-    point of the wrong dimension a LocationError, and an object that is no
+    the wrong type, a CSV dimension that is no integer or differs from a
+    row's point, or ends or bounds of ``box_segment_min`` that are no
+    numbers, not finite or an empty box (``lo > hi``) a ValueError, a point
+    of the wrong dimension a LocationError, and an object that is no
     certificate or a margin that is not a positive number a
     CertificateError, never a bare KeyError, TypeError, IndexError or
     AttributeError.  Margins are recomputed: a forged witness certifies no
