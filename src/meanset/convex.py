@@ -174,9 +174,12 @@ def _float_rows(rows, name: str, n: int = None) -> list:
     """``rows`` as tuples of floats, each of length ``n`` (the first row's
     when None) and finite; a flat sequence of numbers is one row."""
     try:
-        rows = [tuple(map(float, r)) for r in rows]
-    except TypeError:
-        rows = [tuple(map(float, rows))]
+        try:
+            rows = [tuple(map(float, r)) for r in rows]
+        except TypeError:
+            rows = [tuple(map(float, rows))]
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numbers or rows of numbers, got {rows!r}") from None
     for r in rows:
         if n is None:
             n = len(r)
@@ -263,7 +266,7 @@ def min_norm_point(points, anchor=None, rays=None) -> MinNormResult:
     scale = max(1.0, max(sq))
     root = math.sqrt(scale)
     Q = P
-    if rays is not None and len(rays):
+    if rays is not None:
         Q = P + _float_rows(rays, "rays", n)
     e = [1.0] * m + [0.0] * (len(Q) - m)  # 1 for a point, 0 for a ray
 
@@ -373,6 +376,8 @@ def box_segment_min(a, b, lo, hi):
     if len(b) != n or len(lo) != n or len(hi) != n:
         name, v = next((k, v) for k, v in (("b", b), ("lo", lo), ("hi", hi)) if len(v) != n)
         raise ValueError(f"{name} has dimension {len(v)}, a has {n}")
+    if n == 0:
+        raise ValueError("a, b, lo and hi must have at least one coordinate")
     # |a - b| or |lo - hi| is NaN or infinite if a coordinate is; NaN fails <=
     ab = math.dist(a, b)
     if not math.isfinite(ab + math.dist(lo, hi)) or not all(map(operator.le, lo, hi)):

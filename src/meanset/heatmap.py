@@ -5,13 +5,13 @@ records the deficit value plus a light/dark decision at a fixed threshold.
 Sample ``i`` draws from its own ``random.Random`` stream, seeded by the
 string ``f"{seed}:{i}"`` alone, so the output is byte-identical no matter
 how many worker threads run or what ``PYTHONHASHSEED`` is.  Sampling is
-serial unless ``MEANSET_THREADS`` asks for a thread pool.
+serial unless the caller passes ``threads``: the work is GIL-bound, so a
+thread pool only slows it down.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import random
 from collections import namedtuple
 
@@ -28,14 +28,8 @@ class HeatMapSample(namedtuple("HeatMapSample", "cell point deficit decision")):
 
 
 def worker_count() -> int:
-    # serial unless MEANSET_THREADS asks for more: the work is GIL-bound
-    cap = os.environ.get("MEANSET_THREADS")
-    if cap is None:
-        return 1
-    try:
-        return max(1, int(cap))
-    except ValueError:
-        raise ValueError(f"MEANSET_THREADS must be an integer, got {cap!r}") from None
+    """The worker count of a heat map that passes no ``threads``: always 1."""
+    return 1
 
 
 def _one_sample(A: PointSetA, seed: int, index: int, eps: float) -> HeatMapSample:
@@ -92,7 +86,8 @@ def segment_probes(A: PointSetA, p, q, count: int, eps: float) -> list:
 
 def to_csv(samples: list, ambient_dim: int) -> str:
     """The rows as CSV; ``ValueError`` for a row that is no :class:`HeatMapSample`
-    of ``ambient_dim`` coordinates, or an ``ambient_dim`` that is no nonnegative integer."""
+    whose point is ``ambient_dim`` numbers and whose deficit is a number, or an
+    ``ambient_dim`` that is no nonnegative integer."""
     ambient_dim = check_count(ambient_dim, "ambient_dim")
     buf = io.StringIO()
     cols = ",".join(f"x{i}" for i in range(ambient_dim))
@@ -100,8 +95,11 @@ def to_csv(samples: list, ambient_dim: int) -> str:
     for s in samples:
         if not isinstance(s, HeatMapSample):
             raise ValueError(f"rows must be HeatMapSample records, got {s!r}")
-        if len(s.point) != ambient_dim:
-            raise ValueError(f"row {s!r} has {len(s.point)} coordinates, not {ambient_dim}")
-        coords = ",".join("%.12g" % c for c in s.point)
-        buf.write(f"{s.cell},{coords},{'%.12g' % s.deficit},{1 if s.decision else 0}\n")
+        try:
+            if len(s.point) != ambient_dim:
+                raise ValueError(f"row {s!r} has {len(s.point)} coordinates, not {ambient_dim}")
+            coords = ",".join("%.12g" % (c,) for c in s.point)
+            buf.write(f"{s.cell},{coords},{'%.12g' % (s.deficit,)},{1 if s.decision else 0}\n")
+        except TypeError:
+            raise ValueError(f"row {s!r} needs a point of numbers and a numeric deficit") from None
     return buf.getvalue()

@@ -189,14 +189,6 @@ class VerificationReport(namedtuple("VerificationReport",
 
     __slots__ = ()
 
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "samples": self.samples,
-            "failures": [list(map(str, f)) for f in self.failures],
-            "conic_residuals": {k: float(v) for k, v in self.conic_residuals.items()},
-        }
-
 
 # ---------------------------------------------------------------------------
 # the variance-gap test function

@@ -117,3 +117,17 @@ def test_summarise_gives_each_sides_median_set_up_phases():
     for r in runs:
         r["setups"] = [] if r["side"] == "change" else r["setups"]
     assert _module().summarise(runs, {"m": ("lower", 0.25)})["w"]["setup_phases"]["change"] is None
+
+
+def test_scale_reads_the_families_lines_of_a_tree(tmp_path):
+    """``scale`` runs a tree's ``tools/families.py`` and keeps each JSON line
+    it prints; a tree without the tool gives None."""
+    module = _module()
+    lines = [{"family": "L8", "call_ms_median": 1.5, "call_ms_worst": 9.0},
+             {"family": "staircase", "call_ms_median": 0.5, "call_ms_worst": 2.0}]
+    (tmp_path / "stub" / "tools").mkdir(parents=True)
+    (tmp_path / "stub" / "tools" / "families.py").write_text(
+        "import json\n" + "".join(f"print(json.dumps({line!r}))\n" for line in lines))
+    assert module.scale(tmp_path / "stub") == lines
+    (tmp_path / "bare").mkdir()
+    assert module.scale(tmp_path / "bare") is None

@@ -190,28 +190,21 @@ def test_heatmap_rejects_bad_threshold(eps):
         segment_probes(A, (0.0, 0.0), (1.0, 0.0), 3, eps)
 
 
-def test_heatmap_rejects_non_integer_counts(monkeypatch):
-    """A sample count, a probe count or ``MEANSET_THREADS`` that is not an
-    integer, or a negative probe count, is a ValueError naming what is
-    wrong."""
+def test_heatmap_rejects_non_integer_counts():
+    """A sample count or a probe count that is not an integer, or a
+    negative probe count, is a ValueError naming what is wrong."""
     _, A = load_bundled("squares3")
     with pytest.raises(ValueError, match="sample count must be an integer"):
         run_heatmap(A, 2.5, 1, 0.1)
     for count in (2.5, -1):
         with pytest.raises(ValueError, match="count must be an integer of at least 0"):
             segment_probes(A, (0.0, 0.0), (1.0, 0.0), count, 0.1)
-    monkeypatch.setenv("MEANSET_THREADS", "abc")
-    with pytest.raises(ValueError, match="MEANSET_THREADS must be an integer, got 'abc'"):
-        heatmap.worker_count()
-    with pytest.raises(ValueError, match="MEANSET_THREADS"):
-        run_heatmap(A, 2, 1, 0.1)
 
 
-def test_heatmap_starts_no_more_threads_than_samples(monkeypatch):
-    """Asked for 100,000 threads by ``MEANSET_THREADS`` or 64 by argument,
-    a heat map of three samples opens a pool of three workers and writes
-    the rows of a serial run.  The heat map imports the pool class on first
-    use, so the class is replaced where it is defined."""
+def _record_pool_sizes(monkeypatch) -> list:
+    """The ``max_workers`` of every thread pool opened from now on.  The
+    heat map imports the pool class on first use, so the class is replaced
+    where it is defined."""
     sizes = []
 
     class Recording(futures.ThreadPoolExecutor):
@@ -220,14 +213,32 @@ def test_heatmap_starts_no_more_threads_than_samples(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(futures, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+def test_heatmap_starts_no_more_threads_than_samples(monkeypatch):
+    """Asked for 64 threads, a heat map of three samples opens a pool of
+    three workers and writes the rows of a serial run."""
+    sizes = _record_pool_sizes(monkeypatch)
     _, A = load_bundled("squares3")
     serial = run_heatmap(A, 3, 1, 0.1, threads=1)
     assert sizes == []
-    monkeypatch.setenv("MEANSET_THREADS", "100000")
-    assert heatmap.worker_count() == 100000
-    assert run_heatmap(A, 3, 1, 0.1) == serial
     assert run_heatmap(A, 3, 1, 0.1, threads=64) == serial
-    assert sizes == [3, 3]
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize("value", ["abc", "4"])
+def test_heatmap_reads_no_environment_variable(monkeypatch, value):
+    """``MEANSET_THREADS``, once read for the default worker count, is
+    ignored: a heat map that passes no ``threads`` runs serially, opens no
+    pool and writes the rows of a ``threads=1`` run."""
+    sizes = _record_pool_sizes(monkeypatch)
+    _, A = load_bundled("squares3")
+    serial = run_heatmap(A, 3, 1, 0.1, threads=1)
+    monkeypatch.setenv("MEANSET_THREADS", value)
+    assert heatmap.worker_count() == 1
+    assert run_heatmap(A, 3, 1, 0.1) == serial
+    assert sizes == []
 
 
 def test_boolean_point_is_rejected(capsys):

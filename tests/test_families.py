@@ -3,6 +3,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,7 @@ def test_first_pairs_answer_with_closed_form_lengths(tool, name, steps):
     out = tool.run_family(name, 6, alarm=20.0)
     assert (out["calls"], out["geodesic_errors"], out["timeouts"]) == (6, 0, 0)
     assert out["newton_steps"] == steps
+    assert 0.0 <= out["call_ms_median"] <= out["call_ms_worst"] <= 1e3 * out["wall_s"] + 1.0
     if name == "staircase":
         assert out["worst_error"] is None
     else:
@@ -51,3 +53,25 @@ def test_errors_and_alarms_are_counted(tool, monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert (out["family"], out["calls"], out["geodesic_errors"], out["timeouts"]) == ("L8", 3, 1, 2)
     assert out["worst_error"] == 0.0
+    assert out["call_ms_median"] is None and out["call_ms_worst"] is None
+
+
+def test_call_times_cover_answered_calls_only(tool, monkeypatch):
+    """The median and worst time per call, in ms, are taken over the
+    answered calls: here 4, 1 and 2 ms, while a failing call of 50 ms
+    counts only as an error."""
+    clock = [0.0]
+    calls = iter([(0.004, False), (0.050, True), (0.001, False), (0.002, False)])
+
+    def timed(cx, p, q):
+        seconds, fails = next(calls)
+        clock[0] += seconds
+        if fails:
+            raise GeodesicError("no geodesic")
+        return 0.0
+
+    monkeypatch.setattr(tool, "distance", timed)
+    monkeypatch.setattr(tool, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    out = tool.run_family("L8", 4, alarm=20.0)
+    assert (out["calls"], out["geodesic_errors"], out["timeouts"]) == (4, 1, 0)
+    assert (out["call_ms_median"], out["call_ms_worst"]) == (2.0, 4.0)

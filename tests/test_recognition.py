@@ -312,6 +312,20 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
      "row HeatMapSample.* has 2 coordinates, not 1"),
     (lambda cx, A: to_csv([HeatMapSample("c000", (0.5, 0.25), 0.1, True)], 3), ValueError,
      "row HeatMapSample.* has 2 coordinates, not 3"),
+    (lambda cx, A: min_norm_point(None), ValueError,
+     "points must be numbers or rows of numbers, got None"),
+    (lambda cx, A: min_norm_point([[1.0], ["x"]]), ValueError,
+     r"points must be numbers or rows of numbers, got \[\[1.0\], \['x'\]\]"),
+    (lambda cx, A: min_norm_point([[1.0]], anchor=["x"]), ValueError,
+     "anchor must be numbers or rows of numbers"),
+    (lambda cx, A: min_norm_point([[1.0]], rays=5), ValueError,
+     "rays must be numbers or rows of numbers, got 5"),
+    (lambda cx, A: box_segment_min((), (), (), ()), ValueError,
+     "a, b, lo and hi must have at least one coordinate"),
+    (lambda cx, A: to_csv([HeatMapSample("c000", None, 0.1, True)], 1), ValueError,
+     "row HeatMapSample.* needs a point of numbers and a numeric deficit"),
+    (lambda cx, A: to_csv([HeatMapSample("c000", (0.5, 0.25), "0.1", True)], 2), ValueError,
+     "row HeatMapSample.* needs a point of numbers and a numeric deficit"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -326,15 +340,19 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
         "int-csv-row", "none-probe-end", "none-geodesic", "none-derivative-model",
         "string-csv-dimension", "none-box-end", "nested-box-bound", "nan-box-end",
         "inf-box-end", "nan-box-bound", "empty-box", "short-csv-dimension",
-        "long-csv-dimension"])
+        "long-csv-dimension", "none-points", "string-point-row", "string-anchor", "int-rays",
+        "zero-dimensional-box", "none-csv-point", "string-csv-deficit"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id is a ComplexError naming it, a tolerance or an
     exponent that is no real number, a probe segment of mismatched ends or an
     unknown corpus name, an ``A`` that is no ``PointSetA`` or a CSV row that
     is no ``HeatMapSample``, a probe end, geodesic or derivative model of
     the wrong type, a CSV dimension that is no integer or differs from a
-    row's point, or ends or bounds of ``box_segment_min`` that are no
-    numbers, not finite or an empty box (``lo > hi``) a ValueError, a point
+    row's point, a CSV row whose point is no sequence of numbers or whose
+    deficit is no number, points, an anchor or rays of ``min_norm_point``
+    that are no numbers, or ends or bounds of ``box_segment_min`` that are
+    no numbers, not finite, of no coordinate or an empty box (``lo > hi``)
+    a ValueError, a point
     of the wrong dimension a LocationError, and an object that is no
     certificate or a margin that is not a positive number a
     CertificateError, never a bare KeyError, TypeError, IndexError or

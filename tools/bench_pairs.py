@@ -35,9 +35,12 @@ runs, so that a change of ``setup_s`` shows which phase moved.  ``loc``
 gives the line count of ``src/meanset/*.py`` on each side, as the
 benchmark's ``loc.total`` counts it, and ``frozen`` whether ``perfbench/``
 and ``BENCHMARK.json`` are byte-identical in the two trees, listing every
-file that differs or is on one side only (bytecode caches left out).  The
-file is rewritten after every run, so an interrupted run of this script
-keeps what it measured.
+file that differs or is on one side only (bytecode caches left out).
+After the pairs, ``tools/families.py`` runs once in each tree, and
+``scale`` holds each side's JSON lines (one per generated family, with
+its median and worst time per call), or null for a tree without the
+tool.  The file is rewritten after every run, so an interrupted run of
+this script keeps what it measured.
 """
 
 from __future__ import annotations
@@ -88,6 +91,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) 
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return parse_output(proc.stdout)
+
+
+def scale(tree: Path) -> list:
+    """The JSON lines of one ``tools/families.py`` run in ``tree``, or None
+    when the tree has no such tool."""
+    if not (tree / "tools" / "families.py").is_file():
+        return None
+    cmd = [sys.executable, "tools/families.py"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
 def parse_output(stdout: str) -> tuple:
@@ -170,7 +185,7 @@ def main(argv=None) -> int:
                "seconds": args.seconds, "seed": args.seed,
                "loc": {side: loc_total(tree) for side, tree in trees.items()},
                "frozen": {"identical": not differing, "differing": differing},
-               "runs": [], "summary": {}}
+               "runs": [], "summary": {}, "scale": None}
         print(json.dumps({"frozen": doc["frozen"]}), flush=True)
         out = Path(args.out)
 
@@ -193,6 +208,9 @@ def main(argv=None) -> int:
                 for order, side in enumerate(sides):
                     record(workload, args.seed + i, side, order, False)
             print(json.dumps({workload: doc["summary"].get(workload)}), flush=True)
+        doc["scale"] = {side: scale(tree) for side, tree in trees.items()}
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+        print(json.dumps({"scale": doc["scale"]}), flush=True)
     return 0
 
 

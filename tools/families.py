@@ -20,9 +20,9 @@ face, an edge or a vertex.  ``--pairs`` takes the first N pairs of each
 set.  ``distance`` runs on each pair in turn, on one complex per family,
 with an alarm of ``--alarm`` seconds per call.  One JSON line per family
 gives the calls, the ``GeodesicError``s and the calls the alarm stopped,
-the exact Newton steps of the chain solver, the wall time, the largest
-error against the closed form and the SHA-256 of the answered lengths'
-reprs, in pair order.  The closed forms: ``oracles.polyomino_distance`` on
+the exact Newton steps of the chain solver, the wall time, the median and
+the worst time of one answered call in ms, the largest error against the
+closed form and the SHA-256 of the answered lengths' reprs, in pair order.  The closed forms: ``oracles.polyomino_distance`` on
 L8, combined with the interval as a product on L4 x [0, 2], and the
 tripod's tree distance combined as a product on tripod^2.  The staircase
 has none, so its error is null.
@@ -38,6 +38,7 @@ import json
 import math
 import random
 import signal
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -124,7 +125,7 @@ def run_family(name: str, count: int = None, alarm: float = 20.0) -> dict:
         return real(*args)
 
     errors = timeouts = 0
-    answered = []
+    answered, call_ms = [], []
     old = signal.signal(signal.SIGALRM, _ring)
     geodesics._newton_step = counted
     start = time.perf_counter()
@@ -132,7 +133,9 @@ def run_family(name: str, count: int = None, alarm: float = 20.0) -> dict:
         for p, q in todo:
             signal.setitimer(signal.ITIMER_REAL, alarm)
             try:
+                t0 = time.perf_counter()
                 answered.append((p, q, distance(cx, p, q)))
+                call_ms.append(1e3 * (time.perf_counter() - t0))
             except GeodesicError:
                 errors += 1
             except _Alarm:
@@ -147,6 +150,8 @@ def run_family(name: str, count: int = None, alarm: float = 20.0) -> dict:
     worst = max((abs(d - closed(p, q)) for p, q, d in answered), default=0.0) if closed else None
     return {"family": name, "calls": len(todo), "geodesic_errors": errors,
             "timeouts": timeouts, "newton_steps": steps[0], "wall_s": round(wall, 3),
+            "call_ms_median": round(statistics.median(call_ms), 4) if call_ms else None,
+            "call_ms_worst": round(max(call_ms), 4) if call_ms else None,
             "worst_error": worst, "lengths_sha256": digest.hexdigest()}
 
 
