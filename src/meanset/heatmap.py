@@ -92,14 +92,14 @@ def to_csv(samples: list, ambient_dim: int) -> str:
     buf = io.StringIO()
     cols = ",".join(f"x{i}" for i in range(ambient_dim))
     buf.write(f"cell,{cols},deficit,decision\n")
+    row = "%s," + ",".join(["%.12g"] * ambient_dim) + ",%.12g,%d\n"
     for s in samples:
         if not isinstance(s, HeatMapSample):
             raise ValueError(f"rows must be HeatMapSample records, got {s!r}")
         try:
             if len(s.point) != ambient_dim:
                 raise ValueError(f"row {s!r} has {len(s.point)} coordinates, not {ambient_dim}")
-            coords = ",".join("%.12g" % (c,) for c in s.point)
-            buf.write(f"{s.cell},{coords},{'%.12g' % (s.deficit,)},{1 if s.decision else 0}\n")
+            buf.write(row % (s.cell, *s.point, s.deficit, 1 if s.decision else 0))
         except TypeError:
             raise ValueError(f"row {s!r} needs a point of numbers and a numeric deficit") from None
     return buf.getvalue()

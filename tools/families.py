@@ -22,10 +22,11 @@ with an alarm of ``--alarm`` seconds per call.  One JSON line per family
 gives the calls, the ``GeodesicError``s and the calls the alarm stopped,
 the exact Newton steps of the chain solver, the wall time, the median and
 the worst time of one answered call in ms, the largest error against the
-closed form and the SHA-256 of the answered lengths' reprs, in pair order.  The closed forms: ``oracles.polyomino_distance`` on
-L8, combined with the interval as a product on L4 x [0, 2], and the
-tripod's tree distance combined as a product on tripod^2.  The staircase
-has none, so its error is null.
+closed form and the SHA-256 of the answered lengths' reprs, in pair order.
+The closed forms: ``oracles.polyomino_distance`` on L8, combined with the
+interval as a product on L4 x [0, 2], and the tripod's tree distance
+combined as a product on tripod^2.  The staircase has none, so its error
+is null.
 
 L10 and L4 x L4 are left out: their chain searches grow without bound.
 """
