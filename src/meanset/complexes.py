@@ -181,9 +181,12 @@ class CubicalComplex:
         )
         self._owners = {self._index[k]: tuple(map(self._index.__getitem__, sorted(owners)))
                         for k, owners in lattice.items()}
+        # one float per distinct integer coordinate of the cells' bases (their boxes'
+        # upper corners are bases of faces too), shared by every box and snapped point
+        floats = self._floats = {b: float(b) for b in {b for c in self.cells for b in c.base}}
         # one (lo, hi) pair of float tuples per cell, never handed out
-        self._boxes = {c.ident: (tuple(map(float, c.base)),
-                                 tuple(float(b + (i in c.axes)) for i, b in enumerate(c.base)))
+        self._boxes = {c.ident: (tuple(map(floats.__getitem__, c.base)),
+                                 tuple(floats[b + (i in c.axes)] for i, b in enumerate(c.base)))
                        for c in self.cells}
         self._geo_cache = {}
         # two maximal cells meet in their largest common face, so visiting the
@@ -252,11 +255,15 @@ class CubicalComplex:
     # -- point location ----------------------------------------------------
 
     def snap(self, point) -> tuple:
+        """``point`` as a tuple of floats, each coordinate within 1e-9 of an integer
+        made that integer: the complex's own float of it when a cell's base has it."""
+        floats = self._floats
         out = []
         try:
             for x in point:
                 r = round(x)
-                out.append(float(r) if abs(x - r) <= 1e-9 else float(x))
+                out.append(float(x) if abs(x - r) > 1e-9 else floats[r] if r in floats
+                           else float(r))
         except (OverflowError, ValueError):   # an infinity or a NaN
             raise LocationError(f"point {list(point)} has a non-finite coordinate") from None
         except TypeError:

@@ -105,34 +105,39 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
     A chain given without ``_face_bounds`` is checked first: it must be
     non-empty and name only maximal cells of the complex, start in a cell
     holding p and end in one holding q, and consecutive cells must share a
-    face in ``cx.adjacency``, the search's table; else GeodesicError.  The
-    chain search passes the gate boxes, and ``_face_mins``, the
-    ``box_segment_min(p, q, gate)`` pairs already at hand, which stand in
-    for those calls when no gate is a vertex.
+    face in ``cx.adjacency``, the search's table; else GeodesicError.  Ends
+    that are no sequences of numbers, or such a chain on a ``cx`` that is no
+    :class:`CubicalComplex`, raise ValueError.  The chain search passes the
+    gate boxes, and ``_face_mins``, the ``box_segment_min(p, q, gate)`` pairs
+    already at hand, which stand in for those calls when no gate is a vertex.
     """
+    try:
+        p, q = tuple(map(float, p)), tuple(map(float, q))
+    except (TypeError, ValueError):   # no sequence, or an item that is no number
+        raise ValueError(f"p and q must be sequences of numbers, got {p!r} and {q!r}") from None
     bounds = _face_bounds
     if bounds is None:
+        if not isinstance(cx, CubicalComplex):
+            raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
         try:
             chain = tuple(chain)
             odd = [cell for cell in chain if cell not in cx.adjacency]   # unknown or not maximal
         except TypeError:   # no sequence, or a cell that is no hashable id
-            raise GeodesicError(f"chain {chain!r} from {tuple(p)} to {tuple(q)} is not "
-                                f"a sequence of cell ids") from None
+            raise GeodesicError(f"chain {chain!r} from {p} to {q} is not a sequence of "
+                                "cell ids") from None
         if not chain:
-            raise GeodesicError(f"empty chain from {tuple(p)} to {tuple(q)}")
+            raise GeodesicError(f"empty chain from {p} to {q}")
         if odd:
             what = "cell {!r} is not maximal" if odd[0] in cx._by_id else "unknown cell {!r}"
-            raise GeodesicError(f"chain {chain} from {tuple(p)} to {tuple(q)}: "
-                                + what.format(odd[0]))
+            raise GeodesicError(f"chain {chain} from {p} to {q}: " + what.format(odd[0]))
         for end, cell in ((p, chain[0]), (q, chain[-1])):
             if cell not in cx._cells_at(cx.snap(end))[1]:
-                raise GeodesicError(f"chain {chain} from {tuple(p)} to {tuple(q)}: "
-                                    f"its end cell {cell} does not hold {tuple(end)}")
+                raise GeodesicError(f"chain {chain} from {p} to {q}: "
+                                    f"its end cell {cell} does not hold {end}")
         gates = [dict(cx.adjacency[a]).get(b) for a, b in zip(chain, chain[1:])]
         if None in gates:
             raise GeodesicError(f"consecutive cells of chain {chain} share no face")
         bounds = [cx._boxes[f] for f in gates]
-    p, q = tuple(map(float, p)), tuple(map(float, q))
     cuts = [i for i, (lo, hi) in enumerate(bounds) if all(l == h for l, h in zip(lo, hi))]
     # piece k runs from ends[k] through the gates strictly between edges[k] and edges[k + 1]
     ends = [p] + [tuple(map(float, bounds[i][0])) for i in cuts] + [q]
@@ -471,8 +476,8 @@ def _assemble(chain, pts):
     return Geodesic(tuple(bps), tuple(cells), length)
 
 
-# geodesics cached per complex, about 0.5 MB at ~500 B an entry; a recognize call
-# re-reads a few dozen at most
+# geodesics cached per complex, about 0.4 MB at ~400 B an entry (the ends are the key's
+# tuples, integer coordinates the complex's floats); a recognize call re-reads a few dozen
 _CACHE_SIZE = 1024
 # serialises evict-and-insert across the threads of a heat map; hits take no lock
 _CACHE_LOCK = threading.Lock()
@@ -486,8 +491,11 @@ def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
     read before the ends are located: every key was located once, so a hit skips no check.
     It holds at most ``_CACHE_SIZE`` entries: a miss that finds it full first drops the
     oldest inserted entry (a hit does not reorder), and a pair dropped is solved again,
-    in the direction it is next asked for.
+    in the direction it is next asked for.  ``ValueError`` unless ``cx`` is a
+    :class:`CubicalComplex`.
     """
+    if not isinstance(cx, CubicalComplex):
+        raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
     a = p.coords if isinstance(p, LocatedPoint) else cx.snap(p)
     b = q.coords if isinstance(q, LocatedPoint) else cx.snap(q)
     cache = cx._geo_cache
@@ -543,7 +551,8 @@ def _walk(cx, p_loc, q_loc):
 
 
 def _search(cx, p_loc, q_loc):
-    """The geodesic by best-first chain search (see the module docstring)."""
+    """The geodesic by best-first chain search (see the module docstring), its
+    ends the located tuples and its other breakpoints snapped."""
     p = p_loc.coords
     q = q_loc.coords
     if not math.isfinite(vertex_upper_bound(cx, p_loc, q_loc)):
@@ -588,7 +597,7 @@ def _search(cx, p_loc, q_loc):
             "the complex is inconsistent"
         )
     chain, pts = best
-    return _assemble(chain, [cx.snap(x) for x in pts])
+    return _assemble(chain, [p, *map(cx.snap, pts[1:-1]), q])
 
 
 def distance(cx: CubicalComplex, p, q) -> float:

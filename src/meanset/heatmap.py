@@ -70,7 +70,7 @@ def segment_probes(A: PointSetA, p, q, count: int, eps: float) -> list:
     cx = check_point_set(A).cx
     try:
         p, q = [*map(float, p)], [*map(float, q)]
-    except TypeError:
+    except (TypeError, ValueError):   # no sequence, or an item that is no number
         raise ValueError(f"p and q must be sequences of numbers, got {p!r} and {q!r}") from None
     if len(p) != len(q):
         raise ValueError(f"p has dimension {len(p)}, q has {len(q)}")
@@ -85,14 +85,19 @@ def segment_probes(A: PointSetA, p, q, count: int, eps: float) -> list:
 
 
 def to_csv(samples: list, ambient_dim: int) -> str:
-    """The rows as CSV; ``ValueError`` for a row that is no :class:`HeatMapSample`
-    whose point is ``ambient_dim`` numbers and whose deficit is a number, or an
-    ``ambient_dim`` that is no nonnegative integer."""
+    """The rows as CSV; ``ValueError`` for ``samples`` that is not iterable, for a
+    row that is no :class:`HeatMapSample` whose point is ``ambient_dim`` numbers
+    and whose deficit is a number, or for an ``ambient_dim`` that is no
+    nonnegative integer."""
     ambient_dim = check_count(ambient_dim, "ambient_dim")
     buf = io.StringIO()
     cols = ",".join(f"x{i}" for i in range(ambient_dim))
     buf.write(f"cell,{cols},deficit,decision\n")
     row = "%s," + ",".join(["%.12g"] * ambient_dim) + ",%.12g,%d\n"
+    try:
+        samples = iter(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an iterable of rows, got {samples!r}") from None
     for s in samples:
         if not isinstance(s, HeatMapSample):
             raise ValueError(f"rows must be HeatMapSample records, got {s!r}")

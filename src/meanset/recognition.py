@@ -56,9 +56,10 @@ def _per_label(A, values, name: str, error=ValueError) -> list:
 
 def check_count(count, name: str, least: int = 0) -> int:
     """``count`` as an ``int``; ``ValueError`` naming it unless it is an
-    integer of at least ``least`` (a float such as 2.0 or NaN is not)."""
+    integer of at least ``least`` (a float such as 2.0 or NaN is not, nor is
+    a boolean)."""
     try:
-        n = operator.index(count)
+        n = None if isinstance(count, bool) else operator.index(count)
     except TypeError:
         n = None
     if n is None or n < least:
@@ -70,6 +71,8 @@ class PointSetA:
     """A labelled finite set of points in one complex."""
 
     def __init__(self, cx: CubicalComplex, labelled_points):
+        if not isinstance(cx, CubicalComplex):
+            raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
         if not isinstance(labelled_points, dict):
             raise ValueError(f"labelled points must be a dict, got {labelled_points!r}")
         self.cx = cx
@@ -87,12 +90,18 @@ class PointSetA:
 
     @classmethod
     def from_coords(cls, cx: CubicalComplex, coords, labels=None) -> "PointSetA":
-        coords = list(coords)
-        if labels is None:
-            labels = [f"a{i}" for i in range(len(coords))]
+        try:
+            coords = list(coords)
+        except TypeError:
+            raise ValueError(f"coords must be a sequence of points, got {coords!r}") from None
+        try:
+            labels = [f"a{i}" for i in range(len(coords))] if labels is None else list(labels)
+            labelled = dict(zip(labels, coords))
+        except TypeError:   # no sequence, or a label that is not hashable
+            raise ValueError(f"labels must be a sequence of hashable labels, got {labels!r}") from None
         if len(labels) != len(coords):
             raise ValueError("labels and coordinates must align")
-        return cls(cx, dict(zip(labels, coords)))
+        return cls(cx, labelled)
 
     def __len__(self):
         return len(self.labels)

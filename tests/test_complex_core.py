@@ -253,6 +253,20 @@ def test_face_limit_counts_distinct_faces(monkeypatch):
         complex_from_dict({"ambient_dim": 5, "cells": [{"base": [0] * 5, "axes": list(range(5))}]})
 
 
+def test_lattice_floats_hold_the_distinct_coordinates_only():
+    """Cells at base 0 and at base 10**9 give one float per distinct integer
+    coordinate of their faces' bases, none for the gap between them.  Snapping
+    hands out those floats; an integer outside them gets a float of its own."""
+    cx = complex_from_dict({"ambient_dim": 1, "cells": [{"base": [0], "axes": [0]},
+                                                        {"base": [10**9], "axes": [0]}]})
+    assert sorted(cx._floats) == [0, 1, 10**9, 10**9 + 1]
+    assert all(type(f) is float and f == k for k, f in cx._floats.items())
+    assert cx.snap((0.9999999999,))[0] is cx._floats[1]
+    assert cx.snap((-1e-12,))[0] is cx._floats[0]
+    assert cx.snap((1e9,))[0] is cx._floats[10**9]
+    assert cx.snap((5.0,)) == (5.0,) and 5 not in cx._floats
+
+
 def test_vertex_graph_modes():
     cx, _ = load_bundled("tripod")
     assert distance(cx, (1, 0), (-1, 0)) == 2.0

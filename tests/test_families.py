@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +30,7 @@ def test_first_pairs_answer_with_closed_form_lengths(tool, name, steps):
     assert (out["calls"], out["geodesic_errors"], out["timeouts"]) == (6, 0, 0)
     assert out["newton_steps"] == steps
     assert 0.0 <= out["call_ms_median"] <= out["call_ms_worst"] <= 1e3 * out["wall_s"] + 1.0
+    assert out["cache_entries"] == 6 and out["cache_kb"] > 0.0
     if name == "staircase":
         assert out["worst_error"] is None
     else:
@@ -54,6 +56,7 @@ def test_errors_and_alarms_are_counted(tool, monkeypatch, capsys):
     assert (out["family"], out["calls"], out["geodesic_errors"], out["timeouts"]) == ("L8", 3, 1, 2)
     assert out["worst_error"] == 0.0
     assert out["call_ms_median"] is None and out["call_ms_worst"] is None
+    assert out["cache_entries"] == 0
 
 
 def test_call_times_cover_answered_calls_only(tool, monkeypatch):
@@ -75,3 +78,14 @@ def test_call_times_cover_answered_calls_only(tool, monkeypatch):
     out = tool.run_family("L8", 4, alarm=20.0)
     assert (out["calls"], out["geodesic_errors"], out["timeouts"]) == (4, 1, 0)
     assert (out["call_ms_median"], out["call_ms_worst"]) == (2.0, 4.0)
+
+
+def test_cache_size_counts_each_object_once(tool):
+    """A shared object is counted once, and objects already in ``seen``, as
+    the complex's cell-id strings are, not at all."""
+    end, cell = (0.5, 1.5), "c007"
+    cache = {(end, end): (end, cell)}
+    want = (sys.getsizeof(cache) + sys.getsizeof((end, end)) + sys.getsizeof(end)
+            + 2 * sys.getsizeof(0.5) + sys.getsizeof((end, cell)))
+    assert tool.deep_bytes(cache, {id(cell)}) == want
+    assert tool.deep_bytes(cache, set()) == want + sys.getsizeof(cell)

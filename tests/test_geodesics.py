@@ -226,6 +226,28 @@ def test_cache_holds_one_entry_per_pair():
     assert geodesic(cx, p, q) is g
 
 
+def test_cached_geodesics_share_their_keys_and_lattice_floats(monkeypatch):
+    """A bent squares3 pair is searched, a straight one walked; each cached
+    geodesic starts and ends on the very tuples of its key, and every integer
+    coordinate of the cache and of the cell boxes is the complex's one float
+    of that integer."""
+    cx, _ = load_bundled("squares3")
+    searches = []
+    real = geodesics.vertex_upper_bound
+    monkeypatch.setattr(geodesics, "vertex_upper_bound",
+                        lambda *args: searches.append(args) or real(*args))
+    distance(cx, (0.9, -0.2), (-0.2, 0.9))   # bent through the origin
+    distance(cx, (0.5, -0.5), (-0.5, -0.25))   # straight across the edge x = 0
+    assert len(searches) == 1 and len(cx._geo_cache) == 2
+    coords = []
+    for key, g in cx._geo_cache.items():
+        assert sorted(map(id, key)) == sorted(map(id, (g.breakpoints[0], g.breakpoints[-1])))
+        coords += [x for point in g.breakpoints for x in point]
+    coords += [x for lo, hi in cx._boxes.values() for x in lo + hi]
+    lattice = [x for x in coords if x == round(x)]
+    assert 0.0 in lattice and all(x is cx._floats[round(x)] for x in lattice)
+
+
 def test_threads_share_a_full_cache_safely(monkeypatch):
     """Four heat-map threads that evict from one cache of 8 entries, switching
     every microsecond, raise nothing, leave at most 8 entries and write the

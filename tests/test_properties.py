@@ -18,6 +18,7 @@ corpora must pass ``verify_certificate``, and a non-member's certified
 lower bound must be its smallest stored margin.
 """
 
+import copy
 import itertools
 import math
 import random
@@ -27,16 +28,31 @@ from hypothesis import given, settings, strategies as st
 
 from generators import l_shape
 from meanset import (
+    CertificateError,
+    ComplexError,
+    ConvergenceError,
+    GeodesicError,
+    LocationError,
+    PointSetA,
+    box_segment_min,
     certified_lower_bound,
     complex_from_dict,
     distance,
+    geodesic,
     load_bundled,
+    mean_deficit,
     midpoint,
+    min_norm_point,
+    point_along,
     recognize,
+    run_heatmap,
+    segment_probes,
+    to_csv,
     verify_certificate,
 )
 from meanset import geodesics
-from meanset.corpus import BUNDLED
+from meanset.complexes import read_json
+from meanset.corpus import BUNDLED, data_path
 from meanset.recognition import random_point
 from oracles import polyomino_distance
 
@@ -175,3 +191,125 @@ def test_certificates_re_verify(name):
         if cert.kind != "membership":
             assert certified_lower_bound(A, x, cert) == min(cert.margins.values()), (name, x)
     assert "non-membership" in kinds
+
+
+def _signed_permutation(doc, points, rng):
+    """The document ``doc`` and the ``points`` under one seeded lattice
+    symmetry: x -> y with ``y[perm[i]] = sign[i] x[i] + shift[perm[i]]``, an
+    integer shift of at most 3 a coordinate, and the cells in shuffled order."""
+    n = doc["ambient_dim"]
+    perm = rng.sample(range(n), n)
+    sign = [rng.choice((1, -1)) for _ in range(n)]
+    shift = [rng.randint(-3, 3) for _ in range(n)]
+    cells = []
+    for c in doc["cells"]:
+        base = [0] * n
+        for i, b in enumerate(c["base"]):
+            base[perm[i]] = sign[i] * b + shift[perm[i]] - (sign[i] < 0 and i in c["axes"])
+        cells.append({"base": base, "axes": sorted(perm[i] for i in c["axes"])})
+    rng.shuffle(cells)
+
+    def image(x):
+        y = [0.0] * n
+        for i, xi in enumerate(x):
+            y[perm[i]] = sign[i] * xi + shift[perm[i]]
+        return tuple(y)
+
+    return {"ambient_dim": n, "cells": cells}, {l: image(x) for l, x in points.items()}, image
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_lattice_symmetries_keep_every_answer(name):
+    """A signed axis permutation with an integer shift is an isometry of the
+    lattice, and cell order is no part of a complex: at 20 seeded points (every
+    fourth on a face or a vertex), ``recognize`` decides the same on the moved
+    complex and point set, and deficits and distances agree to 1e-12."""
+    cx, A = load_bundled(name)
+    rng = random.Random(f"symmetry:{name}")
+    doc, points, image = _signed_permutation(read_json(data_path(f"{name}.json")),
+                                             {l: A.coords(l) for l in A.labels}, rng)
+    moved = PointSetA(complex_from_dict(doc), points)
+    for x in _corpus_points(cx, rng, 20):
+        want, got = recognize(A, x), recognize(moved, image(x))
+        assert got.decision == want.decision, (name, x)
+        assert math.isclose(got.deficit, want.deficit, rel_tol=0.0, abs_tol=1e-12), (name, x)
+        there, here = A.distances_from(x), moved.distances_from(image(x))
+        for l in A.labels:
+            assert math.isclose(here[l], there[l], rel_tol=0.0, abs_tol=1e-12), (name, x, l)
+
+
+# every argument of the sweep below is its valid value or one of these
+MENU = (None, True, "x", math.nan, math.inf, -1, 2.5, [], [[0.0]], (0.5, 0.0, 0.0), {})
+TYPED = (ComplexError, LocationError, GeodesicError, CertificateError, ConvergenceError,
+         ValueError)
+
+
+@pytest.fixture(scope="module")
+def entries():
+    """Public entries with valid arguments on squares3, by name."""
+    cx, A = load_bundled("squares3")
+    inside, outside, p, q = (0.5, 0.0), (0.5, -0.5), (0.9, -0.2), (-0.2, 0.9)
+    g = geodesic(cx, p, q)
+    return {
+        "recognize": (recognize, A, inside, 1e-8),
+        "mean_deficit": (mean_deficit, A, outside),
+        "verify_certificate": (verify_certificate, A, inside, recognize(A, inside).certificate,
+                               3, 7, 1e-7),
+        "certified_lower_bound": (certified_lower_bound, A, outside,
+                                  recognize(A, outside).certificate),
+        "run_heatmap": (run_heatmap, A, 2, 1, 0.1, 1),
+        "segment_probes": (segment_probes, A, inside, outside, 2, 0.1),
+        "to_csv": (to_csv, run_heatmap(A, 2, 1, 0.1), 2),
+        "distance": (distance, cx, p, q),
+        "geodesic": (geodesic, cx, p, q),
+        "midpoint": (midpoint, cx, p, q),
+        "point_along": (point_along, g, 0.5),
+        "chain_length": (geodesics.chain_length, cx, p, q, g.cells),
+        "box_segment_min": (box_segment_min, (0.0, 0.0), (2.0, 1.0), (1.0, 0.0), (1.0, 1.0)),
+        "min_norm_point": (min_norm_point, [[1.0, 0.0], [0.0, 1.0]], (0.0, 0.0), [[1.0, 1.0]]),
+        "complex_from_dict": (complex_from_dict, read_json(data_path("squares3.json"))),
+        "PointSetA": (PointSetA, cx, {"a": inside, "b": outside}),
+        "PointSetA.from_coords": (PointSetA.from_coords, cx, [inside, outside], ["a", "b"]),
+    }
+
+
+def _floats(obj, seen):
+    """Every float reachable from ``obj`` through containers and attributes."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _floats(k, seen)
+            yield from _floats(v, seen)
+    elif isinstance(obj, (tuple, list)):
+        for v in obj:
+            yield from _floats(v, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _floats(vars(obj), seen)
+
+
+@pytest.mark.parametrize("name", ["recognize", "mean_deficit", "verify_certificate",
+                                  "certified_lower_bound", "run_heatmap", "segment_probes",
+                                  "to_csv", "distance", "geodesic", "midpoint", "point_along",
+                                  "chain_length", "box_segment_min", "min_norm_point",
+                                  "complex_from_dict", "PointSetA", "PointSetA.from_coords"])
+@PROPERTY
+@given(data=st.data())
+def test_every_argument_gets_an_answer_or_a_typed_error(entries, name, data):
+    """Each argument is its valid value or a value of ``MENU``: the call
+    answers, with no NaN anywhere in the answer, or raises one of the
+    package's typed errors or a ValueError, never a bare TypeError,
+    AttributeError, KeyError or IndexError."""
+    call, *valid = entries[name]
+    args = [data.draw(st.one_of(st.just(v), st.sampled_from(MENU).map(copy.deepcopy)),
+                      label=f"argument {i}") for i, v in enumerate(valid)]
+    try:
+        out = call(*args)
+    except TYPED:
+        return
+    if isinstance(out, str):
+        assert "nan" not in out
+    assert not any(map(math.isnan, _floats(out, set())))

@@ -15,9 +15,11 @@ from meanset import (
     certified_lower_bound,
     complex_from_dict,
     directional_derivative,
+    distance,
     geodesic,
     load_bundled,
     mean_deficit,
+    midpoint,
     min_norm_point,
     recognize,
     recognize_general,
@@ -326,6 +328,36 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
      "row HeatMapSample.* needs a point of numbers and a numeric deficit"),
     (lambda cx, A: to_csv([HeatMapSample("c000", (0.5, 0.25), "0.1", True)], 2), ValueError,
      "row HeatMapSample.* needs a point of numbers and a numeric deficit"),
+    (lambda cx, A: segment_probes(A, (0.0, 0.0), (1.0, "x"), 2, 0.1), ValueError,
+     r"p and q must be sequences of numbers, got \(0.0, 0.0\) and \(1.0, 'x'\)"),
+    (lambda cx, A: run_heatmap(A, True, 1, 0.1), ValueError,
+     "the sample count must be an integer of at least 1, got True"),
+    (lambda cx, A: run_heatmap(A, 2, True, 0.1), ValueError, "seed must be an integer"),
+    (lambda cx, A: segment_probes(A, (0.5, 0.0), (0.5, -0.5), True, 0.1), ValueError,
+     "count must be an integer of at least 0, got True"),
+    (lambda cx, A: verify_certificate(A, (0.5, 0.0), MembershipCertificate({"a": 1.0}, 0.0),
+                                      samples=True), ValueError, "samples must be an integer"),
+    (lambda cx, A: to_csv([], True), ValueError, "ambient_dim must be an integer"),
+    (lambda cx, A: to_csv(None, 2), ValueError, "samples must be an iterable of rows, got None"),
+    (lambda cx, A: to_csv(2.5, 2), ValueError, "samples must be an iterable of rows, got 2.5"),
+    (lambda cx, A: distance("x", (0.5, 0.0), (0.5, -0.5)), ValueError,
+     "cx must be a CubicalComplex, got 'x'"),
+    (lambda cx, A: geodesic(None, (0.5, 0.0), (0.5, -0.5)), ValueError,
+     "cx must be a CubicalComplex, got None"),
+    (lambda cx, A: midpoint({}, (0.5, 0.0), (0.5, -0.5)), ValueError,
+     r"cx must be a CubicalComplex, got \{\}"),
+    (lambda cx, A: PointSetA.from_coords(cx, None), ValueError,
+     "coords must be a sequence of points, got None"),
+    (lambda cx, A: PointSetA.from_coords(cx, [(0.5, 0.0)], 1), ValueError,
+     "labels must be a sequence of hashable labels, got 1"),
+    (lambda cx, A: PointSetA.from_coords(cx, [(0.5, 0.0)], [["a"]]), ValueError,
+     r"labels must be a sequence of hashable labels, got \[\['a'\]\]"),
+    (lambda cx, A: PointSetA(None, {"a": (0.5, 0.0)}), ValueError,
+     "cx must be a CubicalComplex, got None"),
+    (lambda cx, A: chain_length(None, (0.5, 0.0), (0.5, 0.5), ["c000"]), ValueError,
+     "cx must be a CubicalComplex, got None"),
+    (lambda cx, A: chain_length(cx, True, (0.5, 0.5), []), ValueError,
+     r"p and q must be sequences of numbers, got True and \(0.5, 0.5\)"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -341,7 +373,11 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
         "string-csv-dimension", "none-box-end", "nested-box-bound", "nan-box-end",
         "inf-box-end", "nan-box-bound", "empty-box", "short-csv-dimension",
         "long-csv-dimension", "none-points", "string-point-row", "string-anchor", "int-rays",
-        "zero-dimensional-box", "none-csv-point", "string-csv-deficit"])
+        "zero-dimensional-box", "none-csv-point", "string-csv-deficit", "string-probe-end",
+        "bool-sample-count", "bool-seed", "bool-probe-count", "bool-verify-samples",
+        "bool-csv-dimension", "none-csv-rows", "float-csv-rows", "string-complex-distance",
+        "none-complex-geodesic", "dict-complex-midpoint", "none-coords", "int-labels",
+        "unhashable-labels", "none-set-complex", "none-chain-complex", "bool-chain-end"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id is a ComplexError naming it, a tolerance or an
     exponent that is no real number, a probe segment of mismatched ends or an
@@ -351,7 +387,12 @@ def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     row's point, a CSV row whose point is no sequence of numbers or whose
     deficit is no number, points, an anchor or rays of ``min_norm_point``
     that are no numbers, or ends or bounds of ``box_segment_min`` that are
-    no numbers, not finite, of no coordinate or an empty box (``lo > hi``)
+    no numbers, not finite, of no coordinate or an empty box (``lo > hi``),
+    a probe end holding a string, a boolean count, seed or CSV dimension,
+    CSV rows that are not iterable, a ``cx`` of ``distance``, ``geodesic``,
+    ``midpoint``, ``PointSetA`` or ``chain_length`` that is no complex,
+    ``from_coords`` coordinates that are not iterable or labels that are no
+    sequence of hashable labels, or chain ends that are no numbers
     a ValueError, a point
     of the wrong dimension a LocationError, and an object that is no
     certificate or a margin that is not a positive number a

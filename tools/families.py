@@ -22,7 +22,11 @@ with an alarm of ``--alarm`` seconds per call.  One JSON line per family
 gives the calls, the ``GeodesicError``s and the calls the alarm stopped,
 the exact Newton steps of the chain solver, the wall time, the median and
 the worst time of one answered call in ms, the largest error against the
-closed form and the SHA-256 of the answered lengths' reprs, in pair order.
+closed form, the SHA-256 of the answered lengths' reprs, in pair order,
+and the geodesic cache the sweep leaves on the family's complex: its
+entries and its size in KB (``sys.getsizeof`` summed over every object it
+reaches through dicts and tuples, each object counted once, the complex's
+cell-id strings left out).
 The closed forms: ``oracles.polyomino_distance`` on L8, combined with the
 interval as a product on L4 x [0, 2], and the tripod's tree distance
 combined as a product on tripod^2.  The staircase has none, so its error
@@ -105,6 +109,21 @@ def pairs(cx, count: int, seed: int, ends) -> list:
     return out
 
 
+def deep_bytes(obj, seen: set) -> int:
+    """``sys.getsizeof`` summed over ``obj`` and every object it reaches
+    through dicts, tuples and lists, skipping those whose ``id`` is in
+    ``seen``; each one counted is added to ``seen``."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        obj = [x for item in obj.items() for x in item]
+    if isinstance(obj, (tuple, list)):
+        size += sum(deep_bytes(x, seen) for x in obj)
+    return size
+
+
 class _Alarm(Exception):
     pass
 
@@ -148,12 +167,14 @@ def run_family(name: str, count: int = None, alarm: float = 20.0) -> dict:
         geodesics._newton_step = real
         signal.signal(signal.SIGALRM, old)
     digest = hashlib.sha256("".join(f"{d!r}\n" for _, _, d in answered).encode())
+    cache_bytes = deep_bytes(cx._geo_cache, set(map(id, cx._by_id)))
     worst = max((abs(d - closed(p, q)) for p, q, d in answered), default=0.0) if closed else None
     return {"family": name, "calls": len(todo), "geodesic_errors": errors,
             "timeouts": timeouts, "newton_steps": steps[0], "wall_s": round(wall, 3),
             "call_ms_median": round(statistics.median(call_ms), 4) if call_ms else None,
             "call_ms_worst": round(max(call_ms), 4) if call_ms else None,
-            "worst_error": worst, "lengths_sha256": digest.hexdigest()}
+            "worst_error": worst, "lengths_sha256": digest.hexdigest(),
+            "cache_entries": len(cx._geo_cache), "cache_kb": round(cache_bytes / 1024, 1)}
 
 
 def main(argv=None) -> int:
