@@ -476,8 +476,9 @@ def _assemble(chain, pts):
     return Geodesic(tuple(bps), tuple(cells), length)
 
 
-# geodesics cached per complex, about 0.4 MB at ~400 B an entry (the ends are the key's
-# tuples, integer coordinates the complex's floats); a recognize call re-reads a few dozen
+# geodesics cached per complex: ~400 B an entry on the bundled corpora, 0.7-0.9 KB on the
+# generated families' longer paths (the ends are the key's tuples, integer coordinates the
+# complex's floats); a recognize call re-reads a few dozen at most
 _CACHE_SIZE = 1024
 # serialises evict-and-insert across the threads of a heat map; hits take no lock
 _CACHE_LOCK = threading.Lock()

@@ -98,7 +98,8 @@ class PointSetA:
             labels = [f"a{i}" for i in range(len(coords))] if labels is None else list(labels)
             labelled = dict(zip(labels, coords))
         except TypeError:   # no sequence, or a label that is not hashable
-            raise ValueError(f"labels must be a sequence of hashable labels, got {labels!r}") from None
+            raise ValueError(f"labels must be a sequence of hashable labels, "
+                             f"got {labels!r}") from None
         if len(labels) != len(coords):
             raise ValueError("labels and coordinates must align")
         return cls(cx, labelled)
