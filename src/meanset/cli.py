@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import corpus, geodesics, heatmap, recognition
-from .complexes import ComplexError, LocationError, load_complex
+from .complexes import ComplexError, LocationError, load_complex, number_array
 from .convex import ConvergenceError
 from .recognition import CertificateError
 
@@ -42,13 +42,12 @@ def _load_set(cx, arg):
 
 def _parse_point(text: str):
     try:
-        coords = json.loads(text)
+        point = number_array(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"point {text!r} is not a JSON array: {exc.msg}")
-    if not isinstance(coords, list) or not all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in coords):
+    if point is None:
         raise ValueError(f"point {text!r} must be a JSON array of numbers")
-    return tuple(float(c) for c in coords)
+    return point
 
 
 def _emit(doc) -> None:
@@ -169,7 +168,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ComplexError, LocationError, CertificateError, ConvergenceError,
-            geodesics.GeodesicError, FileNotFoundError, ValueError, KeyError) as exc:
+            geodesics.GeodesicError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

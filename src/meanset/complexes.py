@@ -141,12 +141,6 @@ class CubicalComplex:
 
     def __init__(self, ambient_dim: int, maximal: list):
         self.ambient_dim = ambient_dim
-        seen = set()
-        for cell in maximal:
-            key = (cell.base, cell.axes)
-            if key in seen:
-                raise ComplexError(f"duplicate maximal cell base={cell.base} axes={cell.axes}")
-            seen.add(key)
         big = max(maximal, key=lambda c: c.dim, default=None)   # 3^dim faces of its own
         if big is not None and 3 ** big.dim > _MAX_LATTICE_FACES:   # refused before any is built
             raise ComplexError(f"the {big.dim}-cube base={big.base} axes={big.axes} has "
@@ -159,9 +153,12 @@ class CubicalComplex:
                 raise ComplexError(f"the face lattice reaches {len(lattice):,} faces at cell "
                                    f"base={cell.base} axes={cell.axes}, over the limit")
         for cell in maximal:
-            owners = lattice[(cell.base, cell.axes)]
+            key = (cell.base, cell.axes)
+            owners = lattice[key]
+            if owners.count(key) > 1:   # listed twice, so the cell owns itself twice
+                raise ComplexError(f"duplicate maximal cell base={cell.base} axes={cell.axes}")
             if len(owners) > 1:
-                base, axes = next(k for k in owners if k != (cell.base, cell.axes))
+                base, axes = next(k for k in owners if k != key)
                 raise ComplexError(
                     f"cell base={cell.base} axes={cell.axes} is a face of the maximal cell "
                     f"base={base} axes={axes} and cannot itself be maximal"
@@ -332,7 +329,7 @@ def complex_from_dict(doc) -> CubicalComplex:
         raw_cells = doc["cells"]
     except KeyError as exc:
         raise ComplexError(f"complex document missing key {exc}") from exc
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if n.__class__ is not int or n < 1:
         raise ComplexError("ambient_dim must be a positive integer")
     if not isinstance(raw_cells, list) or not raw_cells:
         raise ComplexError("cells must be a nonempty list")
@@ -347,15 +344,27 @@ def complex_from_dict(doc) -> CubicalComplex:
             raise ComplexError(f"cell #{k}: 'base' and 'axes' must be arrays")
         if len(base) != n:
             raise ComplexError(f"cell #{k}: base has length {len(base)}, expected {n}")
-        if any(not isinstance(b, int) or isinstance(b, bool) for b in base):
+        if any(b.__class__ is not int for b in base):
             raise ComplexError(f"cell #{k}: base coordinates must be integers")
         for ax in axes:
-            if not isinstance(ax, int) or isinstance(ax, bool) or ax < 0 or ax >= n:
+            if ax.__class__ is not int or ax < 0 or ax >= n:
                 raise ComplexError(f"cell #{k}: axis index {ax} out of range for n={n}")
         if len(set(axes)) != len(axes):
             raise ComplexError(f"cell #{k}: axes must be distinct")
         maximal.append(CubeCell(tuple(base), tuple(sorted(axes))))
     return CubicalComplex(n, maximal)
+
+
+def number_array(value):
+    """A JSON ``value`` as a tuple of floats, or None unless it is an array of
+    numbers: each item exactly an ``int`` or a ``float``, so ``true`` and
+    ``false`` are none, nor is an integer too large for a float."""
+    if isinstance(value, list) and all(v.__class__ in (int, float) for v in value):
+        try:
+            return tuple(map(float, value))
+        except OverflowError:
+            pass
+    return None
 
 
 def read_json(path):

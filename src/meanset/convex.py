@@ -62,9 +62,9 @@ class ConvergenceError(RuntimeError):
 
 
 def _all_finite(values) -> bool:
-    """Whether every value is a finite real number (a string or None is not)."""
+    """Whether every value is a finite real number (a string, None or a boolean is not)."""
     try:
-        return all(map(math.isfinite, values))
+        return all(v.__class__ is not bool and math.isfinite(v) for v in values)
     except TypeError:
         return False
 
@@ -76,6 +76,19 @@ def check_tolerance(tol, positive: bool = False, name: str = "tolerance") -> Non
     if not (_all_finite([tol]) and (tol > 0.0 if positive else tol >= 0.0)):
         kind = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be finite and {kind}, got {tol!r}")
+
+
+def check_count(count, name: str, least: int = 0) -> int:
+    """``count`` as an ``int``; ``ValueError`` naming it unless it is an
+    integer of at least ``least`` (a float such as 2.0 or NaN is not, nor is
+    a boolean)."""
+    try:
+        n = None if isinstance(count, bool) else operator.index(count)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {count!r}")
+    return n
 
 
 def _checked_make(cls, fields):

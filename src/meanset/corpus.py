@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .complexes import ComplexError, CubicalComplex, load_complex, read_json
+from .complexes import ComplexError, CubicalComplex, load_complex, number_array, read_json
 from .recognition import PointSetA
 
 BUNDLED = ("tripod", "squares3", "squares5", "cube_square", "quadrant_window")
@@ -28,11 +28,10 @@ def load_point_set(cx: CubicalComplex, path) -> PointSetA:
     pts = doc["points"]
     if not isinstance(pts, dict) or not pts:
         raise ComplexError(f"{path}: 'points' must be a nonempty object")
-    for label, v in pts.items():
-        if not isinstance(v, list) or not all(
-                isinstance(c, (int, float)) and not isinstance(c, bool) for c in v):
+    coords = [number_array(v) for v in pts.values()]
+    for label, point in zip(pts, coords):
+        if point is None:
             raise ComplexError(f"{path}: point {label!r} must be an array of numbers")
-    coords = [tuple(float(c) for c in v) for v in pts.values()]
     return PointSetA.from_coords(cx, coords, labels=list(pts.keys()))
 
 

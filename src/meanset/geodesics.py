@@ -50,7 +50,7 @@ import threading
 from collections import namedtuple
 
 from .complexes import CubicalComplex, LocatedPoint
-from .convex import _checked_make, box_segment_min, segment_span
+from .convex import _all_finite, _checked_make, box_segment_min, segment_span
 
 __all__ = [
     "Geodesic",
@@ -140,7 +140,7 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
         bounds = [cx._boxes[f] for f in gates]
     cuts = [i for i, (lo, hi) in enumerate(bounds) if all(l == h for l, h in zip(lo, hi))]
     # piece k runs from ends[k] through the gates strictly between edges[k] and edges[k + 1]
-    ends = [p] + [tuple(map(float, bounds[i][0])) for i in cuts] + [q]
+    ends = [p] + [bounds[i][0] for i in cuts] + [q]
     edges = [-1] + cuts + [len(bounds)]
     mins = None if cuts else _face_mins
     total, pts = 0.0, [p]
@@ -609,11 +609,7 @@ def point_along(g: Geodesic, s: float) -> tuple:
     """The point a fraction ``s`` of the total length along ``g``."""
     if not isinstance(g, Geodesic):
         raise ValueError(f"g must be a Geodesic, got {g!r}")
-    try:
-        inside = -1e-12 <= s <= 1.0 + 1e-12   # a NaN fails both comparisons
-    except TypeError:   # no number
-        inside = False
-    if not inside:
+    if not (_all_finite([s]) and -1e-12 <= s <= 1.0 + 1e-12):
         raise ValueError(f"fraction must lie in [0, 1], got {s!r}")
     s = min(max(s, 0.0), 1.0)
     bps = g.breakpoints

@@ -15,13 +15,12 @@ their checks; the decision itself is the per-cell conic solve of
 from __future__ import annotations
 
 import math
-import operator
 import random
 from collections import namedtuple
 
 from . import geodesics
 from .complexes import CubicalComplex
-from .convex import _all_finite, check_tolerance
+from .convex import _all_finite, check_count, check_tolerance
 from .convex import min_norm_point  # noqa: F401 -- perfbench/tracing.py wraps it here
 
 __all__ = [
@@ -52,19 +51,6 @@ def _per_label(A, values, name: str, error=ValueError) -> list:
     if not isinstance(values, dict):
         raise error(f"{name} must be a dict keyed by label, got {values!r}")
     return [values.get(l, 0.0) for l in A.labels]
-
-
-def check_count(count, name: str, least: int = 0) -> int:
-    """``count`` as an ``int``; ``ValueError`` naming it unless it is an
-    integer of at least ``least`` (a float such as 2.0 or NaN is not, nor is
-    a boolean)."""
-    try:
-        n = None if isinstance(count, bool) else operator.index(count)
-    except TypeError:
-        n = None
-    if n is None or n < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {count!r}")
-    return n
 
 
 class PointSetA:
@@ -261,8 +247,6 @@ def test_function_line_search(A: PointSetA, xbar, g: geodesics.Geodesic,
 
 def recognize(A: PointSetA, xbar, tol: float = 1e-8) -> RecognitionResult:
     """Decide membership anywhere in the complex, with a certificate."""
-    from . import boundary  # local import; boundary builds on this module
-
     return boundary.recognize_general(A, xbar, tol)
 
 
@@ -274,14 +258,11 @@ def recognize_interior(A: PointSetA, xbar, tol: float = 1e-8):
     loc = check_point_set(A).cx.locate(xbar)
     if loc.minimal_cell not in A.cx.maximal_ids or A.label_of(loc) is not None:
         raise CertificateError("query point is a set point or not interior to a maximal cell")
-    from . import boundary
     return boundary.decide(A, loc, tol)
 
 
 def mean_deficit(A: PointSetA, xbar) -> DeficitReport:
     """The mean-deficit value at ``xbar`` with per-cell breakdown."""
-    from . import boundary
-
     return boundary.general_deficit(A, xbar)
 
 
@@ -380,11 +361,12 @@ def verify_certificate(A: PointSetA, xbar, cert, samples: int = 500,
         if gap < -tol:
             failures.append((pt, f"variance inequality violated by {-gap:g}"))
 
-    from . import boundary
-
     for cid in cx.maximal_cells_containing(loc):
         r = boundary.conic_residual(A, loc, cid, cert.weights)
         conic[cid] = r
         if r > tol:
             failures.append((cid, f"first-order conic residual {r:g}"))
     return VerificationReport(not failures, samples, tuple(failures), conic)
+
+
+from . import boundary  # noqa: E402 -- last, since boundary imports the names above

@@ -1,5 +1,6 @@
 """The verdicts of ``tools/bench_pairs.py`` on synthetic runs."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -131,3 +132,45 @@ def test_scale_reads_the_families_lines_of_a_tree(tmp_path):
     assert module.scale(tmp_path / "stub") == lines
     (tmp_path / "bare").mkdir()
     assert module.scale(tmp_path / "bare") is None
+
+
+STUB_WORKLOADS = """\
+class Stub:
+    name = "stub"
+
+    def op_count(self, seconds):
+        return int(seconds)
+
+    def load(self, ms):
+        return None
+
+    def rounds(self, state, seed):
+        while True:
+            yield [seed]
+
+    def checked_inputs(self, state, seed, timed_ops):
+        return []
+
+    def prepare(self, ms, state, inp):
+        return None
+
+    def run(self, ms, state, inp, ctx):
+        return ms.ANSWER + inp
+
+
+WORKLOADS = {"stub": Stub()}
+"""
+
+
+def test_answers_reads_the_lines_of_a_tree(tmp_path):
+    """``answers`` runs this checkout's ``tools/answers.py`` on a tree, whose
+    own package and workloads it imports, and keeps each JSON line."""
+    (tmp_path / "src" / "meanset").mkdir(parents=True)
+    (tmp_path / "src" / "meanset" / "__init__.py").write_text("ANSWER = 1\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "workloads.py").write_text(STUB_WORKLOADS)
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 2, "workloads": [{"name": "stub"}]}))
+    answers = "".join(f"{1 + seed}\n" for seed in (7001, 7001, 8001, 8001, 9001, 9001))
+    assert _module().answers(tmp_path) == [
+        {"workload": "stub", "inputs": 6, "sha256": hashlib.sha256(answers.encode()).hexdigest()}]

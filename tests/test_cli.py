@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 from concurrent import futures
 
 import pytest
@@ -278,6 +279,62 @@ def test_malformed_document_is_reported(capsys, tmp_path, kind, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+BAD_POINTS = ["x", "[]", "[true, 0]", "[1e999, 0]", "[NaN, 0]", "[0.5]", "[[0.5, 0]]", "{}",
+              '["a", 0]', "[0.5, 0, 0]", "[9, 9]", "[1" + "0" * 400 + ", 0]"]
+
+
+def _malformed_argument_lists(tmp_path) -> list:
+    """Argument lists of every command with one argument malformed: a bad
+    point, a directory, a missing file or an empty one as an input or
+    output, or a bad count, seed or tolerance."""
+    sq = ["--complex", "squares3"]
+    heat = ["heatmap", *sq, "--set", "squares3", "--samples", "1", "--seed", "0"]
+    calls = []
+    for point in BAD_POINTS:
+        calls += [["distance", *sq, "--from", point, "--to", "[0.5, 0]"],
+                  ["geodesic", *sq, "--from", "[0.5, 0]", "--to", point],
+                  ["recognize", *sq, "--set", "squares3", "--at", point],
+                  ["deficit", *sq, "--set", "squares3", "--at", point],
+                  [*heat, "--segment", point, "[0.5, 0]", "1"]]
+    for path in (str(tmp_path), str(tmp_path / "missing.json"), os.devnull):
+        calls += [["validate", "--complex", path],
+                  ["recognize", "--complex", "squares3", "--set", path, "--at", "[0.5, 0]"],
+                  [*heat, "--out", path]]
+    for flag, values in (("--samples", ["0", "-1", "2.5", "x", ""]),
+                         ("--seed", ["-1", "1.5", "x"]),
+                         ("--tol", ["nan", "inf", "-1", "x", "true"])):
+        calls += [[*heat, flag, v] for v in values]   # the last value of an option wins
+    calls += [["recognize", *sq, "--set", "squares3", "--at", "[0.5, 0]", "--tol", v]
+              for v in ("nan", "-1", "x")]
+    calls += [[*heat, "--segment", "[0.1, 0.1]", "[0.9, 0.1]", k]
+              for k in ("-1", "2.5", "x", "1e9", "")]
+    return calls
+
+
+def test_malformed_arguments_exit_with_a_code_not_a_traceback(capsys, tmp_path):
+    """Every command, given one malformed argument, returns 0, 1 or 2 (argparse
+    exits 2 on an option it cannot parse) and raises nothing; an exit of 1
+    writes one ``error:`` line.  A directory where a file is read or written
+    is such an error, as a missing file is."""
+    escaped, codes = [], {}
+    for argv in _malformed_argument_lists(tmp_path):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:   # what the test looks for: nothing may escape
+            escaped.append((argv, repr(exc)))
+            continue
+        err = capsys.readouterr().err
+        codes[tuple(argv)] = code
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:
+            assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    assert escaped == []
+    directory = [argv for argv in codes if str(tmp_path) in argv]
+    assert len(directory) == 3 and all(codes[argv] == 1 for argv in directory)
+
+
 def _env_with_src():
     """The environment with the package's source directory on PYTHONPATH,
     so that a subprocess imports the package under test."""
@@ -297,6 +354,21 @@ def test_installed_entry_point_help():
                           capture_output=True, text=True, env=_env_with_src(), timeout=120)
     assert proc.returncode == 0
     assert "recognize" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["boundary", "recognition", "heatmap", "cli"])
+def test_any_module_imported_first_works(module):
+    """``recognition`` imports the decision layer, ``boundary``, at its end,
+    and ``boundary`` imports ``recognition``: whichever module a fresh
+    interpreter imports first, the import works and ``recognize`` answers."""
+    import subprocess
+    import sys
+    code = (f"import meanset.{module}; from meanset import load_bundled, recognize; "
+            "print(recognize(load_bundled('squares3')[1], (0.5, 0.0)).decision)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_env_with_src(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "member"
 
 
 def test_import_loads_no_scipy():

@@ -217,7 +217,9 @@ def test_face_of_another_maximal_cell_is_rejected():
 
 
 def test_duplicate_maximal_cells_rejected():
-    with pytest.raises(ComplexError):
+    """A cell listed twice is named as a duplicate, also when it is a face of
+    another cell too."""
+    with pytest.raises(ComplexError, match=r"duplicate maximal cell base=\(0, 0\) axes=\(0, 1\)"):
         complex_from_dict({
             "ambient_dim": 2,
             "cells": [
@@ -225,6 +227,12 @@ def test_duplicate_maximal_cells_rejected():
                 {"base": [0, 0], "axes": [0, 1]},
             ],
         })
+    with pytest.raises(ComplexError, match=r"duplicate maximal cell base=\(0, 0\) axes=\(0,\)"):
+        complex_from_dict({"ambient_dim": 2, "cells": [
+            {"base": [0, 0], "axes": [0]},
+            {"base": [0, 0], "axes": [0]},
+            {"base": [0, 0], "axes": [0, 1]},
+        ]})
 
 
 def test_huge_face_lattice_is_refused_before_it_is_built():

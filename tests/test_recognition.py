@@ -358,6 +358,22 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
      "cx must be a CubicalComplex, got None"),
     (lambda cx, A: chain_length(cx, True, (0.5, 0.5), []), ValueError,
      r"p and q must be sequences of numbers, got True and \(0.5, 0.5\)"),
+    (lambda cx, A: recognize(A, (0.5, 0.0), True), ValueError,
+     "tolerance must be finite and nonnegative, got True"),
+    (lambda cx, A: verify_certificate(A, (0.5, 0.0), MembershipCertificate({"a": 1.0}, 0.0),
+                                      tol=True), ValueError, "tolerance must be finite"),
+    (lambda cx, A: objective_line_search(A, (0.5, 0.0), geodesic(cx, (0.5, 0.0), (-0.5, 0.5)),
+                                         tol=True), ValueError, "tolerance must be finite"),
+    (lambda cx, A: run_heatmap(A, 3, 1, True), ValueError,
+     "tolerance must be finite and nonnegative, got True"),
+    (lambda cx, A: segment_probes(A, (0.5, 0.0), (0.5, -0.5), 2, False), ValueError,
+     "tolerance must be finite and nonnegative, got False"),
+    (lambda cx, A: point_along(geodesic(cx, (0.5, 0.0), (-0.5, 0.5)), True), ValueError,
+     "fraction must lie in"),
+    (lambda cx, A: weighted_objective(A, {"a": 1.0}, (0.5, 0.0), p=True), ValueError,
+     "exponent must be finite"),
+    (lambda cx, A: weighted_objective(A, {"a": True}, (0.5, 0.0)), ValueError,
+     "weights must be finite real numbers"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -377,7 +393,9 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
         "bool-sample-count", "bool-seed", "bool-probe-count", "bool-verify-samples",
         "bool-csv-dimension", "none-csv-rows", "float-csv-rows", "string-complex-distance",
         "none-complex-geodesic", "dict-complex-midpoint", "none-coords", "int-labels",
-        "unhashable-labels", "none-set-complex", "none-chain-complex", "bool-chain-end"])
+        "unhashable-labels", "none-set-complex", "none-chain-complex", "bool-chain-end",
+        "bool-tol-recognize", "bool-tol-verify", "bool-tol-line-search", "bool-heatmap-threshold",
+        "bool-probe-threshold", "bool-fraction", "bool-exponent", "bool-weight"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id is a ComplexError naming it, a tolerance or an
     exponent that is no real number, a probe segment of mismatched ends or an
@@ -392,8 +410,9 @@ def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     CSV rows that are not iterable, a ``cx`` of ``distance``, ``geodesic``,
     ``midpoint``, ``PointSetA`` or ``chain_length`` that is no complex,
     ``from_coords`` coordinates that are not iterable or labels that are no
-    sequence of hashable labels, or chain ends that are no numbers
-    a ValueError, a point
+    sequence of hashable labels, chain ends that are no numbers, or a
+    tolerance, threshold, fraction, exponent or weight of ``True`` or
+    ``False`` (a boolean is no real number) a ValueError, a point
     of the wrong dimension a LocationError, and an object that is no
     certificate or a margin that is not a positive number a
     CertificateError, never a bare KeyError, TypeError, IndexError or

@@ -39,8 +39,11 @@ file that differs or is on one side only (bytecode caches left out).
 After the pairs, ``tools/families.py`` runs once in each tree, and
 ``scale`` holds each side's JSON lines (one per generated family, with
 its median and worst time per call), or null for a tree without the
-tool.  The file is rewritten after every run, so an interrupted run of
-this script keeps what it measured.
+tool.  Last, this checkout's ``tools/answers.py`` runs once on each tree,
+and ``answers`` holds each side's lines (one per workload, the SHA-256 of
+every output) and whether they are ``identical``.  The file is rewritten
+after every run, so an interrupted run of this script keeps what it
+measured.
 """
 
 from __future__ import annotations
@@ -93,16 +96,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) 
     return parse_output(proc.stdout)
 
 
+def json_lines(cmd: list, tree: Path) -> list:
+    """The JSON lines that ``cmd`` prints, run in ``tree``."""
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
 def scale(tree: Path) -> list:
     """The JSON lines of one ``tools/families.py`` run in ``tree``, or None
     when the tree has no such tool."""
     if not (tree / "tools" / "families.py").is_file():
         return None
-    cmd = [sys.executable, "tools/families.py"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return [json.loads(line) for line in proc.stdout.splitlines()]
+    return json_lines([sys.executable, "tools/families.py"], tree)
+
+
+def answers(tree: Path) -> list:
+    """The JSON lines of this checkout's ``tools/answers.py`` run on ``tree``."""
+    return json_lines([sys.executable, str(ROOT / "tools" / "answers.py"), str(tree)], tree)
 
 
 def parse_output(stdout: str) -> tuple:
@@ -185,7 +197,7 @@ def main(argv=None) -> int:
                "seconds": args.seconds, "seed": args.seed,
                "loc": {side: loc_total(tree) for side, tree in trees.items()},
                "frozen": {"identical": not differing, "differing": differing},
-               "runs": [], "summary": {}, "scale": None}
+               "runs": [], "summary": {}, "scale": None, "answers": None}
         print(json.dumps({"frozen": doc["frozen"]}), flush=True)
         out = Path(args.out)
 
@@ -211,6 +223,10 @@ def main(argv=None) -> int:
         doc["scale"] = {side: scale(tree) for side, tree in trees.items()}
         out.write_text(json.dumps(doc, indent=1) + "\n")
         print(json.dumps({"scale": doc["scale"]}), flush=True)
+        sides = {side: answers(tree) for side, tree in trees.items()}
+        doc["answers"] = {**sides, "identical": sides["parent"] == sides["change"]}
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+        print(json.dumps({"answers": doc["answers"]}), flush=True)
     return 0
 
 
