@@ -344,8 +344,10 @@ def complex_from_dict(doc) -> CubicalComplex:
             raise ComplexError(f"cell #{k}: 'base' and 'axes' must be arrays")
         if len(base) != n:
             raise ComplexError(f"cell #{k}: base has length {len(base)}, expected {n}")
-        if any(b.__class__ is not int for b in base):
-            raise ComplexError(f"cell #{k}: base coordinates must be integers")
+        for b in base:   # so that b and b + 1, a unit box's ends, are exact floats
+            if b.__class__ is not int or not -2**53 <= b < 2**53:
+                raise ComplexError(f"cell #{k}: base coordinates must be integers in "
+                                   f"[-2**53, 2**53 - 1], got {b!r}")
         for ax in axes:
             if ax.__class__ is not int or ax < 0 or ax >= n:
                 raise ComplexError(f"cell #{k}: axis index {ax} out of range for n={n}")

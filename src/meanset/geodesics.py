@@ -13,7 +13,9 @@ minimising the broken path length over the gates (the faces shared by
 consecutive cells) of each candidate chain, and keeping the best.
 Enumeration is best-first with an admissible lower bound through each
 gate, so a chain whose bound exceeds the geodesic's length never leaves
-the heap before a chain of the geodesic has been evaluated.  The CAT(0)
+the heap before a chain of the geodesic has been evaluated.  A chain of
+two convex cells is scored by its gate's bound, exact there; a longer one
+by :func:`chain_length`.  The CAT(0)
 geodesic is unique, so optimal chains differ only in which cells label the
 same path: the search stops as soon as no chain left in the heap can beat
 the best one evaluated by more than 1e-9.  Points in different connected
@@ -80,7 +82,7 @@ class Geodesic(namedtuple("Geodesic", "breakpoints cells length")):
         return tuple.__new__(cls, (breakpoints, cells, length))
 
 
-def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=None):
+def chain_length(cx: CubicalComplex, p, q, chain):
     """Minimal length of a path p -> q crossing the given cell chain, as
     ``(value, breakpoints)`` with the endpoints included.
 
@@ -102,53 +104,49 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
     exact Newton, and the merged chain ends the solve once it certifies.  A
     gap above 1e-9 (1 + value) raises GeodesicError.
 
-    A chain given without ``_face_bounds`` is checked first: it must be
-    non-empty and name only maximal cells of the complex, start in a cell
-    holding p and end in one holding q, and consecutive cells must share a
-    face in ``cx.adjacency``, the search's table; else GeodesicError.  Ends
-    that are no sequences of numbers, or such a chain on a ``cx`` that is no
-    :class:`CubicalComplex`, raise ValueError.  The chain search passes the
-    gate boxes, and ``_face_mins``, the ``box_segment_min(p, q, gate)`` pairs
-    already at hand, which stand in for those calls when no gate is a vertex.
+    The chain is checked first: it must be non-empty and name only maximal
+    cells of the complex, start in a cell holding p and end in one holding
+    q, and consecutive cells must share a face in ``cx.adjacency``, the
+    search's table; else GeodesicError.  Ends that are no sequences of
+    numbers, or a ``cx`` that is no :class:`CubicalComplex`, raise
+    ValueError.  The chain search calls this only for chains of three or
+    more cells; it scores a chain of two from the gate bound it holds.
     """
     try:
         p, q = tuple(map(float, p)), tuple(map(float, q))
     except (TypeError, ValueError):   # no sequence, or an item that is no number
         raise ValueError(f"p and q must be sequences of numbers, got {p!r} and {q!r}") from None
-    bounds = _face_bounds
-    if bounds is None:
-        if not isinstance(cx, CubicalComplex):
-            raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
-        try:
-            chain = tuple(chain)
-            odd = [cell for cell in chain if cell not in cx.adjacency]   # unknown or not maximal
-        except TypeError:   # no sequence, or a cell that is no hashable id
-            raise GeodesicError(f"chain {chain!r} from {p} to {q} is not a sequence of "
-                                "cell ids") from None
-        if not chain:
-            raise GeodesicError(f"empty chain from {p} to {q}")
-        if odd:
-            what = "cell {!r} is not maximal" if odd[0] in cx._by_id else "unknown cell {!r}"
-            raise GeodesicError(f"chain {chain} from {p} to {q}: " + what.format(odd[0]))
-        for end, cell in ((p, chain[0]), (q, chain[-1])):
-            if cell not in cx._cells_at(cx.snap(end))[1]:
-                raise GeodesicError(f"chain {chain} from {p} to {q}: "
-                                    f"its end cell {cell} does not hold {end}")
-        gates = [dict(cx.adjacency[a]).get(b) for a, b in zip(chain, chain[1:])]
-        if None in gates:
-            raise GeodesicError(f"consecutive cells of chain {chain} share no face")
-        bounds = [cx._boxes[f] for f in gates]
+    if not isinstance(cx, CubicalComplex):
+        raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
+    try:
+        chain = tuple(chain)
+        odd = [cell for cell in chain if cell not in cx.adjacency]   # unknown or not maximal
+    except TypeError:   # no sequence, or a cell that is no hashable id
+        raise GeodesicError(f"chain {chain!r} from {p} to {q} is not a sequence of "
+                            "cell ids") from None
+    if not chain:
+        raise GeodesicError(f"empty chain from {p} to {q}")
+    if odd:
+        what = "cell {!r} is not maximal" if odd[0] in cx._by_id else "unknown cell {!r}"
+        raise GeodesicError(f"chain {chain} from {p} to {q}: " + what.format(odd[0]))
+    for end, cell in ((p, chain[0]), (q, chain[-1])):
+        if cell not in cx._cells_at(cx.snap(end))[1]:
+            raise GeodesicError(f"chain {chain} from {p} to {q}: "
+                                f"its end cell {cell} does not hold {end}")
+    gates = [dict(cx.adjacency[a]).get(b) for a, b in zip(chain, chain[1:])]
+    if None in gates:
+        raise GeodesicError(f"consecutive cells of chain {chain} share no face")
+    bounds = [cx._boxes[f] for f in gates]
     cuts = [i for i, (lo, hi) in enumerate(bounds) if all(l == h for l, h in zip(lo, hi))]
     # piece k runs from ends[k] through the gates strictly between edges[k] and edges[k + 1]
     ends = [p] + [bounds[i][0] for i in cuts] + [q]
     edges = [-1] + cuts + [len(bounds)]
-    mins = None if cuts else _face_mins
     total, pts = 0.0, [p]
     for a, b, i, j in zip(ends, ends[1:], edges, edges[1:]):
         cells = [cx._boxes[c] for c in chain[i + 1:j + 1]] if j - i > 2 else None
-        val, gap, piece = _solve_piece(a, b, bounds[i + 1:j], mins, cells)
+        val, gap, piece = _solve_piece(a, b, bounds[i + 1:j], cells)
         if gap > 1e-9 * (1.0 + val):
-            raise GeodesicError(f"chain {tuple(chain)} from {p} to {q}: certified gap "
+            raise GeodesicError(f"chain {chain} from {p} to {q}: certified gap "
                                 f"{gap:.3g} of the piece from {a} to {b} exceeds 1e-9 "
                                 f"(1 + length {val:.12g})")
         total += val
@@ -159,14 +157,14 @@ def chain_length(cx: CubicalComplex, p, q, chain, _face_bounds=None, _face_mins=
 _LEVELS = (1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13)   # smoothing eps, coarse to fine
 
 
-def _solve_piece(a, b, bounds, mins, cells):
+def _solve_piece(a, b, bounds, cells):
     """``(value, gap, breakpoints)`` of the shortest path a -> b through the
     gates ``bounds``, none of them a vertex, between the boxes ``cells`` (see
     :func:`chain_length`)."""
     if not bounds:
         return math.dist(a, b), 0.0, [a, b]
     if len(bounds) == 1:
-        val, x = mins[0] if mins else box_segment_min(a, b, *bounds[0])
+        val, x = box_segment_min(a, b, *bounds[0])
         return val, 0.0, [a, x, b]
 
     # boxes of all points, a and b being boxes of their own
@@ -178,8 +176,7 @@ def _solve_piece(a, b, bounds, mins, cells):
         gap, val = _certified_gap(P, lo, hi)
         if gap <= 1e-13 * (1.0 + val):
             return val, gap, P
-    starts = [x for _, x in mins] if mins else [box_segment_min(a, b, *g)[1] for g in bounds]
-    P = [list(x) for x in (a, *starts, b)]
+    P = [list(x) for x in (a, *(box_segment_min(a, b, *g)[1] for g in bounds), b)]
     gap, val = _certified_gap(P, lo, hi)
     for eps in _LEVELS:
         for _ in range(10 * len(P)):
@@ -554,8 +551,7 @@ def _walk(cx, p_loc, q_loc):
 def _search(cx, p_loc, q_loc):
     """The geodesic by best-first chain search (see the module docstring), its
     ends the located tuples and its other breakpoints snapped."""
-    p = p_loc.coords
-    q = q_loc.coords
+    p, q = p_loc.coords, q_loc.coords
     if not math.isfinite(vertex_upper_bound(cx, p_loc, q_loc)):
         raise GeodesicError(
             f"points {p} (cell {p_loc.minimal_cell}) and {q} (cell {q_loc.minimal_cell}) "
@@ -565,19 +561,21 @@ def _search(cx, p_loc, q_loc):
     ends = frozenset(cx._owners[q_loc.minimal_cell])
     counter = itertools.count()
     direct = math.dist(p, q)
-    heap = [(direct, next(counter), (s,), ()) for s in cx._owners[p_loc.minimal_cell]]
+    heap = [(direct, next(counter), (s,), None) for s in cx._owners[p_loc.minimal_cell]]
 
     face_lb = {}   # face id -> box_segment_min(p, q, face): shortest length, its minimiser
-    best_val = math.inf
-    best = None
+    best_val, best = math.inf, None
     while heap:
-        lb, _, chain, faces = heapq.heappop(heap)
+        lb, _, chain, gate = heapq.heappop(heap)
         if lb >= best_val - 1e-9:   # nothing left can beat the best chain
             break
         last = chain[-1]
         if last in ends:
-            val, pts = chain_length(cx, p, q, chain, [cx._boxes[f] for f in faces],
-                                    [face_lb[f] for f in faces])
+            if len(chain) == 2:   # two convex boxes meeting in the gate: its bound is exact
+                val, x = face_lb[gate]
+                pts = [p, x, q]
+            else:
+                val, pts = chain_length(cx, p, q, chain)
             if val < best_val - 1e-9:
                 best_val = val
                 best = (chain, pts)
@@ -590,7 +588,7 @@ def _search(cx, p_loc, q_loc):
                 fmin = face_lb[fid] = box_segment_min(p, q, *cx._boxes[fid])
             nlb = max(lb, fmin[0])
             if nlb < best_val - 1e-9:
-                heapq.heappush(heap, (nlb, next(counter), chain + (nbr,), faces + (fid,)))
+                heapq.heappush(heap, (nlb, next(counter), chain + (nbr,), fid))
 
     if best is None:
         raise GeodesicError(

@@ -120,6 +120,33 @@ def test_summarise_gives_each_sides_median_set_up_phases():
     assert _module().summarise(runs, {"m": ("lower", 0.25)})["w"]["setup_phases"]["change"] is None
 
 
+def test_traced_counts_name_the_counts_that_moved():
+    """Only metrics of unit ``count`` in the two traced runs of a workload are
+    compared, the probes' included; untraced runs, and a workload traced on
+    one side only, add nothing."""
+    def run(workload, side, metrics, traced=True):
+        metrics = {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}
+        return {"workload": workload, "seed": 1, "side": side, "traced": traced,
+                "result": {"metrics": metrics}}
+
+    same = {"a.calls": (5, "count"), "a.self_s": (0.1, "s"), "loc.total": (10, "lines")}
+    runs = [
+        run("w", "parent", {**same, "b.calls": (208, "count"), "probe.x.b.calls": (1, "count"),
+                            "ratio": (1.0, "ratio")}),
+        run("w", "change", {**same, "a.self_s": (0.2, "s"), "loc.total": (9, "lines"),
+                            "b.calls": (38, "count"), "probe.x.b.calls": (0, "count"),
+                            "ratio": (0.2, "ratio"), "new.calls": (3, "count")}),
+        run("w", "change", {"b.calls": (1, "count")}, traced=False),
+        run("v", "parent", same), run("v", "change", {**same, "a.self_s": (9.0, "s")}),
+        run("u", "parent", same),
+    ]
+    assert _module().traced_counts(runs) == {
+        "v": {"equal": True, "differing": {}},
+        "w": {"equal": False, "differing": {"b.calls": [208, 38], "new.calls": [None, 3],
+                                            "probe.x.b.calls": [1, 0]}},
+    }
+
+
 def test_scale_reads_the_families_lines_of_a_tree(tmp_path):
     """``scale`` runs a tree's ``tools/families.py`` and keeps each JSON line
     it prints; a tree without the tool gives None."""

@@ -286,7 +286,8 @@ BAD_POINTS = ["x", "[]", "[true, 0]", "[1e999, 0]", "[NaN, 0]", "[0.5]", "[[0.5,
 def _malformed_argument_lists(tmp_path) -> list:
     """Argument lists of every command with one argument malformed: a bad
     point, a directory, a missing file or an empty one as an input or
-    output, or a bad count, seed or tolerance."""
+    output, a complex whose base coordinate no float holds, or a bad count,
+    seed or tolerance."""
     sq = ["--complex", "squares3"]
     heat = ["heatmap", *sq, "--set", "squares3", "--samples", "1", "--seed", "0"]
     calls = []
@@ -300,6 +301,9 @@ def _malformed_argument_lists(tmp_path) -> list:
         calls += [["validate", "--complex", path],
                   ["recognize", "--complex", "squares3", "--set", path, "--at", "[0.5, 0]"],
                   [*heat, "--out", path]]
+    huge = tmp_path / "huge_base.json"
+    huge.write_text('{"ambient_dim": 1, "cells": [{"base": [1' + "0" * 400 + '], "axes": [0]}]}')
+    calls += [["validate", "--complex", str(huge)]]
     for flag, values in (("--samples", ["0", "-1", "2.5", "x", ""]),
                          ("--seed", ["-1", "1.5", "x"]),
                          ("--tol", ["nan", "inf", "-1", "x", "true"])):
@@ -315,7 +319,8 @@ def test_malformed_arguments_exit_with_a_code_not_a_traceback(capsys, tmp_path):
     """Every command, given one malformed argument, returns 0, 1 or 2 (argparse
     exits 2 on an option it cannot parse) and raises nothing; an exit of 1
     writes one ``error:`` line.  A directory where a file is read or written
-    is such an error, as a missing file is."""
+    is such an error, as a missing file is, and so is a complex whose base
+    coordinate is 10**400."""
     escaped, codes = [], {}
     for argv in _malformed_argument_lists(tmp_path):
         try:
@@ -333,6 +338,7 @@ def test_malformed_arguments_exit_with_a_code_not_a_traceback(capsys, tmp_path):
     assert escaped == []
     directory = [argv for argv in codes if str(tmp_path) in argv]
     assert len(directory) == 3 and all(codes[argv] == 1 for argv in directory)
+    assert codes[("validate", "--complex", str(tmp_path / "huge_base.json"))] == 1
 
 
 def _env_with_src():

@@ -208,6 +208,21 @@ def test_complex_from_dict_rejects_booleans():
             complex_from_dict(doc)
 
 
+def test_base_coordinates_must_fit_a_float():
+    """Each complex keeps one float per lattice coordinate, so a base
+    coordinate outside [-2**53, 2**53 - 1] is refused, naming its cell and
+    value: 10**400 would overflow a float, and the edge at 2**60 would be a
+    box of one point.  The ends of that range still build unit boxes."""
+    for b in (10**400, 2**60, -2**53 - 1, 2**53):
+        with pytest.raises(ComplexError, match=rf"cell #1: base coordinates must be integers.*{b}"):
+            complex_from_dict({"ambient_dim": 2, "cells": [{"base": [0, 0], "axes": [0]},
+                                                           {"base": [0, b], "axes": [1]}]})
+    for b in (2**53 - 1, -2**53):
+        cx = complex_from_dict({"ambient_dim": 2, "cells": [{"base": [b, 0], "axes": [0, 1]}]})
+        lo, hi = cx.bounds(cx.maximal_ids[0])
+        assert (hi - lo).tolist() == [1.0, 1.0] and lo.tolist() == [float(b), 0.0]
+
+
 def test_face_of_another_maximal_cell_is_rejected():
     with pytest.raises(ComplexError, match="is a face of the maximal cell"):
         complex_from_dict({"ambient_dim": 2, "cells": [

@@ -134,6 +134,35 @@ def test_chain_length_refuses_a_cell_that_is_not_maximal():
         geodesics.chain_length(cx, p, q, (left, edge, right))
 
 
+@pytest.mark.parametrize("name, p, q, cells, gate", [
+    ("squares3", (-0.5, 0.8), (0.8, -0.5), ("c006", "c012"), None),   # through the vertex (0, 0)
+    ("cube_square", (-0.5, 0.5, 0.0), (0.5, 0.25, 0.75), ("c002", "c009"), "c011"),   # an edge
+])
+def test_two_cell_chains_are_scored_by_their_gate_bound(monkeypatch, name, p, q, cells, gate):
+    """A bent geodesic across two cells is scored by the search's own gate
+    bound, ``box_segment_min(p, q, gate)``, which is exact for two convex
+    boxes meeting in that gate: no ``chain_length`` call.  On squares3 the
+    gate is the vertex (0, 0), so the length is |p| + |q|; on cube_square it
+    is the edge c011, and the middle breakpoint is the bound's minimiser."""
+    calls = [0]
+    real = geodesics.chain_length
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(geodesics, "chain_length", counted)
+    cx, _ = load_bundled(name)
+    g = geodesic(cx, p, q)
+    assert g.cells == cells and calls[0] == 0
+    if gate is None:
+        assert g.breakpoints[1] == (0.0, 0.0)
+        assert g.length == pytest.approx(math.hypot(*p) + math.hypot(*q), abs=1e-15)
+    else:
+        val, x = box_segment_min(p, q, *cx._boxes[gate])
+        assert g.breakpoints[1] == x and g.length == pytest.approx(val, abs=1e-15)
+
+
 def test_bounds_hands_out_copies():
     """Writing into the arrays ``bounds`` returns leaves the complex and
     its geodesics as they were."""
@@ -497,9 +526,10 @@ def test_chain_solves_match_slsqp_oracle(monkeypatch):
     real = geodesics.chain_length
     seen = {}
 
-    def recorded(cx, p, q, chain, bounds=None, *rest):
-        out = real(cx, p, q, chain, bounds, *rest)
-        if bounds is not None and len(bounds) >= 2:
+    def recorded(cx, p, q, chain):
+        out = real(cx, p, q, chain)
+        bounds = [cx._boxes[dict(cx.adjacency[c])[d]] for c, d in zip(chain, chain[1:])]
+        if len(bounds) >= 2:
             seen[(p, q, tuple(chain))] = (bounds, out)
         return out
 
@@ -538,10 +568,11 @@ def test_vertex_gates_split_the_chain(monkeypatch):
     real = geodesics.chain_length
     seen = {}
 
-    def recorded(cx, p, q, chain, bounds=None, *rest):
-        if bounds is not None and any(_is_vertex(lo, hi) for lo, hi in bounds):
+    def recorded(cx, p, q, chain):
+        bounds = [cx._boxes[dict(cx.adjacency[c])[d]] for c, d in zip(chain, chain[1:])]
+        if any(_is_vertex(lo, hi) for lo, hi in bounds):
             seen.setdefault((p, q, tuple(chain)), (cx, bounds))
-        return real(cx, p, q, chain, bounds, *rest)
+        return real(cx, p, q, chain)
 
     monkeypatch.setattr(geodesics, "chain_length", recorded)
     rng = np.random.default_rng(2025)
@@ -564,7 +595,7 @@ def test_vertex_gates_split_the_chain(monkeypatch):
     closed = 0
     for (p, q, chain), (cx, bounds) in seen.items():
         steps[0] = 0
-        val, pts = real(cx, p, q, chain, bounds)
+        val, pts = real(cx, p, q, chain)
         assert len(pts) == len(bounds) + 2 and pts[0] == p and pts[-1] == q
         assert val <= chain_oracle(p, q, bounds) + 1e-10, (p, q, chain)
         assert val == pytest.approx(sum(map(math.dist, pts, pts[1:])), abs=1e-12)
@@ -609,9 +640,10 @@ def test_pieces_of_three_gates_match_slsqp_oracle(monkeypatch):
     real = geodesics.chain_length
     seen, count = {}, [0]
 
-    def recorded(cx, p, q, chain, bounds=None, *rest):
-        out = real(cx, p, q, chain, bounds, *rest)
-        long = sum(len(piece) >= 3 for piece in _pieces(bounds or ()))
+    def recorded(cx, p, q, chain):
+        out = real(cx, p, q, chain)
+        bounds = [cx._boxes[dict(cx.adjacency[c])[d]] for c, d in zip(chain, chain[1:])]
+        long = sum(len(piece) >= 3 for piece in _pieces(bounds))
         if long and count[0] < 50 and (p, q, tuple(chain)) not in seen:
             seen[(p, q, tuple(chain))] = (bounds, out)
             count[0] += long
@@ -844,9 +876,9 @@ def test_corpus_pieces_certify_on_their_unfolded_line(monkeypatch, newton_steps)
     real_piece, real_unfolded = geodesics._solve_piece, geodesics._unfolded
     met, lines = {}, []
 
-    def piece(a, b, bounds, mins, cells):
+    def piece(a, b, bounds, cells):
         before = newton_steps[0]
-        out = real_piece(a, b, bounds, mins, cells)
+        out = real_piece(a, b, bounds, cells)
         if len(bounds) >= 2:
             assert newton_steps[0] == before, (a, b, bounds)
             assert out[2][1:-1] == lines[-1], (a, b, bounds)

@@ -12,7 +12,9 @@ into a temporary directory; the change is this checkout's working tree, or
 the parent first in even pairs and the change first in odd ones, so that a
 drift of the host's speed falls on both sides alike.  ``--traced`` adds one
 ``--trace 1`` run per side and workload, at the first seed, for the
-per-layer counts.
+per-layer counts, and ``traced_counts`` gives per workload whether every
+metric of unit ``count`` in those two runs is ``equal``, the ``probe.*``
+counts included, and the ``differing`` ones as ``[parent, change]``.
 
 The output holds every result line that ``perfbench/run.py`` printed, and
 per workload and end-to-end metric (as ``BENCHMARK.json`` lists them) the
@@ -173,6 +175,25 @@ def summarise(runs: list, metrics: dict) -> dict:
     return out
 
 
+def traced_counts(runs: list) -> dict:
+    """Per workload traced on both sides: ``equal``, whether the two traced
+    runs agree on every metric of unit ``count``, and ``differing``, each
+    metric on which they do not as ``[parent, change]`` (None on a side
+    without it)."""
+    out = {}
+    for wl in sorted({r["workload"] for r in runs if r["traced"]}):
+        sides = {r["side"]: r["result"]["metrics"] for r in runs
+                 if r["traced"] and r["workload"] == wl}
+        if len(sides) < 2:
+            continue
+        names = sorted({k for m in sides.values() for k, v in m.items() if v["unit"] == "count"})
+        pairs = {k: [sides[s].get(k, {}).get("value") for s in ("parent", "change")]
+                 for k in names}
+        differing = {k: v for k, v in pairs.items() if v[0] != v[1]}
+        out[wl] = {"equal": not differing, "differing": differing}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
@@ -197,7 +218,8 @@ def main(argv=None) -> int:
                "seconds": args.seconds, "seed": args.seed,
                "loc": {side: loc_total(tree) for side, tree in trees.items()},
                "frozen": {"identical": not differing, "differing": differing},
-               "runs": [], "summary": {}, "scale": None, "answers": None}
+               "runs": [], "summary": {}, "traced_counts": {}, "scale": None,
+               "answers": None}
         print(json.dumps({"frozen": doc["frozen"]}), flush=True)
         out = Path(args.out)
 
@@ -209,6 +231,7 @@ def main(argv=None) -> int:
                                 "wall_s": time.perf_counter() - t0, "result": result,
                                 "setups": setups})
             doc["summary"] = summarise(doc["runs"], metrics)
+            doc["traced_counts"] = traced_counts(doc["runs"])
             out.write_text(json.dumps(doc, indent=1) + "\n")
 
         for workload in args.workload:
