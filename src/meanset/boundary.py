@@ -83,7 +83,11 @@ def build_model(A: PointSetA, loc: LocatedPoint, cell_id: str, label: str,
                 _tangent: SignCone = None) -> DirectionalDerivativeModel:
     """The model of ``d(., a)`` at ``loc`` in one cell, by the module docstring's rule."""
     cx = A.cx
-    g = geodesics.geodesic(cx, loc, A.points[label])
+    try:
+        a = A.points[label]
+    except (KeyError, TypeError):   # TypeError: an unhashable label
+        raise ValueError(f"label must be a label of A, got {label!r}") from None
+    g = geodesics.geodesic(cx, loc, a)
     if g.length <= 1e-12:
         raise CertificateError("derivative model undefined at a set point")
     tangent = _tangent if _tangent is not None else cx.tangent_cone(cell_id, loc)
@@ -120,9 +124,10 @@ def directional_derivative(model: DirectionalDerivativeModel, u) -> float:
     """
     if not isinstance(model, DirectionalDerivativeModel):
         raise ValueError(f"model must be a DirectionalDerivativeModel, got {model!r}")
-    if not model.tangent.contains(u, 1e-9):
-        return math.inf
-    return float(model.subdiff.support(u))
+    try:
+        return float(model.subdiff.support(u)) if model.tangent.contains(u, 1e-9) else math.inf
+    except TypeError:   # no sequence of numbers
+        raise ValueError(f"u must be a sequence of numbers, got {u!r}") from None
 
 
 class PCOutcome(namedtuple("PCOutcome", "cell value0 residual weights direction",

@@ -141,6 +141,14 @@ class CubicalComplex:
 
     def __init__(self, ambient_dim: int, maximal: list):
         self.ambient_dim = ambient_dim
+        for k, cell in enumerate(maximal):
+            for b in cell.base:   # so that b and b + 1, a unit box's ends, are exact floats
+                if b.__class__ is not int or not -2**53 <= b < 2**53:
+                    # an integer past 4,096 bits is named by its size, not spelled out
+                    got = (f"an integer of {b.bit_length():,} bits"
+                           if b.__class__ is int and b.bit_length() > 4096 else repr(b))
+                    raise ComplexError(f"cell #{k}: base coordinates must be integers in "
+                                       f"[-2**53, 2**53 - 1], got {got}")
         big = max(maximal, key=lambda c: c.dim, default=None)   # 3^dim faces of its own
         if big is not None and 3 ** big.dim > _MAX_LATTICE_FACES:   # refused before any is built
             raise ComplexError(f"the {big.dim}-cube base={big.base} axes={big.axes} has "
@@ -186,6 +194,9 @@ class CubicalComplex:
                                  tuple(floats[b + (i in c.axes)] for i, b in enumerate(c.base)))
                        for c in self.cells}
         self._geo_cache = {}
+        # (first cell, q) -> the winning chain of a search from that cell to the point q,
+        # tried by the next search between them before its heap (geodesics._search)
+        self._chain_hints = {}
         # two maximal cells meet in their largest common face, so visiting the
         # faces largest first, the first face two owners share is their meet
         meets = {key: {} for key in maximal_keys}
@@ -344,10 +355,6 @@ def complex_from_dict(doc) -> CubicalComplex:
             raise ComplexError(f"cell #{k}: 'base' and 'axes' must be arrays")
         if len(base) != n:
             raise ComplexError(f"cell #{k}: base has length {len(base)}, expected {n}")
-        for b in base:   # so that b and b + 1, a unit box's ends, are exact floats
-            if b.__class__ is not int or not -2**53 <= b < 2**53:
-                raise ComplexError(f"cell #{k}: base coordinates must be integers in "
-                                   f"[-2**53, 2**53 - 1], got {b!r}")
         for ax in axes:
             if ax.__class__ is not int or ax < 0 or ax >= n:
                 raise ComplexError(f"cell #{k}: axis index {ax} out of range for n={n}")

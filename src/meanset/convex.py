@@ -123,9 +123,12 @@ class SignCone(namedtuple("SignCone", "signs")):
     _make = classmethod(_checked_make)
 
     def __new__(cls, signs):
-        for s in signs:
-            if s not in _ALL_SIGNS:
-                raise ValueError(f"unknown sign constraint {s!r}")
+        try:
+            for s in signs:
+                if s not in _ALL_SIGNS:
+                    raise ValueError(f"unknown sign constraint {s!r}")
+        except TypeError:   # not iterable
+            raise ValueError(f"signs must be a sequence of sign constraints, got {signs!r}") from None
         return tuple.__new__(cls, (signs,))
 
     @property
@@ -481,6 +484,14 @@ def _box_faces(k: int) -> tuple:
 # compact convex sets with exact support oracles
 
 
+def _norm(v) -> float:
+    """The Euclidean norm of ``v``, NaN unless it is a sequence of numbers."""
+    try:
+        return math.hypot(*v)
+    except TypeError:
+        return math.nan
+
+
 class Singleton(namedtuple("Singleton", "g scale")):
     """A one-point set ``{scale * g}`` with ``|g| <= 1``.  Its support and
     anchor points are tuples of floats."""
@@ -489,7 +500,7 @@ class Singleton(namedtuple("Singleton", "g scale")):
     _make = classmethod(_checked_make)
 
     def __new__(cls, g, scale=1.0):
-        if not math.hypot(*g) <= 1.0 + 1e-7:
+        if not _norm(g) <= 1.0 + 1e-7:
             raise ValueError(f"g must be finite and in the unit ball, got {g}")
         if not math.isfinite(scale):
             raise ValueError(f"scale must be finite, got {scale!r}")
@@ -521,8 +532,10 @@ class ConeBall(namedtuple("ConeBall", "u cone scale")):
     _make = classmethod(_checked_make)
 
     def __new__(cls, u, cone, scale=1.0):
-        if not abs(math.hypot(*u) - 1.0) <= 1e-7:
+        if not abs(_norm(u) - 1.0) <= 1e-7:
             raise ValueError(f"u must be a finite unit vector, got {u}")
+        if not isinstance(cone, SignCone):
+            raise ValueError(f"cone must be a SignCone, got {cone!r}")
         if len(u) != cone.dim:
             raise ValueError(f"u has dimension {len(u)}, the cone {cone.dim}")
         if not math.isfinite(scale):
@@ -684,15 +697,22 @@ def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> Feasibili
     atoms are the sets' anchor points, so a problem of :class:`Singleton`
     sets alone is solved by that first exact solve, reporting zero
     Frank-Wolfe iterations.  A solve still open after ``_MAX_ROUNDS``
-    rounds reports ``"stalled"``.  Raises ``ValueError`` on no sets, on a
-    set whose points do not have the cone's dimension, and on a ``tol``
-    that is not finite and nonnegative.
+    rounds reports ``"stalled"``.  Raises ``ValueError`` on ``sets`` that
+    are no sequence of this module's model sets or hold none, on a
+    ``target`` that is no :class:`SignCone`, on a set whose points do not
+    have the cone's dimension, and on a ``tol`` that is not finite and
+    nonnegative.
     """
     check_tolerance(tol, name="tol")
-    m = len(sets)
+    if not isinstance(target, SignCone):
+        raise ValueError(f"target must be a SignCone, got {target!r}")
+    try:
+        m = len(sets)
+        atoms = [s.anchor_point() for s in sets]
+    except (TypeError, AttributeError):   # no sequence, or an item with no anchor point
+        raise ValueError(f"sets must be a sequence of model sets, got {sets!r}") from None
     if m == 0:
         raise ValueError("need at least one set")
-    atoms = [s.anchor_point() for s in sets]
     for a in atoms:
         if len(a) != target.dim:
             raise ValueError(f"sets have points of dimension {len(a)}, the target cone {target.dim}")

@@ -24,6 +24,22 @@ by push order, which makes every result deterministic.  No cap on chain
 length is needed: a simple chain holds at most one visit per maximal
 cell, and the lower bound does the pruning.
 
+Before its heap, a search tries a hint: the winning chain of an earlier
+search that started in the same maximal cell and ended at the same point.
+The complex keeps one per start cell and end, for winners of three or more
+cells, at most ``_CACHE_SIZE`` of them, dropping the oldest first.  The
+hint is solved by :func:`chain_length` and returned when the path passes
+the link test of :func:`_link_slack` at each breakpoint (Miller, Owen and
+Provan, Adv. Appl. Math. 68, 2015): it turns by the angle pi there in the
+tangent cone, so it is a local geodesic.  In a CAT(0) space a local
+geodesic is the geodesic (Bridson and Haefliger, *Metric Spaces of
+Non-Positive Curvature*, Prop. II.1.4), so on a CAT(0) complex a
+certified hint is the heap's answer; a hint that fails leaves the search
+to the heap.  :meth:`CubicalComplex.validate` checks the link condition
+but assumes simple connectivity: on a complex that is not simply
+connected, an annulus say, a hint may return a local geodesic around the
+wrong side of a hole.
+
 A gate that is a single vertex pins its breakpoint, so :func:`chain_length`
 cuts the chain there and solves each piece on its own: a piece with no
 gate is a segment, one with one gate is the closed form of
@@ -490,7 +506,9 @@ def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
     It holds at most ``_CACHE_SIZE`` entries: a miss that finds it full first drops the
     oldest inserted entry (a hit does not reorder), and a pair dropped is solved again,
     in the direction it is next asked for.  ``ValueError`` unless ``cx`` is a
-    :class:`CubicalComplex`.
+    :class:`CubicalComplex`.  A bent path found from a chain hint is
+    certified only as a local geodesic, which is the geodesic when ``cx`` is
+    CAT(0) (see the module docstring).
     """
     if not isinstance(cx, CubicalComplex):
         raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
@@ -550,7 +568,15 @@ def _walk(cx, p_loc, q_loc):
 
 def _search(cx, p_loc, q_loc):
     """The geodesic by best-first chain search (see the module docstring), its
-    ends the located tuples and its other breakpoints snapped."""
+    ends the located tuples and its other breakpoints snapped.
+
+    First the hint: the winning chain of an earlier search that started in a
+    maximal cell holding p (the first in cell order that has one) and ended at
+    q.  It is solved by :func:`chain_length` and returned if every breakpoint
+    passes :func:`_certified`; a hint that raises ``GeodesicError`` or fails
+    the test leaves the search to the heap.  The heap's winner, when it has
+    three or more cells, becomes the hint of its first cell and q.
+    """
     p, q = p_loc.coords, q_loc.coords
     if not math.isfinite(vertex_upper_bound(cx, p_loc, q_loc)):
         raise GeodesicError(
@@ -558,10 +584,21 @@ def _search(cx, p_loc, q_loc):
             "lie in different connected components; no geodesic exists"
         )
 
+    hints = cx._chain_hints
+    starts = cx._owners[p_loc.minimal_cell]
+    hint = next((h for s in starts if (h := hints.get((s, q)))), None) if hints else None
+    if hint is not None:
+        try:
+            g = _assemble(hint, [p, *map(cx.snap, chain_length(cx, p, q, hint)[1][1:-1]), q])
+        except GeodesicError:
+            g = None
+        if g is not None and _certified(cx, g):
+            return g
+
     ends = frozenset(cx._owners[q_loc.minimal_cell])
     counter = itertools.count()
     direct = math.dist(p, q)
-    heap = [(direct, next(counter), (s,), None) for s in cx._owners[p_loc.minimal_cell]]
+    heap = [(direct, next(counter), (s,), None) for s in starts]
 
     face_lb = {}   # face id -> box_segment_min(p, q, face): shortest length, its minimiser
     best_val, best = math.inf, None
@@ -596,7 +633,80 @@ def _search(cx, p_loc, q_loc):
             "the complex is inconsistent"
         )
     chain, pts = best
+    if len(chain) > 2:
+        with _CACHE_LOCK:
+            if len(hints) >= _CACHE_SIZE and (chain[0], q) not in hints:
+                del hints[next(iter(hints))]   # the oldest inserted entry
+            hints[chain[0], q] = chain
     return _assemble(chain, [p, *map(cx.snap, pts[1:-1]), q])
+
+
+def _certified(cx, g) -> bool:
+    """Whether every breakpoint of ``g`` between its ends has a
+    :func:`_link_slack` of at least -1e-7.  A breakpoint whose carrier is a
+    facet of both cells beside it is not tested: the chain solve has already
+    made the path straight there.  A path that passes is a local geodesic,
+    which is the geodesic only in a CAT(0) complex."""
+    bps, cells, by_id = g.breakpoints, g.cells, cx._by_id
+    for j in range(1, len(bps) - 1):
+        dim = len(by_id[cx._cells_at(bps[j])[0]].axes) + 1
+        if by_id[cells[j - 1]].dim == dim == by_id[cells[j]].dim:
+            continue
+        if _link_slack(cx, bps[j], bps[j - 1], bps[j + 1]) < -1e-7:
+            return False
+    return True
+
+
+def _link_slack(cx, x, prev, nxt) -> float:
+    """How far the path ``prev -> x -> nxt`` is from meeting itself at the
+    angle pi at ``x``: 0 when it does, up to rounding, and negative otherwise
+    (Miller, Owen and Provan, Adv. Appl. Math. 68, 2015).
+
+    Let sigma be the carrier of ``x`` and d1, d2 the vectors to ``prev`` and
+    ``nxt``.  Their parts along sigma's axes must match, ``(d1 par, |d1 perp|)
+    / |d1| = (-d2 par, |d2 perp|) / |d2|``; the distance between the two unit
+    vectors, negated, is the slack of that.  When both normal parts are
+    nonzero, their signed directions (axis, sign), weighted by their squared
+    share of the normal part on each side, must meet at distance pi in the
+    link of sigma: two directions, one of each side, clash when they share an
+    axis with opposite signs or when sigma and both edges span no cell of the
+    complex, and a minimum-weight vertex cover of the clashes, brute-forced
+    over the subsets of the smaller side, must weigh 1.  A direction on both
+    sides clashes with nothing, so it lowers the cover by its weight; the
+    cover weighs at most 1, and its slack is its weight less 1.  The slack is
+    the smaller of the two."""
+    sigma = cx._by_id[cx._cells_at(x)[0]]
+    along = sigma.axes
+    d1 = [a - b for a, b in zip(prev, x)]
+    d2 = [a - b for a, b in zip(nxt, x)]
+    l1, l2 = math.hypot(*d1), math.hypot(*d2)
+    # each side's signed normal directions with their squared coordinates
+    A = {(i, v > 0.0): v * v for i, v in enumerate(d1) if v and i not in along}
+    B = {(i, v > 0.0): v * v for i, v in enumerate(d2) if v and i not in along}
+    n1, n2 = sum(A.values()), sum(B.values())
+    slack = -math.hypot(*(d1[i] / l1 + d2[i] / l2 for i in along),
+                        math.sqrt(n1) / l1 - math.sqrt(n2) / l2)
+    if not (A and B):
+        return slack
+    if len(A) > len(B):
+        A, B, n1, n2 = B, A, n2, n1
+
+    def fits(a, b):   # whether sigma and the edges a and b lie in one cell
+        if a[0] == b[0]:
+            return a == b
+        base = list(sigma.base)
+        for i, up in (a, b):
+            base[i] -= not up
+        return (tuple(base), tuple(sorted((*along, a[0], b[0])))) in cx._index
+
+    clash = [{b for b in B if not fits(a, b)} for a in A]
+    wa = [w / n1 for w in A.values()]
+    cover = math.inf
+    for mask in range(1 << len(A)):   # the directions of A in the cover; B covers the rest's clashes
+        rest = set().union(*(c for k, c in enumerate(clash) if not mask >> k & 1))
+        cover = min(cover, sum(w for k, w in enumerate(wa) if mask >> k & 1)
+                    + sum(B[b] for b in rest) / n2)
+    return min(slack, cover - 1.0)
 
 
 def distance(cx: CubicalComplex, p, q) -> float:

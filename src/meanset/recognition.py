@@ -310,7 +310,9 @@ def random_point(cx: CubicalComplex, rng: random.Random) -> tuple:
     """``(cell id, point)``: a uniformly drawn maximal cell and a uniform point
     of its box, a tuple of floats.  Draws only with ``rng.random()``: Python
     keeps its sequence for a seed across versions, and does not promise that
-    of ``randrange``."""
+    of ``randrange``.  ``ValueError`` unless ``cx`` is a :class:`CubicalComplex`."""
+    if not isinstance(cx, CubicalComplex):
+        raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
     ids = cx.maximal_ids
     cid = ids[int(rng.random() * len(ids))]
     lo, hi = cx._boxes[cid]

@@ -24,7 +24,10 @@ here on all of them.  The straight-segment walk, which
 ``meanset.geodesics`` steps by locating each exit point, is kept here in
 the form that tests each neighbour's shared face instead; it shares
 ``segment_span`` and the final assembly with the walk, so it checks the
-stepping alone.
+stepping alone.  The link test at a geodesic's breakpoints, which
+``meanset.geodesics`` runs with a brute-force vertex cover, is run here
+with numpy arrays and the cover solved as a linear program by scipy's
+``linprog``.
 """
 
 import heapq
@@ -34,7 +37,7 @@ import warnings
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.optimize import minimize, nnls
+from scipy.optimize import linprog, minimize, nnls
 
 from meanset import geodesic, geodesics, mean_deficit, point_along, recognize
 from meanset.convex import box_segment_min, segment_span
@@ -625,3 +628,59 @@ def reference_walk(cx, p_loc, q_loc):
         exit_pt = tuple(a + t * di for a, di in zip(p, d))
         step = [(nbr, face) for nbr, face in cx.adjacency[best]
                 if all(l - 1e-9 <= x <= h + 1e-9 for x, l, h in zip(exit_pt, *boxes[face]))]
+
+
+def link_slack(cx, g) -> float:
+    """The worst slack of the link test over the breakpoints of ``g``
+    between its ends, 0.0 when it has none.
+
+    At a breakpoint x with carrier sigma (its floor, spanning the axes where
+    x is not an integer) and unit vectors u, v to the breakpoints before and
+    after it, the path is straight in the tangent cone when ``(u par, |u
+    perp|) = (-v par, |v perp|)`` and the normal parts meet at distance pi in
+    the link of sigma.  The slack is the smaller of minus the distance
+    between those two unit vectors and, when both normal parts are nonzero,
+    the weight less 1 of a minimum vertex cover of the clashing pairs of
+    signed normal directions (one of each side, weighted by its squared share
+    of its side's normal part): a pair clashes when it shares an axis with
+    opposite signs, or when sigma and both edges are no cell of ``cx``.  The
+    cover is the optimum of its linear program, which is integral on a
+    bipartite graph (Konig's theorem)."""
+    cells = {(c.base, c.axes) for c in cx.cells}
+    worst = 0.0
+    P = [np.asarray(x, dtype=float) for x in g.breakpoints]
+    for prev, x, nxt in zip(P, P[1:], P[2:]):
+        base = np.floor(x)
+        normal = x == base
+        along = tuple(int(i) for i in np.flatnonzero(~normal))
+        u, v = (prev - x) / np.linalg.norm(prev - x), (nxt - x) / np.linalg.norm(nxt - x)
+        nu, nv = np.where(normal, u, 0.0), np.where(normal, v, 0.0)
+        gap = np.append(u[~normal] + v[~normal], np.linalg.norm(nu) - np.linalg.norm(nv))
+        slack = -float(np.linalg.norm(gap))
+        if nu.any() and nv.any():
+            A = [(int(i), bool(nu[i] > 0)) for i in np.flatnonzero(nu)]
+            B = [(int(i), bool(nv[i] > 0)) for i in np.flatnonzero(nv)]
+            weights = np.concatenate([nu[nu != 0] ** 2 / nu.dot(nu), nv[nv != 0] ** 2 / nv.dot(nv)])
+            rows = []
+            for k, (i, up) in enumerate(A):
+                for m, (j, vp) in enumerate(B):
+                    if i == j:
+                        clash = up != vp
+                    else:
+                        corner = [int(c) for c in base]
+                        corner[i] -= not up
+                        corner[j] -= not vp
+                        clash = (tuple(corner), tuple(sorted(along + (i, j)))) not in cells
+                    if clash:
+                        row = np.zeros(len(A) + len(B))
+                        row[k] = row[len(A) + m] = -1.0
+                        rows.append(row)
+            cover = 0.0
+            if rows:
+                res = linprog(weights, A_ub=np.array(rows), b_ub=-np.ones(len(rows)),
+                              bounds=(0.0, 1.0), method="highs")
+                assert res.status == 0, res.message
+                cover = float(res.fun)
+            slack = min(slack, cover - 1.0)
+        worst = min(worst, slack)
+    return worst

@@ -223,6 +223,23 @@ def test_base_coordinates_must_fit_a_float():
         assert (hi - lo).tolist() == [1.0, 1.0] and lo.tolist() == [float(b), 0.0]
 
 
+def test_direct_construction_checks_the_base_range():
+    """The range is checked where every complex is built, so a complex made
+    without a document refuses the same bases, and a base too long to print
+    is named by its size: a 5,000-digit integer, which ``repr`` refuses."""
+    for b in (2**60, 10**400):
+        with pytest.raises(ComplexError, match=rf"cell #0: base coordinates must be integers.*{b}"):
+            CubicalComplex(1, [CubeCell((b,), (0,))])
+    huge = 10**5000
+    for build in (lambda: CubicalComplex(1, [CubeCell((0,), ()), CubeCell((huge,), (0,))]),
+                  lambda: complex_from_dict({"ambient_dim": 1, "cells": [
+                      {"base": [0], "axes": []}, {"base": [huge], "axes": [0]}]})):
+        with pytest.raises(ComplexError) as err:
+            build()
+        assert str(err.value) == ("cell #1: base coordinates must be integers in "
+                                  "[-2**53, 2**53 - 1], got an integer of 16,610 bits")
+
+
 def test_face_of_another_maximal_cell_is_rejected():
     with pytest.raises(ComplexError, match="is a face of the maximal cell"):
         complex_from_dict({"ambient_dim": 2, "cells": [

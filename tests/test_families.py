@@ -25,12 +25,16 @@ def tool():
                                          ("staircase", 48)])
 def test_first_pairs_answer_with_closed_form_lengths(tool, name, steps):
     """Six pairs of each family: all answered, within 1e-12 of the closed
-    form where the family has one, in an exact count of Newton steps."""
+    form where the family has one, in an exact count of Newton steps.  Each
+    pair leaves one cache entry, and each search won by a chain of three or
+    more cells one chain hint."""
     out = tool.run_family(name, 6, alarm=20.0)
     assert (out["calls"], out["geodesic_errors"], out["timeouts"]) == (6, 0, 0)
     assert out["newton_steps"] == steps
     assert 0.0 <= out["call_ms_median"] <= out["call_ms_worst"] <= 1e3 * out["wall_s"] + 1.0
     assert out["cache_entries"] == 6 and out["cache_kb"] > 0.0
+    hints = {"L8": 1, "L4xI": 1, "tripod2": 2, "staircase": 6}[name]
+    assert out["hint_entries"] == hints and out["hint_kb"] > 0.0
     if name == "staircase":
         assert out["worst_error"] is None
     else:
@@ -56,7 +60,7 @@ def test_errors_and_alarms_are_counted(tool, monkeypatch, capsys):
     assert (out["family"], out["calls"], out["geodesic_errors"], out["timeouts"]) == ("L8", 3, 1, 2)
     assert out["worst_error"] == 0.0
     assert out["call_ms_median"] is None and out["call_ms_worst"] is None
-    assert out["cache_entries"] == 0
+    assert out["cache_entries"] == 0 and out["hint_entries"] == 0
 
 
 def test_call_times_cover_answered_calls_only(tool, monkeypatch):

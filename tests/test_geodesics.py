@@ -1,10 +1,12 @@
 """Geodesic solver checked against closed forms and metric axioms."""
 
 import heapq
+import importlib.util
 import itertools
 import math
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from meanset.convex import box_segment_min
 from meanset.corpus import BUNDLED, data_path
 from meanset.recognition import random_point
 from generators import INTERVAL, STAIRCASE, l_shape, product
-from oracles import (array_certified_gap, chain_oracle, dense_newton_step, polyomino_distance,
-                     reference_walk)
+from oracles import (array_certified_gap, chain_oracle, dense_newton_step, link_slack,
+                     polyomino_distance, reference_walk)
 
 R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
@@ -292,6 +294,25 @@ def test_threads_share_a_full_cache_safely(monkeypatch):
         sys.setswitchinterval(interval)
     assert csv4 == csv1
     assert len(cx._geo_cache) <= 8
+
+
+def test_threads_share_a_full_hint_table_safely(monkeypatch):
+    """Four quadrant_window heat-map threads that store and evict chain hints
+    in one table of 4 entries, switching every microsecond, raise nothing,
+    leave at most 4 hints and write the CSV that one thread writes."""
+    monkeypatch.setattr(geodesics, "_CACHE_SIZE", 4)
+    cx, A = load_bundled("quadrant_window")
+    csv1 = to_csv(run_heatmap(A, 40, 29, 0.1, threads=1), cx.ambient_dim)
+    cx._geo_cache.clear()
+    cx._chain_hints.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        csv4 = to_csv(run_heatmap(A, 40, 29, 0.1, threads=4), cx.ambient_dim)
+    finally:
+        sys.setswitchinterval(interval)
+    assert csv4 == csv1
+    assert 0 < len(cx._chain_hints) <= 4
 
 
 def test_recognize_again_after_eviction_repeats_its_answer(monkeypatch):
@@ -1056,3 +1077,148 @@ def test_walk_work_counts_are_pinned(monkeypatch, sizes, p, q, spans, steps):
     g = geodesics._walk(cx, p_loc, q_loc)
     assert g.length == pytest.approx(math.dist(p, q), abs=1e-12)
     assert counts == {"spans": spans, "steps": steps}
+
+
+# ---------------------------------------------------------------------------
+# the link test at a path's breakpoints, against an independent oracle
+
+
+def _families():
+    """``tools/families.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "families.py"
+    spec = importlib.util.spec_from_file_location("families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_geodesics_pass_the_link_test():
+    """Seeded geodesics on the five corpora (60 pairs each, a third of the
+    ends rounded onto faces) and the first 30 pairs of each generated
+    family: each passes the oracle's link test (slack at least -1e-7), and
+    ``_link_slack``, taken at every breakpoint between the ends, agrees
+    with the oracle's worst slack to 1e-9."""
+    tool = _families()
+    cases = []
+    for name in BUNDLED:
+        cx, _ = load_bundled(name)
+        rng = np.random.default_rng([71, len(name)])
+        cases += [(cx, _corpus_point(cx, rng, i % 3 == 0), _corpus_point(cx, rng, i % 3 == 1))
+                  for i in range(60)]
+    for total, seed, doc, ends, _ in tool.families().values():
+        cx = complex_from_dict(doc)
+        cases += [(cx, p, q) for p, q in tool.pairs(cx, 30, seed, ends)]
+    bent = 0
+    for cx, p, q in cases:
+        g = geodesic(cx, p, q)
+        want, b = link_slack(cx, g), g.breakpoints
+        got = min((geodesics._link_slack(cx, b[j], b[j - 1], b[j + 1])
+                   for j in range(1, len(b) - 1)), default=0.0)
+        assert want >= -1e-7, (p, q, want)
+        assert got == pytest.approx(want, abs=1e-9), (p, q)
+        bent += len(g.breakpoints) > 2
+    assert bent >= 150
+
+
+def _random_chain(cx, p, q, rng, cap=10):
+    """A random simple chain of at least three maximal cells from one holding
+    ``p`` to one holding ``q``, of at most ``cap`` cells, or None."""
+    starts, ends = cx.maximal_cells_containing(p), set(cx.maximal_cells_containing(q))
+    for _ in range(100):
+        chain = [rng.choice(starts)]
+        while chain[-1] not in ends and len(chain) < cap:
+            steps = [c for c, _ in cx.adjacency[chain[-1]] if c not in chain]
+            if not steps:
+                break
+            chain.append(rng.choice(steps))
+        if chain[-1] in ends and len(chain) >= 3:
+            return chain
+    return None
+
+
+@pytest.mark.parametrize("name", ["L8", "L4xI", "tripod2"])
+def test_non_optimal_chains_fail_the_link_test(name):
+    """Random simple chains between the family's first 60 pairs, solved by
+    ``chain_length``: each one longer than the geodesic by more than 1e-9
+    fails both the oracle's test and ``_certified``, and each other one
+    passes both."""
+    tool = _families()
+    total, seed, doc, ends, _ = tool.families()[name]
+    cx = complex_from_dict(doc)
+    rng = random.Random(11)
+    longer = 0
+    for p, q in tool.pairs(cx, 60, seed, ends):
+        chain = _random_chain(cx, p, q, rng)
+        if chain is None:
+            continue
+        val, pts = geodesics.chain_length(cx, p, q, chain)
+        g = geodesics._assemble(chain, [cx.snap(p), *map(cx.snap, pts[1:-1]), cx.snap(q)])
+        worse = val > distance(cx, p, q) + 1e-9
+        assert (link_slack(cx, g) < -1e-7, not geodesics._certified(cx, g)) == (worse, worse), \
+            (p, q, chain)
+        longer += worse
+    assert longer >= 45
+
+
+# ---------------------------------------------------------------------------
+# warm starts: the winning chain of an earlier search, certified by the link test
+
+
+@pytest.fixture
+def pushes(monkeypatch):
+    """The number of ``heapq.heappush`` calls so far, as a one-item list."""
+    count = [0]
+    real = heapq.heappush
+
+    def counted(heap, item):
+        count[0] += 1
+        return real(heap, item)
+
+    monkeypatch.setattr(geodesics.heapq, "heappush", counted)
+    return count
+
+
+@pytest.mark.parametrize("first, then, cold, warm", [
+    ((-1.7, 0.83), (-1.93, 0.84), 28, 0),   # the hint certifies
+    ((-1.6, 1.97), (-1.64, 1.31), 103, 103),   # the hint bends at (-1, 1): rejected
+])
+def test_hinted_search_takes_its_pinned_pushes(pushes, first, then, cold, warm):
+    """Around the reflex vertex of quadrant_window, a search to q = (sqrt 3,
+    0) after one from ``first`` tries that search's winning chain, which
+    starts in the same cell.  Certified, it is returned with no heap push;
+    rejected, the heap runs as on a fresh complex.  Either way the result
+    equals the fresh complex's geodesic, and the winner is the hint of its
+    first cell and q."""
+    q = (R3, 0.0)
+    fresh, _ = load_bundled("quadrant_window")
+    want = geodesic(fresh, then, q)
+    assert pushes[0] == cold
+    cx, _ = load_bundled("quadrant_window")
+    g = geodesic(cx, first, q)
+    assert cx._chain_hints == {(g.cells[0], q): g.cells} and g.cells[0] == want.cells[0]
+    pushes[0] = 0
+    assert geodesic(cx, then, q) == want
+    assert pushes[0] == warm
+    assert cx._chain_hints == {(want.cells[0], q): want.cells}
+
+
+def test_two_cell_winners_store_no_hint():
+    """A winner of two cells is scored from its gate bound, with no
+    ``chain_length`` call to save, so it is not stored."""
+    cx, _ = load_bundled("squares3")
+    assert geodesic(cx, (-0.5, 0.8), (0.8, -0.5)).cells == ("c006", "c012")
+    assert cx._chain_hints == {}
+
+
+def test_hint_table_never_exceeds_the_cache_size(monkeypatch):
+    """With room for 4 hints, 12 bent quadrant_window searches to different
+    ends keep at most 4, the last 4 stored: the oldest goes first."""
+    monkeypatch.setattr(geodesics, "_CACHE_SIZE", 4)
+    cx, _ = load_bundled("quadrant_window")
+    stored = []
+    for k in range(12):
+        q = (1.0 + k / 12.0, -0.5)
+        g = geodesic(cx, (-1.5, 0.5), q)
+        assert len(g.cells) > 2 and len(cx._chain_hints) <= 4
+        stored.append((g.cells[0], q))
+    assert list(cx._chain_hints) == stored[-4:]

@@ -1,6 +1,7 @@
 """Interior recognition, deficits, test function and certificate checks."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from meanset import (
     weighted_objective,
 )
 from meanset import GeodesicError, feasibility_min_norm, point_along, recognition
-from meanset.boundary import conic_residual
-from meanset.convex import FREE, SignCone, Singleton, box_segment_min
+from meanset.boundary import build_model, conic_residual
+from meanset.convex import FREE, ConeBall, SignCone, Singleton, box_segment_min
 from meanset.corpus import expected
 from meanset.geodesics import chain_length
 from meanset.heatmap import HeatMapSample
@@ -228,6 +229,12 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
         weighted_objective(A, forged.weights, x)
 
 
+def _model(cx, A, label):
+    """``build_model`` at (0.5, 0) of squares3, in the first maximal cell holding it."""
+    loc = cx.locate((0.5, 0.0))
+    return build_model(A, loc, cx.maximal_cells_containing(loc)[0], label)
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda cx, A: cx.cell("c999"), ComplexError, "c999"),
     (lambda cx, A: cx.cell(["c000"]), ComplexError, "c000"),
@@ -374,6 +381,21 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
      "exponent must be finite"),
     (lambda cx, A: weighted_objective(A, {"a": True}, (0.5, 0.0)), ValueError,
      "weights must be finite real numbers"),
+    (lambda cx, A: feasibility_min_norm(None, SignCone((FREE, FREE))), ValueError,
+     "sets must be a sequence of model sets, got None"),
+    (lambda cx, A: feasibility_min_norm(["x"], SignCone((FREE, FREE))), ValueError,
+     r"sets must be a sequence of model sets, got \['x'\]"),
+    (lambda cx, A: feasibility_min_norm([Singleton((0.5, 0.0))], None), ValueError,
+     "target must be a SignCone, got None"),
+    (lambda cx, A: directional_derivative(_model(cx, A, "a"), None), ValueError,
+     "u must be a sequence of numbers, got None"),
+    (lambda cx, A: SignCone(None), ValueError,
+     "signs must be a sequence of sign constraints, got None"),
+    (lambda cx, A: Singleton(None), ValueError, "g must be finite and in the unit ball, got None"),
+    (lambda cx, A: ConeBall(None, None), ValueError, "u must be a finite unit vector, got None"),
+    (lambda cx, A: _model(cx, A, None), ValueError, "label must be a label of A, got None"),
+    (lambda cx, A: recognition.random_point(None, random.Random(0)), ValueError,
+     "cx must be a CubicalComplex, got None"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -395,7 +417,10 @@ def test_verify_rejects_non_finite_weights(bundles, bad):
         "none-complex-geodesic", "dict-complex-midpoint", "none-coords", "int-labels",
         "unhashable-labels", "none-set-complex", "none-chain-complex", "bool-chain-end",
         "bool-tol-recognize", "bool-tol-verify", "bool-tol-line-search", "bool-heatmap-threshold",
-        "bool-probe-threshold", "bool-fraction", "bool-exponent", "bool-weight"])
+        "bool-probe-threshold", "bool-fraction", "bool-exponent", "bool-weight",
+        "none-feasibility-sets", "string-feasibility-set", "none-feasibility-target",
+        "none-derivative-direction", "none-signs", "none-singleton", "none-cone-ball",
+        "none-model-label", "none-random-point-complex"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id is a ComplexError naming it, a tolerance or an
     exponent that is no real number, a probe segment of mismatched ends or an
@@ -412,7 +437,11 @@ def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     ``from_coords`` coordinates that are not iterable or labels that are no
     sequence of hashable labels, chain ends that are no numbers, or a
     tolerance, threshold, fraction, exponent or weight of ``True`` or
-    ``False`` (a boolean is no real number) a ValueError, a point
+    ``False`` (a boolean is no real number), ``feasibility_min_norm`` sets
+    that are no sequence of model sets or a target that is no sign cone, a
+    derivative direction, sign pattern, ``Singleton`` point or ``ConeBall``
+    vector that is no sequence of numbers, a model's label that is not one
+    of ``A`` or a ``random_point`` complex that is no complex a ValueError, a point
     of the wrong dimension a LocationError, and an object that is no
     certificate or a margin that is not a positive number a
     CertificateError, never a bare KeyError, TypeError, IndexError or

@@ -23,10 +23,10 @@ gives the calls, the ``GeodesicError``s and the calls the alarm stopped,
 the exact Newton steps of the chain solver, the wall time, the median and
 the worst time of one answered call in ms, the largest error against the
 closed form, the SHA-256 of the answered lengths' reprs, in pair order,
-and the geodesic cache the sweep leaves on the family's complex: its
-entries and its size in KB (``sys.getsizeof`` summed over every object it
-reaches through dicts and tuples, each object counted once, the complex's
-cell-id strings left out).
+and the geodesic cache and the chain-hint table the sweep leaves on the
+family's complex: the entries of each and its size in KB
+(``sys.getsizeof`` summed over every object it reaches through dicts and
+tuples, each object counted once, the complex's cell-id strings left out).
 The closed forms: ``oracles.polyomino_distance`` on L8, combined with the
 interval as a product on L4 x [0, 2], and the tripod's tree distance
 combined as a product on tripod^2.  The staircase has none, so its error
@@ -168,13 +168,15 @@ def run_family(name: str, count: int = None, alarm: float = 20.0) -> dict:
         signal.signal(signal.SIGALRM, old)
     digest = hashlib.sha256("".join(f"{d!r}\n" for _, _, d in answered).encode())
     cache_bytes = deep_bytes(cx._geo_cache, set(map(id, cx._by_id)))
+    hint_bytes = deep_bytes(cx._chain_hints, set(map(id, cx._by_id)))
     worst = max((abs(d - closed(p, q)) for p, q, d in answered), default=0.0) if closed else None
     return {"family": name, "calls": len(todo), "geodesic_errors": errors,
             "timeouts": timeouts, "newton_steps": steps[0], "wall_s": round(wall, 3),
             "call_ms_median": round(statistics.median(call_ms), 4) if call_ms else None,
             "call_ms_worst": round(max(call_ms), 4) if call_ms else None,
             "worst_error": worst, "lengths_sha256": digest.hexdigest(),
-            "cache_entries": len(cx._geo_cache), "cache_kb": round(cache_bytes / 1024, 1)}
+            "cache_entries": len(cx._geo_cache), "cache_kb": round(cache_bytes / 1024, 1),
+            "hint_entries": len(cx._chain_hints), "hint_kb": round(hint_bytes / 1024, 1)}
 
 
 def main(argv=None) -> int:
