@@ -38,6 +38,7 @@ from .convex import (
     SignCone,
     Singleton,
     WeightedSum,
+    _all_finite,
     box_segment_min,  # noqa: F401 -- perfbench/tracing.py wraps it here
     feasibility_min_norm,
     shared_certificate_weights,
@@ -120,14 +121,16 @@ def directional_derivative(model: DirectionalDerivativeModel, u) -> float:
     """One-sided derivative of ``d(., a)`` along ``u`` from within the cell.
 
     Returns ``+inf`` for directions leaving the cell's tangent cone.
-    Positively homogeneous in ``u``.
+    Positively homogeneous in ``u``.  ``ValueError`` unless ``u`` is a
+    sequence of finite numbers.
     """
     if not isinstance(model, DirectionalDerivativeModel):
         raise ValueError(f"model must be a DirectionalDerivativeModel, got {model!r}")
-    try:
-        return float(model.subdiff.support(u)) if model.tangent.contains(u, 1e-9) else math.inf
-    except TypeError:   # no sequence of numbers
-        raise ValueError(f"u must be a sequence of numbers, got {u!r}") from None
+    if not _all_finite(u):
+        raise ValueError(f"u must be a sequence of finite numbers, got {u!r}")
+    if not model.tangent.contains(u, 1e-9):
+        return math.inf
+    return float(model.subdiff.support(u))
 
 
 class PCOutcome(namedtuple("PCOutcome", "cell value0 residual weights direction",

@@ -6,7 +6,8 @@ the one source of cell relations.  Its key index names each face, and one float
 box per cell gives the tangent cones.  Two lattice unit cubes always meet in a
 common face of both, so curvature enters only through
 :meth:`CubicalComplex.validate`, which checks the flag condition on the links of
-the lattice's vertices; simple connectivity is reported as assumed, not checked.
+the lattice's vertices and tries to prove simple connectivity: by Gromov's link
+condition the two together make the complex CAT(0).
 One pass over the lattice, largest faces first, gives the adjacency table: each
 maximal cell's neighbours, each with the face the two meet in, which is where
 any two maximal cells meet; from it come their connected components.  The owner
@@ -113,12 +114,20 @@ class LocatedPoint(namedtuple("LocatedPoint", "coords minimal_cell cx", defaults
 
 
 class ValidationReport(namedtuple("ValidationReport", "link_violations simple_connectivity",
-                                  defaults=("assumed",))):
+                                  defaults=("not proved",))):
+    """The vertices whose links are not flag, and ``"proved"`` or ``"not
+    proved"`` for simple connectivity."""
+
     __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return not self.link_violations
+
+    @property
+    def cat0(self) -> bool:
+        """Whether the complex is proved CAT(0): flag links and simply connected."""
+        return self.ok and self.simple_connectivity == "proved"
 
     def to_dict(self):
         return {
@@ -194,6 +203,7 @@ class CubicalComplex:
                                  tuple(floats[b + (i in c.axes)] for i, b in enumerate(c.base)))
                        for c in self.cells}
         self._geo_cache = {}
+        self._report = None   # validate()'s, made on its first call
         # (first cell, q) -> the winning chain of a search from that cell to the point q,
         # tried by the next search between them before its heap (geodesics._search)
         self._chain_hints = {}
@@ -236,6 +246,16 @@ class CubicalComplex:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """The link violations and the simple-connectivity proof (see
+        :meth:`_simply_connected`), made once per complex."""
+        if self._report is None:
+            self._report = ValidationReport(
+                self._link_violations(), "proved" if self._simply_connected() else "not proved")
+        return self._report
+
+    def _link_violations(self) -> tuple:
+        """``(vertex, directions)`` of each set of pairwise spanning edge
+        directions at a vertex that spans no cell: the link is not flag there."""
         link_bad = []
 
         def spans(vertex, directions):
@@ -258,7 +278,62 @@ class CubicalComplex:
                             and all(map(pair_ok.__getitem__, itertools.combinations(combo, 2)))
                             and not spans(v, combo)):
                         link_bad.append((v, combo))
-        return ValidationReport(tuple(link_bad))
+        return tuple(link_bad)
+
+    def _simply_connected(self) -> bool:
+        """Whether every connected component is proved simply connected.
+
+        The loops of a cube complex are those of its 2-skeleton.  The edges
+        of a spanning forest are null-homotopic; so is an edge of a square
+        whose other three edges are.  When that rule, run to its fixed point,
+        reaches every edge, every loop is.  The rule is a proof, not a
+        decision: it reaches every edge of a simply connected planar complex,
+        whose open edges are dual to a tree of its squares, but a complex it
+        leaves short of that may still be simply connected.  A loop around a
+        hole is never reached."""
+        index = self._index
+
+        def edge(base, ax, step=None):   # the id of the edge along ax at base (+ e_step)
+            if step is not None:
+                base = base[:step] + (base[step] + 1,) + base[step + 1:]
+            return index[(base, (ax,))]
+
+        ends = {}   # vertex -> [(neighbour, edge id)]
+        for c in self.cells:
+            if len(c.axes) == 1:
+                (ax,) = c.axes
+                top = c.base[:ax] + (c.base[ax] + 1,) + c.base[ax + 1:]
+                ends.setdefault(c.base, []).append((top, c.ident))
+                ends.setdefault(top, []).append((c.base, c.ident))
+        open_ = {e for links in ends.values() for _, e in links}   # not yet null-homotopic
+        seen = set()
+        for root in ends:   # a spanning forest, by depth-first search
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [root]
+            while stack:
+                for v, e in ends[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        open_.discard(e)
+                        stack.append(v)
+        sides = {}   # square id -> its four edges
+        on = {}   # edge -> the squares it is a side of
+        for c in self.cells:
+            if len(c.axes) == 2:
+                i, j = c.axes
+                sides[c.ident] = (edge(c.base, i), edge(c.base, i, j),
+                                  edge(c.base, j), edge(c.base, j, i))
+                for e in sides[c.ident]:
+                    on.setdefault(e, []).append(c.ident)
+        todo = list(sides)
+        while todo and open_:
+            left = [e for e in sides[todo.pop()] if e in open_]
+            if len(left) == 1:
+                open_.discard(left[0])
+                todo.extend(on[left[0]])
+        return not open_
 
     # -- point location ----------------------------------------------------
 

@@ -639,6 +639,9 @@ class WeightedSum(namedtuple("WeightedSum", "sets weights")):
                                     for s, w in zip(self.sets, self.weights)))))
 
 
+_MODEL_SETS = (Singleton, ConeBall, ProductSet, WeightedSum)
+
+
 class FeasibilityResult(namedtuple(
         "FeasibilityResult", "residual point cone_point weights status iterations gap")):
     """The distance achieved (``residual``) at the optimal ``point`` of the search
@@ -708,11 +711,14 @@ def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> Feasibili
         raise ValueError(f"target must be a SignCone, got {target!r}")
     try:
         m = len(sets)
-        atoms = [s.anchor_point() for s in sets]
-    except (TypeError, AttributeError):   # no sequence, or an item with no anchor point
-        raise ValueError(f"sets must be a sequence of model sets, got {sets!r}") from None
+        models = all(isinstance(s, _MODEL_SETS) for s in sets)
+    except TypeError:   # no sequence
+        models = False
+    if not models:
+        raise ValueError(f"sets must be a sequence of model sets, got {sets!r}")
     if m == 0:
         raise ValueError("need at least one set")
+    atoms = [s.anchor_point() for s in sets]
     for a in atoms:
         if len(a) != target.dim:
             raise ValueError(f"sets have points of dimension {len(a)}, the target cone {target.dim}")

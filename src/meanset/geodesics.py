@@ -33,12 +33,12 @@ the link test of :func:`_link_slack` at each breakpoint (Miller, Owen and
 Provan, Adv. Appl. Math. 68, 2015): it turns by the angle pi there in the
 tangent cone, so it is a local geodesic.  In a CAT(0) space a local
 geodesic is the geodesic (Bridson and Haefliger, *Metric Spaces of
-Non-Positive Curvature*, Prop. II.1.4), so on a CAT(0) complex a
-certified hint is the heap's answer; a hint that fails leaves the search
-to the heap.  :meth:`CubicalComplex.validate` checks the link condition
-but assumes simple connectivity: on a complex that is not simply
-connected, an annulus say, a hint may return a local geodesic around the
-wrong side of a hole.
+Non-Positive Curvature*, Prop. II.1.4), so a certified hint is the heap's
+answer; a hint that fails is dropped and leaves the search to the heap.
+Elsewhere a local geodesic may go round the wrong side of a hole, so hints
+are stored only on a complex that :meth:`CubicalComplex.validate` proves
+CAT(0), with flag links and simply connected; on any other, an annulus
+say, every bent path comes from the heap.
 
 A gate that is a single vertex pins its breakpoint, so :func:`chain_length`
 cuts the chain there and solves each piece on its own: a piece with no
@@ -506,9 +506,7 @@ def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
     It holds at most ``_CACHE_SIZE`` entries: a miss that finds it full first drops the
     oldest inserted entry (a hit does not reorder), and a pair dropped is solved again,
     in the direction it is next asked for.  ``ValueError`` unless ``cx`` is a
-    :class:`CubicalComplex`.  A bent path found from a chain hint is
-    certified only as a local geodesic, which is the geodesic when ``cx`` is
-    CAT(0) (see the module docstring).
+    :class:`CubicalComplex`.
     """
     if not isinstance(cx, CubicalComplex):
         raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
@@ -522,13 +520,19 @@ def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
         a, b = p_loc.coords, q_loc.coords   # a LocatedPoint made by hand may be unsnapped
         key = (a, b) if a <= b else (b, a)
         g = _walk(cx, p_loc, q_loc) or _search(cx, p_loc, q_loc)
-        with _CACHE_LOCK:
-            if len(cache) >= _CACHE_SIZE:
-                del cache[next(iter(cache))]   # the oldest inserted entry
-            cache[key] = g
+        _store(cache, key, g)
     if g.breakpoints[0] != a:
         return Geodesic(g.breakpoints[::-1], g.cells[::-1], g.length)
     return g
+
+
+def _store(table, key, value):
+    """``table[key] = value`` under ``_CACHE_LOCK``; a new key that finds the
+    table full first drops its oldest inserted entry."""
+    with _CACHE_LOCK:
+        if key not in table and len(table) >= _CACHE_SIZE:
+            del table[next(iter(table))]
+        table[key] = value
 
 
 def _walk(cx, p_loc, q_loc):
@@ -574,8 +578,9 @@ def _search(cx, p_loc, q_loc):
     maximal cell holding p (the first in cell order that has one) and ended at
     q.  It is solved by :func:`chain_length` and returned if every breakpoint
     passes :func:`_certified`; a hint that raises ``GeodesicError`` or fails
-    the test leaves the search to the heap.  The heap's winner, when it has
-    three or more cells, becomes the hint of its first cell and q.
+    the test is dropped and leaves the search to the heap.  The heap's winner,
+    when it has three or more cells and ``cx`` is proved CAT(0), becomes the
+    hint of its first cell and q.
     """
     p, q = p_loc.coords, q_loc.coords
     if not math.isfinite(vertex_upper_bound(cx, p_loc, q_loc)):
@@ -586,7 +591,8 @@ def _search(cx, p_loc, q_loc):
 
     hints = cx._chain_hints
     starts = cx._owners[p_loc.minimal_cell]
-    hint = next((h for s in starts if (h := hints.get((s, q)))), None) if hints else None
+    key = next((k for s in starts if (k := (s, q)) in hints), None) if hints else None
+    hint = hints.get(key) if key else None
     if hint is not None:
         try:
             g = _assemble(hint, [p, *map(cx.snap, chain_length(cx, p, q, hint)[1][1:-1]), q])
@@ -594,6 +600,9 @@ def _search(cx, p_loc, q_loc):
             g = None
         if g is not None and _certified(cx, g):
             return g
+        with _CACHE_LOCK:
+            if hints.get(key) is hint:
+                del hints[key]
 
     ends = frozenset(cx._owners[q_loc.minimal_cell])
     counter = itertools.count()
@@ -633,11 +642,8 @@ def _search(cx, p_loc, q_loc):
             "the complex is inconsistent"
         )
     chain, pts = best
-    if len(chain) > 2:
-        with _CACHE_LOCK:
-            if len(hints) >= _CACHE_SIZE and (chain[0], q) not in hints:
-                del hints[next(iter(hints))]   # the oldest inserted entry
-            hints[chain[0], q] = chain
+    if len(chain) > 2 and cx.validate().cat0:
+        _store(hints, (chain[0], q), chain)
     return _assemble(chain, [p, *map(cx.snap, pts[1:-1]), q])
 
 
@@ -646,7 +652,7 @@ def _certified(cx, g) -> bool:
     :func:`_link_slack` of at least -1e-7.  A breakpoint whose carrier is a
     facet of both cells beside it is not tested: the chain solve has already
     made the path straight there.  A path that passes is a local geodesic,
-    which is the geodesic only in a CAT(0) complex."""
+    which is the geodesic only in a CAT(0) complex (``validate().cat0``)."""
     bps, cells, by_id = g.breakpoints, g.cells, cx._by_id
     for j in range(1, len(bps) - 1):
         dim = len(by_id[cx._cells_at(bps[j])[0]].axes) + 1

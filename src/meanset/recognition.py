@@ -310,9 +310,12 @@ def random_point(cx: CubicalComplex, rng: random.Random) -> tuple:
     """``(cell id, point)``: a uniformly drawn maximal cell and a uniform point
     of its box, a tuple of floats.  Draws only with ``rng.random()``: Python
     keeps its sequence for a seed across versions, and does not promise that
-    of ``randrange``.  ``ValueError`` unless ``cx`` is a :class:`CubicalComplex`."""
+    of ``randrange``.  ``ValueError`` unless ``cx`` is a :class:`CubicalComplex`
+    and ``rng`` has a ``random`` method."""
     if not isinstance(cx, CubicalComplex):
         raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
+    if not callable(getattr(rng, "random", None)):
+        raise ValueError(f"rng must have a random() method, got {rng!r}")
     ids = cx.maximal_ids
     cid = ids[int(rng.random() * len(ids))]
     lo, hi = cx._boxes[cid]

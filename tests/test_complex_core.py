@@ -20,6 +20,7 @@ from meanset import (
     recognize,
 )
 from meanset.convex import FREE, NONNEG, NONPOS, ZERO
+from meanset.corpus import BUNDLED
 from oracles import cell_meet, cells_holding
 
 
@@ -161,6 +162,34 @@ def test_validate_accepts_all_bundled(bundles):
         rep = cx.validate()
         assert rep.ok, name
         assert rep.link_violations == (), name
+
+
+def _squares(n, holes=()):
+    """The n x n grid of unit squares less the squares whose bases are ``holes``."""
+    return complex_from_dict({"ambient_dim": 2, "cells": [
+        {"base": [i, j], "axes": [0, 1]} for i in range(n) for j in range(n)
+        if (i, j) not in holes]})
+
+
+def test_validate_proves_simple_connectivity():
+    """Every bundled complex is proved simply connected and so CAT(0).  A
+    grid with a hole, with two, or a cycle of four edges is not proved,
+    while the surface of a unit cube is proved simply connected but fails
+    the link condition: neither is proved CAT(0)."""
+    for name in BUNDLED:
+        rep = load_bundled(name)[0].validate()
+        assert rep.simple_connectivity == "proved" and rep.cat0, name
+    assert _squares(5).validate().cat0
+    for cx in (_squares(3, {(1, 1)}), _squares(5, {(1, 1), (3, 3)}), complex_from_dict({
+            "ambient_dim": 2, "cells": [{"base": [0, 0], "axes": [0]}, {"base": [0, 0], "axes": [1]},
+                                        {"base": [1, 0], "axes": [1]}, {"base": [0, 1], "axes": [0]}]})):
+        rep = cx.validate()
+        assert rep.ok and rep.simple_connectivity == "not proved" and not rep.cat0
+    faces = [([0, 0, 0], [0, 1]), ([0, 0, 0], [0, 2]), ([0, 0, 0], [1, 2]),
+             ([0, 0, 1], [0, 1]), ([0, 1, 0], [0, 2]), ([1, 0, 0], [1, 2])]
+    rep = complex_from_dict({"ambient_dim": 3, "cells": [
+        {"base": b, "axes": a} for b, a in faces]}).validate()
+    assert rep.simple_connectivity == "proved" and not rep.ok and not rep.cat0
 
 
 def test_validate_flags_missing_cube_corner():

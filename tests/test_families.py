@@ -1,24 +1,12 @@
 """Smoke test of ``tools/families.py`` on the first pairs of each family."""
 
-import importlib.util
 import json
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from meanset import GeodesicError
-
-FAMILIES = Path(__file__).resolve().parents[1] / "tools" / "families.py"
-
-
-@pytest.fixture(scope="module")
-def tool():
-    spec = importlib.util.spec_from_file_location("families", FAMILIES)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("name, steps", [("L8", 0), ("L4xI", 5), ("tripod2", 31),

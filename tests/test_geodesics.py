@@ -1,12 +1,10 @@
 """Geodesic solver checked against closed forms and metric axioms."""
 
 import heapq
-import importlib.util
 import itertools
 import math
 import random
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1083,22 +1081,12 @@ def test_walk_work_counts_are_pinned(monkeypatch, sizes, p, q, spans, steps):
 # the link test at a path's breakpoints, against an independent oracle
 
 
-def _families():
-    """``tools/families.py``, loaded as a module."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "families.py"
-    spec = importlib.util.spec_from_file_location("families", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_geodesics_pass_the_link_test():
+def test_geodesics_pass_the_link_test(tool):
     """Seeded geodesics on the five corpora (60 pairs each, a third of the
     ends rounded onto faces) and the first 30 pairs of each generated
     family: each passes the oracle's link test (slack at least -1e-7), and
     ``_link_slack``, taken at every breakpoint between the ends, agrees
     with the oracle's worst slack to 1e-9."""
-    tool = _families()
     cases = []
     for name in BUNDLED:
         cx, _ = load_bundled(name)
@@ -1137,12 +1125,11 @@ def _random_chain(cx, p, q, rng, cap=10):
 
 
 @pytest.mark.parametrize("name", ["L8", "L4xI", "tripod2"])
-def test_non_optimal_chains_fail_the_link_test(name):
+def test_non_optimal_chains_fail_the_link_test(tool, name):
     """Random simple chains between the family's first 60 pairs, solved by
     ``chain_length``: each one longer than the geodesic by more than 1e-9
     fails both the oracle's test and ``_certified``, and each other one
     passes both."""
-    tool = _families()
     total, seed, doc, ends, _ = tool.families()[name]
     cx = complex_from_dict(doc)
     rng = random.Random(11)
@@ -1200,6 +1187,42 @@ def test_hinted_search_takes_its_pinned_pushes(pushes, first, then, cold, warm):
     assert geodesic(cx, then, q) == want
     assert pushes[0] == warm
     assert cx._chain_hints == {(want.cells[0], q): want.cells}
+
+
+def test_a_rejected_hint_is_dropped(monkeypatch):
+    """A hint that fails the link test is dropped, not tried again: with the
+    heap's winner kept out of the table, the rejected search leaves it
+    empty."""
+    q = (R3, 0.0)
+    cx, _ = load_bundled("quadrant_window")
+    geodesic(cx, (-1.6, 1.97), q)
+    assert len(cx._chain_hints) == 1
+    monkeypatch.setattr(geodesics, "_store", lambda table, key, value: None)
+    fresh, _ = load_bundled("quadrant_window")
+    assert geodesic(cx, (-1.64, 1.31), q) == geodesic(fresh, (-1.64, 1.31), q)
+    assert cx._chain_hints == {}
+
+
+def _annulus():
+    """The 3x3 square annulus: [0, 3]^2 less the open unit square at its centre."""
+    return complex_from_dict({"ambient_dim": 2, "cells": [
+        {"base": [i, j], "axes": [0, 1]} for i in range(3) for j in range(3) if (i, j) != (1, 1)]})
+
+
+def test_hints_are_kept_only_on_complexes_proved_cat0():
+    """On the annulus a path round the far side of the hole passes the link
+    test, so a hint could return it.  ``validate`` proves no simple
+    connectivity there, so no hint is stored, and the distance from (2.9,
+    2.4) to (0.5, 0.5) after a search from (2.4, 2.9), whose winner goes
+    round the other side, is that of a fresh complex, round (2, 1)."""
+    cx, fresh = _annulus(), _annulus()
+    assert cx.validate().ok and not cx.validate().cat0
+    assert cx.validate().simple_connectivity == "not proved"
+    g = geodesic(cx, (2.4, 2.9), (0.5, 0.5))
+    assert len(g.cells) > 2 and cx._chain_hints == {}
+    want = distance(fresh, (2.9, 2.4), (0.5, 0.5))
+    assert distance(cx, (2.9, 2.4), (0.5, 0.5)) == want
+    assert want == pytest.approx(math.dist((2.9, 2.4), (2, 1)) + math.dist((2, 1), (0.5, 0.5)))
 
 
 def test_two_cell_winners_store_no_hint():

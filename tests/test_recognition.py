@@ -388,7 +388,7 @@ def _model(cx, A, label):
     (lambda cx, A: feasibility_min_norm([Singleton((0.5, 0.0))], None), ValueError,
      "target must be a SignCone, got None"),
     (lambda cx, A: directional_derivative(_model(cx, A, "a"), None), ValueError,
-     "u must be a sequence of numbers, got None"),
+     "u must be a sequence of finite numbers, got None"),
     (lambda cx, A: SignCone(None), ValueError,
      "signs must be a sequence of sign constraints, got None"),
     (lambda cx, A: Singleton(None), ValueError, "g must be finite and in the unit ball, got None"),
@@ -396,6 +396,10 @@ def _model(cx, A, label):
     (lambda cx, A: _model(cx, A, None), ValueError, "label must be a label of A, got None"),
     (lambda cx, A: recognition.random_point(None, random.Random(0)), ValueError,
      "cx must be a CubicalComplex, got None"),
+    (lambda cx, A: recognition.random_point(cx, None), ValueError,
+     r"rng must have a random\(\) method, got None"),
+    (lambda cx, A: directional_derivative(_model(cx, A, "a"), ["x", "y"]), ValueError,
+     r"u must be a sequence of finite numbers, got \['x', 'y'\]"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -420,7 +424,8 @@ def _model(cx, A, label):
         "bool-probe-threshold", "bool-fraction", "bool-exponent", "bool-weight",
         "none-feasibility-sets", "string-feasibility-set", "none-feasibility-target",
         "none-derivative-direction", "none-signs", "none-singleton", "none-cone-ball",
-        "none-model-label", "none-random-point-complex"])
+        "none-model-label", "none-random-point-complex", "none-random-point-rng",
+        "string-derivative-direction"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id is a ComplexError naming it, a tolerance or an
     exponent that is no real number, a probe segment of mismatched ends or an
@@ -441,8 +446,9 @@ def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     that are no sequence of model sets or a target that is no sign cone, a
     derivative direction, sign pattern, ``Singleton`` point or ``ConeBall``
     vector that is no sequence of numbers, a model's label that is not one
-    of ``A`` or a ``random_point`` complex that is no complex a ValueError, a point
-    of the wrong dimension a LocationError, and an object that is no
+    of ``A``, or a ``random_point`` complex that is no complex or ``rng``
+    with no ``random`` method a ValueError, a point of the wrong dimension a
+    LocationError, and an object that is no
     certificate or a margin that is not a positive number a
     CertificateError, never a bare KeyError, TypeError, IndexError or
     AttributeError.  Margins are recomputed: a forged witness certifies no
@@ -450,6 +456,24 @@ def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     cx, A = bundles["squares3"]
     with pytest.raises(error, match=match):
         call(cx, A)
+
+
+def test_faults_inside_model_sets_are_not_blamed_on_the_arguments(bundles, monkeypatch):
+    """The argument checks of ``feasibility_min_norm`` and
+    ``directional_derivative`` look at the arguments only: a fault raised
+    inside a model set's own code reaches the caller as it was raised."""
+    cx, A = bundles["squares3"]
+    model = _model(cx, A, "a")
+
+    def fault(*args):
+        raise TypeError("fault inside the model set")
+
+    monkeypatch.setattr(Singleton, "anchor_point", fault)
+    with pytest.raises(TypeError, match="fault inside the model set"):
+        feasibility_min_norm([Singleton((0.5, 0.0))], SignCone((FREE, FREE)))
+    monkeypatch.setattr(type(model.subdiff), "support", fault)
+    with pytest.raises(TypeError, match="fault inside the model set"):
+        directional_derivative(model, (0.0, 0.0))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-7])
