@@ -7,7 +7,8 @@ box per cell gives the tangent cones.  Two lattice unit cubes always meet in a
 common face of both, so curvature enters only through
 :meth:`CubicalComplex.validate`, which checks the flag condition on the links of
 the lattice's vertices and tries to prove simple connectivity: by Gromov's link
-condition the two together make the complex CAT(0).
+condition the two together make the complex CAT(0).  The flag test grows the
+cells at each vertex by one rule, :meth:`CubicalComplex._spans`, that geodesics use too.
 One pass over the lattice, largest faces first, gives the adjacency table: each
 maximal cell's neighbours, each with the face the two meet in, which is where
 any two maximal cells meet; from it come their connected components.  The owner
@@ -20,6 +21,7 @@ their first call.  An unknown cell id raises :class:`ComplexError`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -79,18 +81,23 @@ class CubeCell(namedtuple("CubeCell", "base axes ident", defaults=("",))):
         return True
 
     def faces(self):
-        """All faces (including the cell itself) as ``(base, axes)`` pairs."""
+        """All faces (including the cell itself) as ``(base, axes)`` pairs, in the order of
+        :func:`_box_faces`: largest first, a side left free, at its lower end, at its upper end."""
         out = []
-        for sides in _box_faces(len(self.axes)):
+        for up, kept in _face_steps(tuple(self.axes)):
             base = list(self.base)
-            kept = []
-            for ax, side in zip(self.axes, sides):
-                if side > 0:
-                    base[ax] += 1
-                elif side == 0:
-                    kept.append(ax)
-            out.append((tuple(base), tuple(kept)))
+            for ax in up:
+                base[ax] += 1
+            out.append((tuple(base), kept))
         return out
+
+
+@functools.lru_cache(maxsize=256)
+def _face_steps(axes: tuple) -> tuple:
+    """For each face of a cube along ``axes``, the axes stepping its base up and those left free."""
+    return tuple((tuple(ax for ax, side in zip(axes, sides) if side > 0),
+                  tuple(ax for ax, side in zip(axes, sides) if side == 0))
+                 for sides in _box_faces(len(axes)))
 
 
 class LocatedPoint(namedtuple("LocatedPoint", "coords minimal_cell cx", defaults=(None,))):
@@ -115,7 +122,8 @@ class LocatedPoint(namedtuple("LocatedPoint", "coords minimal_cell cx", defaults
 
 class ValidationReport(namedtuple("ValidationReport", "link_violations simple_connectivity",
                                   defaults=("not proved",))):
-    """The vertices whose links are not flag, and ``"proved"`` or ``"not
+    """The minimal violations of the flag condition, ``(vertex, directions)``, as
+    :meth:`CubicalComplex._link_violations` orders them, and ``"proved"`` or ``"not
     proved"`` for simple connectivity."""
 
     __slots__ = ()
@@ -180,19 +188,11 @@ class CubicalComplex:
                     f"cell base={cell.base} axes={cell.axes} is a face of the maximal cell "
                     f"base={base} axes={axes} and cannot itself be maximal"
                 )
-        ordered = sorted(lattice.keys())
-        self.cells = []
-        self._index = {}
-        for k, (base, axes) in enumerate(ordered):
-            ident = f"c{k:03d}"
-            cc = CubeCell(base, axes, ident)
-            self.cells.append(cc)
-            self._index[(base, axes)] = ident
+        self.cells = [CubeCell(*key, f"c{k:03d}") for k, key in enumerate(sorted(lattice))]
+        self._index = {(c.base, c.axes): c.ident for c in self.cells}
         self._by_id = {c.ident: c for c in self.cells}
         maximal_keys = {(c.base, c.axes) for c in maximal}
-        self.maximal_ids = tuple(
-            c.ident for c in self.cells if (c.base, c.axes) in maximal_keys
-        )
+        self.maximal_ids = tuple(c.ident for c in self.cells if (c.base, c.axes) in maximal_keys)
         self._owners = {self._index[k]: tuple(map(self._index.__getitem__, sorted(owners)))
                         for k, owners in lattice.items()}
         # one float per distinct integer coordinate of the cells' bases (their boxes'
@@ -253,32 +253,47 @@ class CubicalComplex:
                 self._link_violations(), "proved" if self._simply_connected() else "not proved")
         return self._report
 
+    def _spans(self, base, along, directions) -> bool:
+        """Whether the cell ``(base, along)`` and the signed edge directions ``(axis, sign)``
+        lie in one lattice cell: one key lookup, in which a direction whose sign is at most
+        0, or ``False``, steps the base down, and a repeated axis matches no cell."""
+        base, axes = list(base), list(along)
+        for ax, sign in directions:
+            axes.append(ax)
+            if sign <= 0:
+                base[ax] -= 1
+        axes.sort()
+        return (tuple(base), tuple(axes)) in self._index
+
     def _link_violations(self) -> tuple:
-        """``(vertex, directions)`` of each set of pairwise spanning edge
-        directions at a vertex that spans no cell: the link is not flag there."""
-        link_bad = []
+        """``(vertex, directions)`` of each minimal violation of the flag condition, an
+        empty simplex of the flag completion of a vertex's link: three or more signed edge
+        directions that span no cell while every set of one fewer does.  Ordered by vertex,
+        then by size, then by directions, each by axis and then + before -.
 
-        def spans(vertex, directions):
-            """Whether the cube spanned at ``vertex`` by signed directions is a lattice cell."""
-            base = list(vertex)
-            for ax, sign in directions:
-                if sign < 0:
-                    base[ax] -= 1
-            return (tuple(base), tuple(sorted(ax for ax, _ in directions))) in self._index
-
+        Each cell at a vertex, from its squares up, grows once by each later direction
+        that spans a square with all of its own; the set spans a cell and grows on, or is
+        reported when each of its facets is a cell.  A cell less its last direction is a
+        cell, so every cell is reached: the work is cells at the vertex times its degree."""
+        bad = []
         for v in [c.base for c in self.cells if not c.axes]:   # the 0-cells, sorted
             dirs = [(ax, sign) for ax in range(self.ambient_dim) for sign in (1, -1)
-                    if spans(v, [(ax, sign)])]
-            # combinations keep the order of dirs, so every pair of a combo is a key here
-            pair_ok = {pair: spans(v, pair) for pair in itertools.combinations(dirs, 2)
-                       if pair[0][0] != pair[1][0]}
-            for r in range(3, len(dirs) + 1):
-                for combo in itertools.combinations(dirs, r):
-                    if (len({ax for ax, _ in combo}) == r
-                            and all(map(pair_ok.__getitem__, itertools.combinations(combo, 2)))
-                            and not spans(v, combo)):
-                        link_bad.append((v, combo))
-        return tuple(link_bad)
+                    if self._spans(v, (), ((ax, sign),))]
+            later = [{j for j in range(i + 1, len(dirs)) if self._spans(v, (), (d, dirs[j]))}
+                     for i, d in enumerate(dirs)]   # the later directions making a square with d
+            # the cells of one size, as indices into dirs, each with its later common neighbours
+            level = {(i, j): later[i] & later[j] for i, js in enumerate(later) for j in sorted(js)}
+            while level:
+                grown = {}
+                for cell, common in level.items():
+                    for j in sorted(common):
+                        new = cell + (j,)
+                        if self._spans(v, (), [dirs[i] for i in new]):
+                            grown[new] = common & later[j]
+                        elif all(new[:m] + new[m + 1:] in level for m in range(len(cell))):
+                            bad.append((v, tuple(dirs[i] for i in new)))
+                level = grown
+        return tuple(bad)
 
     def _simply_connected(self) -> bool:
         """Whether every connected component is proved simply connected.
@@ -291,20 +306,18 @@ class CubicalComplex:
         whose open edges are dual to a tree of its squares, but a complex it
         leaves short of that may still be simply connected.  A loop around a
         hole is never reached."""
-        index = self._index
-
-        def edge(base, ax, step=None):   # the id of the edge along ax at base (+ e_step)
-            if step is not None:
-                base = base[:step] + (base[step] + 1,) + base[step + 1:]
-            return index[(base, (ax,))]
-
         ends = {}   # vertex -> [(neighbour, edge id)]
+        sides = {}   # square id -> its four edges
+        on = {}   # edge -> the squares it is a side of
         for c in self.cells:
-            if len(c.axes) == 1:
-                (ax,) = c.axes
-                top = c.base[:ax] + (c.base[ax] + 1,) + c.base[ax + 1:]
-                ends.setdefault(c.base, []).append((top, c.ident))
-                ends.setdefault(top, []).append((c.base, c.ident))
+            if c.dim == 1:   # faces(): the edge, then its lower and its upper end
+                _, (low, _), (top, _) = c.faces()
+                ends.setdefault(low, []).append((top, c.ident))
+                ends.setdefault(top, []).append((low, c.ident))
+            elif c.dim == 2:   # faces(): the square, then its four edges
+                sides[c.ident] = tuple(map(self._index.__getitem__, c.faces()[1:5]))
+                for e in sides[c.ident]:
+                    on.setdefault(e, []).append(c.ident)
         open_ = {e for links in ends.values() for _, e in links}   # not yet null-homotopic
         seen = set()
         for root in ends:   # a spanning forest, by depth-first search
@@ -318,15 +331,6 @@ class CubicalComplex:
                         seen.add(v)
                         open_.discard(e)
                         stack.append(v)
-        sides = {}   # square id -> its four edges
-        on = {}   # edge -> the squares it is a side of
-        for c in self.cells:
-            if len(c.axes) == 2:
-                i, j = c.axes
-                sides[c.ident] = (edge(c.base, i), edge(c.base, i, j),
-                                  edge(c.base, j), edge(c.base, j, i))
-                for e in sides[c.ident]:
-                    on.setdefault(e, []).append(c.ident)
         todo = list(sides)
         while todo and open_:
             left = [e for e in sides[todo.pop()] if e in open_]

@@ -675,8 +675,9 @@ def _link_slack(cx, x, prev, nxt) -> float:
     nonzero, their signed directions (axis, sign), weighted by their squared
     share of the normal part on each side, must meet at distance pi in the
     link of sigma: two directions, one of each side, clash when they share an
-    axis with opposite signs or when sigma and both edges span no cell of the
-    complex, and a minimum-weight vertex cover of the clashes, brute-forced
+    axis with opposite signs or when sigma and both edges lie in no cell
+    (:meth:`CubicalComplex._spans`, ``validate``'s rule too), and a minimum-weight
+    vertex cover of the clashes, brute-forced
     over the subsets of the smaller side, must weigh 1.  A direction on both
     sides clashes with nothing, so it lowers the cover by its weight; the
     cover weighs at most 1, and its slack is its weight less 1.  The slack is
@@ -696,16 +697,8 @@ def _link_slack(cx, x, prev, nxt) -> float:
         return slack
     if len(A) > len(B):
         A, B, n1, n2 = B, A, n2, n1
-
-    def fits(a, b):   # whether sigma and the edges a and b lie in one cell
-        if a[0] == b[0]:
-            return a == b
-        base = list(sigma.base)
-        for i, up in (a, b):
-            base[i] -= not up
-        return (tuple(base), tuple(sorted((*along, a[0], b[0])))) in cx._index
-
-    clash = [{b for b in B if not fits(a, b)} for a in A]
+    # a and b clash unless they are one direction or sigma and both edges lie in one cell
+    clash = [{b for b in B if not (a == b or cx._spans(sigma.base, along, (a, b)))} for a in A]
     wa = [w / n1 for w in A.values()]
     cover = math.inf
     for mask in range(1 << len(A)):   # the directions of A in the cover; B covers the rest's clashes

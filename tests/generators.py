@@ -1,6 +1,8 @@
 """Generated complexes larger or stranger than the bundled five, as
 ``complex_from_dict`` documents."""
 
+import itertools
+
 
 def l_shape(k: int) -> dict:
     """A k x k grid of unit squares with corner (0, 0), minus the squares
@@ -34,3 +36,26 @@ def product(doc1: dict, doc2: dict) -> dict:
     return {"ambient_dim": n + doc2["ambient_dim"],
             "cells": [{"base": c["base"] + e["base"], "axes": c["axes"] + [n + i for i in e["axes"]]}
                       for c in doc1["cells"] for e in doc2["cells"]]}
+
+
+def tree_space(n: int) -> dict:
+    """The space of phylogenetic trees on n leaves (Billera, Holmes and
+    Vogtmann, *Adv. Appl. Math.* 27, 2001), its edge lengths cut at 1.  One
+    axis per split, a set S of leaves with 2 <= |S| <= n / 2, of S and its
+    complement at |S| = n / 2 the one that holds leaf 0.  Two splits are
+    compatible when S & T, S - T, T - S or the leaves outside both is empty.
+    One cell at base 0 per maximal compatible set, a binary tree's n - 3
+    splits: (2n - 5)!! cells, 15, 105 and 945 for n = 5, 6 and 7."""
+    leaves = frozenset(range(n))
+    splits = [frozenset(s) for r in range(2, n // 2 + 1)
+              for s in itertools.combinations(range(n), r) if 2 * r < n or 0 in s]
+
+    def compatible(s, t):
+        return not (s & t and s - t and t - s and leaves - s - t)
+
+    cells = [()]
+    for _ in range(n - 3):   # the compatible sets of n - 3 splits, grown in axis order
+        cells = [c + (j,) for c in cells for j in range(c[-1] + 1 if c else 0, len(splits))
+                 if all(compatible(splits[i], splits[j]) for i in c)]
+    return {"ambient_dim": len(splits),
+            "cells": [{"base": [0] * len(splits), "axes": list(c)} for c in cells]}

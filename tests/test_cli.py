@@ -45,6 +45,20 @@ def test_validate_flags_link_violation(capsys, tmp_path):
     assert doc["link_violations"]
 
 
+def test_validate_lists_the_minimal_violations_of_a_fan(capsys, tmp_path):
+    """A square on each of the 153 pairs of 18 axes at one vertex, with no
+    cube: one entry per triple of axes, 816 in all, not one per set of three
+    or more directions, 2^18 - 1 - 18 - 153 = 261,972."""
+    path = tmp_path / "fan18.json"
+    path.write_text(json.dumps({"ambient_dim": 18, "cells": [
+        {"base": [0] * 18, "axes": [i, j]} for i in range(18) for j in range(i + 1, 18)]}))
+    code, out, _ = run(capsys, "validate", "--complex", str(path))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["ok"] is False and len(doc["link_violations"]) == 816
+    assert doc["link_violations"][0] == {"vertex": [0] * 18, "directions": [[0, 1], [1, 1], [2, 1]]}
+
+
 def test_distance_bundled(capsys):
     code, out, _ = run(capsys, "distance", "--complex", "tripod",
                        "--from", "[1,0]", "--to", "[-1,0]")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import signal
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from meanset import (
 )
 from meanset.convex import FREE, NONNEG, NONPOS, ZERO
 from meanset.corpus import BUNDLED
+import generators
 from oracles import cell_meet, cells_holding
 
 
@@ -204,7 +206,97 @@ def test_validate_flags_missing_cube_corner():
         ],
     })
     rep = cx.validate()
-    assert rep.link_violations != ()
+    assert rep.link_violations == (((0, 0, 0), ((0, 1), (1, 1), (2, 1))),)
+
+
+def _count_spans(monkeypatch):
+    """A list whose one item counts the calls of ``CubicalComplex._spans`` from now on."""
+    calls, spans = [0], CubicalComplex._spans
+
+    def counted(self, *args):
+        calls[0] += 1
+        return spans(self, *args)
+
+    monkeypatch.setattr(CubicalComplex, "_spans", counted)
+    return calls
+
+
+def _fan(k):
+    """A square on every pair of k axes at the origin, and no cube."""
+    return {"ambient_dim": k, "cells": [{"base": [0] * k, "axes": list(pair)}
+                                        for pair in itertools.combinations(range(k), 2)]}
+
+
+_SURFACE = {"ambient_dim": 3, "cells": [
+    {"base": b, "axes": a} for b, a in [([0, 0, 0], [0, 1]), ([0, 0, 0], [0, 2]), ([0, 0, 0], [1, 2]),
+                                        ([0, 0, 1], [0, 1]), ([0, 1, 0], [0, 2]), ([1, 0, 0], [1, 2])]]}
+
+
+@pytest.mark.parametrize("doc, want, spans", [
+    pytest.param({"ambient_dim": 3, "cells": [{"base": [0, 0, 0], "axes": a}
+                                              for a in ([0, 1], [0, 2], [1, 2])]},
+                 [((0, 0, 0), ((0, 1), (1, 1), (2, 1)))], 58, id="cube-corner"),
+    pytest.param(_SURFACE, [
+        ((0, 0, 0), ((0, 1), (1, 1), (2, 1))), ((0, 0, 1), ((0, 1), (1, 1), (2, -1))),
+        ((0, 1, 0), ((0, 1), (1, -1), (2, 1))), ((0, 1, 1), ((0, 1), (1, -1), (2, -1))),
+        ((1, 0, 0), ((0, -1), (1, 1), (2, 1))), ((1, 0, 1), ((0, -1), (1, 1), (2, -1))),
+        ((1, 1, 0), ((0, -1), (1, -1), (2, 1))), ((1, 1, 1), ((0, -1), (1, -1), (2, -1)))],
+        80, id="cube-surface"),
+    pytest.param(_fan(4), [((0,) * 4, tuple((ax, 1) for ax in triple))
+                           for triple in itertools.combinations(range(4), 3)], 128, id="fan-4"),
+    pytest.param(_fan(18), [((0,) * 18, tuple((ax, 1) for ax in triple))
+                            for triple in itertools.combinations(range(18), 3)], 10_068, id="fan-18"),
+])
+def test_link_violations_are_the_minimal_ones(monkeypatch, doc, want, spans):
+    """The report lists each minimal violation of the flag condition, an
+    empty triangle here, by vertex, then by size, then by direction order,
+    in a pinned count of ``_spans`` lookups.  The pairs of k axes at one
+    vertex with no cube give C(k, 3) triples, not the 2^k - 1 - k - C(k, 2)
+    sets of three or more directions that span no cell: 4, not 5, for k = 4,
+    and 816 for k = 18."""
+    calls = _count_spans(monkeypatch)
+    rep = complex_from_dict(doc).validate()
+    assert list(rep.link_violations) == want
+    assert calls[0] == spans
+    assert not rep.ok and not rep.cat0
+
+
+def _tree_space(n, axes, cells):
+    """Tree space on n leaves, checked to have ``axes`` splits and ``cells``
+    maximal cells of dimension n - 3."""
+    doc = generators.tree_space(n)
+    assert doc["ambient_dim"] == axes and len(doc["cells"]) == cells
+    assert {len(c["axes"]) for c in doc["cells"]} == {n - 3}
+    return complex_from_dict(doc)
+
+
+@pytest.mark.parametrize("n, axes, cells", [(4, 3, 3), (5, 10, 15)])
+def test_tree_space_is_proved_cat0(n, axes, cells):
+    """Tree space on n leaves has one axis per split and (2n - 5)!! maximal
+    cells, and ``validate`` proves it CAT(0)."""
+    assert _tree_space(n, axes, cells).validate().cat0
+
+
+def _ring(signum, frame):
+    raise TimeoutError("validate() ran past its alarm")
+
+
+def test_tree_space_validates_without_scanning_subsets(monkeypatch):
+    """Tree space on 6 leaves, 105 cubes on 25 axes, is proved CAT(0).  Its
+    origin has 25 edge directions, so a scan of their subsets would take
+    2^25 steps.  Growing the cells at each vertex takes a pinned count of
+    ``_spans`` lookups; the alarm stops a subset scan."""
+    cx = _tree_space(6, 25, 105)
+    calls = _count_spans(monkeypatch)
+    handler = signal.signal(signal.SIGALRM, _ring)
+    signal.alarm(20)
+    try:
+        rep = cx.validate()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert rep.link_violations == () and rep.cat0
+    assert calls[0] == 15_340
 
 
 def test_complex_from_dict_rejects_malformed():

@@ -492,6 +492,22 @@ def test_singular_kkt_falls_back_to_least_squares(monkeypatch):
     assert len(calls) == 1
 
 
+def test_affine_weights_of_one_row_and_of_an_ill_conditioned_pair(monkeypatch):
+    """One row is its own affine span, with weight 1 and no solve.  The KKT
+    system of the points 1e4 and 1e4 + 1 on a line is so ill-conditioned
+    that elimination misses the sum-to-one constraint; least squares
+    answers, and its weights, scaled to sum to 1, are those of the origin,
+    the min-norm point of the line, (10001, -10000)."""
+    assert _affine_min_norm([(1.0, 2.0)], [1.0]) == [1.0]
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+    v = _affine_min_norm([(1e4,), (1e4 + 1.0,)], [1.0, 1.0])
+    assert len(calls) == 1
+    assert sum(v) == pytest.approx(1.0, abs=1e-12)
+    assert v == pytest.approx([10001.0, -10000.0], rel=1e-7)
+
+
 def _singular_systems(rng):
     """Seeded ``(Q, e)`` whose KKT systems are singular: k = 2-6 rows in
     n = 1-4 dimensions with a duplicate point, all points collinear, or one

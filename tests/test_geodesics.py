@@ -1203,6 +1203,33 @@ def test_a_rejected_hint_is_dropped(monkeypatch):
     assert cx._chain_hints == {}
 
 
+def test_a_hint_that_raises_is_dropped(monkeypatch):
+    """A hint that ``chain_length`` refuses, here one whose two cells share
+    no face, is dropped like a rejected one, and the search answers as on a
+    fresh complex."""
+    q = (R3, 0.0)
+    cx, _ = load_bundled("quadrant_window")
+    geodesic(cx, (-1.6, 1.97), q)
+    ((key, chain),) = cx._chain_hints.items()
+    assert chain[-1] not in dict(cx.adjacency[chain[0]])
+    cx._chain_hints[key] = (chain[0], chain[-1])
+    raised, solve = [], geodesics.chain_length
+
+    def spied(*args):
+        try:
+            return solve(*args)
+        except GeodesicError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(geodesics, "chain_length", spied)
+    monkeypatch.setattr(geodesics, "_store", lambda table, key, value: None)
+    fresh, _ = load_bundled("quadrant_window")
+    assert geodesic(cx, (-1.64, 1.31), q) == geodesic(fresh, (-1.64, 1.31), q)
+    assert len(raised) == 1 and "share no face" in raised[0]
+    assert cx._chain_hints == {}
+
+
 def _annulus():
     """The 3x3 square annulus: [0, 3]^2 less the open unit square at its centre."""
     return complex_from_dict({"ambient_dim": 2, "cells": [
