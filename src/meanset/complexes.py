@@ -207,6 +207,8 @@ class CubicalComplex:
         # (first cell, q) -> the winning chain of a search from that cell to the point q,
         # tried by the next search between them before its heap (geodesics._search)
         self._chain_hints = {}
+        # (first cell, q) -> (v, the geodesic from the vertex v to q) of an earlier search
+        self._pivots = {}
         # two maximal cells meet in their largest common face, so visiting the
         # faces largest first, the first face two owners share is their meet
         meets = {key: {} for key in maximal_keys}

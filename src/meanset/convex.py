@@ -238,19 +238,31 @@ def _affine_min_norm(Q, e) -> list:
     negative).  ``e`` is 1 for a point row and 0 for a ray row: only the
     point weights must sum to one, so ray rows span linear directions.
 
-    The (k+1)x(k+1) KKT system is solved by elimination on floats; when it
+    The (k+1)x(k+1) KKT system is solved by elimination on floats.  When it
     is singular (a pivot is zero up to rounding), or its weights miss the
-    sum-to-one constraint, numpy's least squares solves it instead."""
+    sum-to-one constraint, numpy solves it in the differences ``q_j - e_j
+    q_i`` from the first point row ``q_i``: the weights are ``e / |e|^2``
+    plus a least-squares step along an orthonormal basis of the differences'
+    weights, so their point weights sum to one by construction, a repeated
+    row adds an exactly zero column, and a singular system gets the
+    minimum-norm weights."""
     k = len(Q)
     if k == 1:
         return [1.0]
     kkt = [[_dot(qi, qj) for qj in Q] + [ei] for qi, ei in zip(Q, e)] + [e + [0.0]]
-    rhs = [0.0] * k + [1.0]
-    sol = _solve(kkt, rhs)
+    sol = _solve(kkt, [0.0] * k + [1.0])
     if sol is None or not all(map(math.isfinite, sol)) or abs(_dot(sol[:k], e) - 1.0) > 1e-6:
         import numpy as np
-        sol = np.linalg.lstsq(np.array(kkt), np.array(rhs), rcond=None)[0].tolist()
-    v = sol[:k]
+        E, P, i = np.array(e), np.array(Q), e.index(1.0)
+        rest = [j for j in range(k) if j != i]
+        W = np.eye(k)[:, rest]   # column j: the weights of q_j - e_j q_i
+        W[i] = -E[rest]
+        N, R = np.linalg.qr(W)
+        PN = np.linalg.solve(R.T, P[rest] - np.outer(E[rest], P[i])).T   # P^T N
+        v0 = E / (E @ E)
+        v = (v0 + N @ np.linalg.lstsq(PN, -(v0 @ P), rcond=None)[0]).tolist()
+    else:
+        v = sol[:k]
     s = _dot(v, e)
     if abs(s - 1.0) > 1e-12 and abs(s) > 1e-12:
         v = [vi / s for vi in v]

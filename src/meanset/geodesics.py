@@ -40,6 +40,16 @@ are stored only on a complex that :meth:`CubicalComplex.validate` proves
 CAT(0), with flag links and simply connected; on any other, an annulus
 say, every bent path comes from the heap.
 
+Before the hint, a search tries a pivot, kept under the same guard: the
+first breakpoint of an earlier answer from the same start cell to the
+same end that is a vertex v, with that answer's tail from v on.  The walk
+from p to v joined to the tail is straight but at v, and the tail is a
+geodesic, so one :func:`_link_slack` test at v certifies the joined path
+as the geodesic, with no chain solve.  A pivot that fails is dropped.
+Around a reflex vertex, where the geodesics from a whole region bend, one
+pivot answers them all, on whichever side of the vertex the winning chain
+runs.
+
 A gate that is a single vertex pins its breakpoint, so :func:`chain_length`
 cuts the chain there and solves each piece on its own: a piece with no
 gate is a segment, one with one gate is the closed form of
@@ -574,13 +584,18 @@ def _search(cx, p_loc, q_loc):
     """The geodesic by best-first chain search (see the module docstring), its
     ends the located tuples and its other breakpoints snapped.
 
-    First the hint: the winning chain of an earlier search that started in a
-    maximal cell holding p (the first in cell order that has one) and ended at
-    q.  It is solved by :func:`chain_length` and returned if every breakpoint
-    passes :func:`_certified`; a hint that raises ``GeodesicError`` or fails
-    the test is dropped and leaves the search to the heap.  The heap's winner,
-    when it has three or more cells and ``cx`` is proved CAT(0), becomes the
-    hint of its first cell and q.
+    First the pivot ``(v, tail)`` of an earlier answer that started in a
+    maximal cell holding p (the first in cell order that has one) and ended
+    at q: the walk from p to the vertex v, joined to ``tail``, is returned if
+    :func:`_link_slack` at v is at least -1e-7; a pivot whose walk leaves the
+    complex, is a single point or fails the test is dropped.  Then the hint,
+    the winning chain of such a search: it is solved by :func:`chain_length`
+    and returned if every breakpoint passes :func:`_certified`; a hint that
+    raises ``GeodesicError`` or fails the test is dropped and leaves the
+    search to the heap.  When ``cx`` is proved CAT(0), the heap's winner of
+    three or more cells becomes the hint of its first cell and q, and the
+    heap's or a certified hint's answer with a vertex between its ends gives
+    the pivot of its first cell and q (:func:`_remember`).
     """
     p, q = p_loc.coords, q_loc.coords
     if not math.isfinite(vertex_upper_bound(cx, p_loc, q_loc)):
@@ -589,8 +604,19 @@ def _search(cx, p_loc, q_loc):
             "lie in different connected components; no geodesic exists"
         )
 
-    hints = cx._chain_hints
     starts = cx._owners[p_loc.minimal_cell]
+    pivots = cx._pivots
+    key = next((k for s in starts if (k := (s, q)) in pivots), None) if pivots else None
+    pivot = pivots.get(key) if key else None
+    if pivot is not None:
+        v, tail = pivot
+        w = _walk(cx, p_loc, cx._locate_snapped(v))
+        if w is not None and len(w.breakpoints) > 1 and \
+                _link_slack(cx, v, w.breakpoints[-2], tail.breakpoints[1]) >= -1e-7:
+            return _assemble(w.cells + tail.cells, w.breakpoints + tail.breakpoints[1:])
+        _drop(pivots, key, pivot)
+
+    hints = cx._chain_hints
     key = next((k for s in starts if (k := (s, q)) in hints), None) if hints else None
     hint = hints.get(key) if key else None
     if hint is not None:
@@ -599,10 +625,9 @@ def _search(cx, p_loc, q_loc):
         except GeodesicError:
             g = None
         if g is not None and _certified(cx, g):
+            _remember(cx, q, g, None)
             return g
-        with _CACHE_LOCK:
-            if hints.get(key) is hint:
-                del hints[key]
+        _drop(hints, key, hint)
 
     ends = frozenset(cx._owners[q_loc.minimal_cell])
     counter = itertools.count()
@@ -642,9 +667,30 @@ def _search(cx, p_loc, q_loc):
             "the complex is inconsistent"
         )
     chain, pts = best
-    if len(chain) > 2 and cx.validate().cat0:
-        _store(hints, (chain[0], q), chain)
-    return _assemble(chain, [p, *map(cx.snap, pts[1:-1]), q])
+    g = _assemble(chain, [p, *map(cx.snap, pts[1:-1]), q])
+    _remember(cx, q, g, chain if len(chain) > 2 else None)
+    return g
+
+
+def _remember(cx, q, g, chain):
+    """On a complex proved CAT(0), keep ``chain`` (if any) as the hint of its
+    first cell and ``q``, and the pivot of ``g``: its first breakpoint
+    between the ends that is a vertex, with the part of ``g`` from there on,
+    under ``g``'s first cell and ``q``."""
+    bps = g.breakpoints
+    j = next((j for j in range(1, len(bps) - 1) if all(map(float.is_integer, bps[j]))), None)
+    if (chain or j) and cx.validate().cat0:
+        if chain:
+            _store(cx._chain_hints, (chain[0], q), chain)
+        if j:
+            _store(cx._pivots, (g.cells[0], q), (bps[j], _assemble(g.cells[j:], bps[j:])))
+
+
+def _drop(table, key, value):
+    """Delete ``table[key]`` under ``_CACHE_LOCK`` if it is still ``value``."""
+    with _CACHE_LOCK:
+        if table.get(key) is value:
+            del table[key]
 
 
 def _certified(cx, g) -> bool:

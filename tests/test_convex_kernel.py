@@ -508,6 +508,18 @@ def test_affine_weights_of_one_row_and_of_an_ill_conditioned_pair(monkeypatch):
     assert v == pytest.approx([10001.0, -10000.0], rel=1e-7)
 
 
+@pytest.mark.parametrize("a", [1e4, 1e5, 1e6])
+def test_ill_conditioned_pairs_get_weights_that_sum_to_one(a):
+    """The points a and a + 1 on a line: elimination misses the sum-to-one
+    row, and the fallback, solved in differences from the first point, gives
+    weights that sum to 1 within 1e-9 and name the origin, (a + 1, -a) to
+    1e-7.  Least squares on the KKT system itself gave (2.5e-21, 2.5e-21)
+    at 1e5 and (2.5e-25, 2.5e-25) at 1e6."""
+    v = _affine_min_norm([(a,), (a + 1.0,)], [1.0, 1.0])
+    assert sum(v) == pytest.approx(1.0, abs=1e-9)
+    assert v == pytest.approx([a + 1.0, -a], rel=1e-7)
+
+
 def _singular_systems(rng):
     """Seeded ``(Q, e)`` whose KKT systems are singular: k = 2-6 rows in
     n = 1-4 dimensions with a duplicate point, all points collinear, or one

@@ -868,6 +868,22 @@ def test_l4_prism_pair_wrapping_the_reflex_edge_is_answered(newton_steps):
     assert newton_steps[0] == 68
 
 
+def test_chain_length_raises_on_a_piece_it_cannot_certify():
+    """The public ``chain_length`` on a losing chain of the L4 x [0, 2]
+    family (pair 1110) that its solver does not certify: the piece from p to
+    q keeps a certified gap of 6e-05, above the 1e-9 (1 + length) limit, and
+    the call raises ``GeodesicError`` naming the chain, the piece, the gap
+    and the length."""
+    cx = complex_from_dict(product(l_shape(4), INTERVAL))
+    p, q = (0.5, 4.0, 1.5), (3.7212807376350643, 1.7219101921571127, 0.7067785011336642)
+    chain = ("c071", "c153", "c161", "c141", "c211", "c273")
+    ends = f"from {p} to {q}"
+    with pytest.raises(GeodesicError) as exc:
+        geodesics.chain_length(cx, p, q, chain)
+    assert str(exc.value) == (f"chain {chain} {ends}: certified gap 6e-05 of the piece {ends} "
+                              "exceeds 1e-9 (1 + length 4.42970237811)")
+
+
 # ---------------------------------------------------------------------------
 # pieces that start on their unfolded straight line
 
@@ -1175,7 +1191,8 @@ def test_hinted_search_takes_its_pinned_pushes(pushes, first, then, cold, warm):
     starts in the same cell.  Certified, it is returned with no heap push;
     rejected, the heap runs as on a fresh complex.  Either way the result
     equals the fresh complex's geodesic, and the winner is the hint of its
-    first cell and q."""
+    first cell and q.  The pivot of the first search, which would answer
+    before the hint is tried, is emptied first."""
     q = (R3, 0.0)
     fresh, _ = load_bundled("quadrant_window")
     want = geodesic(fresh, then, q)
@@ -1183,6 +1200,7 @@ def test_hinted_search_takes_its_pinned_pushes(pushes, first, then, cold, warm):
     cx, _ = load_bundled("quadrant_window")
     g = geodesic(cx, first, q)
     assert cx._chain_hints == {(g.cells[0], q): g.cells} and g.cells[0] == want.cells[0]
+    cx._pivots.clear()
     pushes[0] = 0
     assert geodesic(cx, then, q) == want
     assert pushes[0] == warm
@@ -1192,11 +1210,12 @@ def test_hinted_search_takes_its_pinned_pushes(pushes, first, then, cold, warm):
 def test_a_rejected_hint_is_dropped(monkeypatch):
     """A hint that fails the link test is dropped, not tried again: with the
     heap's winner kept out of the table, the rejected search leaves it
-    empty."""
+    empty.  The first search's pivot is emptied so that the hint is tried."""
     q = (R3, 0.0)
     cx, _ = load_bundled("quadrant_window")
     geodesic(cx, (-1.6, 1.97), q)
     assert len(cx._chain_hints) == 1
+    cx._pivots.clear()
     monkeypatch.setattr(geodesics, "_store", lambda table, key, value: None)
     fresh, _ = load_bundled("quadrant_window")
     assert geodesic(cx, (-1.64, 1.31), q) == geodesic(fresh, (-1.64, 1.31), q)
@@ -1206,10 +1225,12 @@ def test_a_rejected_hint_is_dropped(monkeypatch):
 def test_a_hint_that_raises_is_dropped(monkeypatch):
     """A hint that ``chain_length`` refuses, here one whose two cells share
     no face, is dropped like a rejected one, and the search answers as on a
-    fresh complex."""
+    fresh complex.  The first search's pivot is emptied so that the hint is
+    tried."""
     q = (R3, 0.0)
     cx, _ = load_bundled("quadrant_window")
     geodesic(cx, (-1.6, 1.97), q)
+    cx._pivots.clear()
     ((key, chain),) = cx._chain_hints.items()
     assert chain[-1] not in dict(cx.adjacency[chain[0]])
     cx._chain_hints[key] = (chain[0], chain[-1])
@@ -1238,15 +1259,17 @@ def _annulus():
 
 def test_hints_are_kept_only_on_complexes_proved_cat0():
     """On the annulus a path round the far side of the hole passes the link
-    test, so a hint could return it.  ``validate`` proves no simple
-    connectivity there, so no hint is stored, and the distance from (2.9,
-    2.4) to (0.5, 0.5) after a search from (2.4, 2.9), whose winner goes
-    round the other side, is that of a fresh complex, round (2, 1)."""
+    test, so a hint or a pivot could return it.  ``validate`` proves no
+    simple connectivity there, so neither is stored, and the distance from
+    (2.9, 2.4) to (0.5, 0.5) after a search from (2.4, 2.9), whose winner
+    goes round the other side through the vertex (1, 2), is that of a fresh
+    complex, round (2, 1)."""
     cx, fresh = _annulus(), _annulus()
     assert cx.validate().ok and not cx.validate().cat0
     assert cx.validate().simple_connectivity == "not proved"
     g = geodesic(cx, (2.4, 2.9), (0.5, 0.5))
     assert len(g.cells) > 2 and cx._chain_hints == {}
+    assert (1.0, 2.0) in g.breakpoints and cx._pivots == {}
     want = distance(fresh, (2.9, 2.4), (0.5, 0.5))
     assert distance(cx, (2.9, 2.4), (0.5, 0.5)) == want
     assert want == pytest.approx(math.dist((2.9, 2.4), (2, 1)) + math.dist((2, 1), (0.5, 0.5)))
@@ -1272,3 +1295,134 @@ def test_hint_table_never_exceeds_the_cache_size(monkeypatch):
         assert len(g.cells) > 2 and len(cx._chain_hints) <= 4
         stored.append((g.cells[0], q))
     assert list(cx._chain_hints) == stored[-4:]
+
+
+# ---------------------------------------------------------------------------
+# pivots: an earlier geodesic's tail from its first vertex, joined to a walk
+
+
+def test_a_pivot_answers_the_two_sided_pair_with_no_push(pushes, monkeypatch):
+    """The pair whose chain hint bends round the other side of the reflex
+    vertex: after (-1.6, 1.97), the search from (-1.64, 1.31) to (sqrt 3, 0)
+    walks to the origin, the first search's pivot, passes the link test
+    there and joins that search's tail, with no heap push and no
+    ``chain_length`` call.  The answer equals the fresh complex's geodesic,
+    and the first search's pivot and hint stay."""
+    q = (R3, 0.0)
+    fresh, _ = load_bundled("quadrant_window")
+    want = geodesic(fresh, (-1.64, 1.31), q)
+    cx, _ = load_bundled("quadrant_window")
+    g = geodesic(cx, (-1.6, 1.97), q)
+    pivots, hints = dict(cx._pivots), dict(cx._chain_hints)
+    tail = geodesics._assemble(g.cells[3:], g.breakpoints[3:])
+    assert g.breakpoints[3] == (0.0, 0.0) and pivots == {(g.cells[0], q): ((0.0, 0.0), tail)}
+    pushes[0] = 0
+    solves, real = [], geodesics.chain_length
+    monkeypatch.setattr(geodesics, "chain_length", lambda *a: solves.append(a) or real(*a))
+    assert geodesic(cx, (-1.64, 1.31), q) == want
+    assert pushes[0] == 0 and solves == []
+    assert cx._pivots == pivots and cx._chain_hints == hints
+
+
+def test_a_pivot_that_fails_the_link_test_is_dropped(monkeypatch):
+    """The path from (-1.41, 1.41) to (sqrt 3, 0) runs through the vertex
+    (-1, 1) before it bends at the origin, so (-1, 1) is its pivot.  From
+    (-1.17, 1.71), in the same start cell, the walk to (-1, 1) and that
+    pivot's tail turn by less than pi there: the link test fails, the pivot
+    is dropped and the heap answers as on a fresh complex.  With the heap's
+    winner kept out, the table is left empty."""
+    q = (R3, 0.0)
+    cx, _ = load_bundled("quadrant_window")
+    geodesic(cx, (-1.41, 1.41), q)
+    assert [v for v, _ in cx._pivots.values()] == [(-1.0, 1.0)]
+    slacks, real = [], geodesics._link_slack
+    monkeypatch.setattr(geodesics, "_link_slack",
+                        lambda cx, x, *a: slacks.append((x, real(cx, x, *a))) or slacks[-1][1])
+    monkeypatch.setattr(geodesics, "_store", lambda table, key, value: None)
+    fresh, _ = load_bundled("quadrant_window")
+    assert geodesic(cx, (-1.17, 1.71), q) == geodesic(fresh, (-1.17, 1.71), q)
+    assert slacks[0][0] == (-1.0, 1.0) and slacks[0][1] < -1e-7
+    assert cx._pivots == {}
+
+
+def test_a_pivot_at_the_start_point_is_dropped():
+    """A search that starts at its pivot's vertex has no walk to join: the
+    pivot (-1, 1) of the path from (-1.41, 1.41) to (sqrt 3, 0) is dropped by
+    the search from (-1, 1), which the heap answers as on a fresh complex,
+    leaving its own pivot, the origin."""
+    q = (R3, 0.0)
+    cx, _ = load_bundled("quadrant_window")
+    fresh, _ = load_bundled("quadrant_window")
+    geodesic(cx, (-1.41, 1.41), q)
+    assert [v for v, _ in cx._pivots.values()] == [(-1.0, 1.0)]
+    g = geodesic(cx, (-1.0, 1.0), q)
+    assert g == geodesic(fresh, (-1.0, 1.0), q)
+    tail = geodesics._assemble(g.cells[1:], g.breakpoints[1:])
+    assert cx._pivots == {(g.cells[0], q): ((0.0, 0.0), tail)}
+
+
+def test_pivot_table_never_exceeds_the_cache_size(monkeypatch):
+    """With room for 4 pivots, 12 quadrant_window searches to different
+    ends, each bent at the origin, keep at most 4, the last 4 stored: the
+    oldest goes first."""
+    monkeypatch.setattr(geodesics, "_CACHE_SIZE", 4)
+    cx, _ = load_bundled("quadrant_window")
+    stored = []
+    for k in range(12):
+        q = (1.0 + k / 12.0, -0.5)
+        g = geodesic(cx, (-0.5, 1.5), q)
+        assert (0.0, 0.0) in g.breakpoints and len(cx._pivots) <= 4
+        stored.append((g.cells[0], q))
+    assert list(cx._pivots) == stored[-4:]
+
+
+def test_threads_share_a_full_pivot_table_safely(monkeypatch):
+    """Four quadrant_window heat-map threads that store, use, drop and evict
+    pivots in one table of 4 entries, switching every microsecond, raise
+    nothing, leave at most 4 pivots and write the CSV that one thread
+    writes."""
+    monkeypatch.setattr(geodesics, "_CACHE_SIZE", 4)
+    cx, A = load_bundled("quadrant_window")
+    csv1 = to_csv(run_heatmap(A, 40, 31, 0.1, threads=1), cx.ambient_dim)
+    cx._geo_cache.clear()
+    cx._chain_hints.clear()
+    cx._pivots.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        csv4 = to_csv(run_heatmap(A, 40, 31, 0.1, threads=4), cx.ambient_dim)
+    finally:
+        sys.setswitchinterval(interval)
+    assert csv4 == csv1
+    assert 0 < len(cx._pivots) <= 4
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_pivot_answers_equal_the_heap_answers(name):
+    """Seeded corpus points (a third rounded onto faces) to every point of
+    ``A``, on one complex that keeps its pivots: each search that a pivot
+    answers gives the same breakpoints and length, compared with ``==``, as
+    the heap on a fresh complex with empty tables.  Pivots answer at least
+    20 searches on each corpus but cube_square, where the few pivots tried
+    at these points all fail the link test."""
+    cx, A = load_bundled(name)
+    fresh, _ = load_bundled(name)
+    rng = np.random.default_rng([37, len(name)])
+    answered = 0
+    for i in range(40):
+        x = cx.locate(_corpus_point(cx, rng, i % 3 == 0))
+        for a in A.points.values():
+            cx._geo_cache.clear()
+            starts = cx._owners[x.minimal_cell]
+            key = next((k for s in starts if (k := (s, a.coords)) in cx._pivots), None)
+            pivot = cx._pivots.get(key)
+            g = geodesic(cx, x, a)
+            if pivot is None or cx._pivots.get(key) is not pivot:   # none, or dropped
+                continue
+            fresh._chain_hints.clear()
+            fresh._pivots.clear()
+            want = geodesics._search(fresh, fresh.locate(x.coords), fresh.locate(a.coords))
+            assert (g.breakpoints, g.length) == (want.breakpoints, want.length), (x, a)
+            answered += 1
+    assert answered >= (0 if name == "cube_square" else 20), answered
+
