@@ -204,10 +204,8 @@ class CubicalComplex:
                        for c in self.cells}
         self._geo_cache = {}
         self._report = None   # validate()'s, made on its first call
-        # (first cell, q) -> the winning chain of a search from that cell to the point q,
+        # (first cell, q) -> (v, the geodesic from the vertex v to q) of an earlier search,
         # tried by the next search between them before its heap (geodesics._search)
-        self._chain_hints = {}
-        # (first cell, q) -> (v, the geodesic from the vertex v to q) of an earlier search
         self._pivots = {}
         # two maximal cells meet in their largest common face, so visiting the
         # faces largest first, the first face two owners share is their meet

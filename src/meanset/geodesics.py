@@ -24,31 +24,24 @@ by push order, which makes every result deterministic.  No cap on chain
 length is needed: a simple chain holds at most one visit per maximal
 cell, and the lower bound does the pruning.
 
-Before its heap, a search tries a hint: the winning chain of an earlier
-search that started in the same maximal cell and ended at the same point.
-The complex keeps one per start cell and end, for winners of three or more
-cells, at most ``_CACHE_SIZE`` of them, dropping the oldest first.  The
-hint is solved by :func:`chain_length` and returned when the path passes
-the link test of :func:`_link_slack` at each breakpoint (Miller, Owen and
-Provan, Adv. Appl. Math. 68, 2015): it turns by the angle pi there in the
-tangent cone, so it is a local geodesic.  In a CAT(0) space a local
-geodesic is the geodesic (Bridson and Haefliger, *Metric Spaces of
-Non-Positive Curvature*, Prop. II.1.4), so a certified hint is the heap's
-answer; a hint that fails is dropped and leaves the search to the heap.
-Elsewhere a local geodesic may go round the wrong side of a hole, so hints
-are stored only on a complex that :meth:`CubicalComplex.validate` proves
-CAT(0), with flag links and simply connected; on any other, an annulus
-say, every bent path comes from the heap.
-
-Before the hint, a search tries a pivot, kept under the same guard: the
-first breakpoint of an earlier answer from the same start cell to the
-same end that is a vertex v, with that answer's tail from v on.  The walk
-from p to v joined to the tail is straight but at v, and the tail is a
-geodesic, so one :func:`_link_slack` test at v certifies the joined path
-as the geodesic, with no chain solve.  A pivot that fails is dropped.
-Around a reflex vertex, where the geodesics from a whole region bend, one
-pivot answers them all, on whichever side of the vertex the winning chain
-runs.
+Before its heap, a search tries a pivot: the first breakpoint of an
+earlier answer from the same start cell to the same end that is a vertex
+v, with that answer's tail from v on.  The complex keeps one per start
+cell and end, at most ``_CACHE_SIZE`` of them, dropping the oldest first.
+The walk from p to v joined to the tail is straight but at v, and the tail
+is a geodesic, so the joined path is a local geodesic when it passes the
+link test of :func:`_link_slack` at v (Miller, Owen and Provan, Adv. Appl.
+Math. 68, 2015): it turns by the angle pi there in the tangent cone.  In a
+CAT(0) space a local geodesic is the geodesic (Bridson and Haefliger,
+*Metric Spaces of Non-Positive Curvature*, Prop. II.1.4), so a certified
+pivot gives the heap's answer with no chain solve; a pivot that fails is
+dropped and leaves the search to the heap.  Elsewhere a local geodesic may
+go round the wrong side of a hole, so pivots are stored only on a complex
+that :meth:`CubicalComplex.validate` proves CAT(0), with flag links and
+simply connected; on any other, an annulus say, every bent path comes from
+the heap.  Around a reflex vertex, where the geodesics from a whole region
+bend, one pivot answers them all, on whichever side of the vertex the
+winning chain runs.
 
 A gate that is a single vertex pins its breakpoint, so :func:`chain_length`
 cuts the chain there and solves each piece on its own: a piece with no
@@ -588,14 +581,10 @@ def _search(cx, p_loc, q_loc):
     maximal cell holding p (the first in cell order that has one) and ended
     at q: the walk from p to the vertex v, joined to ``tail``, is returned if
     :func:`_link_slack` at v is at least -1e-7; a pivot whose walk leaves the
-    complex, is a single point or fails the test is dropped.  Then the hint,
-    the winning chain of such a search: it is solved by :func:`chain_length`
-    and returned if every breakpoint passes :func:`_certified`; a hint that
-    raises ``GeodesicError`` or fails the test is dropped and leaves the
-    search to the heap.  When ``cx`` is proved CAT(0), the heap's winner of
-    three or more cells becomes the hint of its first cell and q, and the
-    heap's or a certified hint's answer with a vertex between its ends gives
-    the pivot of its first cell and q (:func:`_remember`).
+    complex, is a single point or fails the test is dropped and leaves the
+    search to the heap.  When ``cx`` is proved CAT(0), the heap's answer
+    with a vertex between its ends gives the pivot of its first cell and q
+    (:func:`_remember`).
     """
     p, q = p_loc.coords, q_loc.coords
     if not math.isfinite(vertex_upper_bound(cx, p_loc, q_loc)):
@@ -615,19 +604,6 @@ def _search(cx, p_loc, q_loc):
                 _link_slack(cx, v, w.breakpoints[-2], tail.breakpoints[1]) >= -1e-7:
             return _assemble(w.cells + tail.cells, w.breakpoints + tail.breakpoints[1:])
         _drop(pivots, key, pivot)
-
-    hints = cx._chain_hints
-    key = next((k for s in starts if (k := (s, q)) in hints), None) if hints else None
-    hint = hints.get(key) if key else None
-    if hint is not None:
-        try:
-            g = _assemble(hint, [p, *map(cx.snap, chain_length(cx, p, q, hint)[1][1:-1]), q])
-        except GeodesicError:
-            g = None
-        if g is not None and _certified(cx, g):
-            _remember(cx, q, g, None)
-            return g
-        _drop(hints, key, hint)
 
     ends = frozenset(cx._owners[q_loc.minimal_cell])
     counter = itertools.count()
@@ -668,22 +644,18 @@ def _search(cx, p_loc, q_loc):
         )
     chain, pts = best
     g = _assemble(chain, [p, *map(cx.snap, pts[1:-1]), q])
-    _remember(cx, q, g, chain if len(chain) > 2 else None)
+    _remember(cx, q, g)
     return g
 
 
-def _remember(cx, q, g, chain):
-    """On a complex proved CAT(0), keep ``chain`` (if any) as the hint of its
-    first cell and ``q``, and the pivot of ``g``: its first breakpoint
-    between the ends that is a vertex, with the part of ``g`` from there on,
-    under ``g``'s first cell and ``q``."""
+def _remember(cx, q, g):
+    """On a complex proved CAT(0), keep the pivot of ``g``: its first
+    breakpoint between the ends that is a vertex, with the part of ``g``
+    from there on, under ``g``'s first cell and ``q``."""
     bps = g.breakpoints
     j = next((j for j in range(1, len(bps) - 1) if all(map(float.is_integer, bps[j]))), None)
-    if (chain or j) and cx.validate().cat0:
-        if chain:
-            _store(cx._chain_hints, (chain[0], q), chain)
-        if j:
-            _store(cx._pivots, (g.cells[0], q), (bps[j], _assemble(g.cells[j:], bps[j:])))
+    if j and cx.validate().cat0:
+        _store(cx._pivots, (g.cells[0], q), (bps[j], _assemble(g.cells[j:], bps[j:])))
 
 
 def _drop(table, key, value):
@@ -691,22 +663,6 @@ def _drop(table, key, value):
     with _CACHE_LOCK:
         if table.get(key) is value:
             del table[key]
-
-
-def _certified(cx, g) -> bool:
-    """Whether every breakpoint of ``g`` between its ends has a
-    :func:`_link_slack` of at least -1e-7.  A breakpoint whose carrier is a
-    facet of both cells beside it is not tested: the chain solve has already
-    made the path straight there.  A path that passes is a local geodesic,
-    which is the geodesic only in a CAT(0) complex (``validate().cat0``)."""
-    bps, cells, by_id = g.breakpoints, g.cells, cx._by_id
-    for j in range(1, len(bps) - 1):
-        dim = len(by_id[cx._cells_at(bps[j])[0]].axes) + 1
-        if by_id[cells[j - 1]].dim == dim == by_id[cells[j]].dim:
-            continue
-        if _link_slack(cx, bps[j], bps[j - 1], bps[j + 1]) < -1e-7:
-            return False
-    return True
 
 
 def _link_slack(cx, x, prev, nxt) -> float:

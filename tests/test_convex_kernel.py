@@ -14,6 +14,7 @@ from meanset.convex import (
     NONPOS,
     ZERO,
     ConeBall,
+    ConvergenceError,
     ProductSet,
     SignCone,
     Singleton,
@@ -592,6 +593,20 @@ def test_shared_weights_two_problems_force_unique_solution():
     v, res = shared_certificate_weights([p1, p2])
     assert v == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-7)
     assert max(res) <= 1e-8
+
+
+def test_shared_weights_that_do_not_exist_raise():
+    """Two 1-D problems over the cone {0}: the first is met only by the
+    weights (1/2, 1/2), the second only by (3/4, 1/4), so no weights are
+    shared.  The stacked Frank-Wolfe run ends at the residuals 0.4 and 0.2,
+    and the call raises with both in its message."""
+    zero = SignCone((ZERO,))
+    p1 = ([Singleton((1.0,)), Singleton((-1.0,))], zero)
+    p2 = ([Singleton((1.0,)), Singleton((-1.0,), 3.0)], zero)
+    with pytest.raises(ConvergenceError) as exc:
+        shared_certificate_weights([p1, p2])
+    assert str(exc.value) == ("no shared weight vector reached tolerance 1e-08; "
+                              "per-problem residuals [0.39999999999999997, 0.19999999999999996]")
 
 
 def test_shared_weights_mismatched_sizes_rejected():

@@ -294,25 +294,6 @@ def test_threads_share_a_full_cache_safely(monkeypatch):
     assert len(cx._geo_cache) <= 8
 
 
-def test_threads_share_a_full_hint_table_safely(monkeypatch):
-    """Four quadrant_window heat-map threads that store and evict chain hints
-    in one table of 4 entries, switching every microsecond, raise nothing,
-    leave at most 4 hints and write the CSV that one thread writes."""
-    monkeypatch.setattr(geodesics, "_CACHE_SIZE", 4)
-    cx, A = load_bundled("quadrant_window")
-    csv1 = to_csv(run_heatmap(A, 40, 29, 0.1, threads=1), cx.ambient_dim)
-    cx._geo_cache.clear()
-    cx._chain_hints.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        csv4 = to_csv(run_heatmap(A, 40, 29, 0.1, threads=4), cx.ambient_dim)
-    finally:
-        sys.setswitchinterval(interval)
-    assert csv4 == csv1
-    assert 0 < len(cx._chain_hints) <= 4
-
-
 def test_recognize_again_after_eviction_repeats_its_answer(monkeypatch):
     """With room for 8 geodesics, ``recognize`` at 20 other squares3 points
     drops every pair of the first point; asked again, it solves them anew
@@ -1124,6 +1105,27 @@ def test_geodesics_pass_the_link_test(tool):
     assert bent >= 150
 
 
+@pytest.mark.parametrize("prev, nxt, want", [
+    ((0.2, 0.0), (0.5, 0.5), -math.sqrt(2.0)),   # in along the edge, out into a square
+    ((0.2, 0.0), (0.9, 0.0), 0.0),   # straight along the edge
+    ((0.5, -0.5), (0.9, 0.0), -math.sqrt(2.0)),   # in from a square, out along the edge
+])
+def test_link_slack_with_one_side_along_the_carrier(prev, nxt, want):
+    """On two unit squares either side of the edge [0, 1] x {0}, a path
+    through (0.5, 0) that reaches or leaves it along the edge has no normal
+    part on that side, so only the tangent test applies: the slack is minus
+    the distance between the two sides' unit vectors, as the oracle gives."""
+    cx = complex_from_dict({"ambient_dim": 2, "cells": [
+        {"base": [0, 0], "axes": [0, 1]}, {"base": [0, -1], "axes": [0, 1]}]})
+    x = (0.5, 0.0)
+    cells = [cx.maximal_cells_containing([(a + b) / 2.0 for a, b in zip(*seg)])[0]
+             for seg in ((prev, x), (x, nxt))]
+    g = geodesics.Geodesic((prev, x, nxt), tuple(cells), math.dist(prev, x) + math.dist(x, nxt))
+    got = geodesics._link_slack(cx, x, prev, nxt)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert link_slack(cx, g) == pytest.approx(got, abs=1e-9)
+
+
 def _random_chain(cx, p, q, rng, cap=10):
     """A random simple chain of at least three maximal cells from one holding
     ``p`` to one holding ``q``, of at most ``cap`` cells, or None."""
@@ -1144,8 +1146,8 @@ def _random_chain(cx, p, q, rng, cap=10):
 def test_non_optimal_chains_fail_the_link_test(tool, name):
     """Random simple chains between the family's first 60 pairs, solved by
     ``chain_length``: each one longer than the geodesic by more than 1e-9
-    fails both the oracle's test and ``_certified``, and each other one
-    passes both."""
+    fails both the oracle's test and ``_link_slack``, taken at every
+    breakpoint between the ends, and each other one passes both."""
     total, seed, doc, ends, _ = tool.families()[name]
     cx = complex_from_dict(doc)
     rng = random.Random(11)
@@ -1156,15 +1158,17 @@ def test_non_optimal_chains_fail_the_link_test(tool, name):
             continue
         val, pts = geodesics.chain_length(cx, p, q, chain)
         g = geodesics._assemble(chain, [cx.snap(p), *map(cx.snap, pts[1:-1]), cx.snap(q)])
+        b = g.breakpoints
+        slack = min((geodesics._link_slack(cx, b[j], b[j - 1], b[j + 1])
+                     for j in range(1, len(b) - 1)), default=0.0)
         worse = val > distance(cx, p, q) + 1e-9
-        assert (link_slack(cx, g) < -1e-7, not geodesics._certified(cx, g)) == (worse, worse), \
-            (p, q, chain)
+        assert (link_slack(cx, g) < -1e-7, slack < -1e-7) == (worse, worse), (p, q, chain)
         longer += worse
     assert longer >= 45
 
 
 # ---------------------------------------------------------------------------
-# warm starts: the winning chain of an earlier search, certified by the link test
+# the heap behind the warm start, and the guard that keeps warm starts to CAT(0)
 
 
 @pytest.fixture
@@ -1181,74 +1185,27 @@ def pushes(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("first, then, cold, warm", [
-    ((-1.7, 0.83), (-1.93, 0.84), 28, 0),   # the hint certifies
-    ((-1.6, 1.97), (-1.64, 1.31), 103, 103),   # the hint bends at (-1, 1): rejected
+@pytest.mark.parametrize("first, then, cold", [
+    pytest.param((-1.7, 0.83), (-1.93, 0.84), 28, id="first0-then0-28-0"),
+    pytest.param((-1.6, 1.97), (-1.64, 1.31), 103, id="first1-then1-103-103"),
 ])
-def test_hinted_search_takes_its_pinned_pushes(pushes, first, then, cold, warm):
+def test_hinted_search_takes_its_pinned_pushes(pushes, first, then, cold):
     """Around the reflex vertex of quadrant_window, a search to q = (sqrt 3,
-    0) after one from ``first`` tries that search's winning chain, which
-    starts in the same cell.  Certified, it is returned with no heap push;
-    rejected, the heap runs as on a fresh complex.  Either way the result
-    equals the fresh complex's geodesic, and the winner is the hint of its
-    first cell and q.  The pivot of the first search, which would answer
-    before the hint is tried, is emptied first."""
+    0) takes ``cold`` heap pushes on a fresh complex.  After a search from
+    ``first``, which starts in the same cell and stores a pivot, it takes
+    as many once that pivot is emptied: the pivot is the one warm start.
+    Both results equal the fresh complex's geodesic."""
     q = (R3, 0.0)
     fresh, _ = load_bundled("quadrant_window")
     want = geodesic(fresh, then, q)
     assert pushes[0] == cold
     cx, _ = load_bundled("quadrant_window")
     g = geodesic(cx, first, q)
-    assert cx._chain_hints == {(g.cells[0], q): g.cells} and g.cells[0] == want.cells[0]
+    assert list(cx._pivots) == [(g.cells[0], q)] and g.cells[0] == want.cells[0]
     cx._pivots.clear()
     pushes[0] = 0
     assert geodesic(cx, then, q) == want
-    assert pushes[0] == warm
-    assert cx._chain_hints == {(want.cells[0], q): want.cells}
-
-
-def test_a_rejected_hint_is_dropped(monkeypatch):
-    """A hint that fails the link test is dropped, not tried again: with the
-    heap's winner kept out of the table, the rejected search leaves it
-    empty.  The first search's pivot is emptied so that the hint is tried."""
-    q = (R3, 0.0)
-    cx, _ = load_bundled("quadrant_window")
-    geodesic(cx, (-1.6, 1.97), q)
-    assert len(cx._chain_hints) == 1
-    cx._pivots.clear()
-    monkeypatch.setattr(geodesics, "_store", lambda table, key, value: None)
-    fresh, _ = load_bundled("quadrant_window")
-    assert geodesic(cx, (-1.64, 1.31), q) == geodesic(fresh, (-1.64, 1.31), q)
-    assert cx._chain_hints == {}
-
-
-def test_a_hint_that_raises_is_dropped(monkeypatch):
-    """A hint that ``chain_length`` refuses, here one whose two cells share
-    no face, is dropped like a rejected one, and the search answers as on a
-    fresh complex.  The first search's pivot is emptied so that the hint is
-    tried."""
-    q = (R3, 0.0)
-    cx, _ = load_bundled("quadrant_window")
-    geodesic(cx, (-1.6, 1.97), q)
-    cx._pivots.clear()
-    ((key, chain),) = cx._chain_hints.items()
-    assert chain[-1] not in dict(cx.adjacency[chain[0]])
-    cx._chain_hints[key] = (chain[0], chain[-1])
-    raised, solve = [], geodesics.chain_length
-
-    def spied(*args):
-        try:
-            return solve(*args)
-        except GeodesicError as exc:
-            raised.append(str(exc))
-            raise
-
-    monkeypatch.setattr(geodesics, "chain_length", spied)
-    monkeypatch.setattr(geodesics, "_store", lambda table, key, value: None)
-    fresh, _ = load_bundled("quadrant_window")
-    assert geodesic(cx, (-1.64, 1.31), q) == geodesic(fresh, (-1.64, 1.31), q)
-    assert len(raised) == 1 and "share no face" in raised[0]
-    assert cx._chain_hints == {}
+    assert pushes[0] == cold
 
 
 def _annulus():
@@ -1259,8 +1216,8 @@ def _annulus():
 
 def test_hints_are_kept_only_on_complexes_proved_cat0():
     """On the annulus a path round the far side of the hole passes the link
-    test, so a hint or a pivot could return it.  ``validate`` proves no
-    simple connectivity there, so neither is stored, and the distance from
+    test, so a pivot could return it.  ``validate`` proves no simple
+    connectivity there, so none is stored, and the distance from
     (2.9, 2.4) to (0.5, 0.5) after a search from (2.4, 2.9), whose winner
     goes round the other side through the vertex (1, 2), is that of a fresh
     complex, round (2, 1)."""
@@ -1268,33 +1225,10 @@ def test_hints_are_kept_only_on_complexes_proved_cat0():
     assert cx.validate().ok and not cx.validate().cat0
     assert cx.validate().simple_connectivity == "not proved"
     g = geodesic(cx, (2.4, 2.9), (0.5, 0.5))
-    assert len(g.cells) > 2 and cx._chain_hints == {}
-    assert (1.0, 2.0) in g.breakpoints and cx._pivots == {}
+    assert len(g.cells) > 2 and (1.0, 2.0) in g.breakpoints and cx._pivots == {}
     want = distance(fresh, (2.9, 2.4), (0.5, 0.5))
     assert distance(cx, (2.9, 2.4), (0.5, 0.5)) == want
     assert want == pytest.approx(math.dist((2.9, 2.4), (2, 1)) + math.dist((2, 1), (0.5, 0.5)))
-
-
-def test_two_cell_winners_store_no_hint():
-    """A winner of two cells is scored from its gate bound, with no
-    ``chain_length`` call to save, so it is not stored."""
-    cx, _ = load_bundled("squares3")
-    assert geodesic(cx, (-0.5, 0.8), (0.8, -0.5)).cells == ("c006", "c012")
-    assert cx._chain_hints == {}
-
-
-def test_hint_table_never_exceeds_the_cache_size(monkeypatch):
-    """With room for 4 hints, 12 bent quadrant_window searches to different
-    ends keep at most 4, the last 4 stored: the oldest goes first."""
-    monkeypatch.setattr(geodesics, "_CACHE_SIZE", 4)
-    cx, _ = load_bundled("quadrant_window")
-    stored = []
-    for k in range(12):
-        q = (1.0 + k / 12.0, -0.5)
-        g = geodesic(cx, (-1.5, 0.5), q)
-        assert len(g.cells) > 2 and len(cx._chain_hints) <= 4
-        stored.append((g.cells[0], q))
-    assert list(cx._chain_hints) == stored[-4:]
 
 
 # ---------------------------------------------------------------------------
@@ -1302,18 +1236,18 @@ def test_hint_table_never_exceeds_the_cache_size(monkeypatch):
 
 
 def test_a_pivot_answers_the_two_sided_pair_with_no_push(pushes, monkeypatch):
-    """The pair whose chain hint bends round the other side of the reflex
-    vertex: after (-1.6, 1.97), the search from (-1.64, 1.31) to (sqrt 3, 0)
+    """A pair whose paths pass the reflex vertex on its two sides: after
+    (-1.6, 1.97), the search from (-1.64, 1.31) to (sqrt 3, 0)
     walks to the origin, the first search's pivot, passes the link test
     there and joins that search's tail, with no heap push and no
     ``chain_length`` call.  The answer equals the fresh complex's geodesic,
-    and the first search's pivot and hint stay."""
+    and the first search's pivot stays."""
     q = (R3, 0.0)
     fresh, _ = load_bundled("quadrant_window")
     want = geodesic(fresh, (-1.64, 1.31), q)
     cx, _ = load_bundled("quadrant_window")
     g = geodesic(cx, (-1.6, 1.97), q)
-    pivots, hints = dict(cx._pivots), dict(cx._chain_hints)
+    pivots = dict(cx._pivots)
     tail = geodesics._assemble(g.cells[3:], g.breakpoints[3:])
     assert g.breakpoints[3] == (0.0, 0.0) and pivots == {(g.cells[0], q): ((0.0, 0.0), tail)}
     pushes[0] = 0
@@ -1321,7 +1255,7 @@ def test_a_pivot_answers_the_two_sided_pair_with_no_push(pushes, monkeypatch):
     monkeypatch.setattr(geodesics, "chain_length", lambda *a: solves.append(a) or real(*a))
     assert geodesic(cx, (-1.64, 1.31), q) == want
     assert pushes[0] == 0 and solves == []
-    assert cx._pivots == pivots and cx._chain_hints == hints
+    assert cx._pivots == pivots
 
 
 def test_a_pivot_that_fails_the_link_test_is_dropped(monkeypatch):
@@ -1361,6 +1295,30 @@ def test_a_pivot_at_the_start_point_is_dropped():
     assert cx._pivots == {(g.cells[0], q): ((0.0, 0.0), tail)}
 
 
+def test_a_cube_square_pivot_at_a_gate_end_is_dropped(monkeypatch):
+    """On cube_square every bent geodesic crosses the gate edge {0} x [0, 1]
+    x {0}, so its pivot is an end of that edge, and only a query end on the
+    face y = 1 or y = 0 bends there.  The path from (-0.5, 1, 0) to r = (1,
+    1, 1) stores the pivot (0, 1, 0); the search from (-0.5, 0.5, 0), in
+    the same start cell, fails the link test there, drops it and answers as
+    on a fresh complex, bending inside the edge at (0, 0.6306..., 0)."""
+    q = (1.0, 1.0, 1.0)
+    cx, _ = load_bundled("cube_square")
+    g = geodesic(cx, (-0.5, 1.0, 0.0), q)
+    assert g.breakpoints[1] == (0.0, 1.0, 0.0)
+    assert [v for v, _ in cx._pivots.values()] == [(0.0, 1.0, 0.0)]
+    slacks, real = [], geodesics._link_slack
+    monkeypatch.setattr(geodesics, "_link_slack",
+                        lambda cx, x, *a: slacks.append((x, real(cx, x, *a))) or slacks[-1][1])
+    fresh, _ = load_bundled("cube_square")
+    g = geodesic(cx, (-0.5, 0.5, 0.0), q)
+    assert g == geodesic(fresh, (-0.5, 0.5, 0.0), q)
+    assert slacks[0][0] == (0.0, 1.0, 0.0) and slacks[0][1] < -1e-7
+    assert g.cells[0] == "c002" and cx._pivots == {}
+    (x, y, z), = g.breakpoints[1:-1]
+    assert (x, z) == (0.0, 0.0) and y == pytest.approx(0.6306019374818707, abs=1e-12)
+
+
 def test_pivot_table_never_exceeds_the_cache_size(monkeypatch):
     """With room for 4 pivots, 12 quadrant_window searches to different
     ends, each bent at the origin, keep at most 4, the last 4 stored: the
@@ -1385,7 +1343,6 @@ def test_threads_share_a_full_pivot_table_safely(monkeypatch):
     cx, A = load_bundled("quadrant_window")
     csv1 = to_csv(run_heatmap(A, 40, 31, 0.1, threads=1), cx.ambient_dim)
     cx._geo_cache.clear()
-    cx._chain_hints.clear()
     cx._pivots.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1419,7 +1376,6 @@ def test_pivot_answers_equal_the_heap_answers(name):
             g = geodesic(cx, x, a)
             if pivot is None or cx._pivots.get(key) is not pivot:   # none, or dropped
                 continue
-            fresh._chain_hints.clear()
             fresh._pivots.clear()
             want = geodesics._search(fresh, fresh.locate(x.coords), fresh.locate(a.coords))
             assert (g.breakpoints, g.length) == (want.breakpoints, want.length), (x, a)

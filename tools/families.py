@@ -23,8 +23,8 @@ gives the calls, the ``GeodesicError``s and the calls the alarm stopped,
 the exact Newton steps of the chain solver, the wall time, the median and
 the worst time of one answered call in ms, the largest error against the
 closed form, the SHA-256 of the answered lengths' reprs, in pair order,
-and the geodesic cache, the chain-hint table and the pivot table the sweep
-leaves on the family's complex: the entries of each and its size in KB
+and the geodesic cache and the pivot table the sweep leaves on the
+family's complex: the entries of each and its size in KB
 (``sys.getsizeof`` summed over every object it reaches through dicts and
 tuples, each object counted once, the complex's cell-id strings left out).
 The closed forms: ``oracles.polyomino_distance`` on L8, combined with the
@@ -168,7 +168,6 @@ def run_family(name: str, count: int = None, alarm: float = 20.0) -> dict:
         signal.signal(signal.SIGALRM, old)
     digest = hashlib.sha256("".join(f"{d!r}\n" for _, _, d in answered).encode())
     cache_bytes = deep_bytes(cx._geo_cache, set(map(id, cx._by_id)))
-    hint_bytes = deep_bytes(cx._chain_hints, set(map(id, cx._by_id)))
     pivot_bytes = deep_bytes(cx._pivots, set(map(id, cx._by_id)))
     worst = max((abs(d - closed(p, q)) for p, q, d in answered), default=0.0) if closed else None
     return {"family": name, "calls": len(todo), "geodesic_errors": errors,
@@ -177,7 +176,6 @@ def run_family(name: str, count: int = None, alarm: float = 20.0) -> dict:
             "call_ms_worst": round(max(call_ms), 4) if call_ms else None,
             "worst_error": worst, "lengths_sha256": digest.hexdigest(),
             "cache_entries": len(cx._geo_cache), "cache_kb": round(cache_bytes / 1024, 1),
-            "hint_entries": len(cx._chain_hints), "hint_kb": round(hint_bytes / 1024, 1),
             "pivot_entries": len(cx._pivots), "pivot_kb": round(pivot_bytes / 1024, 1)}
 
 
