@@ -9,20 +9,19 @@ common face of both, so curvature enters only through
 the lattice's vertices and tries to prove simple connectivity: by Gromov's link
 condition the two together make the complex CAT(0).  The flag test grows the
 cells at each vertex by one rule, :meth:`CubicalComplex._spans`, that geodesics use too.
-One pass over the lattice, largest faces first, gives the adjacency table: each
-maximal cell's neighbours, each with the face the two meet in, which is where
-any two maximal cells meet; from it come their connected components.  The owner
-table maps each lattice cell to the maximal cells it is a face of, and answers
-which maximal cells hold a point: they depend only on its carrier, the cell
-holding it in its relative interior, found by one O(n) key.  Points are tuples
-of floats; only the ``bounds`` methods hand out numpy arrays, importing numpy on
-their first call.  An unknown cell id raises :class:`ComplexError`.
+The owner table maps each lattice cell to the maximal cells it is a face of.  It
+gives the adjacency table: each maximal cell walks its own faces, largest first,
+and meets each owner it has not seen yet in the face at hand, their largest
+common face; from the table come the connected components.  The owner table
+also answers which maximal cells hold a point: they depend only on its carrier,
+the cell holding it in its relative interior, found by one O(n) key.  Points are
+tuples of floats; only the ``bounds`` methods hand out numpy arrays, importing
+numpy on their first call.  An unknown cell id raises :class:`ComplexError`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from collections import namedtuple
@@ -191,10 +190,9 @@ class CubicalComplex:
         self.cells = [CubeCell(*key, f"c{k:03d}") for k, key in enumerate(sorted(lattice))]
         self._index = {(c.base, c.axes): c.ident for c in self.cells}
         self._by_id = {c.ident: c for c in self.cells}
-        maximal_keys = {(c.base, c.axes) for c in maximal}
-        self.maximal_ids = tuple(c.ident for c in self.cells if (c.base, c.axes) in maximal_keys)
         self._owners = {self._index[k]: tuple(map(self._index.__getitem__, sorted(owners)))
                         for k, owners in lattice.items()}
+        self.maximal_ids = tuple(c for c in self._by_id if self._owners[c] == (c,))
         # one float per distinct integer coordinate of the cells' bases (their boxes'
         # upper corners are bases of faces too), shared by every box and snapped point
         floats = self._floats = {b: float(b) for b in {b for c in self.cells for b in c.base}}
@@ -207,18 +205,18 @@ class CubicalComplex:
         # (first cell, q) -> (v, the geodesic from the vertex v to q) of an earlier search,
         # tried by the next search between them before its heap (geodesics._search)
         self._pivots = {}
-        # two maximal cells meet in their largest common face, so visiting the
-        # faces largest first, the first face two owners share is their meet
-        meets = {key: {} for key in maximal_keys}
-        for key in sorted(lattice, key=lambda k: -len(k[1])):
-            for a, b in itertools.combinations(lattice[key], 2):
-                if b not in meets[a]:
-                    meets[a][b] = meets[b][a] = self._index[key]
-        # sorted keys are in cell order, which id strings lose past c999
-        self.adjacency = {
-            self._index[a]: tuple((self._index[b], f) for b, f in sorted(meets[a].items()))
-            for a in sorted(maximal_keys)
-        }
+        # two maximal cells meet in their largest common face, so walking a cell's
+        # faces largest first, the first face it shares with another owner is their meet
+        rank = {c: k for k, c in enumerate(self._by_id)}   # id strings lose cell order past c999
+        self.adjacency = {}
+        for a in self.maximal_ids:
+            meets = {}
+            for key in self._by_id[a].faces():
+                face = self._index[key]
+                for b in self._owners[face]:
+                    meets.setdefault(b, face)
+            del meets[a]
+            self.adjacency[a] = tuple(sorted(meets.items(), key=lambda bf: rank[bf[0]]))
         self._component = {}   # maximal cell id -> label of its connected component
         for root in self.maximal_ids:
             if root in self._component:

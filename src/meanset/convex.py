@@ -774,7 +774,7 @@ def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> Feasibili
 
     if residual <= tol:
         status = "zero"
-    elif not stalled and f - gap > tol * tol:
+    elif not stalled:
         status = "positive"
     else:
         status = "stalled"

@@ -192,6 +192,41 @@ def test_frank_wolfe_out_of_rounds_names_the_point_and_cell(bundles, monkeypatch
     assert f"in cell {cx.maximal_cells_containing(x)[0]}" in msg
 
 
+def test_rounding_residual_at_zero_tolerance_is_no_stall(bundles):
+    """At ``tol=0`` a residual of rounding size, left well inside the round
+    limit, is positive, not stalled: the frozen member (-0.5, 0.25) of
+    squares3 then fails as the frozen non-member (1, -1) of quadrant_window
+    does, on a descent direction too short to follow."""
+    for name, x, cell, residual in [("squares3", (-0.5, 0.25), "c006", "1.17757e-16"),
+                                    ("quadrant_window", (1.0, -1.0), "c038", "1.11022e-16")]:
+        cx, A = bundles[name]
+        res = convex.feasibility_min_norm(
+            *_scaled_problem(build_models(A, cx.locate(x), cell)), tol=0.0)
+        assert res.status == "positive"
+        with pytest.raises(CertificateError) as exc:
+            recognize(A, x, tol=0.0)
+        assert str(exc.value) == (f"degenerate descent direction at {x} in cell {cell}; "
+                                  f"residual {residual}")
+
+
+def test_failed_descent_and_witness_checks_raise(bundles, monkeypatch):
+    """A descent direction that fails its derivative check, or a witness
+    search whose every halving is no strictly closer point, raises a
+    CertificateError naming the point and the cell."""
+    cx, A = bundles["squares3"]
+    x = (0.5, -0.5)
+    with monkeypatch.context() as m:
+        m.setattr(boundary, "directional_derivative", lambda model, u: 1.0)
+        with pytest.raises(CertificateError, match=r"^descent direction check failed at "
+                           r"\(0.5, -0.5\) in cell c012: max derivative 1.70711 vs residual 0.5$"):
+            recognize(A, x)
+    monkeypatch.setattr(boundary, "witness_margins",
+                        lambda A, d_ref, loc: dict.fromkeys(A.labels, 0.0))
+    with pytest.raises(CertificateError, match=r"^failed to realise a strictly-closer witness "
+                       r"at \(0.5, -0.5\) from cell c012$"):
+        recognize(A, x)
+
+
 def test_no_shared_weights_names_the_point_and_cells(bundles, monkeypatch):
     """A member where two cells meet, each feasible alone, needs one weight
     vector for both; when none is found the decision fails naming both."""

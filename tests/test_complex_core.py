@@ -304,6 +304,10 @@ def test_complex_from_dict_rejects_malformed():
         complex_from_dict([1, 2, 3])
     with pytest.raises(ComplexError):
         complex_from_dict({"cells": []})
+    with pytest.raises(ComplexError, match="^cells must be a nonempty list$"):
+        complex_from_dict({"ambient_dim": 2, "cells": []})
+    with pytest.raises(ComplexError, match="^cell #0 must be an object with 'base' and 'axes'$"):
+        complex_from_dict({"ambient_dim": 2, "cells": [3]})
     with pytest.raises(ComplexError):
         complex_from_dict({"ambient_dim": 2, "cells": [{"base": [0], "axes": [0]}]})
     with pytest.raises(ComplexError):
@@ -475,7 +479,8 @@ def test_lattice_cells_meet_in_common_faces(bundles):
     """Two cells of a complex of lattice unit cubes always meet in a cell
     that is a face of both, which is why validate() checks only links, and
     the adjacency built from the face lattice lists exactly those meetings
-    between maximal cells, in cell order (past c999 too)."""
+    between maximal cells, in cell order (past c999 too), also in tree space
+    for n = 5 and 6, where each maximal cell meets every other."""
     rng = np.random.default_rng(8)
     complexes = [cx for cx, _ in bundles.values()]
     while len(complexes) < len(bundles) + 100:
@@ -499,7 +504,11 @@ def test_lattice_cells_meet_in_common_faces(bundles):
     big = complex_from_dict({"ambient_dim": 2, "cells": [
         {"base": [i, j], "axes": [0, 1]} for i in range(20) for j in range(20)]})
     assert len(big.cells) > 1000
-    for cx in complexes + [big]:
+    # in tree space every two maximal cells meet, at least at the origin
+    trees = [complex_from_dict(generators.tree_space(n)) for n in (5, 6)]
+    for cx in trees:
+        assert all(len(row) == len(cx.maximal_ids) - 1 for row in cx.adjacency.values())
+    for cx in complexes + [big] + trees:
         assert cx.adjacency == _reference_adjacency(cx)
         assert list(cx.adjacency) == list(cx.maximal_ids)
 

@@ -163,6 +163,17 @@ def test_two_cell_chains_are_scored_by_their_gate_bound(monkeypatch, name, p, q,
         assert g.breakpoints[1] == x and g.length == pytest.approx(val, abs=1e-15)
 
 
+def test_a_search_with_no_scored_chain_raises(monkeypatch):
+    """When no chain of three or more cells gets a length below infinity, here
+    a NaN from every ``chain_length`` call on L4 between cells that share no
+    face, the search ends with a GeodesicError, never a bare unpacking error."""
+    monkeypatch.setattr(geodesics, "chain_length", lambda *args: (math.nan, []))
+    cx = complex_from_dict(l_shape(4))
+    with pytest.raises(GeodesicError, match=r"^no cell chain joins \(0.5, 3.5\) and \(3.5, 1.5\) "
+                       "in one connected component; the complex is inconsistent$"):
+        geodesic(cx, (0.5, 3.5), (3.5, 1.5))
+
+
 def test_bounds_hands_out_copies():
     """Writing into the arrays ``bounds`` returns leaves the complex and
     its geodesics as they were."""
@@ -235,6 +246,9 @@ def test_point_along_and_midpoint(bundles):
     for s in (-0.1, 1.5, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="fraction"):
             point_along(g, s)
+    # a stated length past the breakpoints' own ends the walk at the last breakpoint
+    long = geodesics.Geodesic(((0.0, 0.0), (1.0, 0.0)), ("c000",), 2.0)
+    assert point_along(long, 0.25) == (0.5, 0.0) and point_along(long, 0.75) == (1.0, 0.0)
 
 
 def test_geodesic_deterministic(bundles):

@@ -83,6 +83,7 @@ def test_single_cube_member_weights_reproduce_query():
     # hull membership with interior query: certificate weights recombine to it
     cx = _unit_cube(2)
     A = PointSetA.from_coords(cx, [(0.1, 0.1), (0.9, 0.1), (0.5, 0.9)])
+    assert len(A) == 3 and A.labels == ("a0", "a1", "a2")
     xbar = (0.5, 0.4)
     r = recognize(A, xbar)
     assert r.decision == "member"
@@ -400,6 +401,12 @@ def _model(cx, A, label):
      r"rng must have a random\(\) method, got None"),
     (lambda cx, A: directional_derivative(_model(cx, A, "a"), ["x", "y"]), ValueError,
      r"u must be a sequence of finite numbers, got \['x', 'y'\]"),
+    (lambda cx, A: SignCone((FREE,)).project((1.0, 2.0)), ValueError,
+     "v must have the cone's dimension 1"),
+    (lambda cx, A: PointSetA.from_coords(cx, [(0.5, 0.0)], labels=["a", "b"]), ValueError,
+     "labels and coordinates must align"),
+    (lambda cx, A: build_model(A, cx.locate((1.0, 0.0)), "c012", "a"), CertificateError,
+     "derivative model undefined at a set point"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -425,7 +432,8 @@ def _model(cx, A, label):
         "none-feasibility-sets", "string-feasibility-set", "none-feasibility-target",
         "none-derivative-direction", "none-signs", "none-singleton", "none-cone-ball",
         "none-model-label", "none-random-point-complex", "none-random-point-rng",
-        "string-derivative-direction"])
+        "string-derivative-direction", "long-projected-vector", "misaligned-labels",
+        "model-at-set-point"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id is a ComplexError naming it, a tolerance or an
     exponent that is no real number, a probe segment of mismatched ends or an
@@ -446,10 +454,12 @@ def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     that are no sequence of model sets or a target that is no sign cone, a
     derivative direction, sign pattern, ``Singleton`` point or ``ConeBall``
     vector that is no sequence of numbers, a model's label that is not one
-    of ``A``, or a ``random_point`` complex that is no complex or ``rng``
-    with no ``random`` method a ValueError, a point of the wrong dimension a
-    LocationError, and an object that is no
-    certificate or a margin that is not a positive number a
+    of ``A``, a ``random_point`` complex that is no complex or ``rng``
+    with no ``random`` method, a vector projected onto a sign cone of
+    another dimension, or ``from_coords`` labels that do not align with the
+    coordinates a ValueError, a point of the wrong dimension a
+    LocationError, and an object that is no certificate, a margin that is
+    not a positive number or a derivative model at a set point a
     CertificateError, never a bare KeyError, TypeError, IndexError or
     AttributeError.  Margins are recomputed: a forged witness certifies no
     bound."""

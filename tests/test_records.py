@@ -117,14 +117,15 @@ def test_pinned_reprs(bundles):
     (lambda: Singleton((1.0,), math.inf), "scale must be finite, got inf"),
     (lambda: ConeBall((0.5, 0.0), SignCone((FREE, FREE))), "u must be a finite unit vector"),
     (lambda: ConeBall((1.0,), SignCone((FREE, FREE))), "u has dimension 1, the cone 2"),
+    (lambda: ConeBall((1.0, 0.0), "x"), "cone must be a SignCone, got 'x'"),
     (lambda: ConeBall((1.0,), SignCone((FREE,)), math.nan), "scale must be finite, got nan"),
     (lambda: WeightedSum((Singleton((1.0,)),), (-0.5,)), "weights must be a finite nonnegative"),
     (lambda: WeightedSum((Singleton((1.0,)),), (0.5, 0.5)), "one per set"),
     (lambda: WeightedSum((Singleton((1.0,)),), (math.nan,)), "weights must be a finite"),
     (lambda: Geodesic(((0.0,), (1.0,)), ("c0", "c1"), 1.0), "need exactly one cell per segment"),
 ], ids=["sign", "singleton-g", "singleton-nan", "singleton-scale", "coneball-u",
-        "coneball-dimension", "coneball-scale", "weighted-sum-negative", "weighted-sum-count",
-        "weighted-sum-nan", "geodesic-cells"])
+        "coneball-dimension", "coneball-cone", "coneball-scale", "weighted-sum-negative",
+        "weighted-sum-count", "weighted-sum-nan", "geodesic-cells"])
 def test_construction_checks_raise_value_errors(build, match):
     with pytest.raises(ValueError, match=match):
         build()
@@ -146,6 +147,15 @@ def test_make_and_replace_run_the_construction_checks(build, match):
     constructor, so they raise as the constructor does."""
     with pytest.raises(ValueError, match=match):
         build()
+
+
+def test_deficit_report_to_dict_keeps_weights_or_direction():
+    """A zero deficit's report carries its weights, a positive one's its direction."""
+    zero = DeficitReport(0.0, {"c012": 0.0}, {"a": 0.75, "b": 0.25})
+    assert zero.to_dict() == {"value": 0.0, "per_cell": {"c012": 0.0},
+                              "weights": {"a": 0.75, "b": 0.25}}
+    assert DeficitReport(0.5, {"c012": 0.5}, None, (1.0, 0.0)).to_dict() == {
+        "value": 0.5, "per_cell": {"c012": 0.5}, "direction": [1.0, 0.0]}
 
 
 def test_make_and_replace_build_checked_records():
