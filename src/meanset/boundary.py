@@ -27,7 +27,7 @@ import operator
 from collections import namedtuple
 
 from . import geodesics
-from .complexes import LocatedPoint
+from .complexes import ComplexError, LocatedPoint
 from .convex import (
     FREE,
     NONNEG,
@@ -80,6 +80,17 @@ class DirectionalDerivativeModel(namedtuple(
     __slots__ = ()
 
 
+def _maximal_tangent(cx, cell_id: str, loc: LocatedPoint) -> SignCone:
+    """The tangent cone of the maximal cell ``cell_id`` at ``loc``.  A face's
+    cone pins axes that a maximal cell leaves free, so every conic problem
+    posed in it would pass: ``ComplexError`` naming the cell and the point."""
+    tangent = cx.tangent_cone(cell_id, loc)
+    if cell_id not in cx.adjacency:
+        raise ComplexError(f"no conic problem at {list(loc.coords)} in cell {cell_id}: "
+                           "it is not maximal")
+    return tangent
+
+
 def build_model(A: PointSetA, loc: LocatedPoint, cell_id: str, label: str,
                 _tangent: SignCone = None) -> DirectionalDerivativeModel:
     """The model of ``d(., a)`` at ``loc`` in one cell, by the module docstring's rule."""
@@ -91,7 +102,7 @@ def build_model(A: PointSetA, loc: LocatedPoint, cell_id: str, label: str,
     g = geodesics.geodesic(cx, loc, a)
     if g.length <= 1e-12:
         raise CertificateError("derivative model undefined at a set point")
-    tangent = _tangent if _tangent is not None else cx.tangent_cone(cell_id, loc)
+    tangent = _tangent if _tangent is not None else _maximal_tangent(cx, cell_id, loc)
     x_a = g.breakpoints[1]
     toward = [ai - xi for xi, ai in zip(loc.coords, x_a)]
     r = math.hypot(*toward)
@@ -107,7 +118,7 @@ def build_model(A: PointSetA, loc: LocatedPoint, cell_id: str, label: str,
 
 
 def build_models(A: PointSetA, loc: LocatedPoint, cell_id: str) -> list:
-    tangent = A.cx.tangent_cone(cell_id, loc)
+    tangent = _maximal_tangent(A.cx, cell_id, loc)
     return [build_model(A, loc, cell_id, lbl, _tangent=tangent) for lbl in A.labels]
 
 
@@ -277,13 +288,18 @@ def conic_residual(A: PointSetA, xbar, cell_id: str, weights: dict) -> float:
 
     Over the unscaled model sets the weights become ``v_a`` proportional
     to ``w_a * d_a``; measures how far that fixed combination is from the
-    negated normal cone.
+    negated normal cone.  ``ValueError`` unless the weights are finite, none
+    below -1e-12, with a positive sum: others certify nothing.
     """
     cx = check_point_set(A).cx
     loc = cx.locate(xbar)
-    tangent = cx.tangent_cone(cell_id, loc)
+    tangent = _maximal_tangent(cx, cell_id, loc)
+    w = _per_label(A, weights, "weights")
+    if not (_all_finite(w) and min(w) >= -1e-12 and sum(w) > 0.0):
+        raise ValueError(f"weights must be finite and nonnegative with a positive sum, "
+                         f"got {weights!r}")
     dists = A.distances_from(loc)
-    pairs = [(l, w * dists[l]) for l, w in zip(A.labels, _per_label(A, weights, "weights"))]
+    pairs = [(l, wi * dists[l]) for l, wi in zip(A.labels, w)]
     live = [(l, v) for l, v in pairs if v > 0.0]
     if not live:
         # all weight sits on coincident set points; stationarity is vacuous

@@ -23,10 +23,9 @@ machinery.  The public pieces are:
   for several conic problems at once, as one stacked feasibility solve.
 
 Everything runs on Python floats, and every vector a solve returns is a
-tuple of them: on problems this small each numpy call costs more than the
-arithmetic it does.  numpy is imported only by the least-squares fallback
-for a singular KKT system.  The public entries raise ``ValueError`` naming
-the argument on empty, non-finite or mismatched-dimension input.
+tuple of them: on problems this small each array-library call costs more
+than the arithmetic it does.  The public entries raise ``ValueError``
+naming the argument on empty, non-finite or mismatched-dimension input.
 """
 
 from __future__ import annotations
@@ -235,38 +234,45 @@ def _solve(A, b) -> list:
 
 def _affine_min_norm(Q, e) -> list:
     """Minimiser weights over the affine span of the rows of ``Q`` (may be
-    negative).  ``e`` is 1 for a point row and 0 for a ray row: only the
-    point weights must sum to one, so ray rows span linear directions.
-
-    The (k+1)x(k+1) KKT system is solved by elimination on floats.  When it
-    is singular (a pivot is zero up to rounding), or its weights miss the
-    sum-to-one constraint, numpy solves it in the differences ``q_j - e_j
-    q_i`` from the first point row ``q_i``: the weights are ``e / |e|^2``
-    plus a least-squares step along an orthonormal basis of the differences'
-    weights, so their point weights sum to one by construction, a repeated
-    row adds an exactly zero column, and a singular system gets the
-    minimum-norm weights."""
+    negative), by one elimination on the KKT system.  ``e`` is 1 for a point
+    row and 0 for a ray row: only the point weights must sum to one, so ray
+    rows span linear directions.  Wolfe's corral is affinely independent:
+    an improving atom ``q`` has ``<q, x> < |x|^2``, off the hyperplane
+    ``<y, x> = |x|^2`` that holds the corral.  So a pivot that is zero up to
+    rounding, a non-finite solution, or weights that miss the sum to one by
+    1e-6 mean that rounding made the rows dependent: the answer is None."""
     k = len(Q)
     if k == 1:
         return [1.0]
     kkt = [[_dot(qi, qj) for qj in Q] + [ei] for qi, ei in zip(Q, e)] + [e + [0.0]]
     sol = _solve(kkt, [0.0] * k + [1.0])
     if sol is None or not all(map(math.isfinite, sol)) or abs(_dot(sol[:k], e) - 1.0) > 1e-6:
-        import numpy as np
-        E, P, i = np.array(e), np.array(Q), e.index(1.0)
-        rest = [j for j in range(k) if j != i]
-        W = np.eye(k)[:, rest]   # column j: the weights of q_j - e_j q_i
-        W[i] = -E[rest]
-        N, R = np.linalg.qr(W)
-        PN = np.linalg.solve(R.T, P[rest] - np.outer(E[rest], P[i])).T   # P^T N
-        v0 = E / (E @ E)
-        v = (v0 + N @ np.linalg.lstsq(PN, -(v0 @ P), rcond=None)[0]).tolist()
-    else:
-        v = sol[:k]
-    s = _dot(v, e)
-    if abs(s - 1.0) > 1e-12 and abs(s) > 1e-12:
-        v = [vi / s for vi in v]
-    return v
+        return None
+    return sol[:k]
+
+
+def _corral_step(Q, e, corral, w):
+    """Wolfe's step as ``corral[-1]`` enters with weight 0 in ``w``: the corral and
+    weights at the affine minimiser once minor cycles drop the zero weights, or None
+    if a solve is refused or the entering atom gets no weight: no step can progress."""
+    v = _affine_min_norm([Q[c] for c in corral], [e[c] for c in corral])
+    if v is None or v[-1] <= 0.0:
+        return None
+    while min(v) <= 1e-12:
+        # step from w toward v until the first weight hits zero
+        theta = 1.0
+        for wi, vi in zip(w, v):
+            if vi <= 1e-12 and wi > vi:
+                theta = min(theta, wi / (wi - vi))
+        w = [(1.0 - theta) * wi + theta * vi for wi, vi in zip(w, v)]
+        corral = [c for c, wi in zip(corral, w) if wi >= 1e-13]
+        w = [wi for wi in w if wi >= 1e-13]
+        s = _dot(w, [e[c] for c in corral])
+        w = [wi / s for wi in w]
+        v = _affine_min_norm([Q[c] for c in corral], [e[c] for c in corral])
+        if v is None:
+            return None
+    return corral, v
 
 
 def min_norm_point(points, anchor=None, rays=None) -> MinNormResult:
@@ -293,9 +299,7 @@ def min_norm_point(points, anchor=None, rays=None) -> MinNormResult:
     sq = [_dot(q, q) for q in P]
     scale = max(1.0, max(sq))
     root = math.sqrt(scale)
-    Q = P
-    if rays is not None:
-        Q = P + _float_rows(rays, "rays", n)
+    Q = P if rays is None else P + _float_rows(rays, "rays", n)
     e = [1.0] * m + [0.0] * (len(Q) - m)  # 1 for a point, 0 for a ray
 
     corral = [sq.index(min(sq))]
@@ -312,27 +316,10 @@ def min_norm_point(points, anchor=None, rays=None) -> MinNormResult:
         if gap <= _WOLFE_TOL * scale or j in corral or budget == 0:
             break  # optimal, numerically stuck, or out of iterations
         budget -= 1
-        corral.append(j)
-        v = _affine_min_norm([Q[c] for c in corral], [e[c] for c in corral])
-        if v[-1] <= 0.0:
-            # an improving atom enters with positive weight unless rounding
-            # dominates; then no step can make progress
-            corral.pop()
-            break
-        w.append(0.0)
-        while min(v) <= 1e-12:
-            # step from w toward v until the first weight hits zero
-            theta = 1.0
-            for wi, vi in zip(w, v):
-                if vi <= 1e-12 and wi > vi:
-                    theta = min(theta, wi / (wi - vi))
-            w = [(1.0 - theta) * wi + theta * vi for wi, vi in zip(w, v)]
-            corral = [c for c, wi in zip(corral, w) if wi >= 1e-13]
-            w = [wi for wi in w if wi >= 1e-13]
-            s = _dot(w, [e[c] for c in corral])
-            w = [wi / s for wi in w]
-            v = _affine_min_norm([Q[c] for c in corral], [e[c] for c in corral])
-        w = v
+        step = _corral_step(Q, e, corral + [j], w + [0.0])
+        if step is None:
+            break  # numerically stuck: keep the last corral, weights and point
+        corral, w = step
         x = _combine(w, [Q[c] for c in corral])
 
     weights = [0.0] * m
@@ -387,7 +374,7 @@ def box_segment_min(a, b, lo, hi):
     each of the 3**k faces the minimiser over the face's affine hull has a
     closed form.  The objective is convex, so the best candidate that lies
     in its face is the minimum; no iterative solver is involved.  The work
-    is on Python floats: numpy calls cost more than the arithmetic on
+    is on Python floats: array-library calls cost more than the arithmetic on
     boxes of a few axes.  Raises ``ValueError`` naming an argument that is
     no sequence of finite numbers of a's dimension, or a box with lo > hi.
     """
@@ -573,21 +560,16 @@ class ConeBall(namedtuple("ConeBall", "u cone scale")):
             if nd <= 1e-15:
                 continue
             cand = [0.0] * n_dim
-            ok = True
             val = 0.0
             for i in live:
                 ni = u[i] + rad * d[i] / nd
-                if signs[i] == NONNEG and ni < -1e-12:
-                    ok = False
-                    break
-                if signs[i] == NONPOS and ni > 1e-12:
-                    ok = False
+                if (signs[i] == NONNEG and ni < -1e-12) or (signs[i] == NONPOS and ni > 1e-12):
                     break
                 cand[i] = ni
                 val += d[i] * ni
-            if ok and val > best_val + 1e-15:
-                best_val = val
-                best_n = cand
+            else:
+                if val > best_val + 1e-15:
+                    best_val, best_n = val, cand
         return best_n
 
     def support_point(self, d) -> tuple:
@@ -765,19 +747,13 @@ def feasibility_min_norm(sets, target: SignCone, tol: float = 1e-8) -> Feasibili
             stalled = True
 
     g = list(map(operator.sub, z, mpt))
-    f = _dot(g, g)
-    residual = math.sqrt(f)
+    residual = math.sqrt(_dot(g, g))
     # each atom's weight goes to the set it came from
     v_out = [0.0] * m
     for c, w in zip(sources, lam):
         v_out[c] += w
 
-    if residual <= tol:
-        status = "zero"
-    elif not stalled:
-        status = "positive"
-    else:
-        status = "stalled"
+    status = "zero" if residual <= tol else "stalled" if stalled else "positive"
     return FeasibilityResult(residual=residual, point=z, cone_point=mpt, weights=tuple(v_out),
                              status=status, iterations=it, gap=gap)
 
@@ -801,18 +777,12 @@ def shared_certificate_weights(problems, tol: float = 1e-8):
     if not problems:
         raise ValueError("need at least one conic problem")
     m = len(problems[0][0])
-    for sets, _ in problems:
-        if len(sets) != m:
-            raise ValueError("all problems must share the same number of sets")
+    if any(len(sets) != m for sets, _ in problems):
+        raise ValueError("all problems must share the same number of sets")
     n = problems[0][1].dim
 
-    stacked = [
-        ProductSet(tuple(sets[k] for sets, _ in problems), n) for k in range(m)
-    ]
-    signs = []
-    for _, M in problems:
-        signs.extend(M.signs)
-    target = SignCone(tuple(signs))
+    stacked = [ProductSet(tuple(sets[k] for sets, _ in problems), n) for k in range(m)]
+    target = SignCone(tuple(s for _, M in problems for s in M.signs))
 
     r = feasibility_min_norm(stacked, target, tol=tol)
     res = []

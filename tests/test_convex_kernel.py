@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from meanset import convex
 from meanset.convex import (
     FREE,
     NONNEG,
@@ -483,42 +484,37 @@ def test_kernel_entries_raise_value_errors(call, name):
         call()
 
 
-def test_singular_kkt_falls_back_to_least_squares(monkeypatch):
+def _same_as_array_reference(points):
+    """Whether ``min_norm_point`` and the array reference give the same answer, exactly."""
+    r = min_norm_point(points)
+    point, weights, gap = array_min_norm_point(points)
+    return r == (tuple(point.tolist()), tuple(weights.tolist()), gap)
+
+
+def test_a_duplicate_pair_is_refused():
     """A corral of two equal points has a singular KKT system: elimination
-    meets a zero pivot and least squares gives the minimum-norm weights."""
-    calls = []
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
-    assert _affine_min_norm([(1.0, 2.0), (1.0, 2.0)], [1.0, 1.0]) == pytest.approx([0.5, 0.5], abs=1e-15)
-    assert len(calls) == 1
+    meets a zero pivot and the solve is refused.  Wolfe never forms that
+    corral: the second copy gains nothing, and the solve ends at the first."""
+    assert _affine_min_norm([(1.0, 2.0), (1.0, 2.0)], [1.0, 1.0]) is None
+    assert _same_as_array_reference([(1.0, 2.0), (1.0, 2.0)])
 
 
-def test_affine_weights_of_one_row_and_of_an_ill_conditioned_pair(monkeypatch):
+def test_affine_weights_of_one_row_and_of_an_ill_conditioned_pair():
     """One row is its own affine span, with weight 1 and no solve.  The KKT
     system of the points 1e4 and 1e4 + 1 on a line is so ill-conditioned
-    that elimination misses the sum-to-one constraint; least squares
-    answers, and its weights, scaled to sum to 1, are those of the origin,
-    the min-norm point of the line, (10001, -10000)."""
+    that elimination misses the sum-to-one row, and the solve is refused.
+    Wolfe never forms that corral either: the farther point gains nothing."""
     assert _affine_min_norm([(1.0, 2.0)], [1.0]) == [1.0]
-    calls = []
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
-    v = _affine_min_norm([(1e4,), (1e4 + 1.0,)], [1.0, 1.0])
-    assert len(calls) == 1
-    assert sum(v) == pytest.approx(1.0, abs=1e-12)
-    assert v == pytest.approx([10001.0, -10000.0], rel=1e-7)
+    assert _affine_min_norm([(1e4,), (1e4 + 1.0,)], [1.0, 1.0]) is None
+    assert _same_as_array_reference([(1e4,), (1e4 + 1.0,)])
 
 
 @pytest.mark.parametrize("a", [1e4, 1e5, 1e6])
-def test_ill_conditioned_pairs_get_weights_that_sum_to_one(a):
+def test_ill_conditioned_pairs_are_refused(a):
     """The points a and a + 1 on a line: elimination misses the sum-to-one
-    row, and the fallback, solved in differences from the first point, gives
-    weights that sum to 1 within 1e-9 and name the origin, (a + 1, -a) to
-    1e-7.  Least squares on the KKT system itself gave (2.5e-21, 2.5e-21)
-    at 1e5 and (2.5e-25, 2.5e-25) at 1e6."""
-    v = _affine_min_norm([(a,), (a + 1.0,)], [1.0, 1.0])
-    assert sum(v) == pytest.approx(1.0, abs=1e-9)
-    assert v == pytest.approx([a + 1.0, -a], rel=1e-7)
+    row, and the solve is refused, not answered by weights near 1e16."""
+    assert _affine_min_norm([(a,), (a + 1.0,)], [1.0, 1.0]) is None
+    assert _same_as_array_reference([(a,), (a + 1.0,)])
 
 
 def _singular_systems(rng):
@@ -549,11 +545,10 @@ def _singular_systems(rng):
 
 
 def test_singular_kkt_weights_stay_bounded(monkeypatch):
-    """On singular KKT systems both the float and the array solvers return
-    weights of moderate size whose point is least squares' to 1e-9:
-    elimination meets a pivot that is zero up to rounding and hands the
-    system to least squares, instead of dividing by it into weights near
-    1e16 whose sum still passes the sum-to-one row."""
+    """On singular KKT systems the float solver refuses, and the array
+    reference returns weights of moderate size whose point is least
+    squares' to 1e-9: neither divides by a pivot that is zero up to rounding
+    into weights near 1e16 whose sum still passes the sum-to-one row."""
     calls = []
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
@@ -562,14 +557,56 @@ def test_singular_kkt_weights_stay_bounded(monkeypatch):
         k = len(Q)
         kkt = np.block([[Q @ Q.T, np.array(e)[:, None]], [np.array(e)[None, :], np.zeros((1, 1))]])
         want = lstsq(kkt, np.eye(k + 1)[k], rcond=None)[0][:k] @ Q
-        for v in (np.array(_affine_min_norm([tuple(r) for r in Q.tolist()], e)),
-                  _array_affine_min_norm(Q, np.array(e))):
-            assert np.abs(v).max() <= 1e6, (Q, e, v)
-            assert np.allclose(v @ Q, want, rtol=0.0, atol=1e-9 * (1.0 + np.abs(Q).max())), (Q, e)
-            assert float(np.array(e) @ v) == pytest.approx(1.0, abs=1e-9)
+        assert _affine_min_norm([tuple(r) for r in Q.tolist()], e) is None, (Q, e)
+        v = _array_affine_min_norm(Q, np.array(e))
+        assert np.abs(v).max() <= 1e6, (Q, e, v)
+        assert np.allclose(v @ Q, want, rtol=0.0, atol=1e-9 * (1.0 + np.abs(Q).max())), (Q, e)
+        assert float(np.array(e) @ v) == pytest.approx(1.0, abs=1e-9)
         count += 1
     assert count >= 2000
-    assert len(calls) == 2 * count
+    assert len(calls) == count
+
+
+def test_wolfe_corrals_are_never_refused(monkeypatch):
+    """Wolfe's corral is affinely independent by construction, so no affine
+    solve inside ``min_norm_point`` is refused on the 2,740 inputs of the
+    array reference's test: duplicate, collinear, affinely dependent and
+    anchored points, and the rays of all 340 sign patterns.  It makes 2,878
+    affine solves."""
+    solves = []
+    real = convex._affine_min_norm
+
+    def counted(Q, e):
+        v = real(Q, e)
+        solves.append(v is None)
+        return v
+
+    monkeypatch.setattr(convex, "_affine_min_norm", counted)
+    count = 0
+    for pts, anchor, rays in _wolfe_inputs(np.random.default_rng(41)):
+        min_norm_point(pts, anchor=anchor, rays=rays)
+        count += 1
+    assert count == 2740
+    assert (len(solves), sum(solves)) == (2878, 0)
+
+
+@pytest.mark.parametrize("refused", [2, 3], ids=["entering-atom", "minor-cycle"])
+def test_a_refused_affine_solve_keeps_the_last_corral(monkeypatch, refused):
+    """Wolfe on (-2, 0), (2, 4) and (-2, -4) makes three affine solves: the
+    first two points, nearest the origin at (-1, 1); all three, as (-2, -4)
+    enters; and, once a minor cycle drops (-2, 0), the last two, nearest at
+    the origin.  A refusal of the entering atom's solve or of the minor
+    cycle's ends the solve at (-1, 1), with the first corral's weights and
+    gap."""
+    calls = []
+    real = convex._affine_min_norm
+    monkeypatch.setattr(convex, "_affine_min_norm", lambda Q, e: calls.append(len(Q)) or (
+        None if len(calls) == refused else real(Q, e)))
+    points = [(-2.0, 0.0), (2.0, 4.0), (-2.0, -4.0)]
+    assert min_norm_point(points) == ((-1.0, 1.0), (0.75, 0.25, 0.0), 4.0)
+    assert calls == [2, 3, 2][:refused]
+    monkeypatch.undo()
+    assert min_norm_point(points) == ((0.0, 0.0), (0.0, 0.5, 0.5), 0.0)
 
 
 # ---------------------------------------------------------------------------

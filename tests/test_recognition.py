@@ -33,7 +33,7 @@ from meanset import (
     weighted_objective,
 )
 from meanset import GeodesicError, feasibility_min_norm, point_along, recognition
-from meanset.boundary import build_model, conic_residual
+from meanset.boundary import build_model, build_models, conic_residual
 from meanset.convex import FREE, ConeBall, SignCone, Singleton, box_segment_min
 from meanset.corpus import expected
 from meanset.geodesics import chain_length
@@ -407,6 +407,20 @@ def _model(cx, A, label):
      "labels and coordinates must align"),
     (lambda cx, A: build_model(A, cx.locate((1.0, 0.0)), "c012", "a"), CertificateError,
      "derivative model undefined at a set point"),
+    (lambda cx, A: solve_PC(A, (0.0, 0.0), "c014"), ComplexError,
+     r"no conic problem at \[0.0, 0.0\] in cell c014: it is not maximal"),
+    (lambda cx, A: conic_residual(A, (0.0, 0.0), "c014", {"a": 1.0}), ComplexError,
+     r"no conic problem at \[0.0, 0.0\] in cell c014"),
+    (lambda cx, A: build_models(A, cx.locate((0.0, 0.0)), "c014"), ComplexError,
+     r"no conic problem at \[0.0, 0.0\] in cell c014"),
+    (lambda cx, A: build_model(A, cx.locate((0.0, 0.0)), "c014", "a"), ComplexError,
+     r"no conic problem at \[0.0, 0.0\] in cell c014"),
+    (lambda cx, A: conic_residual(A, (0.0, 0.0), "c002", dict.fromkeys("abc", math.nan)),
+     ValueError, "weights must be finite and nonnegative with a positive sum"),
+    (lambda cx, A: conic_residual(A, (0.0, 0.0), "c002", dict.fromkeys("abc", -1.0)),
+     ValueError, "weights must be finite and nonnegative with a positive sum"),
+    (lambda cx, A: conic_residual(A, (0.0, 0.0), "c002", {"a": 0.0}),
+     ValueError, "weights must be finite and nonnegative with a positive sum"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -433,9 +447,12 @@ def _model(cx, A, label):
         "none-derivative-direction", "none-signs", "none-singleton", "none-cone-ball",
         "none-model-label", "none-random-point-complex", "none-random-point-rng",
         "string-derivative-direction", "long-projected-vector", "misaligned-labels",
-        "model-at-set-point"])
+        "model-at-set-point", "solve-pc-at-a-face", "conic-residual-at-a-face",
+        "models-at-a-face", "model-at-a-face", "nan-residual-weights",
+        "negative-residual-weights", "zero-residual-weights"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
-    """An unknown cell id is a ComplexError naming it, a tolerance or an
+    """An unknown cell id, or a cell that is not maximal where a conic
+    problem needs one, is a ComplexError naming it, a tolerance or an
     exponent that is no real number, a probe segment of mismatched ends or an
     unknown corpus name, an ``A`` that is no ``PointSetA`` or a CSV row that
     is no ``HeatMapSample``, a probe end, geodesic or derivative model of
@@ -456,8 +473,9 @@ def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     vector that is no sequence of numbers, a model's label that is not one
     of ``A``, a ``random_point`` complex that is no complex or ``rng``
     with no ``random`` method, a vector projected onto a sign cone of
-    another dimension, or ``from_coords`` labels that do not align with the
-    coordinates a ValueError, a point of the wrong dimension a
+    another dimension, ``from_coords`` labels that do not align with the
+    coordinates, or ``conic_residual`` weights that are not finite and
+    nonnegative with a positive sum a ValueError, a point of the wrong dimension a
     LocationError, and an object that is no certificate, a margin that is
     not a positive number or a derivative model at a set point a
     CertificateError, never a bare KeyError, TypeError, IndexError or

@@ -4,22 +4,29 @@ Usage, from the repository root::
 
     python3 tools/trace_lines.py -- -q tests/test_geodesics.py
     python3 tools/trace_lines.py --workload recognize_corpus --seed 7 --rounds 3
+    python3 tools/trace_lines.py --workload recognize_corpus \\
+        --workload heatmap_corpus --workload grid_distance --rounds 8 --families --pairs 100
 
 The first form runs pytest in this process with the arguments after ``--``
 (``src`` goes first on ``sys.path``, as the tier-1 command sets it).  The
-second imports ``perfbench/workloads.py`` without changing it, builds and
-validates the workload's complexes, and makes the timed calls of
-``--rounds`` rounds of its inputs from ``--seed``; output checks are not run.
-Both trace every thread with ``sys.settrace`` and ``threading.settrace``
-and print, per module, the lines that the module's compiled code objects
-mark executable (``co_lines()``) and that no trace event reached.  Code run
-in a subprocess, such as the command-line tests, is not traced.  Tracing
-slows a run about threefold; no coverage package is needed.
+others run each ``--workload`` in turn and then, with ``--families``,
+``tools/families.py`` on the first ``--pairs`` pairs of each family (all
+when omitted), all in one trace.  A workload run imports
+``perfbench/workloads.py`` without changing it, builds and validates the
+workload's complexes, and makes the timed calls of ``--rounds`` rounds of
+its inputs from ``--seed``; output checks are not run.  The families print
+their JSON lines.  Every form traces every thread with ``sys.settrace``
+and ``threading.settrace`` and prints, per module, the lines that the
+module's compiled code objects mark executable (``co_lines()``) and that
+no trace event reached.  Code run in a subprocess, such as the
+command-line tests, is not traced.  Tracing slows a run about threefold;
+no coverage package is needed.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 import threading
@@ -101,18 +108,32 @@ def run_workload(name: str, seed: int, rounds: int) -> None:
             wl.run(meanset, state, inp, wl.prepare(meanset, state, inp))
 
 
+def run_families(pairs) -> None:
+    """``tools/families.py`` on the first ``pairs`` pairs of every family (all when None)."""
+    spec = importlib.util.spec_from_file_location("families", ROOT / "tools" / "families.py")
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    families.main([] if pairs is None else ["--pairs", str(pairs)])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", help="a workload of perfbench/workloads.py")
+    ap.add_argument("--workload", action="append", default=[],
+                    help="a workload of perfbench/workloads.py (repeatable)")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--rounds", type=int, default=1)
+    ap.add_argument("--families", action="store_true", help="run tools/families.py too")
+    ap.add_argument("--pairs", type=int, help="the families' --pairs")
     ap.add_argument("pytest_args", nargs="*", help="arguments for pytest, after --")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(SRC))
     modules = sorted((SRC / "meanset").glob("*.py"))
     with LineTrace(modules) as trace:
-        if args.workload:
-            run_workload(args.workload, args.seed, args.rounds)
+        if args.workload or args.families:
+            for name in args.workload:
+                run_workload(name, args.seed, args.rounds)
+            if args.families:
+                run_families(args.pairs)
             status = 0
         else:
             import pytest
