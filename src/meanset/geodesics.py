@@ -2,10 +2,11 @@
 
 Every cell is a unit box of R^n, so ``|p - q|`` bounds every path in the
 complex from below, and when the straight segment lies in the complex it
-is the geodesic.  :func:`_walk` follows it cell by cell, as voxel
-traversal does (Amanatides and Woo, Eurographics 1987): each exit point is
-located by its carrier's key, one O(n) owner-table lookup, and the walk
-goes on in the maximal cells holding it; no search, no solve.
+is the geodesic.  :func:`_walk` follows it through the lattice cells it
+crosses, as voxel traversal does (Amanatides and Woo, Eurographics 1987):
+each axis keeps the ``t`` of its next crossing, and each cell entered is
+one key lookup in the owner table; no search, no solve.  Ends given as
+coordinates are located only when the walk fails.
 
 When the segment leaves the complex, the geodesic is found by enumerating
 simple chains of maximal cells (consecutive cells sharing a face),
@@ -71,7 +72,7 @@ import threading
 from collections import namedtuple
 
 from .complexes import CubicalComplex, LocatedPoint
-from .convex import _all_finite, _checked_make, box_segment_min, segment_span
+from .convex import _all_finite, _checked_make, box_segment_min
 
 __all__ = [
     "Geodesic",
@@ -483,13 +484,14 @@ def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:
 def _assemble(chain, pts):
     """The Geodesic through the snapped points ``pts``, one cell of
     ``chain`` per segment, with segments of at most 1e-9 elided."""
-    bps, cells = [pts[0]], []
+    bps, cells, steps = [pts[0]], [], []
     for cell, x in zip(chain, pts[1:]):
-        if math.dist(x, bps[-1]) > 1e-9:
+        step = math.dist(x, bps[-1])
+        if step > 1e-9:
             bps.append(x)
             cells.append(cell)
-    length = sum((math.dist(a, b) for a, b in zip(bps, bps[1:])), 0.0)
-    return Geodesic(tuple(bps), tuple(cells), length)
+            steps.append(step)
+    return Geodesic(tuple(bps), tuple(cells), sum(steps, 0.0))
 
 
 # geodesics cached per complex: ~400 B an entry on the bundled corpora, 0.7-0.9 KB on the
@@ -505,11 +507,15 @@ def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
 
     The cache holds one entry per unordered pair of snapped points, solved in the
     direction first asked for and reversed exactly when read the other way.  It is
-    read before the ends are located: every key was located once, so a hit skips no check.
+    read before the ends are located: every key's ends were located or walked between
+    once, so a hit skips no check.
     It holds at most ``_CACHE_SIZE`` entries: a miss that finds it full first drops the
     oldest inserted entry (a hit does not reorder), and a pair dropped is solved again,
-    in the direction it is next asked for.  ``ValueError`` unless ``cx`` is a
-    :class:`CubicalComplex`.
+    in the direction it is next asked for.  On a miss, ends given as coordinates of the
+    complex's dimension are walked between unlocated: each lies in a lattice cell the walk
+    looked up, so a walk that ends proves both lie in the complex.  Otherwise, and when
+    the walk fails, each end is located, p first, as ``locate`` does.  ``ValueError``
+    unless ``cx`` is a :class:`CubicalComplex`.
     """
     if not isinstance(cx, CubicalComplex):
         raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
@@ -517,13 +523,15 @@ def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
     b = q.coords if isinstance(q, LocatedPoint) else cx.snap(q)
     cache = cx._geo_cache
     g = cache.get((a, b) if a <= b else (b, a))
-    if g is None:   # locate each end, snapping none twice
-        p_loc = cx.locate(p) if isinstance(p, LocatedPoint) else cx._locate_snapped(a)
-        q_loc = cx.locate(q) if isinstance(q, LocatedPoint) else cx._locate_snapped(b)
-        a, b = p_loc.coords, q_loc.coords   # a LocatedPoint made by hand may be unsnapped
-        key = (a, b) if a <= b else (b, a)
-        g = _walk(cx, p_loc, q_loc) or _search(cx, p_loc, q_loc)
-        _store(cache, key, g)
+    if g is None:
+        raw = not isinstance(p, LocatedPoint) and not isinstance(q, LocatedPoint)
+        g = _walk(cx, a, b) if raw and len(a) == len(b) == cx.ambient_dim else None
+        if g is None:   # locate each end, snapping none twice
+            p_loc = cx.locate(p) if isinstance(p, LocatedPoint) else cx._locate_snapped(a)
+            q_loc = cx.locate(q) if isinstance(q, LocatedPoint) else cx._locate_snapped(b)
+            a, b = p_loc.coords, q_loc.coords   # a LocatedPoint made by hand may be unsnapped
+            g = (not raw and _walk(cx, a, b)) or _search(cx, p_loc, q_loc)
+        _store(cache, (a, b) if a <= b else (b, a), g)
     if g.breakpoints[0] != a:
         return Geodesic(g.breakpoints[::-1], g.cells[::-1], g.length)
     return g
@@ -538,39 +546,47 @@ def _store(table, key, value):
         table[key] = value
 
 
-def _walk(cx, p_loc, q_loc):
-    """The straight segment from p to q as a Geodesic, or None when the
-    walk finds no cell to carry it on.
+def _walk(cx, p, q):
+    """The straight segment from the snapped point p to q as a Geodesic, or
+    None when part of it lies in no cell of the complex.
 
-    Each step locates the point where the segment leaves the last cell
-    (snapped, as :meth:`CubicalComplex.locate` snaps; p at the start) and,
-    among the maximal cells holding it other than the last cell, keeps the
-    one whose :func:`segment_span` starts by the current ``t`` (up to
-    1e-12) and reaches farthest, the first in cell order on ties.  ``t``
-    grows at every step, so no cell is met twice.
+    The first lattice cell it crosses spans each axis it moves along by the
+    unit interval it enters, and each parallel one (``|d_i| <= 1e-14``, as
+    in :func:`~meanset.convex.segment_span`) unless ``p_i`` is an integer.
+    Each moving axis keeps the ``t`` of its next crossing, ``(e - p_i) /
+    d_i`` at the integer ``e``, as ``segment_span`` computes a box's exit; a
+    step leaves at the least, snapped as :meth:`CubicalComplex.locate` snaps,
+    and moves every axis crossing by ``t + 1e-12``.  Each cell crossed goes
+    to the first of its owners in cell order: the segment leaves them all at
+    the same ``t``.
     """
-    p, q = p_loc.coords, q_loc.coords
-    d = tuple(b - a for a, b in zip(p, q))
-    boxes = cx._boxes
-    t, x, here, best = 0.0, p, cx._owners[p_loc.minimal_cell], None
-    chain, pts = [], []
+    d = [b - a for a, b in zip(p, q)]
+    base, axes, moving, nxt = [], [], [], []   # moving: (axis, step) per t in nxt
+    for i, (a, di) in enumerate(zip(p, d)):
+        k = math.floor(a) if di >= -1e-14 else math.ceil(a) - 1
+        base.append(k)
+        if abs(di) > 1e-14:   # it crosses k + 1 next moving up, k moving down
+            moving.append((i, 1 if di > 0.0 else -1))
+            nxt.append((k + (di > 0.0) - a) / di)
+        if abs(di) > 1e-14 or a != k:
+            axes.append(i)
+    axes, index, owners = tuple(axes), cx._index, cx._owners
+    chain, pts, x = [], [], p
     while True:
-        last, best, reach = best, None, t
-        for cell in here:
-            if cell != last:
-                span = segment_span(p, d, *boxes[cell])
-                if span is not None and span[0] <= t + 1e-12 and span[1] > reach:
-                    best, reach = cell, span[1]
-        if best is None:
+        cell = index.get((tuple(base), axes))
+        if cell is None:
             return None
-        chain.append(best)
+        chain.append(owners[cell][0])
         pts.append(x)
-        if reach >= 1.0:
+        t = min(nxt, default=1.0)
+        if t >= 1.0:
             pts.append(q)
             return _assemble(chain, pts)
-        t = reach
         x = cx.snap([a + t * di for a, di in zip(p, d)])
-        here = cx._cells_at(x)[1]
+        for j, (i, s) in enumerate(moving):
+            if nxt[j] <= t + 1e-12:
+                base[i] += s
+                nxt[j] = (base[i] + (s > 0) - p[i]) / d[i]
 
 
 def _search(cx, p_loc, q_loc):
@@ -579,12 +595,12 @@ def _search(cx, p_loc, q_loc):
 
     First the pivot ``(v, tail)`` of an earlier answer that started in a
     maximal cell holding p (the first in cell order that has one) and ended
-    at q: the walk from p to the vertex v, joined to ``tail``, is returned if
-    :func:`_link_slack` at v is at least -1e-7; a pivot whose walk leaves the
-    complex, is a single point or fails the test is dropped and leaves the
-    search to the heap.  When ``cx`` is proved CAT(0), the heap's answer
-    with a vertex between its ends gives the pivot of its first cell and q
-    (:func:`_remember`).
+    at q: the walk from p to the vertex v, on their coordinates, joined to
+    ``tail``, is returned if :func:`_link_slack` at v is at least -1e-7;
+    a pivot whose walk leaves the complex, is a single point or fails the
+    test is dropped and leaves the search to the heap.  When ``cx`` is
+    proved CAT(0), the heap's answer with a vertex between its ends gives
+    the pivot of its first cell and q (:func:`_remember`).
     """
     p, q = p_loc.coords, q_loc.coords
     if not math.isfinite(vertex_upper_bound(cx, p_loc, q_loc)):
@@ -599,7 +615,7 @@ def _search(cx, p_loc, q_loc):
     pivot = pivots.get(key) if key else None
     if pivot is not None:
         v, tail = pivot
-        w = _walk(cx, p_loc, cx._locate_snapped(v))
+        w = _walk(cx, p, v)
         if w is not None and len(w.breakpoints) > 1 and \
                 _link_slack(cx, v, w.breakpoints[-2], tail.breakpoints[1]) >= -1e-7:
             return _assemble(w.cells + tail.cells, w.breakpoints + tail.breakpoints[1:])

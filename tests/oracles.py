@@ -21,13 +21,13 @@ which ``meanset.geodesics`` finds by a chain search, is found here on the
 visibility graph of its reflex vertices.  The shortest path through a box,
 which ``meanset.convex`` finds on the faces that can hold it, is found
 here on all of them.  The straight-segment walk, which
-``meanset.geodesics`` steps by locating each exit point, is kept here in
-the form that tests each neighbour's shared face instead; it shares
-``segment_span`` and the final assembly with the walk, so it checks the
-stepping alone.  The link test at a geodesic's breakpoints, which
-``meanset.geodesics`` runs with a brute-force vertex cover, is run here
-with numpy arrays and the cover solved as a linear program by scipy's
-``linprog``.
+``meanset.geodesics`` steps through the lattice axis by axis, is kept here
+in the form that clips the segment to each cell's box by ``segment_span``
+and tests each neighbour's shared face; it shares only the final assembly
+with the walk, so it checks the stepping alone.  The link test at a
+geodesic's breakpoints, which ``meanset.geodesics`` runs with a
+brute-force vertex cover, is run here with numpy arrays and the cover
+solved as a linear program by scipy's ``linprog``.
 """
 
 import heapq
@@ -601,8 +601,9 @@ def reference_walk(cx, p_loc, q_loc):
     farthest, the first in cell order on ties, then tests every neighbour
     of that cell for a shared face holding the exit point to 1e-9, and
     clips the exit point into the face of the cell taken.  The walk of
-    ``meanset.geodesics``, which locates the exit point instead, must
-    match it bit for bit."""
+    ``meanset.geodesics``, which keeps each axis's next crossing instead
+    and looks up the lattice cell the segment enters, must match it bit
+    for bit."""
     p, q = p_loc.coords, q_loc.coords
     d = tuple(b - a for a, b in zip(p, q))
     boxes = cx._boxes

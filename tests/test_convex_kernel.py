@@ -265,6 +265,15 @@ def test_box_segment_min_slab_fast_path():
     assert x[1] == pytest.approx(0.5, abs=1e-14)
 
 
+def test_box_segment_min_on_a_grazing_segment():
+    """A segment passing 1e-13 outside a box's corner meets it within the
+    span's slack, with ``t1`` below ``t0``: both become their mean, and the
+    point there is clamped into the box."""
+    a, b, lo, hi = (0.0, 0.0), (2.0, 2.0), (1.0, 0.0), (2.0, 1.0 - 1e-13)
+    assert segment_span(a, (2.0, 2.0), lo, hi) == (0.5, 0.49999999999995)
+    assert box_segment_min(a, b, lo, hi) == (2.8284271247461903, (1.0, 0.9999999999999))
+
+
 def test_box_segment_min_takes_any_sequence():
     """Tuples, lists, int arrays and float arrays give the same ``(value,
     x)``, ``x`` a tuple of floats; where the segment meets the box the value

@@ -13,7 +13,7 @@ from meanset import (CubicalComplex, GeodesicError, complex_from_dict, distance,
                      load_bundled, midpoint, point_along, recognize, run_heatmap, to_csv,
                      verify_certificate)
 from meanset import geodesics
-from meanset.complexes import read_json
+from meanset.complexes import LocationError, read_json
 from meanset.convex import box_segment_min
 from meanset.corpus import BUNDLED, data_path
 from meanset.recognition import random_point
@@ -358,8 +358,8 @@ def test_warm_distance_locates_nothing(monkeypatch, name, p, q):
     ((0.2, 0.3, 0.4), (2.7, 1.6, 0.9)),   # straight across cells
 ])
 def test_cold_distance_snaps_each_end_once(monkeypatch, p, q):
-    """A cold distance snaps each end once, for the cache read; locating the
-    ends on the miss reuses the snapped coordinates."""
+    """A cold distance snaps each end once, for the cache read; the walk on
+    the miss reuses the snapped coordinates."""
     cx = _grid(3, 3, 3)
     calls = []
     real = CubicalComplex.snap
@@ -377,6 +377,60 @@ def test_geodesic_requires_points_inside():
     cx, _ = load_bundled("tripod")
     with pytest.raises(Exception):
         geodesic(cx, (5.0, 5.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("p, q, message", [
+    ((3.0, 3.0), (0.5, 0.5), "point [3.0, 3.0] lies outside the complex"),
+    ((0.5, 0.5), (3.5, 3.5), "point [3.5, 3.5] lies outside the complex"),
+    ((5, 0.5), (6, 0.5), "point [5.0, 0.5] lies outside the complex"),
+    ((0.5, 0.5, 0.5), (0.5, 0.5), "point has dimension 3, complex is 2-dimensional"),
+    ((0.5, 0.5), (2.5, 2.5, 1), "point has dimension 3, complex is 2-dimensional"),
+    ("located", (3.5, 0.5, 1), "point has dimension 3, complex is 2-dimensional"),
+    ("located", (2.5, 2.5), "point [2.5, 2.5] lies outside the complex"),
+    ((2.5, 2.5), "located", "point [2.5, 2.5] lies outside the complex"),
+])
+def test_a_failed_walk_locates_the_ends(p, q, message):
+    """Raw ends are located only when the walk between them fails, or when
+    one is of the wrong dimension or a LocatedPoint; an end outside the
+    complex then raises what locating it raises, p before q."""
+    cx = complex_from_dict(l_shape(4))
+    here = cx.locate((0.5, 1.5))
+    p, q = (here if x == "located" else x for x in (p, q))
+    with pytest.raises(LocationError) as err:
+        geodesic(cx, p, q)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("p, q, located", [
+    ((0.5, 0.5), (3.5, 1.5), 0),   # straight: the walk proves both ends lie in the complex
+    ((0.5, 3.5), (3.5, 0.5), 0),   # straight through the reflex vertex (2, 2)
+    ((0.5, 3.5), (3.5, 1.5), 2),   # bent at the reflex vertex: both ends located for the search
+])
+def test_raw_ends_are_located_only_for_the_search(monkeypatch, p, q, located):
+    """Ends given as coordinates are located, p first, only when the walk
+    between them fails and the search needs their carriers."""
+    cx = complex_from_dict(l_shape(4))
+    calls, real = [], cx._locate_snapped
+    monkeypatch.setattr(cx, "_locate_snapped", lambda x: calls.append(x) or real(x))
+    g = geodesic(cx, p, q)
+    assert calls == [cx.snap(p), cx.snap(q)][:located]
+    assert (g.length > math.dist(p, q) + 1e-12) == bool(located)
+
+
+def test_a_pivot_walks_to_its_vertex_unlocated(monkeypatch):
+    """A search answered by a pivot locates its two ends and not the
+    pivot's vertex: the walk to it runs on coordinates."""
+    q = (R3, 0.0)
+    cx, _ = load_bundled("quadrant_window")
+    geodesic(cx, (-1.6, 1.97), q)
+    assert [v for v, _ in cx._pivots.values()] == [(0.0, 0.0)]
+    calls, real = [], cx._locate_snapped
+    monkeypatch.setattr(cx, "_locate_snapped", lambda x: calls.append(x) or real(x))
+    walks, walk = [], geodesics._walk
+    monkeypatch.setattr(geodesics, "_walk", lambda cx, a, b: walks.append(b) or walk(cx, a, b))
+    geodesic(cx, (-1.64, 1.31), q)
+    assert calls == [(-1.64, 1.31), q]
+    assert walks == [q, (0.0, 0.0)]
 
 
 def test_midpoint_matches_cn_inequality(bundles):
@@ -1024,7 +1078,7 @@ def test_walk_is_sound_and_complete(name):
         p_loc = cx.locate(_corpus_point(cx, rng, snapped=i % 2 == 1))
         q_loc = cx.locate(_corpus_point(cx, rng, snapped=i % 4 >= 2))
         direct = math.dist(p_loc.coords, q_loc.coords)
-        g = geodesics._walk(cx, p_loc, q_loc)
+        g = geodesics._walk(cx, p_loc.coords, q_loc.coords)
         if g is None:
             assert geodesics._search(cx, p_loc, q_loc).length > direct + 1e-12, (p_loc, q_loc)
             continue
@@ -1051,7 +1105,7 @@ def test_walk_matches_face_box_reference(name):
     for i in range(300):
         p_loc = cx.locate(_corpus_point(cx, rng, snapped=i % 2 == 1))
         q_loc = cx.locate(_corpus_point(cx, rng, snapped=i % 4 >= 2))
-        g = geodesics._walk(cx, p_loc, q_loc)
+        g = geodesics._walk(cx, p_loc.coords, q_loc.coords)
         assert repr(g) == repr(reference_walk(cx, p_loc, q_loc)), (p_loc, q_loc)
         walked += g is not None
         declined += g is None
@@ -1059,33 +1113,66 @@ def test_walk_matches_face_box_reference(name):
     assert declined > 0 or name.startswith("grid")
 
 
-@pytest.mark.parametrize("sizes, p, q, spans, steps", [
-    ((10, 10), (0.0, 0.0), (10.0, 10.0), 28, 9),           # corner to corner, 9 vertices
-    ((3, 3, 3), (0.1, 0.1, 0.1), (2.9, 2.9, 2.9), 15, 2),   # cube diagonal, 2 vertices
+def _lattice_points(cx):
+    """The vertices of ``cx``, the midpoint of each of its cells, and the
+    points a third and two thirds of the way along each cell's diagonal."""
+    pts = set()
+    for c in cx.cells:
+        for f in ((0.0,) if not c.axes else (1 / 3, 0.5, 2 / 3)):
+            pts.add(tuple(b + f * (i in c.axes) for i, b in enumerate(c.base)))
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("grid3x3x3", "L6"))
+def test_walk_matches_face_box_reference_on_lattice_ends(name):
+    """On ends at vertices, cell midpoints and thirds, where crossings tie
+    and segments run in lattice hyperplanes, the lattice walk matches the
+    face-box walk bit for bit, or both decline."""
+    if name in BUNDLED:
+        cx = load_bundled(name)[0]
+    else:
+        cx = _grid(3, 3, 3) if name == "grid3x3x3" else complex_from_dict(l_shape(6))
+    pts = _lattice_points(cx)
+    rng = np.random.default_rng([97, len(name)])
+    walked = declined = 0
+    for i, j in rng.integers(len(pts), size=(2000, 2)):
+        p_loc, q_loc = cx.locate(pts[i]), cx.locate(pts[j])
+        g = geodesics._walk(cx, p_loc.coords, q_loc.coords)
+        assert repr(g) == repr(reference_walk(cx, p_loc, q_loc)), (p_loc, q_loc)
+        walked += g is not None
+        declined += g is None
+    assert walked > 0
+    assert declined > 0 or name == "grid3x3x3"
+
+
+@pytest.mark.parametrize("sizes, p, q, lookups, snaps", [
+    ((10, 10), (0.0, 0.0), (10.0, 10.0), 10, 9),           # corner to corner, 9 vertices
+    ((3, 3, 3), (0.1, 0.1, 0.1), (2.9, 2.9, 2.9), 3, 2),   # cube diagonal, 2 vertices
 ])
-def test_walk_work_counts_are_pinned(monkeypatch, sizes, p, q, spans, steps):
-    """A walk through lattice vertices tests the span of each maximal cell
-    at each exit point but the cell it leaves, and locates each exit point
-    once."""
-    counts = {"spans": 0, "steps": 0}
-    real_span = geodesics.segment_span
+def test_walk_work_counts_are_pinned(monkeypatch, sizes, p, q, lookups, snaps):
+    """A walk through lattice vertices looks up the key of each piece once,
+    the crossings tied at each vertex moving both or all axes in one step,
+    and snaps each exit point once."""
+    counts = {"lookups": 0, "snaps": 0}
     cx = _grid(*sizes)
-    p_loc, q_loc = cx.locate(p), cx.locate(q)
-    real_cells = cx._cells_at
+    a, b = cx.snap(p), cx.snap(q)
+    real_snap = cx.snap
 
-    def span(*args):
-        counts["spans"] += 1
-        return real_span(*args)
+    class CountingIndex(dict):
+        def get(self, key, default=None):
+            counts["lookups"] += 1
+            return super().get(key, default)
 
-    def cells_at(point):
-        counts["steps"] += 1
-        return real_cells(point)
+    def snap(point):
+        counts["snaps"] += 1
+        return real_snap(point)
 
-    monkeypatch.setattr(geodesics, "segment_span", span)
-    monkeypatch.setattr(cx, "_cells_at", cells_at)
-    g = geodesics._walk(cx, p_loc, q_loc)
+    monkeypatch.setattr(cx, "_index", CountingIndex(cx._index))
+    monkeypatch.setattr(cx, "snap", snap)
+    g = geodesics._walk(cx, a, b)
     assert g.length == pytest.approx(math.dist(p, q), abs=1e-12)
-    assert counts == {"spans": spans, "steps": steps}
+    assert len(g.cells) == lookups
+    assert counts == {"lookups": lookups, "snaps": snaps}
 
 
 # ---------------------------------------------------------------------------

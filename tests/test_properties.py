@@ -108,7 +108,7 @@ def test_grid_distance_is_symmetric(case):
 def test_walked_breakpoints_lie_in_their_cells(case):
     sizes, p, q = case
     cx = _grid(sizes)
-    g = geodesics._walk(cx, cx.locate(p), cx.locate(q))
+    g = geodesics._walk(cx, cx.snap(p), cx.snap(q))
     assert g is not None
     for cell, a, b in zip(g.cells, g.breakpoints, g.breakpoints[1:]):
         assert cx.cell(cell).contains(a, tol=0.0) and cx.cell(cell).contains(b, tol=0.0)
