@@ -133,11 +133,11 @@ def directional_derivative(model: DirectionalDerivativeModel, u) -> float:
 
     Returns ``+inf`` for directions leaving the cell's tangent cone.
     Positively homogeneous in ``u``.  ``ValueError`` unless ``u`` is a
-    sequence of finite numbers.
+    sequence of finite numbers of the cell's tangent cone's dimension.
     """
     if not isinstance(model, DirectionalDerivativeModel):
         raise ValueError(f"model must be a DirectionalDerivativeModel, got {model!r}")
-    if not _all_finite(u):
+    if not (hasattr(u, "__len__") and _all_finite(u)):   # a generator would be used up
         raise ValueError(f"u must be a sequence of finite numbers, got {u!r}")
     if not model.tangent.contains(u, 1e-9):
         return math.inf

@@ -72,10 +72,10 @@ class CubeCell(namedtuple("CubeCell", "base axes ident", defaults=("",))):
         return lo, hi
 
     def contains(self, point, tol: float = 1e-9) -> bool:
-        for i, b in enumerate(self.base):
-            x = point[i]
-            top = b + (1 if i in self.axes else 0)
-            if x < b - tol or x > top + tol:
+        if len(point) != len(self.base):
+            raise ValueError(f"point has dimension {len(point)}, the cell's base {len(self.base)}")
+        for i, (b, x) in enumerate(zip(self.base, point)):
+            if x < b - tol or x > b + (i in self.axes) + tol:
                 return False
         return True
 
@@ -355,14 +355,20 @@ class CubicalComplex:
             raise LocationError(f"point {point!r} is not a sequence of real numbers") from None
         return tuple(out)
 
-    def locate(self, point) -> LocatedPoint:
-        """The snapped point and its carrier (``minimal_cell``, by :meth:`_cells_at`);
-        a point located by another complex is located anew."""
+    def _snapped(self, point) -> tuple:
+        """The coordinates of ``point`` on this complex, by one rule: a ``LocatedPoint``
+        this complex made gives its ``coords``, any other point is snapped (a
+        ``LocatedPoint`` from its ``coords``)."""
         if isinstance(point, LocatedPoint):
-            if point.cx is self:
-                return point
-            point = point.coords
-        return self._locate_snapped(self.snap(point))
+            return point.coords if point.cx is self else self.snap(point.coords)
+        return self.snap(point)
+
+    def locate(self, point) -> LocatedPoint:
+        """The point at :meth:`_snapped`'s coordinates with its carrier (``minimal_cell``,
+        by :meth:`_cells_at`); a ``LocatedPoint`` this complex made is its own location."""
+        if isinstance(point, LocatedPoint) and point.cx is self:
+            return point
+        return self._locate_snapped(self._snapped(point))
 
     def _locate_snapped(self, p) -> LocatedPoint:
         """:meth:`locate` of a point already snapped, a tuple of floats."""
@@ -395,11 +401,11 @@ class CubicalComplex:
     # -- cones ---------------------------------------------------------------
 
     def tangent_cone(self, cell_id: str, point) -> SignCone:
-        """The tangent cone of a cell at a point of it; a ``LocatedPoint`` is
-        taken as already snapped.  A snapped point is in the cell's integer box
-        exactly when it is within 1e-9 of it."""
+        """The tangent cone of a cell at a point of it, read at :meth:`_snapped`'s
+        coordinates.  A snapped point is in the cell's integer box exactly when
+        it is within 1e-9 of it."""
         lo, hi = self._boxes[self.cell(cell_id).ident]
-        p = point.coords if isinstance(point, LocatedPoint) else self.snap(point)
+        p = self._snapped(point)
         self._check_dimension(p)
         signs = []
         for x, l, h in zip(p, lo, hi):

@@ -135,6 +135,8 @@ class SignCone(namedtuple("SignCone", "signs")):
         return len(self.signs)
 
     def contains(self, v, tol: float = 1e-9) -> bool:
+        if len(v) != len(self.signs):
+            raise ValueError(f"v must have the cone's dimension {self.dim}")
         for s, vi in zip(self.signs, v):
             if s == ZERO and abs(vi) > tol:
                 return False

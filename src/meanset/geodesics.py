@@ -5,8 +5,8 @@ complex from below, and when the straight segment lies in the complex it
 is the geodesic.  :func:`_walk` follows it through the lattice cells it
 crosses, as voxel traversal does (Amanatides and Woo, Eurographics 1987):
 each axis keeps the ``t`` of its next crossing, and each cell entered is
-one key lookup in the owner table; no search, no solve.  Ends given as
-coordinates are located only when the walk fails.
+one key lookup in the owner table; no search, no solve.  Ends are located
+only by the search, when the walk fails.
 
 When the segment leaves the complex, the geodesic is found by enumerating
 simple chains of maximal cells (consecutive cells sharing a face),
@@ -71,7 +71,7 @@ import math
 import threading
 from collections import namedtuple
 
-from .complexes import CubicalComplex, LocatedPoint
+from .complexes import CubicalComplex
 from .convex import _all_finite, _checked_make, box_segment_min
 
 __all__ = [
@@ -505,33 +505,24 @@ _CACHE_LOCK = threading.Lock()
 def geodesic(cx: CubicalComplex, p, q) -> Geodesic:
     """The geodesic from ``p`` to ``q`` (unique in a valid complex).
 
-    The cache holds one entry per unordered pair of snapped points, solved in the
-    direction first asked for and reversed exactly when read the other way.  It is
-    read before the ends are located: every key's ends were located or walked between
-    once, so a hit skips no check.
-    It holds at most ``_CACHE_SIZE`` entries: a miss that finds it full first drops the
-    oldest inserted entry (a hit does not reorder), and a pair dropped is solved again,
-    in the direction it is next asked for.  On a miss, ends given as coordinates of the
-    complex's dimension are walked between unlocated: each lies in a lattice cell the walk
-    looked up, so a walk that ends proves both lie in the complex.  Otherwise, and when
-    the walk fails, each end is located, p first, as ``locate`` does.  ``ValueError``
-    unless ``cx`` is a :class:`CubicalComplex`.
+    Each end is read as coordinates by :meth:`CubicalComplex._snapped`.  The cache
+    holds one entry per unordered pair of them, solved in the direction first asked for
+    and reversed exactly when read the other way; every key's ends were walked between
+    or located once, so a hit skips no check.  It holds at most ``_CACHE_SIZE`` entries:
+    a miss that finds it full first drops the oldest inserted entry (a hit does not
+    reorder), and a pair dropped is solved again, in the direction it is next asked
+    for.  On a miss, ends of the complex's dimension are walked between unlocated: a
+    walk that ends proves both lie in the complex.  Otherwise :func:`_search` locates
+    each end, p first.  ``ValueError`` unless ``cx`` is a :class:`CubicalComplex`.
     """
     if not isinstance(cx, CubicalComplex):
         raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
-    a = p.coords if isinstance(p, LocatedPoint) else cx.snap(p)
-    b = q.coords if isinstance(q, LocatedPoint) else cx.snap(q)
-    cache = cx._geo_cache
-    g = cache.get((a, b) if a <= b else (b, a))
+    a, b = cx._snapped(p), cx._snapped(q)
+    key = (a, b) if a <= b else (b, a)
+    g = cx._geo_cache.get(key)
     if g is None:
-        raw = not isinstance(p, LocatedPoint) and not isinstance(q, LocatedPoint)
-        g = _walk(cx, a, b) if raw and len(a) == len(b) == cx.ambient_dim else None
-        if g is None:   # locate each end, snapping none twice
-            p_loc = cx.locate(p) if isinstance(p, LocatedPoint) else cx._locate_snapped(a)
-            q_loc = cx.locate(q) if isinstance(q, LocatedPoint) else cx._locate_snapped(b)
-            a, b = p_loc.coords, q_loc.coords   # a LocatedPoint made by hand may be unsnapped
-            g = (not raw and _walk(cx, a, b)) or _search(cx, p_loc, q_loc)
-        _store(cache, (a, b) if a <= b else (b, a), g)
+        g = (len(a) == len(b) == cx.ambient_dim and _walk(cx, a, b)) or _search(cx, a, b)
+        _store(cx._geo_cache, key, g)
     if g.breakpoints[0] != a:
         return Geodesic(g.breakpoints[::-1], g.cells[::-1], g.length)
     return g
@@ -589,9 +580,9 @@ def _walk(cx, p, q):
                 nxt[j] = (base[i] + (s > 0) - p[i]) / d[i]
 
 
-def _search(cx, p_loc, q_loc):
-    """The geodesic by best-first chain search (see the module docstring), its
-    ends the located tuples and its other breakpoints snapped.
+def _search(cx, p, q):
+    """Best-first chain search (see the module docstring) from the snapped point p,
+    located first, to q: a geodesic ending on the tuples p and q, its other breakpoints snapped.
 
     First the pivot ``(v, tail)`` of an earlier answer that started in a
     maximal cell holding p (the first in cell order that has one) and ended
@@ -602,7 +593,7 @@ def _search(cx, p_loc, q_loc):
     proved CAT(0), the heap's answer with a vertex between its ends gives
     the pivot of its first cell and q (:func:`_remember`).
     """
-    p, q = p_loc.coords, q_loc.coords
+    p_loc, q_loc = cx._locate_snapped(p), cx._locate_snapped(q)
     if not math.isfinite(vertex_upper_bound(cx, p_loc, q_loc)):
         raise GeodesicError(
             f"points {p} (cell {p_loc.minimal_cell}) and {q} (cell {q_loc.minimal_cell}) "

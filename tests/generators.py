@@ -59,3 +59,19 @@ def tree_space(n: int) -> dict:
                  if all(compatible(splits[i], splits[j]) for i in c)]
     return {"ambient_dim": len(splits),
             "cells": [{"base": [0] * len(splits), "axes": list(c)} for c in cells]}
+
+
+def subdivide(doc: dict, k: int = 2) -> dict:
+    """The cubical subdivision of a complex given as ``complex_from_dict``
+    reads it: each cell with base b becomes the k^dim cells with bases
+    k b + e, e in {0, ..., k - 1} on the cell's axes and 0 off them.  It is
+    the same metric space scaled by k, so every answer at x has a twin at
+    k x, and ``distance(sub, k p, k q) == k * distance(cx, p, q)``."""
+    cells = []
+    for c in doc["cells"]:
+        for e in itertools.product(range(k), repeat=len(c["axes"])):
+            base = [k * b for b in c["base"]]
+            for ax, step in zip(c["axes"], e):
+                base[ax] += step
+            cells.append({"base": base, "axes": list(c["axes"])})
+    return {"ambient_dim": doc["ambient_dim"], "cells": cells}

@@ -12,6 +12,7 @@ from meanset import (
     ComplexError,
     CubeCell,
     CubicalComplex,
+    LocatedPoint,
     LocationError,
     complex_from_dict,
     complexes,
@@ -157,6 +158,25 @@ def test_cones_take_a_located_point():
     assert len(cells) == 3
     for cid in cells:
         assert cx.tangent_cone(cid, loc) == cx.tangent_cone(cid, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("made", ["by-hand", "by-another-complex"])
+def test_a_located_point_not_made_here_is_snapped(made):
+    """A point becomes coordinates on a complex by one rule: a LocatedPoint
+    the complex made gives its own, and any other point is snapped, a
+    LocatedPoint made by hand or by another complex from its coords.  So its
+    tangent cone and its geodesic are the raw point's, and the geodesic is
+    cached under the snapped ends: a second call is a hit."""
+    cx, _ = load_bundled("squares3")
+    raw = (0.9999999999, -0.5)
+    point = (LocatedPoint(raw, "c019") if made == "by-hand"
+             else load_bundled("squares3")[0].locate(raw))
+    assert cx.tangent_cone("c012", point) == cx.tangent_cone("c012", raw)
+    assert cx.tangent_cone("c012", point).signs == (NONPOS, FREE)
+    g = geodesic(cx, point, (-0.5, 0.5))
+    assert g == geodesic(load_bundled("squares3")[0], raw, (-0.5, 0.5))
+    assert list(cx._geo_cache) == [((-0.5, 0.5), (1.0, -0.5))]
+    assert geodesic(cx, point, (-0.5, 0.5)) is g
 
 
 def test_validate_accepts_all_bundled(bundles):

@@ -1080,7 +1080,8 @@ def test_walk_is_sound_and_complete(name):
         direct = math.dist(p_loc.coords, q_loc.coords)
         g = geodesics._walk(cx, p_loc.coords, q_loc.coords)
         if g is None:
-            assert geodesics._search(cx, p_loc, q_loc).length > direct + 1e-12, (p_loc, q_loc)
+            searched = geodesics._search(cx, p_loc.coords, q_loc.coords)
+            assert searched.length > direct + 1e-12, (p_loc, q_loc)
             continue
         walked += 1
         assert g.length == pytest.approx(direct, abs=1e-12), (p_loc, q_loc)
@@ -1478,7 +1479,7 @@ def test_pivot_answers_equal_the_heap_answers(name):
             if pivot is None or cx._pivots.get(key) is not pivot:   # none, or dropped
                 continue
             fresh._pivots.clear()
-            want = geodesics._search(fresh, fresh.locate(x.coords), fresh.locate(a.coords))
+            want = geodesics._search(fresh, x.coords, a.coords)
             assert (g.breakpoints, g.length) == (want.breakpoints, want.length), (x, a)
             answered += 1
     assert answered >= (0 if name == "cube_square" else 20), answered

@@ -17,7 +17,8 @@ Every certificate ``recognize`` hands out at seeded points of the five
 corpora must pass ``verify_certificate``, and a non-member's certified
 lower bound must be its smallest stored margin.  A lattice symmetry (signed
 axis permutation, integer shift, shuffled cells) applied to a corpus and
-its point set changes no decision, deficit or distance.
+its point set changes no decision, deficit or distance, and so does the
+subdivision that scales tripod, squares3 and quadrant_window by 2.
 
 The typed-error sweep gives each argument of 17 public entries its valid
 value or a malformed one: every call answers with no NaN or raises one of
@@ -32,7 +33,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import l_shape
+from generators import l_shape, subdivide
 from meanset import (
     CertificateError,
     ComplexError,
@@ -58,7 +59,7 @@ from meanset import (
 )
 from meanset import geodesics
 from meanset.complexes import read_json
-from meanset.corpus import BUNDLED, data_path
+from meanset.corpus import BUNDLED, data_path, expected
 from meanset.recognition import random_point
 from oracles import polyomino_distance
 
@@ -242,6 +243,29 @@ def test_lattice_symmetries_keep_every_answer(name):
         there, here = A.distances_from(x), moved.distances_from(image(x))
         for l in A.labels:
             assert math.isclose(here[l], there[l], rel_tol=0.0, abs_tol=1e-12), (name, x, l)
+
+
+
+@pytest.mark.parametrize("name", ["tripod", "squares3", "quadrant_window"])
+def test_subdivision_is_the_complex_scaled_by_two(name):
+    """The cubical subdivision (``generators.subdivide``) is the same space
+    scaled by 2: every frozen member and non-member, doubled, keeps its
+    decision there, and at 20 seeded pairs ``distance(sub, 2p, 2q)`` is
+    ``2 distance(cx, p, q)`` to 1e-12 relative.  squares5 and cube_square
+    take about a second each on their subdivisions, so they wait for a
+    search whose cost does not grow with the cells along a path."""
+    cx, A = load_bundled(name)
+    sub = complex_from_dict(subdivide(read_json(data_path(f"{name}.json"))))
+    twice = PointSetA(sub, {l: [2.0 * v for v in A.coords(l)] for l in A.labels})
+    for kind, decision in (("members", "member"), ("non_members", "non-member")):
+        for x in expected(name)[kind]:
+            assert recognize(twice, [2.0 * v for v in x]).decision == decision, (name, x)
+    rng = random.Random(f"subdivision:{name}")
+    for _ in range(20):
+        p, q = random_point(cx, rng)[1], random_point(cx, rng)[1]
+        want = 2.0 * distance(cx, p, q)
+        got = distance(sub, [2.0 * v for v in p], [2.0 * v for v in q])
+        assert abs(got - want) <= 1e-12 * want, (name, p, q, got, want)
 
 
 # every argument of the sweep below is its valid value or one of these

@@ -9,6 +9,7 @@ import pytest
 from meanset import (
     CertificateError,
     ComplexError,
+    CubeCell,
     LocationError,
     MembershipCertificate,
     NonMembershipCertificate,
@@ -421,6 +422,17 @@ def _model(cx, A, label):
      ValueError, "weights must be finite and nonnegative with a positive sum"),
     (lambda cx, A: conic_residual(A, (0.0, 0.0), "c002", {"a": 0.0}),
      ValueError, "weights must be finite and nonnegative with a positive sum"),
+    (lambda cx, A: directional_derivative(build_model(A, cx.locate((0.5, -0.5)), "c012", "a"),
+                                          (1.0,)), ValueError, "v must have the cone's dimension 2"),
+    (lambda cx, A: directional_derivative(build_model(A, cx.locate((0.5, -0.5)), "c012", "a"),
+                                          (1.0, 0.0, 5.0)), ValueError,
+     "v must have the cone's dimension 2"),
+    (lambda cx, A: directional_derivative(_model(cx, A, "a"), (v for v in (1.0, 0.0))),
+     ValueError, "u must be a sequence of finite numbers, got <generator"),
+    (lambda cx, A: CubeCell((0, 0), (0,)).contains((0.5, 0.0, 99.0)), ValueError,
+     "point has dimension 3, the cell's base 2"),
+    (lambda cx, A: CubeCell((0, 0), (0,)).contains((0.5,)), ValueError,
+     "point has dimension 1, the cell's base 2"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -449,7 +461,9 @@ def _model(cx, A, label):
         "string-derivative-direction", "long-projected-vector", "misaligned-labels",
         "model-at-set-point", "solve-pc-at-a-face", "conic-residual-at-a-face",
         "models-at-a-face", "model-at-a-face", "nan-residual-weights",
-        "negative-residual-weights", "zero-residual-weights"])
+        "negative-residual-weights", "zero-residual-weights", "short-derivative-direction",
+        "long-derivative-direction", "generator-derivative-direction", "long-cell-point",
+        "short-cell-point"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id, or a cell that is not maximal where a conic
     problem needs one, is a ComplexError naming it, a tolerance or an
@@ -473,7 +487,9 @@ def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     vector that is no sequence of numbers, a model's label that is not one
     of ``A``, a ``random_point`` complex that is no complex or ``rng``
     with no ``random`` method, a vector projected onto a sign cone of
-    another dimension, ``from_coords`` labels that do not align with the
+    another dimension, a derivative direction that is a generator or of
+    another dimension than its model's cone, a point of another dimension than a cube cell's base,
+    ``from_coords`` labels that do not align with the
     coordinates, or ``conic_residual`` weights that are not finite and
     nonnegative with a positive sum a ValueError, a point of the wrong dimension a
     LocationError, and an object that is no certificate, a margin that is
