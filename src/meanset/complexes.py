@@ -72,8 +72,12 @@ class CubeCell(namedtuple("CubeCell", "base axes ident", defaults=("",))):
         return lo, hi
 
     def contains(self, point, tol: float = 1e-9) -> bool:
-        if len(point) != len(self.base):
-            raise ValueError(f"point has dimension {len(point)}, the cell's base {len(self.base)}")
+        try:
+            if len(point) != len(self.base):
+                raise ValueError(f"point has dimension {len(point)}, "
+                                 f"the cell's base {len(self.base)}")
+        except TypeError:   # no sized sequence
+            raise ValueError(f"point must be a sequence of numbers, got {point!r}") from None
         for i, (b, x) in enumerate(zip(self.base, point)):
             if x < b - tol or x > b + (i in self.axes) + tol:
                 return False
@@ -157,7 +161,11 @@ class CubicalComplex:
 
     def __init__(self, ambient_dim: int, maximal: list):
         self.ambient_dim = ambient_dim
+        if not isinstance(maximal, (list, tuple)):
+            raise ComplexError(f"maximal must be a list or tuple of CubeCells, got {maximal!r}")
         for k, cell in enumerate(maximal):
+            if not isinstance(cell, CubeCell):
+                raise ComplexError(f"cell #{k} must be a CubeCell, got {cell!r}")
             for b in cell.base:   # so that b and b + 1, a unit box's ends, are exact floats
                 if b.__class__ is not int or not -2**53 <= b < 2**53:
                     # an integer past 4,096 bits is named by its size, not spelled out

@@ -8,7 +8,7 @@ machinery.  The public pieces are:
 * :class:`SignCone` -- per-coordinate sign-constraint cones (tangent and
   normal cones of axis-aligned boxes live here).
 * :func:`min_norm_point` -- Wolfe's algorithm for the nearest point of a
-  convex hull plus a finitely generated cone to an anchor.
+  convex hull plus a finitely generated cone to the origin.
 * :func:`box_segment_min` -- shortest broken path from ``a`` to ``b``
   through an axis-aligned box, exact by enumerating every face of the box.
 * :class:`Singleton` / :class:`ConeBall` -- compact convex sets used as
@@ -135,8 +135,11 @@ class SignCone(namedtuple("SignCone", "signs")):
         return len(self.signs)
 
     def contains(self, v, tol: float = 1e-9) -> bool:
-        if len(v) != len(self.signs):
-            raise ValueError(f"v must have the cone's dimension {self.dim}")
+        try:
+            if len(v) != len(self.signs):
+                raise ValueError(f"v must have the cone's dimension {self.dim}")
+        except TypeError:   # no sized sequence
+            raise ValueError(f"v must be a sequence of numbers, got {v!r}") from None
         for s, vi in zip(self.signs, v):
             if s == ZERO and abs(vi) > tol:
                 return False
@@ -155,6 +158,8 @@ class SignCone(namedtuple("SignCone", "signs")):
                           for s, vi in zip(self.signs, v, strict=True)])
         except ValueError:   # zip's: v is longer or shorter than the cone
             raise ValueError(f"v must have the cone's dimension {self.dim}") from None
+        except TypeError:   # no iterable, or an item that is no number
+            raise ValueError(f"v must be a sequence of numbers, got {v!r}") from None
 
     def polar(self) -> "SignCone":
         return SignCone(tuple(_POLAR[s] for s in self.signs))
@@ -168,7 +173,7 @@ class SignCone(namedtuple("SignCone", "signs")):
 
 
 class MinNormResult(namedtuple("MinNormResult", "point weights gap")):
-    """The nearest ``point`` of the set to the anchor, its convex ``weights`` over
+    """The nearest ``point`` of the set to the origin, its convex ``weights`` over
     the input points and ``gap``, max_a <x, x - q_a>, a bound on suboptimality."""
 
     __slots__ = ()
@@ -189,14 +194,11 @@ def _combine(w, rows) -> list:
 
 def _float_rows(rows, name: str, n: int = None) -> list:
     """``rows`` as tuples of floats, each of length ``n`` (the first row's
-    when None) and finite; a flat sequence of numbers is one row."""
+    when None) and finite."""
     try:
-        try:
-            rows = [tuple(map(float, r)) for r in rows]
-        except TypeError:
-            rows = [tuple(map(float, rows))]
+        rows = [tuple(map(float, r)) for r in rows]
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be numbers or rows of numbers, got {rows!r}") from None
+        raise ValueError(f"{name} must be rows of numbers, got {rows!r}") from None
     for r in rows:
         if n is None:
             n = len(r)
@@ -277,27 +279,24 @@ def _corral_step(Q, e, corral, w):
     return corral, v
 
 
-def min_norm_point(points, anchor=None, rays=None) -> MinNormResult:
-    """Nearest point of ``conv(points) + cone(rays)`` to ``anchor`` (Wolfe's algorithm).
+def min_norm_point(points, rays=None) -> MinNormResult:
+    """Nearest point of ``conv(points) + cone(rays)`` to the origin (Wolfe's algorithm).
 
     The corral holds points and rays: its affine step makes only the point
     weights sum to one.  When choosing the atom to add, a ray ``r`` counts
     as the point ``x + sqrt(scale) r``, where ``scale`` (at least 1) is the
-    largest squared norm of the anchored points.  Returns the optimal
-    point, convex weights over the input points, and the final variational
-    gap ``max_a <x-anchor, (x-anchor) - (q_a-anchor)>`` over those atoms,
-    which is nonpositive-up-to-tolerance at the optimum.  At most 64 k + 256
-    atoms enter, k the points and rays.  Raises ``ValueError`` on no points,
-    on a non-finite coordinate, or on rows of differing dimensions.
+    largest squared norm of the points.  Returns the optimal point, convex
+    weights over the input points, and the final variational gap
+    ``max_a <x, x - q_a>`` over those atoms, which is
+    nonpositive-up-to-tolerance at the optimum.  At most 64 k + 256 atoms
+    enter, k the points and rays.  Raises ``ValueError`` naming the argument
+    on no points, on points or rays that are no rows of numbers, on a
+    non-finite coordinate, or on rows of differing dimensions.
     """
     P = _float_rows(points, "points")
     if not P:
         raise ValueError("points must hold at least one point")
     m, n = len(P), len(P[0])
-    a = None
-    if anchor is not None:
-        (a,) = _float_rows([anchor], "anchor", n)
-        P = [tuple(map(operator.sub, p, a)) for p in P]
     sq = [_dot(q, q) for q in P]
     scale = max(1.0, max(sq))
     root = math.sqrt(scale)
@@ -328,8 +327,6 @@ def min_norm_point(points, anchor=None, rays=None) -> MinNormResult:
     for c, wi in zip(corral, w):
         if c < m:
             weights[c] += wi
-    if a is not None:
-        x = [xi + ai for xi, ai in zip(x, a)]
     return MinNormResult(point=tuple(x), weights=tuple(weights), gap=gap)
 
 
@@ -503,9 +500,12 @@ class Singleton(namedtuple("Singleton", "g scale")):
     def __new__(cls, g, scale=1.0):
         if not _norm(g) <= 1.0 + 1e-7:
             raise ValueError(f"g must be finite and in the unit ball, got {g}")
-        if not math.isfinite(scale):
-            raise ValueError(f"scale must be finite, got {scale!r}")
-        return tuple.__new__(cls, (g, scale))
+        try:
+            if math.isfinite(scale):
+                return tuple.__new__(cls, (g, scale))
+        except TypeError:   # no number
+            pass
+        raise ValueError(f"scale must be finite, got {scale!r}")
 
     def support(self, d) -> float:
         return self.scale * sum(gi * di for gi, di in zip(self.g, d))
@@ -539,9 +539,12 @@ class ConeBall(namedtuple("ConeBall", "u cone scale")):
             raise ValueError(f"cone must be a SignCone, got {cone!r}")
         if len(u) != cone.dim:
             raise ValueError(f"u has dimension {len(u)}, the cone {cone.dim}")
-        if not math.isfinite(scale):
-            raise ValueError(f"scale must be finite, got {scale!r}")
-        return tuple.__new__(cls, (u, cone, scale))
+        try:
+            if math.isfinite(scale):
+                return tuple.__new__(cls, (u, cone, scale))
+        except TypeError:   # no number
+            pass
+        raise ValueError(f"scale must be finite, got {scale!r}")
 
     def _argmax_shift(self, d) -> list:
         """Maximise ``<d, n>`` over ``n in N`` with ``|n - u| <= 1``."""
@@ -618,10 +621,14 @@ class WeightedSum(namedtuple("WeightedSum", "sets weights")):
     _make = classmethod(_checked_make)
 
     def __new__(cls, sets, weights):
-        if len(weights) != len(sets) or not all(
-                math.isfinite(w) and w >= -1e-12 for w in weights):
-            raise ValueError("weights must be a finite nonnegative vector, one per set")
-        return tuple.__new__(cls, (sets, weights))
+        try:
+            if len(weights) == len(sets) and all(
+                    math.isfinite(w) and w >= -1e-12 for w in weights):
+                return tuple.__new__(cls, (sets, weights))
+        except TypeError:   # no sequence, or a weight that is no number
+            pass
+        raise ValueError(f"weights must be a finite nonnegative vector, one per set, "
+                         f"got {weights!r}")
 
     def support_point(self, d) -> tuple:
         out = [0.0] * len(d)

@@ -97,8 +97,12 @@ class Geodesic(namedtuple("Geodesic", "breakpoints cells length")):
     _make = classmethod(_checked_make)
 
     def __new__(cls, breakpoints, cells, length):
-        if len(breakpoints) >= 2 and len(cells) != len(breakpoints) - 1:
-            raise ValueError("need exactly one cell per segment")
+        try:
+            if len(breakpoints) >= 2 and len(cells) != len(breakpoints) - 1:
+                raise ValueError("need exactly one cell per segment")
+        except TypeError:   # no sized sequence
+            raise ValueError(f"breakpoints and cells must be sequences, "
+                             f"got {breakpoints!r} and {cells!r}") from None
         return tuple.__new__(cls, (breakpoints, cells, length))
 
 
@@ -475,7 +479,10 @@ def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:
     number of maximal cells bounds its length.  The name is kept from the
     vertex-graph path this bound once was, because counting its calls is
     how a tracer counts chain searches: each search calls it once.
+    ``ValueError`` unless ``cx`` is a :class:`CubicalComplex`.
     """
+    if not isinstance(cx, CubicalComplex):
+        raise ValueError(f"cx must be a CubicalComplex, got {cx!r}")
     if len({cx._component[cx.maximal_cells_containing(x)[0]] for x in (p, q)}) > 1:
         return math.inf
     return math.sqrt(cx.ambient_dim) * len(cx.maximal_ids)

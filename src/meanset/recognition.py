@@ -88,6 +88,9 @@ class PointSetA:
                              f"got {labels!r}") from None
         if len(labels) != len(coords):
             raise ValueError("labels and coordinates must align")
+        if len(labelled) < len(labels):   # the dict kept one point per label
+            raise ValueError(f"labels must be distinct; "
+                             f"{next(l for l in labels if labels.count(l) > 1)!r} is repeated")
         return cls(cx, labelled)
 
     def __len__(self):

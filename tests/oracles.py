@@ -312,21 +312,13 @@ def _array_affine_min_norm(Q: np.ndarray, e=None) -> np.ndarray:
     return v
 
 
-def array_min_norm_point(points, anchor=None, rays=None) -> tuple:
+def array_min_norm_point(points, rays=None) -> tuple:
     """``(point, weights, gap)``: Wolfe's algorithm for the nearest point of
-    ``conv(points) + cone(rays)`` to ``anchor`` on numpy arrays, step for
+    ``conv(points) + cone(rays)`` to the origin on numpy arrays, step for
     step as ``meanset.convex.min_norm_point`` runs it on floats: the
     reference that the float version must match."""
-    P = np.asarray(points, dtype=float)
-    if P.ndim == 1:
-        P = P[None, :]
-    m = P.shape[0]
-    if anchor is None:
-        Q = P.copy()
-        anchor_arr = np.zeros(P.shape[1])
-    else:
-        anchor_arr = np.asarray(anchor, dtype=float)
-        Q = P - anchor_arr
+    Q = np.array(points, dtype=float)
+    m = Q.shape[0]
     sq = np.einsum("ij,ij->i", Q, Q)
     scale = max(1.0, float(sq.max(initial=0.0)))
     root = math.sqrt(scale)
@@ -374,7 +366,7 @@ def array_min_norm_point(points, anchor=None, rays=None) -> tuple:
     for c, wi in zip(corral, w):
         if c < m:
             weights[c] += wi
-    return x + anchor_arr, weights, gap
+    return x, weights, gap
 
 
 def _ray_columns(signs) -> list:

@@ -201,3 +201,46 @@ def test_answers_reads_the_lines_of_a_tree(tmp_path):
     answers = "".join(f"{1 + seed}\n" for seed in (7001, 7001, 8001, 8001, 9001, 9001))
     assert _module().answers(tmp_path) == [
         {"workload": "stub", "inputs": 6, "sha256": hashlib.sha256(answers.encode()).hexdigest()}]
+
+
+def test_main_runs_committed_trees_after_one_unrecorded_warm_up(tmp_path, monkeypatch):
+    """Both sides are extracted revisions, the change ``HEAD`` unless named,
+    and one untraced run, the first pair's first, is made before the first
+    recorded untraced run and left out of the file."""
+    module = _module()
+    spec = json.loads((BENCH_PAIRS.parents[1] / "BENCHMARK.json").read_text())
+    revs, calls = [], []
+
+    def extract(rev, dest):
+        revs.append(rev)
+        dest.mkdir(parents=True)
+        return dest
+
+    def run_once(tree, workload, seed, seconds, trace):
+        calls.append((tree.name, workload, seed, trace))
+        return {"metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                            for m in spec["end_to_end"]}}, []
+
+    monkeypatch.setattr(module, "extract", extract)
+    monkeypatch.setattr(module, "run_once", run_once)
+    monkeypatch.setattr(module, "scale", lambda tree: None)
+    monkeypatch.setattr(module, "answers", lambda tree: [])
+    out = tmp_path / "BENCH.json"
+    args = ["--out", str(out), "--pairs", "2", "--seed", "5", "--traced",
+            "--workload", "w", "--workload", "v"]
+    assert module.main(args) == 0
+    assert revs == ["HEAD~1", "HEAD"]
+    warm_up = ("parent", "w", 5, False)
+    recorded = [("parent", "w", 5, True), ("change", "w", 5, True),
+                ("parent", "w", 5, False), ("change", "w", 5, False),
+                ("change", "w", 6, False), ("parent", "w", 6, False),
+                ("parent", "v", 5, True), ("change", "v", 5, True),
+                ("parent", "v", 5, False), ("change", "v", 5, False),
+                ("change", "v", 6, False), ("parent", "v", 6, False)]
+    assert calls == recorded[:2] + [warm_up] + recorded[2:]
+    doc = json.loads(out.read_text())
+    assert (doc["base"], doc["change"]) == ("HEAD~1", "HEAD")
+    assert [(r["side"], r["workload"], r["seed"], r["traced"]) for r in doc["runs"]] == recorded
+    assert doc["summary"]["w"]["pairs"] == doc["summary"]["v"]["pairs"] == 2
+    assert module.main(args + ["--base", "abc", "--change", "def"]) == 0
+    assert revs[2:] == ["abc", "def"]

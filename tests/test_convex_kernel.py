@@ -80,9 +80,8 @@ def test_min_norm_point_hand_cases():
     assert np.allclose(r.point, [1.0, 0.0], atol=1e-12)
     assert np.allclose(r.weights, [0.5, 0.5], atol=1e-12)
 
-    # hull containing the anchor
-    r = min_norm_point(np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]]),
-                       anchor=np.zeros(2))
+    # hull containing the origin
+    r = min_norm_point(np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]]))
     assert np.linalg.norm(r.point) <= 1e-12
 
 
@@ -112,21 +111,22 @@ def test_min_norm_point_matches_slsqp_oracle():
         m = int(rng.integers(1, 7))
         pts = rng.normal(size=(m, n)) * rng.uniform(0.5, 2.0)
         anchor = rng.normal(size=n)
-        r = min_norm_point(pts, anchor=anchor)
+        r = min_norm_point(pts - anchor)   # the origin stands for anchor
         want = _hull_projection_oracle(pts, anchor)
         point, weights = np.asarray(r.point), np.asarray(r.weights)
-        assert np.linalg.norm(point - anchor) == pytest.approx(want, abs=5e-7)
+        assert np.linalg.norm(point) == pytest.approx(want, abs=5e-7)
         assert weights.min() >= -1e-12
         assert weights.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(pts.T @ weights, point, atol=1e-9)
+        assert np.allclose(pts.T @ weights, point + anchor, atol=1e-9)
 
 
 def _wolfe_inputs(rng):
-    """Seeded ``(points, anchor, rays)`` for Wolfe's algorithm: k = 1-6
-    points in n = 1-4 dimensions, generic, with duplicates, collinear, or
-    with one point an affine combination of the others, half of them
-    anchored; then the reduced points and rays of every sign pattern of
-    n = 1-4 axes, as ``feasibility_min_norm`` poses them."""
+    """Seeded ``(points, rays)`` for Wolfe's algorithm: k = 1-6 points in
+    n = 1-4 dimensions, generic, with duplicates, collinear, or with one
+    point an affine combination of the others, half of them translated by
+    a random anchor, so that the origin stands for it; then the reduced
+    points and rays of every sign pattern of n = 1-4 axes, as
+    ``feasibility_min_norm`` poses them."""
     for t in range(2400):
         n, k = int(rng.integers(1, 5)), int(rng.integers(1, 7))
         pts = rng.normal(size=(k, n)) * rng.uniform(0.1, 3.0)
@@ -138,7 +138,7 @@ def _wolfe_inputs(rng):
         elif kind == 3 and k > 1:
             c = rng.normal(size=k - 1)
             pts[-1] = (c / c.sum()) @ pts[:-1] if abs(c.sum()) > 0.1 else pts[0]
-        yield pts, (rng.normal(size=n) if t % 2 else None), None
+        yield (pts - rng.normal(size=n) if t % 2 else pts), None
     for n in range(1, 5):
         for signs in itertools.product((FREE, ZERO, NONNEG, NONPOS), repeat=n):
             k = int(rng.integers(1, 7))
@@ -148,19 +148,19 @@ def _wolfe_inputs(rng):
             keep = [i for i, s in enumerate(signs) if s != FREE]
             rays = [np.eye(len(keep))[j] * (-1.0 if signs[i] == NONNEG else 1.0)
                     for j, i in enumerate(keep) if signs[i] != ZERO]
-            yield pts[:, keep], None, np.array(rays) if rays else None
+            yield pts[:, keep], np.array(rays) if rays else None
 
 
 def test_min_norm_point_matches_array_reference():
     """The float solver takes the numpy solver's steps: same points,
     weights and gaps to 1e-12."""
     count = 0
-    for pts, anchor, rays in _wolfe_inputs(np.random.default_rng(41)):
-        r = min_norm_point(pts, anchor=anchor, rays=rays)
-        point, weights, gap = array_min_norm_point(pts, anchor=anchor, rays=rays)
-        assert np.allclose(r.point, point, rtol=0.0, atol=1e-12), (pts, anchor, rays)
-        assert np.allclose(r.weights, weights, rtol=0.0, atol=1e-12), (pts, anchor, rays)
-        assert r.gap == pytest.approx(gap, abs=1e-12), (pts, anchor, rays)
+    for pts, rays in _wolfe_inputs(np.random.default_rng(41)):
+        r = min_norm_point(pts, rays=rays)
+        point, weights, gap = array_min_norm_point(pts, rays=rays)
+        assert np.allclose(r.point, point, rtol=0.0, atol=1e-12), (pts, rays)
+        assert np.allclose(r.weights, weights, rtol=0.0, atol=1e-12), (pts, rays)
+        assert r.gap == pytest.approx(gap, abs=1e-12), (pts, rays)
         count += 1
     assert count >= 2000
 
@@ -580,7 +580,7 @@ def test_wolfe_corrals_are_never_refused(monkeypatch):
     """Wolfe's corral is affinely independent by construction, so no affine
     solve inside ``min_norm_point`` is refused on the 2,740 inputs of the
     array reference's test: duplicate, collinear, affinely dependent and
-    anchored points, and the rays of all 340 sign patterns.  It makes 2,878
+    translated points, and the rays of all 340 sign patterns.  It makes 2,878
     affine solves."""
     solves = []
     real = convex._affine_min_norm
@@ -592,8 +592,8 @@ def test_wolfe_corrals_are_never_refused(monkeypatch):
 
     monkeypatch.setattr(convex, "_affine_min_norm", counted)
     count = 0
-    for pts, anchor, rays in _wolfe_inputs(np.random.default_rng(41)):
-        min_norm_point(pts, anchor=anchor, rays=rays)
+    for pts, rays in _wolfe_inputs(np.random.default_rng(41)):
+        min_norm_point(pts, rays=rays)
         count += 1
     assert count == 2740
     assert (len(solves), sum(solves)) == (2878, 0)

@@ -296,7 +296,7 @@ def entries():
         "point_along": (point_along, g, 0.5),
         "chain_length": (geodesics.chain_length, cx, p, q, g.cells),
         "box_segment_min": (box_segment_min, (0.0, 0.0), (2.0, 1.0), (1.0, 0.0), (1.0, 1.0)),
-        "min_norm_point": (min_norm_point, [[1.0, 0.0], [0.0, 1.0]], (0.0, 0.0), [[1.0, 1.0]]),
+        "min_norm_point": (min_norm_point, [[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]]),
         "complex_from_dict": (complex_from_dict, read_json(data_path("squares3.json"))),
         "PointSetA": (PointSetA, cx, {"a": inside, "b": outside}),
         "PointSetA.from_coords": (PointSetA.from_coords, cx, [inside, outside], ["a", "b"]),

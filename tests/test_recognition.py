@@ -10,6 +10,7 @@ from meanset import (
     CertificateError,
     ComplexError,
     CubeCell,
+    CubicalComplex,
     LocationError,
     MembershipCertificate,
     NonMembershipCertificate,
@@ -35,12 +36,13 @@ from meanset import (
 )
 from meanset import GeodesicError, feasibility_min_norm, point_along, recognition
 from meanset.boundary import build_model, build_models, conic_residual
-from meanset.convex import FREE, ConeBall, SignCone, Singleton, box_segment_min
+from meanset.convex import FREE, ConeBall, SignCone, Singleton, WeightedSum, box_segment_min
 from meanset.corpus import expected
-from meanset.geodesics import chain_length
+from meanset.geodesics import Geodesic, chain_length, vertex_upper_bound
 from meanset.heatmap import HeatMapSample
 from meanset import test_function as objective_gap
 from meanset import test_function_line_search as objective_line_search
+from oracles import hull_to_cone_nnls
 
 R3 = math.sqrt(3.0)
 
@@ -73,8 +75,8 @@ def test_single_cube_deficit_equals_hull_distance():
             continue
         A = PointSetA.from_coords(cx, [tuple(p) for p in pts])
         report = mean_deficit(A, tuple(xbar))
-        res = min_norm_point(pts, anchor=xbar)
-        want = float(np.linalg.norm(res.point - xbar))
+        # scipy's NNLS, which shares no code with the Wolfe solver behind the deficit
+        want = hull_to_cone_nnls(pts - xbar, ("zero",) * n)[1]
         assert report.value == pytest.approx(want, abs=1e-8), trial
         decision = recognize(A, tuple(xbar)).decision
         assert decision == ("member" if want <= 1e-8 else "non-member")
@@ -324,13 +326,11 @@ def _model(cx, A, label):
     (lambda cx, A: to_csv([HeatMapSample("c000", (0.5, 0.25), 0.1, True)], 3), ValueError,
      "row HeatMapSample.* has 2 coordinates, not 3"),
     (lambda cx, A: min_norm_point(None), ValueError,
-     "points must be numbers or rows of numbers, got None"),
+     "points must be rows of numbers, got None"),
     (lambda cx, A: min_norm_point([[1.0], ["x"]]), ValueError,
-     r"points must be numbers or rows of numbers, got \[\[1.0\], \['x'\]\]"),
-    (lambda cx, A: min_norm_point([[1.0]], anchor=["x"]), ValueError,
-     "anchor must be numbers or rows of numbers"),
+     r"points must be rows of numbers, got \[\[1.0\], \['x'\]\]"),
     (lambda cx, A: min_norm_point([[1.0]], rays=5), ValueError,
-     "rays must be numbers or rows of numbers, got 5"),
+     "rays must be rows of numbers, got 5"),
     (lambda cx, A: box_segment_min((), (), (), ()), ValueError,
      "a, b, lo and hi must have at least one coordinate"),
     (lambda cx, A: to_csv([HeatMapSample("c000", None, 0.1, True)], 1), ValueError,
@@ -433,6 +433,28 @@ def _model(cx, A, label):
      "point has dimension 3, the cell's base 2"),
     (lambda cx, A: CubeCell((0, 0), (0,)).contains((0.5,)), ValueError,
      "point has dimension 1, the cell's base 2"),
+    (lambda cx, A: CubeCell((0, 0), (0,)).contains(iter([0.5, 0.0])), ValueError,
+     "point must be a sequence of numbers, got <list_iterator"),
+    (lambda cx, A: SignCone((FREE,)).contains(None), ValueError,
+     "v must be a sequence of numbers, got None"),
+    (lambda cx, A: SignCone((FREE,)).project(None), ValueError,
+     "v must be a sequence of numbers, got None"),
+    (lambda cx, A: Singleton((1.0, 0.0), scale="x"), ValueError,
+     "scale must be finite, got 'x'"),
+    (lambda cx, A: ConeBall((1.0, 0.0), SignCone((FREE, FREE)), scale="x"), ValueError,
+     "scale must be finite, got 'x'"),
+    (lambda cx, A: WeightedSum((Singleton((1.0,)),), None), ValueError,
+     "weights must be a finite nonnegative vector, one per set, got None"),
+    (lambda cx, A: Geodesic(None, (), 0.0), ValueError,
+     r"breakpoints and cells must be sequences, got None and \(\)"),
+    (lambda cx, A: CubicalComplex(2, None), ComplexError,
+     "maximal must be a list or tuple of CubeCells, got None"),
+    (lambda cx, A: CubicalComplex(2, [(0, 0)]), ComplexError,
+     r"cell #0 must be a CubeCell, got \(0, 0\)"),
+    (lambda cx, A: vertex_upper_bound(None, (0.5, 0.0), (0.5, 0.0)), ValueError,
+     "cx must be a CubicalComplex, got None"),
+    (lambda cx, A: PointSetA.from_coords(cx, [(0.5, 0.0), (0.5, -0.5)], labels=["a", "a"]),
+     ValueError, "labels must be distinct; 'a' is repeated"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -447,7 +469,7 @@ def _model(cx, A, label):
         "int-csv-row", "none-probe-end", "none-geodesic", "none-derivative-model",
         "string-csv-dimension", "none-box-end", "nested-box-bound", "nan-box-end",
         "inf-box-end", "nan-box-bound", "empty-box", "short-csv-dimension",
-        "long-csv-dimension", "none-points", "string-point-row", "string-anchor", "int-rays",
+        "long-csv-dimension", "none-points", "string-point-row", "int-rays",
         "zero-dimensional-box", "none-csv-point", "string-csv-deficit", "string-probe-end",
         "bool-sample-count", "bool-seed", "bool-probe-count", "bool-verify-samples",
         "bool-csv-dimension", "none-csv-rows", "float-csv-rows", "string-complex-distance",
@@ -463,7 +485,10 @@ def _model(cx, A, label):
         "models-at-a-face", "model-at-a-face", "nan-residual-weights",
         "negative-residual-weights", "zero-residual-weights", "short-derivative-direction",
         "long-derivative-direction", "generator-derivative-direction", "long-cell-point",
-        "short-cell-point"])
+        "short-cell-point", "iterator-cell-point", "none-cone-vector", "none-projected-vector",
+        "string-singleton-scale", "string-cone-ball-scale", "none-sum-weights",
+        "none-geodesic-breakpoints", "none-maximal-cells", "tuple-maximal-cell",
+        "none-bound-complex", "repeated-labels"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id, or a cell that is not maximal where a conic
     problem needs one, is a ComplexError naming it, a tolerance or an
@@ -472,8 +497,8 @@ def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     is no ``HeatMapSample``, a probe end, geodesic or derivative model of
     the wrong type, a CSV dimension that is no integer or differs from a
     row's point, a CSV row whose point is no sequence of numbers or whose
-    deficit is no number, points, an anchor or rays of ``min_norm_point``
-    that are no numbers, or ends or bounds of ``box_segment_min`` that are
+    deficit is no number, points or rays of ``min_norm_point`` that are no
+    rows of numbers, or ends or bounds of ``box_segment_min`` that are
     no numbers, not finite, of no coordinate or an empty box (``lo > hi``),
     a probe end holding a string, a boolean count, seed or CSV dimension,
     CSV rows that are not iterable, a ``cx`` of ``distance``, ``geodesic``,
@@ -489,9 +514,14 @@ def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     with no ``random`` method, a vector projected onto a sign cone of
     another dimension, a derivative direction that is a generator or of
     another dimension than its model's cone, a point of another dimension than a cube cell's base,
-    ``from_coords`` labels that do not align with the
-    coordinates, or ``conic_residual`` weights that are not finite and
-    nonnegative with a positive sum a ValueError, a point of the wrong dimension a
+    ``from_coords`` labels that do not align with the coordinates or repeat
+    a label, ``conic_residual`` weights that are not finite and
+    nonnegative with a positive sum, a cube cell point or sign-cone vector
+    that is no sequence of numbers, a model set's scale that is no number,
+    ``WeightedSum`` weights or ``Geodesic`` breakpoints that are no
+    sequence, or a ``vertex_upper_bound`` complex that is no complex a
+    ValueError, maximal cells of a ``CubicalComplex`` that are no list of
+    cube cells a ComplexError, a point of the wrong dimension a
     LocationError, and an object that is no certificate, a margin that is
     not a positive number or a derivative model at a set point a
     CertificateError, never a bare KeyError, TypeError, IndexError or

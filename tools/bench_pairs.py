@@ -5,12 +5,16 @@ Usage, from the repository root::
     python3 tools/bench_pairs.py --out BENCH_16.json --pairs 10 --seed 1601 \\
         --seconds 17 --workload grid_distance --workload recognize_corpus
 
-The parent (``--base``, default ``HEAD~1``) is extracted with ``git archive``
-into a temporary directory; the change is this checkout's working tree, or
-``--change REV`` extracted the same way.  For each workload, pair i runs
+The parent (``--base``, default ``HEAD~1``) and the change (``--change``,
+default ``HEAD``) are extracted with ``git archive`` into a temporary
+directory, so both sides run committed files only: no uncommitted edit and
+no bytecode cache of this checkout.  For each workload, pair i runs
 ``perfbench/run.py --seed <seed + i>`` once in each tree, one run at a time,
 the parent first in even pairs and the change first in odd ones, so that a
-drift of the host's speed falls on both sides alike.  ``--traced`` adds one
+drift of the host's speed falls on both sides alike.  Before the first
+recorded untraced run, the same run is made once and left out: the first
+untraced run of a session has read as little as a sixth of its side's
+median under ``perfbench/hostclock.py``'s scaling.  ``--traced`` adds one
 ``--trace 1`` run per side and workload, at the first seed, for the
 per-layer counts, and ``traced_counts`` gives per workload whether every
 metric of unit ``count`` in those two runs is ``equal``, the ``probe.*``
@@ -202,8 +206,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, default=17.0)
     ap.add_argument("--base", default="HEAD~1", help="revision of the parent side")
-    ap.add_argument("--change", default=None,
-                    help="revision of the change side (default: the working tree)")
+    ap.add_argument("--change", default="HEAD", help="revision of the change side")
     ap.add_argument("--traced", action="store_true",
                     help="add one traced run per side and workload")
     args = ap.parse_args(argv)
@@ -212,9 +215,9 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": extract(args.base, Path(tmp) / "parent"),
-                 "change": extract(args.change, Path(tmp) / "change") if args.change else ROOT}
+                 "change": extract(args.change, Path(tmp) / "change")}
         differing = frozen_diff(trees["parent"], trees["change"])
-        doc = {"base": args.base, "change": args.change or "working tree",
+        doc = {"base": args.base, "change": args.change,
                "seconds": args.seconds, "seed": args.seed,
                "loc": {side: loc_total(tree) for side, tree in trees.items()},
                "frozen": {"identical": not differing, "differing": differing},
@@ -234,12 +237,16 @@ def main(argv=None) -> int:
             doc["traced_counts"] = traced_counts(doc["runs"])
             out.write_text(json.dumps(doc, indent=1) + "\n")
 
+        warmed = False
         for workload in args.workload:
             if args.traced:
                 for side in ("parent", "change"):
                     record(workload, args.seed, side, 0, True)
             for i in range(args.pairs):
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                if not warmed:   # the warm-up run, not recorded
+                    run_once(trees[sides[0]], workload, args.seed + i, args.seconds, False)
+                    warmed = True
                 for order, side in enumerate(sides):
                     record(workload, args.seed + i, side, order, False)
             print(json.dumps({workload: doc["summary"].get(workload)}), flush=True)
