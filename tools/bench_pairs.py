@@ -13,7 +13,7 @@ no bytecode cache of this checkout.  For each workload, pair i runs
 the parent first in even pairs and the change first in odd ones, so that a
 drift of the host's speed falls on both sides alike.  Before the first
 recorded untraced run, the same run is made once and left out: the first
-untraced run of a session has read as little as a sixth of its side's
+untraced run of an invocation has read as little as a sixth of its side's
 median under ``perfbench/hostclock.py``'s scaling.  ``--traced`` adds one
 ``--trace 1`` run per side and workload, at the first seed, for the
 per-layer counts, and ``traced_counts`` gives per workload whether every
