@@ -26,7 +26,7 @@ import json
 import math
 from collections import namedtuple
 
-from .convex import FREE, NONNEG, NONPOS, ZERO, SignCone, _box_faces
+from .convex import FREE, NONNEG, NONPOS, ZERO, SignCone, _box_faces, _contains_error
 
 # At most this many distinct faces: a built complex holds 1.64-1.90 KB per face (2-
 # to 5-D grids, one 10- or 11-cube), so a refused document would need 1.0-1.1 GB.
@@ -76,11 +76,11 @@ class CubeCell(namedtuple("CubeCell", "base axes ident", defaults=("",))):
             if len(point) != len(self.base):
                 raise ValueError(f"point has dimension {len(point)}, "
                                  f"the cell's base {len(self.base)}")
-        except TypeError:   # no sized sequence
-            raise ValueError(f"point must be a sequence of numbers, got {point!r}") from None
-        for i, (b, x) in enumerate(zip(self.base, point)):
-            if x < b - tol or x > b + (i in self.axes) + tol:
-                return False
+            for i, (b, x) in enumerate(zip(self.base, point)):
+                if x < b - tol or x > b + (i in self.axes) + tol:
+                    return False
+        except TypeError:   # no sized sequence, or an item or tol that is no number
+            raise _contains_error("point", point, tol) from None
         return True
 
     def faces(self):
@@ -160,12 +160,23 @@ class CubicalComplex:
     """
 
     def __init__(self, ambient_dim: int, maximal: list):
-        self.ambient_dim = ambient_dim
+        n = self.ambient_dim = ambient_dim
+        if n.__class__ is not int or n < 1:
+            raise ComplexError("ambient_dim must be a positive integer")
         if not isinstance(maximal, (list, tuple)):
             raise ComplexError(f"maximal must be a list or tuple of CubeCells, got {maximal!r}")
         for k, cell in enumerate(maximal):
             if not isinstance(cell, CubeCell):
                 raise ComplexError(f"cell #{k} must be a CubeCell, got {cell!r}")
+            if cell.base.__class__ is not tuple or cell.axes.__class__ is not tuple:
+                raise ComplexError(f"cell #{k}: base and axes must be tuples, got {cell[:2]!r}")
+            if len(cell.base) != n:
+                raise ComplexError(f"cell #{k}: base has length {len(cell.base)}, expected {n}")
+            for ax in cell.axes:
+                if ax.__class__ is not int or ax < 0 or ax >= n:
+                    raise ComplexError(f"cell #{k}: axis index {ax} out of range for n={n}")
+            if len(set(cell.axes)) != len(cell.axes):
+                raise ComplexError(f"cell #{k}: axes must be distinct")
             for b in cell.base:   # so that b and b + 1, a unit box's ends, are exact floats
                 if b.__class__ is not int or not -2**53 <= b < 2**53:
                     # an integer past 4,096 bits is named by its size, not spelled out
@@ -173,6 +184,7 @@ class CubicalComplex:
                            if b.__class__ is int and b.bit_length() > 4096 else repr(b))
                     raise ComplexError(f"cell #{k}: base coordinates must be integers in "
                                        f"[-2**53, 2**53 - 1], got {got}")
+        maximal = [CubeCell(c.base, tuple(sorted(c.axes))) for c in maximal]   # keys' order
         big = max(maximal, key=lambda c: c.dim, default=None)   # 3^dim faces of its own
         if big is not None and 3 ** big.dim > _MAX_LATTICE_FACES:   # refused before any is built
             raise ComplexError(f"the {big.dim}-cube base={big.base} axes={big.axes} has "
@@ -431,8 +443,6 @@ def complex_from_dict(doc) -> CubicalComplex:
         raw_cells = doc["cells"]
     except KeyError as exc:
         raise ComplexError(f"complex document missing key {exc}") from exc
-    if n.__class__ is not int or n < 1:
-        raise ComplexError("ambient_dim must be a positive integer")
     if not isinstance(raw_cells, list) or not raw_cells:
         raise ComplexError("cells must be a nonempty list")
     maximal = []
@@ -444,14 +454,7 @@ def complex_from_dict(doc) -> CubicalComplex:
             raise ComplexError(f"cell #{k} must be an object with 'base' and 'axes'")
         if not isinstance(base, (list, tuple)) or not isinstance(axes, (list, tuple)):
             raise ComplexError(f"cell #{k}: 'base' and 'axes' must be arrays")
-        if len(base) != n:
-            raise ComplexError(f"cell #{k}: base has length {len(base)}, expected {n}")
-        for ax in axes:
-            if ax.__class__ is not int or ax < 0 or ax >= n:
-                raise ComplexError(f"cell #{k}: axis index {ax} out of range for n={n}")
-        if len(set(axes)) != len(axes):
-            raise ComplexError(f"cell #{k}: axes must be distinct")
-        maximal.append(CubeCell(tuple(base), tuple(sorted(axes))))
+        maximal.append(CubeCell(tuple(base), tuple(axes)))
     return CubicalComplex(n, maximal)
 
 

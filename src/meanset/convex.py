@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from collections import namedtuple
 
@@ -90,6 +91,13 @@ def check_count(count, name: str, least: int = 0) -> int:
     return n
 
 
+def _contains_error(name, value, tol) -> ValueError:
+    """A ``contains`` loop's TypeError as a ValueError naming ``tol`` or else ``name``."""
+    if not isinstance(tol, numbers.Real):
+        return ValueError(f"tol must be a real number, got {tol!r}")
+    return ValueError(f"{name} must be a sequence of numbers, got {value!r}")
+
+
 def _checked_make(cls, fields):
     """``_make`` of a record that checks its fields: through ``__new__``, so
     that ``_make`` and ``_replace``, which calls it, run the checks too."""
@@ -138,15 +146,15 @@ class SignCone(namedtuple("SignCone", "signs")):
         try:
             if len(v) != len(self.signs):
                 raise ValueError(f"v must have the cone's dimension {self.dim}")
-        except TypeError:   # no sized sequence
-            raise ValueError(f"v must be a sequence of numbers, got {v!r}") from None
-        for s, vi in zip(self.signs, v):
-            if s == ZERO and abs(vi) > tol:
-                return False
-            if s == NONNEG and vi < -tol:
-                return False
-            if s == NONPOS and vi > tol:
-                return False
+            for s, vi in zip(self.signs, v):
+                if s == ZERO and abs(vi) > tol:
+                    return False
+                if s == NONNEG and vi < -tol:
+                    return False
+                if s == NONPOS and vi > tol:
+                    return False
+        except TypeError:   # no sized sequence, or an item or tol that is no number
+            raise _contains_error("v", v, tol) from None
         return True
 
     def project(self, v) -> tuple:
@@ -626,7 +634,8 @@ class WeightedSum(namedtuple("WeightedSum", "sets weights")):
                     math.isfinite(w) and w >= -1e-12 for w in weights):
                 return tuple.__new__(cls, (sets, weights))
         except TypeError:   # no sequence, or a weight that is no number
-            pass
+            if not hasattr(sets, "__len__"):
+                raise ValueError(f"sets must be a sequence of model sets, got {sets!r}") from None
         raise ValueError(f"weights must be a finite nonnegative vector, one per set, "
                          f"got {weights!r}")
 

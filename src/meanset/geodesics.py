@@ -4,9 +4,9 @@ Every cell is a unit box of R^n, so ``|p - q|`` bounds every path in the
 complex from below, and when the straight segment lies in the complex it
 is the geodesic.  :func:`_walk` follows it through the lattice cells it
 crosses, as voxel traversal does (Amanatides and Woo, Eurographics 1987):
-each axis keeps the ``t`` of its next crossing, and each cell entered is
-one key lookup in the owner table; no search, no solve.  Ends are located
-only by the search, when the walk fails.
+its crossings of integer planes are sorted once by ``t``, and each cell
+entered is one key lookup in the owner table; no search, no solve.  Ends
+are located only by the search, when the walk fails.
 
 When the segment leaves the complex, the geodesic is found by enumerating
 simple chains of maximal cells (consecutive cells sharing a face),
@@ -491,14 +491,14 @@ def vertex_upper_bound(cx: CubicalComplex, p, q) -> float:
 def _assemble(chain, pts):
     """The Geodesic through the snapped points ``pts``, one cell of
     ``chain`` per segment, with segments of at most 1e-9 elided."""
-    bps, cells, steps = [pts[0]], [], []
+    bps, cells, total = [pts[0]], [], 0.0
     for cell, x in zip(chain, pts[1:]):
         step = math.dist(x, bps[-1])
         if step > 1e-9:
             bps.append(x)
             cells.append(cell)
-            steps.append(step)
-    return Geodesic(tuple(bps), tuple(cells), sum(steps, 0.0))
+            total += step
+    return Geodesic(tuple(bps), tuple(cells), total)
 
 
 # geodesics cached per complex: ~400 B an entry on the bundled corpora, 0.7-0.9 KB on the
@@ -551,40 +551,58 @@ def _walk(cx, p, q):
     The first lattice cell it crosses spans each axis it moves along by the
     unit interval it enters, and each parallel one (``|d_i| <= 1e-14``, as
     in :func:`~meanset.convex.segment_span`) unless ``p_i`` is an integer.
-    Each moving axis keeps the ``t`` of its next crossing, ``(e - p_i) /
-    d_i`` at the integer ``e``, as ``segment_span`` computes a box's exit; a
-    step leaves at the least, snapped as :meth:`CubicalComplex.locate` snaps,
-    and moves every axis crossing by ``t + 1e-12``.  Each cell crossed goes
-    to the first of its owners in cell order: the segment leaves them all at
-    the same ``t``.
+    Each crossing of an integer plane ``x_i = e`` up to each axis's first
+    past q is listed once, ``(t, axis, step)`` with ``t = (e - p_i) / d_i``
+    as ``segment_span`` computes a box's exit, and the list is sorted.  The
+    crossings within 1e-12 of a group's first ``t`` make one step, whose
+    exit point, snapped by :meth:`CubicalComplex.snap`'s rule, ends a piece
+    kept and measured by :func:`_assemble`'s; each cell crossed goes to the
+    first of its owners in cell order.  A straight segment enters each
+    lattice cell at most once, so an axis crossing more planes than the
+    complex has cells gives None before any is listed.
     """
-    d = [b - a for a, b in zip(p, q)]
-    base, axes, moving, nxt = [], [], [], []   # moving: (axis, step) per t in nxt
-    for i, (a, di) in enumerate(zip(p, d)):
+    d, base, axes, cross = [], [], [], []
+    for i, (a, b) in enumerate(zip(p, q)):
+        d.append(di := b - a)
         k = math.floor(a) if di >= -1e-14 else math.ceil(a) - 1
         base.append(k)
-        if abs(di) > 1e-14:   # it crosses k + 1 next moving up, k moving down
-            moving.append((i, 1 if di > 0.0 else -1))
-            nxt.append((k + (di > 0.0) - a) / di)
         if abs(di) > 1e-14 or a != k:
             axes.append(i)
-    axes, index, owners = tuple(axes), cx._index, cx._owners
-    chain, pts, x = [], [], p
+        if abs(di) > 1e-14:   # planes e, e + s, ... short of end; all but the last two lie before q
+            s, e, end = (1, k + 1, math.floor(b) + 2) if di > 0.0 else (-1, k, math.ceil(b) - 2)
+            if (end - e) * s - 2 > len(cx.cells):
+                return None
+            while e != end:
+                cross.append(((e - a) / di, i, s))
+                e += s
+    cross = sorted(cross) + [(math.inf, 0, 0)]
+    axes, index, owners, floats = tuple(axes), cx._index, cx._owners, cx._floats
+    bps, cells, total, j = [p], [], 0.0, 0
     while True:
         cell = index.get((tuple(base), axes))
         if cell is None:
             return None
-        chain.append(owners[cell][0])
-        pts.append(x)
-        t = min(nxt, default=1.0)
+        t = cross[j][0]
         if t >= 1.0:
-            pts.append(q)
-            return _assemble(chain, pts)
-        x = cx.snap([a + t * di for a, di in zip(p, d)])
-        for j, (i, s) in enumerate(moving):
-            if nxt[j] <= t + 1e-12:
-                base[i] += s
-                nxt[j] = (base[i] + (s > 0) - p[i]) / d[i]
+            y = q
+        else:   # snap's rule; c % 1.0 is within 2e-16 of c's distance above its floor
+            y = []
+            for a, di in zip(p, d):
+                c = a + t * di
+                y.append(c if 2e-9 < c % 1.0 < 0.999999998 or abs(c - (r := round(c))) > 1e-9
+                         else floats[r] if r in floats else float(r))
+            y = tuple(y)
+        step = math.dist(y, bps[-1])
+        if step > 1e-9:
+            bps.append(y)
+            cells.append(owners[cell][0])
+            total += step
+        if t >= 1.0:
+            return Geodesic(tuple(bps), tuple(cells), total)
+        while cross[j][0] <= t + 1e-12:
+            _, i, s = cross[j]
+            base[i] += s
+            j += 1
 
 
 def _search(cx, p, q):

@@ -15,6 +15,15 @@ def l_shape(k: int) -> dict:
                                         for x in range(k) for y in range(k) if x < h or y < h]}
 
 
+def grid(*sizes: int) -> dict:
+    """A full grid of unit cubes with corner at the origin, ``sizes[i]`` along
+    axis i: a box of R^n, convex, so every geodesic is straight and the
+    distance is ``|p - q|``."""
+    axes = list(range(len(sizes)))
+    return {"ambient_dim": len(sizes), "cells": [
+        {"base": list(base), "axes": axes} for base in itertools.product(*map(range, sizes))]}
+
+
 # five cubes winding around two reflex edges, one along z and one along x;
 # geodesics that wrap an edge cross two gates at one point of it
 STAIRCASE = {"ambient_dim": 3, "cells": [

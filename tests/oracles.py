@@ -593,9 +593,9 @@ def reference_walk(cx, p_loc, q_loc):
     farthest, the first in cell order on ties, then tests every neighbour
     of that cell for a shared face holding the exit point to 1e-9, and
     clips the exit point into the face of the cell taken.  The walk of
-    ``meanset.geodesics``, which keeps each axis's next crossing instead
-    and looks up the lattice cell the segment enters, must match it bit
-    for bit."""
+    ``meanset.geodesics``, which instead sorts the segment's crossings of
+    integer planes and looks up the lattice cell each group of tied
+    crossings enters, must match it bit for bit."""
     p, q = p_loc.coords, q_loc.coords
     d = tuple(b - a for a, b in zip(p, q))
     boxes = cx._boxes

@@ -539,6 +539,17 @@ def test_direct_construction_requires_cube_cells():
     assert len(cx.maximal_ids) == 1
 
 
+def test_direct_construction_reads_axes_in_any_order():
+    """A cell's axes name a set: listed out of order they build the complex
+    of the sorted list, as a document's do, which locates and walks."""
+    cx = CubicalComplex(2, [CubeCell((0, 0), (1, 0)), CubeCell((1, 0), (0, 1))])
+    doc = complex_from_dict({"ambient_dim": 2, "cells": [{"base": [0, 0], "axes": [1, 0]},
+                                                         {"base": [1, 0], "axes": [0, 1]}]})
+    assert cx.cells == doc.cells and cx.adjacency == doc.adjacency
+    assert cx.locate((0.5, 0.5)).minimal_cell == doc.locate((0.5, 0.5)).minimal_cell
+    assert distance(cx, (0.5, 0.5), (1.5, 0.5)) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # hashed point location against a scan of every cell
 

@@ -10,7 +10,7 @@ from meanset import GeodesicError
 
 
 @pytest.mark.parametrize("name, steps", [("L8", 0), ("L4xI", 5), ("tripod2", 31),
-                                         ("staircase", 48)])
+                                         ("staircase", 48), ("grid10", 0)])
 def test_first_pairs_answer_with_closed_form_lengths(tool, name, steps):
     """Six pairs of each family: all answered, within 1e-12 of the closed
     form where the family has one, in an exact count of Newton steps.  Each
@@ -21,7 +21,7 @@ def test_first_pairs_answer_with_closed_form_lengths(tool, name, steps):
     assert out["newton_steps"] == steps
     assert 0.0 <= out["call_ms_median"] <= out["call_ms_worst"] <= 1e3 * out["wall_s"] + 1.0
     assert out["cache_entries"] == 6 and out["cache_kb"] > 0.0
-    pivots = {"L8": 1, "L4xI": 0, "tripod2": 0, "staircase": 2}[name]
+    pivots = {"L8": 1, "L4xI": 0, "tripod2": 0, "staircase": 2, "grid10": 0}[name]
     assert out["pivot_entries"] == pivots and out["pivot_kb"] > 0.0
     if name == "staircase":
         assert out["worst_error"] is None

@@ -1,9 +1,9 @@
 """Geodesic solver checked against closed forms and metric axioms."""
 
 import heapq
-import itertools
 import math
 import random
+import signal
 import sys
 
 import numpy as np
@@ -17,7 +17,7 @@ from meanset.complexes import LocationError, read_json
 from meanset.convex import box_segment_min
 from meanset.corpus import BUNDLED, data_path
 from meanset.recognition import random_point
-from generators import INTERVAL, STAIRCASE, l_shape, product
+from generators import INTERVAL, STAIRCASE, grid, l_shape, product
 from oracles import (array_certified_gap, chain_oracle, dense_newton_step, link_slack,
                      polyomino_distance, reference_walk)
 
@@ -474,11 +474,7 @@ def test_disjoint_components_raise(monkeypatch):
 
 
 def _grid(*sizes):
-    axes = list(range(len(sizes)))
-    return complex_from_dict({"ambient_dim": len(sizes), "cells": [
-        {"base": list(base), "axes": axes}
-        for base in itertools.product(*(range(s) for s in sizes))
-    ]})
+    return complex_from_dict(grid(*sizes))
 
 
 @pytest.fixture
@@ -1146,14 +1142,15 @@ def test_walk_matches_face_box_reference_on_lattice_ends(name):
     assert declined > 0 or name == "grid3x3x3"
 
 
-@pytest.mark.parametrize("sizes, p, q, lookups, snaps", [
+@pytest.mark.parametrize("sizes, p, q, lookups, exits", [
     ((10, 10), (0.0, 0.0), (10.0, 10.0), 10, 9),           # corner to corner, 9 vertices
     ((3, 3, 3), (0.1, 0.1, 0.1), (2.9, 2.9, 2.9), 3, 2),   # cube diagonal, 2 vertices
 ])
-def test_walk_work_counts_are_pinned(monkeypatch, sizes, p, q, lookups, snaps):
+def test_walk_work_counts_are_pinned(monkeypatch, sizes, p, q, lookups, exits):
     """A walk through lattice vertices looks up the key of each piece once,
-    the crossings tied at each vertex moving both or all axes in one step,
-    and snaps each exit point once."""
+    the crossings tied at each vertex moving both or all axes in one step.
+    It calls no ``snap``: each exit point is snapped inline, here the
+    vertices between the ends, onto the complex's own floats."""
     counts = {"lookups": 0, "snaps": 0}
     cx = _grid(*sizes)
     a, b = cx.snap(p), cx.snap(q)
@@ -1173,7 +1170,52 @@ def test_walk_work_counts_are_pinned(monkeypatch, sizes, p, q, lookups, snaps):
     g = geodesics._walk(cx, a, b)
     assert g.length == pytest.approx(math.dist(p, q), abs=1e-12)
     assert len(g.cells) == lookups
-    assert counts == {"lookups": lookups, "snaps": snaps}
+    assert counts == {"lookups": lookups, "snaps": 0}
+    inner = g.breakpoints[1:-1]
+    assert len(inner) == exits
+    assert all(x is cx._floats[int(x)] for v in inner for x in v)
+
+
+def _ring(signum, frame):
+    raise TimeoutError("the walk ran past its alarm")
+
+
+def test_walk_between_far_components_ends_at_once():
+    """Two unit cubes 2**40 apart: the segment between them crosses about
+    2**40 planes, more than the complex has cells, so the walk gives None
+    before listing any crossing, and ``distance`` raises the components
+    error; both well inside a 1 s alarm."""
+    far = 2 ** 40
+    cx = complex_from_dict({"ambient_dim": 3, "cells": [
+        {"base": [0, 0, 0], "axes": [0, 1, 2]}, {"base": [far, 0, 0], "axes": [0, 1, 2]}]})
+    p, q = (0.5, 0.5, 0.5), (far + 0.5, 0.5, 0.5)
+    old = signal.signal(signal.SIGALRM, _ring)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        assert geodesics._walk(cx, p, q) is None
+        with pytest.raises(GeodesicError, match="different connected components"):
+            distance(cx, p, q)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_walk_matches_face_box_reference_between_far_corners():
+    """Between the corner cubes of a 10 x 10 x 10 grid, about 27 cells
+    apart, 2,000 pairs, uniform and on the lattice (vertices, edge and face
+    midpoints, thirds), where crossings tie at edges and vertices: the
+    walk matches the face-box walk bit for bit."""
+    cx = _grid(10, 10, 10)
+    rng = np.random.default_rng(45)
+    thirds = (0.0, 1 / 3, 0.5, 2 / 3, 1.0)
+    for i in range(2000):
+        ends = []
+        for corner in (0.0, 9.0):
+            u = rng.random(3) if i % 2 else rng.choice(thirds, 3)
+            ends.append(cx.locate(tuple(corner + float(x) for x in u)))
+        g = geodesics._walk(cx, ends[0].coords, ends[1].coords)
+        assert g is not None
+        assert repr(g) == repr(reference_walk(cx, *ends)), ends
 
 
 # ---------------------------------------------------------------------------

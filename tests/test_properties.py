@@ -26,14 +26,13 @@ the package's typed errors or a ValueError.
 """
 
 import copy
-import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import l_shape, subdivide
+from generators import grid, l_shape, subdivide
 from meanset import (
     CertificateError,
     ComplexError,
@@ -67,11 +66,7 @@ PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=
 
 
 def _grid(sizes):
-    axes = list(range(len(sizes)))
-    return complex_from_dict({"ambient_dim": len(sizes), "cells": [
-        {"base": list(base), "axes": axes}
-        for base in itertools.product(*(range(s) for s in sizes))
-    ]})
+    return complex_from_dict(grid(*sizes))
 
 
 @st.composite

@@ -36,7 +36,7 @@ from meanset import (
 )
 from meanset import GeodesicError, feasibility_min_norm, point_along, recognition
 from meanset.boundary import build_model, build_models, conic_residual
-from meanset.convex import FREE, ConeBall, SignCone, Singleton, WeightedSum, box_segment_min
+from meanset.convex import FREE, ZERO, ConeBall, SignCone, Singleton, WeightedSum, box_segment_min
 from meanset.corpus import expected
 from meanset.geodesics import Geodesic, chain_length, vertex_upper_bound
 from meanset.heatmap import HeatMapSample
@@ -455,6 +455,26 @@ def _model(cx, A, label):
      "cx must be a CubicalComplex, got None"),
     (lambda cx, A: PointSetA.from_coords(cx, [(0.5, 0.0), (0.5, -0.5)], labels=["a", "a"]),
      ValueError, "labels must be distinct; 'a' is repeated"),
+    (lambda cx, A: CubicalComplex(None, [CubeCell((0,), (0,))]), ComplexError,
+     "^ambient_dim must be a positive integer$"),
+    (lambda cx, A: CubicalComplex(3, [CubeCell((0,), (0,))]), ComplexError,
+     "cell #0: base has length 1, expected 3"),
+    (lambda cx, A: CubicalComplex(1, [CubeCell((0,), (5,))]), ComplexError,
+     "cell #0: axis index 5 out of range for n=1"),
+    (lambda cx, A: CubicalComplex(1, [CubeCell(None, (0,))]), ComplexError,
+     r"cell #0: base and axes must be tuples, got \(None, \(0,\)\)"),
+    (lambda cx, A: CubicalComplex(2, [CubeCell((0, 0), (0, 0))]), ComplexError,
+     "cell #0: axes must be distinct"),
+    (lambda cx, A: SignCone((ZERO,)).contains(("x",)), ValueError,
+     r"v must be a sequence of numbers, got \('x',\)"),
+    (lambda cx, A: SignCone((ZERO,)).contains((0.0,), None), ValueError,
+     "tol must be a real number, got None"),
+    (lambda cx, A: CubeCell((0,), (0,)).contains(("x",)), ValueError,
+     r"point must be a sequence of numbers, got \('x',\)"),
+    (lambda cx, A: CubeCell((0,), (0,)).contains((0.5,), None), ValueError,
+     "tol must be a real number, got None"),
+    (lambda cx, A: WeightedSum(None, (1.0,)), ValueError,
+     "sets must be a sequence of model sets, got None"),
 ], ids=["cell", "unhashable-id", "tangent-cone", "bounds", "solve-pc", "conic-residual",
         "conic-residual-no-weight", "string-tol", "none-tol", "heatmap-tol",
         "segment-dimensions", "string-exponent", "not-a-certificate", "zero-margin",
@@ -488,7 +508,10 @@ def _model(cx, A, label):
         "short-cell-point", "iterator-cell-point", "none-cone-vector", "none-projected-vector",
         "string-singleton-scale", "string-cone-ball-scale", "none-sum-weights",
         "none-geodesic-breakpoints", "none-maximal-cells", "tuple-maximal-cell",
-        "none-bound-complex", "repeated-labels"])
+        "none-bound-complex", "repeated-labels", "none-ambient-dim", "short-cell-base",
+        "out-of-range-cell-axis", "none-cell-base", "repeated-cell-axis",
+        "string-cone-item", "none-cone-tol", "string-cell-item", "none-cell-tol",
+        "none-sum-sets"])
 def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     """An unknown cell id, or a cell that is not maximal where a conic
     problem needs one, is a ComplexError naming it, a tolerance or an
@@ -520,8 +543,13 @@ def test_bad_ids_and_arguments_raise_typed_errors(bundles, call, error, match):
     that is no sequence of numbers, a model set's scale that is no number,
     ``WeightedSum`` weights or ``Geodesic`` breakpoints that are no
     sequence, or a ``vertex_upper_bound`` complex that is no complex a
-    ValueError, maximal cells of a ``CubicalComplex`` that are no list of
-    cube cells a ComplexError, a point of the wrong dimension a
+    ValueError, a cube cell point or sign-cone vector holding an item that
+    is no number, or a ``tol`` of theirs that is no real number, a ValueError
+    naming it, ``WeightedSum`` sets that are no sequence a ValueError,
+    maximal cells of a ``CubicalComplex`` that are no list of cube cells, an
+    ``ambient_dim`` that is no positive integer, or a cell whose base and
+    axes are no tuples, whose base has another length or whose axes are not
+    distinct integers below it a ComplexError, a point of the wrong dimension a
     LocationError, and an object that is no certificate, a margin that is
     not a positive number or a derivative model at a set point a
     CertificateError, never a bare KeyError, TypeError, IndexError or

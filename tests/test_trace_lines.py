@@ -65,6 +65,6 @@ def test_workloads_and_families_in_one_trace(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     rows = [json.loads(line) for line in lines if line.startswith("{")]
     assert [(r["family"], r["calls"]) for r in rows] == [
-        ("L8", 1), ("L4xI", 1), ("tripod2", 1), ("staircase", 1)]
+        ("L8", 1), ("L4xI", 1), ("tripod2", 1), ("staircase", 1), ("grid10", 1)]
     modules = sorted(p.stem for p in (TRACE_LINES.parents[1] / "src" / "meanset").glob("*.py"))
     assert [line.split(":")[0] for line in lines[len(rows):]] == modules

@@ -12,7 +12,9 @@ Each family is a fixed seeded set of point pairs on one complex:
 * ``tripod2``: the product of the bundled tripod with itself in R^4,
   1,500 pairs;
 * ``staircase``: five cubes winding around two reflex edges, 200 pairs
-  between its end cubes.
+  between its end cubes;
+* ``grid10``: 10 x 10 x 10 unit cubes, 300 pairs between its corner cubes,
+  whose straight geodesics cross about 27 cells each.
 
 Points are uniform in a uniformly drawn maximal cell (``random_point``);
 in every third pair one end has its coordinates rounded to halves, onto a
@@ -28,9 +30,9 @@ family's complex: the entries of each and its size in KB
 (``sys.getsizeof`` summed over every object it reaches through dicts and
 tuples, each object counted once, the complex's cell-id strings left out).
 The closed forms: ``oracles.polyomino_distance`` on L8, combined with the
-interval as a product on L4 x [0, 2], and the tripod's tree distance
-combined as a product on tripod^2.  The staircase has none, so its error
-is null.
+interval as a product on L4 x [0, 2], the tripod's tree distance
+combined as a product on tripod^2, and ``|p - q|`` on the convex grid.
+The staircase has none, so its error is null.
 
 L10 and L4 x L4 are left out: their chain searches grow without bound.
 """
@@ -51,7 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from generators import INTERVAL, STAIRCASE, l_shape, product  # noqa: E402
+from generators import INTERVAL, STAIRCASE, grid, l_shape, product  # noqa: E402
 from meanset import GeodesicError, complex_from_dict, distance, geodesics  # noqa: E402
 from meanset.complexes import read_json  # noqa: E402
 from meanset.corpus import data_path  # noqa: E402
@@ -86,6 +88,7 @@ def families() -> dict:
                                             _tripod_distance(p[2:], q[2:]))),
         "staircase": (200, 37, STAIRCASE, [STAIRCASE["cells"][i]["base"] for i in (0, -1)],
                       None),
+        "grid10": (300, 1010, grid(10, 10, 10), [[0, 0, 0], [9, 9, 9]], math.dist),
     }
 
 
