@@ -601,7 +601,7 @@ def reference_walk(cx, p_loc, q_loc):
     boxes = cx._boxes
     t = 0.0
     chain, pts = [], [p]
-    step = [(c, None) for c in cells_holding(cx, p) if c in cx.maximal_ids]
+    step = [(c, None) for c in cx.maximal_ids if cx.cell(c).contains(p, 0.0)]
     while True:
         best, reach, gate = None, t, None
         for cell, face in step:
